@@ -5,6 +5,7 @@
 package paramra_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -404,6 +405,29 @@ thread t2 { regs q; store y 1; q = load x; store a q }
 			}
 		}
 	})
+}
+
+// BenchmarkPrepassReplay measures the prepass on the corpus barrier entry at
+// the replay cap raserved passes (MaxStates 2,000,000). Its concrete replay
+// visits every state of the n=0..4 instances and decides nothing, so the
+// figure is the cost of the concrete explorer's successor relation;
+// scripts/bench-allocs.sh gates its allocs/op.
+func BenchmarkPrepassReplay(b *testing.B) {
+	e, _ := bench.ByName("barrier")
+	sys := e.System()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := paramra.Prepass(ctx, sys, paramra.Options{MaxStates: 2_000_000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Verdict != paramra.PrepassInconclusive || out.ReplayStates == 0 {
+			b.Fatalf("barrier prepass: %v after %d replay states, want an inconclusive replay",
+				out.Verdict, out.ReplayStates)
+		}
+	}
 }
 
 // BenchmarkParser measures the concrete-syntax frontend.

@@ -44,13 +44,18 @@ type Goal struct {
 	Val lang.Val
 }
 
+// DefaultMaxReplayStates is the per-instance state cap of the concrete
+// replay when Options.MaxReplayStates is zero.
+const DefaultMaxReplayStates = 30_000
+
 // Options bounds the prepass. The zero value selects the defaults noted on
 // each field.
 type Options struct {
 	// Goal, when non-nil, asks Message Generation instead of assert
 	// reachability.
 	Goal *Goal
-	// MaxReplayStates caps each concrete replay instance (default 30000).
+	// MaxReplayStates caps each concrete replay instance (default
+	// DefaultMaxReplayStates).
 	MaxReplayStates int
 	// MaxReplayEnv caps the env replica counts tried by the replay
 	// (default 4).
@@ -62,7 +67,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxReplayStates == 0 {
-		o.MaxReplayStates = 30_000
+		o.MaxReplayStates = DefaultMaxReplayStates
 	}
 	if o.MaxReplayEnv == 0 {
 		o.MaxReplayEnv = 4

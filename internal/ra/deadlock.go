@@ -20,6 +20,20 @@ type DeadlockReport struct {
 	StuckThreads []string
 }
 
+// stuckThreads names the threads of s that have not finished. A thread is
+// finished when no edges leave its pc — for compiled programs that is
+// exactly the exit node, but choice joins can produce other sink nodes too;
+// any out-degree-0 pc counts as finished.
+func (inst *Instance) stuckThreads(s *State) []string {
+	var stuck []string
+	for ti := range s.Threads {
+		if len(inst.Threads[ti].CFG.Out[s.Threads[ti].PC]) > 0 {
+			stuck = append(stuck, inst.Threads[ti].Name)
+		}
+	}
+	return stuck
+}
+
 // FindDeadlocks explores the instance and classifies its sink states.
 // Assert transitions terminate exploration of their branch but are not
 // counted as deadlocks.
@@ -29,53 +43,41 @@ func (inst *Instance) FindDeadlocks(lim Limits) DeadlockReport {
 	queue := []*State{init}
 	rep := DeadlockReport{Complete: true}
 	states := 1
-
-	atExit := func(s *State, ti int) bool {
-		info := inst.Threads[ti]
-		// A thread is finished when no edges leave its pc — for compiled
-		// programs that is exactly the exit node, but choice joins can
-		// produce other sink nodes too; treat any out-degree-0 pc whose
-		// node is the CFG exit as finished.
-		return len(info.CFG.Out[s.Threads[ti].PC]) == 0
-	}
+	var sc scratch
 
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		succs := inst.Successors(s)
-		if len(succs) == 0 {
-			var stuck []string
-			for ti := range s.Threads {
-				if !atExit(s, ti) {
-					stuck = append(stuck, inst.Threads[ti].Name)
-				}
+		sink := true
+		inst.eachSucc(s, &sc, func(st step) bool {
+			sink = false
+			if st.assert() {
+				return true
 			}
-			if len(stuck) > 0 {
-				rep.Deadlocks++
-				if rep.Example == "" {
-					rep.Example = s.String()
-					rep.StuckThreads = stuck
-				}
-			} else {
-				rep.Terminal++
-			}
-			continue
-		}
-		for _, succ := range succs {
-			if succ.Event.Assert {
-				continue
-			}
-			k := succ.State.Key()
-			if visited[k] {
-				continue
+			inst.keyInto(&sc, false)
+			if visited[string(sc.enc.Bytes())] {
+				return true
 			}
 			if lim.MaxStates > 0 && states >= lim.MaxStates {
 				rep.Complete = false
-				continue
+				return true
 			}
-			visited[k] = true
+			visited[sc.enc.String()] = true
 			states++
-			queue = append(queue, succ.State)
+			queue = append(queue, sc.materialize())
+			return true
+		})
+		if !sink {
+			continue
+		}
+		if stuck := inst.stuckThreads(s); len(stuck) > 0 {
+			rep.Deadlocks++
+			if rep.Example == "" {
+				rep.Example = s.String()
+				rep.StuckThreads = stuck
+			}
+		} else {
+			rep.Terminal++
 		}
 	}
 	return rep

@@ -61,6 +61,33 @@ type Result struct {
 	Err error
 }
 
+// backEdge stores, for each visited state, its predecessor key and the step
+// that led to it: enough to reconstruct a witness by chain walking.
+type backEdge struct {
+	prevKey string
+	step    step
+}
+
+// witness renders the computation that ends with final, taken in the state
+// keyed last, by walking back-edges up to the initial state keyed root.
+// Only these steps are ever rendered into Events.
+func (inst *Instance) witness(lookup func(string) (backEdge, bool), root, last string, final step) []Event {
+	rev := []step{final}
+	for k := last; k != root; {
+		be, ok := lookup(k)
+		if !ok {
+			break
+		}
+		rev = append(rev, be.step)
+		k = be.prevKey
+	}
+	out := make([]Event, 0, len(rev))
+	for i := len(rev) - 1; i >= 0; i-- {
+		out = append(out, inst.event(rev[i]))
+	}
+	return out
+}
+
 // Explore runs a breadth-first search of the instance's RA state space,
 // looking for an `assert false` transition.
 func (inst *Instance) Explore(lim Limits) Result {
@@ -70,38 +97,17 @@ func (inst *Instance) Explore(lim Limits) Result {
 		depth int
 	}
 	init := inst.InitState()
-	initKey := inst.stateKey(init, lim)
-	visited := map[string]bool{initKey: true}
-	// pred maps a state key to its predecessor key and incoming event, for
-	// witness reconstruction.
-	type backEdge struct {
-		prevKey string
-		ev      Event
+	initKey := inst.stateKey(init, lim.Symmetry)
+	visited := map[string]backEdge{initKey: {}}
+	lookup := func(k string) (backEdge, bool) {
+		be, ok := visited[k]
+		return be, ok
 	}
-	pred := map[string]backEdge{}
 
 	queue := []node{{state: init, key: initKey, depth: 0}}
 	res := Result{States: 1}
 	limited := false
-
-	buildWitness := func(lastKey string, final Event) []Event {
-		var rev []Event
-		rev = append(rev, final)
-		k := lastKey
-		for k != initKey {
-			be, ok := pred[k]
-			if !ok {
-				break
-			}
-			rev = append(rev, be.ev)
-			k = be.prevKey
-		}
-		out := make([]Event, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			out = append(out, rev[i])
-		}
-		return out
-	}
+	var sc scratch
 
 	for len(queue) > 0 {
 		n := queue[0]
@@ -110,26 +116,29 @@ func (inst *Instance) Explore(lim Limits) Result {
 			limited = true
 			continue
 		}
-		key := n.key
-		for _, succ := range inst.Successors(n.state) {
+		inst.eachSucc(n.state, &sc, func(st step) bool {
 			res.Transitions++
-			if succ.Event.Assert {
+			if st.assert() {
 				res.Unsafe = true
-				res.Witness = buildWitness(key, succ.Event)
-				return res
+				res.Witness = inst.witness(lookup, initKey, n.key, st)
+				return false
 			}
-			sk := inst.stateKey(succ.State, lim)
-			if visited[sk] {
-				continue
+			inst.keyInto(&sc, lim.Symmetry)
+			if _, seen := visited[string(sc.enc.Bytes())]; seen {
+				return true
 			}
 			if lim.MaxStates > 0 && res.States >= lim.MaxStates {
 				limited = true
-				continue
+				return true
 			}
-			visited[sk] = true
-			pred[sk] = backEdge{prevKey: key, ev: succ.Event}
+			sk := sc.enc.String()
+			visited[sk] = backEdge{prevKey: n.key, step: st}
 			res.States++
-			queue = append(queue, node{state: succ.State, key: sk, depth: n.depth + 1})
+			queue = append(queue, node{state: sc.materialize(), key: sk, depth: n.depth + 1})
+			return true
+		})
+		if res.Unsafe {
+			return res
 		}
 	}
 	res.Complete = !limited
@@ -156,23 +165,26 @@ func (inst *Instance) ReachablePCs(lim Limits) ([]map[int]bool, bool) {
 	queue := []*State{init}
 	states := 1
 	complete := true
+	var sc scratch
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
-		for _, succ := range inst.Successors(s) {
-			k := succ.State.Key()
-			if visited[k] {
-				continue
+		inst.eachSucc(s, &sc, func(step) bool {
+			inst.keyInto(&sc, false)
+			if visited[string(sc.enc.Bytes())] {
+				return true
 			}
 			if lim.MaxStates > 0 && states >= lim.MaxStates {
 				complete = false
-				continue
+				return true
 			}
-			visited[k] = true
+			visited[sc.enc.String()] = true
 			states++
-			record(succ.State)
-			queue = append(queue, succ.State)
-		}
+			ns := sc.materialize()
+			record(ns)
+			queue = append(queue, ns)
+			return true
+		})
 	}
 	return reach, complete
 }

@@ -3,7 +3,6 @@ package ra
 import (
 	"fmt"
 
-	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
 
@@ -31,6 +30,8 @@ type ThreadInfo struct {
 type Instance struct {
 	Sys     *lang.System
 	Threads []ThreadInfo
+	// nEnv is the number of env replicas (the leading EnvThread entries).
+	nEnv int
 }
 
 // NewInstance builds the instance of sys with nEnv environment threads.
@@ -56,6 +57,7 @@ func NewInstance(sys *lang.System, nEnv int) (*Instance, error) {
 			DisIndex: i, CFG: envCFG,
 		})
 	}
+	inst.nEnv = nEnv
 	for i, d := range sys.Dis {
 		inst.Threads = append(inst.Threads, ThreadInfo{
 			Kind: DisThread, Name: d.Name, DisIndex: i, CFG: lang.Compile(d),
@@ -65,33 +67,15 @@ func NewInstance(sys *lang.System, nEnv int) (*Instance, error) {
 }
 
 // NumEnv returns the number of env replicas in the instance.
-func (inst *Instance) NumEnv() int {
-	n := 0
-	for _, ti := range inst.Threads {
-		if ti.Kind == EnvThread {
-			n++
-		}
-	}
-	return n
-}
+func (inst *Instance) NumEnv() int { return inst.nEnv }
 
 // stateKey returns the visited-set key for s, canonicalizing env-replica
 // order when symmetry reduction is enabled.
-func (inst *Instance) stateKey(s *State, lim Limits) string {
-	if lim.Symmetry {
-		return s.SymKey(inst.NumEnv())
+func (inst *Instance) stateKey(s *State, symmetry bool) string {
+	if symmetry {
+		return s.SymKey(inst.nEnv)
 	}
 	return s.Key()
-}
-
-// appendStateKey is stateKey into a caller-owned encoder, for byte-probe
-// paths that avoid interning keys of already-visited successors.
-func (inst *Instance) appendStateKey(enc *engine.KeyEnc, s *State, lim Limits) {
-	if lim.Symmetry {
-		s.appendSymKey(enc, inst.NumEnv())
-		return
-	}
-	s.appendKey(enc)
 }
 
 // InitState returns the initial configuration: per variable a single initial

@@ -7,11 +7,32 @@ import (
 	"paramra/internal/engine"
 )
 
-// backEdge stores, for each visited state, its predecessor key and the
-// incoming event — enough to reconstruct a witness by chain walking.
-type backEdge struct {
-	prevKey string
-	ev      Event
+// scratchPool hands each exploring goroutine a scratch workspace for the
+// duration of one expansion; its buffers survive between expansions, so
+// steady-state expansion allocates only for successors not seen before. A
+// plain free list rather than a sync.Pool: a run outlives many GC cycles,
+// each of which would empty a sync.Pool and re-grow the buffers.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+func (sp *scratchPool) get() *scratch {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if n := len(sp.free); n > 0 {
+		sc := sp.free[n-1]
+		sp.free = sp.free[:n-1]
+		return sc
+	}
+	return new(scratch)
+}
+
+func (sp *scratchPool) put(sc *scratch) {
+	sc.parent = nil // a parked scratch must not keep an expanded state alive
+	sp.mu.Lock()
+	sp.free = append(sp.free, sc)
+	sp.mu.Unlock()
 }
 
 // ExploreContext runs the safety search of Explore on the free-order
@@ -21,36 +42,38 @@ type backEdge struct {
 // worker count; witness interleavings may differ between runs (the first
 // violation discovered wins). Cancellation via ctx stops the search with
 // Result.Err = ctx.Err() and Complete = false.
+//
+// Each successor is built in a scratch state and its key probed against the
+// visited set before anything is allocated: only an unseen successor is
+// cloned and its key interned.
 func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	init := inst.InitState()
-	initKey := inst.stateKey(init, lim)
+	initKey := inst.stateKey(init, lim.Symmetry)
 	visited := engine.NewShardedMap[backEdge]()
+	var pool scratchPool
 
 	expand := func(s *State, key string, depth int, buf []engine.Succ[*State, backEdge]) []engine.Succ[*State, backEdge] {
-		succs := inst.Successors(s)
 		out := buf
-		enc := engine.GetKeyEnc()
-		for _, succ := range succs {
-			if succ.Event.Assert {
-				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: succ.Event})
-				break
+		sc := pool.get()
+		inst.eachSucc(s, sc, func(st step) bool {
+			if st.assert() {
+				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: st})
+				return false
 			}
-			// Byte-probe the visited set before interning: duplicate
-			// successors (the common case) cost no allocation, and the
-			// grow-only set makes the positive answer stable.
-			enc.Reset()
-			inst.appendStateKey(enc, succ.State, lim)
-			if visited.HasBytes(enc.Bytes()) {
+			// The grow-only visited set makes a positive probe stable.
+			inst.keyInto(sc, lim.Symmetry)
+			if visited.HasBytes(sc.enc.Bytes()) {
 				out = append(out, engine.Succ[*State, backEdge]{Dedup: true})
-				continue
+				return true
 			}
 			out = append(out, engine.Succ[*State, backEdge]{
-				State: succ.State,
-				Key:   enc.String(),
-				Val:   backEdge{prevKey: key, ev: succ.Event},
+				State: sc.materialize(),
+				Key:   sc.enc.String(),
+				Val:   backEdge{prevKey: key, step: st},
 			})
-		}
-		engine.PutKeyEnc(enc)
+			return true
+		})
+		pool.put(sc)
 		return out
 	}
 
@@ -73,20 +96,8 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 		Err:         out.Err,
 	}
 	if out.Halted {
-		final, _ := out.HaltTag.(Event)
-		rev := []Event{final}
-		for k := out.HaltParent; k != initKey; {
-			be, ok := visited.Get(k)
-			if !ok {
-				break
-			}
-			rev = append(rev, be.ev)
-			k = be.prevKey
-		}
-		res.Witness = make([]Event, 0, len(rev))
-		for i := len(rev) - 1; i >= 0; i-- {
-			res.Witness = append(res.Witness, rev[i])
-		}
+		final, _ := out.HaltTag.(step)
+		res.Witness = inst.witness(visited.Get, initKey, out.HaltParent, final)
 	}
 	return res
 }
@@ -102,7 +113,8 @@ func (inst *Instance) ExploreParallel(lim Limits, workers int) Result {
 // parallel engine. Counts are deterministic (they are properties of the
 // reachable state set); the reported example is canonicalized to the
 // deadlocked state with the smallest key, so it too is identical for every
-// worker count and schedule.
+// worker count and schedule. Successors are probed before they are
+// materialized, as in ExploreContext.
 func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) DeadlockReport {
 	init := inst.InitState()
 
@@ -110,21 +122,34 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 	rep := DeadlockReport{}
 	var exampleKey string
 
-	atExit := func(s *State, ti int) bool {
-		return len(inst.Threads[ti].CFG.Out[s.Threads[ti].PC]) == 0
-	}
-
 	visited := engine.NewShardedMap[struct{}]()
+	var pool scratchPool
 
 	expand := func(s *State, key string, depth int, buf []engine.Succ[*State, struct{}]) []engine.Succ[*State, struct{}] {
-		succs := inst.Successors(s)
-		if len(succs) == 0 {
-			var stuck []string
-			for ti := range s.Threads {
-				if !atExit(s, ti) {
-					stuck = append(stuck, inst.Threads[ti].Name)
-				}
+		out := buf
+		sc := pool.get()
+		sink := true
+		inst.eachSucc(s, sc, func(st step) bool {
+			sink = false
+			// Assert transitions terminate their branch without counting as
+			// deadlocks (safety is Explore's job).
+			if st.assert() {
+				return true
 			}
+			inst.keyInto(sc, false)
+			if visited.HasBytes(sc.enc.Bytes()) {
+				out = append(out, engine.Succ[*State, struct{}]{Dedup: true})
+				return true
+			}
+			out = append(out, engine.Succ[*State, struct{}]{
+				State: sc.materialize(),
+				Key:   sc.enc.String(),
+			})
+			return true
+		})
+		pool.put(sc)
+		if sink {
+			stuck := inst.stuckThreads(s)
 			mu.Lock()
 			if len(stuck) > 0 {
 				rep.Deadlocks++
@@ -137,28 +162,7 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 				rep.Terminal++
 			}
 			mu.Unlock()
-			return buf
 		}
-		out := buf
-		enc := engine.GetKeyEnc()
-		for _, succ := range succs {
-			// Assert transitions terminate their branch without counting as
-			// deadlocks (safety is Explore's job).
-			if succ.Event.Assert {
-				continue
-			}
-			enc.Reset()
-			succ.State.appendKey(enc)
-			if visited.HasBytes(enc.Bytes()) {
-				out = append(out, engine.Succ[*State, struct{}]{Dedup: true})
-				continue
-			}
-			out = append(out, engine.Succ[*State, struct{}]{
-				State: succ.State,
-				Key:   enc.String(),
-			})
-		}
-		engine.PutKeyEnc(enc)
 		return out
 	}
 

@@ -1,8 +1,8 @@
 package ra
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 
 	"paramra/internal/engine"
@@ -37,25 +37,71 @@ type State struct {
 	Threads []Thread
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state in one block per element type: a single []Msg
+// backs every modification order, a single []int arena every message and
+// thread view, and a single []lang.Val every register file. Each
+// per-variable, per-view and per-thread slice is capped at its length, so an
+// append to one (insert) reallocates it instead of overwriting a neighbour.
 func (s *State) Clone() *State {
+	nMsg, nView, nReg := 0, 0, 0
+	for _, list := range s.Mem {
+		nMsg += len(list)
+		for i := range list {
+			nView += len(list[i].View)
+		}
+	}
+	for i := range s.Threads {
+		nView += len(s.Threads[i].View)
+		nReg += len(s.Threads[i].Regs)
+	}
 	out := &State{
 		Mem:     make([][]Msg, len(s.Mem)),
 		Threads: make([]Thread, len(s.Threads)),
 	}
-	for v, list := range s.Mem {
-		nl := make([]Msg, len(list))
-		for i, m := range list {
-			nl[i] = Msg{Val: m.Val, View: m.View.Clone(), Sealed: m.Sealed}
-		}
-		out.Mem[v] = nl
+	a := arena{
+		msgs:  make([]Msg, nMsg),
+		views: make([]int, nView),
+		regs:  make([]lang.Val, nReg),
 	}
-	for i, th := range s.Threads {
-		regs := make([]lang.Val, len(th.Regs))
-		copy(regs, th.Regs)
-		out.Threads[i] = Thread{PC: th.PC, Regs: regs, View: th.View.Clone()}
-	}
+	a.fill(out, s, 0)
 	return out
+}
+
+// arena is the backing store of a state copy; fill carves it up.
+type arena struct {
+	msgs  []Msg
+	views []int
+	regs  []lang.Val
+}
+
+// fill makes dst a copy of src whose slices are carved from a, leaving
+// spareMsgs unused message slots after each modification order (as append
+// capacity) and returning the first unused view offset. dst.Mem and
+// dst.Threads must already have src's lengths, and a must be large enough.
+func (a *arena) fill(dst, src *State, spareMsgs int) (viewOff int) {
+	mi, vi, ri := 0, 0, 0
+	view := func(w View) View {
+		out := View(a.views[vi : vi+len(w) : vi+len(w)])
+		copy(out, w)
+		vi += len(w)
+		return out
+	}
+	for v, list := range src.Mem {
+		nl := a.msgs[mi : mi+len(list) : mi+len(list)+spareMsgs]
+		for i := range list {
+			nl[i] = Msg{Val: list[i].Val, View: view(list[i].View), Sealed: list[i].Sealed}
+		}
+		dst.Mem[v] = nl
+		mi += len(list) + spareMsgs
+	}
+	for i := range src.Threads {
+		th := &src.Threads[i]
+		regs := a.regs[ri : ri+len(th.Regs) : ri+len(th.Regs)]
+		copy(regs, th.Regs)
+		ri += len(th.Regs)
+		dst.Threads[i] = Thread{PC: th.PC, Regs: regs, View: view(th.View)}
+	}
+	return vi
 }
 
 // Key returns a canonical encoding of the state, used for visited-set
@@ -76,7 +122,7 @@ func (s *State) Key() string {
 func (s *State) appendKey(enc *engine.KeyEnc) {
 	s.encodeMemKey(enc)
 	for i := range s.Threads {
-		s.encodeThreadKey(enc, i)
+		encodeThread(enc, &s.Threads[i])
 	}
 }
 
@@ -86,29 +132,79 @@ func (s *State) appendKey(enc *engine.KeyEnc) {
 // program and messages carry no thread identity.
 func (s *State) SymKey(nEnv int) string {
 	enc := engine.GetKeyEnc()
-	s.appendSymKey(enc, nEnv)
+	var es envSort
+	s.appendSymKey(enc, nEnv, &es)
 	k := enc.String()
 	engine.PutKeyEnc(enc)
 	return k
 }
 
 // appendSymKey is appendKey under env-replica symmetry canonicalization.
-func (s *State) appendSymKey(enc *engine.KeyEnc, nEnv int) {
+func (s *State) appendSymKey(enc *engine.KeyEnc, nEnv int, es *envSort) {
+	nEnv = min(nEnv, len(s.Threads))
+	if nEnv <= 1 {
+		s.appendKey(enc)
+		return
+	}
 	s.encodeMemKey(enc)
-	envKeys := make([]string, 0, nEnv)
-	tenc := engine.GetKeyEnc()
-	for i := 0; i < nEnv && i < len(s.Threads); i++ {
-		tenc.Reset()
-		s.encodeThreadKey(tenc, i)
-		envKeys = append(envKeys, tenc.String())
+	es.reset()
+	for i := 0; i < nEnv; i++ {
+		encodeThread(&es.buf, &s.Threads[i])
+		es.mark()
 	}
-	engine.PutKeyEnc(tenc)
-	sort.Strings(envKeys)
-	for _, k := range envKeys {
-		enc.Raw([]byte(k))
-	}
+	es.appendSorted(enc)
 	for i := nEnv; i < len(s.Threads); i++ {
-		s.encodeThreadKey(enc, i)
+		encodeThread(enc, &s.Threads[i])
+	}
+}
+
+// sections is a run of key sections encoded back to back.
+type sections struct {
+	buf  engine.KeyEnc
+	ends []int
+}
+
+func (ss *sections) reset() {
+	ss.buf.Reset()
+	ss.ends = ss.ends[:0]
+}
+
+// mark ends the section being encoded into buf.
+func (ss *sections) mark() { ss.ends = append(ss.ends, len(ss.buf.Bytes())) }
+
+// section returns the encoding of section i.
+func (ss *sections) section(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = ss.ends[i-1]
+	}
+	return ss.buf.Bytes()[start:ss.ends[i]]
+}
+
+// envSort holds the env-replica sections of a symmetry key while they are
+// put in order.
+type envSort struct {
+	sections
+	order []int
+}
+
+// appendSorted appends the sections to enc in bytes.Compare order, the
+// order sort.Strings gives their string forms, so a symmetry key does not
+// depend on how it was built.
+func (es *envSort) appendSorted(enc *engine.KeyEnc) {
+	n := len(es.ends)
+	es.order = es.order[:0]
+	for i := 0; i < n; i++ {
+		es.order = append(es.order, i)
+	}
+	// Insertion sort: there are only a handful of replicas.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && bytes.Compare(es.section(es.order[j]), es.section(es.order[j-1])) < 0; j-- {
+			es.order[j], es.order[j-1] = es.order[j-1], es.order[j]
+		}
+	}
+	for _, i := range es.order {
+		enc.Raw(es.section(i))
 	}
 }
 
@@ -130,8 +226,8 @@ func (s *State) encodeMemKey(enc *engine.KeyEnc) {
 	}
 }
 
-func (s *State) encodeThreadKey(enc *engine.KeyEnc, i int) {
-	th := s.Threads[i]
+// encodeThread encodes one thread's section of a state key.
+func encodeThread(enc *engine.KeyEnc, th *Thread) {
 	enc.Int(int(th.PC))
 	enc.Len(len(th.Regs))
 	for _, r := range th.Regs {

@@ -38,12 +38,17 @@ func (v View) Clone() View {
 // (the ⊔ of the paper: λx. max(v(x), w(x))).
 func (v View) Join(w View) View {
 	out := v.Clone()
+	out.join(w)
+	return out
+}
+
+// join is Join in place: v becomes v ⊔ w.
+func (v View) join(w View) {
 	for i, t := range w {
-		if t > out[i] {
-			out[i] = t
+		if t > v[i] {
+			v[i] = t
 		}
 	}
-	return out
 }
 
 // Leq reports whether v ≤ w pointwise.

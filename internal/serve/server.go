@@ -175,6 +175,12 @@ type Server struct {
 	inflightWG sync.WaitGroup
 	draining   atomic.Bool
 	start      time.Time
+
+	// verifyHook, when set, runs in handleVerify once the request's budget
+	// has started and just before verification, with the verification
+	// context. Tests use it to hold a request at that point instead of
+	// relying on how long a verification takes.
+	verifyHook func(ctx context.Context)
 }
 
 // logPrinter is the minimal printf sink the middleware needs (satisfied by
@@ -495,6 +501,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	backend := "fixpoint"
 	if ro.Datalog {
 		backend = "datalog"
+	}
+	if s.verifyHook != nil {
+		s.verifyHook(vctx)
 	}
 	vstart := time.Now()
 	res, err := paramra.Verify(vctx, sys, opts)

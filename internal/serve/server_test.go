@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"paramra/internal/obs"
 )
 
 // Test systems in .ra concrete syntax (mirroring the repo corpus).
@@ -190,38 +190,98 @@ func TestServerInvalidOptions(t *testing.T) {
 	}
 }
 
-// heavySystem loads the corpus entry that needs seconds of fixpoint work,
-// so a millisecond budget deterministically expires mid-verification.
-func heavySystem(t *testing.T) string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "systems", "peterson.ra"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
 // TestServerBudget408 pins the budget-source discrimination: a
 // client-requested budget that expires is the client's fault (408), the
-// server default expiring is the server's (504).
+// server default expiring is the server's (504). The hook holds each
+// request until its budget has run out, so neither test depends on how
+// long the verification itself would take.
 func TestServerBudget408(t *testing.T) {
 	off := false
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
+	holdUntilBudgetExpires(s)
 	status, body := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
-		System:  heavySystem(t),
-		Options: RequestOptions{BudgetMS: 1, Prepass: &off, Parallelism: 1},
+		System:  sysUnsafe,
+		Options: RequestOptions{BudgetMS: 1, Prepass: &off},
 	})
 	wantError(t, status, body, http.StatusRequestTimeout, CodeBudgetExceeded, "")
 }
 
 func TestServerBudget504(t *testing.T) {
 	off := false
-	_, ts := newTestServer(t, Config{DefaultBudget: time.Millisecond})
+	s, ts := newTestServer(t, Config{DefaultBudget: time.Millisecond})
+	holdUntilBudgetExpires(s)
 	status, body := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
-		System:  heavySystem(t),
-		Options: RequestOptions{Prepass: &off, Parallelism: 1},
+		System:  sysUnsafe,
+		Options: RequestOptions{Prepass: &off},
 	})
 	wantError(t, status, body, http.StatusGatewayTimeout, CodeServerBudget, "")
+}
+
+// sysLongReplay is a SAFE barrier whose workers reset `arrived`: the
+// prepass finds a candidate path to the assert, and its replay with four
+// env replicas has about 305,000 states, while the fixpoint decides the
+// system in well under a millisecond.
+const sysLongReplay = `
+system barrier2 { vars arrived go done; domain 2; env worker; dis releaser; dis checker }
+thread worker {
+  regs g
+  store arrived 1
+  g = load go; assume g == 1
+  store done 1
+  store arrived 0
+}
+thread releaser { regs a; a = load arrived; assume a == 1; store go 1 }
+thread checker {
+  regs d g
+  d = load done; assume d == 1
+  g = load go; assume g == 0
+  assert false
+}
+`
+
+// findSpan returns the first span named name in a depth-first walk.
+func findSpan(nodes []*obs.TreeNode, name string) *obs.TreeNode {
+	for _, n := range nodes {
+		if n.Name == name {
+			return n
+		}
+		if f := findSpan(n.Children, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestServerReplayCapIsLibraryDefault pins that the server's concrete
+// state cap (MaxStatesCap, 2,000,000) does not become the prepass replay
+// cap: a system whose replay outgrows the library's 30,000-state default
+// is handed to the fixpoint after at most that many states per replay
+// instance, and answers 200 under the default options.
+func TestServerReplayCapIsLibraryDefault(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, body, _ := postTraced(t, ts.URL+"/v1/verify", "", true, VerifyRequest{System: sysLongReplay})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d: %s", status, body)
+	}
+	var resp VerifyResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Verdict != "SAFE" || resp.Result.DecidedBy != "fixpoint" {
+		t.Errorf("verdict %s decided by %q, want SAFE by the fixpoint", resp.Verdict, resp.Result.DecidedBy)
+	}
+	if resp.Trace == nil {
+		t.Fatal("no span tree in a traced response")
+	}
+	pre := findSpan(resp.Trace.Spans, "prepass")
+	if pre == nil {
+		t.Fatal("no prepass span in the trace")
+	}
+	// Five replay instances (0..4 env replicas), each capped at 30,000.
+	states, _ := pre.Attrs["replay_states"].(float64)
+	if states <= 30_000 || states > 5*30_000 {
+		t.Errorf("prepass replayed %v states, want more than one instance's cap of 30000 and at most 5×30000", states)
+	}
 }
 
 // TestServerUndecidable422 pins the class check: env CAS is outside the

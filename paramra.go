@@ -129,7 +129,9 @@ type Options struct {
 	MaxMacroStates int
 	// MaxStates caps concrete-instance exploration (VerifyInstance,
 	// ConfirmViolation, FindDeadlocks; 0 = unlimited — beware, loops make
-	// concrete state spaces infinite in general).
+	// concrete state spaces infinite in general). It also caps the
+	// prepass's replay instances, but never above the prepass's own default
+	// of 30,000 states.
 	MaxStates int
 	// Goal, when non-nil, asks Message Generation instead of assert
 	// reachability.

@@ -55,8 +55,13 @@ func prepass(ctx context.Context, sys *System, opts Options, span *obs.Span) (Pr
 		}
 		aopts.Goal = &absint.Goal{Var: v, Val: lang.Val(opts.Goal.Val)}
 	}
+	// MaxStates can only lower the replay cap. The replay is a fast path
+	// for witnesses that show up in small instances; a caller's larger
+	// budget (raserved passes 2,000,000) is meant for the concrete
+	// explorers and would let an undecided replay run for seconds before
+	// the fixpoint, which decides such systems in milliseconds, gets a turn.
 	if opts.MaxStates > 0 {
-		aopts.MaxReplayStates = opts.MaxStates
+		aopts.MaxReplayStates = min(opts.MaxStates, absint.DefaultMaxReplayStates)
 	}
 	aopts.Workers = opts.Parallelism
 	out, err := absint.Prepass(ctx, sys, aopts)
