@@ -35,11 +35,11 @@ func mustSys(b *testing.B, src string) *lang.System {
 
 func verifyB(b *testing.B, sys *lang.System, wantUnsafe bool) simplified.Result {
 	b.Helper()
-	v, err := simplified.New(sys, simplified.Options{})
+	v, err := simplified.New(sys, simplified.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := v.Verify()
+	res := v.VerifyContext(context.Background())
 	if res.Unsafe != wantUnsafe {
 		b.Fatalf("verdict %v, want %v", res.Unsafe, wantUnsafe)
 	}
@@ -96,7 +96,7 @@ func BenchmarkTable1UndecidableCell(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := inst.Explore(ra.Limits{MaxStates: 2_000_000}); !res.Unsafe {
+		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1}); !res.Unsafe {
 			b.Fatal("halting machine not detected")
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkFig1ConcreteRA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := inst.Explore(ra.Limits{MaxStates: 200_000}); !res.Unsafe {
+		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200_000, Workers: 1}); !res.Unsafe {
 			b.Fatal("expected unsafe")
 		}
 	}
@@ -142,11 +142,11 @@ thread worker {
 	yv, _ := sys.VarByName("y")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}})
+		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := v.Verify()
+		res := v.VerifyContext(context.Background())
 		if !res.Unsafe {
 			b.Fatal("goal not generated")
 		}
@@ -199,7 +199,7 @@ func BenchmarkTheorem34Differential(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := inst.Explore(ra.Limits{MaxStates: 200_000}); !res.Unsafe {
+		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200_000, Workers: 1}); !res.Unsafe {
 			b.Fatal("concrete disagrees")
 		}
 	}
@@ -321,7 +321,7 @@ func BenchmarkAblationNoAbstraction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res := inst.Explore(ra.Limits{MaxStates: 2_000_000}); !res.Unsafe {
+			if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1}); !res.Unsafe {
 				b.Fatal("expected unsafe")
 			}
 		}
@@ -356,7 +356,7 @@ func BenchmarkRobustness(b *testing.B) {
 	sys := e.System()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rob, err := sc.CompareRobustness(sys, 0, ra.Limits{MaxStates: 1_000_000})
+		rob, err := sc.CompareRobustness(sys, 0, ra.Limits{MaxStates: 1_000_000, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,34 +377,6 @@ thread w { regs s; s = load x; assume s == 15; assert false }
 	for i := 0; i < b.N; i++ {
 		verifyB(b, sys, true)
 	}
-}
-
-// BenchmarkExploreParallel compares the sequential and parallel concrete
-// explorers on a safe instance (full state-space exhaustion).
-func BenchmarkExploreParallel(b *testing.B) {
-	sys := mustSys(b, `
-system s { vars x y a; domain 3; dis t1; dis t2 }
-thread t1 { regs r; store x 1; r = load y; store a (r + 1) }
-thread t2 { regs q; store y 1; q = load x; store a q }
-`)
-	inst, err := ra.NewInstance(sys, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := inst.Explore(ra.Limits{}); !res.Complete {
-				b.Fatal("incomplete")
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if res := inst.ExploreParallel(ra.Limits{}, 0); !res.Complete {
-				b.Fatal("incomplete")
-			}
-		}
-	})
 }
 
 // BenchmarkPrepassReplay measures the prepass on the corpus barrier entry at

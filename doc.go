@@ -32,8 +32,12 @@
 // search and returns the partial Result (Complete = false) together with
 // the context error. Options.Parallelism sets the worker count (0 =
 // GOMAXPROCS) and Options.Progress streams periodic Stats snapshots.
-// Verdicts, witnesses and fixpoint statistics are identical for every
-// worker count (see internal/engine).
+// Verdicts, DecidedBy, the env-thread bound, and the fixpoint's witnesses
+// and statistics are identical for every worker count (see
+// internal/engine). Witnesses from the concrete explorer — those of
+// VerifyInstance and ConfirmViolation, and of UNSAFE verdicts the prepass
+// decides — can differ between runs at Parallelism >= 2; Parallelism 1
+// makes them reproducible.
 //
 // # Result and Stats fields by backend
 //

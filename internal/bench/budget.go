@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"paramra/internal/simplified"
@@ -30,12 +31,12 @@ func BudgetAblation() ([]BudgetRow, error) {
 		}
 		sys := e.System()
 		for _, extra := range []int{0, 2, 4} {
-			v, err := simplified.New(sys, simplified.Options{ExtraSlots: extra})
+			v, err := simplified.New(sys, simplified.Options{ExtraSlots: extra, Workers: 1})
 			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			res := v.Verify()
+			res := v.VerifyContext(context.TODO())
 			out = append(out, BudgetRow{
 				Name: name, Extra: extra, Unsafe: res.Unsafe,
 				Macro: res.Stats.MacroStates, Elapsed: time.Since(start),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
@@ -33,11 +34,11 @@ func TestCorpusVerdicts(t *testing.T) {
 	for _, e := range Corpus() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			v, err := simplified.New(e.System(), simplified.Options{})
+			v, err := simplified.New(e.System(), simplified.Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			res := v.Verify()
+			res := v.VerifyContext(context.Background())
 			if !res.Unsafe && !res.Complete {
 				t.Fatal("verification incomplete")
 			}
@@ -70,7 +71,7 @@ func TestCorpusMinEnv(t *testing.T) {
 				if err != nil {
 					t.Fatalf("instance: %v", err)
 				}
-				res := inst.Explore(ra.Limits{MaxStates: 2_000_000})
+				res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1})
 				if !res.Unsafe && !res.Complete {
 					t.Skipf("n=%d exploration incomplete", n)
 				}
@@ -103,7 +104,7 @@ func TestCorpusSafeEntriesConcrete(t *testing.T) {
 				if err != nil {
 					t.Fatalf("instance: %v", err)
 				}
-				res := inst.Explore(ra.Limits{MaxStates: 2_000_000})
+				res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1})
 				if res.Unsafe {
 					t.Fatalf("concrete violation at n=%d for an entry marked safe:\n%s",
 						n, ra.FormatWitness(res.Witness))

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -82,11 +83,11 @@ thread w {
 		minK := datalog.MinCacheSizeEDB(core, goal, 24, edb)
 
 		// Dependency-graph side.
-		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: fv, Val: 1}})
+		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: fv, Val: 1}, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		if !res.Unsafe {
 			return nil, fmt.Errorf("%s: goal message not generatable", c.name)
 		}
@@ -151,11 +152,11 @@ func ThreadBoundExperiment(maxN int) ([]ThreadRow, error) {
 			continue
 		}
 		sys := e.System()
-		v, err := simplified.New(sys, simplified.Options{})
+		v, err := simplified.New(sys, simplified.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		if !res.Unsafe {
 			return nil, fmt.Errorf("%s: expected unsafe", e.Name)
 		}
@@ -210,12 +211,12 @@ func Ablations() ([]AblationRow, error) {
 		}
 		sys := e.System()
 
-		v, err := simplified.New(sys, simplified.Options{})
+		v, err := simplified.New(sys, simplified.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		row := AblationRow{Name: name, FixpointVerdict: res.Unsafe, FixpointTime: time.Since(start)}
 
 		start = time.Now()
@@ -232,7 +233,7 @@ func Ablations() ([]AblationRow, error) {
 			return nil, err
 		}
 		start = time.Now()
-		cres := inst.Explore(ra.Limits{MaxStates: 500_000})
+		cres := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: 500_000, Workers: 1})
 		row.ConcreteTimeN2 = time.Since(start)
 		row.ConcreteStates = cres.States
 		out = append(out, row)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -53,12 +54,12 @@ func Fig3(maxZ int) ([]Fig3Row, error) {
 	var out []Fig3Row
 	for z := 1; z <= maxZ; z++ {
 		sys := fig3System(z)
-		v, err := simplified.New(sys, simplified.Options{})
+		v, err := simplified.New(sys, simplified.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		row := Fig3Row{
 			Z: z, Unsafe: res.Unsafe,
 			MacroStates: res.Stats.MacroStates,
@@ -108,11 +109,11 @@ thread worker {
 `
 	sys := lang.MustParseSystem(src)
 	yv, _ := sys.VarByName("y")
-	v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}})
+	v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}, Workers: 1})
 	if err != nil {
 		return "", err
 	}
-	res := v.Verify()
+	res := v.VerifyContext(context.TODO())
 	if !res.Unsafe {
 		return "", fmt.Errorf("fig4: goal message not generatable")
 	}
@@ -152,11 +153,11 @@ thread consumer {
 `, loads)
 		sys := lang.MustParseSystem(src)
 		yv, _ := sys.VarByName("y")
-		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}})
+		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}, Workers: 1})
 		if err != nil {
 			return nil, err
 		}
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		if !res.Unsafe {
 			return nil, fmt.Errorf("fig5 z=%d: goal not generated", z)
 		}

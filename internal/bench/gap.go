@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -38,7 +39,7 @@ func GapExperiment(maxN, maxStates int) ([]GapRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res := inst.Explore(ra.Limits{MaxStates: maxStates, Symmetry: true})
+			res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
 			if !res.Unsafe && !res.Complete {
 				return nil, fmt.Errorf("%s: instance n=%d not exhausted", e.Name, n)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -22,6 +23,7 @@ type CorpusReport struct {
 // RunEntry verifies a single corpus entry.
 func RunEntry(e Entry) (CorpusReport, error) {
 	v, err := simplified.New(e.System(), simplified.Options{
+		Workers: 1,
 		Trace:   instr.Trace,
 		Metrics: instr.Metrics,
 	})
@@ -29,7 +31,7 @@ func RunEntry(e Entry) (CorpusReport, error) {
 		return CorpusReport{}, fmt.Errorf("%s: %w", e.Name, err)
 	}
 	start := time.Now()
-	res := v.Verify()
+	res := v.VerifyContext(context.TODO())
 	rep := CorpusReport{
 		Entry:    e,
 		Complete: res.Unsafe || res.Complete,
@@ -106,7 +108,7 @@ func MinEnvConcrete(sys *lang.System, maxN, maxStates int) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		res := inst.Explore(ra.Limits{MaxStates: maxStates, Symmetry: true})
+		res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
 		if res.Unsafe {
 			return n, nil
 		}

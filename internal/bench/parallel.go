@@ -27,11 +27,11 @@ type ParallelRow struct {
 func parallelEntries() []Entry {
 	var out []Entry
 	for _, e := range Corpus() {
-		v, err := simplified.New(e.System(), simplified.Options{})
+		v, err := simplified.New(e.System(), simplified.Options{Workers: 1})
 		if err != nil {
 			continue
 		}
-		if res := v.Verify(); res.Stats.MacroStates >= 50 {
+		if res := v.VerifyContext(context.TODO()); res.Stats.MacroStates >= 50 {
 			out = append(out, e)
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -29,12 +30,12 @@ func ScalingExperiment() ([]ScalingRow, error) {
 	var out []ScalingRow
 
 	run := func(family string, param int, sys *lang.System) error {
-		v, err := simplified.New(sys, simplified.Options{})
+		v, err := simplified.New(sys, simplified.Options{Workers: 1})
 		if err != nil {
 			return fmt.Errorf("%s(%d): %w", family, param, err)
 		}
 		start := time.Now()
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		out = append(out, ScalingRow{
 			Family: family, Param: param, Unsafe: res.Unsafe,
 			Macro: res.Stats.MacroStates, EnvCfgs: res.Stats.EnvConfigs,

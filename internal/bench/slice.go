@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"paramra/internal/analysis"
@@ -22,11 +23,11 @@ func SliceExperiment() ([]SliceRow, error) {
 	var out []SliceRow
 	for _, e := range Corpus() {
 		sliced, stats := analysis.Slice(e.System(), analysis.SliceOptions{})
-		v, err := simplified.New(sliced, simplified.Options{})
+		v, err := simplified.New(sliced, simplified.Options{Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("%s (sliced): %w", e.Name, err)
 		}
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		row := SliceRow{Entry: e, Stats: stats, Verdict: Safe}
 		if res.Unsafe {
 			row.Verdict = Unsafe

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/analysis"
@@ -51,8 +52,8 @@ func TestSliceDifferentialConcrete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resO := orig.Explore(ra.Limits{MaxStates: maxStates, Symmetry: true})
-			resS := cut.Explore(ra.Limits{MaxStates: maxStates, Symmetry: true})
+			resO := orig.ExploreContext(context.Background(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
+			resS := cut.ExploreContext(context.Background(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
 			if !resO.Complete && !resO.Unsafe || !resS.Complete && !resS.Unsafe {
 				t.Skipf("state cap hit (orig complete=%v sliced complete=%v)", resO.Complete, resS.Complete)
 			}

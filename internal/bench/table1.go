@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,13 +40,13 @@ func Table1() *Table {
 			t.AddRow("env(nocas)||dis(acyc): PSPACE", "error", err.Error())
 			continue
 		}
-		v, err := simplified.New(sys, simplified.Options{})
+		v, err := simplified.New(sys, simplified.Options{Workers: 1})
 		if err != nil {
 			t.AddRow("env(nocas)||dis(acyc): PSPACE", "error", err.Error())
 			continue
 		}
 		start := time.Now()
-		res := v.Verify()
+		res := v.VerifyContext(context.TODO())
 		t.AddRow("env(nocas)||dis(acyc): PSPACE", "decided",
 			fmt.Sprintf("TQBF n=%d (%d vars): verdict=%v==QBF=%v, env-cfgs=%d, %v",
 				n, len(q.Vars), res.Unsafe, q.Eval(), res.Stats.EnvConfigs,
@@ -64,12 +65,12 @@ thread d { regs s; while s != 3 { s = load x }; assert false }
 	} else {
 		for _, k := range []int{1, 3} {
 			u := lang.UnrollSystem(loopSys, k)
-			v, err := simplified.New(u, simplified.Options{})
+			v, err := simplified.New(u, simplified.Options{Workers: 1})
 			if err != nil {
 				t.AddRow("env(nocas)||dis(nocas): beyond PSPACE", "error", err.Error())
 				continue
 			}
-			res := v.Verify()
+			res := v.VerifyContext(context.TODO())
 			t.AddRow("env(nocas)||dis(nocas): beyond PSPACE", "under-approx",
 				fmt.Sprintf("unroll k=%d: unsafe=%v (exact problem NPR/open [1])", k, res.Unsafe))
 		}
@@ -93,7 +94,7 @@ thread d { regs s; while s != 3 { s = load x }; assert false }
 		inst, ierr := ra.NewInstance(casSys, 3)
 		detail := ""
 		if ierr == nil {
-			res := inst.Explore(ra.Limits{MaxStates: 2_000_000})
+			res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: 2_000_000, Workers: 1})
 			detail = fmt.Sprintf("bounded check, 3 threads: machine halts in 2 steps, unsafe=%v", res.Unsafe)
 		}
 		t.AddRow("env(acyc) with CAS: undecidable", status, detail)

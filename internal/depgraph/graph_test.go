@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,11 +14,11 @@ import (
 func violationFor(t *testing.T, src string, goal *simplified.Goal) (*lang.System, *simplified.Violation) {
 	t.Helper()
 	sys := lang.MustParseSystem(src)
-	v, err := simplified.New(sys, simplified.Options{Goal: goal})
+	v, err := simplified.New(sys, simplified.Options{Goal: goal, Workers: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res := v.Verify()
+	res := v.VerifyContext(context.Background())
 	if !res.Unsafe {
 		t.Fatalf("expected unsafe/goal-generatable system")
 	}

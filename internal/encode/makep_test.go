@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/datalog"
@@ -14,11 +15,11 @@ import (
 func checkAgainstVerifier(t *testing.T, src string) {
 	t.Helper()
 	sys := lang.MustParseSystem(src)
-	v, err := simplified.New(sys, simplified.Options{})
+	v, err := simplified.New(sys, simplified.Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("verifier: %v", err)
 	}
-	want := v.Verify().Unsafe
+	want := v.VerifyContext(context.Background()).Unsafe
 
 	ps, complete, err := All(sys, 50_000)
 	if err != nil {

@@ -15,11 +15,8 @@ type Config struct {
 	// Workers is the number of worker goroutines; <= 0 selects GOMAXPROCS.
 	Workers int
 	// MaxStates caps the number of admitted states (0 = unlimited). The
-	// root counts as the first admitted state, matching the sequential
-	// explorers.
+	// root counts as the first admitted state.
 	MaxStates int
-	// MaxDepth caps the length of explored computations (0 = unlimited).
-	MaxDepth int
 	// Progress, when non-nil, is called with a stats snapshot roughly every
 	// ProgressEvery (default 250ms) from a dedicated goroutine.
 	Progress func(Stats)
@@ -34,9 +31,9 @@ type Config struct {
 	// SpanName overrides the run span's name.
 	SpanName string
 	// Metrics, when non-nil, receives live engine gauges and histograms
-	// (states, queue depth, batch-wait and layer latencies, visited-shard
-	// occupancy). With a nil registry every instrumentation site is a
-	// single pointer check.
+	// (states, queue depth, batch-wait and layer latencies, and, for
+	// Explore, visited-shard occupancy). With a nil registry every
+	// instrumentation site is a single pointer check.
 	Metrics *obs.Registry
 }
 
@@ -77,7 +74,7 @@ type Stats struct {
 type Outcome struct {
 	Stats Stats
 	// Complete is true when the search space was exhausted: no halt, no
-	// state/depth cap hit, no cancellation.
+	// state cap hit, no cancellation.
 	Complete bool
 	// Halted is true when a halting successor (violation) ended the run.
 	Halted bool
@@ -86,7 +83,7 @@ type Outcome struct {
 	HaltParent string
 	// HaltTag is the caller payload attached to the halting successor.
 	HaltTag any
-	// Capped is true when MaxStates or MaxDepth pruned the search.
+	// Capped is true when MaxStates pruned the search.
 	Capped bool
 	// Err is the context error when the run was cancelled, else nil.
 	Err error
@@ -254,7 +251,6 @@ type Succ[S any, V any] struct {
 type item[S any] struct {
 	state S
 	key   string
-	depth int
 }
 
 // batchSize is how many frontier items a worker moves between its local
@@ -292,7 +288,7 @@ func Explore[S any, V any](
 	cfg Config,
 	visited *ShardedMap[V],
 	root S, rootKey string, rootVal V,
-	expand func(s S, key string, depth int, buf []Succ[S, V]) []Succ[S, V],
+	expand func(s S, key string, buf []Succ[S, V]) []Succ[S, V],
 ) Outcome {
 	workers := cfg.workers()
 	start := time.Now()
@@ -414,17 +410,7 @@ func Explore[S any, V any](
 			it := local[len(local)-1]
 			local = local[:len(local)-1]
 
-			if cfg.MaxDepth > 0 && it.depth >= cfg.MaxDepth {
-				capped.Store(true)
-				if pending.Add(-1) == 0 {
-					mu.Lock()
-					cond.Broadcast()
-					mu.Unlock()
-				}
-				continue
-			}
-
-			succs := expand(it.state, it.key, it.depth, sbuf[:0])
+			succs := expand(it.state, it.key, sbuf[:0])
 			cnt.transitions.Add(int64(len(succs)))
 			for _, sc := range succs {
 				if sc.Halt {
@@ -445,7 +431,7 @@ func Explore[S any, V any](
 				}
 				n := pending.Add(1)
 				cnt.bumpPeak(n)
-				local = append(local, item[S]{state: sc.State, key: sc.Key, depth: it.depth + 1})
+				local = append(local, item[S]{state: sc.State, key: sc.Key})
 			}
 			// Recycle the successor buffer: drop payload references so the
 			// engine does not pin dead states, then keep the capacity.

@@ -11,8 +11,8 @@ import (
 // gridExpand builds a synthetic search space: states are (x, y) grid points
 // reachable by incrementing either coordinate up to n. The space has
 // (n+1)^2 states and heavy cross-path dedup, exercising the sharded set.
-func gridExpand(n int) func(s [2]int, key string, depth int, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
-	return func(s [2]int, key string, depth int, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
+func gridExpand(n int) func(s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
+	return func(s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
 		out := buf
 		for d := 0; d < 2; d++ {
 			ns := s
@@ -47,7 +47,7 @@ func TestExploreGridCounts(t *testing.T) {
 
 func TestExploreHaltFirstWins(t *testing.T) {
 	// A line of states with a halting edge at the end.
-	expand := func(s int, key string, depth int, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+	expand := func(s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
 		if s == 10 {
 			return append(buf, Succ[int, struct{}]{Halt: true, Tag: "boom"})
 		}
@@ -78,7 +78,7 @@ func TestExploreStateCapExact(t *testing.T) {
 func TestExploreContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var expanded atomic.Int64
-	expand := func(s int, key string, depth int, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+	expand := func(s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
 		if expanded.Add(1) == 50 {
 			cancel()
 		}
@@ -94,24 +94,11 @@ func TestExploreContextCancel(t *testing.T) {
 	}
 }
 
-func TestExploreMaxDepth(t *testing.T) {
-	expand := func(s int, key string, depth int, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
-		return append(buf, Succ[int, struct{}]{State: s + 1, Key: fmt.Sprintf("%d", s+1)})
-	}
-	out := Explore(context.Background(), Config{Workers: 2, MaxDepth: 5}, NewShardedMap[struct{}](), 0, "0", struct{}{}, expand)
-	if out.Complete || !out.Capped {
-		t.Fatalf("depth-capped run reported complete: %+v", out)
-	}
-	if out.Stats.States > 7 {
-		t.Errorf("depth cap ignored: %d states", out.Stats.States)
-	}
-}
-
 func TestExplorePredChainWitness(t *testing.T) {
 	// Values store the predecessor key; the chain must be walkable back to
 	// the root after the run.
 	type pred struct{ prev string }
-	expand := func(s int, key string, depth int, buf []Succ[int, pred]) []Succ[int, pred] {
+	expand := func(s int, key string, buf []Succ[int, pred]) []Succ[int, pred] {
 		if s == 6 {
 			return append(buf, Succ[int, pred]{Halt: true, Tag: s})
 		}
@@ -137,26 +124,39 @@ func TestExplorePredChainWitness(t *testing.T) {
 
 func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 	// Expansion yields successors whose commit order determines a recorded
-	// trace; the trace must be identical for every worker count.
+	// trace; the trace must be identical for every worker count. The grid's
+	// layers grow past serialBelow, so at j>1 the seen probes run
+	// concurrently against the visited set.
+	const n = 40
+	type exp struct {
+		succs [][2]int
+		dedup int64
+	}
+	key := func(s [2]int) string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
 	run := func(workers int) ([]string, Outcome) {
 		var trace []string
-		expand := func(s [2]int, seen func([]byte) bool) [][2]int {
-			var out [][2]int
+		expand := func(s [2]int, seen func([]byte) bool) exp {
+			var e exp
 			for d := 0; d < 2; d++ {
 				ns := s
 				ns[d]++
-				if ns[d] <= 12 {
-					out = append(out, ns)
+				if ns[d] > n {
+					continue
 				}
+				if seen([]byte(key(ns))) {
+					e.dedup++
+					continue
+				}
+				e.succs = append(e.succs, ns)
 			}
-			return out
+			return e
 		}
-		commit := func(i int, s [2]int, succs [][2]int, adm *Admitter[[2]int]) any {
-			adm.AddTransitions(int64(len(succs)))
-			for _, ns := range succs {
-				key := fmt.Sprintf("%d,%d", ns[0], ns[1])
-				if adm.Add(key, ns) {
-					trace = append(trace, key)
+		commit := func(i int, s [2]int, e exp, adm *Admitter[[2]int]) any {
+			adm.AddTransitions(int64(len(e.succs)) + e.dedup)
+			adm.AddDedup(e.dedup)
+			for _, ns := range e.succs {
+				if adm.Add(key(ns), ns) {
+					trace = append(trace, key(ns))
 				}
 			}
 			return nil
@@ -165,6 +165,9 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 		return trace, out
 	}
 	base, baseOut := run(1)
+	if want := int64((n + 1) * (n + 1)); baseOut.Stats.States != want {
+		t.Fatalf("states=%d want %d", baseOut.Stats.States, want)
+	}
 	for _, workers := range []int{2, 8} {
 		got, out := run(workers)
 		if len(got) != len(base) {
@@ -175,8 +178,12 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: admission order diverges at %d: %q vs %q", workers, i, got[i], base[i])
 			}
 		}
-		if out.Stats.States != baseOut.Stats.States || out.Stats.Transitions != baseOut.Stats.Transitions {
-			t.Errorf("workers=%d: stats diverge: %+v vs %+v", workers, out.Stats, baseOut.Stats)
+		if o, b := out.Stats, baseOut.Stats; o.States != b.States || o.Transitions != b.Transitions || o.DedupHits != b.DedupHits {
+			t.Errorf("workers=%d: stats diverge: %+v vs %+v", workers, o, b)
+		}
+		// Every examined edge is either admitted or a dedup hit.
+		if got := out.Stats.States - 1 + out.Stats.DedupHits; got != out.Stats.Transitions {
+			t.Errorf("workers=%d: states+dedup=%d != transitions=%d", workers, got, out.Stats.Transitions)
 		}
 	}
 }

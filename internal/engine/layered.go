@@ -12,8 +12,13 @@ import (
 // Admitter is handed to Layered commit callbacks to enqueue successor
 // states. Admission order is the (deterministic) commit order, so the next
 // layer's contents and order are identical for every worker count.
+//
+// The visited set is a plain map with no lock: only the sequential commit
+// phase writes it, and the parallel expansion phase only reads it (through
+// the seen probe), with parMap joining every expansion before the next
+// commit runs.
 type Admitter[S any] struct {
-	visited *ShardedMap[struct{}]
+	visited map[string]struct{}
 	cnt     *counters
 	max     int
 	next    []S
@@ -23,10 +28,11 @@ type Admitter[S any] struct {
 // Add admits the state under key iff the key is new and the state cap
 // allows it; it reports whether the state was enqueued for the next layer.
 func (a *Admitter[S]) Add(key string, s S) bool {
-	if !a.visited.TryPut(key, struct{}{}) {
+	if _, dup := a.visited[key]; dup {
 		a.cnt.dedupHits.Add(1)
 		return false
 	}
+	a.visited[key] = struct{}{}
 	return a.admit(s)
 }
 
@@ -34,10 +40,11 @@ func (a *Admitter[S]) Add(key string, s S) bool {
 // allocation-free and the key is interned only when the state is actually
 // new. Hot commit loops where most successors are duplicates pay nothing.
 func (a *Admitter[S]) AddBytes(key []byte, s S) bool {
-	if !a.visited.TryPutBytes(key, struct{}{}) {
+	if _, dup := a.visited[string(key)]; dup {
 		a.cnt.dedupHits.Add(1)
 		return false
 	}
+	a.visited[string(key)] = struct{}{}
 	return a.admit(s)
 }
 
@@ -83,10 +90,11 @@ const serialBelow = 32
 // reproducible across worker counts).
 //
 // expand receives a seen probe into the visited set. During a layer's
-// parallel expansion no commits run, so the visited set is frozen and a true
-// answer is stable: expansions may drop such successors early (reporting
-// them via Admitter.AddDedup from commit) instead of materializing keys and
-// states that the commit phase would discard anyway. A false answer may be
+// parallel expansion no commits run, so the visited set is frozen: the
+// concurrent probes are plain map reads, and a true answer is stable.
+// Expansions may drop such successors early (reporting them via
+// Admitter.AddDedup from commit) instead of materializing keys and states
+// that the commit phase would discard anyway. A false answer may be
 // superseded by a sibling's commit, so commit must still dedup via Add.
 //
 // The root must already be "committed" by the caller (its key is admitted
@@ -101,8 +109,7 @@ func Layered[S any, E any](
 	workers := cfg.workers()
 	start := time.Now()
 	cnt := &counters{}
-	adm := &Admitter[S]{visited: NewShardedMap[struct{}](), cnt: cnt, max: cfg.MaxStates}
-	adm.visited.TryPut(rootKey, struct{}{})
+	adm := &Admitter[S]{visited: map[string]struct{}{rootKey: {}}, cnt: cnt, max: cfg.MaxStates}
 	cnt.states.Store(1)
 	cnt.bumpPeak(1)
 
@@ -112,18 +119,14 @@ func Layered[S any, E any](
 		hLayer = cfg.Metrics.Histogram("paramra_engine_layer_ns",
 			"wall time per BFS layer: parallel expansion plus sequential commit (ns)")
 	}
-	shardStats := func() (int64, int64) {
-		mx, used := adm.visited.ShardStats()
-		return int64(mx), int64(used)
-	}
-	mon := startMonitor(cfg, cnt, workers, start, nil, shardStats)
+	mon := startMonitor(cfg, cnt, workers, start, nil, nil)
 
 	// The layer span is opened from this sequential loop (never from the
 	// parallel expansion), so span IDs are deterministic at any -j.
 	var curLayer *obs.Span
 	finish := func(haltTag any, err error) Outcome {
 		final := cnt.snapshot(workers, start)
-		mon.stop(final, nil, shardStats)
+		mon.stop(final, nil, nil)
 		out := Outcome{
 			Stats:   final,
 			Halted:  haltTag != nil,
@@ -134,7 +137,6 @@ func Layered[S any, E any](
 		out.Complete = !out.Halted && !out.Capped && out.Err == nil
 		curLayer.End()
 		if span != nil {
-			mx, used := adm.visited.ShardStats()
 			span.SetAttr("states", final.States)
 			span.SetAttr("transitions", final.Transitions)
 			span.SetAttr("dedup_hits", final.DedupHits)
@@ -143,11 +145,15 @@ func Layered[S any, E any](
 			span.SetAttr("halted", out.Halted)
 			span.SetAttr("capped", out.Capped)
 			span.SetAttr("complete", out.Complete)
-			span.SetAttr("shard_max", mx)
-			span.SetAttr("shards_nonempty", used)
 			span.End()
 		}
 		return out
+	}
+
+	// seen runs concurrently inside parMap, while no commit writes the map.
+	seen := func(key []byte) bool {
+		_, ok := adm.visited[string(key)]
+		return ok
 	}
 
 	layer := []S{root}
@@ -155,10 +161,6 @@ func Layered[S any, E any](
 	for len(layer) > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return finish(nil, err)
-		}
-		if cfg.MaxDepth > 0 && depth >= cfg.MaxDepth {
-			adm.capped = true
-			return finish(nil, nil)
 		}
 		cnt.bumpPeak(int64(len(layer)))
 
@@ -176,7 +178,6 @@ func Layered[S any, E any](
 		if len(layer) < serialBelow {
 			w = 1
 		}
-		seen := adm.visited.HasBytes
 		exps := parMap(ctx, w, layer, func(s S) E { return expand(s, seen) })
 		if err := ctxErr(ctx); err != nil {
 			return finish(nil, err)

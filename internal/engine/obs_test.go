@@ -11,8 +11,8 @@ import (
 )
 
 // chainExpand builds a linear state space 0 → 1 → … → n.
-func chainExpand(n int) func(int, string, int, []Succ[int, struct{}]) []Succ[int, struct{}] {
-	return func(s int, key string, depth int, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+func chainExpand(n int) func(int, string, []Succ[int, struct{}]) []Succ[int, struct{}] {
+	return func(s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
 		if s >= n {
 			return buf
 		}
@@ -37,7 +37,7 @@ func TestFinalProgressEqualsOutcomeStats(t *testing.T) {
 
 	last = Stats{}
 	lout := Layered(context.Background(), cfg, 0, "0",
-		func(s int, seen func([]byte) bool) []Succ[int, struct{}] { return chainExpand(200)(s, "", 0, nil) },
+		func(s int, seen func([]byte) bool) []Succ[int, struct{}] { return chainExpand(200)(s, "", nil) },
 		func(i int, s int, succs []Succ[int, struct{}], adm *Admitter[int]) any {
 			adm.AddTransitions(int64(len(succs)))
 			for _, sc := range succs {
@@ -63,7 +63,7 @@ func TestEngineTraceAndMetrics(t *testing.T) {
 			Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, chainExpand(50))
 		} else {
 			Layered(context.Background(), cfg, 0, "0",
-				func(s int, seen func([]byte) bool) []Succ[int, struct{}] { return chainExpand(50)(s, "", 0, nil) },
+				func(s int, seen func([]byte) bool) []Succ[int, struct{}] { return chainExpand(50)(s, "", nil) },
 				func(i int, s int, succs []Succ[int, struct{}], adm *Admitter[int]) any {
 					for _, sc := range succs {
 						adm.Add(sc.Key, sc.State)

@@ -2,17 +2,18 @@
 // behind both the simplified-semantics fixpoint (internal/simplified) and
 // the concrete RA instance explorer (internal/ra).
 //
-// It offers two drivers over a common worker pool and a sharded,
-// lock-striped canonical-state hash set:
+// It offers two drivers over a common worker pool:
 //
 //   - Explore: a free-order batched frontier with work sharing between N
-//     goroutines. Verdicts are deterministic (a violation is found iff one
-//     is reachable) and the first violation reported wins, after which the
+//     goroutines over a sharded, lock-striped canonical-state hash set.
+//     Verdicts are deterministic (a violation is found iff one is
+//     reachable) and the first violation reported wins, after which the
 //     workers drain; witness paths may differ between runs.
 //   - Layered: a deterministic batched-BFS driver. Each frontier layer is
 //     expanded in parallel, but expansion results are committed strictly in
 //     frontier order, so verdicts, witnesses, and all order-sensitive
-//     bookkeeping are bit-identical for every worker count.
+//     bookkeeping are bit-identical for every worker count. Its visited set
+//     is a plain map: the sequential commit is its only writer.
 //
 // Both honor context cancellation and deadlines, cap the number of admitted
 // states, merge per-worker statistics, and report progress via an optional

@@ -1,5 +1,12 @@
 package ra
 
+import (
+	"context"
+	"sync"
+
+	"paramra/internal/engine"
+)
+
 // DeadlockReport describes blocking states of a fixed instance: reachable
 // configurations from which no transition is enabled although some thread
 // has not finished its program (it is stuck in an assume that can never
@@ -34,51 +41,72 @@ func (inst *Instance) stuckThreads(s *State) []string {
 	return stuck
 }
 
-// FindDeadlocks explores the instance and classifies its sink states.
-// Assert transitions terminate exploration of their branch but are not
-// counted as deadlocks.
-func (inst *Instance) FindDeadlocks(lim Limits) DeadlockReport {
+// FindDeadlocksContext classifies the instance's sink states on the
+// parallel engine. Counts are deterministic (they are properties of the
+// reachable state set); the reported example is canonicalized to the
+// deadlocked state with the smallest key, so it too is identical for every
+// worker count and schedule. Successors are probed before they are
+// materialized, as in ExploreContext.
+func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) DeadlockReport {
 	init := inst.InitState()
-	visited := map[string]bool{init.Key(): true}
-	queue := []*State{init}
-	rep := DeadlockReport{Complete: true}
-	states := 1
-	var sc scratch
 
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	var mu sync.Mutex
+	rep := DeadlockReport{}
+	var exampleKey string
+
+	visited := engine.NewShardedMap[struct{}]()
+	var pool scratchPool
+
+	expand := func(s *State, key string, buf []engine.Succ[*State, struct{}]) []engine.Succ[*State, struct{}] {
+		out := buf
+		sc := pool.get()
 		sink := true
-		inst.eachSucc(s, &sc, func(st step) bool {
+		inst.eachSucc(s, sc, func(st step) bool {
 			sink = false
+			// Assert transitions terminate their branch without counting as
+			// deadlocks (safety is ExploreContext's job).
 			if st.assert() {
 				return true
 			}
-			inst.keyInto(&sc, false)
-			if visited[string(sc.enc.Bytes())] {
+			inst.keyInto(sc, false)
+			if visited.HasBytes(sc.enc.Bytes()) {
+				out = append(out, engine.Succ[*State, struct{}]{Dedup: true})
 				return true
 			}
-			if lim.MaxStates > 0 && states >= lim.MaxStates {
-				rep.Complete = false
-				return true
-			}
-			visited[sc.enc.String()] = true
-			states++
-			queue = append(queue, sc.materialize())
+			out = append(out, engine.Succ[*State, struct{}]{
+				State: sc.materialize(),
+				Key:   sc.enc.String(),
+			})
 			return true
 		})
-		if !sink {
-			continue
-		}
-		if stuck := inst.stuckThreads(s); len(stuck) > 0 {
-			rep.Deadlocks++
-			if rep.Example == "" {
-				rep.Example = s.String()
-				rep.StuckThreads = stuck
+		pool.put(sc)
+		if sink {
+			stuck := inst.stuckThreads(s)
+			mu.Lock()
+			if len(stuck) > 0 {
+				rep.Deadlocks++
+				if exampleKey == "" || key < exampleKey {
+					exampleKey = key
+					rep.Example = s.String()
+					rep.StuckThreads = stuck
+				}
+			} else {
+				rep.Terminal++
 			}
-		} else {
-			rep.Terminal++
+			mu.Unlock()
 		}
+		return out
 	}
+
+	out := engine.Explore(ctx, engine.Config{
+		Workers:   lim.Workers,
+		MaxStates: lim.MaxStates,
+		Progress:  lim.Progress,
+		Trace:     lim.Trace,
+		SpanName:  "deadlock-scan",
+		Metrics:   lim.Metrics,
+	}, visited, init, init.Key(), struct{}{}, expand)
+
+	rep.Complete = out.Complete
 	return rep
 }

@@ -1,7 +1,7 @@
 package ra
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strings"
 
@@ -13,31 +13,23 @@ import (
 type Limits struct {
 	// MaxStates caps the number of distinct states visited.
 	MaxStates int
-	// MaxDepth caps the length of explored computations.
-	MaxDepth int
 	// Symmetry enables symmetry reduction over the env replicas: states
 	// that differ only by a permutation of the (identical) env threads are
 	// identified. Sound and complete for safety — env replicas run the
 	// same program and messages carry no thread identity — and often
 	// exponentially smaller in the replica count.
 	Symmetry bool
-	// Workers is the number of exploration goroutines used by the
-	// context-aware explorers (<= 0 selects GOMAXPROCS).
+	// Workers is the number of exploration goroutines (<= 0 selects
+	// GOMAXPROCS).
 	Workers int
-	// Progress, when non-nil, receives periodic engine stats snapshots from
-	// the context-aware explorers.
+	// Progress, when non-nil, receives periodic engine stats snapshots.
 	Progress func(engine.Stats)
-	// Trace, when non-nil, is the parent span under which the context-aware
-	// explorers record their engine run span ("concrete-explore" or
-	// "deadlock-scan").
+	// Trace, when non-nil, is the parent span under which the explorers
+	// record their engine run span ("concrete-explore" or "deadlock-scan").
 	Trace *obs.Span
 	// Metrics, when non-nil, receives the engine's gauges and histograms.
 	Metrics *obs.Registry
 }
-
-// ErrLimit is reported (wrapped) when exploration stops due to a limit
-// before finding a violation and before exhausting the state space.
-var ErrLimit = errors.New("exploration limit reached")
 
 // Result is the outcome of exploring a fixed instance.
 type Result struct {
@@ -55,7 +47,7 @@ type Result struct {
 	// initial state), non-nil iff Unsafe.
 	Witness []Event
 	// Engine carries the engine-level counters (dedup hits, peak frontier,
-	// wall time, workers) when the search ran on the parallel engine.
+	// wall time, workers).
 	Engine engine.Stats
 	// Err is the context error when the search was cancelled, else nil.
 	Err error
@@ -88,105 +80,71 @@ func (inst *Instance) witness(lookup func(string) (backEdge, bool), root, last s
 	return out
 }
 
-// Explore runs a breadth-first search of the instance's RA state space,
-// looking for an `assert false` transition.
-func (inst *Instance) Explore(lim Limits) Result {
-	type node struct {
-		state *State
-		key   string
-		depth int
-	}
+// ExploreContext searches the instance's RA state space for an `assert
+// false` transition on the free-order parallel engine: lim.Workers
+// goroutines share a batched frontier and a sharded visited set. Verdicts —
+// and, for exhaustive searches, state and transition counts — are the same
+// for every worker count. At one worker the whole result is reproducible;
+// at more, the first violation discovered wins, so the witness and the
+// counts of an UNSAFE search may differ between runs. Cancellation via ctx
+// stops the search with Result.Err = ctx.Err() and Complete = false.
+//
+// Each successor is built in a scratch state and its key probed against the
+// visited set before anything is allocated: only an unseen successor is
+// cloned and its key interned.
+func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	init := inst.InitState()
 	initKey := inst.stateKey(init, lim.Symmetry)
-	visited := map[string]backEdge{initKey: {}}
-	lookup := func(k string) (backEdge, bool) {
-		be, ok := visited[k]
-		return be, ok
-	}
+	visited := engine.NewShardedMap[backEdge]()
+	var pool scratchPool
 
-	queue := []node{{state: init, key: initKey, depth: 0}}
-	res := Result{States: 1}
-	limited := false
-	var sc scratch
-
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if lim.MaxDepth > 0 && n.depth >= lim.MaxDepth {
-			limited = true
-			continue
-		}
-		inst.eachSucc(n.state, &sc, func(st step) bool {
-			res.Transitions++
+	expand := func(s *State, key string, buf []engine.Succ[*State, backEdge]) []engine.Succ[*State, backEdge] {
+		out := buf
+		sc := pool.get()
+		inst.eachSucc(s, sc, func(st step) bool {
 			if st.assert() {
-				res.Unsafe = true
-				res.Witness = inst.witness(lookup, initKey, n.key, st)
+				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: st})
 				return false
 			}
-			inst.keyInto(&sc, lim.Symmetry)
-			if _, seen := visited[string(sc.enc.Bytes())]; seen {
+			// The grow-only visited set makes a positive probe stable.
+			inst.keyInto(sc, lim.Symmetry)
+			if visited.HasBytes(sc.enc.Bytes()) {
+				out = append(out, engine.Succ[*State, backEdge]{Dedup: true})
 				return true
 			}
-			if lim.MaxStates > 0 && res.States >= lim.MaxStates {
-				limited = true
-				return true
-			}
-			sk := sc.enc.String()
-			visited[sk] = backEdge{prevKey: n.key, step: st}
-			res.States++
-			queue = append(queue, node{state: sc.materialize(), key: sk, depth: n.depth + 1})
+			out = append(out, engine.Succ[*State, backEdge]{
+				State: sc.materialize(),
+				Key:   sc.enc.String(),
+				Val:   backEdge{prevKey: key, step: st},
+			})
 			return true
 		})
-		if res.Unsafe {
-			return res
-		}
+		pool.put(sc)
+		return out
 	}
-	res.Complete = !limited
-	return res
-}
 
-// ReachablePCs explores the instance and returns, per thread index, the set
-// of CFG nodes that thread can reach. Used by the differential tests and the
-// §4.3 experiments. Exploration respects lim; the boolean reports whether
-// the state space was exhausted.
-func (inst *Instance) ReachablePCs(lim Limits) ([]map[int]bool, bool) {
-	init := inst.InitState()
-	visited := map[string]bool{init.Key(): true}
-	reach := make([]map[int]bool, len(inst.Threads))
-	for i := range reach {
-		reach[i] = map[int]bool{}
+	out := engine.Explore(ctx, engine.Config{
+		Workers:   lim.Workers,
+		MaxStates: lim.MaxStates,
+		Progress:  lim.Progress,
+		Trace:     lim.Trace,
+		SpanName:  "concrete-explore",
+		Metrics:   lim.Metrics,
+	}, visited, init, initKey, backEdge{}, expand)
+
+	res := Result{
+		Unsafe:      out.Halted,
+		States:      int(out.Stats.States),
+		Transitions: int(out.Stats.Transitions),
+		Complete:    out.Complete,
+		Engine:      out.Stats,
+		Err:         out.Err,
 	}
-	record := func(s *State) {
-		for i, th := range s.Threads {
-			reach[i][int(th.PC)] = true
-		}
+	if out.Halted {
+		final, _ := out.HaltTag.(step)
+		res.Witness = inst.witness(visited.Get, initKey, out.HaltParent, final)
 	}
-	record(init)
-	queue := []*State{init}
-	states := 1
-	complete := true
-	var sc scratch
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		inst.eachSucc(s, &sc, func(step) bool {
-			inst.keyInto(&sc, false)
-			if visited[string(sc.enc.Bytes())] {
-				return true
-			}
-			if lim.MaxStates > 0 && states >= lim.MaxStates {
-				complete = false
-				return true
-			}
-			visited[sc.enc.String()] = true
-			states++
-			ns := sc.materialize()
-			record(ns)
-			queue = append(queue, ns)
-			return true
-		})
-	}
-	return reach, complete
+	return res
 }
 
 // FormatWitness renders a violating computation for human consumption.

@@ -3,10 +3,13 @@ package ra_test
 // The reference successor relation: the deep-clone, render-everything
 // implementation the explorers used before they moved to scratch states
 // and lazily rendered steps. It lives only here, as the oracle of the
-// differential tests below.
+// differential tests below, together with two reference searches over it:
+// a breadth-first loop that shares no code with the engine's drivers, and
+// the driver ExploreContext runs on.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -211,13 +214,78 @@ type refEdge struct {
 	ev      ra.Event
 }
 
+// refWitness walks back-edges from the state keyed last up to the root and
+// returns the computation that ends with final.
+func refWitness(lookup func(string) (refEdge, bool), root, last string, final ra.Event) []ra.Event {
+	rev := []ra.Event{final}
+	for k := last; k != root; {
+		be, ok := lookup(k)
+		if !ok {
+			break
+		}
+		rev = append(rev, be.ev)
+		k = be.prevKey
+	}
+	out := make([]ra.Event, 0, len(rev))
+	for i := len(rev) - 1; i >= 0; i-- {
+		out = append(out, rev[i])
+	}
+	return out
+}
+
+// refExplore is a breadth-first search for an `assert false` transition on
+// the reference relation and key, sharing no code with the engine's
+// drivers. Its witnesses are shortest computations.
+func refExplore(inst *ra.Instance, lim ra.Limits) ra.Result {
+	type node struct {
+		state *ra.State
+		key   string
+	}
+	key := func(s *ra.State) string { return refKey(s, lim.Symmetry, inst.NumEnv()) }
+	init := inst.InitState()
+	initKey := key(init)
+	visited := map[string]refEdge{initKey: {}}
+	lookup := func(k string) (refEdge, bool) {
+		be, ok := visited[k]
+		return be, ok
+	}
+	queue := []node{{init, initKey}}
+	res := ra.Result{States: 1}
+	limited := false
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, succ := range refSuccessors(inst, n.state) {
+			res.Transitions++
+			if succ.Event.Assert {
+				res.Unsafe = true
+				res.Witness = refWitness(lookup, initKey, n.key, succ.Event)
+				return res
+			}
+			sk := key(succ.State)
+			if _, seen := visited[sk]; seen {
+				continue
+			}
+			if lim.MaxStates > 0 && res.States >= lim.MaxStates {
+				limited = true
+				continue
+			}
+			visited[sk] = refEdge{prevKey: n.key, ev: succ.Event}
+			res.States++
+			queue = append(queue, node{succ.State, sk})
+		}
+	}
+	res.Complete = !limited
+	return res
+}
+
 // refExploreContext is ExploreContext on the reference successor relation.
 func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 	init := inst.InitState()
 	key := func(s *ra.State) string { return refKey(s, lim.Symmetry, inst.NumEnv()) }
 	initKey := key(init)
 	visited := engine.NewShardedMap[refEdge]()
-	expand := func(s *ra.State, k string, _ int, buf []engine.Succ[*ra.State, refEdge]) []engine.Succ[*ra.State, refEdge] {
+	expand := func(s *ra.State, k string, buf []engine.Succ[*ra.State, refEdge]) []engine.Succ[*ra.State, refEdge] {
 		out := buf
 		for _, succ := range refSuccessors(inst, s) {
 			if succ.Event.Assert {
@@ -234,7 +302,7 @@ func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 		return out
 	}
 	out := engine.Explore(context.Background(), engine.Config{
-		Workers: lim.Workers, MaxStates: lim.MaxStates, MaxDepth: lim.MaxDepth,
+		Workers: lim.Workers, MaxStates: lim.MaxStates,
 	}, visited, init, initKey, refEdge{}, expand)
 	res := ra.Result{
 		Unsafe:      out.Halted,
@@ -243,20 +311,41 @@ func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 		Complete:    out.Complete,
 	}
 	if out.Halted {
-		rev := []ra.Event{out.HaltTag.(ra.Event)}
-		for k := out.HaltParent; k != initKey; {
-			be, ok := visited.Get(k)
-			if !ok {
-				break
-			}
-			rev = append(rev, be.ev)
-			k = be.prevKey
-		}
-		for i := len(rev) - 1; i >= 0; i-- {
-			res.Witness = append(res.Witness, rev[i])
-		}
+		res.Witness = refWitness(visited.Get, initKey, out.HaltParent, out.HaltTag.(ra.Event))
 	}
 	return res
+}
+
+// replayWitness checks that w is a computation of inst ending in a failed
+// assert: from InitState, every event must be the event of a reference
+// successor of a state the prefix reaches, and only the last is an assert.
+// Distinct edges can render the same event (two skip branches of a
+// choice), so the replay tracks every state the prefix can reach.
+func replayWitness(inst *ra.Instance, w []ra.Event) error {
+	if len(w) == 0 {
+		return errors.New("empty witness")
+	}
+	cur := []*ra.State{inst.InitState()}
+	for i, ev := range w {
+		if ev.Assert != (i == len(w)-1) {
+			return fmt.Errorf("step %d (%+v): only the last step may be the assert", i+1, ev)
+		}
+		var next []*ra.State
+		seen := map[string]bool{}
+		for _, s := range cur {
+			for _, succ := range refSuccessors(inst, s) {
+				if k := refKey(succ.State, false, 0); succ.Event == ev && !seen[k] {
+					seen[k] = true
+					next = append(next, succ.State)
+				}
+			}
+		}
+		if len(next) == 0 {
+			return fmt.Errorf("step %d (%+v) is not enabled", i+1, ev)
+		}
+		cur = next
+	}
+	return nil
 }
 
 // refDeadlocks classifies the sink states of inst breadth-first on the
@@ -305,17 +394,20 @@ func refDeadlocks(inst *ra.Instance, maxStates int) ra.DeadlockReport {
 	return rep
 }
 
-// checkDeadlocks compares FindDeadlocksContext at one worker with the
-// reference scan on instances the reference exhausts within maxStates.
+// checkDeadlocks compares FindDeadlocksContext at one, two and eight
+// workers with the reference scan on instances the reference exhausts
+// within maxStates.
 func checkDeadlocks(t *testing.T, name string, inst *ra.Instance, maxStates int) {
 	t.Helper()
 	want := refDeadlocks(inst, maxStates)
 	if !want.Complete {
 		return
 	}
-	got := inst.FindDeadlocksContext(context.Background(), ra.Limits{Workers: 1, MaxStates: maxStates})
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%s: deadlock scan %+v, reference %+v", name, got, want)
+	for _, j := range diffWorkers {
+		got := inst.FindDeadlocksContext(context.Background(), ra.Limits{Workers: j, MaxStates: maxStates})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s j=%d: deadlock scan %+v, reference %+v", name, j, got, want)
+		}
 	}
 }
 
@@ -360,23 +452,51 @@ func checkSuccessors(t *testing.T, name string, inst *ra.Instance, symmetry bool
 	return checked
 }
 
-// checkExplore compares ExploreContext at one worker with the reference
-// explorer: verdict, completeness, counts and witness text.
+// diffWorkers are the worker counts the differential tests run the
+// explorers at.
+var diffWorkers = []int{1, 2, 8}
+
+// checkExplore runs ExploreContext at every count in diffWorkers against
+// the two references. At one worker it must reproduce refExploreContext
+// exactly: verdict, completeness, counts and witness text. At every count,
+// where the BFS reference exhausts the instance it must report the same
+// verdict, states and transitions; where the reference finds a violation it
+// must not report a complete SAFE; and every witness it returns must
+// replay. It returns the one-worker result.
 func checkExplore(t *testing.T, name string, inst *ra.Instance, lim ra.Limits) ra.Result {
 	t.Helper()
-	lim.Workers = 1
-	got := inst.ExploreContext(context.Background(), lim)
-	want := refExploreContext(inst, lim)
-	if got.Unsafe != want.Unsafe || got.Complete != want.Complete ||
-		got.States != want.States || got.Transitions != want.Transitions {
-		t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, reference unsafe=%v complete=%v states=%d transitions=%d",
-			name, lim, got.Unsafe, got.Complete, got.States, got.Transitions,
-			want.Unsafe, want.Complete, want.States, want.Transitions)
+	bfs := refExplore(inst, lim)
+	var first ra.Result
+	for _, j := range diffWorkers {
+		lim.Workers = j
+		got := inst.ExploreContext(context.Background(), lim)
+		if j == 1 {
+			first = got
+			want := refExploreContext(inst, lim)
+			if got.Unsafe != want.Unsafe || got.Complete != want.Complete ||
+				got.States != want.States || got.Transitions != want.Transitions {
+				t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, reference unsafe=%v complete=%v states=%d transitions=%d",
+					name, lim, got.Unsafe, got.Complete, got.States, got.Transitions,
+					want.Unsafe, want.Complete, want.States, want.Transitions)
+			}
+			if g, w := ra.FormatWitness(got.Witness), ra.FormatWitness(want.Witness); g != w {
+				t.Fatalf("%s %+v: witness\n%s\nreference witness\n%s", name, lim, g, w)
+			}
+		}
+		if bfs.Complete && (got.Unsafe || !got.Complete || got.States != bfs.States || got.Transitions != bfs.Transitions) {
+			t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, BFS reference exhausted %d states and %d transitions",
+				name, lim, got.Unsafe, got.Complete, got.States, got.Transitions, bfs.States, bfs.Transitions)
+		}
+		if bfs.Unsafe && !got.Unsafe && got.Complete {
+			t.Fatalf("%s %+v: complete SAFE, BFS reference found\n%s", name, lim, ra.FormatWitness(bfs.Witness))
+		}
+		if got.Unsafe {
+			if err := replayWitness(inst, got.Witness); err != nil {
+				t.Fatalf("%s %+v: witness does not replay: %v\n%s", name, lim, err, ra.FormatWitness(got.Witness))
+			}
+		}
 	}
-	if g, w := ra.FormatWitness(got.Witness), ra.FormatWitness(want.Witness); g != w {
-		t.Fatalf("%s %+v: witness\n%s\nreference witness\n%s", name, lim, g, w)
-	}
-	return got
+	return first
 }
 
 // diffCorpusStates bounds the states walked per corpus instance.
@@ -425,6 +545,64 @@ func TestSuccessorsMatchReferenceFuzz(t *testing.T) {
 				checkExplore(t, name, inst, ra.Limits{MaxStates: 500, Symmetry: sym})
 			}
 			checkDeadlocks(t, name, inst, 500)
+		}
+	}
+}
+
+// TestReachablePCs: on the reference relation, a thread blocked by an
+// assume that can never pass never reaches its exit.
+func TestReachablePCs(t *testing.T) {
+	sys := lang.MustParseSystem(`
+system s { vars x; domain 2; dis t }
+thread t { regs r; r = load x; assume r == 1; store x 1 }
+`)
+	inst, err := ra.NewInstance(sys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := inst.InitState()
+	seen := map[string]bool{refKey(init, false, 0): true}
+	reach := map[lang.PC]bool{}
+	for queue := []*ra.State{init}; len(queue) > 0; queue = queue[1:] {
+		reach[queue[0].Threads[0].PC] = true
+		for _, succ := range refSuccessors(inst, queue[0]) {
+			if k := refKey(succ.State, false, 0); !seen[k] {
+				seen[k] = true
+				queue = append(queue, succ.State)
+			}
+		}
+	}
+	g := inst.Threads[0].CFG
+	if !reach[g.Entry] {
+		t.Error("entry unreachable?")
+	}
+	// assume r == 1 can never pass (x stays 0 until the store, which is
+	// after the assume), so the exit must be unreachable.
+	if reach[g.Exit] {
+		t.Error("exit should be blocked by assume r == 1")
+	}
+}
+
+// TestReplayRejectsDroppedStep: the witness replay is not vacuous. A BFS
+// witness is a shortest computation, so with any one step dropped it must
+// fail to replay.
+func TestReplayRejectsDroppedStep(t *testing.T) {
+	e, _ := bench.ByName("prodcons-fig1")
+	inst, err := ra.NewInstance(e.System(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := refExplore(inst, ra.Limits{MaxStates: diffCorpusStates})
+	if !res.Unsafe || len(res.Witness) < 2 {
+		t.Fatalf("want a violation with a multi-step witness, got %+v", res)
+	}
+	if err := replayWitness(inst, res.Witness); err != nil {
+		t.Fatalf("BFS witness does not replay: %v", err)
+	}
+	for i := range res.Witness {
+		dropped := append(append([]ra.Event(nil), res.Witness[:i]...), res.Witness[i+1:]...)
+		if replayWitness(inst, dropped) == nil {
+			t.Fatalf("witness with step %d dropped still replays:\n%s", i+1, ra.FormatWitness(dropped))
 		}
 	}
 }

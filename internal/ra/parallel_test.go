@@ -1,9 +1,11 @@
-package ra
+package ra_test
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
+	"paramra/internal/ra"
 )
 
 func TestParallelMatchesSequentialSafe(t *testing.T) {
@@ -12,24 +14,24 @@ system s { vars x y a; domain 3; dis t1; dis t2 }
 thread t1 { regs r; store x 1; r = load y; store a (r + 1) }
 thread t2 { regs q; store y 1; q = load x; store a q }
 `)
-	inst, err := NewInstance(sys, 0)
+	inst, err := ra.NewInstance(sys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := inst.Explore(Limits{})
+	want := refExplore(inst, ra.Limits{})
 	for _, workers := range []int{1, 2, 4, 8} {
-		par := inst.ExploreParallel(Limits{}, workers)
-		if par.Unsafe != seq.Unsafe {
-			t.Fatalf("workers=%d: verdict %v vs %v", workers, par.Unsafe, seq.Unsafe)
+		got := inst.ExploreContext(context.Background(), ra.Limits{Workers: workers})
+		if got.Unsafe != want.Unsafe {
+			t.Fatalf("workers=%d: verdict %v vs %v", workers, got.Unsafe, want.Unsafe)
 		}
-		if !par.Complete {
+		if !got.Complete {
 			t.Fatalf("workers=%d: incomplete", workers)
 		}
-		if par.States != seq.States {
-			t.Errorf("workers=%d: states %d vs sequential %d", workers, par.States, seq.States)
+		if got.States != want.States {
+			t.Errorf("workers=%d: states %d vs reference %d", workers, got.States, want.States)
 		}
-		if par.Transitions != seq.Transitions {
-			t.Errorf("workers=%d: transitions %d vs sequential %d", workers, par.Transitions, seq.Transitions)
+		if got.Transitions != want.Transitions {
+			t.Errorf("workers=%d: transitions %d vs reference %d", workers, got.Transitions, want.Transitions)
 		}
 	}
 }
@@ -40,17 +42,17 @@ system s { vars x y; domain 4; env producer; dis consumer }
 thread producer { regs r; r = load y; assume r == 1; store x 2 }
 thread consumer { regs s; store y 1; s = load x; assume s == 2; assert false }
 `)
-	inst, err := NewInstance(sys, 2)
+	inst, err := ra.NewInstance(sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		res := inst.ExploreParallel(Limits{}, workers)
+		res := inst.ExploreContext(context.Background(), ra.Limits{Workers: workers})
 		if !res.Unsafe {
 			t.Fatalf("workers=%d: violation missed", workers)
 		}
-		if len(res.Witness) == 0 || !res.Witness[len(res.Witness)-1].Assert {
-			t.Fatalf("workers=%d: malformed witness %v", workers, res.Witness)
+		if err := replayWitness(inst, res.Witness); err != nil {
+			t.Fatalf("workers=%d: malformed witness %v: %v", workers, res.Witness, err)
 		}
 	}
 }
@@ -60,11 +62,11 @@ func TestParallelRespectsLimits(t *testing.T) {
 system s { vars x; domain 8; env w }
 thread w { regs r; loop { r = load x; store x (r + 1) } }
 `)
-	inst, err := NewInstance(sys, 2)
+	inst, err := ra.NewInstance(sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inst.ExploreParallel(Limits{MaxStates: 200}, 4)
+	res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200, Workers: 4})
 	if res.Complete {
 		t.Error("unbounded instance reported complete under a state cap")
 	}
@@ -78,11 +80,11 @@ func TestParallelDefaultWorkers(t *testing.T) {
 system s { vars x; domain 2; dis t }
 thread t { store x 1 }
 `)
-	inst, err := NewInstance(sys, 0)
+	inst, err := ra.NewInstance(sys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inst.ExploreParallel(Limits{}, 0)
+	res := inst.ExploreContext(context.Background(), ra.Limits{})
 	if !res.Complete || res.States != 2 {
 		t.Errorf("default-worker exploration wrong: %+v", res)
 	}

@@ -1,6 +1,8 @@
 package ra
 
 import (
+	"sync"
+
 	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
@@ -158,4 +160,32 @@ func (inst *Instance) keyInto(sc *scratch, symmetry bool) {
 	for i := first; i < len(p.Threads); i++ {
 		sc.enc.Raw(section(i))
 	}
+}
+
+// scratchPool hands each exploring goroutine a scratch workspace for the
+// duration of one expansion; its buffers survive between expansions, so
+// steady-state expansion allocates only for successors not seen before. A
+// plain free list rather than a sync.Pool: a run outlives many GC cycles,
+// each of which would empty a sync.Pool and re-grow the buffers.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+func (sp *scratchPool) get() *scratch {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if n := len(sp.free); n > 0 {
+		sc := sp.free[n-1]
+		sp.free = sp.free[:n-1]
+		return sc
+	}
+	return new(scratch)
+}
+
+func (sp *scratchPool) put(sc *scratch) {
+	sc.parent = nil // a parked scratch must not keep an expanded state alive
+	sp.mu.Lock()
+	sp.free = append(sp.free, sc)
+	sp.mu.Unlock()
 }

@@ -228,39 +228,11 @@ thread w { regs r; loop { r = load x; store x (r + 1) } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inst.Explore(Limits{MaxStates: 100})
+	res := explore1(inst, Limits{MaxStates: 100})
 	if res.Complete {
 		t.Error("unbounded counter instance reported complete under a 100-state cap")
 	}
 	if res.States > 100 {
 		t.Errorf("state cap exceeded: %d", res.States)
-	}
-	res = inst.Explore(Limits{MaxDepth: 3, MaxStates: 100000})
-	if res.Complete {
-		t.Error("depth-limited exploration reported complete")
-	}
-}
-
-func TestReachablePCs(t *testing.T) {
-	sys := lang.MustParseSystem(`
-system s { vars x; domain 2; dis t }
-thread t { regs r; r = load x; assume r == 1; store x 1 }
-`)
-	inst, err := NewInstance(sys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reach, complete := inst.ReachablePCs(Limits{})
-	if !complete {
-		t.Fatal("tiny instance not exhausted")
-	}
-	g := inst.Threads[0].CFG
-	if !reach[0][int(g.Entry)] {
-		t.Error("entry unreachable?")
-	}
-	// assume r == 1 can never pass (x stays 0 until the store, which is
-	// after the assume), so the exit must be unreachable.
-	if reach[0][int(g.Exit)] {
-		t.Error("exit should be blocked by assume r == 1")
 	}
 }

@@ -160,19 +160,11 @@ type Result struct {
 	Err error
 }
 
-// Explore runs a BFS of the SC state space looking for an assert violation.
-func (inst *Instance) Explore(lim ra.Limits) Result {
-	return inst.ExploreContext(context.Background(), lim)
-}
-
-// ExploreContext is Explore with cancellation: the BFS stops at the next
+// ExploreContext runs a BFS of the SC state space looking for an assert
+// violation. Of lim it reads only MaxStates. The BFS stops at the next
 // dequeued state once ctx is done, returning Complete=false and
 // Err=ctx.Err().
 func (inst *Instance) ExploreContext(ctx context.Context, lim ra.Limits) Result {
-	type node struct {
-		state *State
-		depth int
-	}
 	type backEdge struct {
 		prevKey string
 		ev      ra.Event
@@ -180,7 +172,7 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim ra.Limits) Result 
 	init := inst.InitState()
 	visited := map[string]bool{init.Key(): true}
 	pred := map[string]backEdge{}
-	queue := []node{{state: init}}
+	queue := []*State{init}
 	res := Result{States: 1}
 	limited := false
 
@@ -207,14 +199,10 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim ra.Limits) Result 
 			res.Err = err
 			return res
 		}
-		n := queue[0]
+		s := queue[0]
 		queue = queue[1:]
-		if lim.MaxDepth > 0 && n.depth >= lim.MaxDepth {
-			limited = true
-			continue
-		}
-		key := n.state.Key()
-		for _, succ := range inst.Successors(n.state) {
+		key := s.Key()
+		for _, succ := range inst.Successors(s) {
 			res.Transitions++
 			if succ.Event.Assert {
 				res.Unsafe = true
@@ -232,7 +220,7 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim ra.Limits) Result 
 			visited[sk] = true
 			pred[sk] = backEdge{prevKey: key, ev: succ.Event}
 			res.States++
-			queue = append(queue, node{state: succ.State, depth: n.depth + 1})
+			queue = append(queue, succ.State)
 		}
 	}
 	res.Complete = !limited
@@ -251,7 +239,8 @@ type Robustness struct {
 // program (the assert encodes the weak outcome).
 func (r Robustness) WeakBehaviour() bool { return r.RAUnsafe && !r.SCUnsafe }
 
-// CompareRobustness explores the same instance under SC and RA.
+// CompareRobustness explores the same instance under SC and RA, both
+// bounded by lim (lim.Workers applies to the RA explorer only).
 func CompareRobustness(sys *lang.System, nEnv int, lim ra.Limits) (Robustness, error) {
 	scInst, err := NewInstance(sys, nEnv)
 	if err != nil {
@@ -261,8 +250,9 @@ func CompareRobustness(sys *lang.System, nEnv int, lim ra.Limits) (Robustness, e
 	if err != nil {
 		return Robustness{}, err
 	}
-	scRes := scInst.Explore(lim)
-	raRes := raInst.Explore(lim)
+	ctx := context.TODO()
+	scRes := scInst.ExploreContext(ctx, lim)
+	raRes := raInst.ExploreContext(ctx, lim)
 	return Robustness{
 		SCUnsafe: scRes.Unsafe,
 		RAUnsafe: raRes.Unsafe,

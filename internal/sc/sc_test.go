@@ -1,6 +1,7 @@
 package sc
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
@@ -14,7 +15,7 @@ func exploreSC(t *testing.T, src string, nEnv int) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inst.Explore(ra.Limits{MaxStates: 1_000_000})
+	res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 1_000_000})
 	if !res.Unsafe && !res.Complete {
 		t.Fatal("SC exploration incomplete")
 	}
@@ -66,7 +67,7 @@ thread obs { regs a; a = load x; assume a == %d; assert false }
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inst.Explore(ra.Limits{MaxStates: 100_000}).Unsafe {
+		if !inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 100_000}).Unsafe {
 			t.Errorf("final value %d unobservable under SC", v)
 		}
 	}

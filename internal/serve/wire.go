@@ -350,9 +350,12 @@ func InstanceVerdict(r paramra.InstanceResult) string {
 }
 
 // VerdictCore is the deterministic kernel of a verify response: the fields
-// that are bit-identical across worker counts and repeated runs (timing and
-// engine-scheduling counters excluded). The soak harness compares these
-// bytes between the live server and a local library run.
+// that do not depend on timing or on engine-scheduling counters. All but
+// the witness are identical across worker counts and repeated runs. The
+// witness is too when the fixpoint decided, or at Parallelism 1; a prepass
+// UNSAFE witness comes from the concrete explorer and can differ between
+// runs at Parallelism >= 2. The soak harness compares these bytes between
+// the live server and a local library run.
 type VerdictCore struct {
 	System         string   `json:"system"`
 	Verdict        string   `json:"verdict"`

@@ -1,26 +1,27 @@
-package bench
+package simplified_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"paramra/internal/bench"
 	"paramra/internal/simplified"
 )
 
 // TestParallelMatchesSequentialCorpus is the determinism contract of the
 // layered parallel engine: for every corpus entry and every worker count,
-// VerifyContext must agree with the sequential Verify on the verdict,
-// completeness, every statistic, and the violation's read logs (the inputs
-// of the §4.3 env-thread bound).
+// VerifyContext must agree with the sequential reference search on the
+// verdict, completeness, every statistic, and the violation's read logs
+// (the inputs of the §4.3 env-thread bound).
 func TestParallelMatchesSequentialCorpus(t *testing.T) {
-	for _, e := range Corpus() {
-		e := e
+	for _, e := range bench.Corpus() {
 		t.Run(e.Name, func(t *testing.T) {
 			seqV, err := simplified.New(e.System(), simplified.Options{})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			seq := seqV.Verify()
+			seq := simplified.SequentialVerifyForTest(seqV)
 
 			for _, workers := range []int{1, 2, 8} {
 				parV, err := simplified.New(e.System(), simplified.Options{Workers: workers})
@@ -45,11 +46,11 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 						t.Errorf("j=%d: violation source (%v,%d) vs (%v,%d)",
 							workers, pv.ByEnv, pv.DisIndex, sv.ByEnv, sv.DisIndex)
 					}
-					if got, want := logKeys(pv.Log), logKeys(sv.Log); !equalStrings(got, want) {
+					if got, want := logKeys(pv.Log), logKeys(sv.Log); !slices.Equal(got, want) {
 						t.Errorf("j=%d: violating read log %v vs %v", workers, got, want)
 					}
 					for i := range sv.DisLogs {
-						if got, want := logKeys(pv.DisLogs[i]), logKeys(sv.DisLogs[i]); !equalStrings(got, want) {
+						if got, want := logKeys(pv.DisLogs[i]), logKeys(sv.DisLogs[i]); !slices.Equal(got, want) {
 							t.Errorf("j=%d: dis %d read log %v vs %v", workers, i, got, want)
 						}
 					}
@@ -63,7 +64,7 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 							t.Errorf("j=%d: provenance missing key %q", workers, k)
 							continue
 						}
-						if pg.DisIndex != sg.DisIndex || !equalStrings(logKeys(pg.Log), logKeys(sg.Log)) {
+						if pg.DisIndex != sg.DisIndex || !slices.Equal(logKeys(pg.Log), logKeys(sg.Log)) {
 							t.Errorf("j=%d: provenance of %q differs", workers, k)
 						}
 					}
@@ -78,16 +79,4 @@ func logKeys(l *simplified.ReadLog) []string {
 		return nil
 	}
 	return l.Keys()
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

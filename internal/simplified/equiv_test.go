@@ -1,6 +1,7 @@
 package simplified
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -40,7 +41,7 @@ func concreteUnsafeUpTo(t *testing.T, sys *lang.System, maxN int) (bool, int, bo
 		if err != nil {
 			t.Fatalf("instance N=%d: %v", n, err)
 		}
-		res := inst.Explore(ra.Limits{MaxStates: diffRAStates, Symmetry: true})
+		res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: diffRAStates, Symmetry: true, Workers: 1})
 		if res.Unsafe {
 			return true, n, exhaustive
 		}
@@ -57,7 +58,7 @@ func checkAgainstConcrete(t *testing.T, name string, sys *lang.System) {
 	if err != nil {
 		t.Fatalf("%s: New: %v", name, err)
 	}
-	simp := v.Verify()
+	simp := verify1(v)
 	if !simp.Unsafe && !simp.Complete {
 		t.Logf("%s: simplified search incomplete, skipping", name)
 		return

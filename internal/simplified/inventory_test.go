@@ -27,7 +27,7 @@ func TestInventoryMatchesGoalQueries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := gv.Verify().Unsafe
+				want := verify1(gv).Unsafe
 				got := inv[lang.VarID(vi)][lang.Val(d)]
 				if got != want {
 					t.Errorf("%s: inventory(%s,%d)=%v but goal query says %v",

@@ -19,9 +19,10 @@ import (
 	"paramra/internal/simplified"
 )
 
-// diffOne cross-checks one system: reference exploration vs Verify and
-// VerifyContext at several worker counts. cap bounds the reference search
-// (0 = unbounded); a capped-out reference skips the system.
+// diffOne cross-checks one system: reference exploration vs the sequential
+// reference search and VerifyContext at several worker counts. cap bounds
+// the reference search (0 = unbounded); a capped-out reference skips the
+// system.
 func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool) {
 	t.Helper()
 	vref, err := simplified.New(sys, simplified.Options{})
@@ -64,7 +65,7 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	check("sequential", vseq.Verify())
+	check("sequential", simplified.SequentialVerifyForTest(vseq))
 	for _, j := range []int{1, 2, 8} {
 		vj, err := simplified.New(sys, simplified.Options{Workers: j, MaxMacroStates: prodCap})
 		if err != nil {

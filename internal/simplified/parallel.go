@@ -91,13 +91,15 @@ func (c *outCache) put(o *expOut) {
 	c.mu.Unlock()
 }
 
-// VerifyContext runs the macro-state search on the layered parallel engine.
-// Verdicts, witnesses, statistics and §4.3 bounds are bit-identical to the
-// sequential Verify for every worker count: each layer is expanded
-// concurrently against a frozen provenance map (every expansion works on a
-// private overlay), then the overlays are merged and successors admitted
-// sequentially in frontier order, so the first derivation of every message
-// — and with it every read-log chain — is the same as in a 1-worker run.
+// VerifyContext runs the macro-state search — saturate env behaviour,
+// branch over dis transitions, repeat — on the layered parallel engine.
+// Verdicts, witnesses, statistics and §4.3 bounds are bit-identical for
+// every worker count, and equal to those of a sequential breadth-first
+// search: each layer is expanded concurrently against a frozen provenance
+// map (every expansion works on a private overlay), then the overlays are
+// merged and successors admitted sequentially in frontier order, so the
+// first derivation of every message — and with it every read-log chain — is
+// the same as in a 1-worker run.
 //
 // Cancellation (ctx) is the primary resource limit; Options.MaxMacroStates
 // remains a secondary cap. On cancellation the partial Result carries
@@ -255,9 +257,10 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 		adm.AddDedup(o.preDedup)
 		gCfg.Max(int64(global.stats.EnvConfigs))
 		gMsgs.Max(int64(global.stats.EnvMsgs))
-		// Successors discovered before a violation are admitted first: the
-		// sequential loop admits each saturated successor before examining
-		// the next one, so stats stay bit-identical on UNSAFE runs too.
+		// Successors discovered before a violation are admitted first, as a
+		// sequential breadth-first search admits each saturated successor
+		// before examining the next one, so stats match it on UNSAFE runs
+		// too.
 		lo := int32(0)
 		for j, ns := range o.succs {
 			hi := o.keyEnds[j]

@@ -52,7 +52,7 @@ func TestBudgetStability(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			res := v.Verify()
+			res := verify1(v)
 			if !res.Unsafe && !res.Complete {
 				t.Fatalf("%s extra=%d: incomplete", name, extra)
 			}
@@ -78,7 +78,7 @@ func TestAssertToGoalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		direct := v.Verify()
+		direct := verify1(v)
 
 		mgSys, goalVar, goalVal := lang.AssertsToGoal(sys)
 		if err := mgSys.Validate(); err != nil {
@@ -88,7 +88,7 @@ func TestAssertToGoalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mg := mv.Verify()
+		mg := verify1(mv)
 		if direct.Unsafe != mg.Unsafe {
 			t.Errorf("%s: assert-mode %v but MG-mode %v (§4.1 reduction broken)",
 				name, direct.Unsafe, mg.Unsafe)
@@ -107,7 +107,7 @@ func TestVerifyIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := v.Verify()
+		res := verify1(v)
 		if first == nil {
 			r := res
 			first = &r
@@ -131,7 +131,7 @@ func TestSkeletonVerdictAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := v1.Verify().Unsafe
+		want := verify1(v1).Unsafe
 
 		v2, err := New(sys, Options{})
 		if err != nil {
@@ -167,7 +167,7 @@ func mustVerify(t *testing.T, sys *lang.System) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v.Verify()
+	return verify1(v)
 }
 
 // TestEnvSetFingerprintOrderInsensitive: the incremental fingerprint must

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"paramra/internal/engine"
 	"paramra/internal/lang"
@@ -221,11 +220,11 @@ func (v *Verifier) initState() *state {
 }
 
 // exec is the mutable context of one expansion: per-expansion statistics
-// plus a dis-message provenance overlay. The sequential engine uses a
-// single exec for the whole search (base == nil, msgLogs is the global
-// map); the parallel engine gives every macro-state expansion its own exec
-// whose base is the frozen global map, and merges the overlay back in
-// deterministic frontier order between layers.
+// plus a dis-message provenance overlay. A run's global exec has base ==
+// nil, and its msgLogs is the global map; VerifyContext gives every
+// macro-state expansion its own exec whose base is the frozen global map,
+// and merges the overlay back in deterministic frontier order between
+// layers.
 type exec struct {
 	v     *Verifier
 	stats Stats
@@ -234,8 +233,8 @@ type exec struct {
 	// deterministically). Allocated lazily: most expansions record nothing.
 	msgLogs  map[string]DisGen
 	msgOrder []string
-	// base is the read-only global provenance map (nil for the sequential
-	// engine, where msgLogs is global).
+	// base is the read-only global provenance map (nil for a global exec,
+	// whose msgLogs is global).
 	base map[string]DisGen
 	// Reusable scratch for saturation worklists and load-target enumeration,
 	// so per-successor saturations don't re-allocate them.
@@ -301,8 +300,8 @@ func (c *execCache) get(v *Verifier, base map[string]DisGen) *exec {
 }
 
 // put returns an exec to the cache after its expansion has handed off its
-// overlay (see handOff). Only the parallel drivers may call it: the
-// sequential engine's exec outlives the run inside Violation.DisMsgLogs.
+// overlay (see handOff). Only expansion execs may be returned: a global
+// exec outlives the run inside Violation.DisMsgLogs.
 func (c *execCache) put(ex *exec) {
 	ex.stats = Stats{}
 	if ex.msgLogs != nil {
@@ -474,77 +473,4 @@ func (ex *exec) checkGoalDis(st *state) *Violation {
 		}
 	})
 	return hit
-}
-
-// Verify runs the sequential macro-state search: saturate env behaviour,
-// branch over dis transitions, repeat. It is the reference engine the
-// parallel VerifyContext is differentially tested against.
-func (v *Verifier) Verify() Result {
-	start := time.Now()
-	ex := newExec(v, nil)
-
-	init := v.initState()
-	if viol := ex.saturate(init); viol != nil {
-		return v.sealSequential(ex.unsafeResult(viol, init), ex, start)
-	}
-	if viol := ex.checkGoalDis(init); viol != nil {
-		return v.sealSequential(ex.unsafeResult(viol, init), ex, start)
-	}
-
-	seen := map[string]bool{init.key(): true}
-	queue := []*state{init}
-	ex.stats.MacroStates = 1
-	limited := false
-
-	for len(queue) > 0 {
-		st := queue[0]
-		queue = queue[1:]
-		ex.recordSizes(st)
-
-		succs, viol := ex.disSuccessors(st)
-		if viol != nil {
-			return v.sealSequential(ex.unsafeResult(viol, st), ex, start)
-		}
-		for _, ns := range succs {
-			// Saturation is skipped when the dis memory is untouched: the
-			// successor inherits its parent's env fixpoint (see memChanged).
-			if ns.memChanged() {
-				if viol := ex.saturate(ns); viol != nil {
-					return v.sealSequential(ex.unsafeResult(viol, ns), ex, start)
-				}
-			}
-			if ns.memChanged() {
-				// Pure in the dis memory: an unchanged memory has the
-				// parent's (already checked, goal-free) result.
-				if viol := ex.checkGoalDis(ns); viol != nil {
-					return v.sealSequential(ex.unsafeResult(viol, ns), ex, start)
-				}
-			}
-			k := ns.key()
-			if seen[k] {
-				ex.freeState(ns)
-				continue
-			}
-			if v.opts.MaxMacroStates > 0 && ex.stats.MacroStates >= v.opts.MaxMacroStates {
-				limited = true
-				continue
-			}
-			seen[k] = true
-			ex.stats.MacroStates++
-			queue = append(queue, ns)
-		}
-	}
-	res := Result{Unsafe: false, Complete: !limited, Stats: ex.stats}
-	return v.sealSequential(res, ex, start)
-}
-
-// sealSequential fills the engine-stat mirror of a sequential run.
-func (v *Verifier) sealSequential(res Result, ex *exec, start time.Time) Result {
-	res.Engine = engine.Stats{
-		States:      int64(res.Stats.MacroStates),
-		Transitions: int64(res.Stats.DisTransitions),
-		Wall:        time.Since(start),
-		Workers:     1,
-	}
-	return res
 }

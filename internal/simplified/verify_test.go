@@ -1,11 +1,18 @@
 package simplified
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"paramra/internal/lang"
 )
+
+// verify1 runs v's search at one worker.
+func verify1(v *Verifier) Result {
+	v.opts.Workers = 1
+	return v.VerifyContext(context.Background())
+}
 
 // verify parses and runs the parameterized verifier.
 func verify(t *testing.T, src string, opts Options) Result {
@@ -18,7 +25,7 @@ func verify(t *testing.T, src string, opts Options) Result {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	res := v.Verify()
+	res := verify1(v)
 	if !res.Unsafe && !res.Complete {
 		t.Fatalf("verification incomplete (states=%d)", res.Stats.MacroStates)
 	}
@@ -250,7 +257,7 @@ thread worker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := v.Verify()
+	res := verify1(v)
 	if !res.Unsafe {
 		t.Fatal("goal message (flag,2) should be generatable")
 	}
@@ -262,7 +269,7 @@ thread worker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Verify().Unsafe {
+	if verify1(v2).Unsafe {
 		t.Fatal("goal message (flag,1) is never written")
 	}
 }
@@ -277,7 +284,7 @@ thread w { skip }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Verify().Unsafe {
+	if !verify1(v).Unsafe {
 		t.Fatal("initial message must satisfy the (x,0) goal")
 	}
 }
@@ -366,7 +373,7 @@ thread b { regs q; q = load z; store x (q+2); store y 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := v.Verify()
+	res := verify1(v)
 	if res.Unsafe {
 		t.Fatal("no asserts present")
 	}

@@ -1,6 +1,7 @@
 package tqbf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,11 +16,11 @@ func reductionUnsafe(t *testing.T, q *QBF) bool {
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	v, err := simplified.New(sys, simplified.Options{})
+	v, err := simplified.New(sys, simplified.Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("verifier: %v", err)
 	}
-	res := v.Verify()
+	res := v.VerifyContext(context.Background())
 	if !res.Unsafe && !res.Complete {
 		t.Fatalf("verification incomplete")
 	}

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"paramra"
+	"paramra/internal/bench"
 	"paramra/internal/lang"
+	"paramra/internal/serve"
 )
 
 // TestParallelDeterministicVerdictsTestdata is the stress form of the
@@ -18,6 +20,13 @@ import (
 // Parallelism 8, must produce the same verdict, stats, witness and §4.3
 // env-thread bound as a 1-worker run. Under -race this also exercises the
 // engine's synchronization. `go test -short` runs one iteration.
+//
+// A second pass verifies every corpus entry with the options raserved
+// gives a request that names none (prepass on), at Parallelism 1 and 8.
+// Prepass verdicts are confirmed on the free-order concrete explorer, whose
+// witnesses depend on scheduling at more than one worker, so there the
+// contract covers the verdict, Complete, DecidedBy and the env-thread bound,
+// and the witness only when the fixpoint decided.
 func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	iters := 5
 	if testing.Short() {
@@ -51,6 +60,40 @@ func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 				}
 				if got, want := fixpointStats(res.Stats), fixpointStats(base.Stats); got != want {
 					t.Errorf("iter %d: stats %+v vs %+v", i, got, want)
+				}
+			}
+		})
+	}
+
+	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range bench.Corpus() {
+		t.Run("served/"+e.Name, func(t *testing.T) {
+			sys := e.System()
+			opts := served
+			opts.Parallelism = 1
+			base, err := paramra.Verify(context.Background(), sys, opts)
+			if err != nil {
+				t.Fatalf("verify j=1: %v", err)
+			}
+			opts.Parallelism = 8
+			for i := 0; i < iters; i++ {
+				res, err := paramra.Verify(context.Background(), sys, opts)
+				if err != nil {
+					t.Fatalf("iter %d: verify j=8: %v", i, err)
+				}
+				if res.Unsafe != base.Unsafe || res.Complete != base.Complete || res.DecidedBy != base.DecidedBy {
+					t.Fatalf("iter %d: verdict (%v,%v) by %s vs (%v,%v) by %s", i,
+						res.Unsafe, res.Complete, res.DecidedBy, base.Unsafe, base.Complete, base.DecidedBy)
+				}
+				if res.EnvThreadBound != base.EnvThreadBound {
+					t.Errorf("iter %d: env-thread bound %d vs %d",
+						i, res.EnvThreadBound, base.EnvThreadBound)
+				}
+				if base.DecidedBy == "fixpoint" && !reflect.DeepEqual(res.Witness, base.Witness) {
+					t.Errorf("iter %d: fixpoint witness %v vs %v", i, res.Witness, base.Witness)
 				}
 			}
 		})
