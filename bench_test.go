@@ -339,11 +339,11 @@ func BenchmarkAblationDatalogVsFixpoint(b *testing.B) {
 	})
 	b.Run("datalog", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ps, _, err := encode.All(sys, 100_000)
+			res, err := paramra.Verify(context.Background(), sys, paramra.Options{Datalog: true, Parallelism: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !encode.Unsafe(ps) {
+			if !res.Unsafe {
 				b.Fatal("datalog backend disagrees")
 			}
 		}
@@ -398,6 +398,29 @@ func BenchmarkPrepassReplay(b *testing.B) {
 		if out.Verdict != paramra.PrepassInconclusive || out.ReplayStates == 0 {
 			b.Fatalf("barrier prepass: %v after %d replay states, want an inconclusive replay",
 				out.Verdict, out.ReplayStates)
+		}
+	}
+}
+
+// BenchmarkSkeletons measures the dis-run skeleton enumeration that makeP
+// (§4.1) runs in place of the paper's guess, on lamport-2-ra's 15,966
+// skeletons; scripts/bench-allocs.sh gates its allocs/op.
+func BenchmarkSkeletons(b *testing.B) {
+	e, _ := bench.ByName("lamport-2-ra")
+	v, err := simplified.New(e.System(), simplified.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sks, complete, err := v.Skeletons(ctx, 100_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !complete || len(sks) != 15_966 {
+			b.Fatalf("lamport-2-ra: %d skeletons (complete %v), want all 15,966", len(sks), complete)
 		}
 	}
 }

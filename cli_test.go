@@ -2,12 +2,15 @@ package paramra_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"paramra/internal/bench"
 )
 
 // End-to-end tests of the command-line tools: build each binary once, then
@@ -168,6 +171,101 @@ func TestCLIRadatalog(t *testing.T) {
 	out, code = runTool(t, "radatalog", "-cache", "2", dl)
 	if code != 1 || !strings.Contains(out, "false") {
 		t.Errorf("cache-bounded dl eval: code=%d out=%s", code, out)
+	}
+}
+
+// verdictLine returns the text after a tool's "verdict:" label.
+func verdictLine(out string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "verdict:"); ok {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// TestCLIRadatalogSkeletonCap: a skeleton cap that cuts the enumeration
+// short before any instance holds leaves the verdict unknown. Both systems
+// are UNSAFE, and their first skeleton alone shows no violation, so
+// radatalog must not call them SAFE — in the default mode (paramra.Verify)
+// nor in the in-order -stats listing. The exit code is raverify's for an
+// incomplete result.
+func TestCLIRadatalogSkeletonCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI builds skipped in -short mode")
+	}
+	for _, name := range []string{"prodcons", "peterson"} {
+		path := filepath.Join("testdata", "systems", name+".ra")
+		for _, mode := range []string{"-stats=false", "-stats"} {
+			out, code := runTool(t, "radatalog", "-prepass=false", "-max-skeletons=1", mode, path)
+			if v := verdictLine(out); v != "UNKNOWN (limit reached)" || code != 0 {
+				t.Errorf("%s %s: verdict %q, exit %d; want UNKNOWN (limit reached), exit 0\n%s",
+					name, mode, v, code, out)
+			}
+		}
+	}
+}
+
+// TestCLIRadatalogMatchesRaverify: for the same result, radatalog and
+// raverify -datalog print the same verdict and exit with the same code.
+func TestCLIRadatalogMatchesRaverify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI builds skipped in -short mode")
+	}
+	for _, name := range []string{"prodcons", "mp", "spinlock"} {
+		path := filepath.Join("testdata", "systems", name+".ra")
+		for _, prepass := range []string{"-prepass=true", "-prepass=false"} {
+			dOut, dCode := runTool(t, "radatalog", prepass, path)
+			vOut, vCode := runTool(t, "raverify", "-datalog", prepass, path)
+			if verdictLine(dOut) != verdictLine(vOut) || dCode != vCode || verdictLine(dOut) == "" {
+				t.Errorf("%s %s: radatalog %q (exit %d), raverify -datalog %q (exit %d)",
+					name, prepass, verdictLine(dOut), dCode, verdictLine(vOut), vCode)
+			}
+		}
+	}
+}
+
+// TestCLIRadatalogListingMatchesVerify: the -stats listing evaluates the
+// instances the default mode (paramra.Verify) evaluates — the same skeleton
+// cap, also for -max-skeletons=0, and the same hinted grounding. seqlock is
+// SAFE, the prepass leaves it open and its hints shrink the encoding, so
+// every instance is listed and the rule counts tell the groundings apart.
+func TestCLIRadatalogListingMatchesVerify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI builds skipped in -short mode")
+	}
+	var src string
+	for _, e := range bench.Corpus() {
+		if e.Name == "seqlock" {
+			src = e.Src
+		}
+	}
+	path := writeTemp(t, "seqlock.ra", src)
+	for _, limit := range []string{"-max-skeletons=100000", "-max-skeletons=0"} {
+		out, code := runTool(t, "radatalog", limit, path)
+		var skeletons, facts, rules int
+		for _, line := range strings.Split(out, "\n") {
+			if st, ok := strings.CutPrefix(line, "stats:"); ok {
+				fmt.Sscanf(strings.TrimSpace(st), "skeletons=%d facts=%d rules=%d", &skeletons, &facts, &rules)
+			}
+		}
+		lout, lcode := runTool(t, "radatalog", limit, "-stats", path)
+		listed, sum := 0, 0
+		for _, line := range strings.Split(lout, "\n") {
+			var i, n int
+			if _, err := fmt.Sscanf(line, "instance %d: rules=%d", &i, &n); err == nil {
+				listed++
+				sum += n
+			}
+		}
+		if skeletons == 0 || verdictLine(out) != "SAFE" || code != 0 {
+			t.Fatalf("%s: default mode: %s", limit, out)
+		}
+		if !strings.Contains(lout, fmt.Sprintf("skeletons: %d (exhaustive=true)", skeletons)) ||
+			listed != skeletons || sum != facts+rules || verdictLine(lout) != "SAFE" || lcode != 0 {
+			t.Errorf("%s: -stats listed %d instances with %d rules, verdict %q, exit %d; default mode: %d skeletons, %d facts + %d rules",
+				limit, listed, sum, verdictLine(lout), lcode, skeletons, facts, rules)
+		}
 	}
 }
 

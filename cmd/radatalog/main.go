@@ -1,14 +1,20 @@
 // Command radatalog is the Datalog side of the toolchain. Given a system
-// description (.ra) it runs the makeP encoding (§4.1): it translates the
-// system into (Cache) Datalog query instances, optionally dumping them, and
-// evaluates the ∃-over-skeletons semantics of Theorem 4.1. Given a plain
-// Datalog file (.dl) it evaluates its `?-` queries directly, optionally
-// under a Cache Datalog bound.
+// description (.ra) it decides parameterized safety through the makeP
+// encoding (§4.1): paramra.Verify with Options.Datalog runs the prepass,
+// enumerates the dis-run skeletons, and evaluates the ∃-over-skeletons
+// semantics of Theorem 4.1 on a worker pool. -dump and -stats instead
+// evaluate the query instances one by one, in order, listing each. Given a
+// plain Datalog file (.dl) it evaluates its `?-` queries directly,
+// optionally under a Cache Datalog bound.
 //
 // Usage:
 //
-//	radatalog [-dump] [-max-skeletons N] [-j N] [-timeout D] system.ra
+//	radatalog [-dump] [-stats] [-max-skeletons N] [-j N] [-timeout D] system.ra
 //	radatalog [-cache k] program.dl
+//
+// For a system, the verdict line and the exit code are raverify's for the
+// same result (0 SAFE, 1 UNSAFE, 2 on errors); a skeleton cap that cut the
+// enumeration short without an UNSAFE instance reads UNKNOWN.
 package main
 
 import (
@@ -16,19 +22,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"paramra"
-	"paramra/internal/absint"
-	"paramra/internal/analysis"
 	"paramra/internal/datalog"
-	"paramra/internal/encode"
 	"paramra/internal/lang"
 	"paramra/internal/obs"
+	"paramra/internal/serve"
 )
 
 func main() {
@@ -37,9 +37,9 @@ func main() {
 
 func run() int {
 	var (
-		dump         = flag.Bool("dump", false, "print the generated Datalog program(s)")
-		maxSkeletons = flag.Int("max-skeletons", 100_000, "cap on dis-run skeleton enumeration")
-		stats        = flag.Bool("stats", false, "print per-instance rule/atom counts")
+		dump         = flag.Bool("dump", false, "print the generated Datalog program(s), evaluating them in order")
+		maxSkeletons = flag.Int("max-skeletons", 100_000, "cap on dis-run skeleton enumeration (0 = the library default, 100000)")
+		stats        = flag.Bool("stats", false, "evaluate the query instances in order, printing each one's rule count")
 		cacheBound   = flag.Int("cache", 0, ".dl mode: decide queries under the Cache Datalog bound ⊢_k")
 		doSlice      = flag.Bool("slice", false, ".ra mode: run the verdict-preserving slicer before encoding")
 		prepass      = flag.Bool("prepass", true, ".ra mode: try the static abstract-interpretation prepass before encoding")
@@ -52,9 +52,15 @@ func run() int {
 		flag.PrintDefaults()
 		return 2
 	}
+	opts := paramra.Options{
+		Datalog:      true,
+		Prepass:      *prepass,
+		MaxSkeletons: *maxSkeletons,
+		Parallelism:  obsf.Workers,
+	}
 	// Strict knob validation with the offending flag named, shared with the
 	// library and the service.
-	if err := (paramra.Options{MaxSkeletons: *maxSkeletons, Parallelism: obsf.Workers}).Validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "radatalog:", err)
 		return 2
 	}
@@ -73,6 +79,7 @@ func run() int {
 	root := sess.Tracer.Start("radatalog", nil)
 	defer root.End()
 	root.SetAttr("file", flag.Arg(0))
+	opts.Tracer, opts.TraceSpan, opts.Metrics = sess.Tracer, root, sess.Metrics
 
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -91,136 +98,85 @@ func run() int {
 	}
 	if *doSlice {
 		sspan := root.Child("slice")
-		var st analysis.SliceStats
-		sys, st = analysis.Slice(sys, analysis.SliceOptions{})
+		var st paramra.SliceStats
+		sys, st = paramra.Slice(sys)
 		sspan.End()
 		fmt.Printf("slice:     %s\n", st)
 	}
-	if *prepass {
-		pspan := root.Child("prepass")
-		out, perr := absint.Prepass(ctx, sys, absint.Options{})
-		pspan.End()
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "radatalog: interrupted:", perr)
+	fmt.Printf("system:    %s\n", sys.Name)
+
+	list := *stats || *dump
+	var res paramra.Result
+	if list {
+		res, err = listInstances(ctx, sys, opts, *dump, *stats)
+	} else {
+		res, err = paramra.Verify(ctx, sys, opts)
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "radatalog: interrupted:", ctx.Err())
 			return 2
 		}
-		if out.Verdict != absint.Inconclusive {
-			fmt.Printf("system:    %s\n", sys.Name)
-			fmt.Printf("prepass:   %s — %s\n", out.Verdict, out.Reason)
-			if out.Verdict == absint.Unsafe {
-				fmt.Println("verdict:   UNSAFE (static prepass, replay-confirmed)")
-				return 1
-			}
-			fmt.Println("verdict:   SAFE (static prepass)")
-			return 0
-		}
-	}
-	espan := root.Child("skeleton-enumeration")
-	ps, complete, err := encode.All(sys, *maxSkeletons)
-	espan.SetAttr("skeletons", len(ps))
-	espan.End()
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "radatalog:", err)
 		return 2
 	}
-	fmt.Printf("system:    %s\n", sys.Name)
-	fmt.Printf("skeletons: %d (exhaustive=%v)\n", len(ps), complete)
-
-	var unsafe bool
-	if *stats || *dump {
-		// Diagnostic modes print per-instance output in order; evaluate
-		// sequentially so the report is reproducible line for line.
-		for i, p := range ps {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "radatalog: interrupted:", ctx.Err())
-				return 2
-			}
-			hit := datalog.Query(p.Prog, p.Goal)
-			if hit {
-				unsafe = true
-			}
-			if *stats || hit {
-				fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prog.Rules), hit)
-			}
-			if *dump {
-				fmt.Printf("--- instance %d ---\n%s", i, p.Prog.String())
-			}
-			if hit {
-				break
-			}
-		}
-	} else {
-		// The instances are independent; evaluate them on a worker pool,
-		// first hit wins (the verdict does not depend on which).
-		unsafe, err = evalParallel(ctx, ps, obsf.Workers, root, sess.Metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "radatalog: interrupted:", err)
-			return 2
-		}
+	// The verdict spelling is shared with raverify and the raserved wire
+	// API, so the frontends cannot drift.
+	verdict := serve.Verdict(res)
+	switch {
+	case res.DecidedBy == "prepass":
+		fmt.Printf("prepass:   %s — %s\n", verdict, res.PrepassReason)
+	case !list:
+		fmt.Printf("stats:     skeletons=%d facts=%d rules=%d fixpoint-rounds=%d atoms=%d\n",
+			res.Stats.Skeletons, res.Stats.DatalogFacts, res.Stats.DatalogRules,
+			res.Stats.FixpointRounds, res.Stats.DatalogAtoms)
 	}
-	if unsafe {
-		fmt.Println("verdict:   UNSAFE (some skeleton's query succeeded)")
+	fmt.Printf("verdict:   %s\n", verdict)
+	fmt.Printf("decided:   %s\n", res.DecidedBy)
+	if res.Unsafe {
 		return 1
 	}
-	fmt.Println("verdict:   SAFE (no skeleton's query succeeded)")
 	return 0
 }
 
-// evalParallel evaluates the ∃-over-skeletons semantics with a worker pool;
-// remaining instances are cancelled once one query succeeds. The span and
-// registry are optional (nil = no instrumentation).
-func evalParallel(ctx context.Context, ps []*encode.Problem, workers int, parent *obs.Span, m *obs.Registry) (bool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// listInstances is the -dump/-stats path. Unless the prepass decides, it
+// evaluates the query instances paramra.Verify would evaluate (same cap,
+// same grounding) sequentially, in order, printing each, and stops at the
+// first that holds, so the listing is reproducible line for line. The
+// Result carries only what the listing decided.
+func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Options, dump, stats bool) (paramra.Result, error) {
+	if opts.Prepass {
+		out, err := paramra.Prepass(ctx, sys, opts)
+		if err != nil || out.Verdict != paramra.PrepassInconclusive {
+			return paramra.Result{Unsafe: out.Verdict == paramra.PrepassUnsafe, Complete: true,
+				DecidedBy: "prepass", PrepassReason: out.Reason}, err
+		}
 	}
-	if workers > len(ps) && len(ps) > 0 {
-		workers = len(ps)
+	ps, complete, err := paramra.DatalogInstances(ctx, sys, opts)
+	if err != nil {
+		return paramra.Result{}, err
 	}
-	span := parent.Child("datalog-eval")
-	var cInst, cRounds *obs.Counter
-	var roundHook datalog.RoundHook
-	if m != nil {
-		cInst = m.Counter("paramra_datalog_instances_total", "Datalog query instances evaluated")
-		cRounds = m.Counter("paramra_datalog_rounds_total", "semi-naive fixpoint rounds across instances")
-		hRound := m.Histogram("paramra_datalog_round_ns", "wall time per semi-naive delta round (ns)")
-		roundHook = func(d time.Duration) { hRound.Observe(int64(d)) }
+	fmt.Printf("skeletons: %d (exhaustive=%v)\n", len(ps), complete)
+	res := paramra.Result{DecidedBy: "datalog"}
+	res.Stats.Skeletons = len(ps)
+	for i, p := range ps {
+		hit, _, err := datalog.QueryCtx(ctx, p.Prog, p.Goal, nil)
+		if err != nil {
+			return res, err
+		}
+		if stats || hit {
+			fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prog.Rules), hit)
+		}
+		if dump {
+			fmt.Printf("--- instance %d ---\n%s", i, p.Prog.String())
+		}
+		if hit {
+			res.Unsafe = true
+			break
+		}
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next atomic.Int64
-		hit  atomic.Bool
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ps) || cctx.Err() != nil {
-					return
-				}
-				ok, st := datalog.QueryStatsHook(ps[i].Prog, ps[i].Goal, roundHook)
-				cInst.Inc()
-				cRounds.Add(int64(st.Rounds))
-				if ok {
-					hit.Store(true)
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if span != nil {
-		span.SetAttr("workers", workers)
-		span.SetAttr("unsafe", hit.Load())
-		span.End()
-	}
-	if err := ctx.Err(); err != nil && !hit.Load() {
-		return false, err
-	}
-	return hit.Load(), nil
+	res.Complete = res.Unsafe || complete
+	return res, nil
 }
 
 // runDatalogFile evaluates a plain .dl program's queries.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"paramra"
 	"paramra/internal/datalog"
 	"paramra/internal/depgraph"
 	"paramra/internal/encode"
@@ -220,13 +221,15 @@ func Ablations() ([]AblationRow, error) {
 		row := AblationRow{Name: name, FixpointVerdict: res.Unsafe, FixpointTime: time.Since(start)}
 
 		start = time.Now()
-		ps, _, err := encode.All(sys, 20_000)
+		dres, err := paramra.Verify(context.TODO(), sys, paramra.Options{
+			Datalog: true, MaxSkeletons: 20_000, Parallelism: 1,
+		})
 		if err != nil {
 			return nil, err
 		}
-		row.DatalogVerdict = encode.Unsafe(ps)
+		row.DatalogVerdict = dres.Unsafe
 		row.DatalogTime = time.Since(start)
-		row.Skeletons = len(ps)
+		row.Skeletons = dres.Stats.Skeletons
 
 		inst, err := ra.NewInstance(sys, 2)
 		if err != nil {

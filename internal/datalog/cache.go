@@ -137,7 +137,7 @@ func MinCacheSizeEDB(p *Program, g GroundAtom, kMax int, edb *DB) int {
 		for _, f := range edb.All() {
 			db.Add(f)
 		}
-		full, _ = evalSemiNaiveFrom(merged, db, nil)
+		full = evalSemiNaiveFrom(merged, db)
 	}
 	if !full.Has(g) {
 		return -1 // not derivable at any cache size

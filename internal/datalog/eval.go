@@ -193,20 +193,14 @@ type RoundHook func(d time.Duration)
 // atoms derived in the previous round (each body position takes a turn as
 // the delta position).
 func EvalSemiNaive(p *Program) *DB {
-	db, _ := evalSemiNaiveFrom(p, nil, nil)
-	return db
-}
-
-// EvalSemiNaiveStats is EvalSemiNaive with evaluation statistics.
-func EvalSemiNaiveStats(p *Program) (*DB, EvalStats) {
-	return evalSemiNaiveFrom(p, nil, nil)
+	return evalSemiNaiveFrom(p, nil)
 }
 
 // evalSemiNaiveFrom seeds the evaluation with extra ground atoms (used for
 // EDB facts kept outside the program).
-func evalSemiNaiveFrom(p *Program, seed *DB, hook RoundHook) (*DB, EvalStats) {
-	db, stats, _ := evalSemiNaiveCtx(context.Background(), p, seed, hook)
-	return db, stats
+func evalSemiNaiveFrom(p *Program, seed *DB) *DB {
+	db, _, _ := evalSemiNaiveCtx(context.Background(), p, seed, nil)
+	return db
 }
 
 // cancelCheckStride bounds how many derivations a join may produce between
@@ -291,18 +285,6 @@ func evalSemiNaiveCtx(ctx context.Context, p *Program, seed *DB, hook RoundHook)
 // Query reports whether Prog ⊢ g, using semi-naive evaluation.
 func Query(p *Program, g GroundAtom) bool {
 	return EvalSemiNaive(p).Has(g)
-}
-
-// QueryStats is Query with evaluation statistics.
-func QueryStats(p *Program, g GroundAtom) (bool, EvalStats) {
-	db, stats := evalSemiNaiveFrom(p, nil, nil)
-	return db.Has(g), stats
-}
-
-// QueryStatsHook is QueryStats with a per-round duration observer.
-func QueryStatsHook(p *Program, g GroundAtom, hook RoundHook) (bool, EvalStats) {
-	db, stats := evalSemiNaiveFrom(p, nil, hook)
-	return db.Has(g), stats
 }
 
 // QueryCtx answers Prog ⊢ g under a context: cancellation aborts the

@@ -45,7 +45,7 @@ func TestHintsPreserveVerdict(t *testing.T) {
 	for _, tc := range hintSystems {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := lang.MustParseSystem(tc.src)
-			plain, complete, err := All(sys, 50_000)
+			plain, complete, err := All(context.Background(), sys, 50_000, nil)
 			if err != nil || !complete {
 				t.Fatalf("plain encode: %v (complete=%v)", err, complete)
 			}
@@ -53,11 +53,11 @@ func TestHintsPreserveVerdict(t *testing.T) {
 			if hints == nil {
 				t.Fatal("system has an env program but no env facts")
 			}
-			hinted, complete, err := AllCtxHints(context.Background(), sys, 50_000, hints)
+			hinted, complete, err := All(context.Background(), sys, 50_000, hints)
 			if err != nil || !complete {
 				t.Fatalf("hinted encode: %v (complete=%v)", err, complete)
 			}
-			if got, want := Unsafe(hinted), Unsafe(plain); got != want {
+			if got, want := anyHolds(hinted), anyHolds(plain); got != want {
 				t.Fatalf("hinted verdict %v != plain verdict %v", got, want)
 			}
 			if p, h := countRules(plain), countRules(hinted); h > p {
@@ -79,11 +79,11 @@ thread w { regs r; r = load y; assume r == 1; store x r }
 thread c { regs s; store y 1; s = load x; assume s == 1; assert false }
 `
 	sys := lang.MustParseSystem(src)
-	plain, _, err := All(sys, 50_000)
+	plain, _, err := All(context.Background(), sys, 50_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hinted, _, err := AllCtxHints(context.Background(), sys, 50_000, absint.Analyze(sys).EnvFacts())
+	hinted, _, err := All(context.Background(), sys, 50_000, absint.Analyze(sys).EnvFacts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ thread c { regs s; store y 1; s = load x; assume s == 1; assert false }
 	if h >= p {
 		t.Fatalf("guarded store not shrunk: %d rules plain, %d hinted", p, h)
 	}
-	if got, want := Unsafe(hinted), Unsafe(plain); got != want {
+	if got, want := anyHolds(hinted), anyHolds(plain); got != want {
 		t.Fatalf("hinted verdict %v != plain verdict %v", got, want)
 	}
 }

@@ -78,20 +78,12 @@ type builder struct {
 }
 
 // All generates one Problem per dis-run skeleton (exactly one for env-only
-// systems). The boolean reports whether skeleton enumeration was exhaustive.
-func All(sys *lang.System, maxSkeletons int) ([]*Problem, bool, error) {
-	return AllCtx(context.Background(), sys, maxSkeletons)
-}
-
-// AllCtx is All under a context: encoding many skeletons can dominate the
-// wall time of a Datalog run, so cancellation is checked before each
-// skeleton's emission and surfaces as ctx's error.
-func AllCtx(ctx context.Context, sys *lang.System, maxSkeletons int) ([]*Problem, bool, error) {
-	return AllCtxHints(ctx, sys, maxSkeletons, nil)
-}
-
-// AllCtxHints is AllCtx with a valuation-grounding restriction (see Hints).
-func AllCtxHints(ctx context.Context, sys *lang.System, maxSkeletons int, hints Hints) ([]*Problem, bool, error) {
+// systems). The boolean reports whether skeleton enumeration was
+// exhaustive. hints restricts the valuation grounding (nil grounds over the
+// full domain, see Hints). Cancellation is checked once per macro-state the
+// skeleton enumeration expands and before each skeleton's encoding, and
+// surfaces as ctx's error.
+func All(ctx context.Context, sys *lang.System, maxSkeletons int, hints Hints) ([]*Problem, bool, error) {
 	if sys.Env == nil {
 		return nil, false, ErrNoEnv
 	}
@@ -112,7 +104,10 @@ func AllCtxHints(ctx context.Context, sys *lang.System, maxSkeletons int, hints 
 	if len(sys.Dis) == 0 {
 		skels = []*simplified.Skeleton{nil}
 	} else {
-		ss, ok := v.Skeletons(maxSkeletons)
+		ss, ok, err := v.Skeletons(ctx, maxSkeletons)
+		if err != nil {
+			return nil, false, err
+		}
 		complete = ok
 		for i := range ss {
 			skels = append(skels, &ss[i])
@@ -139,21 +134,11 @@ func EnvOnly(sys *lang.System) (*Problem, error) {
 	if len(sys.Dis) != 0 {
 		return nil, fmt.Errorf("encode.EnvOnly: system has %d dis threads", len(sys.Dis))
 	}
-	ps, _, err := All(sys, 1)
+	ps, _, err := All(context.Background(), sys, 1, nil)
 	if err != nil {
 		return nil, err
 	}
 	return ps[0], nil
-}
-
-// Unsafe evaluates the ∃-semantics over the generated instances.
-func Unsafe(ps []*Problem) bool {
-	for _, p := range ps {
-		if datalog.Query(p.Prog, p.Goal) {
-			return true
-		}
-	}
-	return false
 }
 
 func build(sys *lang.System, maxTime int, sk *simplified.Skeleton, hints Hints) (*Problem, error) {

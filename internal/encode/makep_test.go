@@ -21,18 +21,29 @@ func checkAgainstVerifier(t *testing.T, src string) {
 	}
 	want := v.VerifyContext(context.Background()).Unsafe
 
-	ps, complete, err := All(sys, 50_000)
+	ps, complete, err := All(context.Background(), sys, 50_000, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	if !complete {
 		t.Fatalf("skeleton enumeration incomplete")
 	}
-	got := Unsafe(ps)
+	got := anyHolds(ps)
 	if got != want {
 		t.Fatalf("datalog pipeline says unsafe=%v, verifier says %v (%d skeletons)",
 			got, want, len(ps))
 	}
+}
+
+// anyHolds is the ∃-over-skeletons semantics of Theorem 4.1, evaluated
+// sequentially: the system is unsafe iff some instance's query holds.
+func anyHolds(ps []*Problem) bool {
+	for _, p := range ps {
+		if datalog.Query(p.Prog, p.Goal) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestEncodeEnvOnlyUnsafe(t *testing.T) {
@@ -171,7 +182,7 @@ func TestAllRejectsNoEnv(t *testing.T) {
 system s { vars x; domain 2; dis d }
 thread d { skip }
 `)
-	if _, _, err := All(sys, 10); err == nil {
+	if _, _, err := All(context.Background(), sys, 10, nil); err == nil {
 		t.Error("All accepted a system without env")
 	}
 }

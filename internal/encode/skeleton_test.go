@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
@@ -16,7 +17,7 @@ thread e { regs r; r = load x; store y (r + 1) }
 thread d1 { store x 1; store x 2 }
 thread d2 { regs q; q = load y; store x q }
 `)
-	ps, complete, err := All(sys, 2)
+	ps, complete, err := All(context.Background(), sys, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,10 @@ thread e { store x 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	sks, complete := v.Skeletons(10)
+	sks, complete, err := v.Skeletons(context.Background(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !complete || len(sks) != 1 || len(sks[0].Steps) != 0 || sks[0].Unsafe {
 		t.Fatalf("env-only skeletons = %+v (complete=%v)", sks, complete)
 	}
@@ -57,7 +61,10 @@ thread d { regs q; store x 1; q = load y; assume q == 2; assert false }
 	if err != nil {
 		t.Fatal(err)
 	}
-	sks, complete := v.Skeletons(10_000)
+	sks, complete, err := v.Skeletons(context.Background(), 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !complete {
 		t.Fatal("incomplete")
 	}

@@ -4,59 +4,77 @@ import (
 	"paramra/internal/lang"
 )
 
-// disSuccessors enumerates the macro-states reachable by one transition of a
-// dis thread. Env saturation of the successors is the caller's job.
-func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
-	v := ex.v
-	// The result slice is exec scratch: callers consume it before the next
-	// expansion on this exec. The successor states themselves escape; only
-	// the slice header is recycled.
-	out := ex.outBuf[:0]
-	// emit clones, applies the thread step, and appends. It returns the
-	// clone so store/CAS paths can insert their message directly — an
-	// `update` closure here would allocate once per emitted successor.
-	emit := func(i int, th AThread) *state {
-		ns := ex.cloneState(st)
-		ns.dis[i] = th
-		ex.stats.DisTransitions++
-		out = append(out, ns)
-		return ns
-	}
+// disMove is one enabled dis transition of a macro-state, as eachDisMove
+// yields it. It describes the move without applying it: consumers clone
+// the state and install next (and put) themselves.
+type disMove struct {
+	// dis is the stepping dis thread, kind the operation kind.
+	dis  int
+	kind lang.OpKind
+	// next is the thread's configuration after the move. An `assert false`
+	// edge has no successor; its next is not meant to be installed.
+	next AThread
+	// read is the message a load or CAS reads (hasRead marks it).
+	read    AMsg
+	hasRead bool
+	// put is the message a store or CAS adds to dis memory (hasPut marks
+	// it). Its provenance (genthread's reads, Definition 1) is next.Log: a
+	// store keeps the thread's log, a CAS extends it by the message read.
+	put    AMsg
+	hasPut bool
+}
 
+// eachDisMove yields every enabled dis transition of st, in a fixed order:
+// dis threads by index, each thread's CFG edges in order, and within an
+// edge the readable messages and free timestamp slots in increasing order.
+// It decides nothing — `assert false` edges are yielded like any other
+// move, and the consumer chooses whether one ends its search. yield
+// returns false to stop the enumeration.
+//
+// The move is exec scratch (ex.mv), overwritten by the next one: consumers
+// copy what they keep. A move built in a local would escape to the heap
+// through yield, costing an allocation per transition.
+func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
+	v := ex.v
+	mv := &ex.mv
 	for i := range st.dis {
 		cfg := st.dis[i]
-		g := v.disCFG[i]
-		for _, e := range g.Out[cfg.PC] {
+		for _, e := range v.disCFG[i].Out[cfg.PC] {
+			*mv = disMove{dis: i, kind: e.Op.Kind,
+				next: AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log}}
 			switch e.Op.Kind {
-			case lang.OpNop:
-				emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log})
-
-			case lang.OpAssume:
-				if e.Op.E.Eval(cfg.Regs) != 0 {
-					emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log})
+			case lang.OpNop, lang.OpAssertFail:
+				if !yield(mv) {
+					return
 				}
 
-			case lang.OpAssertFail:
-				// Inert in Message Generation mode (§4.1).
-				if v.opts.Goal == nil {
-					ex.outBuf = out
-					return out, &Violation{ByEnv: false, DisIndex: i, Log: cfg.Log}
+			case lang.OpAssume:
+				if e.Op.E.Eval(cfg.Regs) != 0 && !yield(mv) {
+					return
 				}
 
 			case lang.OpAssign:
-				regs := cfg.cloneRegs()
-				regs[e.Op.Reg] = v.norm(e.Op.E.Eval(cfg.Regs))
-				emit(i, AThread{PC: e.To, Regs: regs, View: cfg.View, Log: cfg.Log})
+				mv.next.Regs = cfg.cloneRegs()
+				mv.next.Regs[e.Op.Reg] = v.norm(e.Op.E.Eval(cfg.Regs))
+				if !yield(mv) {
+					return
+				}
 
 			case lang.OpLoad:
 				lts := v.loadTargets(st, cfg.View, e.Op.Var, ex.ltBuf[:0])
+				// Keep the grown buffer; no consumer loads while a move is
+				// yielded.
+				ex.ltBuf = lts[:0]
 				for _, lt := range lts {
 					regs := cfg.cloneRegs()
 					regs[e.Op.Reg] = lt.msg.Val
-					log := &ReadLog{MsgKey: lt.key, Prev: cfg.Log}
-					emit(i, AThread{PC: e.To, Regs: regs, View: lt.view, Log: log})
+					mv.next = AThread{PC: e.To, Regs: regs, View: lt.view,
+						Log: &ReadLog{MsgKey: lt.key, Prev: cfg.Log}}
+					mv.read, mv.hasRead = lt.msg, true
+					if !yield(mv) {
+						return
+					}
 				}
-				ex.ltBuf = lts[:0]
 
 			case lang.OpStore:
 				x := e.Op.Var
@@ -67,24 +85,28 @@ func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 					}
 					view := cfg.View.Clone()
 					view[x] = Int(t)
-					msg := AMsg{Var: x, TS: Int(t), Val: d, View: view}
-					msg.key = msg.Key()
-					ex.recordDisMsg(msg, i, cfg.Log)
-					emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log}).mem.Put(msg)
+					mv.next.View = view
+					mv.put = AMsg{Var: x, TS: Int(t), Val: d, View: view}
+					mv.put.key = mv.put.Key()
+					mv.hasPut = true
+					if !yield(mv) {
+						return
+					}
 				}
 
 			case lang.OpCASOp:
-				out = ex.disCAS(st, i, cfg, e, out)
+				if !ex.eachDisCAS(st, cfg, e, yield) {
+					return
+				}
 			}
 		}
 	}
-	ex.outBuf = out
-	return out, nil
 }
 
-// disCAS enumerates compare-and-swap transitions of dis thread i. A CAS
-// atomically loads a message with the expected value and stores the new
-// value at the adjacent integer timestamp:
+// eachDisCAS yields the compare-and-swap transitions of one CAS edge; it
+// returns false when yield stopped the enumeration. A CAS atomically loads
+// a message with the expected value and stores the new value at the
+// adjacent integer timestamp:
 //
 //   - reading a dis message at ts requires ts ≥ vw(x) and slot ts+1 free
 //     (the paper's ts' = ts + 1 adjacency, which also blocks a second CAS
@@ -94,18 +116,24 @@ func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 //     be lifted into region t-1 just below the slot, and the remaining env
 //     messages relocate out of the gap (timestamp lifting, §3.1), so env
 //     messages never block adjacency.
-func (ex *exec) disCAS(st *state, i int, cfg AThread, e lang.Edge, out []*state) []*state {
+func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disMove) bool) bool {
 	v := ex.v
+	mv := &ex.mv
 	x := e.Op.Var
 	expect := v.norm(e.Op.E.Eval(cfg.Regs))
 	newVal := v.norm(e.Op.E2.Eval(cfg.Regs))
 
-	emit := func(th AThread, msg AMsg) {
-		ns := ex.cloneState(st)
-		ns.dis[i] = th
-		ns.mem.Put(msg)
-		ex.stats.DisTransitions++
-		out = append(out, ns)
+	// move yields the CAS that reads m (whose key is mk) and stores at t.
+	move := func(m AMsg, mk string, t int) bool {
+		view := cfg.View.Join(m.View)
+		view[x] = Int(t)
+		mv.next = AThread{PC: e.To, Regs: cfg.Regs, View: view,
+			Log: &ReadLog{MsgKey: mk, Prev: cfg.Log}}
+		mv.read, mv.hasRead = m, true
+		mv.put = AMsg{Var: x, TS: Int(t), Val: newVal, View: view}
+		mv.put.key = mv.put.Key()
+		mv.hasPut = true
+		return yield(mv)
 	}
 
 	// Case 1: CAS on a dis message.
@@ -117,37 +145,56 @@ func (ex *exec) disCAS(st *state, i int, cfg AThread, e lang.Edge, out []*state)
 		if u+1 > v.budget[x] || !st.mem.Free(x, u+1) {
 			continue
 		}
-		view := cfg.View.Join(m.View)
-		view[x] = Int(u + 1)
-		msg := AMsg{Var: x, TS: Int(u + 1), Val: newVal, View: view}
-		msg.key = msg.Key()
-		log := &ReadLog{MsgKey: m.Key(), Prev: cfg.Log}
-		ex.recordDisMsg(msg, i, log)
-		emit(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: log}, msg)
+		if !move(m, m.Key(), u+1) {
+			return false
+		}
 	}
 
 	// Case 2: CAS on an env message.
 	for _, me := range st.env.MsgsByVar[x] {
-		m := me.Msg
-		if m.Val != expect {
+		if me.Msg.Val != expect {
 			continue
 		}
-		lo := m.TS.Floor()
-		if f := cfg.View[x].Floor(); f > lo {
-			lo = f
-		}
+		lo := max(me.Msg.TS.Floor(), cfg.View[x].Floor())
 		for t := lo + 1; t <= v.budget[x]; t++ {
-			if !st.mem.Free(x, t) {
-				continue
+			if st.mem.Free(x, t) && !move(me.Msg, me.Key, t) {
+				return false
 			}
-			view := cfg.View.Join(m.View)
-			view[x] = Int(t)
-			msg := AMsg{Var: x, TS: Int(t), Val: newVal, View: view}
-			msg.key = msg.Key()
-			log := &ReadLog{MsgKey: m.Key(), Prev: cfg.Log}
-			ex.recordDisMsg(msg, i, log)
-			emit(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: log}, msg)
 		}
 	}
-	return out
+	return true
+}
+
+// disSuccessors enumerates the macro-states reachable by one transition of a
+// dis thread, recording the provenance of every dis message it stores. An
+// enabled `assert false` ends the enumeration with a violation, except in
+// Message Generation mode, where asserts are inert (§4.1). Env saturation of
+// the successors is the caller's job.
+func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
+	// The result slice is exec scratch: callers consume it before the next
+	// expansion on this exec. The successor states themselves escape; only
+	// the slice header is recycled.
+	out := ex.outBuf[:0]
+	var viol *Violation
+	mg := ex.v.opts.Goal != nil
+	ex.eachDisMove(st, func(mv *disMove) bool {
+		if mv.kind == lang.OpAssertFail {
+			if mg {
+				return true
+			}
+			viol = &Violation{ByEnv: false, DisIndex: mv.dis, Log: st.dis[mv.dis].Log}
+			return false
+		}
+		ns := ex.cloneState(st)
+		ns.dis[mv.dis] = mv.next
+		if mv.hasPut {
+			ex.recordDisMsg(mv.put, mv.dis, mv.next.Log)
+			ns.mem.Put(mv.put)
+		}
+		ex.stats.DisTransitions++
+		out = append(out, ns)
+		return true
+	})
+	ex.outBuf = out
+	return out, viol
 }

@@ -3,24 +3,19 @@ package simplified
 import (
 	"context"
 
-	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
 
-// Inventory computes the full Message Generation relation: every
+// InventoryContext computes the full Message Generation relation: every
 // (variable, value) pair for which some reachable configuration of the
 // simplified semantics contains a message. Asserts are inert during the
-// computation (as in MG mode); the boolean reports search completeness.
+// computation (as in MG mode); the boolean reports search completeness, so
+// cancellation or the macro-state cap yields false.
 //
-// Inventory answers all MG queries of §4.1 at once; per-pair Goal queries
-// agree with it (cross-checked in the tests).
-func (v *Verifier) Inventory() (map[lang.VarID]map[lang.Val]bool, Stats, bool) {
-	return v.InventoryContext(context.Background())
-}
-
-// InventoryContext is Inventory under a context: cancellation stops the
-// search and reports it incomplete. The search runs on the layered parallel
-// engine with Options.Workers expansion goroutines.
+// It is VerifyContext's search plus a hook that records the messages of
+// every admitted macro-state. The inventory answers all MG queries of §4.1
+// at once; per-pair Goal queries agree with it (cross-checked in the
+// tests).
 func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lang.Val]bool, Stats, bool) {
 	// Force MG mode with an unreachable goal so asserts are inert and the
 	// search never exits early. The engine's expand goroutines only read
@@ -33,7 +28,7 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 	for i := range v.sys.Vars {
 		inv[lang.VarID(i)] = map[lang.Val]bool{}
 	}
-	record := func(st *state) {
+	res := v.search(ctx, func(st *state) {
 		for vi := 0; vi < st.mem.NumVars(); vi++ {
 			st.mem.Each(lang.VarID(vi), func(m AMsg) {
 				inv[m.Var][m.Val] = true
@@ -42,79 +37,6 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 		for _, me := range st.env.Msgs {
 			inv[me.Msg.Var][me.Msg.Val] = true
 		}
-	}
-
-	global := newExec(v, nil)
-	cache := &execCache{}
-	outs := &outCache{}
-	init := v.initState()
-	global.saturate(init)
-	record(init)
-
-	expand := func(st *state, seen func([]byte) bool) *expOut {
-		ex := cache.get(v, global.msgLogs)
-		o := outs.get()
-		succs, _ := ex.disSuccessors(st)
-		enc := &ex.enc
-		suffix := ex.sufBuf[:0] // parent's mem+env key suffix, filled lazily
-		for _, ns := range succs {
-			memChanged := ns.memChanged()
-			if memChanged {
-				ex.saturate(ns)
-			}
-			// Byte-probe the frozen visited set: successors already admitted
-			// in an earlier layer are dropped before their key is interned.
-			enc.Reset()
-			ns.appendKeyDis(enc)
-			if memChanged {
-				ns.appendKeyMemEnv(enc)
-			} else {
-				// Untouched memory and env: reuse the parent's key suffix.
-				if len(suffix) == 0 {
-					ex.enc2.Reset()
-					st.appendKeyMemEnv(&ex.enc2)
-					suffix = append(suffix, ex.enc2.Bytes()...)
-				}
-				enc.Raw(suffix)
-			}
-			if seen(enc.Bytes()) {
-				o.preDedup++
-				ex.freeState(ns)
-				continue
-			}
-			o.pushSucc(ns, enc.Bytes())
-		}
-		ex.sufBuf = suffix[:0]
-		ex.handOff(o, cache)
-		return o
-	}
-	commit := func(i int, st *state, o *expOut, adm *engine.Admitter[*state]) any {
-		global.recordSizes(st)
-		global.mergeOut(o)
-		adm.AddTransitions(int64(o.stats.DisTransitions))
-		adm.AddDedup(o.preDedup)
-		lo := int32(0)
-		for j, ns := range o.succs {
-			hi := o.keyEnds[j]
-			if adm.AddBytes(o.keyBuf[lo:hi], ns) {
-				record(ns)
-			}
-			lo = hi
-		}
-		outs.put(o)
-		return nil
-	}
-
-	out := engine.Layered(ctx, engine.Config{
-		Workers:   v.opts.Workers,
-		MaxStates: v.opts.MaxMacroStates,
-		Progress:  v.opts.Progress,
-		Trace:     v.opts.Trace,
-		SpanName:  "inventory",
-		Metrics:   v.opts.Metrics,
-	}, init, init.key(), expand, commit)
-
-	stats := global.stats
-	stats.MacroStates = int(out.Stats.States)
-	return inv, stats, out.Complete
+	})
+	return inv, res.Stats, res.Complete
 }

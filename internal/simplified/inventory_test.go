@@ -1,24 +1,30 @@
 package simplified
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
 )
 
-// TestInventoryMatchesGoalQueries: the inventory must agree with a
-// per-(variable, value) Goal query across the whole value space — a strong
-// cross-check between the two MG code paths.
+// TestInventoryMatchesGoalQueries: the inventory, at one and at two
+// workers, must agree with a per-(variable, value) Goal query across the
+// whole value space — a strong cross-check between the two MG code paths.
 func TestInventoryMatchesGoalQueries(t *testing.T) {
+	workerCounts := []int{1, 2}
 	for name, src := range propertyCorpus() {
 		sys := lang.MustParseSystem(src)
-		v, err := New(sys, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		inv, _, complete := v.Inventory()
-		if !complete {
-			t.Fatalf("%s: inventory incomplete", name)
+		var invs []map[lang.VarID]map[lang.Val]bool
+		for _, workers := range workerCounts {
+			v, err := New(sys, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			inv, _, complete := v.InventoryContext(context.Background())
+			if !complete {
+				t.Fatalf("%s j=%d: inventory incomplete", name, workers)
+			}
+			invs = append(invs, inv)
 		}
 		for vi := range sys.Vars {
 			for d := 0; d < sys.Dom; d++ {
@@ -28,10 +34,11 @@ func TestInventoryMatchesGoalQueries(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := verify1(gv).Unsafe
-				got := inv[lang.VarID(vi)][lang.Val(d)]
-				if got != want {
-					t.Errorf("%s: inventory(%s,%d)=%v but goal query says %v",
-						name, sys.Vars[vi], d, got, want)
+				for i, inv := range invs {
+					if got := inv[lang.VarID(vi)][lang.Val(d)]; got != want {
+						t.Errorf("%s j=%d: inventory(%s,%d)=%v but goal query says %v",
+							name, workerCounts[i], sys.Vars[vi], d, got, want)
+					}
 				}
 			}
 		}
@@ -48,7 +55,7 @@ thread d { store x 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, stats, complete := v.Inventory()
+	inv, stats, complete := v.InventoryContext(context.Background())
 	if !complete {
 		t.Fatal("incomplete")
 	}
@@ -89,7 +96,7 @@ thread w {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, _, complete := v.Inventory()
+	inv, _, complete := v.InventoryContext(context.Background())
 	if !complete {
 		t.Fatal("incomplete")
 	}

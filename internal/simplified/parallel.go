@@ -108,6 +108,14 @@ func (c *outCache) put(o *expOut) {
 // Engine.Wall and Engine.Workers are populated on every return path,
 // including violations found while saturating the initial state.
 func (v *Verifier) VerifyContext(ctx context.Context) Result {
+	return v.search(ctx, nil)
+}
+
+// search is the macro-state search behind VerifyContext and
+// InventoryContext. When admitted is non-nil, it is called from the
+// sequential commit with every macro-state the search admits, the initial
+// one included, in admission order.
+func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 	start := time.Now()
 	workers := v.opts.Workers
 	if workers <= 0 {
@@ -162,6 +170,9 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 		satSpan.SetAttr("env_configs", len(init.env.Configs))
 		satSpan.SetAttr("env_msgs", len(init.env.Msgs))
 		satSpan.End()
+	}
+	if admitted != nil {
+		admitted(init)
 	}
 
 	early := func(res Result) Result {
@@ -264,7 +275,9 @@ func (v *Verifier) VerifyContext(ctx context.Context) Result {
 		lo := int32(0)
 		for j, ns := range o.succs {
 			hi := o.keyEnds[j]
-			adm.AddBytes(o.keyBuf[lo:hi], ns)
+			if adm.AddBytes(o.keyBuf[lo:hi], ns) && admitted != nil {
+				admitted(ns)
+			}
 			lo = hi
 		}
 		viol, violState := o.viol, o.violState

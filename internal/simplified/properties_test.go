@@ -1,6 +1,7 @@
 package simplified
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
@@ -137,7 +138,10 @@ func TestSkeletonVerdictAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		skels, complete := v2.Skeletons(100_000)
+		skels, complete, err := v2.Skeletons(context.Background(), 100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !complete {
 			t.Fatalf("%s: skeletons incomplete", name)
 		}

@@ -1,6 +1,8 @@
 package simplified
 
 import (
+	"context"
+
 	"paramra/internal/lang"
 )
 
@@ -8,8 +10,8 @@ import (
 // makeP non-deterministically guesses the dis threads' part of the
 // computation; the Datalog program then checks that env threads can supply
 // the messages the guess consumes. An implementation cannot guess, so we
-// enumerate: every dis path explored by the verifier's macro-state search
-// yields one skeleton. This is the ∃-semantics of Theorem 4.1 — the
+// enumerate: every path of a depth-first walk over the verifier's
+// macro-state graph yields one skeleton. This is the ∃-semantics of Theorem 4.1 — the
 // instance is unsafe iff some skeleton's query evaluates to true — restricted
 // to guesses that are consistent with a reachable env supply, which loses no
 // behaviours (saturation over-approximates nothing and misses nothing).
@@ -46,220 +48,142 @@ type Skeleton struct {
 }
 
 // Skeletons enumerates dis-run skeletons by depth-first search over the
-// macro-state space (memoized on state keys, so each macro state is expanded
-// once). It returns the skeletons and whether enumeration was exhaustive
-// under the maxPaths/MaxMacroStates caps.
-func (v *Verifier) Skeletons(maxPaths int) ([]Skeleton, bool) {
-	ex := newExec(v, nil)
-
+// macro-state space, memoized on state keys so each macro-state is expanded
+// once: every maximal or assert-terminated path of the DFS tree is one
+// skeleton. maxPaths > 0 caps the number of skeletons; the boolean reports
+// whether the enumeration was exhaustive, false when the cap cut it short.
+// ctx is checked once per expanded macro-state: on cancellation Skeletons
+// returns ctx's error and no skeletons.
+//
+// The walk is the fixpoint's macro-state graph (the same eachDisMove and
+// saturation) walked depth-first rather than layer by layer: makeP needs
+// the DFS tree's paths, and a breadth-first admission order would memoize
+// different states first and so yield a different skeleton set.
+func (v *Verifier) Skeletons(ctx context.Context, maxPaths int) ([]Skeleton, bool, error) {
+	w := skelWalk{ex: newExec(v, nil), max: maxPaths, complete: true}
 	init := v.initState()
 	// Saturation may already hit an env assert; skeleton consumers detect
-	// that via the bad() rules, so we ignore the violation here.
-	ex.saturate(init)
-
-	var out []Skeleton
-	complete := true
-	seen := map[string]bool{init.key(): true}
-	var path []SkeletonStep
-
-	emit := func(unsafe bool) {
-		if maxPaths > 0 && len(out) >= maxPaths {
-			complete = false
-			return
-		}
-		steps := make([]SkeletonStep, len(path))
-		copy(steps, path)
-		out = append(out, Skeleton{Steps: steps, Unsafe: unsafe})
+	// that via the bad() rules, so the violation is ignored here.
+	w.ex.saturate(init)
+	w.seen = map[string]bool{init.key(): true}
+	if err := w.dfs(ctx, init); err != nil {
+		return nil, false, err
 	}
-	// capped cuts the search off once the output cap is reached: continuing
-	// to expand (and saturate) the remaining macro-state space could not
-	// emit anything and is exactly the exponential part of the walk.
-	capped := func() bool { return maxPaths > 0 && len(out) >= maxPaths }
-
-	var dfs func(st *state)
-	dfs = func(st *state) {
-		if capped() {
-			complete = false
-			return
-		}
-		succs, viol := v.disSuccessorsTraced(st)
-		if viol != nil {
-			path = append(path, *viol)
-			emit(true)
-			path = path[:len(path)-1]
-		}
-		progressed := false
-		for _, ts := range succs {
-			if capped() {
-				complete = false
-				return
-			}
-			ex.saturate(ts.state)
-			k := ts.state.key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			progressed = true
-			path = append(path, ts.step)
-			dfs(ts.state)
-			path = path[:len(path)-1]
-		}
-		if !progressed && viol == nil {
-			emit(false)
-		}
-	}
-	dfs(init)
-	return out, complete
+	return w.out, w.complete, nil
 }
 
-// tracedSucc pairs a successor macro state with its skeleton step.
-type tracedSucc struct {
-	state *state
-	step  SkeletonStep
+// skelWalk is the state of one Skeletons enumeration.
+type skelWalk struct {
+	ex       *exec
+	max      int
+	seen     map[string]bool
+	path     []SkeletonStep
+	out      []Skeleton
+	complete bool
 }
 
-// disSuccessorsTraced mirrors disSuccessors but records skeleton steps. It
-// returns the violating step (if a dis assert is enabled) separately.
-func (v *Verifier) disSuccessorsTraced(st *state) ([]tracedSucc, *SkeletonStep) {
-	var out []tracedSucc
-	var viol *SkeletonStep
+// skelSucc pairs a successor macro-state with the step that reaches it.
+type skelSucc struct {
+	st   *state
+	step SkeletonStep
+}
 
-	emit := func(i int, th AThread, step SkeletonStep, update func(*state)) {
+// capped reports whether the output cap is reached, marking the
+// enumeration incomplete. Expanding (and saturating) the remaining
+// macro-state space could not emit anything and is exactly the exponential
+// part of the walk, so every caller stops there.
+func (w *skelWalk) capped() bool {
+	if w.max > 0 && len(w.out) >= w.max {
+		w.complete = false
+		return true
+	}
+	return false
+}
+
+// emit records the current path as a skeleton.
+func (w *skelWalk) emit(unsafe bool) {
+	if w.capped() {
+		return
+	}
+	steps := make([]SkeletonStep, len(w.path))
+	copy(steps, w.path)
+	w.out = append(w.out, Skeleton{Steps: steps, Unsafe: unsafe})
+}
+
+// dfs expands st and walks into every successor not seen before, emitting
+// a skeleton at each assert and at each state where the walk ends.
+func (w *skelWalk) dfs(ctx context.Context, st *state) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if w.capped() {
+		return nil
+	}
+	// The first enabled assert ends a skeleton of its own; the enumeration
+	// goes on past it, since the other moves may lead to further skeletons.
+	var succs []skelSucc
+	var viol SkeletonStep
+	hasViol := false
+	w.ex.eachDisMove(st, func(mv *disMove) bool {
+		if mv.kind == lang.OpAssertFail {
+			if !hasViol {
+				viol, hasViol = mv.skeletonStep(), true
+			}
+			return true
+		}
 		ns := st.clone()
-		ns.dis[i] = th
-		if update != nil {
-			update(ns)
+		ns.dis[mv.dis] = mv.next
+		if mv.hasPut {
+			ns.mem.Put(mv.put)
 		}
-		out = append(out, tracedSucc{state: ns, step: step})
-	}
-
-	for i := range st.dis {
-		cfg := st.dis[i]
-		g := v.disCFG[i]
-		for _, e := range g.Out[cfg.PC] {
-			switch e.Op.Kind {
-			case lang.OpNop:
-				emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log},
-					SkeletonStep{Dis: i, Kind: lang.OpNop, TS: -1, ReadDisTS: -1}, nil)
-
-			case lang.OpAssume:
-				if e.Op.E.Eval(cfg.Regs) != 0 {
-					emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log},
-						SkeletonStep{Dis: i, Kind: lang.OpAssume, TS: -1, ReadDisTS: -1}, nil)
-				}
-
-			case lang.OpAssertFail:
-				if viol == nil {
-					viol = &SkeletonStep{Dis: i, Kind: lang.OpAssertFail, TS: -1, ReadDisTS: -1, Assert: true}
-				}
-
-			case lang.OpAssign:
-				regs := cfg.cloneRegs()
-				regs[e.Op.Reg] = v.norm(e.Op.E.Eval(cfg.Regs))
-				emit(i, AThread{PC: e.To, Regs: regs, View: cfg.View, Log: cfg.Log},
-					SkeletonStep{Dis: i, Kind: lang.OpAssign, TS: -1, ReadDisTS: -1}, nil)
-
-			case lang.OpLoad:
-				for _, lt := range v.loadTargets(st, cfg.View, e.Op.Var, nil) {
-					regs := cfg.cloneRegs()
-					regs[e.Op.Reg] = lt.msg.Val
-					step := SkeletonStep{
-						Dis: i, Kind: lang.OpLoad, Var: e.Op.Var, Val: lt.msg.Val,
-						TS: -1, ReadDisTS: -1,
-					}
-					if lt.msg.Env {
-						m := lt.msg
-						step.ReadEnv = &m
-					} else {
-						step.ReadDisTS = lt.msg.TS.Floor()
-					}
-					log := &ReadLog{MsgKey: lt.msg.Key(), Prev: cfg.Log}
-					emit(i, AThread{PC: e.To, Regs: regs, View: lt.view, Log: log}, step, nil)
-				}
-
-			case lang.OpStore:
-				x := e.Op.Var
-				d := v.norm(e.Op.E.Eval(cfg.Regs))
-				for t := 1; t <= v.budget[x]; t++ {
-					if Int(t) <= cfg.View[x] || !st.mem.Free(x, t) {
-						continue
-					}
-					view := cfg.View.Clone()
-					view[x] = Int(t)
-					msg := AMsg{Var: x, TS: Int(t), Val: d, View: view}
-					mc := msg
-					step := SkeletonStep{
-						Dis: i, Kind: lang.OpStore, Var: x, Val: d, TS: t,
-						ReadDisTS: -1, Stored: &mc,
-					}
-					emit(i, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log}, step,
-						func(ns *state) { ns.mem.Put(msg) })
-				}
-
-			case lang.OpCASOp:
-				out = v.disCASTraced(st, i, cfg, e, out)
-			}
-		}
-	}
-	return out, viol
-}
-
-// disCASTraced mirrors disCAS with skeleton-step recording.
-func (v *Verifier) disCASTraced(st *state, i int, cfg AThread, e lang.Edge, out []tracedSucc) []tracedSucc {
-	x := e.Op.Var
-	expect := v.norm(e.Op.E.Eval(cfg.Regs))
-	newVal := v.norm(e.Op.E2.Eval(cfg.Regs))
-
-	emit := func(th AThread, msg AMsg, step SkeletonStep) {
-		ns := st.clone()
-		ns.dis[i] = th
-		ns.mem.Put(msg)
-		out = append(out, tracedSucc{state: ns, step: step})
-	}
-
-	st.mem.Each(x, func(m AMsg) {
-		u := m.TS.Floor()
-		if m.TS < cfg.View[x] || m.Val != expect {
-			return
-		}
-		if u+1 > v.budget[x] || !st.mem.Free(x, u+1) {
-			return
-		}
-		view := cfg.View.Join(m.View)
-		view[x] = Int(u + 1)
-		msg := AMsg{Var: x, TS: Int(u + 1), Val: newVal, View: view}
-		mc := msg
-		log := &ReadLog{MsgKey: m.Key(), Prev: cfg.Log}
-		emit(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: log}, msg, SkeletonStep{
-			Dis: i, Kind: lang.OpCASOp, Var: x, Val: newVal, TS: u + 1,
-			ReadDisTS: u, Stored: &mc,
-		})
+		succs = append(succs, skelSucc{st: ns, step: mv.skeletonStep()})
+		return true
 	})
-
-	for _, me := range st.env.MsgsByVar[x] {
-		m := me.Msg
-		if m.Val != expect {
+	if hasViol {
+		w.path = append(w.path, viol)
+		w.emit(true)
+		w.path = w.path[:len(w.path)-1]
+	}
+	progressed := false
+	for _, s := range succs {
+		if w.capped() {
+			return nil
+		}
+		w.ex.saturate(s.st)
+		k := s.st.key()
+		if w.seen[k] {
 			continue
 		}
-		lo := m.TS.Floor()
-		if f := cfg.View[x].Floor(); f > lo {
-			lo = f
+		w.seen[k] = true
+		progressed = true
+		w.path = append(w.path, s.step)
+		if err := w.dfs(ctx, s.st); err != nil {
+			return err
 		}
-		for t := lo + 1; t <= v.budget[x]; t++ {
-			if !st.mem.Free(x, t) {
-				continue
-			}
-			view := cfg.View.Join(m.View)
-			view[x] = Int(t)
-			msg := AMsg{Var: x, TS: Int(t), Val: newVal, View: view}
-			mc, rc := msg, m
-			log := &ReadLog{MsgKey: m.Key(), Prev: cfg.Log}
-			emit(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: log}, msg, SkeletonStep{
-				Dis: i, Kind: lang.OpCASOp, Var: x, Val: newVal, TS: t,
-				ReadDisTS: -1, ReadEnv: &rc, Stored: &mc,
-			})
+		w.path = w.path[:len(w.path)-1]
+	}
+	if !progressed && !hasViol {
+		w.emit(false)
+	}
+	return nil
+}
+
+// skeletonStep renders the move as a skeleton step.
+func (mv *disMove) skeletonStep() SkeletonStep {
+	s := SkeletonStep{Dis: mv.dis, Kind: mv.kind, TS: -1, ReadDisTS: -1,
+		Assert: mv.kind == lang.OpAssertFail}
+	if mv.hasRead {
+		s.Var, s.Val = mv.read.Var, mv.read.Val
+		if mv.read.Env {
+			m := mv.read
+			s.ReadEnv = &m
+		} else {
+			s.ReadDisTS = mv.read.TS.Floor()
 		}
 	}
-	return out
+	if mv.hasPut {
+		m := mv.put
+		s.Var, s.Val, s.TS, s.Stored = m.Var, m.Val, m.TS.Floor(), &m
+	}
+	return s
 }

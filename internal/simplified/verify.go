@@ -245,6 +245,8 @@ type exec struct {
 	// exec is released. Successor states escape into the next layer — only
 	// the slice header is recycled.
 	outBuf []*state
+	// mv is the move eachDisMove fills and yields.
+	mv disMove
 	// sufBuf caches the parent's mem+env key suffix within one expansion
 	// (see state.appendKeyMemEnv).
 	sufBuf []byte
@@ -317,6 +319,7 @@ func (c *execCache) put(ex *exec) {
 	clear(ex.outBuf)
 	ex.outBuf = ex.outBuf[:0]
 	clear(ex.ltBuf[:cap(ex.ltBuf)])
+	ex.mv = disMove{}
 	ex.v, ex.base = nil, nil
 	c.mu.Lock()
 	c.free = append(c.free, ex)

@@ -156,7 +156,8 @@ type Options struct {
 	// the hinted grounding without the verdict fast path in front of it.
 	// Prepass implies it.
 	DatalogHints bool
-	// MaxSkeletons caps dis-run enumeration for the Datalog backend.
+	// MaxSkeletons caps dis-run enumeration for the Datalog backend
+	// (0 = the default cap of 100,000 skeletons).
 	MaxSkeletons int
 	// Parallelism is the number of worker goroutines (0 = GOMAXPROCS).
 	// Verdicts, witnesses and §4.3 bounds of the fixpoint backend are
@@ -214,7 +215,7 @@ var numericOptions = []struct {
 }{
 	{"MaxMacroStates", "unlimited", func(o *Options) *int { return &o.MaxMacroStates }},
 	{"MaxStates", "unlimited", func(o *Options) *int { return &o.MaxStates }},
-	{"MaxSkeletons", "unlimited", func(o *Options) *int { return &o.MaxSkeletons }},
+	{"MaxSkeletons", fmt.Sprintf("the default cap of %d", defaultMaxSkeletons), func(o *Options) *int { return &o.MaxSkeletons }},
 	{"Parallelism", "GOMAXPROCS", func(o *Options) *int { return &o.Parallelism }},
 	{"UnrollDis", "no unrolling", func(o *Options) *int { return &o.UnrollDis }},
 }
@@ -535,6 +536,36 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 	return seal(res), nil
 }
 
+// defaultMaxSkeletons is the Datalog backend's skeleton cap when
+// Options.MaxSkeletons is 0.
+const defaultMaxSkeletons = 100_000
+
+func (o Options) hinted() bool { return o.Prepass || o.DatalogHints }
+
+// DatalogInstances returns, in order, the ground query instances that Verify
+// with Options.Datalog evaluates for sys — same skeleton cap, same grounding
+// — and whether the skeleton enumeration behind them was exhaustive. It
+// runs no prepass, unrolling or cache lookup; radatalog's -dump and -stats
+// list these instances one by one.
+func DatalogInstances(ctx context.Context, sys *System, opts Options) ([]*encode.Problem, bool, error) {
+	opts = opts.normalized()
+	if opts.MaxSkeletons == 0 {
+		opts.MaxSkeletons = defaultMaxSkeletons
+	}
+	// With the prepass on, the abstract value sets double as grounding
+	// hints: registers range only over the values they can hold at each env
+	// PC, shrinking the instances without changing derivability. The facts
+	// must describe the exact system encoded (post-slice, post-unroll), so
+	// they are recomputed here, not reused from the verdict prepass.
+	var hints encode.Hints
+	if opts.hinted() {
+		if ef := absint.Analyze(sys).EnvFacts(); ef != nil {
+			hints = ef
+		}
+	}
+	return encode.All(ctx, sys, opts.MaxSkeletons, hints)
+}
+
 // verifyDatalog runs the makeP → Datalog backend: one query instance per
 // dis-run skeleton, evaluated ∃-style (first derivable goal wins). The
 // instances are independent, so they are evaluated by Parallelism workers;
@@ -543,10 +574,6 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
 	if opts.Goal != nil {
 		return res, errors.New("paramra: the Datalog backend supports assert-reachability only")
-	}
-	maxSk := opts.MaxSkeletons
-	if maxSk == 0 {
-		maxSk = 100_000
 	}
 	start := time.Now()
 	workers := opts.Parallelism
@@ -561,7 +588,6 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	dspan := span.Child("datalog")
 	defer dspan.End()
 
-	hintsOn := opts.Prepass || opts.DatalogHints
 	// The ground query instances depend only on the (canonical) system,
 	// the skeleton cap, the unroll depth, and whether hints are on — so
 	// within a cache-enabled pipeline they are memoized across option
@@ -569,7 +595,7 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	// read-only: QueryCtx never mutates a Problem.
 	var memoKey string
 	if opts.Cache != nil && opts.memoKey != "" {
-		memoKey = fmt.Sprintf("skel|%s|%d|%d|%t", opts.memoKey, opts.UnrollDis, maxSk, hintsOn)
+		memoKey = fmt.Sprintf("skel|%s|%d|%d|%t", opts.memoKey, opts.UnrollDis, opts.MaxSkeletons, opts.hinted())
 	}
 	var (
 		ps       []*encode.Problem
@@ -584,21 +610,8 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		}
 	}
 	if !memoHit {
-		// With the prepass on, the abstract value sets double as grounding
-		// hints: registers are enumerated only over the values they can
-		// hold at each env PC, shrinking the instances without changing
-		// derivability. The facts must describe the exact system being
-		// encoded (post-slice, post-unroll), so they are recomputed here
-		// rather than reused from the verdict prepass on the original
-		// system.
-		var hints encode.Hints
-		if hintsOn {
-			if ef := absint.Analyze(sys).EnvFacts(); ef != nil {
-				hints = ef
-			}
-		}
 		var err error
-		ps, complete, err = encode.AllCtxHints(ctx, sys, maxSk, hints)
+		ps, complete, err = DatalogInstances(ctx, sys, opts)
 		if err != nil {
 			if enc != nil {
 				enc.End()

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench-allocs.sh [fixpoint-budget [replay-budget]]
 #
-# Runs two benchmarks with -benchmem and fails when either one's allocs/op
+# Runs three benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
 # machine-independent (they vary only slightly with worker scheduling), so
 # this gate needs no calibration: it directly catches a change that
@@ -17,6 +17,11 @@
 #       prepass replay at raserved's state cap. Default budget ~2x the
 #       measured steady state (~0.12M allocs/op) and ~1/10 of the cost
 #       before the explorer built successors in scratch (2.50M allocs/op).
+#   BenchmarkSkeletons  the dis-run skeleton enumeration behind makeP, on
+#       lamport-2-ra. Fixed budget ~1.5x its cost before the enumeration
+#       moved onto the shared dis-step generator (566k allocs/op; ~529k
+#       after). A move or step built where the heap keeps it (say, taking
+#       the address of a per-move local) shows up here first.
 set -eu
 
 FIXPOINT_BUDGET="${1:-1200000}"
@@ -43,3 +48,4 @@ gate() {
 
 gate BenchmarkVerifyParallel/peterson/j=8 "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
+gate BenchmarkSkeletons 850000
