@@ -17,6 +17,7 @@ import (
 	"paramra/internal/datalog"
 	"paramra/internal/depgraph"
 	"paramra/internal/encode"
+	"paramra/internal/fuzzgen"
 	"paramra/internal/lang"
 	"paramra/internal/ra"
 	"paramra/internal/sc"
@@ -469,6 +470,31 @@ func BenchmarkDatalogTransitiveClosure(b *testing.B) {
 		db := datalog.EvalSemiNaive(p)
 		if got := len(db.ByPred(path)); got != want {
 			b.Fatalf("paths = %d, want %d", got, want)
+		}
+	}
+}
+
+// BenchmarkSlice measures the verdict-preserving slicer, which runs on every
+// cached request, over the corpus plus 48 generated systems drawn from the
+// profiles served traffic uses (default, small and nocas, env loops off).
+// One op slices all 72 systems; scripts/bench-allocs.sh gates its allocs/op.
+func BenchmarkSlice(b *testing.B) {
+	var systems []*lang.System
+	for _, e := range bench.Corpus() {
+		systems = append(systems, e.System())
+	}
+	for i, name := range []string{"default", "small", "nocas"} {
+		prof, _ := fuzzgen.ProfileByName(name)
+		prof.EnvLoops = false
+		for seed := int64(1); seed <= 16; seed++ {
+			systems = append(systems, fuzzgen.Generate(seed*3+int64(i), prof))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sys := range systems {
+			paramra.Slice(sys)
 		}
 	}
 }

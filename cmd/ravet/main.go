@@ -1,13 +1,13 @@
 // Command ravet is the static analyzer ("vet") for .ra system files. It
 // parses each file, runs the lint rules of internal/analysis — dead register
 // stores, loads whose value is never read, unreachable code and asserts,
-// write-only shared variables, constant-false assumes, CAS operations that
-// can never succeed, registers read before assignment, empty loop bodies —
-// plus the abstract-interpretation rules of internal/absint — asserts no
-// interference can satisfy, CAS expectations disjoint from every written
-// value, comparisons against never-written values, stores no reader can
+// write-only shared variables, never-true assumes, CAS operations that can
+// never succeed, registers read before assignment, empty loop bodies,
+// comparisons against never-written values, stores no reader can
 // distinguish — and prints one "file:line:col: rule: message" diagnostic per
-// finding. With -json the findings are emitted instead as a JSON array of
+// finding. Reachability and values come from one interference-closed value
+// analysis, so every finding holds for any number of env threads. With -json
+// the findings are emitted instead as a JSON array of
 // {file, line, col, rule, severity, thread, msg} objects.
 //
 // Usage:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"paramra/internal/analysis"
 	"paramra/internal/lang"
 )
 
@@ -24,7 +25,7 @@ thread c { regs a b; a = load y; assume a == 1; b = load x; assume b == 0; asser
 
 func TestAnalyzeWrittenSets(t *testing.T) {
 	sys := parse(t, mpSrc)
-	res := Analyze(sys)
+	res := analysis.Analyze(sys)
 	x, _ := sys.VarByName("x")
 	y, _ := sys.VarByName("y")
 	if got := res.Written[x].String(); got != "{0,1}" {
@@ -35,7 +36,7 @@ func TestAnalyzeWrittenSets(t *testing.T) {
 	}
 	// mp's assert is value-reachable (the value abstraction cannot see the
 	// ordering that makes it safe).
-	if !res.AssertReachable() {
+	if !assertReachable(res) {
 		t.Fatal("mp assert should be abstractly reachable")
 	}
 }
@@ -50,12 +51,12 @@ thread c { regs a; a = load f; assume a == 2; assert false }
 
 func TestAnalyzeProvesValueSafety(t *testing.T) {
 	sys := parse(t, valueSafeSrc)
-	res := Analyze(sys)
+	res := analysis.Analyze(sys)
 	f, _ := sys.VarByName("f")
 	if got := res.Written[f].String(); got != "{0,1}" {
 		t.Fatalf("written(f) = %s", got)
 	}
-	if res.AssertReachable() {
+	if assertReachable(res) {
 		t.Fatal("assert should be abstractly unreachable")
 	}
 }
@@ -72,7 +73,7 @@ thread c { regs s; s = load y; assume s == 2; assert false }
 
 func TestAnalyzeInterferenceRounds(t *testing.T) {
 	sys := parse(t, chainSrc)
-	res := Analyze(sys)
+	res := analysis.Analyze(sys)
 	y, _ := sys.VarByName("y")
 	if !res.VarCanHold(y, 2) {
 		t.Fatalf("written(y) = %s must include the chained 2", res.Written[y])
@@ -80,7 +81,7 @@ func TestAnalyzeInterferenceRounds(t *testing.T) {
 	if res.Rounds < 2 {
 		t.Fatalf("chained publication needs >= 2 rounds, got %d", res.Rounds)
 	}
-	if !res.AssertReachable() {
+	if !assertReachable(res) {
 		t.Fatal("chained assert should be abstractly reachable")
 	}
 }
@@ -95,12 +96,12 @@ thread c { regs a; a = load l; assume a == 3; assert false }
 
 func TestAnalyzeCASFeasibility(t *testing.T) {
 	sys := parse(t, casDeadSrc)
-	res := Analyze(sys)
+	res := analysis.Analyze(sys)
 	l, _ := sys.VarByName("l")
 	if got := res.Written[l].String(); got != "{0}" {
 		t.Fatalf("written(l) = %s; dead CAS must not publish", got)
 	}
-	if res.AssertReachable() {
+	if assertReachable(res) {
 		t.Fatal("assert behind a dead CAS-published value should be unreachable")
 	}
 }
@@ -115,8 +116,8 @@ thread c { regs a; while a == 0 { a = load x }; assume a == 3; assert false }
 
 func TestAnalyzeCyclicDis(t *testing.T) {
 	sys := parse(t, cyclicSafeSrc)
-	res := Analyze(sys)
-	if res.AssertReachable() {
+	res := analysis.Analyze(sys)
+	if assertReachable(res) {
 		t.Fatal("value 3 is never written; cyclic dis must still prove safety")
 	}
 }
@@ -213,8 +214,8 @@ thread w { store x 1 }
 thread c { regs a n; while n != 3 { n = n + 1 }; a = load x; assume a == 1; assert false }
 `
 	sys := parse(t, src)
-	res := Analyze(sys)
-	if !res.AssertReachable() {
+	res := analysis.Analyze(sys)
+	if !assertReachable(res) {
 		t.Fatal("assert is abstractly reachable")
 	}
 	// The while-loop path means every entry-to-assert path revisits the loop

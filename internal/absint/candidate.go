@@ -1,6 +1,7 @@
 package absint
 
 import (
+	"paramra/internal/analysis"
 	"paramra/internal/lang"
 )
 
@@ -28,10 +29,10 @@ type Candidate struct {
 
 // findCandidates scans every thread for loop-free constant-folded paths to
 // an assert. The returned slice is ordered like Sys.Threads().
-func findCandidates(res *Result) []Candidate {
+func findCandidates(res *analysis.Result) []Candidate {
 	var out []Candidate
 	hasEnv := res.Sys.Env != nil
-	seen := map[*ThreadFacts]bool{}
+	seen := map[*analysis.ThreadFacts]bool{}
 	for i, tf := range res.Threads {
 		if seen[tf] {
 			continue
@@ -68,7 +69,7 @@ func (cv candValuation) set(r lang.RegID, v lang.Val, ok bool) candValuation {
 }
 
 // candidateInThread runs a depth-first search for a loop-free assert path.
-func candidateInThread(res *Result, tf *ThreadFacts) bool {
+func candidateInThread(res *analysis.Result, tf *analysis.ThreadFacts) bool {
 	numRegs := tf.Prog.NumRegs()
 	g := tf.CFG
 	dom := res.Sys.Dom

@@ -1,154 +1,124 @@
 package absint
 
 import (
-	"flag"
+	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"paramra/internal/analysis"
 	"paramra/internal/lang"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden .want files")
+// The linter and the prepass read one value analysis: the linter reports
+// unreachable-assert on each 'assert false' whose program point the value
+// sets prove unreachable, and the prepass answers SAFE without a search
+// exactly when that holds for every assert. The tests below hold the two to
+// that agreement over the linter's own inputs.
 
-// merged reproduces paramra.Analyze's pipeline: constant-propagation rules
-// first, then the abstract-interpretation rules with the former as the
-// suppression list, sorted into one stream.
-func merged(sys *lang.System) []analysis.Diagnostic {
-	out := analysis.AnalyzeSystem(sys)
-	out = append(out, Lint(sys, out)...)
-	analysis.SortDiagnostics(out)
-	return out
-}
-
-// TestDefectFixtures mirrors internal/analysis's golden harness for the
-// abstract-interpretation rules: each fixture seeds the defect it is named
-// after, and the merged diagnostics must match the .want file exactly.
-func TestDefectFixtures(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "defects", "*.ra"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fixtures found: %v", err)
-	}
-	ruleSeen := map[string]bool{}
-	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			data, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := lang.ParseSystem(string(data))
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			ds := merged(sys)
-			if len(ds) == 0 {
-				t.Fatalf("fixture %s produced no diagnostics", file)
-			}
-			var lines []string
-			for _, d := range ds {
-				lines = append(lines, d.String())
-				ruleSeen[d.Rule] = true
-			}
-			got := strings.Join(lines, "\n") + "\n"
-			want := strings.TrimSuffix(file, ".ra") + ".want"
-			if *updateGolden {
-				if err := os.WriteFile(want, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			wantData, err := os.ReadFile(want)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update): %v", err)
-			}
-			if got != string(wantData) {
-				t.Errorf("diagnostics mismatch for %s:\ngot:\n%swant:\n%s", file, got, wantData)
-			}
-			seeded := strings.TrimSuffix(filepath.Base(file), ".ra")
-			found := false
-			for _, d := range ds {
-				if d.Rule == seeded {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("fixture %s did not trigger rule %q; got:\n%s", file, seeded, got)
-			}
-		})
-	}
-	if *updateGolden {
-		return
-	}
-	for _, rule := range []string{
-		RuleAssertNeverSatisfiable, RuleCASCanNeverSucceed,
-		RuleReadOfNeverWrittenValue, RuleWriteValueUnused,
-	} {
-		if !ruleSeen[rule] {
-			t.Errorf("no fixture triggers rule %q", rule)
-		}
-	}
-}
-
-// TestLintSuppressesCoveredPositions: when constant propagation already
-// explains a position (assume-false + unreachable-code), the absint rules
-// must not pile a second finding onto it.
-func TestLintSuppressesCoveredPositions(t *testing.T) {
-	src := `system dup { vars f; domain 3; env w; dis c }
-thread w {
-  regs a
-  a = load f
-  assume a == 2
-  store f 1
-}
-thread c {
-  regs b
-  b = load f
-  assume b == 1
-  assert false
-}`
-	sys, err := lang.ParseSystem(src)
+// lintAndPrepass runs the linter and the prepass on the system in file,
+// fails t unless the prepass verdict is SAFE exactly when the linter flags
+// every assert unreachable, and returns both answers.
+func lintAndPrepass(t *testing.T, file string) ([]analysis.Diagnostic, Outcome) {
+	t.Helper()
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	suppressed := map[string]bool{
-		analysis.RuleUnreachableAssert: true, analysis.RuleUnreachableCode: true,
-		analysis.RuleCASNeverSucceeds: true, analysis.RuleAssumeFalse: true,
+	sys, err := lang.ParseSystem(string(data))
+	if err != nil {
+		t.Fatalf("%s: parse: %v", file, err)
 	}
-	base := analysis.AnalyzeSystem(sys)
-	extra := Lint(sys, base)
-	for _, b := range base {
-		if !suppressed[b.Rule] {
-			continue
+	ds := analysis.AnalyzeSystem(sys)
+	out, err := Prepass(context.Background(), sys, Options{})
+	if err != nil {
+		t.Fatalf("%s: prepass: %v", file, err)
+	}
+	flagged := map[lang.Pos]bool{}
+	for _, d := range ds {
+		if d.Rule == analysis.RuleUnreachableAssert {
+			flagged[d.Pos] = true
 		}
-		for _, e := range extra {
-			if e.Pos == b.Pos {
-				t.Errorf("absint finding %s duplicates suppressed-rule position of %s", e, b)
+	}
+	allFlagged := true
+	for _, tf := range out.Analysis.Programs {
+		for _, edges := range tf.CFG.Out {
+			for _, e := range edges {
+				if e.Op.Kind == lang.OpAssertFail && !flagged[e.Op.Pos] {
+					allFlagged = false
+				}
 			}
 		}
 	}
+	if allFlagged != (out.Verdict == Safe) {
+		t.Errorf("%s: linter flags every assert unreachable = %v, but the prepass answers %s (%s)",
+			file, allFlagged, out.Verdict, out.Reason)
+	}
+	return ds, out
 }
 
-// TestShippedSystemsCleanUnderMergedLint: the example systems must stay
-// diagnostic-free under the full merged pipeline, not just the constant
-// rules — otherwise ravet regresses on its own documentation.
+// checkVerdicts runs lintAndPrepass over files, compares each prepass
+// verdict with want, keyed by base name (every file must have an entry),
+// and returns the findings of all files.
+func checkVerdicts(t *testing.T, files []string, want map[string]Verdict) []analysis.Diagnostic {
+	t.Helper()
+	var all []analysis.Diagnostic
+	for _, file := range files {
+		ds, out := lintAndPrepass(t, file)
+		for _, d := range ds {
+			d.File = filepath.Base(file)
+			all = append(all, d)
+		}
+		w, ok := want[filepath.Base(file)]
+		if !ok {
+			t.Errorf("%s: no expected prepass verdict; got %s (%s)", file, out.Verdict, out.Reason)
+			continue
+		}
+		if out.Verdict != w {
+			t.Errorf("%s: prepass verdict %s (%s), want %s", file, out.Verdict, out.Reason, w)
+		}
+	}
+	return all
+}
+
+// TestDefectFixtures runs the prepass over every seeded-defect fixture of
+// the linter's golden harness (internal/analysis/testdata/defects) and pins
+// its verdict, which must agree with the fixture's unreachable-assert
+// findings. Only the two fixtures that keep a reachable assert are decided
+// UNSAFE, by replay; every other assert is unreachable, so SAFE.
+func TestDefectFixtures(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "analysis", "testdata", "defects", "*.ra"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixtures found: %v", err)
+	}
+	want := map[string]Verdict{}
+	for _, file := range files {
+		want[filepath.Base(file)] = Safe
+	}
+	want["cas-never-interference.ra"] = Unsafe
+	want["write-value-unused.ra"] = Unsafe
+	checkVerdicts(t, files, want)
+}
+
+// TestShippedSystemsCleanUnderMergedLint: the example systems stay
+// diagnostic-free under the one linter, which carries the value-set rules
+// the prepass's analysis proves, so the prepass proves none of them SAFE.
+// It confirms the UNSAFE ones by replay and leaves the SAFE ones, safe by
+// ordering the value sets cannot see, inconclusive.
 func TestShippedSystemsCleanUnderMergedLint(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "systems", "*.ra"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no shipped systems found: %v", err)
 	}
-	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := lang.ParseSystem(string(data))
-		if err != nil {
-			t.Fatalf("%s: parse: %v", file, err)
-		}
-		for _, d := range merged(sys) {
-			t.Errorf("%s: unexpected diagnostic: %s", file, d)
-		}
+	ds := checkVerdicts(t, files, map[string]Verdict{
+		"barrier.ra":  Inconclusive,
+		"chain.ra":    Unsafe,
+		"mp.ra":       Inconclusive,
+		"peterson.ra": Unsafe,
+		"prodcons.ra": Unsafe,
+		"spinlock.ra": Inconclusive,
+	})
+	for _, d := range ds {
+		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }

@@ -1,9 +1,26 @@
+// Package absint is the static prepass: it tries to decide parameterized
+// safety in milliseconds, before the full decision procedure runs. It reads
+// the interference-closed value sets of internal/analysis (sound for every
+// replica count), and
+//
+//   - answers SAFE when no `assert false` is abstractly reachable (or, for a
+//     Message Generation goal, when the goal value is outside the variable's
+//     written-set);
+//   - otherwise searches each thread for a loop-free path to an assert whose
+//     assumes and CAS expects are satisfiable with values drawn from the
+//     written-sets (candidate.go), and
+//   - when one exists, replays small concrete instances under the full RA
+//     semantics (internal/ra), so an UNSAFE answer is a real witness by
+//     construction.
+//
+// Everything else is Inconclusive, and the caller runs the fixpoint.
 package absint
 
 import (
 	"context"
 	"fmt"
 
+	"paramra/internal/analysis"
 	"paramra/internal/lang"
 	"paramra/internal/ra"
 )
@@ -83,8 +100,8 @@ type Outcome struct {
 	Verdict Verdict
 	// Reason is a one-line human-readable justification.
 	Reason string
-	// Analysis is the underlying abstract interpretation result.
-	Analysis *Result
+	// Analysis is the underlying value analysis.
+	Analysis *analysis.Result
 	// EnvThreads is the replica count of the confirming instance (UNSAFE
 	// verdicts only; 0 for env-less witnesses).
 	EnvThreads int
@@ -108,7 +125,7 @@ type Outcome struct {
 // replay before a verdict.
 func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, error) {
 	opts = opts.withDefaults()
-	res := Analyze(sys)
+	res := analysis.Analyze(sys)
 	out := Outcome{Verdict: Inconclusive, Analysis: res}
 
 	if opts.Goal != nil {
@@ -123,7 +140,7 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 		return out, nil
 	}
 
-	if !res.AssertReachable() {
+	if !assertReachable(res) {
 		out.Verdict = Safe
 		out.Reason = "no 'assert false' is abstractly reachable for any replica count"
 		return out, nil
@@ -180,4 +197,20 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 	out.Reason = fmt.Sprintf("candidate path found, but no replay instance within %d env thread(s) and %d states confirms",
 		maxN, opts.MaxReplayStates)
 	return out, nil
+}
+
+// assertReachable reports whether any thread has an abstractly reachable
+// `assert false` edge. When false, the system is definitively SAFE for
+// every replica count.
+func assertReachable(res *analysis.Result) bool {
+	for _, tf := range res.Programs {
+		for _, edges := range tf.CFG.Out {
+			for _, e := range edges {
+				if e.Op.Kind == lang.OpAssertFail && tf.Reachable(e.From) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

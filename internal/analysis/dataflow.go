@@ -1,10 +1,14 @@
 // Package analysis implements a static-analysis layer over the Com
 // while-language of internal/lang: a generic monotone dataflow framework
 // (worklist fixpoint over lang.CFG, forward and backward), concrete analyses
-// on top of it (register liveness, reaching constant propagation with
-// unreachable-PC detection, per-thread shared-variable footprints), a
-// diagnostics pass with the `ravet` lint rules, and a verdict-preserving
-// program slicer used as an opt-in pre-pass by the verification pipeline.
+// on top of it (register liveness, may-be-unassigned registers, per-thread
+// shared-variable footprints, and the interference-closed value analysis —
+// per-PC register value sets, per-variable written-sets and reachability,
+// sound for every replica count), one linter with the `ravet` rules, and a
+// verdict-preserving program slicer used as an opt-in pre-pass by the
+// verification pipeline. The linter, the slicer, the static prepass
+// (internal/absint) and the Datalog encoder's grounding hints all read the
+// one value analysis.
 //
 // The analyses are deliberately cheap — linear-ish fixpoints over the
 // thread-local CFGs — because their job is to shrink and sanity-check the

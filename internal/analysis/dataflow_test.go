@@ -81,74 +81,6 @@ func TestLivenessLoop(t *testing.T) {
 	}
 }
 
-// TestConstPropBranchJoin: a register constant on both branches with the
-// same value stays constant at the join; differing values go to top.
-func TestConstPropBranchJoin(t *testing.T) {
-	sys := mustSystem(t, `system s { vars x; domain 4; env t }
-thread t {
-  regs a b
-  choice { a = 2; b = 1 } or { a = 2; b = 3 }
-  store x a
-}`)
-	g := lang.Compile(sys.Env)
-	vv := PossibleVarValues(sys)
-	cp := PropagateConsts(g, sys, vv)
-	var st lang.Edge
-	for _, edges := range g.Out {
-		for _, e := range edges {
-			if e.Op.Kind == lang.OpStore {
-				st = e
-			}
-		}
-	}
-	if v, ok := cp.EvalAt(st.From, lang.Reg(0)); !ok || v != 2 {
-		t.Errorf("a at the join = (%d, %v), want constant 2", v, ok)
-	}
-	if _, ok := cp.EvalAt(st.From, lang.Reg(1)); ok {
-		t.Error("b differs across branches; must not be constant at the join")
-	}
-}
-
-// TestConstPropUnreachable: a constant-false assume makes everything after
-// it unreachable, and EvalAt reports not-a-constant there.
-func TestConstPropUnreachable(t *testing.T) {
-	sys := mustSystem(t, `system s { vars x; domain 2; env t }
-thread t { regs a; assume 0 == 1; a = load x; store x 1 }`)
-	g := lang.Compile(sys.Env)
-	cp := PropagateConsts(g, sys, PossibleVarValues(sys))
-	if !cp.Reachable(g.Entry) {
-		t.Fatal("entry must be reachable")
-	}
-	for _, edges := range g.Out {
-		for _, e := range edges {
-			if e.Op.Kind == lang.OpLoad || e.Op.Kind == lang.OpStore {
-				if cp.Reachable(e.From) {
-					t.Errorf("%v after a constant-false assume should be unreachable", e.Op.Kind)
-				}
-				if _, ok := cp.EvalAt(e.From, lang.Num(1)); ok {
-					t.Error("EvalAt at an unreachable PC must report not-constant")
-				}
-			}
-		}
-	}
-}
-
-// TestConstPropNeverWrittenVar: loads from a variable nobody writes yield
-// the initial value as a constant.
-func TestConstPropNeverWrittenVar(t *testing.T) {
-	sys := mustSystem(t, `system s { vars ro rw; domain 3; init 2; env t }
-thread t { regs a b; a = load ro; b = load rw; store rw b }`)
-	g := lang.Compile(sys.Env)
-	cp := PropagateConsts(g, sys, PossibleVarValues(sys))
-	exit := terminalPC(g)
-	if v, ok := cp.EvalAt(exit, lang.Reg(0)); !ok || v != 2 {
-		t.Errorf("load from never-written var = (%d, %v), want constant init 2", v, ok)
-	}
-	if _, ok := cp.EvalAt(exit, lang.Reg(1)); ok {
-		t.Error("load from a written var must be non-constant")
-	}
-}
-
 func terminalPC(g *lang.CFG) lang.PC {
 	for n := 0; n < g.NumNodes; n++ {
 		if len(g.Out[n]) == 0 {
@@ -173,25 +105,6 @@ func TestUnassignedRegs(t *testing.T) {
 				t.Error("a may still be unassigned at the store (skip branch)")
 			}
 		}
-	}
-}
-
-// TestVarValues: the possible-value over-approximation collects the initial
-// value and syntactic store/CAS constants, and degrades to "anything" on a
-// non-constant store.
-func TestVarValues(t *testing.T) {
-	sys := mustSystem(t, `system s { vars c anyv; domain 5; env t }
-thread t { regs r; store c 3; cas c 3 4; r = load c; store anyv r }`)
-	vv := PossibleVarValues(sys)
-	c, _ := sys.VarByName("c")
-	a, _ := sys.VarByName("anyv")
-	for val, want := range map[lang.Val]bool{0: true, 3: true, 4: true, 1: false, 2: false} {
-		if got := vv.CanHold(c, val); got != want {
-			t.Errorf("CanHold(c, %d) = %v, want %v", val, got, want)
-		}
-	}
-	if !vv.CanHold(a, 4) {
-		t.Error("a variable with a non-constant store can hold anything")
 	}
 }
 
@@ -240,60 +153,5 @@ func TestSolveBackwardBoundary(t *testing.T) {
 	// a must be false (it is defined before its only use).
 	if live.Live(g.Entry, 0) {
 		t.Error("a is defined before use on every path; not live at entry")
-	}
-}
-
-// TestVarValuesNormalization: the engines reduce every stored, assigned and
-// CAS-expected value mod Dom, so the analyses must compare normalized
-// values. `cas x (1+1) 0` in domain 2 expects norm(2) = 0 — the initial
-// value — and genuinely succeeds; treating it as impossible changed
-// verdicts (found by the differential fuzzer, seed 883, and fixed along
-// with assigned-constant tracking).
-func TestVarValuesNormalization(t *testing.T) {
-	sys := mustSystem(t, `system s { vars x; domain 2; dis d }
-thread d {
-  cas x (1 + 1) 0
-  assert false
-}`)
-	vv := PossibleVarValues(sys)
-	if !vv.CanHold(0, 2) {
-		t.Error("CanHold(x, 2) = false; 2 normalizes to 0, which x holds initially")
-	}
-	if vv.CanHold(0, -1) {
-		t.Error("CanHold(x, -1) = true; -1 normalizes to 1, which nothing ever writes")
-	}
-	g := lang.Compile(sys.Dis[0])
-	cp := PropagateConsts(g, sys, vv)
-	for _, edges := range g.Out {
-		for _, e := range edges {
-			if e.Op.Kind == lang.OpAssertFail && !cp.Reachable(e.From) {
-				t.Error("assert after a norm-feasible CAS reported unreachable")
-			}
-		}
-	}
-
-	// Stored constants are normalized too: store x (-1) writes 1 in
-	// domain 2, so expecting 1 (or 3, ≡ 1) is feasible.
-	sys2 := mustSystem(t, `system s { vars x; domain 2; env t }
-thread t { store x (0 - 1) }`)
-	vv2 := PossibleVarValues(sys2)
-	if !vv2.CanHold(0, 1) || !vv2.CanHold(0, 3) {
-		t.Error("store of -1 must make values ≡ 1 (mod 2) feasible")
-	}
-
-	// Assigned registers track the normalized value: a = 1+1 is 0 in
-	// domain 2.
-	sys3 := mustSystem(t, `system s { vars x; domain 2; env t }
-thread t { regs a; a = 1 + 1; store x a }`)
-	g3 := lang.Compile(sys3.Env)
-	cp3 := PropagateConsts(g3, sys3, PossibleVarValues(sys3))
-	for _, edges := range g3.Out {
-		for _, e := range edges {
-			if e.Op.Kind == lang.OpStore {
-				if v, ok := cp3.EvalAt(e.From, lang.Reg(0)); !ok || v != 0 {
-					t.Errorf("a = 1+1 tracked as (%d, %v), want constant 0 (normalized)", v, ok)
-				}
-			}
-		}
 	}
 }

@@ -45,9 +45,12 @@ const maxSliceRounds = 100
 // The input is never mutated. The rewrites, each argued sound under RA:
 //
 //   - assignments to dead registers are dropped (thread-local and pure);
-//   - statements at unreachable PCs are dropped (constant propagation proves
-//     no execution reaches them — note a reachable constant-false assume is
-//     KEPT: it blocks the path, and removing it would add behaviors);
+//   - statements at unreachable PCs are dropped (the value analysis proves
+//     no execution, for any replica count, reaches them — note a reachable
+//     never-true assume is KEPT: it blocks the path, and removing it would
+//     add behaviors);
+//   - reachable assumes that can never be false are dropped (they never
+//     block, and an assume has no memory effect);
 //   - stores to write-only shared variables are dropped (their messages are
 //     never observed by any load or CAS, and a store never blocks);
 //   - `while cond {}` becomes `assume !cond` (the empty body cannot change
@@ -72,20 +75,21 @@ func Slice(sys *lang.System, opts SliceOptions) (*lang.System, SliceStats) {
 	for stats.Rounds < maxSliceRounds {
 		stats.Rounds++
 		changed := false
-		vv := PossibleVarValues(out)
 		fp := Footprint(out)
 		deadVar := make([]bool, len(out.Vars))
 		for v := range out.Vars {
 			deadVar[v] = fp.WriteOnly(lang.VarID(v)) && !keep[out.Vars[v]]
 		}
-		for _, p := range uniquePrograms(out) {
-			newBody := sliceBody(p, out, vv, deadVar)
+		progs := uniquePrograms(out)
+		res := Analyze(renumberSystem(out, progs))
+		for i, p := range progs {
+			newBody := sliceBody(p, res.Programs[i], deadVar)
 			if !reflect.DeepEqual(p.Body, newBody) {
 				p.Body = newBody
 				changed = true
 			}
 		}
-		for _, p := range uniquePrograms(out) {
+		for _, p := range progs {
 			if dropUnusedRegs(p) {
 				changed = true
 			}
@@ -166,20 +170,36 @@ type stmtInfo struct {
 	hasEdges       bool
 	allUnreachable bool // every edge of the statement starts at an unreachable PC
 	deadDef        bool // assignment whose destination register is dead
-	assumeConst    bool // reachable assume with a constant condition …
-	assumeVal      lang.Val
+	neverTrue      bool // reachable assume whose condition can never hold
+	alwaysTrue     bool // reachable assume whose condition always holds
 }
 
-// sliceBody computes one rewrite round for p's body. The analysis runs on a
-// structural copy whose statements carry unique synthetic positions, so CFG
-// facts can be mapped back onto the original statements (source positions may
-// legitimately repeat — both guards of a desugared `if` share the if's).
-func sliceBody(p *lang.Program, sys *lang.System, vv *VarValues, deadVar []bool) lang.Stmt {
-	ctr := 0
-	syn := renumber(p.Body, &ctr)
-	g := lang.Compile(&lang.Program{Name: p.Name, Regs: p.Regs, Body: syn})
+// renumberSystem returns a copy of sys whose programs (in progs order,
+// sharing preserved) carry renumbered bodies, so the value analysis's
+// per-PC facts can be mapped back onto the original statements: source
+// positions may legitimately repeat (both guards of a desugared `if` share
+// the if's), synthetic ones never do.
+func renumberSystem(sys *lang.System, progs []*lang.Program) *lang.System {
+	syn := &lang.System{Name: sys.Name, Vars: sys.Vars, Dom: sys.Dom, Init: sys.Init}
+	m := make(map[*lang.Program]*lang.Program, len(progs))
+	for _, p := range progs {
+		ctr := 0
+		m[p] = &lang.Program{Name: p.Name, Regs: p.Regs, Body: renumber(p.Body, &ctr)}
+	}
+	if sys.Env != nil {
+		syn.Env = m[sys.Env]
+	}
+	for _, d := range sys.Dis {
+		syn.Dis = append(syn.Dis, m[d])
+	}
+	return syn
+}
+
+// sliceBody computes one rewrite round for p's body from the facts of its
+// renumbered copy.
+func sliceBody(p *lang.Program, tf *ThreadFacts, deadVar []bool) lang.Stmt {
+	g := tf.CFG
 	live := LiveRegs(g)
-	consts := PropagateConsts(g, sys, vv)
 	info := map[lang.Pos]*stmtInfo{}
 	for _, edges := range g.Out {
 		for _, e := range edges {
@@ -189,22 +209,22 @@ func sliceBody(p *lang.Program, sys *lang.System, vv *VarValues, deadVar []bool)
 				info[e.Op.Pos] = si
 			}
 			si.hasEdges = true
-			if consts.Reachable(e.From) {
+			reach := tf.Reachable(e.From)
+			if reach {
 				si.allUnreachable = false
 			}
 			if e.Op.Kind == lang.OpAssign && live.DeadDef(e) {
 				si.deadDef = true
 			}
-			if e.Op.Kind == lang.OpAssume && consts.Reachable(e.From) {
-				if v, ok := consts.EvalAt(e.From, e.Op.E); ok {
-					si.assumeConst = true
-					si.assumeVal = v
-				}
+			if e.Op.Kind == lang.OpAssume && reach {
+				cond := tf.EvalAt(e.From, e.Op.E)
+				si.neverTrue = !cond.canBeTrue()
+				si.alwaysTrue = cond.canBeTrue() && !cond.canBeFalse()
 			}
 		}
 	}
 	s := &slicer{info: info, deadVar: deadVar}
-	return s.rewrite(p.Body, syn)
+	return s.rewrite(p.Body, tf.Prog.Body)
 }
 
 // renumber returns a structural copy of st in which every statement carries
@@ -255,13 +275,12 @@ func (s *slicer) removable(syn lang.Stmt) bool {
 
 // entryBlocked reports whether executing the statement mirrored by syn is
 // guaranteed to block before performing any memory action: its first
-// non-structural step is an assume with a constant-false condition (control
+// non-structural step is an assume whose condition can never hold (control
 // edges of Seq/Choice are nops, so nothing visible happens first).
 func (s *slicer) entryBlocked(syn lang.Stmt) bool {
 	switch st := syn.(type) {
 	case lang.Assume:
-		si := s.infoFor(st)
-		return si.assumeConst && si.assumeVal == 0
+		return s.infoFor(st).neverTrue
 	case lang.Seq:
 		return len(st.Stmts) > 0 && s.entryBlocked(st.Stmts[0])
 	case lang.Choice:
@@ -360,12 +379,11 @@ func (s *slicer) rewrite(orig, syn lang.Stmt) lang.Stmt {
 		if s.removable(syn) {
 			return lang.Skip{Pos: o.Pos}
 		}
-		si := s.infoFor(syn)
-		if si.assumeConst && si.assumeVal != 0 {
-			return lang.Skip{Pos: o.Pos} // assume true never blocks
+		if s.infoFor(syn).alwaysTrue {
+			return lang.Skip{Pos: o.Pos} // an assume that always holds never blocks
 		}
-		// A reachable assume that may block (including a constant-false
-		// one) must stay: removing it would add behaviors.
+		// A reachable assume that may block (including a never-true one)
+		// must stay: removing it would add behaviors.
 		return o
 	case lang.Load, lang.AssertFail, lang.CAS:
 		// A reachable load (acquire), assert, or CAS (blocking
@@ -383,7 +401,7 @@ func (s *slicer) rewrite(orig, syn lang.Stmt) lang.Stmt {
 // and renumbers the rest. Returns whether anything changed.
 func dropUnusedRegs(p *lang.Program) bool {
 	used := make([]bool, len(p.Regs))
-	markUsedRegs(p.Body, used)
+	lang.MarkRegs(p.Body, used)
 	remap := make([]lang.RegID, len(p.Regs))
 	var regs []string
 	changed := false
@@ -400,103 +418,8 @@ func dropUnusedRegs(p *lang.Program) bool {
 		return false
 	}
 	p.Regs = regs
-	p.Body = remapStmtRegs(p.Body, remap)
+	p.Body = lang.RemapStmt(p.Body, remap, nil)
 	return true
-}
-
-func markUsedRegs(st lang.Stmt, used []bool) {
-	mark := func(e lang.Expr) {
-		for _, r := range lang.ExprRegs(e) {
-			if int(r) >= 0 && int(r) < len(used) {
-				used[r] = true
-			}
-		}
-	}
-	switch st := st.(type) {
-	case lang.Assume:
-		mark(st.Cond)
-	case lang.Assign:
-		used[st.Reg] = true
-		mark(st.E)
-	case lang.Seq:
-		for _, s := range st.Stmts {
-			markUsedRegs(s, used)
-		}
-	case lang.Choice:
-		for _, s := range st.Branches {
-			markUsedRegs(s, used)
-		}
-	case lang.Star:
-		markUsedRegs(st.Body, used)
-	case lang.While:
-		mark(st.Cond)
-		markUsedRegs(st.Body, used)
-	case lang.Load:
-		used[st.Reg] = true
-	case lang.Store:
-		mark(st.E)
-	case lang.CAS:
-		mark(st.Expect)
-		mark(st.New)
-	}
-}
-
-func remapExprRegs(e lang.Expr, remap []lang.RegID) lang.Expr {
-	switch e := e.(type) {
-	case lang.RegExpr:
-		return lang.RegExpr{Reg: remap[e.Reg]}
-	case lang.UnExpr:
-		return lang.UnExpr{Op: e.Op, E: remapExprRegs(e.E, remap)}
-	case lang.BinExpr:
-		return lang.BinExpr{Op: e.Op, L: remapExprRegs(e.L, remap), R: remapExprRegs(e.R, remap)}
-	default:
-		return e
-	}
-}
-
-func remapStmtRegs(st lang.Stmt, remap []lang.RegID) lang.Stmt {
-	switch st := st.(type) {
-	case lang.Assume:
-		st.Cond = remapExprRegs(st.Cond, remap)
-		return st
-	case lang.Assign:
-		st.Reg = remap[st.Reg]
-		st.E = remapExprRegs(st.E, remap)
-		return st
-	case lang.Seq:
-		stmts := make([]lang.Stmt, len(st.Stmts))
-		for i, s := range st.Stmts {
-			stmts[i] = remapStmtRegs(s, remap)
-		}
-		st.Stmts = stmts
-		return st
-	case lang.Choice:
-		branches := make([]lang.Stmt, len(st.Branches))
-		for i, s := range st.Branches {
-			branches[i] = remapStmtRegs(s, remap)
-		}
-		st.Branches = branches
-		return st
-	case lang.Star:
-		st.Body = remapStmtRegs(st.Body, remap)
-		return st
-	case lang.While:
-		st.Cond = remapExprRegs(st.Cond, remap)
-		st.Body = remapStmtRegs(st.Body, remap)
-		return st
-	case lang.Load:
-		st.Reg = remap[st.Reg]
-		return st
-	case lang.Store:
-		st.E = remapExprRegs(st.E, remap)
-		return st
-	case lang.CAS:
-		st.Expect = remapExprRegs(st.Expect, remap)
-		st.New = remapExprRegs(st.New, remap)
-		return st
-	default:
-		return st
-	}
 }
 
 // dropUnusedVars removes shared variables no surviving statement accesses
@@ -505,7 +428,7 @@ func remapStmtRegs(st lang.Stmt, remap []lang.RegID) lang.Stmt {
 func dropUnusedVars(sys *lang.System, keep map[string]bool) bool {
 	used := make([]bool, len(sys.Vars))
 	for _, p := range uniquePrograms(sys) {
-		markUsedVars(p.Body, used)
+		lang.MarkVars(p.Body, used)
 	}
 	for v, name := range sys.Vars {
 		if keep[name] {
@@ -536,66 +459,7 @@ func dropUnusedVars(sys *lang.System, keep map[string]bool) bool {
 	}
 	sys.Vars = vars
 	for _, p := range uniquePrograms(sys) {
-		p.Body = remapStmtVars(p.Body, remap)
+		p.Body = lang.RemapStmt(p.Body, nil, remap)
 	}
 	return true
-}
-
-func markUsedVars(st lang.Stmt, used []bool) {
-	switch st := st.(type) {
-	case lang.Seq:
-		for _, s := range st.Stmts {
-			markUsedVars(s, used)
-		}
-	case lang.Choice:
-		for _, s := range st.Branches {
-			markUsedVars(s, used)
-		}
-	case lang.Star:
-		markUsedVars(st.Body, used)
-	case lang.While:
-		markUsedVars(st.Body, used)
-	case lang.Load:
-		used[st.Var] = true
-	case lang.Store:
-		used[st.Var] = true
-	case lang.CAS:
-		used[st.Var] = true
-	}
-}
-
-func remapStmtVars(st lang.Stmt, remap []lang.VarID) lang.Stmt {
-	switch st := st.(type) {
-	case lang.Seq:
-		stmts := make([]lang.Stmt, len(st.Stmts))
-		for i, s := range st.Stmts {
-			stmts[i] = remapStmtVars(s, remap)
-		}
-		st.Stmts = stmts
-		return st
-	case lang.Choice:
-		branches := make([]lang.Stmt, len(st.Branches))
-		for i, s := range st.Branches {
-			branches[i] = remapStmtVars(s, remap)
-		}
-		st.Branches = branches
-		return st
-	case lang.Star:
-		st.Body = remapStmtVars(st.Body, remap)
-		return st
-	case lang.While:
-		st.Body = remapStmtVars(st.Body, remap)
-		return st
-	case lang.Load:
-		st.Var = remap[st.Var]
-		return st
-	case lang.Store:
-		st.Var = remap[st.Var]
-		return st
-	case lang.CAS:
-		st.Var = remap[st.Var]
-		return st
-	default:
-		return st
-	}
 }

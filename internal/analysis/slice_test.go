@@ -106,7 +106,7 @@ thread d { store x 1; store y 1 }`)
 	}
 }
 
-// TestSliceKeepsBlockingAssume: a reachable constant-false assume is a
+// TestSliceKeepsBlockingAssume: a reachable never-true assume is a
 // blocking statement, not dead code; it must survive (only its successors
 // are unreachable).
 func TestSliceKeepsBlockingAssume(t *testing.T) {
@@ -119,6 +119,52 @@ thread t { regs a; a = load x; assume 0 == 1; store x 1 }`)
 	}
 	if strings.Contains(printed, "store x 1") {
 		t.Errorf("unreachable store survived:\n%s", printed)
+	}
+}
+
+// TestSliceGuardedByWrittenValues: a statement behind `assume r == c` goes
+// when r is loaded from a variable that is written, but never with c —
+// written-sets that constant folding cannot see. In the load-buffering shape
+// each store waits for the other, so neither ever runs and both variables
+// only ever hold 0. A value that only a CAS publishes still counts as
+// written. The loads (acquire) and the blocking assumes always stay.
+func TestSliceGuardedByWrittenValues(t *testing.T) {
+	for _, tc := range []struct {
+		name, src  string
+		gone, kept []string
+	}{
+		{"written-with-other-value", `system s { vars x y; domain 3; env w; dis c }
+thread w { store x 1 }
+thread c { regs r; r = load x; assume r == 2; store y 1; assert false }`,
+			[]string{"store y", "assert"}, nil},
+		{"lb-litmus", `system lb { vars x y; domain 2; env idle; dis t1; dis t2 }
+thread idle { skip }
+thread t1 { regs r1; r1 = load y; assume r1 == 1; store x 1; assert false }
+thread t2 { regs r2; r2 = load x; assume r2 == 1; store y 1 }`,
+			[]string{"store", "assert"}, nil},
+		{"published-by-cas", `system s { vars x; domain 3; env w; dis c }
+thread w { cas x 0 2 }
+thread c { regs r; r = load x; assume r == 2; assert false }`,
+			nil, []string{"assert"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := mustSystem(t, tc.src)
+			sliced, stats := Slice(sys, SliceOptions{})
+			if err := sliced.Validate(); err != nil {
+				t.Fatalf("sliced system invalid: %v", err)
+			}
+			printed := lang.Print(sliced)
+			for _, gone := range tc.gone {
+				if strings.Contains(printed, gone) {
+					t.Errorf("%s behind a never-written value survived (%v):\n%s", gone, stats, printed)
+				}
+			}
+			for _, kept := range append([]string{"load", "assume"}, tc.kept...) {
+				if !strings.Contains(printed, kept) {
+					t.Errorf("sliced system lost %q:\n%s", kept, printed)
+				}
+			}
+		})
 	}
 }
 

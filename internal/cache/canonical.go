@@ -208,7 +208,7 @@ func rebuildProgram(p *lang.Program, name string, used map[lang.RegID]int, varID
 	return &lang.Program{
 		Name: name,
 		Regs: regs,
-		Body: remapStmt(p.Body, regMap, varIDMap),
+		Body: lang.RemapStmt(p.Body, regMap, varIDMap),
 	}
 }
 

@@ -158,75 +158,3 @@ func (e *penc) expr(x lang.Expr) {
 		e.expr(x.R)
 	}
 }
-
-// remapExpr rebuilds e with register IDs mapped through regMap (identity
-// when regMap is nil).
-func remapExpr(e lang.Expr, regMap []lang.RegID) lang.Expr {
-	switch e := e.(type) {
-	case lang.ConstExpr:
-		return e
-	case lang.RegExpr:
-		if regMap == nil {
-			return e
-		}
-		return lang.RegExpr{Reg: regMap[e.Reg]}
-	case lang.UnExpr:
-		return lang.UnExpr{Op: e.Op, E: remapExpr(e.E, regMap)}
-	case lang.BinExpr:
-		return lang.BinExpr{Op: e.Op, L: remapExpr(e.L, regMap), R: remapExpr(e.R, regMap)}
-	default:
-		return e
-	}
-}
-
-// remapStmt rebuilds st with register and shared-variable IDs mapped through
-// regMap and varMap (each may be nil for identity). Source positions are
-// preserved so renamed systems keep usable diagnostics.
-func remapStmt(st lang.Stmt, regMap []lang.RegID, varMap []lang.VarID) lang.Stmt {
-	mv := func(v lang.VarID) lang.VarID {
-		if varMap == nil {
-			return v
-		}
-		return varMap[v]
-	}
-	mr := func(r lang.RegID) lang.RegID {
-		if regMap == nil {
-			return r
-		}
-		return regMap[r]
-	}
-	switch st := st.(type) {
-	case lang.Skip:
-		return st
-	case lang.Assume:
-		return lang.Assume{Cond: remapExpr(st.Cond, regMap), Pos: st.Pos}
-	case lang.AssertFail:
-		return st
-	case lang.Assign:
-		return lang.Assign{Reg: mr(st.Reg), E: remapExpr(st.E, regMap), Pos: st.Pos}
-	case lang.Seq:
-		out := make([]lang.Stmt, len(st.Stmts))
-		for i, s := range st.Stmts {
-			out[i] = remapStmt(s, regMap, varMap)
-		}
-		return lang.Seq{Stmts: out, Pos: st.Pos}
-	case lang.Choice:
-		out := make([]lang.Stmt, len(st.Branches))
-		for i, b := range st.Branches {
-			out[i] = remapStmt(b, regMap, varMap)
-		}
-		return lang.Choice{Branches: out, Pos: st.Pos}
-	case lang.Star:
-		return lang.Star{Body: remapStmt(st.Body, regMap, varMap), Pos: st.Pos}
-	case lang.While:
-		return lang.While{Cond: remapExpr(st.Cond, regMap), Body: remapStmt(st.Body, regMap, varMap), Pos: st.Pos}
-	case lang.Load:
-		return lang.Load{Reg: mr(st.Reg), Var: mv(st.Var), Pos: st.Pos}
-	case lang.Store:
-		return lang.Store{Var: mv(st.Var), E: remapExpr(st.E, regMap), Pos: st.Pos}
-	case lang.CAS:
-		return lang.CAS{Var: mv(st.Var), Expect: remapExpr(st.Expect, regMap), New: remapExpr(st.New, regMap), Pos: st.Pos}
-	default:
-		return st
-	}
-}

@@ -93,7 +93,7 @@ func Rename(sys *lang.System, seed int64) *lang.System {
 		c := &lang.Program{
 			Name: ng.next(),
 			Regs: regs,
-			Body: remapStmt(p.Body, regMap, varMap),
+			Body: lang.RemapStmt(p.Body, regMap, varMap),
 		}
 		cloned[p] = c
 		return c

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// Bottom-up evaluation. EvalNaive recomputes all rules until fixpoint;
-// EvalSemiNaive only joins against atoms derived in the previous round.
-// Both return the set of derivable ground atoms; Query answers Prog ⊢ g.
+// Bottom-up evaluation. EvalSemiNaive only joins against atoms derived in
+// the previous round and returns the set of derivable ground atoms; Query
+// answers Prog ⊢ g. The tests check it against a naive reference evaluator
+// (naive_test.go).
 
 // DB is a set of derived ground atoms, keyed canonically and indexed by
 // predicate for rule joins.
@@ -152,27 +153,6 @@ func newBinding(n int) binding {
 		b[i] = unbound
 	}
 	return b
-}
-
-// EvalNaive computes the least fixpoint by re-running every rule until no
-// new atom appears.
-func EvalNaive(p *Program) *DB {
-	db := NewDB(p)
-	for {
-		changed := false
-		for _, r := range p.Rules {
-			b := newBinding(r.NumVars)
-			joinRule(r, db, nil, -1, b, 0, func(g GroundAtom) bool {
-				if db.Add(g) {
-					changed = true
-				}
-				return true
-			})
-		}
-		if !changed {
-			return db
-		}
-	}
 }
 
 // EvalStats reports the work of one semi-naive evaluation.

@@ -1,6 +1,6 @@
 // Package datalog is a hand-rolled Datalog engine supporting:
 //
-//   - standard bottom-up evaluation (naive and semi-naive);
+//   - standard bottom-up evaluation (semi-naive);
 //   - the linear-Datalog syntactic restriction of Gottlob & Papadimitriou
 //     (query evaluation in PSPACE), used by the paper's upper bound;
 //   - Cache Datalog (§4 of the paper): inference where the set of derived

@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"paramra/internal/absint"
+	"paramra/internal/analysis"
 	"paramra/internal/lang"
 )
 
@@ -49,7 +49,7 @@ func TestHintsPreserveVerdict(t *testing.T) {
 			if err != nil || !complete {
 				t.Fatalf("plain encode: %v (complete=%v)", err, complete)
 			}
-			hints := absint.Analyze(sys).EnvFacts()
+			hints := analysis.Analyze(sys).EnvFacts()
 			if hints == nil {
 				t.Fatal("system has an env program but no env facts")
 			}
@@ -83,7 +83,7 @@ thread c { regs s; store y 1; s = load x; assume s == 1; assert false }
 	if err != nil {
 		t.Fatal(err)
 	}
-	hinted, _, err := All(context.Background(), sys, 50_000, absint.Analyze(sys).EnvFacts())
+	hinted, _, err := All(context.Background(), sys, 50_000, analysis.Analyze(sys).EnvFacts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,7 +277,7 @@ func simplerExprs(e lang.Expr) []lang.Expr {
 func dropUnusedDecls(sys *lang.System) *lang.System {
 	varUsed := make([]bool, len(sys.Vars))
 	for _, p := range sys.Threads() {
-		markVarUse(p.Body, varUsed)
+		lang.MarkVars(p.Body, varUsed)
 	}
 	changed := false
 	keepVar := 0
@@ -299,7 +299,7 @@ func dropUnusedDecls(sys *lang.System) *lang.System {
 	out := cloneSys(sys, func(c *lang.System) { c.Vars = newVars })
 	rewrite := func(p *lang.Program) *lang.Program {
 		regUsed := make([]bool, len(p.Regs))
-		markRegUse(p.Body, regUsed)
+		lang.MarkRegs(p.Body, regUsed)
 		regMap := make([]lang.RegID, len(p.Regs))
 		var newRegs []string
 		for i, used := range regUsed {
@@ -310,7 +310,7 @@ func dropUnusedDecls(sys *lang.System) *lang.System {
 				changed = true
 			}
 		}
-		return &lang.Program{Name: p.Name, Regs: newRegs, Body: renumber(p.Body, regMap, varMap)}
+		return &lang.Program{Name: p.Name, Regs: newRegs, Body: lang.RemapStmt(p.Body, regMap, varMap)}
 	}
 	if out.Env != nil {
 		out.Env = rewrite(out.Env)
@@ -322,110 +322,4 @@ func dropUnusedDecls(sys *lang.System) *lang.System {
 		return nil
 	}
 	return out
-}
-
-func markVarUse(st lang.Stmt, used []bool) {
-	switch st := st.(type) {
-	case lang.Seq:
-		for _, c := range st.Stmts {
-			markVarUse(c, used)
-		}
-	case lang.Choice:
-		for _, b := range st.Branches {
-			markVarUse(b, used)
-		}
-	case lang.Star:
-		markVarUse(st.Body, used)
-	case lang.While:
-		markVarUse(st.Body, used)
-	case lang.Load:
-		used[st.Var] = true
-	case lang.Store:
-		used[st.Var] = true
-	case lang.CAS:
-		used[st.Var] = true
-	}
-}
-
-func markRegUse(st lang.Stmt, used []bool) {
-	markExpr := func(e lang.Expr) {
-		for _, r := range lang.ExprRegs(e) {
-			used[r] = true
-		}
-	}
-	switch st := st.(type) {
-	case lang.Seq:
-		for _, c := range st.Stmts {
-			markRegUse(c, used)
-		}
-	case lang.Choice:
-		for _, b := range st.Branches {
-			markRegUse(b, used)
-		}
-	case lang.Star:
-		markRegUse(st.Body, used)
-	case lang.While:
-		markExpr(st.Cond)
-		markRegUse(st.Body, used)
-	case lang.Assume:
-		markExpr(st.Cond)
-	case lang.Assign:
-		used[st.Reg] = true
-		markExpr(st.E)
-	case lang.Load:
-		used[st.Reg] = true
-	case lang.Store:
-		markExpr(st.E)
-	case lang.CAS:
-		markExpr(st.Expect)
-		markExpr(st.New)
-	}
-}
-
-// renumber rewrites register and variable references through the given maps.
-func renumber(st lang.Stmt, regMap []lang.RegID, varMap []lang.VarID) lang.Stmt {
-	re := func(e lang.Expr) lang.Expr { return renumberExpr(e, regMap) }
-	switch st := st.(type) {
-	case lang.Seq:
-		out := make([]lang.Stmt, len(st.Stmts))
-		for i, c := range st.Stmts {
-			out[i] = renumber(c, regMap, varMap)
-		}
-		return lang.Seq{Stmts: out, Pos: st.Pos}
-	case lang.Choice:
-		out := make([]lang.Stmt, len(st.Branches))
-		for i, b := range st.Branches {
-			out[i] = renumber(b, regMap, varMap)
-		}
-		return lang.Choice{Branches: out, Pos: st.Pos}
-	case lang.Star:
-		return lang.Star{Body: renumber(st.Body, regMap, varMap), Pos: st.Pos}
-	case lang.While:
-		return lang.While{Cond: re(st.Cond), Body: renumber(st.Body, regMap, varMap), Pos: st.Pos}
-	case lang.Assume:
-		return lang.Assume{Cond: re(st.Cond), Pos: st.Pos}
-	case lang.Assign:
-		return lang.Assign{Reg: regMap[st.Reg], E: re(st.E), Pos: st.Pos}
-	case lang.Load:
-		return lang.Load{Reg: regMap[st.Reg], Var: varMap[st.Var], Pos: st.Pos}
-	case lang.Store:
-		return lang.Store{Var: varMap[st.Var], E: re(st.E), Pos: st.Pos}
-	case lang.CAS:
-		return lang.CAS{Var: varMap[st.Var], Expect: re(st.Expect), New: re(st.New), Pos: st.Pos}
-	default:
-		return st
-	}
-}
-
-func renumberExpr(e lang.Expr, regMap []lang.RegID) lang.Expr {
-	switch e := e.(type) {
-	case lang.RegExpr:
-		return lang.RegExpr{Reg: regMap[e.Reg]}
-	case lang.UnExpr:
-		return lang.UnExpr{Op: e.Op, E: renumberExpr(e.E, regMap)}
-	case lang.BinExpr:
-		return lang.BinExpr{Op: e.Op, L: renumberExpr(e.L, regMap), R: renumberExpr(e.R, regMap)}
-	default:
-		return e
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"paramra/internal/absint"
 	"paramra/internal/analysis"
 	"paramra/internal/datalog"
 	"paramra/internal/depgraph"
@@ -91,21 +90,15 @@ type Diagnostic = analysis.Diagnostic
 // SliceStats reports the size reduction achieved by Slice.
 type SliceStats = analysis.SliceStats
 
-// Analyze runs the static lint rules over the system — the constant-
-// propagation rules of internal/analysis plus the abstract-interpretation
-// rules of internal/absint — and returns the merged findings sorted by
-// source position. Callers that know the source file should set
-// Diagnostic.File before printing.
-func Analyze(sys *System) []Diagnostic {
-	out := analysis.AnalyzeSystem(sys)
-	out = append(out, absint.Lint(sys, out)...)
-	analysis.SortDiagnostics(out)
-	return out
-}
+// Analyze runs the static lint rules of internal/analysis over the system
+// and returns the findings sorted by source position. Callers that know the
+// source file should set Diagnostic.File before printing.
+func Analyze(sys *System) []Diagnostic { return analysis.AnalyzeSystem(sys) }
 
 // Slice returns a smaller system with the same parameterized safety verdict:
-// it drops assignments to dead registers, statements at unreachable PCs,
-// stores to write-only shared variables, and unused registers and variables.
+// it drops assignments to dead registers, statements the value analysis
+// proves unreachable, assumes that always hold, stores to write-only shared
+// variables, and unused registers and variables.
 // Variables named in keepVars survive even when removable (pass the goal
 // variable of a Message Generation query). The input is not mutated.
 func Slice(sys *System, keepVars ...string) (*System, SliceStats) {
@@ -559,7 +552,7 @@ func DatalogInstances(ctx context.Context, sys *System, opts Options) ([]*encode
 	// they are recomputed here, not reused from the verdict prepass.
 	var hints encode.Hints
 	if opts.hinted() {
-		if ef := absint.Analyze(sys).EnvFacts(); ef != nil {
+		if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
 			hints = ef
 		}
 	}

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench-allocs.sh [fixpoint-budget [replay-budget]]
 #
-# Runs three benchmarks with -benchmem and fails when any one's allocs/op
+# Runs four benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
 # machine-independent (they vary only slightly with worker scheduling), so
 # this gate needs no calibration: it directly catches a change that
@@ -22,6 +22,12 @@
 #       moved onto the shared dis-step generator (566k allocs/op; ~529k
 #       after). A move or step built where the heap keeps it (say, taking
 #       the address of a per-move local) shows up here first.
+#   BenchmarkSlice  the verdict-preserving slicer, which runs on every cached
+#       request, over the corpus plus 48 generated systems. Fixed budget
+#       ~1.5x its cost while the slicer still ran on constant propagation
+#       (29.1k allocs/op; ~27.0k on the value sets). Value sets that stop
+#       sharing their small singletons, or register vectors copied on every
+#       join, show up here first.
 set -eu
 
 FIXPOINT_BUDGET="${1:-1200000}"
@@ -49,3 +55,4 @@ gate() {
 gate BenchmarkVerifyParallel/peterson/j=8 "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
+gate BenchmarkSlice 44000
