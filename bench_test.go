@@ -474,9 +474,10 @@ func BenchmarkDatalogTransitiveClosure(b *testing.B) {
 	}
 }
 
-// BenchmarkSlice measures the verdict-preserving slicer, which runs on every
-// cached request, over the corpus plus 48 generated systems drawn from the
-// profiles served traffic uses (default, small and nocas, env loops off).
+// BenchmarkSlice measures the verdict-preserving slicer behind the CLIs'
+// -slice flag and ravet, over the corpus plus 48 generated systems drawn
+// from the profiles served traffic uses (default, small and nocas, env
+// loops off).
 // One op slices all 72 systems; scripts/bench-allocs.sh gates its allocs/op.
 func BenchmarkSlice(b *testing.B) {
 	var systems []*lang.System

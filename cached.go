@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"paramra/internal/cache"
-	"paramra/internal/encode"
 )
 
 // Cache is the content-addressed verdict cache plugged into Options.Cache.
@@ -23,14 +22,6 @@ type CacheStats = cache.Stats
 // NewCache builds a verdict cache for Options.Cache.
 func NewCache(o CacheOptions) *Cache { return cache.New(o) }
 
-// skeletonMemo is the memoized result of dis-run skeleton enumeration for
-// the Datalog backend (see verifyDatalog). The Problem slice is shared
-// read-only across evaluations.
-type skeletonMemo struct {
-	ps       []*encode.Problem
-	complete bool
-}
-
 // cacheFingerprint renders every option that can influence a Verify verdict
 // into the cache key. Parallelism is deliberately absent (verdicts are
 // identical at any worker count, by construction), as are Progress, tracing
@@ -47,30 +38,20 @@ func cacheFingerprint(o Options, goalVar string) string {
 }
 
 // verifyCached sits between Verify and verify. With no cache configured it
-// is a direct passthrough. Otherwise it normalizes the system to its
-// canonical form (slice, then canonicalize modulo renaming and dis order),
-// and serves the verdict content-addressed: misses verify the canonical
-// system — so witnesses, classes, and bounds are expressed in canonical
-// names and a later hit is byte-for-byte the verdict a miss would have
-// produced — and only complete, error-free results are stored.
+// is a direct passthrough. Otherwise it canonicalizes the system modulo
+// renaming and dis order and serves the verdict content-addressed: misses
+// verify the canonical system — so witnesses, classes, and bounds are
+// expressed in canonical names and a later hit is byte-for-byte the verdict
+// a miss would have produced — and only complete, error-free results are
+// stored. The canonical system is the submitted one up to names and dis
+// order, so a cached answer has the class and error an uncached one has.
 func verifyCached(ctx context.Context, sys *System, opts Options) (Result, error) {
 	if opts.Cache == nil {
 		return verify(ctx, sys, opts)
 	}
 
-	// The slicer is the first normalization layer: families that differ
-	// only in sliceable dead code share a cache line. It preserves the
-	// parameterized verdict by construction (PR 1's differential suite).
-	var keep []string
-	if opts.Goal != nil {
-		keep = []string{opts.Goal.Var}
-	}
-	sliced, _ := Slice(sys, keep...)
-	canon := cache.Canonicalize(sliced)
-	canon.Sys.Name = sys.Name
-
+	canon := cache.Canonicalize(sys)
 	copts := opts
-	copts.memoKey = canon.Hash
 	goalVar := ""
 	if opts.Goal != nil {
 		cv, ok := canon.VarMap[opts.Goal.Var]
@@ -90,7 +71,7 @@ func verifyCached(ctx context.Context, sys *System, opts Options) (Result, error
 	// closed (outcome=miss) before the underlying verification starts, so
 	// trace trees show lookup and verify as siblings, not a lookup that
 	// swallowed the whole run.
-	lspan := opts.beginSpan(ctx, "cache-lookup")
+	lspan := opts.beginSpan("cache-lookup")
 	if lspan != nil {
 		lspan.SetAttr("key", key[:16])
 	}
@@ -117,7 +98,7 @@ func verifyCached(ctx context.Context, sys *System, opts Options) (Result, error
 		full, ferr = verify(ctx, canon.Sys, copts)
 		storable := ferr == nil && full.Complete
 		if storable {
-			if ss := opts.beginSpan(ctx, "cache-store"); ss != nil {
+			if ss := opts.beginSpan("cache-store"); ss != nil {
 				ss.SetAttr("key", key[:16])
 				ss.End()
 			}

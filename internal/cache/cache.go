@@ -55,8 +55,6 @@ func (o Outcome) String() string {
 type Options struct {
 	// MaxEntries caps the in-memory LRU (default 4096).
 	MaxEntries int
-	// MemoEntries caps the sub-problem memo table (default 64).
-	MemoEntries int
 	// Dir, when non-empty, enables the persistent on-disk layer: every
 	// stored verdict is also written as a checksummed JSON file under Dir,
 	// and in-memory misses read through it. Corrupt or truncated files are
@@ -81,15 +79,12 @@ type Stats struct {
 	DiskHits      int64
 	DiskCorrupt   int64
 	DiskEvictions int64
-	MemoHits      int64
-	MemoMisses    int64
 	Entries       int
 }
 
 // Cache is a content-addressed verdict cache: an LRU in-memory store with
-// single-flight computation, an optional checksummed disk layer, and a
-// small memo table for sub-problem results. All methods are safe for
-// concurrent use.
+// single-flight computation and an optional checksummed disk layer. All
+// methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	max     int
@@ -97,11 +92,9 @@ type Cache struct {
 	items   map[string]*list.Element
 	flights map[string]*flight
 	disk    *diskStore
-	memo    *memoTable
 
 	hits, misses, shared, stores, evictions atomic.Int64
 	diskHits, diskCorrupt, diskEvictions    atomic.Int64
-	memoHits, memoMisses                    atomic.Int64
 
 	mHits, mMisses, mShared, mStores, mEvict *obs.Counter
 	mDiskHits, mDiskCorrupt, mDiskEvict      *obs.Counter
@@ -127,15 +120,11 @@ func New(o Options) *Cache {
 	if o.MaxEntries <= 0 {
 		o.MaxEntries = 4096
 	}
-	if o.MemoEntries <= 0 {
-		o.MemoEntries = 64
-	}
 	c := &Cache{
 		max:     o.MaxEntries,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
 		flights: make(map[string]*flight),
-		memo:    newMemoTable(o.MemoEntries),
 	}
 	if o.Dir != "" {
 		c.disk = newDiskStore(o.Dir, o.DiskMaxBytes)
@@ -324,8 +313,6 @@ func (c *Cache) Stats() Stats {
 		DiskHits:      c.diskHits.Load(),
 		DiskCorrupt:   c.diskCorrupt.Load(),
 		DiskEvictions: c.diskEvictions.Load(),
-		MemoHits:      c.memoHits.Load(),
-		MemoMisses:    c.memoMisses.Load(),
 		Entries:       c.Len(),
 	}
 }

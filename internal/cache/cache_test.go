@@ -397,33 +397,9 @@ func TestDiskIgnoresUnsafeKeys(t *testing.T) {
 	}
 }
 
-func TestMemoLRU(t *testing.T) {
-	c := New(Options{MemoEntries: 2})
-	c.MemoPut("a", 1)
-	c.MemoPut("b", 2)
-	if v, ok := c.MemoGet("a"); !ok || v.(int) != 1 {
-		t.Fatal("memo lost a")
-	}
-	c.MemoPut("c", 3) // evicts b (a was just touched)
-	if _, ok := c.MemoGet("b"); ok {
-		t.Fatal("LRU memo kept b over a")
-	}
-	if _, ok := c.MemoGet("a"); !ok {
-		t.Fatal("memo lost recently used a")
-	}
-	s := c.Stats()
-	if s.MemoHits != 2 || s.MemoMisses != 1 {
-		t.Fatalf("memo stats = %+v", s)
-	}
-}
-
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatal("nil stats not zero")
 	}
-	if _, ok := c.MemoGet("k"); ok {
-		t.Fatal("nil memo hit")
-	}
-	c.MemoPut("k", 1)
 }

@@ -3,13 +3,17 @@ package cache_test
 // Shared-cache concurrency and Verify-pipeline tests: N goroutines pushing
 // renamed variants of one system through a single cache must trigger exactly
 // one underlying verification (single-flight), leak no goroutines, and all
-// observe the same verdict. The pipeline tests pin the CacheHit contract
-// (zero Stats, no Graph on hits), the goal-variable fingerprint, the
-// unknown-goal bypass, and the dis-run skeleton memo.
+// observe the same verdict. The pipeline tests pin that a cache never
+// changes the answer, the CacheHit contract (zero Stats, no Graph on hits),
+// the option fingerprint, and the unknown-goal bypass.
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,44 +112,96 @@ func TestSharedCacheConcurrentVerify(t *testing.T) {
 	}
 }
 
-// TestVerifyCacheHitContract: a hit is marked CacheHit, carries zero engine
-// stats and no graph, and agrees with the miss on every verdict field.
-func TestVerifyCacheHitContract(t *testing.T) {
-	sys, _ := completeEntry(t)
-	c := paramra.NewCache(paramra.CacheOptions{})
-	opts := metaOptions(c)
-	ctx := context.Background()
+// deadLoopSrc is a system whose dis thread's only loop sits behind an
+// assume no store can make true (x keeps its initial 0). Slicing would
+// remove the loop, so a cache that normalized by slicing would answer for
+// an acyclic system where Verify without a cache rejects a cyclic one
+// (prepass off) or classes it cyclic (prepass on).
+const deadLoopSrc = `system deadloop { vars x y; dis d }
+thread d { regs r a; r = load x; assume r == 1; while a == 0 { a = load y }; assert false }`
 
-	cold, err := paramra.Verify(ctx, sys, opts)
+// sameAnswer reports how a cached result (got, gotErr) differs from the
+// uncached one (want, wantErr) on everything a caller reads off a verdict,
+// or "" when it does not. Classes are compared modulo dis order, because
+// the cache verifies the canonical system, whose dis threads may be
+// permuted.
+func sameAnswer(want paramra.Result, wantErr error, got paramra.Result, gotErr error) string {
+	if (gotErr == nil) != (wantErr == nil) ||
+		errors.Is(gotErr, paramra.ErrDisCyclic) != errors.Is(wantErr, paramra.ErrDisCyclic) ||
+		errors.Is(gotErr, paramra.ErrEnvCAS) != errors.Is(wantErr, paramra.ErrEnvCAS) {
+		return fmt.Sprintf("error %v, want %v", gotErr, wantErr)
+	}
+	if got.Unsafe != want.Unsafe || got.Complete != want.Complete ||
+		got.DecidedBy != want.DecidedBy || got.EnvThreadBound != want.EnvThreadBound {
+		return fmt.Sprintf("unsafe=%t complete=%t decidedBy=%q bound=%d, want unsafe=%t complete=%t decidedBy=%q bound=%d",
+			got.Unsafe, got.Complete, got.DecidedBy, got.EnvThreadBound,
+			want.Unsafe, want.Complete, want.DecidedBy, want.EnvThreadBound)
+	}
+	if sortedClass(got.Class) != sortedClass(want.Class) {
+		return fmt.Sprintf("class %s, want %s", got.Class, want.Class)
+	}
+	return ""
+}
+
+// sortedClass renders a class with its dis types in sorted order.
+func sortedClass(c lang.SystemClass) string {
+	c.Dis = slices.Clone(c.Dis)
+	slices.SortFunc(c.Dis, func(a, b lang.ThreadType) int { return strings.Compare(a.String(), b.String()) })
+	return c.String()
+}
+
+// TestVerifyCacheHitContract: a cache never changes the answer. For every
+// corpus entry and the dead-loop fixture, with the prepass on and off and
+// no unrolling, the cold (miss) and the warm cached result each equal
+// uncached Verify (see sameAnswer). A hit is marked CacheHit and carries
+// zero engine stats and no graph.
+func TestVerifyCacheHitContract(t *testing.T) {
+	dead, err := lang.ParseSystem(deadLoopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.CacheHit {
-		t.Fatal("cold verify reported CacheHit")
+	systems := []*lang.System{dead}
+	for _, e := range bench.Corpus() {
+		systems = append(systems, e.System())
 	}
-	warm, err := paramra.Verify(ctx, sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.CacheHit {
-		t.Fatal("identical resubmission missed the cache")
-	}
-	if warm.Stats != (paramra.Stats{}) {
-		t.Errorf("hit carries engine stats: %+v", warm.Stats)
-	}
-	if warm.Graph != nil {
-		t.Error("hit carries a dependency graph")
-	}
-	if warm.Unsafe != cold.Unsafe || warm.Complete != cold.Complete ||
-		warm.Class.String() != cold.Class.String() ||
-		warm.EnvThreadBound != cold.EnvThreadBound ||
-		warm.DecidedBy != cold.DecidedBy {
-		t.Errorf("hit disagrees with miss:\ncold: %+v\nwarm: %+v", cold, warm)
+	ctx := context.Background()
+	for _, prepass := range []bool{false, true} {
+		for _, sys := range systems {
+			t.Run(fmt.Sprintf("%s/prepass=%t", sys.Name, prepass), func(t *testing.T) {
+				opts := paramra.Options{Prepass: prepass, Parallelism: 1}
+				want, wantErr := paramra.Verify(ctx, sys, opts)
+				opts.Cache = paramra.NewCache(paramra.CacheOptions{})
+				cold, coldErr := paramra.Verify(ctx, sys, opts)
+				if d := sameAnswer(want, wantErr, cold, coldErr); d != "" {
+					t.Errorf("cold cached run: %s", d)
+				}
+				if cold.CacheHit {
+					t.Error("cold verify reported CacheHit")
+				}
+				warm, warmErr := paramra.Verify(ctx, sys, opts)
+				if d := sameAnswer(want, wantErr, warm, warmErr); d != "" {
+					t.Errorf("warm cached run: %s", d)
+				}
+				if coldErr != nil || !cold.Complete {
+					return // not storable: the warm run recomputed
+				}
+				if !warm.CacheHit {
+					t.Fatal("identical resubmission missed the cache")
+				}
+				if warm.Stats != (paramra.Stats{}) {
+					t.Errorf("hit carries engine stats: %+v", warm.Stats)
+				}
+				if warm.Graph != nil {
+					t.Error("hit carries a dependency graph")
+				}
+			})
+		}
 	}
 }
 
-// TestVerifyGoalInFingerprint: the goal variable and value are part of the
-// cache key — same goal hits, a different goal value misses.
+// TestVerifyGoalInFingerprint: the goal variable and value and the search
+// caps are part of the cache key — same goal hits, a different goal value
+// or MaxMacroStates misses.
 func TestVerifyGoalInFingerprint(t *testing.T) {
 	sys, _ := completeEntry(t)
 	goalVar := sys.Vars[0]
@@ -177,6 +233,16 @@ func TestVerifyGoalInFingerprint(t *testing.T) {
 	if other.CacheHit {
 		t.Error("different goal value hit the cache")
 	}
+
+	opts.Goal = &paramra.Goal{Var: goalVar, Val: 1}
+	opts.MaxMacroStates = 200_000
+	capped, err := paramra.Verify(ctx, sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.CacheHit {
+		t.Error("changed MaxMacroStates hit the cache")
+	}
 }
 
 // TestVerifyUnknownGoalBypassesCache: an unknown goal variable takes the
@@ -194,41 +260,5 @@ func TestVerifyUnknownGoalBypassesCache(t *testing.T) {
 	s := c.Stats()
 	if s.Misses != 0 || s.Hits != 0 || s.Entries != 0 {
 		t.Errorf("unknown-goal verify touched the cache: %+v", s)
-	}
-}
-
-// TestSkeletonMemo: two Datalog verifies that differ only in an option
-// outside the memo key (MaxMacroStates) share the dis-run skeleton
-// enumeration — the second is a verdict-cache miss but a memo hit.
-func TestSkeletonMemo(t *testing.T) {
-	sys, _ := completeEntry(t)
-	c := paramra.NewCache(paramra.CacheOptions{})
-	opts := paramra.Options{
-		Datalog:     true,
-		UnrollDis:   2,
-		Parallelism: 1,
-		Cache:       c,
-	}
-	ctx := context.Background()
-
-	opts.MaxMacroStates = 100_000
-	first, err := paramra.Verify(ctx, sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.MaxMacroStates = 200_000
-	second, err := paramra.Verify(ctx, sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.CacheHit {
-		t.Fatal("changed MaxMacroStates still hit the verdict cache — fingerprint is missing it")
-	}
-	s := c.Stats()
-	if s.MemoHits < 1 {
-		t.Errorf("MemoHits = %d, want ≥ 1 (skeleton enumeration not shared)", s.MemoHits)
-	}
-	if first.Unsafe != second.Unsafe || first.Complete != second.Complete {
-		t.Errorf("memo-sharing runs disagree:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
 }

@@ -1,10 +1,9 @@
 // Package cache implements the content-addressed verdict cache: a
 // canonical-form hasher for lang.System that is invariant under renaming of
 // threads, registers, and shared variables and under permutation of the dis
-// thread list; an LRU in-memory verdict store with single-flight computation
-// and an optional checksummed on-disk layer; and a small memo table for
-// sub-problem results (dis-run skeletons, Datalog strata) shared across
-// instances of the same program family.
+// thread list, and one verdict store — an LRU in memory with single-flight
+// computation and an optional checksummed on-disk layer — keyed by the
+// canonical hash plus the verdict-affecting options.
 //
 // The soundness argument is spelled out in DESIGN.md. In short: the cache
 // key is the SHA-256 of a full structural encoding of the canonical form,

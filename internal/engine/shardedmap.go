@@ -105,37 +105,13 @@ func (sm *ShardedMap[V]) Get(key string) (V, bool) {
 // string (the map lookup by string(key) compiles to an allocation-free
 // probe). Because the map is grow-only, a true answer is stable; a false
 // answer may race with a concurrent insert and callers must re-check via
-// TryPut/TryPutBytes before admitting.
+// TryPut before admitting.
 func (sm *ShardedMap[V]) HasBytes(key []byte) bool {
 	s := &sm.shards[fnv1a(key)&(shardCount-1)]
 	s.mu.Lock()
 	_, ok := s.m[string(key)]
 	s.mu.Unlock()
 	return ok
-}
-
-// TryPutBytes is TryPut for a byte-slice key: the duplicate check is
-// allocation-free, and the key is interned into a string only when it is
-// actually inserted. The hot dedup path (most successors are already
-// visited) therefore costs no allocation at all.
-func (sm *ShardedMap[V]) TryPutBytes(key []byte, val V) bool {
-	s := &sm.shards[fnv1a(key)&(shardCount-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[string(key)]; ok {
-		return false
-	}
-	s.m[string(key)] = val
-	return true
-}
-
-// GetBytes returns the value stored under key without a string conversion.
-func (sm *ShardedMap[V]) GetBytes(key []byte) (V, bool) {
-	s := &sm.shards[fnv1a(key)&(shardCount-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[string(key)]
-	return v, ok
 }
 
 // Len returns the number of keys across all shards.

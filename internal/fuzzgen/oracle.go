@@ -355,19 +355,19 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 }
 
 // comparePair cross-checks two backends that decide the same problem
-// exactly. Cancelled runs are not compared.
+// exactly: their error classes must match, and definitive verdicts must not
+// conflict. The slice backend alone may answer where a is rejected, because
+// the slicer may remove the very statements that put a system outside a
+// class (e.g. a dis loop behind a never-true assume). Every other backend,
+// the cache included, sees the submitted system up to names and dis order.
+// Cancelled runs are not compared.
 func comparePair(rep *Report, disagree func(kind, format string, args ...any), a, b Verdict) {
 	if !a.Ran || !b.Ran || a.ErrClass == "cancelled" || b.ErrClass == "cancelled" {
 		return
 	}
 	kind := "verdict:" + a.Backend + "/" + b.Backend
 	if a.ErrClass != b.ErrClass {
-		// The slicer may remove the very statements that put a system
-		// outside a class (e.g. slice away a dis loop), turning an error
-		// into a verdict; only identical error classes are required when
-		// both backends see the same system. The cache path slices before
-		// canonicalizing, so it inherits the same exemption.
-		if (b.Backend == BackendSlice || b.Backend == BackendCache) && b.ErrClass == "" {
+		if b.Backend == BackendSlice && b.ErrClass == "" {
 			return
 		}
 		disagree("error-shape:"+a.Backend+"/"+b.Backend, "%s vs %s", a, b)

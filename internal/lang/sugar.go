@@ -47,9 +47,6 @@ func If(cond Expr, then, els Stmt) Stmt {
 // When is If without an else branch.
 func When(cond Expr, then Stmt) Stmt { return If(cond, then, Skip{}) }
 
-// Loop is the bare iteration body*.
-func Loop(body Stmt) Stmt { return Star{Body: body} }
-
 // NewProgramBuilder returns a builder for a named program.
 func NewProgramBuilder(name string) *ProgramBuilder {
 	return &ProgramBuilder{prog: &Program{Name: name}}

@@ -2,13 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync"
 )
 
 // lockedBuffer is an io.Writer safe to read back after concurrent writes:
-// the tracer's buffered writer flushes into it under this mutex, and
-// Capture.Spans snapshots it under the same mutex.
+// the tracer writes each event into it under this mutex, and Capture.Spans
+// snapshots it under the same mutex.
 type lockedBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -34,7 +33,7 @@ func (l *lockedBuffer) snapshot() []byte {
 // requests). When the operation is done, Spans reconstructs the span tree.
 type Capture struct {
 	// Tracer records this capture's spans; pass it (or a root span started
-	// on it) down the pipeline via WithTracer/WithSpan.
+	// on it) down the pipeline, e.g. as paramra's Options.Tracer.
 	Tracer *Tracer
 
 	buf *lockedBuffer
@@ -49,7 +48,8 @@ func NewCapture(traceID string) *Capture {
 	return &Capture{Tracer: t, buf: buf}
 }
 
-// Bytes flushes the tracer and returns the raw JSONL trace recorded so far.
+// Bytes returns the raw JSONL trace recorded so far, or the first error the
+// tracer hit.
 func (c *Capture) Bytes() ([]byte, error) {
 	if err := c.Tracer.Flush(); err != nil {
 		return nil, err
@@ -57,9 +57,9 @@ func (c *Capture) Bytes() ([]byte, error) {
 	return c.buf.snapshot(), nil
 }
 
-// Spans flushes the tracer and parses the captured trace, enforcing the
-// schema (every span ended, timestamps monotone — see ParseTrace). Call it
-// after the traced operation has finished.
+// Spans parses the captured trace, enforcing the schema (every span
+// ended, timestamps monotone — see ParseTrace). Call it after the traced
+// operation has finished.
 func (c *Capture) Spans() ([]SpanRecord, error) {
 	data, err := c.Bytes()
 	if err != nil {
@@ -99,7 +99,7 @@ func BuildTree(spans []SpanRecord) []*TreeNode {
 	return roots
 }
 
-// Tree flushes, parses and nests the capture into span trees.
+// Tree parses and nests the capture into span trees.
 func (c *Capture) Tree() ([]*TreeNode, error) {
 	spans, err := c.Spans()
 	if err != nil {
@@ -114,10 +114,4 @@ func WalkTree(roots []*TreeNode, f func(*TreeNode)) {
 		f(n)
 		WalkTree(n.Children, f)
 	}
-}
-
-// MarshalTree renders span trees as deterministic JSON (attrs keys sorted
-// by encoding/json).
-func MarshalTree(roots []*TreeNode) ([]byte, error) {
-	return json.Marshal(roots)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -163,27 +162,6 @@ func TestRingRace(t *testing.T) {
 	if got := len(r.Snapshot()); got != 8 {
 		t.Errorf("snapshot length = %d, want 8", got)
 	}
-}
-
-// TestContextCarriers pins the WithTracer/WithSpan/WithMetrics round trips
-// and their nil behavior.
-func TestContextCarriers(t *testing.T) {
-	ctx := context.Background()
-	if TracerFrom(ctx) != nil || SpanFrom(ctx) != nil || MetricsFrom(ctx) != nil {
-		t.Fatal("empty context should carry nothing")
-	}
-	// nil values do not allocate a context level.
-	if WithTracer(ctx, nil) != ctx || WithSpan(ctx, nil) != ctx || WithMetrics(ctx, nil) != ctx {
-		t.Fatal("nil carriers must return the context unchanged")
-	}
-	tr := NewTracer(&bytes.Buffer{})
-	sp := tr.Start("root", nil)
-	reg := NewRegistry()
-	ctx = WithMetrics(WithSpan(WithTracer(ctx, tr), sp), reg)
-	if TracerFrom(ctx) != tr || SpanFrom(ctx) != sp || MetricsFrom(ctx) != reg {
-		t.Fatal("context carriers did not round-trip")
-	}
-	sp.End()
 }
 
 // TestHistogramExemplar pins exemplar retention and its Prometheus

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -70,6 +71,7 @@ type Session struct {
 	Metrics *Registry
 
 	traceFile   *os.File
+	traceBuf    *bufio.Writer
 	metricsOut  string
 	memProfile  string
 	stopCPU     func() error
@@ -91,7 +93,8 @@ func (f *Flags) Open() (*Session, error) {
 			return fail(fmt.Errorf("obs: trace-out: %w", err))
 		}
 		s.traceFile = file
-		s.Tracer = NewTracer(file)
+		s.traceBuf = bufio.NewWriter(file)
+		s.Tracer = NewTracer(s.traceBuf)
 	}
 	if f.MetricsAddr != "" || f.MetricsOut != "" {
 		s.Metrics = NewRegistry()
@@ -137,6 +140,7 @@ func (s *Session) Close() error {
 	}
 	if s.Tracer != nil {
 		keep(s.Tracer.Flush())
+		keep(s.traceBuf.Flush())
 	}
 	if s.traceFile != nil {
 		keep(s.traceFile.Close())

@@ -8,7 +8,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sync"
@@ -35,7 +34,7 @@ type traceEvent struct {
 // for concurrent use; individual spans are too (attrs are mutex-guarded).
 type Tracer struct {
 	mu   sync.Mutex
-	bw   *bufio.Writer
+	w    io.Writer
 	next int64
 	now  func() int64
 	tid  string
@@ -43,7 +42,8 @@ type Tracer struct {
 }
 
 // NewTracer writes JSONL trace events to w, timestamped with monotonic
-// nanoseconds since this call.
+// nanoseconds since this call. Each event is one Write, made as the event
+// happens; a caller writing to a file buffers it (see Session).
 func NewTracer(w io.Writer) *Tracer {
 	start := time.Now()
 	return NewTracerClock(w, func() int64 { return int64(time.Since(start)) })
@@ -53,7 +53,7 @@ func NewTracer(w io.Writer) *Tracer {
 // nanoseconds). Tests use a deterministic counter clock to produce
 // byte-identical golden traces.
 func NewTracerClock(w io.Writer, now func() int64) *Tracer {
-	return &Tracer{bw: bufio.NewWriter(w), now: now}
+	return &Tracer{w: w, now: now}
 }
 
 // SetTraceID stamps every subsequently started span with the given trace ID
@@ -97,7 +97,7 @@ func (t *Tracer) emit(ev traceEvent) {
 		t.err = err
 		return
 	}
-	if _, err := t.bw.Write(append(data, '\n')); err != nil {
+	if _, err := t.w.Write(append(data, '\n')); err != nil {
 		t.err = err
 	}
 }
@@ -121,17 +121,15 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 	return s
 }
 
-// Flush drains buffered events to the underlying writer and returns the
-// first error encountered by the tracer (write, encode, or flush).
+// Flush returns the first error the tracer hit (write or encode). Events
+// reach the writer as they are emitted, so there is nothing to drain; a
+// caller that buffers the writer flushes that buffer itself.
 func (t *Tracer) Flush() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.bw.Flush(); err != nil && t.err == nil {
-		t.err = err
-	}
 	return t.err
 }
 

@@ -469,6 +469,9 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (sys *paramra.S
 	}
 	opts.Metrics = s.cfg.Metrics
 	opts.Cache = s.cache // nil when caching is disabled; only Verify uses it
+	if c := captureFrom(r.Context()); c != nil {
+		opts.Tracer = c.Tracer
+	}
 	vctx, cancel = context.WithTimeout(r.Context(), budget)
 	return sys, ro, opts, vctx, cancel, src, envThreads, true
 }

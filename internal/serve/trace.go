@@ -29,9 +29,10 @@ func captureFrom(ctx context.Context) *obs.Capture {
 
 // withTrace makes every request a traced operation: it resolves the trace ID
 // (X-Trace-Id header, length-capped, else "t<boot-hex>-<seq>"), echoes it in
-// the response header, and installs a per-request obs.Capture whose tracer
-// rides the context — every span the verifier layers open downstream lands
-// in this request's private buffer, stamped with this request's trace ID.
+// the response header, and installs a per-request obs.Capture on the
+// context; prepare hands its tracer to the library, so every span the
+// verifier layers open downstream lands in this request's private buffer,
+// stamped with this request's trace ID.
 // After the handler returns it feeds the per-endpoint latency histograms
 // (with the trace ID as exemplar), the slow-request ring, and the optional
 // trace directory.
@@ -45,7 +46,6 @@ func (s *Server) withTrace(next http.Handler) http.Handler {
 		cap := obs.NewCapture(id)
 		ctx := context.WithValue(r.Context(), traceIDKey, id)
 		ctx = context.WithValue(ctx, captureKey, cap)
-		ctx = obs.WithTracer(ctx, cap.Tracer)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(ctx))

@@ -164,13 +164,6 @@ type Options struct {
 	// caller's, then well-formedness, unroll, fixpoint/datalog/concrete
 	// search, engine layers — as JSONL events (see internal/obs and the
 	// -trace-out CLI flag). Span IDs are deterministic at any Parallelism.
-	//
-	// When both Tracer and TraceSpan are nil, the entry points consult the
-	// context: a span installed with obs.WithSpan (or a tracer installed
-	// with obs.WithTracer) scopes the run's spans to the caller — this is
-	// how the HTTP server attaches every engine/datalog/absint span to the
-	// request that caused it without widening any signature. Explicit
-	// Options win over the context.
 	Tracer *obs.Tracer
 	// TraceSpan, when non-nil, nests the entry point's root span under an
 	// existing parent (e.g. a CLI-level span) instead of starting a new
@@ -178,23 +171,17 @@ type Options struct {
 	TraceSpan *obs.Span
 	// Metrics, when non-nil, receives live counters, gauges and histograms
 	// of the run (exposed in Prometheus/expvar form via -metrics-addr).
-	// When nil, a registry installed with obs.WithMetrics on the context is
-	// used instead.
 	Metrics *obs.Registry
 	// Cache, when non-nil, enables the content-addressed verdict cache for
-	// Verify: the system is sliced (Slice), canonicalized modulo renaming
-	// of threads/registers/variables and dis order, and the verdict is
-	// looked up under the SHA-256 of the canonical form plus the
-	// verdict-affecting options. On a miss the canonical system is
-	// verified (so witnesses and classes are in canonical names and
-	// hits/misses render identically) and complete, error-free results are
-	// stored. Concurrent misses of one key share a single computation.
-	// Hits return Result.CacheHit = true with zero Stats and a nil Graph.
+	// Verify: the system is canonicalized modulo renaming of
+	// threads/registers/variables and dis order, and the verdict is looked
+	// up under the SHA-256 of the canonical form plus the verdict-affecting
+	// options. On a miss the canonical system is verified (so witnesses and
+	// classes are in canonical names and hits/misses render identically)
+	// and complete, error-free results are stored. Concurrent misses of one
+	// key share a single computation. Hits return Result.CacheHit = true
+	// with zero Stats and a nil Graph.
 	Cache *Cache
-	// memoKey carries the canonical system hash into the backends so
-	// sub-problem results (dis-run skeleton enumerations) can be memoized
-	// across option variants of the same family. Set only by verifyCached.
-	memoKey string
 }
 
 // numericOptions lists the range-limited numeric knobs exactly once, so the
@@ -265,34 +252,14 @@ func (o Options) normalized() Options {
 }
 
 // beginSpan opens an entry point's root span: a child of TraceSpan when
-// set, else a new root on Tracer, else a child/root of whatever the context
-// carries (obs.WithSpan / obs.WithTracer). Nothing anywhere yields a nil
-// (no-op) span, so disabled tracing stays a pointer check plus two context
-// lookups per entry point — not per span site; nested spans branch on the
-// parent pointer alone.
-func (o Options) beginSpan(ctx context.Context, name string) *obs.Span {
+// set, else a new root on Tracer. Both nil yields a nil (no-op) span, so
+// disabled tracing costs two pointer checks per entry point; nested spans
+// branch on the parent pointer alone.
+func (o Options) beginSpan(name string) *obs.Span {
 	if o.TraceSpan != nil {
 		return o.TraceSpan.Child(name)
 	}
-	if o.Tracer != nil {
-		return o.Tracer.Start(name, nil)
-	}
-	if s := obs.SpanFrom(ctx); s != nil {
-		return s.Child(name)
-	}
-	if t := obs.TracerFrom(ctx); t != nil {
-		return t.Start(name, nil)
-	}
-	return nil
-}
-
-// metrics resolves the run's registry: explicit Options first, then the
-// context (obs.WithMetrics). Both nil yields a nil (no-op) registry.
-func (o Options) metrics(ctx context.Context) *obs.Registry {
-	if o.Metrics != nil {
-		return o.Metrics
-	}
-	return obs.MetricsFrom(ctx)
+	return o.Tracer.Start(name, nil)
 }
 
 // Stats reports verifier work. Each backend populates its own field group
@@ -417,7 +384,7 @@ func Verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 }
 
 func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
-	span := opts.beginSpan(ctx, "verify")
+	span := opts.beginSpan("verify")
 	defer span.End()
 
 	res := Result{EnvThreadBound: -1}
@@ -500,7 +467,7 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 		Workers:        opts.Parallelism,
 		Progress:       fixpointProgress(opts.Progress),
 		Trace:          span,
-		Metrics:        opts.metrics(ctx),
+		Metrics:        opts.Metrics,
 	})
 	if err != nil {
 		return res, err
@@ -533,8 +500,6 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 // Options.MaxSkeletons is 0.
 const defaultMaxSkeletons = 100_000
 
-func (o Options) hinted() bool { return o.Prepass || o.DatalogHints }
-
 // DatalogInstances returns, in order, the ground query instances that Verify
 // with Options.Datalog evaluates for sys — same skeleton cap, same grounding
 // — and whether the skeleton enumeration behind them was exhaustive. It
@@ -548,10 +513,10 @@ func DatalogInstances(ctx context.Context, sys *System, opts Options) ([]*encode
 	// With the prepass on, the abstract value sets double as grounding
 	// hints: registers range only over the values they can hold at each env
 	// PC, shrinking the instances without changing derivability. The facts
-	// must describe the exact system encoded (post-slice, post-unroll), so
-	// they are recomputed here, not reused from the verdict prepass.
+	// must describe the exact system encoded (post-unroll), so they are
+	// recomputed here, not reused from the verdict prepass.
 	var hints encode.Hints
-	if opts.hinted() {
+	if opts.Prepass || opts.DatalogHints {
 		if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
 			hints = ef
 		}
@@ -581,44 +546,15 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	dspan := span.Child("datalog")
 	defer dspan.End()
 
-	// The ground query instances depend only on the (canonical) system,
-	// the skeleton cap, the unroll depth, and whether hints are on — so
-	// within a cache-enabled pipeline they are memoized across option
-	// variants of the same program family. The memoized slice is shared
-	// read-only: QueryCtx never mutates a Problem.
-	var memoKey string
-	if opts.Cache != nil && opts.memoKey != "" {
-		memoKey = fmt.Sprintf("skel|%s|%d|%d|%t", opts.memoKey, opts.UnrollDis, opts.MaxSkeletons, opts.hinted())
-	}
-	var (
-		ps       []*encode.Problem
-		complete bool
-		memoHit  bool
-	)
 	enc := dspan.Child("skeleton-enumeration")
-	if memoKey != "" {
-		if m, ok := opts.Cache.MemoGet(memoKey); ok {
-			sm := m.(skeletonMemo)
-			ps, complete, memoHit = sm.ps, sm.complete, true
-		}
-	}
-	if !memoHit {
-		var err error
-		ps, complete, err = DatalogInstances(ctx, sys, opts)
-		if err != nil {
-			if enc != nil {
-				enc.End()
-			}
-			return seal(res), err
-		}
-		if memoKey != "" {
-			opts.Cache.MemoPut(memoKey, skeletonMemo{ps: ps, complete: complete})
-		}
+	ps, complete, err := DatalogInstances(ctx, sys, opts)
+	if err != nil {
+		enc.End()
+		return seal(res), err
 	}
 	if enc != nil {
 		enc.SetAttr("skeletons", len(ps))
 		enc.SetAttr("complete", complete)
-		enc.SetAttr("memo", memoHit)
 		enc.End()
 	}
 	res.Stats.Skeletons = len(ps)
@@ -640,7 +576,7 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 
 	var hInst, hRound *obs.Histogram
 	var cInst, cRounds, cAtoms *obs.Counter
-	if m := opts.metrics(ctx); m != nil {
+	if m := opts.Metrics; m != nil {
 		hInst = m.Histogram("paramra_datalog_instance_ns",
 			"wall time per Datalog query instance (ns)")
 		hRound = m.Histogram("paramra_datalog_round_ns",
@@ -793,7 +729,7 @@ func ConfirmViolation(ctx context.Context, sys *System, res Result, maxN int, op
 	if sys.Env == nil {
 		hi = 0
 	}
-	span := opts.beginSpan(ctx, "confirm-violation")
+	span := opts.beginSpan("confirm-violation")
 	defer span.End()
 	if span != nil {
 		span.SetAttr("env_thread_bound", hi)
@@ -809,7 +745,7 @@ func ConfirmViolation(ctx context.Context, sys *System, res Result, maxN int, op
 			Workers:   opts.Parallelism,
 			Progress:  concreteProgress(opts.Progress),
 			Trace:     span,
-			Metrics:   opts.metrics(ctx),
+			Metrics:   opts.Metrics,
 		})
 		if out.Unsafe {
 			if span != nil {
@@ -852,14 +788,14 @@ func FindDeadlocks(ctx context.Context, sys *System, nEnv int, opts Options) (De
 	if err != nil {
 		return DeadlockResult{}, err
 	}
-	span := opts.beginSpan(ctx, "find-deadlocks")
+	span := opts.beginSpan("find-deadlocks")
 	defer span.End()
 	rep := inst.FindDeadlocksContext(ctx, ra.Limits{
 		MaxStates: opts.MaxStates,
 		Workers:   opts.Parallelism,
 		Progress:  concreteProgress(opts.Progress),
 		Trace:     span,
-		Metrics:   opts.metrics(ctx),
+		Metrics:   opts.Metrics,
 	})
 	if err := ctx.Err(); err != nil {
 		return DeadlockResult{}, err
@@ -875,14 +811,14 @@ func FindDeadlocks(ctx context.Context, sys *System, nEnv int, opts Options) (De
 // carries. Keys are variable names; asserts are inert during the analysis.
 func Inventory(ctx context.Context, sys *System, opts Options) (map[string][]int, error) {
 	opts = opts.normalized()
-	span := opts.beginSpan(ctx, "inventory")
+	span := opts.beginSpan("inventory")
 	defer span.End()
 	v, err := simplified.New(sys, simplified.Options{
 		MaxMacroStates: opts.MaxMacroStates,
 		Workers:        opts.Parallelism,
 		Progress:       fixpointProgress(opts.Progress),
 		Trace:          span,
-		Metrics:        opts.metrics(ctx),
+		Metrics:        opts.Metrics,
 	})
 	if err != nil {
 		return nil, err
@@ -936,7 +872,7 @@ func verifyInstance(ctx context.Context, sys *System, nEnv int, opts Options) (I
 	if err != nil {
 		return InstanceResult{}, err
 	}
-	span := opts.beginSpan(ctx, "verify-instance")
+	span := opts.beginSpan("verify-instance")
 	defer span.End()
 	if span != nil {
 		span.SetAttr("env_threads", nEnv)
@@ -946,7 +882,7 @@ func verifyInstance(ctx context.Context, sys *System, nEnv int, opts Options) (I
 		Workers:   opts.Parallelism,
 		Progress:  concreteProgress(opts.Progress),
 		Trace:     span,
-		Metrics:   opts.metrics(ctx),
+		Metrics:   opts.Metrics,
 	})
 	res := InstanceResult{
 		Unsafe:   out.Unsafe,

@@ -38,7 +38,7 @@ type PrepassOutcome = absint.Outcome
 // value-set reports) or a decision without ever falling back to a search.
 func Prepass(ctx context.Context, sys *System, opts Options) (PrepassOutcome, error) {
 	opts = opts.normalized()
-	span := opts.beginSpan(ctx, "prepass")
+	span := opts.beginSpan("prepass")
 	defer span.End()
 	return prepass(ctx, sys, opts, span)
 }

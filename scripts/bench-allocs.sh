@@ -22,8 +22,8 @@
 #       moved onto the shared dis-step generator (566k allocs/op; ~529k
 #       after). A move or step built where the heap keeps it (say, taking
 #       the address of a per-move local) shows up here first.
-#   BenchmarkSlice  the verdict-preserving slicer, which runs on every cached
-#       request, over the corpus plus 48 generated systems. Fixed budget
+#   BenchmarkSlice  the verdict-preserving slicer behind the CLIs' -slice
+#       flag and ravet, over the corpus plus 48 generated systems. Fixed budget
 #       ~1.5x its cost while the slicer still ran on constant propagation
 #       (29.1k allocs/op; ~27.0k on the value sets). Value sets that stop
 #       sharing their small singletons, or register vectors copied on every
