@@ -426,6 +426,29 @@ func BenchmarkSkeletons(b *testing.B) {
 	}
 }
 
+// BenchmarkDatalogVerify measures the makeP → Datalog backend end to end on
+// the corpus ticketlock entry at two workers. It is SAFE with 72 skeletons,
+// so every query instance is evaluated and allocs/op do not depend on which
+// worker evaluates which; scripts/bench-allocs.sh gates them.
+func BenchmarkDatalogVerify(b *testing.B) {
+	e, _ := bench.ByName("ticketlock")
+	sys := e.System()
+	ctx := context.Background()
+	opts := paramra.Options{Datalog: true, Parallelism: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := paramra.Verify(ctx, sys, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Unsafe || !res.Complete || res.Stats.Skeletons != 72 {
+			b.Fatalf("ticketlock: unsafe=%v complete=%v skeletons=%d, want a complete SAFE run over 72",
+				res.Unsafe, res.Complete, res.Stats.Skeletons)
+		}
+	}
+}
+
 // BenchmarkParser measures the concrete-syntax frontend.
 func BenchmarkParser(b *testing.B) {
 	src := fig3Src(5)

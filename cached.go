@@ -32,8 +32,8 @@ func cacheFingerprint(o Options, goalVar string) string {
 	if o.Goal != nil {
 		g = fmt.Sprintf("%s=%d", goalVar, o.Goal.Val)
 	}
-	return fmt.Sprintf("fp1|g=%s|u=%d|dl=%t|pp=%t|dh=%t|mm=%d|ms=%d|sk=%d",
-		g, o.UnrollDis, o.Datalog, o.Prepass, o.DatalogHints,
+	return fmt.Sprintf("fp1|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
+		g, o.UnrollDis, o.Datalog, o.Prepass,
 		o.MaxMacroStates, o.MaxStates, o.MaxSkeletons)
 }
 

@@ -55,7 +55,7 @@ func run() int {
 		maxBudget     = flag.Duration("max-budget", 2*time.Minute, "cap on client-requested budgets (above → 400)")
 		maxStates     = flag.Int("max-states", 2_000_000, "cap on concrete-instance exploration per request")
 		maxEnv        = flag.Int("max-env", 16, "cap on env threads for /v1/instance and /v1/deadlocks")
-		workers       = flag.Int("j", 0, "default worker goroutines per verification (0 = GOMAXPROCS)")
+		workers       = flag.Int("j", 0, "default worker goroutines per verification (0 = GOMAXPROCS; the prepass replay always runs on one)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
 		metricsOut    = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file on exit")
 		quiet         = flag.Bool("quiet", false, "disable the access log")

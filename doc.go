@@ -34,10 +34,10 @@
 // GOMAXPROCS) and Options.Progress streams periodic Stats snapshots.
 // Verdicts, DecidedBy, the env-thread bound, and the fixpoint's witnesses
 // and statistics are identical for every worker count (see
-// internal/engine). Witnesses from the concrete explorer — those of
-// VerifyInstance and ConfirmViolation, and of UNSAFE verdicts the prepass
-// decides — can differ between runs at Parallelism >= 2; Parallelism 1
-// makes them reproducible.
+// internal/engine), and so are the prepass's, whose replay always runs on
+// one worker. Witnesses from the concrete explorer — those of
+// VerifyInstance and ConfirmViolation — can differ between runs at
+// Parallelism >= 2; Parallelism 1 makes them reproducible.
 //
 // # Result and Stats fields by backend
 //

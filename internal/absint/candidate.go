@@ -100,7 +100,7 @@ func candidateInThread(res *analysis.Result, tf *analysis.ThreadFacts) bool {
 			case lang.OpAssign:
 				v, ok := evalMaybe(e.Op.E, cv)
 				if ok {
-					v = normVal(v, dom)
+					v = v.Norm(dom)
 				}
 				if dfs(e.To, cv.set(e.Op.Reg, v, ok)) {
 					return true
@@ -175,13 +175,4 @@ func evalMaybe(e lang.Expr, cv candValuation) (lang.Val, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// normVal reduces a value into [0, dom), matching the engines' commit norm.
-func normVal(v lang.Val, dom int) lang.Val {
-	d := lang.Val(dom)
-	if d <= 0 {
-		return v
-	}
-	return ((v % d) + d) % d
 }

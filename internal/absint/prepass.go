@@ -65,6 +65,9 @@ type Goal struct {
 // replay when Options.MaxReplayStates is zero.
 const DefaultMaxReplayStates = 30_000
 
+// maxReplayEnv is the largest env replica count the replay tries.
+const maxReplayEnv = 4
+
 // Options bounds the prepass. The zero value selects the defaults noted on
 // each field.
 type Options struct {
@@ -74,23 +77,11 @@ type Options struct {
 	// MaxReplayStates caps each concrete replay instance (default
 	// DefaultMaxReplayStates).
 	MaxReplayStates int
-	// MaxReplayEnv caps the env replica counts tried by the replay
-	// (default 4).
-	MaxReplayEnv int
-	// Workers is the replay parallelism (default 1; the engine's verdict is
-	// identical for every value).
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxReplayStates == 0 {
 		o.MaxReplayStates = DefaultMaxReplayStates
-	}
-	if o.MaxReplayEnv == 0 {
-		o.MaxReplayEnv = 4
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -155,7 +146,8 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 	// Replay: search small concrete instances under the full RA semantics.
 	// Any violation found is definitive. Start at one replica when only the
 	// env template has a candidate (its asserts need an instance containing
-	// an env thread).
+	// an env thread). Each instance runs on one worker, so the witness and
+	// the state counts are reproducible.
 	minN := 1
 	for _, c := range cands {
 		if !c.EnvThread {
@@ -163,7 +155,7 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 			break
 		}
 	}
-	maxN := opts.MaxReplayEnv
+	maxN := maxReplayEnv
 	if sys.Env == nil {
 		maxN = 0
 	}
@@ -177,7 +169,7 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 		}
 		r := inst.ExploreContext(ctx, ra.Limits{
 			MaxStates: opts.MaxReplayStates,
-			Workers:   opts.Workers,
+			Workers:   1,
 			Symmetry:  n > 1,
 		})
 		out.ReplayStates += r.States

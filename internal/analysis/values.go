@@ -278,7 +278,7 @@ func (r *Result) VarCanHold(v lang.VarID, d lang.Val) bool {
 	if int(v) < 0 || int(v) >= len(r.Written) {
 		return true
 	}
-	return r.Written[v].Contains(normVal(d, r.Sys.Dom))
+	return r.Written[v].Contains(d.Norm(r.Sys.Dom))
 }
 
 // EnvFacts returns the env template's per-PC facts, or nil when the system

@@ -305,7 +305,7 @@ func (s VSet) Norm(dom int) VSet {
 		}
 		mapped := make([]lang.Val, len(s.vals))
 		for i, v := range s.vals {
-			mapped[i] = normVal(v, dom)
+			mapped[i] = v.Norm(dom)
 		}
 		return FromValues(mapped)
 	default:
@@ -315,23 +315,12 @@ func (s VSet) Norm(dom int) VSet {
 		if int(s.hi-s.lo)+1 <= maxEnum {
 			mapped := make([]lang.Val, 0, int(s.hi-s.lo)+1)
 			for v := s.lo; v <= s.hi; v++ {
-				mapped = append(mapped, normVal(v, dom))
+				mapped = append(mapped, v.Norm(dom))
 			}
 			return FromValues(mapped)
 		}
 		return full
 	}
-}
-
-// normVal reduces a value into the domain [0, dom), matching the norm both
-// execution engines apply at assignment, store and CAS boundaries
-// (internal/ra, internal/simplified).
-func normVal(v lang.Val, dom int) lang.Val {
-	d := lang.Val(dom)
-	if d <= 0 {
-		return v
-	}
-	return ((v % d) + d) % d
 }
 
 // String renders the set for diagnostics: {}, {1,3}, or [0..7].

@@ -17,11 +17,6 @@ func (f *freshVars) next() datalog.Term {
 	return t
 }
 
-func (b *builder) norm(v lang.Val) lang.Val {
-	d := lang.Val(b.sys.Dom)
-	return ((v % d) + d) % d
-}
-
 // etpAtom assembles an etp atom from a pc constant, register terms and view
 // terms.
 func (b *builder) etpAtom(pc lang.PC, regs, views []datalog.Term) datalog.Atom {
@@ -74,7 +69,7 @@ func (b *builder) regChoices(pc lang.PC, r lang.RegID) []lang.Val {
 		if vals, ok := b.hints.AllowedAt(pc, r); ok {
 			seen := make(map[lang.Val]bool, len(vals))
 			for _, v := range vals {
-				seen[b.norm(v)] = true
+				seen[v.Norm(b.sys.Dom)] = true
 			}
 			out := make([]lang.Val, 0, len(seen))
 			for d := 0; d < b.sys.Dom; d++ {
@@ -166,7 +161,7 @@ func (b *builder) emitEnvRules() error {
 
 			case lang.OpAssign:
 				b.valuations(e.From, lang.ExprRegs(e.Op.E), func(assign map[lang.RegID]lang.Val) {
-					d := b.norm(b.evalUnder(e.Op.E, assign))
+					d := b.evalUnder(e.Op.E, assign).Norm(b.sys.Dom)
 					f := &freshVars{}
 					regs := b.regTerms(f, assign)
 					views := freshN(f, b.numVars)
@@ -247,7 +242,7 @@ func (b *builder) emitLoad(e lang.Edge, msgPred, xJoin datalog.Pred) {
 func (b *builder) emitStore(e lang.Edge) {
 	x := e.Op.Var
 	b.valuations(e.From, lang.ExprRegs(e.Op.E), func(assign map[lang.RegID]lang.Val) {
-		d := b.norm(b.evalUnder(e.Op.E, assign))
+		d := b.evalUnder(e.Op.E, assign).Norm(b.sys.Dom)
 		for _, genMsg := range []bool{false, true} {
 			f := &freshVars{}
 			regs := b.regTerms(f, assign)

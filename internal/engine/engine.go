@@ -137,8 +137,7 @@ func (c *counters) snapshot(workers int, start time.Time) Stats {
 // nil-safe.
 type monitor struct {
 	progress func(Stats)
-	done     chan struct{}
-	wg       sync.WaitGroup
+	stopTick func()
 
 	// Resolved registry handles (nil when metrics are disabled).
 	gStates, gTransitions, gDedup, gPeak *obs.Gauge
@@ -172,7 +171,7 @@ func startMonitor(cfg Config, cnt *counters, workers int, start time.Time,
 	if cfg.Progress == nil && cfg.Metrics == nil {
 		return nil
 	}
-	m := &monitor{progress: cfg.Progress, done: make(chan struct{})}
+	m := &monitor{progress: cfg.Progress}
 	if r := cfg.Metrics; r != nil {
 		m.gStates = r.Gauge("paramra_engine_states", "states admitted to the visited set (current run)")
 		m.gTransitions = r.Gauge("paramra_engine_transitions", "successor edges examined (current run)")
@@ -182,25 +181,39 @@ func startMonitor(cfg Config, cnt *counters, workers int, start time.Time,
 		m.gShardMax = r.Gauge("paramra_engine_visited_shard_max", "largest visited-set shard (current run)")
 		m.gShardsUsed = r.Gauge("paramra_engine_visited_shards_nonempty", "non-empty visited-set shards (current run)")
 	}
-	m.wg.Add(1)
+	m.stopTick = Tick(cfg.progressEvery(), func() {
+		s := cnt.snapshot(workers, start)
+		m.publish(s, queueLen, shardStats)
+		if m.progress != nil {
+			m.progress(s)
+		}
+	})
+	return m
+}
+
+// Tick calls f every interval from a goroutine of its own until stop is
+// called. stop returns once that goroutine has exited, so f never runs
+// after it.
+func Tick(every time.Duration, f func()) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
-		defer m.wg.Done()
-		t := time.NewTicker(cfg.progressEvery())
+		defer close(exited)
+		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				s := cnt.snapshot(workers, start)
-				m.publish(s, queueLen, shardStats)
-				if m.progress != nil {
-					m.progress(s)
-				}
-			case <-m.done:
+				f()
+			case <-done:
 				return
 			}
 		}
 	}()
-	return m
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 // stop halts the ticker and emits final as the terminal snapshot (both to
@@ -209,8 +222,7 @@ func (m *monitor) stop(final Stats, queueLen func() int64, shardStats func() (in
 	if m == nil {
 		return
 	}
-	close(m.done)
-	m.wg.Wait()
+	m.stopTick()
 	m.publish(final, queueLen, shardStats)
 	if m.progress != nil {
 		m.progress(final)
@@ -273,8 +285,10 @@ const (
 // with HasBytes before materializing a key (emitting Succ{Dedup: true} to
 // keep the transition and dedup counters exact).
 //
-// buf hands expand a worker-local successor buffer to append into: the
-// engine recycles it between expansions of the same worker, so steady-state
+// Every worker makes one scratch value with newScratch when it starts and
+// hands it to each of its expansions, so no two expansions ever hold a
+// scratch at once. buf is the worker's successor buffer to append into:
+// the engine recycles it between the worker's expansions, so steady-state
 // expansion allocates no slice. expand may ignore buf and return any slice.
 //
 // The frontier is a shared batched queue with per-worker local stacks:
@@ -283,12 +297,13 @@ const (
 // the queued items the take size shrinks to a fair share, so tiny frontiers
 // are spread instead of hoarded. The first halting successor wins; after a
 // halt (or cancellation) the workers drain and exit.
-func Explore[S any, V any](
+func Explore[S, V, W any](
 	ctx context.Context,
 	cfg Config,
 	visited *ShardedMap[V],
 	root S, rootKey string, rootVal V,
-	expand func(s S, key string, buf []Succ[S, V]) []Succ[S, V],
+	newScratch func() W,
+	expand func(w W, s S, key string, buf []Succ[S, V]) []Succ[S, V],
 ) Outcome {
 	workers := cfg.workers()
 	start := time.Now()
@@ -311,22 +326,15 @@ func Explore[S any, V any](
 	pending := atomic.Int64{}
 	pending.Store(1)
 
-	// Cancellation watcher: wakes idle workers when the context fires.
-	cancelDone := make(chan struct{})
-	var cancelWG sync.WaitGroup
-	if ctx != nil && ctx.Done() != nil {
-		cancelWG.Add(1)
-		go func() {
-			defer cancelWG.Done()
-			select {
-			case <-ctx.Done():
-				stopped.Store(true)
-				mu.Lock()
-				cond.Broadcast()
-				mu.Unlock()
-			case <-cancelDone:
-			}
-		}()
+	// Cancellation wakes idle workers.
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, func() {
+			stopped.Store(true)
+			mu.Lock()
+			cond.Broadcast()
+			mu.Unlock()
+		})
+		defer stop()
 	}
 
 	span := cfg.Trace.Child(cfg.spanName("explore"))
@@ -363,6 +371,7 @@ func Explore[S any, V any](
 	worker := func() {
 		var local []item[S]
 		var sbuf []Succ[S, V] // recycled successor buffer handed to expand
+		scratch := newScratch()
 		for {
 			if stopped.Load() {
 				return
@@ -410,7 +419,7 @@ func Explore[S any, V any](
 			it := local[len(local)-1]
 			local = local[:len(local)-1]
 
-			succs := expand(it.state, it.key, sbuf[:0])
+			succs := expand(scratch, it.state, it.key, sbuf[:0])
 			cnt.transitions.Add(int64(len(succs)))
 			for _, sc := range succs {
 				if sc.Halt {
@@ -470,8 +479,6 @@ func Explore[S any, V any](
 		}()
 	}
 	wg.Wait()
-	close(cancelDone)
-	cancelWG.Wait()
 	// One snapshot serves as both the terminal progress emission and the
 	// returned stats, so the last Progress callback always equals
 	// Outcome.Stats.

@@ -11,8 +11,9 @@ import (
 // gridExpand builds a synthetic search space: states are (x, y) grid points
 // reachable by incrementing either coordinate up to n. The space has
 // (n+1)^2 states and heavy cross-path dedup, exercising the sharded set.
-func gridExpand(n int) func(s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
-	return func(s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
+// It needs no scratch; noScratch is the factory of such expansions.
+func gridExpand(n int) func(_ struct{}, s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
+	return func(_ struct{}, s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
 		out := buf
 		for d := 0; d < 2; d++ {
 			ns := s
@@ -25,11 +26,13 @@ func gridExpand(n int) func(s [2]int, key string, buf []Succ[[2]int, struct{}]) 
 	}
 }
 
+func noScratch() struct{} { return struct{}{} }
+
 func TestExploreGridCounts(t *testing.T) {
 	const n = 40
 	for _, workers := range []int{1, 2, 8} {
 		out := Explore(context.Background(), Config{Workers: workers}, NewShardedMap[struct{}](),
-			[2]int{0, 0}, "0,0", struct{}{}, gridExpand(n))
+			[2]int{0, 0}, "0,0", struct{}{}, noScratch, gridExpand(n))
 		if !out.Complete || out.Halted {
 			t.Fatalf("workers=%d: outcome %+v", workers, out)
 		}
@@ -47,14 +50,14 @@ func TestExploreGridCounts(t *testing.T) {
 
 func TestExploreHaltFirstWins(t *testing.T) {
 	// A line of states with a halting edge at the end.
-	expand := func(s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+	expand := func(_ struct{}, s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
 		if s == 10 {
 			return append(buf, Succ[int, struct{}]{Halt: true, Tag: "boom"})
 		}
 		return append(buf, Succ[int, struct{}]{State: s + 1, Key: fmt.Sprintf("%d", s+1)})
 	}
 	for _, workers := range []int{1, 4} {
-		out := Explore(context.Background(), Config{Workers: workers}, NewShardedMap[struct{}](), 0, "0", struct{}{}, expand)
+		out := Explore(context.Background(), Config{Workers: workers}, NewShardedMap[struct{}](), 0, "0", struct{}{}, noScratch, expand)
 		if !out.Halted || out.Complete {
 			t.Fatalf("workers=%d: expected halt, got %+v", workers, out)
 		}
@@ -66,7 +69,7 @@ func TestExploreHaltFirstWins(t *testing.T) {
 
 func TestExploreStateCapExact(t *testing.T) {
 	out := Explore(context.Background(), Config{Workers: 4, MaxStates: 100}, NewShardedMap[struct{}](),
-		[2]int{0, 0}, "0,0", struct{}{}, gridExpand(1000))
+		[2]int{0, 0}, "0,0", struct{}{}, noScratch, gridExpand(1000))
 	if out.Complete || !out.Capped {
 		t.Fatalf("capped run reported complete: %+v", out)
 	}
@@ -78,7 +81,7 @@ func TestExploreStateCapExact(t *testing.T) {
 func TestExploreContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var expanded atomic.Int64
-	expand := func(s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+	expand := func(_ struct{}, s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
 		if expanded.Add(1) == 50 {
 			cancel()
 		}
@@ -88,7 +91,7 @@ func TestExploreContextCancel(t *testing.T) {
 			Succ[int, struct{}]{State: 2*s + 1, Key: fmt.Sprintf("%d", 2*s+1)},
 		)
 	}
-	out := Explore(ctx, Config{Workers: 4}, NewShardedMap[struct{}](), 1, "1", struct{}{}, expand)
+	out := Explore(ctx, Config{Workers: 4}, NewShardedMap[struct{}](), 1, "1", struct{}{}, noScratch, expand)
 	if out.Err == nil || out.Complete {
 		t.Fatalf("cancelled run reported complete: %+v", out)
 	}
@@ -98,14 +101,14 @@ func TestExplorePredChainWitness(t *testing.T) {
 	// Values store the predecessor key; the chain must be walkable back to
 	// the root after the run.
 	type pred struct{ prev string }
-	expand := func(s int, key string, buf []Succ[int, pred]) []Succ[int, pred] {
+	expand := func(_ struct{}, s int, key string, buf []Succ[int, pred]) []Succ[int, pred] {
 		if s == 6 {
 			return append(buf, Succ[int, pred]{Halt: true, Tag: s})
 		}
 		return append(buf, Succ[int, pred]{State: s + 2, Key: fmt.Sprintf("%d", s+2), Val: pred{prev: key}})
 	}
 	visited := NewShardedMap[pred]()
-	out := Explore(context.Background(), Config{Workers: 3}, visited, 0, "0", pred{}, expand)
+	out := Explore(context.Background(), Config{Workers: 3}, visited, 0, "0", pred{}, noScratch, expand)
 	if !out.Halted {
 		t.Fatal("no halt")
 	}
@@ -135,8 +138,7 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 	key := func(s [2]int) string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
 	run := func(workers int) ([]string, Outcome) {
 		var trace []string
-		expand := func(s [2]int, seen func([]byte) bool) exp {
-			var e exp
+		expand := func(_ struct{}, s [2]int, seen func([]byte) bool, e *exp) {
 			for d := 0; d < 2; d++ {
 				ns := s
 				ns[d]++
@@ -149,9 +151,8 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 				}
 				e.succs = append(e.succs, ns)
 			}
-			return e
 		}
-		commit := func(i int, s [2]int, e exp, adm *Admitter[[2]int]) any {
+		commit := func(i int, s [2]int, e *exp, adm *Admitter[[2]int]) any {
 			adm.AddTransitions(int64(len(e.succs)) + e.dedup)
 			adm.AddDedup(e.dedup)
 			for _, ns := range e.succs {
@@ -159,9 +160,10 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 					trace = append(trace, key(ns))
 				}
 			}
+			e.succs, e.dedup = e.succs[:0], 0
 			return nil
 		}
-		out := Layered(context.Background(), Config{Workers: workers}, [2]int{0, 0}, "0,0", expand, commit)
+		out := Layered(context.Background(), Config{Workers: workers}, [2]int{0, 0}, "0,0", noScratch, expand, commit)
 		return trace, out
 	}
 	base, baseOut := run(1)
@@ -191,8 +193,8 @@ func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
 func TestLayeredHaltFirstInOrder(t *testing.T) {
 	// Two items of the same layer can halt; the lower index must win for
 	// every worker count.
-	expand := func(s int, seen func([]byte) bool) int { return s }
-	commit := func(i int, s int, e int, adm *Admitter[int]) any {
+	expand := func(_ struct{}, s int, seen func([]byte) bool, e *int) { *e = s }
+	commit := func(i int, s int, e *int, adm *Admitter[int]) any {
 		if depthOf(s) == 3 {
 			return fmt.Sprintf("halt-%d", i)
 		}
@@ -201,7 +203,7 @@ func TestLayeredHaltFirstInOrder(t *testing.T) {
 		return nil
 	}
 	for _, workers := range []int{1, 2, 8} {
-		out := Layered(context.Background(), Config{Workers: workers}, 1, "1", expand, commit)
+		out := Layered(context.Background(), Config{Workers: workers}, 1, "1", noScratch, expand, commit)
 		if !out.Halted || out.HaltTag != "halt-0" {
 			t.Errorf("workers=%d: halt tag %v, want halt-0", workers, out.HaltTag)
 		}

@@ -15,8 +15,8 @@ import (
 //
 // The visited set is a plain map with no lock: only the sequential commit
 // phase writes it, and the parallel expansion phase only reads it (through
-// the seen probe), with parMap joining every expansion before the next
-// commit runs.
+// the seen probe), with Each joining every expansion before the next commit
+// runs.
 type Admitter[S any] struct {
 	visited map[string]struct{}
 	cnt     *counters
@@ -81,6 +81,12 @@ func (a *Admitter[S]) AddTransitions(n int64) { a.cnt.transitions.Add(n) }
 // committed results untouched (commit order never depends on worker count).
 const serialBelow = 32
 
+// slotChunk is how many output slots Layered allocates at a time. Growing
+// the slots in fixed chunks never copies or reallocates the slots already
+// made, where a flat slice grown by append allocates several times the
+// peak frontier's worth of slots over a run.
+const slotChunk = 64
+
 // Layered runs a deterministic batched-BFS search. Each layer is expanded
 // in parallel (expand must not mutate state shared between items), then
 // commit is invoked sequentially, in frontier order, with each expansion
@@ -88,6 +94,16 @@ const serialBelow = 32
 // the Admitter, and returns a non-nil halt tag to stop the search (the
 // first in commit order wins — making verdicts, witnesses and stats
 // reproducible across worker counts).
+//
+// Every worker has one scratch value for the run, made by newScratch before
+// the first layer that needs that many workers and handed to each of the
+// worker's expansions; no two expansions ever hold a scratch at once.
+//
+// Each frontier position has one output slot, reused from layer to layer:
+// expand fills it in place and commit reads it. A slot still holds what it
+// was left with by an earlier layer, so commit should reset it once
+// consumed, keeping any capacity worth reusing and dropping references the
+// slot would otherwise keep alive.
 //
 // expand receives a seen probe into the visited set. During a layer's
 // parallel expansion no commits run, so the visited set is frozen: the
@@ -99,12 +115,13 @@ const serialBelow = 32
 //
 // The root must already be "committed" by the caller (its key is admitted
 // here, but no commit call is made for it).
-func Layered[S any, E any](
+func Layered[S, E, W any](
 	ctx context.Context,
 	cfg Config,
 	root S, rootKey string,
-	expand func(s S, seen func([]byte) bool) E,
-	commit func(index int, s S, e E, adm *Admitter[S]) (haltTag any),
+	newScratch func() W,
+	expand func(w W, s S, seen func([]byte) bool, out *E),
+	commit func(index int, s S, out *E, adm *Admitter[S]) (haltTag any),
 ) Outcome {
 	workers := cfg.workers()
 	start := time.Now()
@@ -150,12 +167,17 @@ func Layered[S any, E any](
 		return out
 	}
 
-	// seen runs concurrently inside parMap, while no commit writes the map.
+	// seen runs concurrently inside Each, while no commit writes the map.
 	seen := func(key []byte) bool {
 		_, ok := adm.visited[string(key)]
 		return ok
 	}
 
+	var (
+		scratch []W   // one per worker, grown before the layer that needs it
+		slots   [][]E // one per frontier position, reused across layers
+	)
+	slot := func(i int) *E { return &slots[i/slotChunk][i%slotChunk] }
 	layer := []S{root}
 	depth := 0
 	for len(layer) > 0 {
@@ -174,18 +196,24 @@ func Layered[S any, E any](
 			curLayer.SetAttr("size", len(layer))
 		}
 
-		w := workers
+		n := min(workers, len(layer))
 		if len(layer) < serialBelow {
-			w = 1
+			n = 1
 		}
-		exps := parMap(ctx, w, layer, func(s S) E { return expand(s, seen) })
+		for len(scratch) < n {
+			scratch = append(scratch, newScratch())
+		}
+		for len(slots)*slotChunk < len(layer) {
+			slots = append(slots, make([]E, slotChunk))
+		}
+		Each(ctx, n, len(layer), func(w, i int) { expand(scratch[w], layer[i], seen, slot(i)) })
 		if err := ctxErr(ctx); err != nil {
 			return finish(nil, err)
 		}
 
 		adm.next = adm.next[:0:0]
-		for i, e := range exps {
-			if tag := commit(i, layer[i], e, adm); tag != nil {
+		for i, s := range layer {
+			if tag := commit(i, s, slot(i), adm); tag != nil {
 				return finish(tag, nil)
 			}
 		}
@@ -203,26 +231,22 @@ func Layered[S any, E any](
 	return finish(nil, nil)
 }
 
-// parMap evaluates f over every item of layer using up to `workers`
-// goroutines, load-balanced by an atomic index. Items started after the
-// context fires are skipped (their results are the zero value); the caller
-// re-checks the context before using the results.
-func parMap[S any, E any](ctx context.Context, workers int, layer []S, f func(S) E) []E {
-	out := make([]E, len(layer))
-	if len(layer) == 0 {
-		return out
-	}
-	if workers > len(layer) {
-		workers = len(layer)
-	}
+// Each calls f(w, i) once for every i in [0, n), on up to workers
+// goroutines that take indices from a shared counter, and returns when every
+// call has returned. w is the calling goroutine's index in [0, workers), so
+// calls with the same w never overlap and f may keep per-worker state in a
+// slice indexed by w. Indices not yet started when ctx is cancelled are
+// skipped; the caller re-checks ctx before relying on the results.
+func Each(ctx context.Context, workers, n int, f func(w, i int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		for i, s := range layer {
+		for i := 0; i < n; i++ {
 			if ctxErr(ctx) != nil {
-				return out
+				return
 			}
-			out[i] = f(s)
+			f(0, i)
 		}
-		return out
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -232,15 +256,14 @@ func parMap[S any, E any](ctx context.Context, workers int, layer []S, f func(S)
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(layer) || ctxErr(ctx) != nil {
+				if i >= n || ctxErr(ctx) != nil {
 					return
 				}
-				out[i] = f(layer[i])
+				f(w, i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 func ctxErr(ctx context.Context) error {

@@ -11,8 +11,8 @@ import (
 )
 
 // chainExpand builds a linear state space 0 → 1 → … → n.
-func chainExpand(n int) func(int, string, []Succ[int, struct{}]) []Succ[int, struct{}] {
-	return func(s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+func chainExpand(n int) func(struct{}, int, string, []Succ[int, struct{}]) []Succ[int, struct{}] {
+	return func(_ struct{}, s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
 		if s >= n {
 			return buf
 		}
@@ -30,17 +30,19 @@ func TestFinalProgressEqualsOutcomeStats(t *testing.T) {
 		Progress:      func(s Stats) { last = s },
 		ProgressEvery: time.Millisecond,
 	}
-	out := Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, chainExpand(200))
+	out := Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, noScratch, chainExpand(200))
 	if last != out.Stats {
 		t.Errorf("Explore: final progress %+v != outcome stats %+v", last, out.Stats)
 	}
 
 	last = Stats{}
-	lout := Layered(context.Background(), cfg, 0, "0",
-		func(s int, seen func([]byte) bool) []Succ[int, struct{}] { return chainExpand(200)(s, "", nil) },
-		func(i int, s int, succs []Succ[int, struct{}], adm *Admitter[int]) any {
-			adm.AddTransitions(int64(len(succs)))
-			for _, sc := range succs {
+	lout := Layered(context.Background(), cfg, 0, "0", noScratch,
+		func(_ struct{}, s int, seen func([]byte) bool, succs *[]Succ[int, struct{}]) {
+			*succs = chainExpand(200)(struct{}{}, s, "", (*succs)[:0])
+		},
+		func(i int, s int, succs *[]Succ[int, struct{}], adm *Admitter[int]) any {
+			adm.AddTransitions(int64(len(*succs)))
+			for _, sc := range *succs {
 				adm.Add(sc.Key, sc.State)
 			}
 			return nil
@@ -60,12 +62,14 @@ func TestEngineTraceAndMetrics(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := Config{Workers: 2, Trace: root, Metrics: reg}
 		if driver == "explore" {
-			Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, chainExpand(50))
+			Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, noScratch, chainExpand(50))
 		} else {
-			Layered(context.Background(), cfg, 0, "0",
-				func(s int, seen func([]byte) bool) []Succ[int, struct{}] { return chainExpand(50)(s, "", nil) },
-				func(i int, s int, succs []Succ[int, struct{}], adm *Admitter[int]) any {
-					for _, sc := range succs {
+			Layered(context.Background(), cfg, 0, "0", noScratch,
+				func(_ struct{}, s int, seen func([]byte) bool, succs *[]Succ[int, struct{}]) {
+					*succs = chainExpand(50)(struct{}{}, s, "", (*succs)[:0])
+				},
+				func(i int, s int, succs *[]Succ[int, struct{}], adm *Admitter[int]) any {
+					for _, sc := range *succs {
 						adm.Add(sc.Key, sc.State)
 					}
 					return nil

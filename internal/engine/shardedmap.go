@@ -2,7 +2,7 @@
 // behind both the simplified-semantics fixpoint (internal/simplified) and
 // the concrete RA instance explorer (internal/ra).
 //
-// It offers two drivers over a common worker pool:
+// It offers two drivers:
 //
 //   - Explore: a free-order batched frontier with work sharing between N
 //     goroutines over a sharded, lock-striped canonical-state hash set.
@@ -13,11 +13,17 @@
 //     expanded in parallel, but expansion results are committed strictly in
 //     frontier order, so verdicts, witnesses, and all order-sensitive
 //     bookkeeping are bit-identical for every worker count. Its visited set
-//     is a plain map: the sequential commit is its only writer.
+//     is a plain map: the sequential commit is its only writer. Expansion
+//     results go to one output slot per frontier position, reused from
+//     layer to layer.
 //
-// Both honor context cancellation and deadlines, cap the number of admitted
-// states, merge per-worker statistics, and report progress via an optional
-// callback.
+// Both own their workers: each worker gets one caller-made scratch value for
+// the run, handed to every expansion it runs. Both honor context
+// cancellation and deadlines, cap the number of admitted states, merge
+// per-worker statistics, and report progress via an optional callback.
+// Each, the worker loop under Layered, and Tick, the drivers' progress
+// ticker, also serve callers that only need independent items evaluated in
+// parallel.
 package engine
 
 import (

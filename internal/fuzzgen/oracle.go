@@ -229,10 +229,10 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		} else {
 			dopts := base
 			dopts.Datalog = true
-			// Ground with abstract-value hints (but no verdict fast path in
-			// front): every seed then differentially checks the hinted
-			// encoding against the fixpoint reference.
-			dopts.DatalogHints = true
+			// The Datalog backend always grounds with abstract-value hints,
+			// and base runs no prepass in front of it: every seed then
+			// differentially checks the hinted encoding against the
+			// fixpoint reference.
 			dRes, dErr := paramra.Verify(ctx, work, dopts)
 			dl.Ran = true
 			dl.Unsafe = applyFault(BackendDatalog, dRes.Unsafe)

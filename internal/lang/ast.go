@@ -21,6 +21,19 @@ import (
 // arbitrary finite domain; we use a prefix {0, …, n-1} of the integers.
 type Val int
 
+// Norm maps an arbitrary integer into the data domain {0,…,dom-1}. The paper
+// requires expression interpretations ⟦e⟧ : Dom^n → Dom; every engine and
+// analysis realizes this by reducing results modulo the domain size whenever
+// a value is committed to a register or to memory. A dom <= 0 leaves v
+// unchanged.
+func (v Val) Norm(dom int) Val {
+	d := Val(dom)
+	if d <= 0 {
+		return v
+	}
+	return ((v % d) + d) % d
+}
+
 // RegID indexes a thread-local register within a Program's register table.
 type RegID int
 

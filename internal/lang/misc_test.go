@@ -114,3 +114,30 @@ func TestExprEvalUnknownOps(t *testing.T) {
 		t.Errorf("unknown binary = %d", got)
 	}
 }
+
+func TestValNorm(t *testing.T) {
+	const dom = 5
+	for _, tc := range []struct {
+		v    Val
+		dom  int
+		want Val
+	}{
+		{-1, dom, 4},
+		{-dom, dom, 0},
+		{-2*dom - 3, dom, 2},
+		{0, dom, 0},
+		{dom - 1, dom, dom - 1},
+		{dom, dom, 0},
+		{2*dom + 1, dom, 1},
+		{0, 1, 0},
+		{-7, 1, 0},
+		// A non-positive domain leaves the value alone.
+		{-3, 0, -3},
+		{7, 0, 7},
+		{7, -2, 7},
+	} {
+		if got := tc.v.Norm(tc.dom); got != tc.want {
+			t.Errorf("Val(%d).Norm(%d) = %d, want %d", tc.v, tc.dom, got, tc.want)
+		}
+	}
+}

@@ -55,11 +55,9 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 	var exampleKey string
 
 	visited := engine.NewShardedMap[struct{}]()
-	var pool scratchPool
 
-	expand := func(s *State, key string, buf []engine.Succ[*State, struct{}]) []engine.Succ[*State, struct{}] {
+	expand := func(sc *scratch, s *State, key string, buf []engine.Succ[*State, struct{}]) []engine.Succ[*State, struct{}] {
 		out := buf
-		sc := pool.get()
 		sink := true
 		inst.eachSucc(s, sc, func(st step) bool {
 			sink = false
@@ -79,7 +77,6 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 			})
 			return true
 		})
-		pool.put(sc)
 		if sink {
 			stuck := inst.stuckThreads(s)
 			mu.Lock()
@@ -105,7 +102,7 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 		Trace:     lim.Trace,
 		SpanName:  "deadlock-scan",
 		Metrics:   lim.Metrics,
-	}, visited, init, init.Key(), struct{}{}, expand)
+	}, visited, init, init.Key(), struct{}{}, newScratch, expand)
 
 	rep.Complete = out.Complete
 	return rep

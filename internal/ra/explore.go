@@ -96,11 +96,9 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	init := inst.InitState()
 	initKey := inst.stateKey(init, lim.Symmetry)
 	visited := engine.NewShardedMap[backEdge]()
-	var pool scratchPool
 
-	expand := func(s *State, key string, buf []engine.Succ[*State, backEdge]) []engine.Succ[*State, backEdge] {
+	expand := func(sc *scratch, s *State, key string, buf []engine.Succ[*State, backEdge]) []engine.Succ[*State, backEdge] {
 		out := buf
-		sc := pool.get()
 		inst.eachSucc(s, sc, func(st step) bool {
 			if st.assert() {
 				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: st})
@@ -119,7 +117,6 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 			})
 			return true
 		})
-		pool.put(sc)
 		return out
 	}
 
@@ -130,7 +127,7 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 		Trace:     lim.Trace,
 		SpanName:  "concrete-explore",
 		Metrics:   lim.Metrics,
-	}, visited, init, initKey, backEdge{}, expand)
+	}, visited, init, initKey, backEdge{}, newScratch, expand)
 
 	res := Result{
 		Unsafe:      out.Halted,

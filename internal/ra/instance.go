@@ -96,12 +96,3 @@ func (inst *Instance) InitState() *State {
 	}
 	return s
 }
-
-// norm maps an arbitrary integer into the data domain {0,…,Dom-1}. The paper
-// requires expression interpretations ⟦e⟧ : Dom^n → Dom; we realize this by
-// reducing results modulo the domain size whenever a value is committed to a
-// register or to memory.
-func (inst *Instance) norm(v lang.Val) lang.Val {
-	d := lang.Val(inst.Sys.Dom)
-	return ((v % d) + d) % d
-}

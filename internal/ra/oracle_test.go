@@ -285,7 +285,8 @@ func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 	key := func(s *ra.State) string { return refKey(s, lim.Symmetry, inst.NumEnv()) }
 	initKey := key(init)
 	visited := engine.NewShardedMap[refEdge]()
-	expand := func(s *ra.State, k string, buf []engine.Succ[*ra.State, refEdge]) []engine.Succ[*ra.State, refEdge] {
+	noScratch := func() struct{} { return struct{}{} }
+	expand := func(_ struct{}, s *ra.State, k string, buf []engine.Succ[*ra.State, refEdge]) []engine.Succ[*ra.State, refEdge] {
 		out := buf
 		for _, succ := range refSuccessors(inst, s) {
 			if succ.Event.Assert {
@@ -303,7 +304,7 @@ func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 	}
 	out := engine.Explore(context.Background(), engine.Config{
 		Workers: lim.Workers, MaxStates: lim.MaxStates,
-	}, visited, init, initKey, refEdge{}, expand)
+	}, visited, init, initKey, refEdge{}, noScratch, expand)
 	res := ra.Result{
 		Unsafe:      out.Halted,
 		States:      int(out.Stats.States),

@@ -1,16 +1,16 @@
 package ra
 
 import (
-	"sync"
-
 	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
 
-// scratch is a successor workspace owned by one exploring goroutine. It
-// holds the successor eachSucc has just built, in one of two forms, plus the
-// buffers and key encoders behind it. Once the buffers have grown to the
-// instance's size, building a successor and its key allocates nothing.
+// scratch is a successor workspace owned by one exploring goroutine: the
+// engine makes one per worker (newScratch) and hands it to every expansion
+// the worker runs. It holds the successor eachSucc has just built, in one of
+// two forms, plus the buffers and key encoders behind it. Once the buffers
+// have grown to the instance's size, building a successor and its key
+// allocates nothing.
 //
 //   - A thread-local step (nop, assume, assert, assign, load) changes only
 //     its own thread: the successor is the parent with thread ti replaced by
@@ -49,6 +49,8 @@ type scratch struct {
 	// thKey is the encoding of th.
 	thKey engine.KeyEnc
 }
+
+func newScratch() *scratch { return new(scratch) }
 
 // begin starts the expansion of s.
 func (sc *scratch) begin(s *State) {
@@ -160,32 +162,4 @@ func (inst *Instance) keyInto(sc *scratch, symmetry bool) {
 	for i := first; i < len(p.Threads); i++ {
 		sc.enc.Raw(section(i))
 	}
-}
-
-// scratchPool hands each exploring goroutine a scratch workspace for the
-// duration of one expansion; its buffers survive between expansions, so
-// steady-state expansion allocates only for successors not seen before. A
-// plain free list rather than a sync.Pool: a run outlives many GC cycles,
-// each of which would empty a sync.Pool and re-grow the buffers.
-type scratchPool struct {
-	mu   sync.Mutex
-	free []*scratch
-}
-
-func (sp *scratchPool) get() *scratch {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if n := len(sp.free); n > 0 {
-		sc := sp.free[n-1]
-		sp.free = sp.free[:n-1]
-		return sc
-	}
-	return new(scratch)
-}
-
-func (sp *scratchPool) put(sc *scratch) {
-	sc.parent = nil // a parked scratch must not keep an expanded state alive
-	sp.mu.Lock()
-	sp.free = append(sp.free, sc)
-	sp.mu.Unlock()
 }

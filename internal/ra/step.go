@@ -100,7 +100,7 @@ func (inst *Instance) eachSucc(s *State, sc *scratch, yield func(step) bool) boo
 
 			case lang.OpAssign:
 				sc.setLocal(ti, e.To)
-				sc.th.Regs[e.Op.Reg] = inst.norm(e.Op.E.Eval(th.Regs))
+				sc.th.Regs[e.Op.Reg] = e.Op.E.Eval(th.Regs).Norm(inst.Sys.Dom)
 				if !yield(st) {
 					return false
 				}
@@ -122,7 +122,7 @@ func (inst *Instance) eachSucc(s *State, sc *scratch, yield func(step) bool) boo
 			case lang.OpStore:
 				// ST: insert at any unsealed gap strictly after the view.
 				v := e.Op.Var
-				d := inst.norm(e.Op.E.Eval(th.Regs))
+				d := e.Op.E.Eval(th.Regs).Norm(inst.Sys.Dom)
 				for pos := th.View[v] + 1; pos <= len(s.Mem[v]); pos++ {
 					if s.Mem[v][pos-1].Sealed {
 						continue
@@ -146,8 +146,8 @@ func (inst *Instance) eachSucc(s *State, sc *scratch, yield func(step) bool) boo
 				// CAS: read a matching message, write immediately after it, and
 				// seal the gap so the pair stays adjacent forever.
 				v := e.Op.Var
-				expect := inst.norm(e.Op.E.Eval(th.Regs))
-				newVal := inst.norm(e.Op.E2.Eval(th.Regs))
+				expect := e.Op.E.Eval(th.Regs).Norm(inst.Sys.Dom)
+				newVal := e.Op.E2.Eval(th.Regs).Norm(inst.Sys.Dom)
 				for pos := th.View[v]; pos < len(s.Mem[v]); pos++ {
 					msg := &s.Mem[v][pos]
 					if msg.Val != expect || msg.Sealed {

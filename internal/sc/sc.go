@@ -90,11 +90,6 @@ func (inst *Instance) InitState() *State {
 	return s
 }
 
-func (inst *Instance) norm(v lang.Val) lang.Val {
-	d := lang.Val(inst.Sys.Dom)
-	return ((v % d) + d) % d
-}
-
 // Succ is a successor with its event.
 type Succ struct {
 	State *State
@@ -130,16 +125,16 @@ func (inst *Instance) Successors(s *State) []Succ {
 				ev.Assert = true
 				step(nil)
 			case lang.OpAssign:
-				d := inst.norm(e.Op.E.Eval(th.Regs))
+				d := e.Op.E.Eval(th.Regs).Norm(inst.Sys.Dom)
 				step(func(ns *State) { ns.Threads[ti].Regs[e.Op.Reg] = d })
 			case lang.OpLoad:
 				step(func(ns *State) { ns.Threads[ti].Regs[e.Op.Reg] = ns.Mem[e.Op.Var] })
 			case lang.OpStore:
-				d := inst.norm(e.Op.E.Eval(th.Regs))
+				d := e.Op.E.Eval(th.Regs).Norm(inst.Sys.Dom)
 				step(func(ns *State) { ns.Mem[e.Op.Var] = d })
 			case lang.OpCASOp:
-				expect := inst.norm(e.Op.E.Eval(th.Regs))
-				newVal := inst.norm(e.Op.E2.Eval(th.Regs))
+				expect := e.Op.E.Eval(th.Regs).Norm(inst.Sys.Dom)
+				newVal := e.Op.E2.Eval(th.Regs).Norm(inst.Sys.Dom)
 				if s.Mem[e.Op.Var] == expect {
 					step(func(ns *State) { ns.Mem[e.Op.Var] = newVal })
 				}

@@ -55,7 +55,7 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 
 			case lang.OpAssign:
 				mv.next.Regs = cfg.cloneRegs()
-				mv.next.Regs[e.Op.Reg] = v.norm(e.Op.E.Eval(cfg.Regs))
+				mv.next.Regs[e.Op.Reg] = e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
 				if !yield(mv) {
 					return
 				}
@@ -78,7 +78,7 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 
 			case lang.OpStore:
 				x := e.Op.Var
-				d := v.norm(e.Op.E.Eval(cfg.Regs))
+				d := e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
 				for t := 1; t <= v.budget[x]; t++ {
 					if Int(t) <= cfg.View[x] || !st.mem.Free(x, t) {
 						continue
@@ -120,8 +120,8 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 	v := ex.v
 	mv := &ex.mv
 	x := e.Op.Var
-	expect := v.norm(e.Op.E.Eval(cfg.Regs))
-	newVal := v.norm(e.Op.E2.Eval(cfg.Regs))
+	expect := e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
+	newVal := e.Op.E2.Eval(cfg.Regs).Norm(v.sys.Dom)
 
 	// move yields the CAS that reads m (whose key is mk) and stores at t.
 	move := func(m AMsg, mk string, t int) bool {

@@ -3,7 +3,6 @@ package simplified
 import (
 	"context"
 	"runtime"
-	"sync"
 	"time"
 
 	"paramra/internal/engine"
@@ -19,11 +18,10 @@ import (
 // by keyEnds) rather than interned strings: commit admits via AddBytes, so a
 // key is converted to a string only when its state is genuinely new.
 //
-// The engine buffers a whole layer's outputs until the sequential commit
-// phase, so an expOut holds only what commit genuinely needs; the heavy
-// saturation scratch stays on the exec, which is released as soon as the
-// expansion ends. Outputs are recycled through a run-scoped outCache so the
-// arenas' capacity survives across layers.
+// The engine keeps one expOut per frontier position and reuses it from
+// layer to layer, so the arenas' capacity survives across layers. It holds
+// only what commit genuinely needs; the heavy saturation scratch stays on
+// the worker's exec.
 type expOut struct {
 	succs     []*state
 	keyBuf    []byte
@@ -46,49 +44,21 @@ func (o *expOut) pushSucc(ns *state, key []byte) {
 	o.keyEnds = append(o.keyEnds, int32(len(o.keyBuf)))
 }
 
-// outCache recycles expansion outputs within one run. Commit returns each
-// output after consuming it, so the cache's steady-state size is the number
-// of outputs the engine holds between an expansion finishing and its commit
-// running — bounded by the largest frontier, but each entry is small (slice
-// headers plus key bytes), unlike a full exec.
-type outCache struct {
-	mu   sync.Mutex
-	free []*expOut
-}
-
-func (c *outCache) get() *expOut {
-	c.mu.Lock()
-	n := len(c.free)
-	if n == 0 {
-		c.mu.Unlock()
-		return &expOut{}
-	}
-	o := c.free[n-1]
-	c.free[n-1] = nil
-	c.free = c.free[:n-1]
-	c.mu.Unlock()
-	return o
-}
-
-func (c *outCache) put(o *expOut) {
+// reset empties a committed output for its next layer. It drops every
+// state pointer, so a slot that no frontier position reaches again does not
+// keep admitted macro-states alive, and keeps the arenas and the cleared
+// overlay (handOff swaps it back onto the next expansion's exec).
+func (o *expOut) reset() {
 	clear(o.succs)
 	o.succs = o.succs[:0]
 	o.keyBuf = o.keyBuf[:0]
 	o.keyEnds = o.keyEnds[:0]
 	o.stats = Stats{}
-	// Keep the (cleared) overlay map and order slice: handOff swaps them
-	// back onto the next exec, so overlay storage round-trips between the
-	// two caches instead of being reallocated per expansion.
-	if o.msgLogs != nil {
-		clear(o.msgLogs)
-	}
-	clear(o.msgOrder[:cap(o.msgOrder)])
+	clear(o.msgLogs)
+	clear(o.msgOrder)
 	o.msgOrder = o.msgOrder[:0]
 	o.viol, o.violState = nil, nil
 	o.preDedup = 0
-	c.mu.Lock()
-	c.free = append(c.free, o)
-	c.mu.Unlock()
 }
 
 // VerifyContext runs the macro-state search — saturate env behaviour,
@@ -160,8 +130,6 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 	}
 
 	global := newExec(v, nil)
-	cache := &execCache{}
-	outs := &outCache{}
 	init := v.initState()
 
 	satSpan := span.Child("init-saturate")
@@ -193,21 +161,21 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 
 	var unsafeRes *Result
 
-	expand := func(st *state, seen func([]byte) bool) *expOut {
-		// Private exec: reads the frozen global provenance, writes locally.
+	newScratch := func() *exec { return newExec(v, nil) }
+	expand := func(ex *exec, st *state, seen func([]byte) bool, o *expOut) {
+		// The worker's exec reads the frozen global provenance and writes
+		// locally. Its base is re-read here, since the global map is
+		// allocated by the first commit that records provenance.
 		// checkGoalDis never needs a same-layer sibling's record — any dis
 		// message in st's memory was stored either on st's own path (already
 		// merged into the global map when st was admitted in an earlier
-		// layer) or by this very expansion. The exec is released at the end
-		// of this function (handOff), so the number of live execs tracks the
-		// in-flight expansions, not the layer size.
-		ex := cache.get(v, global.msgLogs)
-		o := outs.get()
+		// layer) or by this very expansion.
+		ex.base = global.msgLogs
 		succs, viol := ex.disSuccessors(st)
 		if viol != nil {
 			o.viol, o.violState = viol, st
-			ex.handOff(o, cache)
-			return o
+			ex.handOff(o)
+			return
 		}
 		enc := &ex.enc
 		suffix := ex.sufBuf[:0] // parent's mem+env key suffix, filled lazily
@@ -257,8 +225,7 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 			o.pushSucc(ns, enc.Bytes())
 		}
 		ex.sufBuf = suffix[:0]
-		ex.handOff(o, cache)
-		return o
+		ex.handOff(o)
 	}
 
 	commit := func(i int, st *state, o *expOut, adm *engine.Admitter[*state]) any {
@@ -281,7 +248,7 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 			lo = hi
 		}
 		viol, violState := o.viol, o.violState
-		outs.put(o)
+		o.reset()
 		if viol != nil {
 			// Re-resolve provenance against the merged map so an earlier
 			// commit's first derivation wins, exactly as sequentially.
@@ -302,7 +269,7 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 		Progress:  v.opts.Progress,
 		Trace:     span,
 		Metrics:   v.opts.Metrics,
-	}, init, init.key(), expand, commit)
+	}, init, init.key(), newScratch, expand, commit)
 
 	if unsafeRes != nil {
 		res := *unsafeRes

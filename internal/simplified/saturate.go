@@ -117,7 +117,7 @@ func (ex *exec) saturate(st *state) *Violation {
 
 			case lang.OpAssign:
 				regs := cfg.cloneRegs()
-				regs[e.Op.Reg] = v.norm(e.Op.E.Eval(cfg.Regs))
+				regs[e.Op.Reg] = e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
 				ex.satAddConfig(st, AThread{PC: e.To, Regs: regs, View: cfg.View, Log: cfg.Log})
 
 			case lang.OpLoad:
@@ -132,7 +132,7 @@ func (ex *exec) saturate(st *state) *Violation {
 
 			case lang.OpStore:
 				x := e.Op.Var
-				d := v.norm(e.Op.E.Eval(cfg.Regs))
+				d := e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
 				view := cfg.View.Clone()
 				view[x] = Plus(cfg.View[x].Floor())
 				msg := AMsg{Var: x, TS: view[x], Val: d, View: view, Env: true}

@@ -3,7 +3,6 @@ package simplified
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"paramra/internal/engine"
 	"paramra/internal/lang"
@@ -190,11 +189,6 @@ func New(sys *lang.System, opts Options) (*Verifier, error) {
 // the Datalog encoder).
 func (v *Verifier) Budget() []int { return append([]int(nil), v.budget...) }
 
-func (v *Verifier) norm(val lang.Val) lang.Val {
-	d := lang.Val(v.sys.Dom)
-	return ((val % d) + d) % d
-}
-
 // initState builds the initial macro-state and saturates it.
 func (v *Verifier) initState() *state {
 	nv := len(v.sys.Vars)
@@ -221,10 +215,10 @@ func (v *Verifier) initState() *state {
 
 // exec is the mutable context of one expansion: per-expansion statistics
 // plus a dis-message provenance overlay. A run's global exec has base ==
-// nil, and its msgLogs is the global map; VerifyContext gives every
-// macro-state expansion its own exec whose base is the frozen global map,
-// and merges the overlay back in deterministic frontier order between
-// layers.
+// nil, and its msgLogs is the global map; VerifyContext gives every engine
+// worker its own exec for the run, points its base at the frozen global map
+// before each expansion, and merges the overlay back in deterministic
+// frontier order between layers.
 type exec struct {
 	v     *Verifier
 	stats Stats
@@ -241,9 +235,9 @@ type exec struct {
 	satWork   []string
 	satInWork map[string]bool
 	ltBuf     []loadTarget
-	// outBuf backs disSuccessors' result slice; it is consumed before the
-	// exec is released. Successor states escape into the next layer — only
-	// the slice header is recycled.
+	// outBuf backs disSuccessors' result slice; it is consumed within the
+	// expansion. Successor states escape into the next layer — only the
+	// slice header is recycled.
 	outBuf []*state
 	// mv is the move eachDisMove fills and yields.
 	mv disMove
@@ -268,79 +262,15 @@ func newExec(v *Verifier, base map[string]DisGen) *exec {
 	return &exec{v: v, base: base}
 }
 
-// execCache recycles the per-expansion execs of one parallel run so their
-// saturation scratch (worklist, membership map, load-target buffer, state
-// freelist, key encoders) is reused across expansions instead of re-grown
-// from zero in every one. It is a run-scoped mutex-guarded stack rather
-// than a global sync.Pool on purpose: pools are emptied on every GC cycle,
-// and the exploration allocates enough to cycle the GC dozens of times per
-// run — each dump would force every expansion to regrow all of its scratch.
-// The engine keeps a whole layer's execs live until the sequential commit
-// phase, so the stack must hold up to peak-frontier execs; scoping it to
-// the run releases all of them when the search returns. At one lock
-// round-trip per macro-state expansion the mutex is far off the critical
-// path.
-type execCache struct {
-	mu   sync.Mutex
-	free []*exec
-}
-
-func (c *execCache) get(v *Verifier, base map[string]DisGen) *exec {
-	var ex *exec
-	c.mu.Lock()
-	if n := len(c.free); n > 0 {
-		ex = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	}
-	c.mu.Unlock()
-	if ex == nil {
-		ex = new(exec)
-	}
-	ex.v, ex.base = v, base
-	return ex
-}
-
-// put returns an exec to the cache after its expansion has handed off its
-// overlay (see handOff). Only expansion execs may be returned: a global
-// exec outlives the run inside Violation.DisMsgLogs.
-func (c *execCache) put(ex *exec) {
-	ex.stats = Stats{}
-	if ex.msgLogs != nil {
-		clear(ex.msgLogs)
-	}
-	// Zero the pointers parked in the scratch buffers: a cached exec may
-	// sit idle for a while, and a stale pointer would keep a dead
-	// macro-state, an interned key, or a read log alive across GC cycles.
-	clear(ex.msgOrder[:cap(ex.msgOrder)])
-	ex.msgOrder = ex.msgOrder[:0]
-	clear(ex.satWork[:cap(ex.satWork)])
-	ex.satWork = ex.satWork[:0]
-	clear(ex.outBuf)
-	ex.outBuf = ex.outBuf[:0]
-	clear(ex.ltBuf[:cap(ex.ltBuf)])
-	ex.mv = disMove{}
-	ex.v, ex.base = nil, nil
-	c.mu.Lock()
-	c.free = append(c.free, ex)
-	c.mu.Unlock()
-}
-
 // handOff moves the expansion's result — stats and provenance overlay —
-// onto its output and releases the exec back to the run cache. Releasing at
-// the end of the expansion (not at commit) keeps the number of live execs
-// bounded by the in-flight expansions, not by the layer size: the engine
-// holds a whole layer's outputs until the sequential commit phase, and the
-// heavyweight saturation scratch must not be held hostage with them.
-func (ex *exec) handOff(o *expOut, c *execCache) {
+// onto its output slot. The overlays are swapped rather than nulled: the
+// slot carries the map/order pair its last commit cleared, which becomes
+// this worker's overlay scratch for its next expansion.
+func (ex *exec) handOff(o *expOut) {
 	o.stats = ex.stats
-	// Swap overlays rather than null them: a recycled output carries a
-	// cleared map/order pair from its last round trip, which becomes the
-	// next expansion's overlay scratch.
 	o.msgLogs, ex.msgLogs = ex.msgLogs, o.msgLogs
 	o.msgOrder, ex.msgOrder = ex.msgOrder, o.msgOrder
 	ex.stats = Stats{}
-	c.put(ex)
 }
 
 // cloneState is state.clone drawing the struct from the exec's freelist

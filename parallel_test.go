@@ -92,8 +92,8 @@ func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 					t.Errorf("iter %d: env-thread bound %d vs %d",
 						i, res.EnvThreadBound, base.EnvThreadBound)
 				}
-				if base.DecidedBy == "fixpoint" && !reflect.DeepEqual(res.Witness, base.Witness) {
-					t.Errorf("iter %d: fixpoint witness %v vs %v", i, res.Witness, base.Witness)
+				if !reflect.DeepEqual(res.Witness, base.Witness) {
+					t.Errorf("iter %d: %s witness %v vs %v", i, res.DecidedBy, res.Witness, base.Witness)
 				}
 			}
 		})

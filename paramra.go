@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,17 +143,13 @@ type Options struct {
 	// outside the decidable fragment), UNSAFE witnesses are concrete
 	// replays. See Prepass for the standalone entry point.
 	Prepass bool
-	// DatalogHints grounds the Datalog encoding with abstract-value register
-	// hints even when Prepass is off — the fuzz oracle uses it to exercise
-	// the hinted grounding without the verdict fast path in front of it.
-	// Prepass implies it.
-	DatalogHints bool
 	// MaxSkeletons caps dis-run enumeration for the Datalog backend
 	// (0 = the default cap of 100,000 skeletons).
 	MaxSkeletons int
 	// Parallelism is the number of worker goroutines (0 = GOMAXPROCS).
 	// Verdicts, witnesses and §4.3 bounds of the fixpoint backend are
-	// identical for every value.
+	// identical for every value. The prepass replay always runs on one
+	// worker.
 	Parallelism int
 	// Progress, when non-nil, receives periodic statistics snapshots from a
 	// dedicated goroutine while a search runs. The last emission, sent just
@@ -510,25 +505,24 @@ func DatalogInstances(ctx context.Context, sys *System, opts Options) ([]*encode
 	if opts.MaxSkeletons == 0 {
 		opts.MaxSkeletons = defaultMaxSkeletons
 	}
-	// With the prepass on, the abstract value sets double as grounding
-	// hints: registers range only over the values they can hold at each env
-	// PC, shrinking the instances without changing derivability. The facts
-	// must describe the exact system encoded (post-unroll), so they are
-	// recomputed here, not reused from the verdict prepass.
+	// The abstract value sets double as grounding hints: registers range
+	// only over the values they can hold at each env PC, shrinking the
+	// instances without changing derivability. The facts must describe the
+	// exact system encoded (post-unroll), so they are computed here, not
+	// reused from the verdict prepass.
 	var hints encode.Hints
-	if opts.Prepass || opts.DatalogHints {
-		if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
-			hints = ef
-		}
+	if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
+		hints = ef
 	}
 	return encode.All(ctx, sys, opts.MaxSkeletons, hints)
 }
 
 // verifyDatalog runs the makeP → Datalog backend: one query instance per
 // dis-run skeleton, evaluated ∃-style (first derivable goal wins). The
-// instances are independent, so they are evaluated by Parallelism workers;
-// the verdict is deterministic regardless. Stats.Wall and Stats.Workers are
-// populated on every path, including encoding errors and cancellation.
+// instances are independent, so engine.Each evaluates them on Parallelism
+// workers; the verdict is deterministic regardless. Stats.Wall and
+// Stats.Workers are populated on every path, including encoding errors and
+// cancellation.
 func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
 	if opts.Goal != nil {
 		return res, errors.New("paramra: the Datalog backend supports assert-reachability only")
@@ -604,67 +598,38 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		s.Workers = workers
 		return s
 	}
-	var stopProg chan struct{}
+	stopProgress := func() {}
 	if opts.Progress != nil {
-		stopProg = make(chan struct{})
-		go func() {
-			tick := time.NewTicker(500 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProg:
-					return
-				case <-tick.C:
-					opts.Progress(snapshot())
-				}
-			}
-		}()
+		stopProgress = engine.Tick(500*time.Millisecond, func() { opts.Progress(snapshot()) })
 	}
 
 	eval := dspan.Child("datalog-eval")
-	var (
-		next      atomic.Int64
-		unsafeHit atomic.Bool
-		wg        sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ps) || cctx.Err() != nil {
-					return
-				}
-				var t0 time.Time
-				if hInst != nil {
-					t0 = time.Now()
-				}
-				// Context-aware query: cancellation (deadline or another
-				// worker's unsafe hit) aborts a long evaluation mid-round
-				// instead of letting it run to fixpoint. A true answer from
-				// an aborted run is still a valid derivation.
-				hit, st, _ := datalog.QueryCtx(cctx, ps[i].Prog, ps[i].Goal, roundHook)
-				if hInst != nil {
-					hInst.Observe(int64(time.Since(t0)))
-				}
-				rounds.Add(int64(st.Rounds))
-				atoms.Add(int64(st.Atoms))
-				instances.Add(1)
-				cInst.Inc()
-				cRounds.Add(int64(st.Rounds))
-				cAtoms.Add(int64(st.Atoms))
-				if hit {
-					unsafeHit.Store(true)
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if stopProg != nil {
-		close(stopProg)
-	}
+	var unsafeHit atomic.Bool
+	engine.Each(cctx, workers, len(ps), func(_, i int) {
+		var t0 time.Time
+		if hInst != nil {
+			t0 = time.Now()
+		}
+		// Context-aware query: cancellation (deadline or another worker's
+		// unsafe hit) aborts a long evaluation mid-round instead of letting
+		// it run to fixpoint. A true answer from an aborted run is still a
+		// valid derivation.
+		hit, st, _ := datalog.QueryCtx(cctx, ps[i].Prog, ps[i].Goal, roundHook)
+		if hInst != nil {
+			hInst.Observe(int64(time.Since(t0)))
+		}
+		rounds.Add(int64(st.Rounds))
+		atoms.Add(int64(st.Atoms))
+		instances.Add(1)
+		cInst.Inc()
+		cRounds.Add(int64(st.Rounds))
+		cAtoms.Add(int64(st.Atoms))
+		if hit {
+			unsafeHit.Store(true)
+			cancel()
+		}
+	})
+	stopProgress()
 	res.Stats.FixpointRounds = int(rounds.Load())
 	res.Stats.DatalogAtoms = int(atoms.Load())
 	res.Unsafe = unsafeHit.Load()

@@ -33,6 +33,9 @@ type PrepassOutcome = absint.Outcome
 // confirmed by a bounded concrete replay under the full RA semantics.
 // Inconclusive verdicts carry the reason the fast paths did not fire.
 //
+// The replay runs on one worker whatever Options.Parallelism says, so an
+// UNSAFE witness is the same on every run.
+//
 // Verify runs this automatically when Options.Prepass is set; the separate
 // entry point serves callers that want the abstract analysis itself (e.g.
 // value-set reports) or a decision without ever falling back to a search.
@@ -63,7 +66,6 @@ func prepass(ctx context.Context, sys *System, opts Options, span *obs.Span) (Pr
 	if opts.MaxStates > 0 {
 		aopts.MaxReplayStates = min(opts.MaxStates, absint.DefaultMaxReplayStates)
 	}
-	aopts.Workers = opts.Parallelism
 	out, err := absint.Prepass(ctx, sys, aopts)
 	if span != nil {
 		span.SetAttr("verdict", out.Verdict.String())

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench-allocs.sh [fixpoint-budget [replay-budget]]
 #
-# Runs four benchmarks with -benchmem and fails when any one's allocs/op
+# Runs five benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
 # machine-independent (they vary only slightly with worker scheduling), so
 # this gate needs no calibration: it directly catches a change that
@@ -28,6 +28,11 @@
 #       (29.1k allocs/op; ~27.0k on the value sets). Value sets that stop
 #       sharing their small singletons, or register vectors copied on every
 #       join, show up here first.
+#   BenchmarkDatalogVerify  the makeP → Datalog backend end to end, on
+#       ticketlock at two workers: all 72 query instances are evaluated,
+#       so the count does not depend on scheduling. Fixed budget ~1.5x its
+#       cost when the instances moved onto engine.Each (~0.30M allocs/op).
+#       Per-fact keys or per-instance rebuilt tables show up here first.
 set -eu
 
 FIXPOINT_BUDGET="${1:-1200000}"
@@ -56,3 +61,4 @@ gate BenchmarkVerifyParallel/peterson/j=8 "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000
+gate BenchmarkDatalogVerify 450000
