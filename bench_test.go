@@ -21,6 +21,7 @@ import (
 	"paramra/internal/lang"
 	"paramra/internal/ra"
 	"paramra/internal/sc"
+	"paramra/internal/serve"
 	"paramra/internal/simplified"
 	"paramra/internal/tqbf"
 )
@@ -399,6 +400,40 @@ func BenchmarkPrepassReplay(b *testing.B) {
 		if out.Verdict != paramra.PrepassInconclusive || out.ReplayStates == 0 {
 			b.Fatalf("barrier prepass: %v after %d replay states, want an inconclusive replay",
 				out.Verdict, out.ReplayStates)
+		}
+	}
+}
+
+// BenchmarkServedCorpus measures the served path: one op verifies all 24
+// corpus entries with the options raserved gives a request that names none
+// (prepass on, replay capped at 30,000 states per instance), at
+// Parallelism 1, and fails on a wrong or incomplete verdict.
+// scripts/bench-allocs.sh gates its allocs/op, so a return to running the
+// replay to its full cap before the fixpoint shows there.
+func BenchmarkServedCorpus(b *testing.B) {
+	opts, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts.Parallelism = 1
+	corpus := bench.Corpus()
+	systems := make([]*paramra.System, len(corpus))
+	for i, e := range corpus {
+		systems[i] = e.System()
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, e := range corpus {
+			res, err := paramra.Verify(ctx, systems[j], opts)
+			if err != nil {
+				b.Fatalf("%s: %v", e.Name, err)
+			}
+			if !res.Complete || res.Unsafe != (e.Want == bench.Unsafe) {
+				b.Fatalf("%s: unsafe=%v complete=%v by %s, want %s",
+					e.Name, res.Unsafe, res.Complete, res.DecidedBy, e.Want)
+			}
 		}
 	}
 }

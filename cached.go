@@ -26,13 +26,16 @@ func NewCache(o CacheOptions) *Cache { return cache.New(o) }
 // into the cache key. Parallelism is deliberately absent (verdicts are
 // identical at any worker count, by construction), as are Progress, tracing
 // and metrics sinks. goalVar is the goal variable already translated to its
-// canonical name (empty when Goal is nil).
+// canonical name (empty when Goal is nil). The leading version changes
+// whenever the decision procedure changes what a stored verdict says — who
+// decided it, its witness or its §4.3 bound — so entries an earlier
+// version wrote to a disk cache become misses, never stale hits.
 func cacheFingerprint(o Options, goalVar string) string {
 	g := ""
 	if o.Goal != nil {
 		g = fmt.Sprintf("%s=%d", goalVar, o.Goal.Val)
 	}
-	return fmt.Sprintf("fp1|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
+	return fmt.Sprintf("fp2|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
 		g, o.UnrollDis, o.Datalog, o.Prepass,
 		o.MaxMacroStates, o.MaxStates, o.MaxSkeletons)
 }

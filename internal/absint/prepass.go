@@ -14,6 +14,9 @@
 //     construction.
 //
 // Everything else is Inconclusive, and the caller runs the fixpoint.
+// Prepass does all of this in one call; Start and Replay split it into the
+// once-per-system part and replay rounds of growing state caps, which a
+// caller can interleave with the fixpoint.
 package absint
 
 import (
@@ -112,9 +115,24 @@ type Outcome struct {
 // replay under the full RA semantics confirms it (so an UNSAFE answer is a
 // real witness by construction). Everything else is Inconclusive.
 //
+// Prepass is Start followed by one replay Round at the full cap.
+//
 // The only error returned is the context's, when cancellation interrupts a
 // replay before a verdict.
 func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, error) {
+	out, rep := Start(sys, opts)
+	if rep == nil {
+		return out, nil
+	}
+	return rep.Round(ctx, rep.MaxStates())
+}
+
+// Start runs the part of the prepass a caller pays once per system: the
+// value analysis, the abstract SAFE check and the candidate search. Its
+// outcome is SAFE or Inconclusive. When a candidate path makes the concrete
+// replay worth running, Start also returns the Replay that runs it;
+// otherwise the Replay is nil.
+func Start(sys *lang.System, opts Options) (Outcome, *Replay) {
 	opts = opts.withDefaults()
 	res := analysis.Analyze(sys)
 	out := Outcome{Verdict: Inconclusive, Analysis: res}
@@ -143,51 +161,111 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 		return out, nil
 	}
 
-	// Replay: search small concrete instances under the full RA semantics.
-	// Any violation found is definitive. Start at one replica when only the
-	// env template has a candidate (its asserts need an instance containing
-	// an env thread). Each instance runs on one worker, so the witness and
-	// the state counts are reproducible.
-	minN := 1
+	// Start at one replica when only the env template has a candidate (its
+	// asserts need an instance containing an env thread).
+	rep := &Replay{sys: sys, base: out, maxStates: opts.MaxReplayStates, next: 1, maxN: maxReplayEnv}
 	for _, c := range cands {
 		if !c.EnvThread {
-			minN = 0
+			rep.next = 0
 			break
 		}
 	}
-	maxN := maxReplayEnv
 	if sys.Env == nil {
-		maxN = 0
+		rep.maxN = 0
 	}
-	for n := minN; n <= maxN; n++ {
-		inst, err := ra.NewInstance(sys, n)
-		if err != nil {
-			// Validation failures are not the prepass's to report; let the
-			// main pipeline surface them.
-			out.Reason = "replay unavailable: " + err.Error()
-			return out, nil
+	rep.insts = make([]*ra.Instance, rep.maxN+1)
+	return out, rep
+}
+
+// Replay is the concrete replay of one prepass: it searches the instances
+// with 0 (or 1) to 4 env threads under the full RA semantics, fewest env
+// threads first, for a violation. Any violation found is definitive. Every
+// instance runs on one worker, so witnesses and state counts are
+// reproducible.
+//
+// The replay runs in rounds, each with a per-instance state cap, and a
+// round skips the instances an earlier round explored exhaustively. Below
+// the full cap (Options.MaxReplayStates) a round ends an instance's search
+// at the first state its cap keeps out, and ends the round there. Since a
+// one-worker search admits states in the same order under any cap, an
+// UNSAFE outcome is then exactly the one a single round at the full cap
+// gives: same env-thread count, witness and reason.
+type Replay struct {
+	sys       *lang.System
+	base      Outcome // Start's inconclusive outcome
+	maxStates int     // the full per-instance cap
+	// Instances next..maxN have not been explored exhaustively; insts[n]
+	// is instance n once built.
+	next, maxN int
+	insts      []*ra.Instance
+	// done is set once no further round can decide: a round ran at the
+	// full cap, every instance was explored exhaustively, or an instance
+	// could not be built.
+	done bool
+}
+
+// MaxStates is the full per-instance cap.
+func (r *Replay) MaxStates() int { return r.maxStates }
+
+// Done reports whether no further round can decide.
+func (r *Replay) Done() bool { return r.done }
+
+// Round replays the instances not yet explored exhaustively with at most
+// maxStates states each; a cap at or above MaxStates is the full cap, and
+// a round at the full cap is the last. The outcome is UNSAFE with its
+// witness, or Inconclusive; ReplayStates counts this round's states.
+func (r *Replay) Round(ctx context.Context, maxStates int) (Outcome, error) {
+	full := maxStates >= r.maxStates
+	if full {
+		maxStates = r.maxStates
+		r.done = true
+	}
+	out := r.base
+	reached := r.next
+	for n := r.next; n <= r.maxN; n++ {
+		if r.insts[n] == nil {
+			inst, err := ra.NewInstance(r.sys, n)
+			if err != nil {
+				// Validation failures are not the prepass's to report; let
+				// the main pipeline surface them.
+				r.done = true
+				out.Reason = "replay unavailable: " + err.Error()
+				return out, nil
+			}
+			r.insts[n] = inst
 		}
-		r := inst.ExploreContext(ctx, ra.Limits{
-			MaxStates: opts.MaxReplayStates,
+		res := r.insts[n].ExploreContext(ctx, ra.Limits{
+			MaxStates: maxStates,
+			StopAtCap: !full,
 			Workers:   1,
 			Symmetry:  n > 1,
 		})
-		out.ReplayStates += r.States
-		if r.Unsafe {
+		out.ReplayStates += res.States
+		if res.Unsafe {
+			r.done = true
 			out.Verdict = Unsafe
 			out.EnvThreads = n
-			out.Witness = ra.FormatWitness(r.Witness)
+			out.Witness = ra.FormatWitness(res.Witness)
 			out.Reason = fmt.Sprintf("concrete replay with %d env thread(s) reaches the assert (%d states)",
-				n, r.States)
+				n, res.States)
 			return out, nil
 		}
-		if r.Err != nil {
-			out.Reason = "replay interrupted: " + r.Err.Error()
-			return out, r.Err
+		if res.Err != nil {
+			out.Reason = "replay interrupted: " + res.Err.Error()
+			return out, res.Err
+		}
+		reached = n
+		if res.Complete && n == r.next {
+			r.next++
+		} else if !full {
+			break
 		}
 	}
+	if r.next > r.maxN {
+		r.done = true
+	}
 	out.Reason = fmt.Sprintf("candidate path found, but no replay instance within %d env thread(s) and %d states confirms",
-		maxN, opts.MaxReplayStates)
+		reached, maxStates)
 	return out, nil
 }
 

@@ -17,6 +17,12 @@ type Config struct {
 	// MaxStates caps the number of admitted states (0 = unlimited). The
 	// root counts as the first admitted state.
 	MaxStates int
+	// StopAtCap ends the run at the first state MaxStates keeps out,
+	// instead of expanding the states already admitted (which can still
+	// reach a halting successor). A run stopped this way is Capped and, for
+	// Layered and for Explore on one worker, reports no halt; a run that is
+	// not Capped is exactly the uncapped run.
+	StopAtCap bool
 	// Progress, when non-nil, is called with a stats snapshot roughly every
 	// ProgressEvery (default 250ms) from a dedicated goroutine.
 	Progress func(Stats)
@@ -436,6 +442,13 @@ func Explore[S, V, W any](
 				}
 				if !cnt.admit(cfg.MaxStates) {
 					capped.Store(true)
+					if cfg.StopAtCap {
+						stopped.Store(true)
+						mu.Lock()
+						cond.Broadcast()
+						mu.Unlock()
+						break
+					}
 					continue
 				}
 				n := pending.Add(1)

@@ -78,6 +78,65 @@ func TestExploreStateCapExact(t *testing.T) {
 	}
 }
 
+// TestStopAtCap pins StopAtCap on both drivers: a run whose cap binds ends
+// at the first state it keeps out, Capped and with fewer expansions than a
+// run that expands every admitted state; a run whose cap never binds is the
+// uncapped run.
+func TestStopAtCap(t *testing.T) {
+	key := func(s [2]int) string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
+	explore := func(workers, n int, cfg Config) (Outcome, int64) {
+		var expanded atomic.Int64
+		grid := gridExpand(n)
+		expand := func(w struct{}, s [2]int, k string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
+			expanded.Add(1)
+			return grid(w, s, k, buf)
+		}
+		cfg.Workers = workers
+		out := Explore(context.Background(), cfg, NewShardedMap[struct{}](), [2]int{0, 0}, "0,0", struct{}{}, noScratch, expand)
+		return out, expanded.Load()
+	}
+	layered := func(workers, n int, cfg Config) (Outcome, int64) {
+		var expanded atomic.Int64
+		expand := func(_ struct{}, s [2]int, _ func([]byte) bool, e *[][2]int) {
+			expanded.Add(1)
+			*e = (*e)[:0]
+			for d := 0; d < 2; d++ {
+				ns := s
+				if ns[d]++; ns[d] <= n {
+					*e = append(*e, ns)
+				}
+			}
+		}
+		commit := func(_ int, _ [2]int, e *[][2]int, adm *Admitter[[2]int]) any {
+			for _, ns := range *e {
+				adm.Add(key(ns), ns)
+			}
+			return nil
+		}
+		cfg.Workers = workers
+		out := Layered(context.Background(), cfg, [2]int{0, 0}, "0,0", noScratch, expand, commit)
+		return out, expanded.Load()
+	}
+	for name, run := range map[string]func(int, int, Config) (Outcome, int64){"explore": explore, "layered": layered} {
+		for _, workers := range []int{1, 4} {
+			_, fullExp := run(workers, 1000, Config{MaxStates: 100})
+			stop, stopExp := run(workers, 1000, Config{MaxStates: 100, StopAtCap: true})
+			if !stop.Capped || stop.Complete || stop.Stats.States != 100 {
+				t.Errorf("%s j=%d: stopped run capped=%v complete=%v states=%d, want capped at 100",
+					name, workers, stop.Capped, stop.Complete, stop.Stats.States)
+			}
+			if stopExp >= fullExp {
+				t.Errorf("%s j=%d: %d expansions with StopAtCap, %d without", name, workers, stopExp, fullExp)
+			}
+			small, _ := run(workers, 5, Config{MaxStates: 100, StopAtCap: true})
+			if !small.Complete || small.Capped || small.Stats.States != 36 {
+				t.Errorf("%s j=%d: unbinding cap: complete=%v capped=%v states=%d, want all 36",
+					name, workers, small.Complete, small.Capped, small.Stats.States)
+			}
+		}
+	}
+}
+
 func TestExploreContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var expanded atomic.Int64

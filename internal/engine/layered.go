@@ -213,7 +213,11 @@ func Layered[S, E, W any](
 
 		adm.next = adm.next[:0:0]
 		for i, s := range layer {
-			if tag := commit(i, s, slot(i), adm); tag != nil {
+			tag := commit(i, s, slot(i), adm)
+			if adm.capped && cfg.StopAtCap {
+				return finish(nil, nil)
+			}
+			if tag != nil {
 				return finish(tag, nil)
 			}
 		}

@@ -13,6 +13,9 @@ import (
 type Limits struct {
 	// MaxStates caps the number of distinct states visited.
 	MaxStates int
+	// StopAtCap ends the search at the first state MaxStates keeps out
+	// (see engine.Config.StopAtCap).
+	StopAtCap bool
 	// Symmetry enables symmetry reduction over the env replicas: states
 	// that differ only by a permutation of the (identical) env threads are
 	// identified. Sound and complete for safety — env replicas run the
@@ -123,6 +126,7 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	out := engine.Explore(ctx, engine.Config{
 		Workers:   lim.Workers,
 		MaxStates: lim.MaxStates,
+		StopAtCap: lim.StopAtCap,
 		Progress:  lim.Progress,
 		Trace:     lim.Trace,
 		SpanName:  "concrete-explore",

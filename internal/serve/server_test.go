@@ -239,49 +239,71 @@ thread checker {
 }
 `
 
-// findSpan returns the first span named name in a depth-first walk.
-func findSpan(nodes []*obs.TreeNode, name string) *obs.TreeNode {
-	for _, n := range nodes {
-		if n.Name == name {
-			return n
-		}
-		if f := findSpan(n.Children, name); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
 // TestServerReplayCapIsLibraryDefault pins that the server's concrete
 // state cap (MaxStatesCap, 2,000,000) does not become the prepass replay
-// cap: a system whose replay outgrows the library's 30,000-state default
-// is handed to the fixpoint after at most that many states per replay
-// instance, and answers 200 under the default options.
+// cap. With maxMacroStates 1 only the replay can run on, so its last round
+// runs at the cap it would get: the library's 30,000-state default per
+// instance, which this system's replay outgrows, so the answer is UNKNOWN
+// after more than one instance's cap and at most five. Under the default
+// options the fixpoint decides the system SAFE long before the replay has
+// spent one instance's cap.
 func TestServerReplayCapIsLibraryDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	status, body, _ := postTraced(t, ts.URL+"/v1/verify", "", true, VerifyRequest{System: sysLongReplay})
-	if status != http.StatusOK {
-		t.Fatalf("status = %d: %s", status, body)
+	post := func(t *testing.T, opts RequestOptions) (VerifyResponse, []*obs.TreeNode) {
+		t.Helper()
+		status, body, _ := postTraced(t, ts.URL+"/v1/verify", "", true, VerifyRequest{System: sysLongReplay, Options: opts})
+		if status != http.StatusOK {
+			t.Fatalf("status = %d: %s", status, body)
+		}
+		var resp VerifyResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Trace == nil {
+			t.Fatal("no span tree in a traced response")
+		}
+		var pre []*obs.TreeNode
+		obs.WalkTree(resp.Trace.Spans, func(n *obs.TreeNode) {
+			if n.Name == "prepass" {
+				pre = append(pre, n)
+			}
+		})
+		if len(pre) == 0 {
+			t.Fatal("no prepass span in the trace")
+		}
+		return resp, pre
 	}
-	var resp VerifyResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Verdict != "SAFE" || resp.Result.DecidedBy != "fixpoint" {
-		t.Errorf("verdict %s decided by %q, want SAFE by the fixpoint", resp.Verdict, resp.Result.DecidedBy)
-	}
-	if resp.Trace == nil {
-		t.Fatal("no span tree in a traced response")
-	}
-	pre := findSpan(resp.Trace.Spans, "prepass")
-	if pre == nil {
-		t.Fatal("no prepass span in the trace")
-	}
-	// Five replay instances (0..4 env replicas), each capped at 30,000.
-	states, _ := pre.Attrs["replay_states"].(float64)
-	if states <= 30_000 || states > 5*30_000 {
-		t.Errorf("prepass replayed %v states, want more than one instance's cap of 30000 and at most 5×30000", states)
-	}
+
+	t.Run("replay-only", func(t *testing.T) {
+		resp, pre := post(t, RequestOptions{MaxMacroStates: 1})
+		if resp.Verdict != "UNKNOWN (limit reached)" {
+			t.Errorf("verdict %s decided by %q, want UNKNOWN (limit reached)", resp.Verdict, resp.Result.DecidedBy)
+		}
+		last := pre[len(pre)-1]
+		if budget, _ := last.Attrs["budget"].(float64); budget != 30_000 {
+			t.Errorf("last replay round's budget = %v, want the library default of 30000", last.Attrs["budget"])
+		}
+		// Five replay instances (0..4 env replicas), each capped at 30,000.
+		states, _ := last.Attrs["replay_states"].(float64)
+		if states <= 30_000 || states > 5*30_000 {
+			t.Errorf("last replay round explored %v states, want more than one instance's cap of 30000 and at most 5×30000", states)
+		}
+	})
+
+	t.Run("default", func(t *testing.T) {
+		resp, pre := post(t, RequestOptions{})
+		if resp.Verdict != "SAFE" || resp.Result.DecidedBy != "fixpoint" {
+			t.Errorf("verdict %s decided by %q, want SAFE by the fixpoint", resp.Verdict, resp.Result.DecidedBy)
+		}
+		var states float64
+		for _, n := range pre {
+			v, _ := n.Attrs["replay_states"].(float64)
+			states += v
+		}
+		if states >= 30_000 {
+			t.Errorf("the replay explored %v states in all, want fewer than one instance's cap of 30000", states)
+		}
+	})
 }
 
 // TestServerUndecidable422 pins the class check: env CAS is outside the

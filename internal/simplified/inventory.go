@@ -28,7 +28,9 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 	for i := range v.sys.Vars {
 		inv[lang.VarID(i)] = map[lang.Val]bool{}
 	}
-	res := v.search(ctx, func(st *state) {
+	span := v.opts.Trace.Child("fixpoint")
+	defer span.End()
+	res := v.search(ctx, span, 0, func(st *state) {
 		for vi := 0; vi < st.mem.NumVars(); vi++ {
 			st.mem.Each(lang.VarID(vi), func(m AMsg) {
 				inv[m.Var][m.Val] = true

@@ -78,21 +78,33 @@ func (o *expOut) reset() {
 // Engine.Wall and Engine.Workers are populated on every return path,
 // including violations found while saturating the initial state.
 func (v *Verifier) VerifyContext(ctx context.Context) Result {
-	return v.search(ctx, nil)
+	span := v.opts.Trace.Child("fixpoint")
+	defer span.End()
+	return v.VerifyRound(ctx, span, 0)
 }
 
-// search is the macro-state search behind VerifyContext and
-// InventoryContext. When admitted is non-nil, it is called from the
+// VerifyRound is VerifyContext as one round of a caller's schedule, on a
+// verifier built once. It records on span, a "fixpoint" span the caller
+// opens and ends. A positive budget replaces Options.MaxMacroStates, and
+// the round then reports no Progress and stops, undecided, at the first
+// macro-state the budget keeps out: a budgeted round that decides is
+// exactly the unbudgeted search, with the same verdict, witness and Stats.
+func (v *Verifier) VerifyRound(ctx context.Context, span *obs.Span, budget int) Result {
+	return v.search(ctx, span, budget, nil)
+}
+
+// search is the macro-state search behind VerifyRound and
+// InventoryContext, recording on span (which the caller ends), with
+// VerifyRound's budget. When admitted is non-nil, it is called from the
 // sequential commit with every macro-state the search admits, the initial
 // one included, in admission order.
-func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
+func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admitted func(*state)) Result {
 	start := time.Now()
 	workers := v.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	span := v.opts.Trace.Child("fixpoint")
 	finish := func(res Result) Result {
 		if span != nil {
 			span.SetAttr("macro_states", res.Stats.MacroStates)
@@ -102,7 +114,6 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 			span.SetAttr("saturation_steps", res.Stats.SaturationSteps)
 			span.SetAttr("unsafe", res.Unsafe)
 			span.SetAttr("complete", res.Complete)
-			span.End()
 		}
 		return res
 	}
@@ -158,8 +169,6 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 	if viol := global.checkGoalDis(init); viol != nil {
 		return early(global.unsafeResult(viol, init))
 	}
-
-	var unsafeRes *Result
 
 	newScratch := func() *exec { return newExec(v, nil) }
 	expand := func(ex *exec, st *state, seen func([]byte) bool, o *expOut) {
@@ -257,21 +266,24 @@ func (v *Verifier) search(ctx context.Context, admitted func(*state)) Result {
 				viol.DisIndex, viol.Log = gen.DisIndex, gen.Log
 			}
 			r := global.unsafeResult(viol, violState)
-			unsafeRes = &r
 			return &r
 		}
 		return nil
 	}
 
-	out := engine.Layered(ctx, engine.Config{
+	cfg := engine.Config{
 		Workers:   v.opts.Workers,
 		MaxStates: v.opts.MaxMacroStates,
 		Progress:  v.opts.Progress,
 		Trace:     span,
 		Metrics:   v.opts.Metrics,
-	}, init, init.key(), newScratch, expand, commit)
+	}
+	if budget > 0 {
+		cfg.MaxStates, cfg.StopAtCap, cfg.Progress = budget, true, nil
+	}
+	out := engine.Layered(ctx, cfg, init, init.key(), newScratch, expand, commit)
 
-	if unsafeRes != nil {
+	if unsafeRes, ok := out.HaltTag.(*Result); ok {
 		res := *unsafeRes
 		res.Stats.MacroStates = int(out.Stats.States)
 		res.Engine = out.Stats

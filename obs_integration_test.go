@@ -15,6 +15,7 @@ import (
 	"paramra"
 	"paramra/internal/bench"
 	"paramra/internal/obs"
+	"paramra/internal/serve"
 )
 
 // Integration tests of the observability layer: the trace a full Verify run
@@ -150,9 +151,9 @@ func checkProgress(t *testing.T, rec *progressRecorder, final paramra.Stats) {
 }
 
 // TestFinalProgressEqualsStats pins the Progress contract for all three
-// backends at Parallelism 8 over shipped corpus systems: snapshots are
-// monotonically non-decreasing and the last one is exactly the returned
-// Stats.
+// backends at Parallelism 8 over shipped corpus systems, and for the
+// prepass schedule at raserved's defaults: snapshots are monotonically
+// non-decreasing and the last one is exactly the returned Stats.
 func TestFinalProgressEqualsStats(t *testing.T) {
 	ctx := context.Background()
 
@@ -164,6 +165,33 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 			}
 			rec := &progressRecorder{}
 			res, err := paramra.Verify(ctx, sys, paramra.Options{Parallelism: 8, Progress: rec.cb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkProgress(t, rec, res.Stats)
+		})
+	}
+
+	// With raserved's defaults the prepass schedule runs budgeted fixpoint
+	// rounds before an unbudgeted one on corr2-coherence. With
+	// MaxMacroStates 1 on env-chain-escalation, the fixpoint round at the
+	// full cap reports its snapshots and the replay decides after it.
+	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served.Parallelism = 8
+	for name, maxMacro := range map[string]int{"corr2-coherence": 0, "env-chain-escalation": 1} {
+		t.Run("served/"+name, func(t *testing.T) {
+			e, ok := bench.ByName(name)
+			if !ok {
+				t.Fatalf("no corpus entry %s", name)
+			}
+			rec := &progressRecorder{}
+			opts := served
+			opts.MaxMacroStates = maxMacro
+			opts.Progress = rec.cb
+			res, err := paramra.Verify(ctx, e.System(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,11 +22,11 @@ import (
 // engine's synchronization. `go test -short` runs one iteration.
 //
 // A second pass verifies every corpus entry with the options raserved
-// gives a request that names none (prepass on), at Parallelism 1 and 8.
-// Prepass verdicts are confirmed on the free-order concrete explorer, whose
-// witnesses depend on scheduling at more than one worker, so there the
-// contract covers the verdict, Complete, DecidedBy and the env-thread bound,
-// and the witness only when the fixpoint decided.
+// gives a request that names none (prepass on), at Parallelism 1 and 8, and
+// compares the verdict, Complete, DecidedBy, the env-thread bound and the
+// witness: the prepass replay runs on one worker at any Parallelism, and
+// the schedule that alternates it with the fixpoint counts its budgets in
+// states.
 func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	iters := 5
 	if testing.Short() {

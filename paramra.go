@@ -121,9 +121,11 @@ type Options struct {
 	MaxMacroStates int
 	// MaxStates caps concrete-instance exploration (VerifyInstance,
 	// ConfirmViolation, FindDeadlocks; 0 = unlimited — beware, loops make
-	// concrete state spaces infinite in general). It also caps the
-	// prepass's replay instances, but never above the prepass's own default
-	// of 30,000 states.
+	// concrete state spaces infinite in general). It also caps each
+	// instance of the prepass replay, but never above the prepass's own
+	// default of 30,000 states; that is the replay's full cap, which
+	// Verify's prepass schedule (see Prepass) reaches only when the
+	// fixpoint has not decided below it.
 	MaxStates int
 	// Goal, when non-nil, asks Message Generation instead of assert
 	// reachability.
@@ -136,12 +138,23 @@ type Options struct {
 	// the integrated fixpoint engine. Slower; exposed for cross-checking
 	// and experiments.
 	Datalog bool
-	// Prepass runs the static abstract-interpretation prepass first and
-	// returns its verdict (Result.DecidedBy = "prepass") when it is
-	// decisive, skipping the state-space search entirely. Sound on both
-	// sides: SAFE proofs hold for every replica count (including systems
-	// outside the decidable fragment), UNSAFE witnesses are concrete
-	// replays. See Prepass for the standalone entry point.
+	// Prepass runs the static abstract-interpretation prepass and returns
+	// its verdict (Result.DecidedBy = "prepass") when it is decisive. Sound
+	// on both sides: SAFE proofs hold for every replica count (including
+	// systems outside the decidable fragment), UNSAFE witnesses are
+	// concrete replays. Verify runs the abstract SAFE check first, then
+	// alternates a replay round and a fixpoint round under a state budget
+	// that starts at 64 and grows ×4 per round, until one decides: the
+	// replay explores at most min(budget, its full cap) states per
+	// instance, the fixpoint admits at most min(budget, MaxMacroStates)
+	// macro-states. A budgeted round counts only when its budget did not
+	// bind, so an answer is the one its engine gives at its full cap, and
+	// the budgets, counted in states and never in time, decide only which
+	// engine answers, the same way at every Parallelism. Once one engine
+	// has run at its full cap without deciding, the other runs at its full
+	// cap in one go. With Datalog the replay runs at its full cap first;
+	// goal queries have no replay. See Prepass for the standalone entry
+	// point.
 	Prepass bool
 	// MaxSkeletons caps dis-run enumeration for the Datalog backend
 	// (0 = the default cap of 100,000 skeletons).
@@ -153,7 +166,11 @@ type Options struct {
 	Parallelism int
 	// Progress, when non-nil, receives periodic statistics snapshots from a
 	// dedicated goroutine while a search runs. The last emission, sent just
-	// before the entry point returns, is exactly the returned Stats.
+	// before the entry point returns, is exactly the returned Stats, and no
+	// counter in a snapshot is below the one before. With Prepass, only a
+	// fixpoint round at the caller's MaxMacroStates reports snapshots (the
+	// budgeted rounds report none), and Verify's Stats are those of the
+	// last fixpoint round it ran, zero when none ran.
 	Progress func(Stats)
 	// Tracer, when non-nil, records the run's phase spans — parse is the
 	// caller's, then well-formedness, unroll, fixpoint/datalog/concrete
@@ -381,30 +398,36 @@ func Verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 	span := opts.beginSpan("verify")
 	defer span.End()
-
-	res := Result{EnvThreadBound: -1}
 	if opts.Prepass {
-		// The prepass runs on the original system, before any unrolling, so
-		// a SAFE proof covers the true semantics rather than the bounded
-		// under-approximation.
-		pspan := span.Child("prepass")
-		out, err := prepass(ctx, sys, opts, pspan)
-		pspan.End()
-		if err != nil {
-			res.Class = lang.Classify(sys)
-			return res, err
-		}
-		var done bool
-		if res, done = applyPrepass(res, out); done {
-			res.Class = lang.Classify(sys)
-			if span != nil {
-				span.SetAttr("decided_by", "prepass")
-				span.SetAttr("unsafe", res.Unsafe)
-				span.SetAttr("complete", res.Complete)
-			}
-			return res, nil
-		}
+		return schedule(ctx, sys, opts, span)
 	}
+
+	work, res := prepareBackend(sys, opts, span, Result{EnvThreadBound: -1})
+	seal := func(r Result) Result {
+		if span != nil {
+			span.SetAttr("unsafe", r.Unsafe)
+			span.SetAttr("complete", r.Complete)
+		}
+		return r
+	}
+	if opts.Datalog {
+		res.DecidedBy = "datalog"
+		r, err := verifyDatalog(ctx, work, opts, res, span)
+		return seal(r), err
+	}
+	res.DecidedBy = "fixpoint"
+	ver, err := newFixpoint(work, opts, span)
+	if err != nil {
+		return res, err
+	}
+	r, err := fixpointResult(res, work, ver.VerifyContext(ctx))
+	return seal(r), err
+}
+
+// prepareBackend readies sys for the decision procedure: it unrolls
+// looping dis threads when Options.UnrollDis asks, then classifies the
+// system the backend will decide and labels the verify span with it.
+func prepareBackend(sys *System, opts Options, span *obs.Span, res Result) (*System, Result) {
 	work := sys
 	if opts.UnrollDis > 0 {
 		cls := lang.Classify(sys)
@@ -433,30 +456,21 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 			span.SetAttr("backend", "fixpoint")
 		}
 	}
-	seal := func(r Result) Result {
-		if span != nil {
-			span.SetAttr("unsafe", r.Unsafe)
-			span.SetAttr("complete", r.Complete)
-		}
-		return r
-	}
+	return work, res
+}
 
-	if opts.Datalog {
-		res.DecidedBy = "datalog"
-		r, err := verifyDatalog(ctx, work, opts, res, span)
-		return seal(r), err
-	}
-	res.DecidedBy = "fixpoint"
-
+// newFixpoint builds the fixpoint verifier of work, resolving the goal
+// variable of a Message Generation query.
+func newFixpoint(work *System, opts Options, span *obs.Span) (*simplified.Verifier, error) {
 	var goal *simplified.Goal
 	if opts.Goal != nil {
 		v, ok := work.VarByName(opts.Goal.Var)
 		if !ok {
-			return res, fmt.Errorf("paramra: unknown goal variable %q", opts.Goal.Var)
+			return nil, fmt.Errorf("paramra: unknown goal variable %q", opts.Goal.Var)
 		}
 		goal = &simplified.Goal{Var: v, Val: lang.Val(opts.Goal.Val)}
 	}
-	ver, err := simplified.New(work, simplified.Options{
+	return simplified.New(work, simplified.Options{
 		MaxMacroStates: opts.MaxMacroStates,
 		Goal:           goal,
 		Workers:        opts.Parallelism,
@@ -464,10 +478,11 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 		Trace:          span,
 		Metrics:        opts.Metrics,
 	})
-	if err != nil {
-		return res, err
-	}
-	out := ver.VerifyContext(ctx)
+}
+
+// fixpointResult folds a fixpoint search into res: verdict, statistics and,
+// for a violation, the witness, dependency graph and §4.3 bound.
+func fixpointResult(res Result, work *System, out simplified.Result) (Result, error) {
 	res.Unsafe = out.Unsafe
 	res.Complete = out.Complete
 	res.Stats = Stats{
@@ -479,7 +494,7 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 	}
 	res.Stats.fromEngine(out.Engine)
 	if out.Err != nil {
-		return seal(res), out.Err
+		return res, out.Err
 	}
 	if out.Unsafe && out.Violation != nil {
 		res.Witness = out.Violation.Log.Keys()
@@ -488,7 +503,7 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 			res.EnvThreadBound = g.CostGoal()
 		}
 	}
-	return seal(res), nil
+	return res, nil
 }
 
 // defaultMaxSkeletons is the Datalog backend's skeleton cap when

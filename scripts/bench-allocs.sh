@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench-allocs.sh [fixpoint-budget [replay-budget]]
 #
-# Runs five benchmarks with -benchmem and fails when any one's allocs/op
+# Runs six benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
 # machine-independent (they vary only slightly with worker scheduling), so
 # this gate needs no calibration: it directly catches a change that
@@ -33,6 +33,13 @@
 #       so the count does not depend on scheduling. Fixed budget ~1.5x its
 #       cost when the instances moved onto engine.Each (~0.30M allocs/op).
 #       Per-fact keys or per-instance rebuilt tables show up here first.
+#   BenchmarkServedCorpus  the served path: the 24 corpus entries through
+#       paramra.Verify with raserved's default options at one worker, where
+#       the prepass schedule alternates replay and fixpoint rounds under
+#       growing state budgets. Fixed budget ~1.3x its cost under the
+#       schedule (~123k allocs/op) and ~2/3 of the cost while the replay
+#       ran to its full cap before the fixpoint (~237k allocs/op), so a
+#       return to that order fails here.
 set -eu
 
 FIXPOINT_BUDGET="${1:-1200000}"
@@ -62,3 +69,4 @@ gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000
 gate BenchmarkDatalogVerify 450000
+gate BenchmarkServedCorpus 160000
