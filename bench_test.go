@@ -248,12 +248,13 @@ thread w { regs r; r = load x; assume r == 0; store f 1 }
 	if err != nil {
 		b.Fatal(err)
 	}
-	core, edb := datalog.SplitEDB(p.Prog, p.EDBPreds)
-	db := datalog.EvalSemiNaive(p.Prog)
+	prog := p.Program()
+	core, edb := datalog.SplitEDB(prog, p.EDBPreds)
+	db := datalog.EvalSemiNaive(prog)
 	var goal datalog.GroundAtom
 	found := false
 	for _, g := range db.All() {
-		if p.Prog.Preds[g.Pred].Name == "emp" {
+		if prog.Preds[g.Pred].Name == "emp" {
 			goal, found = g, true
 			break
 		}

@@ -159,16 +159,26 @@ func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Option
 	fmt.Printf("skeletons: %d (exhaustive=%v)\n", len(ps), complete)
 	res := paramra.Result{DecidedBy: "datalog"}
 	res.Stats.Skeletons = len(ps)
+	if len(ps) == 0 {
+		res.Complete = complete
+		return res, nil
+	}
+	// As in paramra.Verify: the shared prefix's model once, then each
+	// instance as a continuation of it.
+	model, _, err := datalog.Eval(ctx, ps[0].Prefix, nil)
+	if err != nil {
+		return res, err
+	}
 	for i, p := range ps {
-		hit, _, err := datalog.QueryCtx(ctx, p.Prog, p.Goal, nil)
+		_, hit, _, err := datalog.Continue(ctx, model, p.Rules, p.Goal, nil)
 		if err != nil {
 			return res, err
 		}
 		if stats || hit {
-			fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prog.Rules), hit)
+			fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prefix.Rules)+len(p.Rules), hit)
 		}
 		if dump {
-			fmt.Printf("--- instance %d ---\n%s", i, p.Prog.String())
+			fmt.Printf("--- instance %d ---\n%s", i, p.Program().String())
 		}
 		if hit {
 			res.Unsafe = true

@@ -61,14 +61,22 @@
 //	Stats.States              —         —        ✓
 //	Stats.Transitions         —         —        ✓
 //	Stats.Skeletons           —         ✓        —
-//	Stats.DatalogFacts        —         ✓        —
-//	Stats.DatalogRules        —         ✓        —
-//	Stats.FixpointRounds      —         ✓        —
-//	Stats.DatalogAtoms        —         ✓        —
+//	Stats.DatalogFacts        —         ✓        —   (per instance, summed)
+//	Stats.DatalogRules        —         ✓        —   (per instance, summed)
+//	Stats.FixpointRounds      —         ✓        —   (continuation rounds)
+//	Stats.DatalogAtoms        —         ✓        —   (model sizes, summed)
 //	Stats.DedupHits           ✓         —        ✓
 //	Stats.PeakFrontier        ✓         —        ✓
 //	Stats.Wall                ✓         ✓        ✓
 //	Stats.Workers             ✓         ✓        ✓
+//
+// The Datalog backend evaluates the model of the instances' shared prefix
+// once and each instance as a continuation of it. DatalogFacts and
+// DatalogRules count each instance's whole program, prefix included.
+// FixpointRounds sums the instances' continuation rounds, not the shared
+// model's. DatalogAtoms sums the size of each instance's model, the shared
+// model included; an UNSAFE instance stops at its goal, so its count is
+// the atoms derived by then.
 //
 // Systems are written in a small concrete syntax:
 //

@@ -74,10 +74,11 @@ thread w {
 		if err != nil {
 			return nil, err
 		}
-		core, edb := datalog.SplitEDB(p.Prog, p.EDBPreds)
+		prog := p.Program()
+		core, edb := datalog.SplitEDB(prog, p.EDBPreds)
 		// Locate the goal atom in the full program (core alone lacks the
 		// join tables and derives nothing).
-		goal, found := findMsgAtom(p.Prog, "emp", "x:f", "d1")
+		goal, found := findMsgAtom(prog, "emp", "x:f", "d1")
 		if !found {
 			return nil, fmt.Errorf("%s: goal atom not derivable", c.name)
 		}
@@ -99,7 +100,7 @@ thread w {
 		q0 := depgraph.Q0Of(sys)
 		out = append(out, CacheRow{
 			Name: c.name, Q0: q0, Q0Squared: q0 * q0,
-			IDBAtoms:    datalog.EvalSemiNaive(p.Prog).Size(),
+			IDBAtoms:    datalog.EvalSemiNaive(prog).Size(),
 			MinCache:    minK,
 			GraphHeight: g.Height(), GraphFanIn: g.MaxFanIn(),
 			CompactOK: g.Compacted().Compact(),

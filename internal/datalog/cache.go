@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"sort"
 	"strings"
 )
@@ -37,13 +38,23 @@ func (c cacheState) clone() cacheState {
 	return out
 }
 
-// cacheDB adapts a cacheState to the join machinery.
-func (c cacheState) db(p *Program) *DB {
-	db := NewDB(p)
+// db adapts a cacheState to the join machinery: its atoms on top of the
+// extensional facts, when there are any.
+func (c cacheState) db(p *Program, edb *DB) *DB {
+	db := over(p, edb)
 	for _, g := range c.atoms {
 		db.Add(g)
 	}
 	return db
+}
+
+// over returns an empty database over p's predicates that sits on edb, or
+// on nothing when edb is nil.
+func over(p *Program, edb *DB) *DB {
+	if edb == nil {
+		return NewDB(p)
+	}
+	return on(edb)
 }
 
 // QueryCache decides Prog ⊢_k g by breadth-first search over cache states.
@@ -58,7 +69,8 @@ func QueryCache(p *Program, g GroundAtom, k int) bool {
 // QueryCacheEDB is QueryCache with a set of extensional facts that are
 // always available to rule bodies without occupying cache slots (the makeP
 // encoding's join tables: an EDB fact can be re-derived at any time at no
-// cost, so exempting it does not change the semantics).
+// cost, so exempting it does not change the semantics). Every cache state's
+// database sits on edb, which is never copied or written.
 func QueryCacheEDB(p *Program, g GroundAtom, k int, edb *DB) bool {
 	if k <= 0 {
 		return false
@@ -74,16 +86,10 @@ func QueryCacheEDB(p *Program, g GroundAtom, k int, edb *DB) bool {
 
 		// Add successors: every head derivable from the current cache.
 		var derived []GroundAtom
-		curDB := cur.db(p)
-		if edb != nil {
-			for _, f := range edb.All() {
-				curDB.Add(f)
-			}
-		}
-		for _, r := range p.Rules {
-			b := newBinding(r.NumVars)
-			joinRule(r, curDB, nil, -1, b, 0, func(h GroundAtom) bool {
-				derived = append(derived, h)
+		curDB := cur.db(p, edb)
+		for i := range p.Rules {
+			curDB.joinAll(&p.Rules[i], func(h GroundAtom) bool {
+				derived = append(derived, GroundAtom{Pred: h.Pred, Args: append([]Const(nil), h.Args...)})
 				return true
 			})
 		}
@@ -127,19 +133,7 @@ func MinCacheSize(p *Program, g GroundAtom, kMax int) int {
 
 // MinCacheSizeEDB is MinCacheSize with cache-exempt extensional facts.
 func MinCacheSizeEDB(p *Program, g GroundAtom, kMax int, edb *DB) int {
-	full := EvalSemiNaive(p)
-	if edb != nil {
-		merged := NewProgram()
-		merged.Preds = p.Preds
-		merged.Consts = p.Consts
-		merged.Rules = p.Rules
-		db := NewDB(merged)
-		for _, f := range edb.All() {
-			db.Add(f)
-		}
-		full = evalSemiNaiveFrom(merged, db)
-	}
-	if !full.Has(g) {
+	if _, hit, _, _ := run(context.Background(), over(p, edb), p.Rules, &g, nil); !hit {
 		return -1 // not derivable at any cache size
 	}
 	for k := 1; k <= kMax; k++ {
@@ -160,7 +154,10 @@ func SplitEDB(p *Program, edbPreds map[Pred]bool) (*Program, *DB) {
 	db := NewDB(core)
 	for _, r := range p.Rules {
 		if r.IsFact() && edbPreds[r.Head.Pred] {
-			db.Add(instantiate(r.Head, nil))
+			db.joinAll(&r, func(g GroundAtom) bool {
+				db.Add(g)
+				return true
+			})
 			continue
 		}
 		core.Rules = append(core.Rules, r)

@@ -1,6 +1,8 @@
 package datalog
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -153,19 +155,142 @@ func randDatalog(r *rand.Rand) *Program {
 	return p
 }
 
+// TestNaiveEqualsSemiNaiveRandom checks the semi-naive engine against the
+// naive reference on random programs: the whole program evaluated at once,
+// and split at every rule index into a prefix, evaluated to its model, and
+// the rest, evaluated as a continuation of that model. The continuation
+// must derive exactly the naive atoms, and its goal answer must be
+// membership in the naive model, for every naive atom and an absent one.
 func TestNaiveEqualsSemiNaiveRandom(t *testing.T) {
+	ctx := context.Background()
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 150; i++ {
 		p := randDatalog(r)
 		n, s := EvalNaive(p), EvalSemiNaive(p)
-		if n.Size() != s.Size() {
-			t.Fatalf("case %d: naive %d atoms, semi-naive %d\n%s", i, n.Size(), s.Size(), p)
-		}
-		for _, g := range n.All() {
-			if !s.Has(g) {
-				t.Fatalf("case %d: semi-naive missing %s\n%s", i, p.GroundString(g), p)
+		sameAtoms(t, fmt.Sprintf("case %d: semi-naive", i), p, n, s)
+		absent, haveAbsent := absentAtom(p, n)
+		for split := 0; split <= len(p.Rules); split++ {
+			prefix := &Program{Preds: p.Preds, Consts: p.Consts, Rules: p.Rules[:split]}
+			model, _, err := Eval(ctx, prefix, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := p.Rules[split:]
+			where := fmt.Sprintf("case %d split %d: continuation", i, split)
+			goal := GroundAtom{Pred: 0, Args: make([]Const, p.Preds[0].Arity)}
+			if haveAbsent {
+				goal = absent
+			}
+			db, hit, _, err := Continue(ctx, model, own, goal, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit != n.Has(goal) {
+				t.Fatalf("%s answers %v for %s\n%s", where, hit, p.GroundString(goal), p)
+			}
+			if !hit {
+				sameAtoms(t, where, p, n, db)
+			}
+			for _, g := range n.All() {
+				if _, hit, _, err := Continue(ctx, model, own, g, nil); err != nil || !hit {
+					t.Fatalf("%s does not derive %s (err %v)\n%s", where, p.GroundString(g), err, p)
+				}
 			}
 		}
+	}
+}
+
+// sameAtoms fails the test unless got holds exactly want's atoms.
+func sameAtoms(t *testing.T, where string, p *Program, want, got *DB) {
+	t.Helper()
+	if want.Size() != got.Size() {
+		t.Fatalf("%s: %d atoms, naive %d\n%s", where, got.Size(), want.Size(), p)
+	}
+	for _, g := range want.All() {
+		if !got.Has(g) {
+			t.Fatalf("%s: missing %s\n%s", where, p.GroundString(g), p)
+		}
+	}
+}
+
+// absentAtom returns an atom over p's declarations that model lacks, if any.
+func absentAtom(p *Program, model *DB) (GroundAtom, bool) {
+	for pr, d := range p.Preds {
+		args := make([]Const, d.Arity)
+		for {
+			if g := (GroundAtom{Pred: Pred(pr), Args: args}); !model.Has(g) {
+				return g, true
+			}
+			i := 0
+			for ; i < len(args) && int(args[i]) == len(p.Consts)-1; i++ {
+				args[i] = 0
+			}
+			if i == len(args) {
+				break
+			}
+			args[i]++
+		}
+	}
+	return GroundAtom{}, false
+}
+
+// TestQueryStopsAtGoal: on a chain whose rules are listed last link first,
+// round k derives s(k), so a query for s(k) must answer true in round k
+// with s(0)..s(k) derived, and stop there.
+func TestQueryStopsAtGoal(t *testing.T) {
+	const n = 6
+	p := NewProgram()
+	s := p.MustPred("s", 1)
+	if err := p.Fact(s, p.Intern(constName(0))); err != nil {
+		t.Fatal(err)
+	}
+	for i := n - 1; i >= 0; i-- {
+		p.MustRule(Rule{
+			Head: Atom{Pred: s, Terms: []Term{C(p.Intern(constName(i + 1)))}},
+			Body: []Atom{{Pred: s, Terms: []Term{C(p.Intern(constName(i)))}}},
+		})
+	}
+	missing := p.Intern(constName(n + 1))
+	for k := 1; k <= n+1; k++ {
+		goal := GroundAtom{Pred: s, Args: []Const{p.Intern(constName(k))}}
+		hit, st, err := QueryCtx(context.Background(), p, goal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := EvalStats{Rounds: k, Atoms: k + 1}
+		if goal.Args[0] == missing {
+			want = EvalStats{Rounds: n + 1, Atoms: n + 1}
+		}
+		if hit != (k <= n) || st != want {
+			t.Errorf("query s(%d): %v with %+v, want %v with %+v", k, hit, st, k <= n, want)
+		}
+	}
+}
+
+// TestContinueOnModel: a continuation never writes to its base, answers
+// true at once for a goal the base holds, and sees the base's atoms and
+// rules alike.
+func TestContinueOnModel(t *testing.T) {
+	p, path := tc(t, []string{"a", "b", "c", "d"}, [][2]string{{"a", "b"}, {"b", "c"}})
+	model, _, err := Eval(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := model.Size()
+	edge := Pred(0)
+	c, d := p.Intern("c"), p.Intern("d")
+	own := []Rule{{Head: Atom{Pred: edge, Terms: []Term{C(c), C(d)}}}}
+	ad := GroundAtom{Pred: path, Args: []Const{p.Intern("a"), d}}
+	db, hit, st, err := Continue(context.Background(), model, own, ad, nil)
+	if err != nil || !hit {
+		t.Fatalf("path(a,d) over the model plus edge(c,d): %v, %v", hit, err)
+	}
+	if model.Size() != size || model.Has(ad) || !db.Has(ad) {
+		t.Errorf("base grew to %d atoms (was %d) or lost the continuation's", model.Size(), size)
+	}
+	ac := GroundAtom{Pred: path, Args: []Const{p.Intern("a"), c}}
+	if _, hit, st, _ = Continue(context.Background(), model, own, ac, nil); !hit || st.Rounds != 1 {
+		t.Errorf("goal held by the base: %v after %d rounds, want true after 1", hit, st.Rounds)
 	}
 }
 

@@ -9,13 +9,18 @@
 //   - the Lemma 4.2 translation from Cache Datalog to linear Datalog.
 //
 // Terms are either variables or interned constants; atoms are flat
-// predicate applications. The engine is deliberately simple and allocation-
-// conscious rather than clever: it is the fixpoint backend for the paper's
-// makeP encoding (package encode).
+// predicate applications. It is the fixpoint backend for the paper's makeP
+// encoding (package encode), whose instances share most of their program:
+// a fact store with packed keys and a first-argument index, a model that
+// serves as the read-only base of many continuations, and a query that
+// stops at its goal keep that backend's cost in the part each instance
+// adds (see eval.go).
 package datalog
 
 import (
 	"fmt"
+	"maps"
+	"strconv"
 	"strings"
 )
 
@@ -56,16 +61,17 @@ type GroundAtom struct {
 
 // Key returns a canonical string identity of the ground atom.
 func (g GroundAtom) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d(", int(g.Pred))
+	b := make([]byte, 0, 4+4*len(g.Args))
+	b = strconv.AppendInt(b, int64(g.Pred), 10)
+	b = append(b, '(')
 	for i, a := range g.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", int(a))
+		b = strconv.AppendInt(b, int64(a), 10)
 	}
-	b.WriteByte(')')
-	return b.String()
+	b = append(b, ')')
+	return string(b)
 }
 
 // Rule is head :- body_1, …, body_t. A rule with an empty body is a fact
@@ -142,8 +148,20 @@ func (p *Program) Intern(sym string) Const {
 	return id
 }
 
-// AddRule validates arities and variable numbering, then appends the rule.
+// AddRule validates the rule (see CheckRule), then appends it.
 func (p *Program) AddRule(r Rule) error {
+	if err := p.CheckRule(r); err != nil {
+		return err
+	}
+	p.Rules = append(p.Rules, r)
+	return nil
+}
+
+// CheckRule validates a rule against p's declarations without adding it:
+// predicates and constants must be declared, arities must match, variables
+// must be numbered below NumVars, and every head variable must occur in the
+// body (range restriction).
+func (p *Program) CheckRule(r Rule) error {
 	check := func(a Atom) error {
 		if int(a.Pred) < 0 || int(a.Pred) >= len(p.Preds) {
 			return fmt.Errorf("unknown predicate id %d", int(a.Pred))
@@ -167,7 +185,7 @@ func (p *Program) AddRule(r Rule) error {
 		return fmt.Errorf("head: %w", err)
 	}
 	// Range restriction: every head variable must occur in the body.
-	bodyVars := map[Var]bool{}
+	bodyVars := make([]bool, r.NumVars)
 	for i, b := range r.Body {
 		if err := check(b); err != nil {
 			return fmt.Errorf("body[%d]: %w", i, err)
@@ -183,8 +201,19 @@ func (p *Program) AddRule(r Rule) error {
 			return fmt.Errorf("head variable %d not bound by the body (range restriction)", int(t.Var))
 		}
 	}
-	p.Rules = append(p.Rules, r)
 	return nil
+}
+
+// Extend returns a new program with p's declarations and rules, followed by
+// extra, which must be valid over those declarations. p is left unchanged.
+func (p *Program) Extend(extra []Rule) *Program {
+	return &Program{
+		Preds:    p.Preds[:len(p.Preds):len(p.Preds)],
+		Consts:   p.Consts[:len(p.Consts):len(p.Consts)],
+		Rules:    append(p.Rules[:len(p.Rules):len(p.Rules)], extra...),
+		constIdx: maps.Clone(p.constIdx),
+		predIdx:  maps.Clone(p.predIdx),
+	}
 }
 
 // MustRule is AddRule that panics on error.

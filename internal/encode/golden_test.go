@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"hash"
@@ -12,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"paramra/internal/analysis"
 	"paramra/internal/bench"
+	"paramra/internal/datalog"
 	"paramra/internal/encode"
 	"paramra/internal/fuzzgen"
 	"paramra/internal/lang"
@@ -93,7 +96,7 @@ func goldenLine(t *testing.T, name string, sys *lang.System, maxSkeletons int, w
 		} else {
 			h := sha256.New()
 			for _, p := range ps {
-				fmt.Fprintf(h, "%s?- %s\n", p.Prog.String(), p.Prog.GroundString(p.Goal))
+				fmt.Fprintf(h, "%s?- %s\n", p.Program().String(), p.Program().GroundString(p.Goal))
 			}
 			line += " prog=" + hex.EncodeToString(h.Sum(nil))
 		}
@@ -125,4 +128,79 @@ func writeMsg(h hash.Hash, m *simplified.AMsg) {
 		return
 	}
 	fmt.Fprintf(h, "(%d,%s,%d,%s,%v)", m.Var, m.TS, m.Val, m.View, m.Env)
+}
+
+// TestContinuationMatchesWholeProgram checks the evaluation every caller
+// uses — the prefix's model once per system, then each instance as a
+// continuation of it — against datalog.Query on the instance's
+// materialized program, on every instance of the corpus entries with at
+// most progTextMax skeletons: the answers must be equal, and where the goal
+// is not derived, so must the atom sets.
+func TestContinuationMatchesWholeProgram(t *testing.T) {
+	ctx := context.Background()
+	for _, e := range bench.Corpus() {
+		sys := e.System()
+		v, err := simplified.New(sys, simplified.Options{})
+		if err != nil {
+			continue
+		}
+		if sks, _, err := v.Skeletons(ctx, progTextMax+1); err != nil || len(sks) > progTextMax {
+			continue
+		}
+		var hints encode.Hints
+		if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
+			hints = ef
+		}
+		ps, _, err := encode.All(ctx, sys, corpusCap, hints)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		model, _, err := datalog.Eval(ctx, ps[0].Prefix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range ps {
+			db, hit, _, err := datalog.Continue(ctx, model, p.Rules, p.Goal, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := p.Program()
+			if want := datalog.Query(prog, p.Goal); hit != want {
+				t.Fatalf("%s instance %d: continuation answers %v, whole program %v", e.Name, i, hit, want)
+			}
+			if hit {
+				continue
+			}
+			want := datalog.EvalSemiNaive(prog)
+			if db.Size() != want.Size() {
+				t.Fatalf("%s instance %d: continuation derives %d atoms, whole program %d", e.Name, i, db.Size(), want.Size())
+			}
+			for _, g := range want.All() {
+				if !db.Has(g) {
+					t.Fatalf("%s instance %d: continuation misses %s", e.Name, i, prog.GroundString(g))
+				}
+			}
+		}
+	}
+}
+
+// TestSharedModelCancelled: evaluating the prefix's model under a cancelled
+// context returns ctx's error and no model to continue from.
+func TestSharedModelCancelled(t *testing.T) {
+	var sys *lang.System
+	for _, e := range bench.Corpus() {
+		if e.Name == "seqlock" {
+			sys = e.System()
+		}
+	}
+	ps, _, err := encode.All(context.Background(), sys, corpusCap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	model, _, err := datalog.Eval(ctx, ps[0].Prefix, nil)
+	if !errors.Is(err, context.Canceled) || model != nil {
+		t.Fatalf("cancelled shared-model evaluation: model %v, error %v; want nil, %v", model, err, context.Canceled)
+	}
 }

@@ -99,7 +99,7 @@ thread c { regs s; store y 1; s = load x; assume s == 1; assert false }
 func countRules(ps []*Problem) int {
 	n := 0
 	for _, p := range ps {
-		for _, r := range p.Prog.Rules {
+		for _, r := range p.Program().Rules {
 			if !r.IsFact() {
 				n++
 			}

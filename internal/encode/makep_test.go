@@ -39,7 +39,7 @@ func checkAgainstVerifier(t *testing.T, src string) {
 // sequentially: the system is unsafe iff some instance's query holds.
 func anyHolds(ps []*Problem) bool {
 	for _, p := range ps {
-		if datalog.Query(p.Prog, p.Goal) {
+		if datalog.Query(p.Program(), p.Goal) {
 			return true
 		}
 	}
@@ -153,7 +153,7 @@ thread w { store x 1 }
 	}
 	// Rule shape check: at most 2 IDB body atoms per rule (the Cache
 	// Datalog requirement behind Theorem 4.1).
-	for _, r := range p.Prog.Rules {
+	for _, r := range p.Program().Rules {
 		idb := 0
 		for _, a := range r.Body {
 			if !p.EDBPreds[a.Pred] {
@@ -161,7 +161,7 @@ thread w { store x 1 }
 			}
 		}
 		if idb > 2 {
-			t.Fatalf("rule with %d IDB body atoms: %s", idb, p.Prog.AtomString(r.Head))
+			t.Fatalf("rule with %d IDB body atoms: %s", idb, p.Program().AtomString(r.Head))
 		}
 	}
 }
@@ -198,17 +198,17 @@ thread w { store x 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := datalog.EvalSemiNaive(p.Prog)
+	db := datalog.EvalSemiNaive(p.Program())
 	found := false
 	for _, g := range db.All() {
-		if p.Prog.Preds[g.Pred].Name == "emp" {
+		if p.Program().Preds[g.Pred].Name == "emp" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("no emp atom derived for the env store")
 	}
-	if datalog.Query(p.Prog, p.Goal) {
+	if datalog.Query(p.Program(), p.Goal) {
 		t.Error("system without asserts must be safe")
 	}
 }

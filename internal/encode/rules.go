@@ -286,37 +286,42 @@ func (b *builder) empGround(m *simplified.AMsg) (datalog.GroundAtom, error) {
 	return datalog.GroundAtom{Pred: b.emp, Args: args}, nil
 }
 
-// emitSkeleton encodes the guessed dis run as a chain of step predicates:
-// step_{j+1}() :- step_j() [, emp(E)], with dis messages becoming available
-// as dmp facts conditioned on their step, and unsafe() inferred from the
-// terminating assert (or from bad() for env-side asserts). The returned goal
-// is unsafe().
-func (b *builder) emitSkeleton(sk *simplified.Skeleton) (datalog.GroundAtom, error) {
+// emitSkeleton encodes the guessed dis run as an instance's own rules, a
+// chain of step predicates: step_{j+1}() :- step_j() [, emp(E)], with dis
+// messages becoming available as dmp facts conditioned on their step, and
+// unsafe() inferred from the terminating assert (or from bad() for env-side
+// asserts). The returned goal is unsafe().
+func (b *builder) emitSkeleton(sk *simplified.Skeleton) ([]datalog.Rule, datalog.GroundAtom, error) {
 	goal := datalog.GroundAtom{Pred: b.unsafeP}
-	prev := b.prog.MustPred("step0", 0)
-	if err := b.prog.Fact(prev); err != nil {
-		return goal, err
+	var rules []datalog.Rule
+	add := func(r datalog.Rule) {
+		if err := b.prog.CheckRule(r); err != nil {
+			panic(fmt.Sprintf("encode: bad rule: %v", err))
+		}
+		rules = append(rules, r)
 	}
+	prev := b.steps[0]
+	add(datalog.Rule{Head: datalog.Atom{Pred: prev}})
 	if sk == nil {
-		return goal, nil
+		return rules, goal, nil
 	}
 	for j, st := range sk.Steps {
 		if st.Assert {
-			b.addRule(datalog.Rule{
+			add(datalog.Rule{
 				Head: datalog.Atom{Pred: b.unsafeP},
 				Body: []datalog.Atom{{Pred: prev}},
 			})
 			if j != len(sk.Steps)-1 {
-				return goal, fmt.Errorf("encode: assert step %d is not terminal", j)
+				return nil, goal, fmt.Errorf("encode: assert step %d is not terminal", j)
 			}
-			return goal, nil
+			return rules, goal, nil
 		}
-		next := b.prog.MustPred(fmt.Sprintf("step%d", j+1), 0)
+		next := b.steps[j+1]
 		body := []datalog.Atom{{Pred: prev}}
 		if st.ReadEnv != nil {
 			eg, err := b.empGround(st.ReadEnv)
 			if err != nil {
-				return goal, err
+				return nil, goal, err
 			}
 			terms := make([]datalog.Term, len(eg.Args))
 			for i, a := range eg.Args {
@@ -324,22 +329,22 @@ func (b *builder) emitSkeleton(sk *simplified.Skeleton) (datalog.GroundAtom, err
 			}
 			body = append(body, datalog.Atom{Pred: b.emp, Terms: terms})
 		}
-		b.addRule(datalog.Rule{Head: datalog.Atom{Pred: next}, Body: body})
+		add(datalog.Rule{Head: datalog.Atom{Pred: next}, Body: body})
 		if st.Stored != nil {
 			margs := []datalog.Term{datalog.C(b.varConst(st.Stored.Var)), datalog.C(b.valC[st.Stored.Val])}
 			for _, t := range st.Stored.View {
 				c, ok := b.timeC[t]
 				if !ok {
-					return goal, fmt.Errorf("encode: stored timestamp %s outside universe", t)
+					return nil, goal, fmt.Errorf("encode: stored timestamp %s outside universe", t)
 				}
 				margs = append(margs, datalog.C(c))
 			}
-			b.addRule(datalog.Rule{
+			add(datalog.Rule{
 				Head: datalog.Atom{Pred: b.dmp, Terms: margs},
 				Body: []datalog.Atom{{Pred: next}},
 			})
 		}
 		prev = next
 	}
-	return goal, nil
+	return rules, goal, nil
 }

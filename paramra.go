@@ -135,8 +135,9 @@ type Options struct {
 	// such systems).
 	UnrollDis int
 	// Datalog selects the makeP → Datalog backend (Theorem 4.1) instead of
-	// the integrated fixpoint engine. Slower; exposed for cross-checking
-	// and experiments.
+	// the integrated fixpoint engine, for cross-checking and experiments.
+	// It evaluates the model of the program its query instances share once,
+	// then each instance as a continuation of that model.
 	Datalog bool
 	// Prepass runs the static abstract-interpretation prepass and returns
 	// its verdict (Result.DecidedBy = "prepass") when it is decisive. Sound
@@ -289,10 +290,13 @@ type Stats struct {
 	States      int
 	Transitions int
 
-	// Datalog backend (makeP, Theorem 4.1). FixpointRounds and DatalogAtoms
-	// sum over the evaluated query instances; under parallelism with an
-	// UNSAFE early exit the sums cover the instances evaluated before the
-	// first hit.
+	// Datalog backend (makeP, Theorem 4.1). DatalogFacts and DatalogRules
+	// count every instance's whole program, its shared prefix included.
+	// FixpointRounds sums the instances' continuation rounds (the shared
+	// prefix's model is evaluated once and not counted), DatalogAtoms the
+	// sizes of their models, the shared model included; an instance that
+	// derives its goal stops there. Under parallelism with an UNSAFE early
+	// exit the sums cover the instances evaluated before the first hit.
 	Skeletons      int
 	DatalogFacts   int
 	DatalogRules   int
@@ -534,8 +538,9 @@ func DatalogInstances(ctx context.Context, sys *System, opts Options) ([]*encode
 
 // verifyDatalog runs the makeP → Datalog backend: one query instance per
 // dis-run skeleton, evaluated ∃-style (first derivable goal wins). The
-// instances are independent, so engine.Each evaluates them on Parallelism
-// workers; the verdict is deterministic regardless. Stats.Wall and
+// instances share a prefix, whose model is evaluated once; each instance
+// continues from it, and engine.Each evaluates them on Parallelism workers;
+// the verdict is deterministic regardless. Stats.Wall and
 // Stats.Workers are populated on every path, including encoding errors and
 // cancellation.
 func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
@@ -567,14 +572,20 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		enc.End()
 	}
 	res.Stats.Skeletons = len(ps)
-	for _, p := range ps {
-		for _, r := range p.Prog.Rules {
+	count := func(rules []datalog.Rule, times int) {
+		for _, r := range rules {
 			if r.IsFact() {
-				res.Stats.DatalogFacts++
+				res.Stats.DatalogFacts += times
 			} else {
-				res.Stats.DatalogRules++
+				res.Stats.DatalogRules += times
 			}
 		}
+	}
+	for _, p := range ps {
+		count(p.Rules, 1)
+	}
+	if len(ps) > 0 {
+		count(ps[0].Prefix.Rules, len(ps))
 	}
 
 	if workers > len(ps) && len(ps) > 0 {
@@ -619,6 +630,25 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	}
 
 	eval := dspan.Child("datalog-eval")
+	// The instances share their prefix, so its least model is evaluated
+	// once, and every instance continues from it: the model is read-only,
+	// and all workers read it at once.
+	var model *datalog.DB
+	if len(ps) > 0 {
+		mspan := eval.Child("shared-model")
+		var st datalog.EvalStats
+		model, st, err = datalog.Eval(ctx, ps[0].Prefix, roundHook)
+		if mspan != nil {
+			mspan.SetAttr("rounds", st.Rounds)
+			mspan.SetAttr("atoms", st.Atoms)
+			mspan.End()
+		}
+		if err != nil {
+			stopProgress()
+			eval.End()
+			return seal(res), err
+		}
+	}
 	var unsafeHit atomic.Bool
 	engine.Each(cctx, workers, len(ps), func(_, i int) {
 		var t0 time.Time
@@ -629,7 +659,7 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		// unsafe hit) aborts a long evaluation mid-round instead of letting
 		// it run to fixpoint. A true answer from an aborted run is still a
 		// valid derivation.
-		hit, st, _ := datalog.QueryCtx(cctx, ps[i].Prog, ps[i].Goal, roundHook)
+		_, hit, st, _ := datalog.Continue(cctx, model, ps[i].Rules, ps[i].Goal, roundHook)
 		if hInst != nil {
 			hInst.Observe(int64(time.Since(t0)))
 		}

@@ -31,8 +31,11 @@
 #   BenchmarkDatalogVerify  the makeP → Datalog backend end to end, on
 #       ticketlock at two workers: all 72 query instances are evaluated,
 #       so the count does not depend on scheduling. Fixed budget ~1.5x its
-#       cost when the instances moved onto engine.Each (~0.30M allocs/op).
-#       Per-fact keys or per-instance rebuilt tables show up here first.
+#       cost once the instances shared one prefix and continued from its
+#       model on the packed-key store (~8.0k allocs/op), and ~1/25 of the
+#       cost while every instance rebuilt and re-derived the whole program
+#       under rendered keys (~0.30M allocs/op). Per-fact keys or
+#       per-instance rebuilt tables show up here first.
 #   BenchmarkServedCorpus  the served path: the 24 corpus entries through
 #       paramra.Verify with raserved's default options at one worker, where
 #       the prepass schedule alternates replay and fixpoint rounds under
@@ -68,5 +71,5 @@ gate BenchmarkVerifyParallel/peterson/j=8 "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000
-gate BenchmarkDatalogVerify 450000
+gate BenchmarkDatalogVerify 12000
 gate BenchmarkServedCorpus 160000
