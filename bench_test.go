@@ -485,6 +485,31 @@ func BenchmarkDatalogVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkDatalogVerifyUnsafe measures the Datalog backend's early exit
+// on the corpus peterson-ra entry at two workers. It is UNSAFE, and the
+// skeleton walk's 2nd of its 26,136 skeletons derives unsafe(), so the
+// walk stops there; scripts/bench-allocs.sh gates its allocs/op, which
+// grow with every skeleton a return to building all instances first
+// would enumerate.
+func BenchmarkDatalogVerifyUnsafe(b *testing.B) {
+	e, _ := bench.ByName("peterson-ra")
+	sys := e.System()
+	ctx := context.Background()
+	opts := paramra.Options{Datalog: true, Parallelism: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := paramra.Verify(ctx, sys, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Unsafe || !res.Complete || res.Stats.Skeletons != 2 {
+			b.Fatalf("peterson-ra: unsafe=%v complete=%v skeletons=%d, want UNSAFE at the 2nd skeleton",
+				res.Unsafe, res.Complete, res.Stats.Skeletons)
+		}
+	}
+}
+
 // BenchmarkParser measures the concrete-syntax frontend.
 func BenchmarkParser(b *testing.B) {
 	src := fig3Src(5)

@@ -1,9 +1,10 @@
 // Command radatalog is the Datalog side of the toolchain. Given a system
 // description (.ra) it decides parameterized safety through the makeP
 // encoding (§4.1): paramra.Verify with Options.Datalog runs the prepass,
-// enumerates the dis-run skeletons, and evaluates the ∃-over-skeletons
-// semantics of Theorem 4.1 on a worker pool. -dump and -stats instead
-// evaluate the query instances one by one, in order, listing each. Given a
+// walks the dis-run skeletons, and evaluates the ∃-over-skeletons semantics
+// of Theorem 4.1 on the engine's workers as the walk emits them, stopping
+// at the first instance that derives unsafe(). -dump and -stats instead
+// evaluate the query instances one by one, in walk order, listing each. Given a
 // plain Datalog file (.dl) it evaluates its `?-` queries directly,
 // optionally under a Cache Datalog bound.
 //
@@ -26,6 +27,7 @@ import (
 
 	"paramra"
 	"paramra/internal/datalog"
+	"paramra/internal/encode"
 	"paramra/internal/lang"
 	"paramra/internal/obs"
 	"paramra/internal/serve"
@@ -141,9 +143,10 @@ func run() int {
 
 // listInstances is the -dump/-stats path. Unless the prepass decides, it
 // evaluates the query instances paramra.Verify would evaluate (same cap,
-// same grounding) sequentially, in order, printing each, and stops at the
-// first that holds, so the listing is reproducible line for line. The
-// Result carries only what the listing decided.
+// same grounding) sequentially, in order, as the skeleton walk emits them,
+// printing each, and stops at the first that holds, so the listing is
+// reproducible line for line. The Result carries only what the listing
+// decided.
 func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Options, dump, stats bool) (paramra.Result, error) {
 	if opts.Prepass {
 		out, err := paramra.Prepass(ctx, sys, opts)
@@ -152,27 +155,22 @@ func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Option
 				DecidedBy: "prepass", PrepassReason: out.Reason}, err
 		}
 	}
-	ps, complete, err := paramra.DatalogInstances(ctx, sys, opts)
-	if err != nil {
-		return paramra.Result{}, err
-	}
-	fmt.Printf("skeletons: %d (exhaustive=%v)\n", len(ps), complete)
 	res := paramra.Result{DecidedBy: "datalog"}
-	res.Stats.Skeletons = len(ps)
-	if len(ps) == 0 {
-		res.Complete = complete
-		return res, nil
-	}
 	// As in paramra.Verify: the shared prefix's model once, then each
 	// instance as a continuation of it.
-	model, _, err := datalog.Eval(ctx, ps[0].Prefix, nil)
-	if err != nil {
-		return res, err
-	}
-	for i, p := range ps {
-		_, hit, _, err := datalog.Continue(ctx, model, p.Rules, p.Goal, nil)
-		if err != nil {
-			return res, err
+	var model *datalog.DB
+	var evalErr error
+	complete, err := paramra.DatalogInstances(ctx, sys, opts, func(p *encode.Problem) bool {
+		if model == nil {
+			if model, _, evalErr = datalog.Eval(ctx, p.Prefix, nil); evalErr != nil {
+				return false
+			}
+		}
+		i := res.Stats.Skeletons
+		res.Stats.Skeletons++
+		var hit bool
+		if _, hit, _, evalErr = datalog.Continue(ctx, model, p.Rules, p.Goal, nil); evalErr != nil {
+			return false
 		}
 		if stats || hit {
 			fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prefix.Rules)+len(p.Rules), hit)
@@ -180,11 +178,16 @@ func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Option
 		if dump {
 			fmt.Printf("--- instance %d ---\n%s", i, p.Program().String())
 		}
-		if hit {
-			res.Unsafe = true
-			break
-		}
+		res.Unsafe = hit
+		return !hit
+	})
+	if err == nil {
+		err = evalErr
 	}
+	if err != nil {
+		return res, err
+	}
+	fmt.Printf("skeletons: %d (exhaustive=%v)\n", res.Stats.Skeletons, complete)
 	res.Complete = res.Unsafe || complete
 	return res, nil
 }

@@ -32,10 +32,10 @@
 // search and returns the partial Result (Complete = false) together with
 // the context error. Options.Parallelism sets the worker count (0 =
 // GOMAXPROCS) and Options.Progress streams periodic Stats snapshots.
-// Verdicts, DecidedBy, the env-thread bound, and the fixpoint's witnesses
-// and statistics are identical for every worker count (see
-// internal/engine), and so are the prepass's, whose replay always runs on
-// one worker. Witnesses from the concrete explorer — those of
+// Verdicts, DecidedBy, the env-thread bound, the fixpoint's witnesses and
+// statistics, and the Datalog backend's statistics are identical for every
+// worker count (see internal/engine), and so are the prepass's, whose
+// replay always runs on one worker. Witnesses from the concrete explorer — those of
 // VerifyInstance and ConfirmViolation — can differ between runs at
 // Parallelism >= 2; Parallelism 1 makes them reproducible.
 //
@@ -60,7 +60,7 @@
 //	Stats.SaturationSteps     ✓         —        —
 //	Stats.States              —         —        ✓
 //	Stats.Transitions         —         —        ✓
-//	Stats.Skeletons           —         ✓        —
+//	Stats.Skeletons           —         ✓        —   (instances evaluated)
 //	Stats.DatalogFacts        —         ✓        —   (per instance, summed)
 //	Stats.DatalogRules        —         ✓        —   (per instance, summed)
 //	Stats.FixpointRounds      —         ✓        —   (continuation rounds)
@@ -71,12 +71,15 @@
 //	Stats.Workers             ✓         ✓        ✓
 //
 // The Datalog backend evaluates the model of the instances' shared prefix
-// once and each instance as a continuation of it. DatalogFacts and
-// DatalogRules count each instance's whole program, prefix included.
-// FixpointRounds sums the instances' continuation rounds, not the shared
-// model's. DatalogAtoms sums the size of each instance's model, the shared
-// model included; an UNSAFE instance stops at its goal, so its count is
-// the atoms derived by then.
+// once, then each instance as a continuation of it while the skeleton walk
+// emits them, and stops the walk at the first instance in walk order that
+// derives unsafe(). Its counters cover the instances up to and including
+// that one (all of them on a SAFE or capped run), whatever the worker
+// count: Skeletons counts them, DatalogFacts and DatalogRules count each
+// one's whole program, prefix included, FixpointRounds sums their
+// continuation rounds, not the shared model's, and DatalogAtoms sums the
+// size of each one's model, the shared model included; the UNSAFE
+// instance stops at its goal, so its count is the atoms derived by then.
 //
 // Systems are written in a small concrete syntax:
 //

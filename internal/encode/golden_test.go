@@ -90,18 +90,29 @@ func goldenLine(t *testing.T, name string, sys *lang.System, maxSkeletons int, w
 	}
 	line := fmt.Sprintf("%s skeletons=%d complete=%v steps=%s", name, len(sks), complete, stepDigest(sks))
 	if withProg && len(sks) <= progTextMax {
-		ps, _, err := encode.All(context.Background(), sys, maxSkeletons, nil)
+		h := sha256.New()
+		err := eachInstance(context.Background(), sys, maxSkeletons, nil, func(p *encode.Problem) bool {
+			prog := p.Program()
+			fmt.Fprintf(h, "%s?- %s\n", prog.String(), prog.GroundString(p.Goal))
+			return true
+		})
 		if err != nil {
 			line += fmt.Sprintf(" prog-error=%q", err)
 		} else {
-			h := sha256.New()
-			for _, p := range ps {
-				fmt.Fprintf(h, "%s?- %s\n", p.Program().String(), p.Program().GroundString(p.Goal))
-			}
 			line += " prog=" + hex.EncodeToString(h.Sum(nil))
 		}
 	}
 	return line + "\n"
+}
+
+// eachInstance hands yield every query instance an Encoder emits for sys.
+func eachInstance(ctx context.Context, sys *lang.System, maxSkeletons int, hints encode.Hints, yield func(*encode.Problem) bool) error {
+	e, err := encode.New(sys, hints)
+	if err != nil {
+		return err
+	}
+	_, err = e.Each(ctx, maxSkeletons, yield)
+	return err
 }
 
 // stepDigest hashes every skeleton's steps, field by field.
@@ -151,15 +162,17 @@ func TestContinuationMatchesWholeProgram(t *testing.T) {
 		if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
 			hints = ef
 		}
-		ps, _, err := encode.All(ctx, sys, corpusCap, hints)
+		enc, err := encode.New(sys, hints)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		model, _, err := datalog.Eval(ctx, ps[0].Prefix, nil)
+		model, _, err := datalog.Eval(ctx, enc.Prefix(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, p := range ps {
+		i := 0
+		_, err = enc.Each(ctx, corpusCap, func(p *encode.Problem) bool {
+			defer func() { i++ }()
 			db, hit, _, err := datalog.Continue(ctx, model, p.Rules, p.Goal, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -169,7 +182,7 @@ func TestContinuationMatchesWholeProgram(t *testing.T) {
 				t.Fatalf("%s instance %d: continuation answers %v, whole program %v", e.Name, i, hit, want)
 			}
 			if hit {
-				continue
+				return true
 			}
 			want := datalog.EvalSemiNaive(prog)
 			if db.Size() != want.Size() {
@@ -180,6 +193,10 @@ func TestContinuationMatchesWholeProgram(t *testing.T) {
 					t.Fatalf("%s instance %d: continuation misses %s", e.Name, i, prog.GroundString(g))
 				}
 			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
 }
@@ -193,13 +210,13 @@ func TestSharedModelCancelled(t *testing.T) {
 			sys = e.System()
 		}
 	}
-	ps, _, err := encode.All(context.Background(), sys, corpusCap, nil)
+	enc, err := encode.New(sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	model, _, err := datalog.Eval(ctx, ps[0].Prefix, nil)
+	model, _, err := datalog.Eval(ctx, enc.Prefix(), nil)
 	if !errors.Is(err, context.Canceled) || model != nil {
 		t.Fatalf("cancelled shared-model evaluation: model %v, error %v; want nil, %v", model, err, context.Canceled)
 	}

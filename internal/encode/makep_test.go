@@ -21,7 +21,7 @@ func checkAgainstVerifier(t *testing.T, src string) {
 	}
 	want := v.VerifyContext(context.Background()).Unsafe
 
-	ps, complete, err := All(context.Background(), sys, 50_000, nil)
+	ps, complete, err := collect(context.Background(), sys, 50_000, nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -33,6 +33,21 @@ func checkAgainstVerifier(t *testing.T, src string) {
 		t.Fatalf("datalog pipeline says unsafe=%v, verifier says %v (%d skeletons)",
 			got, want, len(ps))
 	}
+}
+
+// collect gathers every instance an Encoder emits for sys, for the tests
+// that compare whole instance sets.
+func collect(ctx context.Context, sys *lang.System, maxSkeletons int, hints Hints) ([]*Problem, bool, error) {
+	e, err := New(sys, hints)
+	if err != nil {
+		return nil, false, err
+	}
+	var ps []*Problem
+	complete, err := e.Each(ctx, maxSkeletons, func(p *Problem) bool {
+		ps = append(ps, p)
+		return true
+	})
+	return ps, complete, err
 }
 
 // anyHolds is the ∃-over-skeletons semantics of Theorem 4.1, evaluated
@@ -148,8 +163,8 @@ thread w { store x 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Skeleton != nil {
-		t.Error("env-only problem should have no skeleton")
+	if len(p.Rules) != 1 || len(p.Rules[0].Body) != 0 {
+		t.Errorf("env-only problem has %d own rules, want the single fact step0()", len(p.Rules))
 	}
 	// Rule shape check: at most 2 IDB body atoms per rule (the Cache
 	// Datalog requirement behind Theorem 4.1).
@@ -182,8 +197,8 @@ func TestAllRejectsNoEnv(t *testing.T) {
 system s { vars x; domain 2; dis d }
 thread d { skip }
 `)
-	if _, _, err := All(context.Background(), sys, 10, nil); err == nil {
-		t.Error("All accepted a system without env")
+	if _, err := New(sys, nil); err == nil {
+		t.Error("New accepted a system without env")
 	}
 }
 

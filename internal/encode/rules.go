@@ -305,6 +305,9 @@ func (b *builder) emitSkeleton(sk *simplified.Skeleton) ([]datalog.Rule, datalog
 	if sk == nil {
 		return rules, goal, nil
 	}
+	if len(sk.Steps) >= len(b.steps) {
+		return nil, goal, fmt.Errorf("encode: skeleton of %d steps exceeds the chain bound %d", len(sk.Steps), len(b.steps)-1)
+	}
 	for j, st := range sk.Steps {
 		if st.Assert {
 			add(datalog.Rule{

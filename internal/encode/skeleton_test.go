@@ -17,7 +17,7 @@ thread e { regs r; r = load x; store y (r + 1) }
 thread d1 { store x 1; store x 2 }
 thread d2 { regs q; q = load y; store x q }
 `)
-	ps, complete, err := All(context.Background(), sys, 2, nil)
+	ps, complete, err := collect(context.Background(), sys, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,6 @@ type EnvSet struct {
 	ConfigOrder []string
 	// MsgsByVar indexes the env messages by shared variable for loads.
 	MsgsByVar [][]MsgEntry
-	// fp is an order-insensitive fingerprint (xor of per-key FNV hashes),
-	// maintained incrementally; used in macro-state memoization keys.
-	fp uint64
 	// shared marks a copy-on-write clone still borrowing its parent's
 	// storage; the first mutation thaws it.
 	shared bool
@@ -147,25 +144,6 @@ func (e *EnvSet) thaw() {
 	e.shared = false
 }
 
-// hashKeyTagged is FNV-1a-64 over tag ++ k, inlined so fingerprint updates
-// cost no hasher allocation. The values are bit-identical to the historical
-// hash/fnv implementation over the concatenated string ("c"+k / "m"+k), so
-// env fingerprints — and with them macro-state keys — are unchanged.
-func hashKeyTagged(tag byte, k string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= uint64(tag)
-	h *= prime64
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
-		h *= prime64
-	}
-	return h
-}
-
 // AddConfig inserts a configuration; returns true if it was new.
 func (e *EnvSet) AddConfig(c AThread) bool {
 	_, added := e.addConfig(c)
@@ -193,7 +171,6 @@ func (e *EnvSet) addConfigEnc(c AThread, enc *engine.KeyEnc) (string, bool) {
 	e.thaw()
 	e.Configs[k] = c
 	e.ConfigOrder = append(e.ConfigOrder, k)
-	e.fp ^= hashKeyTagged('c', k)
 	return k, true
 }
 
@@ -210,12 +187,8 @@ func (e *EnvSet) AddMsg(m AMsg, log *ReadLog) bool {
 	entry := MsgEntry{Msg: m, Log: log, Key: k}
 	e.Msgs[k] = entry
 	e.MsgsByVar[m.Var] = append(e.MsgsByVar[m.Var], entry)
-	e.fp ^= hashKeyTagged('m', k)
 	return true
 }
-
-// Fingerprint returns the order-insensitive content hash.
-func (e *EnvSet) Fingerprint() uint64 { return e.fp }
 
 // state is a macro-configuration of the verifier: the non-monotone dis part
 // plus the monotone env part. The memory and env set are embedded by value:
@@ -258,8 +231,10 @@ func (s *state) clone() *state {
 // saturation wholesale for such successors (incremental saturation).
 func (s *state) memChanged() bool { return !s.mem.shared }
 
-// key identifies the macro-state for memoization: dis thread configurations,
-// dis memory, and the env fingerprint, in one compact injective encoding.
+// key identifies the macro-state for memoization: dis thread configurations
+// and dis memory, in one compact injective encoding. The env set needs no
+// place in it: it is the saturation of the dis memory (DESIGN, "The env set
+// is a function of the dis memory").
 func (s *state) key() string {
 	enc := engine.GetKeyEnc()
 	s.appendKey(enc)
@@ -272,7 +247,7 @@ func (s *state) key() string {
 // visited set with enc.Bytes() and intern only on first sight.
 func (s *state) appendKey(enc *engine.KeyEnc) {
 	s.appendKeyDis(enc)
-	s.appendKeyMemEnv(enc)
+	s.appendKeyMem(enc)
 }
 
 // appendKeyDis encodes the dis-thread section of the key, including the
@@ -285,13 +260,10 @@ func (s *state) appendKeyDis(enc *engine.KeyEnc) {
 	enc.Mark('#')
 }
 
-// appendKeyMemEnv encodes the memory + env-fingerprint suffix of the key.
-// For a successor whose dis memory is untouched (memChanged false, so
-// saturation was skipped and the env is untouched too) this suffix is
-// byte-identical to the parent's — the expansion loops encode it once per
-// parent and splice it into each such successor's key with KeyEnc.Raw.
-func (s *state) appendKeyMemEnv(enc *engine.KeyEnc) {
+// appendKeyMem encodes the memory suffix of the key. For a successor whose
+// dis memory is untouched (memChanged false) this suffix is byte-identical
+// to the parent's — the expansion loops encode it once per parent and
+// splice it into each such successor's key with KeyEnc.Raw.
+func (s *state) appendKeyMem(enc *engine.KeyEnc) {
 	s.mem.encodeKey(enc)
-	enc.Mark('~')
-	enc.Uint64(s.env.Fingerprint())
 }

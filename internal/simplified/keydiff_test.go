@@ -6,7 +6,9 @@ package simplified_test
 // legacy single-pass encoding and takes no shortcuts. Equal verdicts and
 // macro-state counts on the corpus plus a fuzzed system population — with
 // the per-state byte-equality checks inside LegacyExploreForTest — pin the
-// new representation to the old semantics.
+// new representation to the old semantics. The reference search also checks
+// the lemma that lets the key leave the env set out: every dis memory it
+// reaches more than once carries one env set.
 
 import (
 	"context"
@@ -22,14 +24,18 @@ import (
 // diffOne cross-checks one system: reference exploration vs the sequential
 // reference search and VerifyContext at several worker counts. cap bounds
 // the reference search (0 = unbounded); a capped-out reference skips the
-// system.
-func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool) {
+// system. shared is the number of states whose dis memory an earlier state
+// of the reference search reached, on which the env-set lemma was checked.
+func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool, shared int) {
 	t.Helper()
 	vref, err := simplified.New(sys, simplified.Options{})
 	if err != nil {
-		return false // out of the decidable class; nothing to compare
+		return false, 0 // out of the decidable class; nothing to compare
 	}
 	ref := simplified.LegacyExploreForTest(vref, cap)
+	if ref.EnvConflicts != 0 {
+		t.Errorf("%s: %d states reach a dis memory with another env set than an earlier state", name, ref.EnvConflicts)
+	}
 	if ref.SpliceMismatches != 0 {
 		t.Errorf("%s: %d spliced keys differ from the legacy encoding", name, ref.SpliceMismatches)
 	}
@@ -37,7 +43,7 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 		t.Errorf("%s: %d memory-untouched successors were not at their parent's saturation fixpoint", name, ref.SkipUnsound)
 	}
 	if ref.HitCap {
-		return false
+		return false, ref.SharedMemories
 	}
 
 	prodCap := 0
@@ -73,7 +79,7 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 		}
 		check(fmt.Sprintf("parallel j=%d", j), vj.VerifyContext(context.Background()))
 	}
-	return true
+	return true, ref.SharedMemories
 }
 
 // TestEncodingDifferentialCorpus runs the differential over every corpus
@@ -84,8 +90,13 @@ func TestEncodingDifferentialCorpus(t *testing.T) {
 	if testing.Short() {
 		cap = 3000
 	}
+	shared := 0
 	for _, e := range bench.Corpus() {
-		diffOne(t, e.Name, e.System(), cap)
+		_, n := diffOne(t, e.Name, e.System(), cap)
+		shared += n
+	}
+	if shared == 0 {
+		t.Error("no corpus state reached a dis memory twice: the env-set lemma went unchecked")
 	}
 }
 
@@ -99,12 +110,17 @@ func TestEncodingDifferentialFuzz(t *testing.T) {
 		seeds = 150
 	}
 	profile := fuzzgen.DefaultProfile()
-	checked := 0
+	checked, shared := 0, 0
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		sys := fuzzgen.Generate(seed, profile)
-		if diffOne(t, profile.Name, sys, 4000) {
+		ok, n := diffOne(t, profile.Name, sys, 4000)
+		if ok {
 			checked++
 		}
+		shared += n
+	}
+	if shared == 0 {
+		t.Error("no fuzz state reached a dis memory twice: the env-set lemma went unchecked")
 	}
 	if checked < seeds/2 {
 		t.Fatalf("only %d/%d fuzz seeds were comparable — generator or class filter drifted", checked, seeds)

@@ -1,6 +1,8 @@
 package simplified
 
 import (
+	"reflect"
+
 	"paramra/internal/engine"
 )
 
@@ -19,15 +21,21 @@ type LegacyExploreResult struct {
 	// re-saturation derived something after all — each one is a counter-
 	// example to the saturation-skip purity argument. Must be 0.
 	SkipUnsound int
+	// EnvConflicts counts successors whose dis memory an earlier state
+	// reached with a different env set — each one is a counterexample to
+	// the lemma that lets the key leave the env set out. Must be 0.
+	EnvConflicts int
+	// SharedMemories counts successors whose dis memory an earlier state
+	// reached, that is, the states on which the lemma was put to the test.
+	SharedMemories int
 	// HitCap reports the maxStates budget stopped the search; verdict and
 	// counts are then not comparable and the caller should skip the seed.
 	HitCap bool
 }
 
-// legacyKey encodes a macro-state's identity the way the pre-optimization
-// code did: one linear pass through the single appendKey composition,
-// written out longhand here so the test does not depend on the split
-// appendKeyDis/appendKeyMemEnv helpers it is checking.
+// legacyKey encodes a macro-state's identity in one linear pass through
+// the appendKey composition, written out longhand here so the test does not
+// depend on the split appendKeyDis/appendKeyMem helpers it is checking.
 func legacyKey(s *state) string {
 	enc := engine.GetKeyEnc()
 	defer engine.PutKeyEnc(enc)
@@ -38,10 +46,44 @@ func legacyKey(s *state) string {
 	}
 	enc.Mark('#')
 	s.mem.encodeKey(enc)
-	enc.Mark('~')
-	enc.Uint64(s.env.Fingerprint())
 	return enc.String()
 }
+
+// memKey encodes a state's dis memory alone.
+func memKey(s *state) string {
+	enc := engine.GetKeyEnc()
+	defer engine.PutKeyEnc(enc)
+	enc.Reset()
+	s.mem.encodeKey(enc)
+	return enc.String()
+}
+
+// sameEnv reports whether two env sets hold the same configurations and
+// messages. Copy-on-write clones that still share their maps are equal
+// without a look at the entries.
+func sameEnv(a, b *EnvSet) bool {
+	if reflect.ValueOf(a.Configs).UnsafePointer() == reflect.ValueOf(b.Configs).UnsafePointer() &&
+		reflect.ValueOf(a.Msgs).UnsafePointer() == reflect.ValueOf(b.Msgs).UnsafePointer() {
+		return true
+	}
+	if len(a.Configs) != len(b.Configs) || len(a.Msgs) != len(b.Msgs) {
+		return false
+	}
+	for k := range a.Configs {
+		if _, ok := b.Configs[k]; !ok {
+			return false
+		}
+	}
+	for k := range a.Msgs {
+		if _, ok := b.Msgs[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// envSize is the number of facts an env set holds; saturation only adds.
+func envSize(e *EnvSet) int { return len(e.Configs) + len(e.Msgs) }
 
 // LegacyExploreForTest re-runs the macro-state fixpoint the way the code
 // worked before the allocation-free exploration core: every successor is
@@ -51,9 +93,13 @@ func legacyKey(s *state) string {
 //   - the spliced key construction (appendKeyDis + parent suffix reuse for
 //     memory-untouched successors) must reproduce the reference encoding
 //     byte for byte, and
-//   - re-saturating a memory-untouched successor must be a no-op (same env
-//     fingerprint before and after), which is the purity argument the
-//     explorers' saturation skip rests on.
+//   - re-saturating a memory-untouched successor must be a no-op (no env
+//     fact added), which is the purity argument the explorers' saturation
+//     skip rests on, and
+//   - every successor whose dis memory an earlier state reached must carry
+//     that state's env set, which is the lemma the key's omission of the
+//     env set rests on (DESIGN, "The env set is a function of the dis
+//     memory").
 //
 // Because the visited set here is keyed by the reference encoding while the
 // production engines key by the optimized one, equal macro-state counts on
@@ -72,6 +118,7 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 		return r
 	}
 	seen := map[string]bool{legacyKey(init): true}
+	envOf := map[string]*EnvSet{memKey(init): &init.env}
 	queue := []*state{init}
 	for len(queue) > 0 {
 		st := queue[0]
@@ -83,10 +130,10 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 		}
 		parentSuffix := engine.GetKeyEnc()
 		parentSuffix.Reset()
-		st.appendKeyMemEnv(parentSuffix)
+		st.appendKeyMem(parentSuffix)
 		for _, ns := range succs {
 			memChanged := ns.memChanged()
-			fpBefore := ns.env.Fingerprint()
+			sizeBefore := envSize(&ns.env)
 			if viol := ex.saturate(ns); viol != nil {
 				engine.PutKeyEnc(parentSuffix)
 				r.Unsafe, r.MacroStates = true, len(seen)
@@ -97,15 +144,24 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 				r.Unsafe, r.MacroStates = true, len(seen)
 				return r
 			}
-			if !memChanged && ns.env.Fingerprint() != fpBefore {
+			if !memChanged && envSize(&ns.env) != sizeBefore {
 				r.SkipUnsound++
+			}
+			mk := memKey(ns)
+			if first := envOf[mk]; first == nil {
+				envOf[mk] = &ns.env
+			} else {
+				r.SharedMemories++
+				if !sameEnv(first, &ns.env) {
+					r.EnvConflicts++
+				}
 			}
 			ref := legacyKey(ns)
 			opt := engine.GetKeyEnc()
 			opt.Reset()
 			ns.appendKeyDis(opt)
 			if memChanged {
-				ns.appendKeyMemEnv(opt)
+				ns.appendKeyMem(opt)
 			} else {
 				opt.Raw(parentSuffix.Bytes())
 			}

@@ -215,13 +215,13 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 			enc.Reset()
 			ns.appendKeyDis(enc)
 			if memChanged {
-				ns.appendKeyMemEnv(enc)
+				ns.appendKeyMem(enc)
 			} else {
-				// Untouched memory and env: the key suffix equals the
-				// parent's, encoded at most once per expansion.
+				// Untouched memory: the key suffix equals the parent's,
+				// encoded at most once per expansion.
 				if len(suffix) == 0 {
 					ex.enc2.Reset()
-					st.appendKeyMemEnv(&ex.enc2)
+					st.appendKeyMem(&ex.enc2)
 					suffix = append(suffix, ex.enc2.Bytes()...)
 				}
 				enc.Raw(suffix)

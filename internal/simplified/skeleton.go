@@ -47,38 +47,59 @@ type Skeleton struct {
 	Unsafe bool
 }
 
-// Skeletons enumerates dis-run skeletons by depth-first search over the
+// EachSkeleton walks the dis-run skeletons by depth-first search over the
 // macro-state space, memoized on state keys so each macro-state is expanded
-// once: every maximal or assert-terminated path of the DFS tree is one
-// skeleton. maxPaths > 0 caps the number of skeletons; the boolean reports
-// whether the enumeration was exhaustive, false when the cap cut it short.
-// ctx is checked once per expanded macro-state: on cancellation Skeletons
-// returns ctx's error and no skeletons.
+// once, and hands each one to yield as the walk reaches it: every maximal
+// or assert-terminated path of the DFS tree is one skeleton. The walk stops
+// when yield returns false. The skeleton's Steps are the walk's own path,
+// valid only during the call; a consumer that keeps them copies them.
+// maxPaths > 0 caps the number of skeletons. complete reports whether the
+// walk ran to its end: false when the cap or yield cut it short. ctx is
+// checked once per expanded macro-state, and cancellation surfaces as its
+// error.
 //
 // The walk is the fixpoint's macro-state graph (the same eachDisMove and
 // saturation) walked depth-first rather than layer by layer: makeP needs
 // the DFS tree's paths, and a breadth-first admission order would memoize
 // different states first and so yield a different skeleton set.
-func (v *Verifier) Skeletons(ctx context.Context, maxPaths int) ([]Skeleton, bool, error) {
-	w := skelWalk{ex: newExec(v, nil), max: maxPaths, complete: true}
+func (v *Verifier) EachSkeleton(ctx context.Context, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
+	w := skelWalk{ex: newExec(v, nil), max: maxPaths, yield: yield, complete: true}
 	init := v.initState()
 	// Saturation may already hit an env assert; skeleton consumers detect
 	// that via the bad() rules, so the violation is ignored here.
 	w.ex.saturate(init)
 	w.seen = map[string]bool{init.key(): true}
 	if err := w.dfs(ctx, init); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return w.out, w.complete, nil
+	return w.complete, nil
 }
 
-// skelWalk is the state of one Skeletons enumeration.
+// Skeletons collects EachSkeleton's skeletons, each with its own copy of
+// its steps. On cancellation it returns ctx's error and no skeletons.
+func (v *Verifier) Skeletons(ctx context.Context, maxPaths int) ([]Skeleton, bool, error) {
+	var out []Skeleton
+	complete, err := v.EachSkeleton(ctx, maxPaths, func(sk Skeleton) bool {
+		steps := make([]SkeletonStep, len(sk.Steps))
+		copy(steps, sk.Steps)
+		out = append(out, Skeleton{Steps: steps, Unsafe: sk.Unsafe})
+		return true
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return out, complete, nil
+}
+
+// skelWalk is the state of one EachSkeleton walk.
 type skelWalk struct {
 	ex       *exec
 	max      int
+	yield    func(Skeleton) bool
 	seen     map[string]bool
 	path     []SkeletonStep
-	out      []Skeleton
+	emitted  int
+	stopped  bool
 	complete bool
 }
 
@@ -88,26 +109,30 @@ type skelSucc struct {
 	step SkeletonStep
 }
 
-// capped reports whether the output cap is reached, marking the
-// enumeration incomplete. Expanding (and saturating) the remaining
-// macro-state space could not emit anything and is exactly the exponential
-// part of the walk, so every caller stops there.
-func (w *skelWalk) capped() bool {
-	if w.max > 0 && len(w.out) >= w.max {
+// done reports whether the walk must end: yield stopped it, or the output
+// cap is reached, which marks the enumeration incomplete. Expanding (and
+// saturating) the remaining macro-state space could not emit anything and
+// is exactly the exponential part of the walk, so every caller stops there.
+func (w *skelWalk) done() bool {
+	if w.stopped {
+		return true
+	}
+	if w.max > 0 && w.emitted >= w.max {
 		w.complete = false
 		return true
 	}
 	return false
 }
 
-// emit records the current path as a skeleton.
+// emit hands the current path to yield as a skeleton.
 func (w *skelWalk) emit(unsafe bool) {
-	if w.capped() {
+	if w.done() {
 		return
 	}
-	steps := make([]SkeletonStep, len(w.path))
-	copy(steps, w.path)
-	w.out = append(w.out, Skeleton{Steps: steps, Unsafe: unsafe})
+	w.emitted++
+	if !w.yield(Skeleton{Steps: w.path, Unsafe: unsafe}) {
+		w.stopped, w.complete = true, false
+	}
 }
 
 // dfs expands st and walks into every successor not seen before, emitting
@@ -116,7 +141,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if w.capped() {
+	if w.done() {
 		return nil
 	}
 	// The first enabled assert ends a skeleton of its own; the enumeration
@@ -146,7 +171,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 	}
 	progressed := false
 	for _, s := range succs {
-		if w.capped() {
+		if w.done() {
 			return nil
 		}
 		w.ex.saturate(s.st)

@@ -62,7 +62,7 @@ type Options struct {
 
 // Stats reports work done by the verifier.
 type Stats struct {
-	// MacroStates is the number of distinct (dis, env-fingerprint) states.
+	// MacroStates is the number of distinct (dis, dis memory) states.
 	MacroStates int
 	// DisTransitions is the number of dis transitions taken.
 	DisTransitions int
@@ -241,8 +241,8 @@ type exec struct {
 	outBuf []*state
 	// mv is the move eachDisMove fills and yields.
 	mv disMove
-	// sufBuf caches the parent's mem+env key suffix within one expansion
-	// (see state.appendKeyMemEnv).
+	// sufBuf caches the parent's memory key suffix within one expansion
+	// (see state.appendKeyMem).
 	sufBuf []byte
 	// enc and enc2 are embedded key-encoder scratch: enc serves the
 	// saturation config probes and the successor key of the expansion

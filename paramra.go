@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"paramra/internal/analysis"
@@ -137,7 +137,8 @@ type Options struct {
 	// Datalog selects the makeP → Datalog backend (Theorem 4.1) instead of
 	// the integrated fixpoint engine, for cross-checking and experiments.
 	// It evaluates the model of the program its query instances share once,
-	// then each instance as a continuation of that model.
+	// then each instance as a continuation of that model as the skeleton
+	// walk emits it, and stops at the first whose query holds.
 	Datalog bool
 	// Prepass runs the static abstract-interpretation prepass and returns
 	// its verdict (Result.DecidedBy = "prepass") when it is decisive. Sound
@@ -157,8 +158,8 @@ type Options struct {
 	// goal queries have no replay. See Prepass for the standalone entry
 	// point.
 	Prepass bool
-	// MaxSkeletons caps dis-run enumeration for the Datalog backend
-	// (0 = the default cap of 100,000 skeletons).
+	// MaxSkeletons caps the Datalog backend's skeleton walk (0 = the
+	// default cap of 100,000 skeletons).
 	MaxSkeletons int
 	// Parallelism is the number of worker goroutines (0 = GOMAXPROCS).
 	// Verdicts, witnesses and §4.3 bounds of the fixpoint backend are
@@ -290,13 +291,14 @@ type Stats struct {
 	States      int
 	Transitions int
 
-	// Datalog backend (makeP, Theorem 4.1). DatalogFacts and DatalogRules
-	// count every instance's whole program, its shared prefix included.
-	// FixpointRounds sums the instances' continuation rounds (the shared
-	// prefix's model is evaluated once and not counted), DatalogAtoms the
-	// sizes of their models, the shared model included; an instance that
-	// derives its goal stops there. Under parallelism with an UNSAFE early
-	// exit the sums cover the instances evaluated before the first hit.
+	// Datalog backend (makeP, Theorem 4.1). The counters cover the query
+	// instances up to and including the first UNSAFE one in skeleton-walk
+	// order (all of them when none is), at every Parallelism: Skeletons
+	// counts them; DatalogFacts and DatalogRules count each one's whole
+	// program, its shared prefix included; FixpointRounds sums their
+	// continuation rounds (the shared prefix's model is evaluated once and
+	// not counted), DatalogAtoms the sizes of their models, the shared
+	// model included; the UNSAFE instance stops at its goal.
 	Skeletons      int
 	DatalogFacts   int
 	DatalogRules   int
@@ -514,33 +516,60 @@ func fixpointResult(res Result, work *System, out simplified.Result) (Result, er
 // Options.MaxSkeletons is 0.
 const defaultMaxSkeletons = 100_000
 
-// DatalogInstances returns, in order, the ground query instances that Verify
-// with Options.Datalog evaluates for sys — same skeleton cap, same grounding
-// — and whether the skeleton enumeration behind them was exhaustive. It
-// runs no prepass, unrolling or cache lookup; radatalog's -dump and -stats
-// list these instances one by one.
-func DatalogInstances(ctx context.Context, sys *System, opts Options) ([]*encode.Problem, bool, error) {
+// DatalogInstances hands yield, in order, the ground query instances that
+// Verify with Options.Datalog evaluates for sys — same skeleton cap, same
+// grounding — each as the skeleton walk reaches it; yield returning false
+// stops the walk. It reports whether the walk ran to its end (false when
+// the cap or yield cut it short). It runs no prepass, unrolling or cache
+// lookup; radatalog's -dump and -stats list these instances one by one.
+func DatalogInstances(ctx context.Context, sys *System, opts Options, yield func(*encode.Problem) bool) (bool, error) {
 	opts = opts.normalized()
-	if opts.MaxSkeletons == 0 {
-		opts.MaxSkeletons = defaultMaxSkeletons
+	enc, err := datalogEncoder(sys)
+	if err != nil {
+		return false, err
 	}
-	// The abstract value sets double as grounding hints: registers range
-	// only over the values they can hold at each env PC, shrinking the
-	// instances without changing derivability. The facts must describe the
-	// exact system encoded (post-unroll), so they are computed here, not
-	// reused from the verdict prepass.
+	return enc.Each(ctx, skeletonCap(opts), yield)
+}
+
+// skeletonCap is the Datalog backend's skeleton cap under opts.
+func skeletonCap(opts Options) int {
+	if opts.MaxSkeletons == 0 {
+		return defaultMaxSkeletons
+	}
+	return opts.MaxSkeletons
+}
+
+// datalogEncoder emits sys's makeP prefix with the grounding Verify uses.
+// The abstract value sets double as grounding hints: registers range only
+// over the values they can hold at each env PC, shrinking the instances
+// without changing derivability. The facts must describe the exact system
+// encoded (post-unroll), so they are computed here, not reused from the
+// verdict prepass.
+func datalogEncoder(sys *System) (*encode.Encoder, error) {
 	var hints encode.Hints
 	if ef := analysis.Analyze(sys).EnvFacts(); ef != nil {
 		hints = ef
 	}
-	return encode.All(ctx, sys, opts.MaxSkeletons, hints)
+	return encode.New(sys, hints)
 }
 
-// verifyDatalog runs the makeP → Datalog backend: one query instance per
-// dis-run skeleton, evaluated ∃-style (first derivable goal wins). The
-// instances share a prefix, whose model is evaluated once; each instance
-// continues from it, and engine.Each evaluates them on Parallelism workers;
-// the verdict is deterministic regardless. Stats.Wall and
+// datalogOutcome is what evaluating one query instance contributes to the
+// verdict and to Stats.
+type datalogOutcome struct {
+	hit          bool
+	facts, rules int
+	eval         datalog.EvalStats
+	err          error
+}
+
+// verifyDatalog runs the makeP → Datalog backend, ∃-style: the system is
+// unsafe iff some dis-run skeleton's query instance derives unsafe(). It
+// evaluates the model of the prefix the instances share once, then
+// continues from it on each instance as the skeleton walk emits it, on
+// Parallelism workers (engine.Stream, inline at one worker), and stops the
+// walk at the first instance in walk order whose goal is derived. Stats
+// cover the instances up to and including that one, so the verdict and
+// every counter are the same at every Parallelism. Stats.Wall and
 // Stats.Workers are populated on every path, including encoding errors and
 // cancellation.
 func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
@@ -560,39 +589,11 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	dspan := span.Child("datalog")
 	defer dspan.End()
 
-	enc := dspan.Child("skeleton-enumeration")
-	ps, complete, err := DatalogInstances(ctx, sys, opts)
+	enc, err := datalogEncoder(sys)
 	if err != nil {
-		enc.End()
 		return seal(res), err
 	}
-	if enc != nil {
-		enc.SetAttr("skeletons", len(ps))
-		enc.SetAttr("complete", complete)
-		enc.End()
-	}
-	res.Stats.Skeletons = len(ps)
-	count := func(rules []datalog.Rule, times int) {
-		for _, r := range rules {
-			if r.IsFact() {
-				res.Stats.DatalogFacts += times
-			} else {
-				res.Stats.DatalogRules += times
-			}
-		}
-	}
-	for _, p := range ps {
-		count(p.Rules, 1)
-	}
-	if len(ps) > 0 {
-		count(ps[0].Prefix.Rules, len(ps))
-	}
-
-	if workers > len(ps) && len(ps) > 0 {
-		workers = len(ps)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	prefixFacts, prefixRules := countRules(enc.Prefix().Rules)
 
 	var hInst, hRound *obs.Histogram
 	var cInst, cRounds, cAtoms *obs.Counter
@@ -613,13 +614,13 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		roundHook = func(d time.Duration) { hRound.Observe(int64(d)) }
 	}
 
-	// Live counters for the progress ticker; folded into res.Stats after
-	// the workers join.
-	var rounds, atoms, instances atomic.Int64
+	// The fold owns the Datalog counters; the progress ticker reads them
+	// under mu.
+	var mu sync.Mutex
 	snapshot := func() Stats {
+		mu.Lock()
 		s := res.Stats
-		s.FixpointRounds = int(rounds.Load())
-		s.DatalogAtoms = int(atoms.Load())
+		mu.Unlock()
 		s.Wall = time.Since(start)
 		s.Workers = workers
 		return s
@@ -629,69 +630,108 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		stopProgress = engine.Tick(500*time.Millisecond, func() { opts.Progress(snapshot()) })
 	}
 
+	// The two spans overlap: the walk feeds the evaluation as it goes.
 	eval := dspan.Child("datalog-eval")
 	// The instances share their prefix, so its least model is evaluated
 	// once, and every instance continues from it: the model is read-only,
 	// and all workers read it at once.
-	var model *datalog.DB
-	if len(ps) > 0 {
-		mspan := eval.Child("shared-model")
-		var st datalog.EvalStats
-		model, st, err = datalog.Eval(ctx, ps[0].Prefix, roundHook)
-		if mspan != nil {
-			mspan.SetAttr("rounds", st.Rounds)
-			mspan.SetAttr("atoms", st.Atoms)
-			mspan.End()
-		}
-		if err != nil {
-			stopProgress()
-			eval.End()
-			return seal(res), err
-		}
+	mspan := eval.Child("shared-model")
+	model, st, err := datalog.Eval(ctx, enc.Prefix(), roundHook)
+	if mspan != nil {
+		mspan.SetAttr("rounds", st.Rounds)
+		mspan.SetAttr("atoms", st.Atoms)
+		mspan.End()
 	}
-	var unsafeHit atomic.Bool
-	engine.Each(cctx, workers, len(ps), func(_, i int) {
+	if err != nil {
+		stopProgress()
+		eval.End()
+		return seal(res), err
+	}
+
+	walk := dspan.Child("skeleton-enumeration")
+	var complete bool
+	var evalErr error
+	// The stream's ctx stops the walk mid-way once an instance derives
+	// its goal, not only at its next emit.
+	produce := func(ctx context.Context, emit func(*encode.Problem) bool) error {
+		var err error
+		complete, err = enc.Each(ctx, skeletonCap(opts), emit)
+		return err
+	}
+	work := func(ctx context.Context, _ int, p *encode.Problem) (datalogOutcome, bool) {
 		var t0 time.Time
 		if hInst != nil {
 			t0 = time.Now()
 		}
-		// Context-aware query: cancellation (deadline or another worker's
-		// unsafe hit) aborts a long evaluation mid-round instead of letting
-		// it run to fixpoint. A true answer from an aborted run is still a
-		// valid derivation.
-		_, hit, st, _ := datalog.Continue(cctx, model, ps[i].Rules, ps[i].Goal, roundHook)
+		var o datalogOutcome
+		o.facts, o.rules = countRules(p.Rules)
+		// Context-aware query: cancellation (deadline, or an earlier
+		// instance's hit) aborts a long evaluation mid-round instead of
+		// letting it run to fixpoint. A true answer from an aborted run is
+		// still a valid derivation.
+		_, o.hit, o.eval, o.err = datalog.Continue(ctx, model, p.Rules, p.Goal, roundHook)
 		if hInst != nil {
 			hInst.Observe(int64(time.Since(t0)))
 		}
-		rounds.Add(int64(st.Rounds))
-		atoms.Add(int64(st.Atoms))
-		instances.Add(1)
+		return o, o.hit || o.err != nil
+	}
+	fold := func(o datalogOutcome) {
+		mu.Lock()
+		res.Stats.Skeletons++
+		res.Stats.DatalogFacts += prefixFacts + o.facts
+		res.Stats.DatalogRules += prefixRules + o.rules
+		res.Stats.FixpointRounds += o.eval.Rounds
+		res.Stats.DatalogAtoms += o.eval.Atoms
+		res.Unsafe = o.hit
+		mu.Unlock()
 		cInst.Inc()
-		cRounds.Add(int64(st.Rounds))
-		cAtoms.Add(int64(st.Atoms))
-		if hit {
-			unsafeHit.Store(true)
-			cancel()
+		cRounds.Add(int64(o.eval.Rounds))
+		cAtoms.Add(int64(o.eval.Atoms))
+		if o.err != nil && !o.hit {
+			evalErr = o.err
 		}
-	})
+	}
+	err = engine.Stream(ctx, workers, produce, work, fold)
 	stopProgress()
-	res.Stats.FixpointRounds = int(rounds.Load())
-	res.Stats.DatalogAtoms = int(atoms.Load())
-	res.Unsafe = unsafeHit.Load()
 	res.Complete = res.Unsafe || complete
+	if walk != nil {
+		walk.SetAttr("skeletons", res.Stats.Skeletons)
+		walk.SetAttr("complete", complete && !res.Unsafe)
+		walk.End()
+	}
 	if eval != nil {
-		eval.SetAttr("instances_evaluated", instances.Load())
+		eval.SetAttr("instances_evaluated", res.Stats.Skeletons)
 		eval.SetAttr("rounds", res.Stats.FixpointRounds)
 		eval.SetAttr("atoms", res.Stats.DatalogAtoms)
 		eval.SetAttr("workers", workers)
 		eval.SetAttr("unsafe", res.Unsafe)
 		eval.End()
 	}
-	if err := ctx.Err(); err != nil && !res.Unsafe {
-		res.Complete = false
-		return seal(res), err
+	if res.Unsafe {
+		return seal(res), nil
 	}
-	return seal(res), nil
+	if evalErr != nil {
+		err = evalErr
+	}
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		res.Complete = false
+	}
+	return seal(res), err
+}
+
+// countRules splits rules into facts and proper rules.
+func countRules(rules []datalog.Rule) (facts, proper int) {
+	for _, r := range rules {
+		if r.IsFact() {
+			facts++
+		} else {
+			proper++
+		}
+	}
+	return facts, proper
 }
 
 // ConfirmError reports a failed ConfirmViolation search. It is returned
