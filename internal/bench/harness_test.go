@@ -153,12 +153,21 @@ func TestThreadBoundExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
+	// Every unsafe entry with a known minimum has a row, those that need no
+	// env thread included, and its concrete minimum is the annotated one.
+	var want []Entry
+	for _, e := range Corpus() {
+		if e.Want == Unsafe && e.MinEnv >= 0 {
+			want = append(want, e)
+		}
 	}
-	for _, r := range rows {
-		if r.ActualMin < 0 {
-			t.Errorf("%s: concrete minimum not found", r.Name)
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d: one per unsafe entry with a known minimum", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if e := want[i]; r.Name != e.Name || r.ActualMin != e.MinEnv {
+			t.Errorf("row %d: %s with concrete minimum %d, want %s with %d",
+				i, r.Name, r.ActualMin, e.Name, e.MinEnv)
 			continue
 		}
 		// §4.3: the cost is a sound over-approximation.

@@ -6,7 +6,7 @@
 // edge msg' → msg when genthread(msg) — the thread that first added msg —
 // read msg' before generating msg, weighted by the read count rc(msg, msg').
 // The graphs are reconstructed from the read logs the verifier attaches to
-// thread configurations and message entries.
+// thread configurations, dis messages and env message entries.
 package depgraph
 
 import (
@@ -110,8 +110,7 @@ func FromViolation(sys *lang.System, viol *simplified.Violation) (*Graph, error)
 					addMsg(m, InitMsg, nil)
 					return
 				}
-				gen := viol.DisMsgLogs[m.Key()]
-				addMsg(m, DisMsg, gen.Log)
+				addMsg(m, DisMsg, m.GenLog)
 			})
 		}
 	}

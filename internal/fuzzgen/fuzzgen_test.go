@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"paramra/internal/bench"
 	"paramra/internal/lang"
 	"paramra/internal/obs"
 )
@@ -103,6 +104,32 @@ func TestCheckAgreesOnSeeds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestCheckFixpointUnsafeHasDependencyGraph(t *testing.T) {
+	// peterson-ra-rmwfence's fixpoint UNSAFE must carry the dependency graph
+	// of its violating computation: one whose dis messages took their
+	// provenance from another path had a dangling dependency, no graph and
+	// no §4.3 bound, and the oracle reports that as a depgraph disagreement.
+	e, ok := bench.ByName("peterson-ra-rmwfence")
+	if !ok {
+		t.Fatal("corpus entry peterson-ra-rmwfence missing")
+	}
+	rep := Check(context.Background(), e.System(), CheckOptions{
+		MaxMacroStates: 200_000,
+		Parallelism2:   -1,
+		NoDatalog:      true,
+		NoConcrete:     true,
+		NoDeadlocks:    true,
+		NoPrepass:      true,
+		NoCache:        true,
+	})
+	if v := rep.Verdict(BackendFixpoint); !v.definitiveUnsafe() {
+		t.Fatalf("fixpoint verdict %s, want UNSAFE", v)
+	}
+	for _, d := range rep.Disagreements {
+		t.Errorf("disagreement: %s", d)
 	}
 }
 

@@ -188,6 +188,12 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		ErrClass: classifyErr(fixErr),
 	}
 	rep.Verdicts = append(rep.Verdicts, fix)
+	// A fixpoint UNSAFE carries the dependency graph (Definition 1) of its
+	// violating computation, rebuilt from the provenance on its messages.
+	// Without one the §4.3 bound is absent and Backend 6 cannot test it.
+	if fixErr == nil && fixRes.Unsafe && fixRes.Graph == nil {
+		disagree("depgraph", "fixpoint UNSAFE carries no dependency graph (witness %v)", fixRes.Witness)
+	}
 
 	// Backend 2: the same fixpoint at a different worker count. The layered
 	// engine promises bit-identical verdicts, witnesses and stats.

@@ -17,6 +17,14 @@ type AMsg struct {
 	View AView // View[Var] == TS by construction
 	// Env marks messages generated by env threads (TS is a ⁺-timestamp).
 	Env bool
+	// GenDis and GenLog are a dis message's provenance (genthread,
+	// Definition 1): the index of the dis thread that stored it and that
+	// thread's read log at the store. Like an env message's MsgEntry.Log,
+	// they belong to the computation that reached the message's
+	// configuration, and they are not part of the message's identity (Key)
+	// nor of a macro-state's. Init and env messages leave them zero.
+	GenDis int32
+	GenLog *ReadLog
 	// key caches Key(); DisMem.Put fills it on insert so the loads that later
 	// enumerate the stored message don't re-render the key. Empty means not
 	// yet computed (the key rendering never produces an empty string).

@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"paramra/internal/bench"
+	"paramra/internal/lang"
 	"paramra/internal/simplified"
 )
 
 // TestParallelMatchesSequentialCorpus is the determinism contract of the
 // layered parallel engine: for every corpus entry and every worker count,
 // VerifyContext must agree with the sequential reference search on the
-// verdict, completeness, every statistic, and the violation's read logs
-// (the inputs of the §4.3 env-thread bound).
+// verdict, completeness, every statistic, and the violation's read logs and
+// dis message provenance (the inputs of the §4.3 env-thread bound).
 func TestParallelMatchesSequentialCorpus(t *testing.T) {
 	for _, e := range bench.Corpus() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -54,18 +55,20 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 							t.Errorf("j=%d: dis %d read log %v vs %v", workers, i, got, want)
 						}
 					}
-					if len(pv.DisMsgLogs) != len(sv.DisMsgLogs) {
-						t.Errorf("j=%d: provenance map size %d vs %d",
-							workers, len(pv.DisMsgLogs), len(sv.DisMsgLogs))
-					}
-					for k, sg := range sv.DisMsgLogs {
-						pg, ok := pv.DisMsgLogs[k]
-						if !ok {
-							t.Errorf("j=%d: provenance missing key %q", workers, k)
+					// Every dis message carries its provenance: the same
+					// messages, with the same generating thread and read log.
+					for x := 0; x < sv.Mem.NumVars(); x++ {
+						pm, sm := pv.Mem.VarMsgs(lang.VarID(x)), sv.Mem.VarMsgs(lang.VarID(x))
+						if len(pm) != len(sm) {
+							t.Errorf("j=%d: %d dis messages on var %d vs %d", workers, len(pm), x, len(sm))
 							continue
 						}
-						if pg.DisIndex != sg.DisIndex || !slices.Equal(logKeys(pg.Log), logKeys(sg.Log)) {
-							t.Errorf("j=%d: provenance of %q differs", workers, k)
+						for i, want := range sm {
+							got := pm[i]
+							if got.Key() != want.Key() || got.GenDis != want.GenDis ||
+								!slices.Equal(logKeys(got.GenLog), logKeys(want.GenLog)) {
+								t.Errorf("j=%d: provenance of %q differs", workers, want.Key())
+							}
 						}
 					}
 				}

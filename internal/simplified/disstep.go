@@ -18,8 +18,9 @@ type disMove struct {
 	read    AMsg
 	hasRead bool
 	// put is the message a store or CAS adds to dis memory (hasPut marks
-	// it). Its provenance (genthread's reads, Definition 1) is next.Log: a
-	// store keeps the thread's log, a CAS extends it by the message read.
+	// it). It carries its provenance (AMsg.GenDis, AMsg.GenLog): the
+	// stepping thread and next.Log, its reads up to the store (a store
+	// keeps the thread's log, a CAS extends it by the message read).
 	put    AMsg
 	hasPut bool
 }
@@ -86,7 +87,8 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 					view := cfg.View.Clone()
 					view[x] = Int(t)
 					mv.next.View = view
-					mv.put = AMsg{Var: x, TS: Int(t), Val: d, View: view}
+					mv.put = AMsg{Var: x, TS: Int(t), Val: d, View: view,
+						GenDis: int32(i), GenLog: mv.next.Log}
 					mv.put.key = mv.put.Key()
 					mv.hasPut = true
 					if !yield(mv) {
@@ -130,7 +132,8 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 		mv.next = AThread{PC: e.To, Regs: cfg.Regs, View: view,
 			Log: &ReadLog{MsgKey: mk, Prev: cfg.Log}}
 		mv.read, mv.hasRead = m, true
-		mv.put = AMsg{Var: x, TS: Int(t), Val: newVal, View: view}
+		mv.put = AMsg{Var: x, TS: Int(t), Val: newVal, View: view,
+			GenDis: int32(mv.dis), GenLog: mv.next.Log}
 		mv.put.key = mv.put.Key()
 		mv.hasPut = true
 		return yield(mv)
@@ -166,10 +169,9 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 }
 
 // disSuccessors enumerates the macro-states reachable by one transition of a
-// dis thread, recording the provenance of every dis message it stores. An
-// enabled `assert false` ends the enumeration with a violation, except in
-// Message Generation mode, where asserts are inert (§4.1). Env saturation of
-// the successors is the caller's job.
+// dis thread. An enabled `assert false` ends the enumeration with a
+// violation, except in Message Generation mode, where asserts are inert
+// (§4.1). Env saturation of the successors is the caller's job.
 func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 	// The result slice is exec scratch: callers consume it before the next
 	// expansion on this exec. The successor states themselves escape; only
@@ -188,7 +190,6 @@ func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 		ns := ex.cloneState(st)
 		ns.dis[mv.dis] = mv.next
 		if mv.hasPut {
-			ex.recordDisMsg(mv.put, mv.dis, mv.next.Log)
 			ns.mem.Put(mv.put)
 		}
 		ex.stats.DisTransitions++

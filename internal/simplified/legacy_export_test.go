@@ -107,7 +107,7 @@ func envSize(e *EnvSet) int { return len(e.Configs) + len(e.Msgs) }
 // membership.
 func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 	var r LegacyExploreResult
-	ex := newExec(v, nil)
+	ex := &exec{v: v}
 	init := v.initState()
 	if viol := ex.saturate(init); viol != nil {
 		r.Unsafe, r.MacroStates = true, 1

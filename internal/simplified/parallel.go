@@ -10,9 +10,8 @@ import (
 )
 
 // expOut is the result of expanding one macro-state: its successors (with
-// pre-computed memo key bytes), any violation, and the expansion's stats and
-// provenance overlay (handed off from the exec, see exec.handOff) to be
-// merged in commit order.
+// pre-computed memo key bytes), any violation, and the expansion's stats, to
+// be added up in commit order.
 //
 // Successor keys are carried as one concatenated byte arena (keyBuf sliced
 // by keyEnds) rather than interned strings: commit admits via AddBytes, so a
@@ -27,8 +26,6 @@ type expOut struct {
 	keyBuf    []byte
 	keyEnds   []int32
 	stats     Stats
-	msgLogs   map[string]DisGen
-	msgOrder  []string
 	viol      *Violation
 	violState *state
 	// preDedup counts successors dropped during expansion because the seen
@@ -46,17 +43,13 @@ func (o *expOut) pushSucc(ns *state, key []byte) {
 
 // reset empties a committed output for its next layer. It drops every
 // state pointer, so a slot that no frontier position reaches again does not
-// keep admitted macro-states alive, and keeps the arenas and the cleared
-// overlay (handOff swaps it back onto the next expansion's exec).
+// keep admitted macro-states alive, and keeps the arenas.
 func (o *expOut) reset() {
 	clear(o.succs)
 	o.succs = o.succs[:0]
 	o.keyBuf = o.keyBuf[:0]
 	o.keyEnds = o.keyEnds[:0]
 	o.stats = Stats{}
-	clear(o.msgLogs)
-	clear(o.msgOrder)
-	o.msgOrder = o.msgOrder[:0]
 	o.viol, o.violState = nil, nil
 	o.preDedup = 0
 }
@@ -65,11 +58,11 @@ func (o *expOut) reset() {
 // branch over dis transitions, repeat — on the layered parallel engine.
 // Verdicts, witnesses, statistics and §4.3 bounds are bit-identical for
 // every worker count, and equal to those of a sequential breadth-first
-// search: each layer is expanded concurrently against a frozen provenance
-// map (every expansion works on a private overlay), then the overlays are
-// merged and successors admitted sequentially in frontier order, so the
-// first derivation of every message — and with it every read-log chain — is
-// the same as in a 1-worker run.
+// search: each layer is expanded concurrently, then successors are admitted
+// sequentially in frontier order. Every message carries the provenance of
+// the computation that reached its macro-state, and the key ignores it, so
+// of two computations reaching one key the state admitted first keeps its
+// read-log chains, the same state as in a 1-worker run.
 //
 // Cancellation (ctx) is the primary resource limit; Options.MaxMacroStates
 // remains a secondary cap. On cancellation the partial Result carries
@@ -140,7 +133,7 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 		return viol
 	}
 
-	global := newExec(v, nil)
+	global := &exec{v: v}
 	init := v.initState()
 
 	satSpan := span.Child("init-saturate")
@@ -170,20 +163,12 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 		return early(global.unsafeResult(viol, init))
 	}
 
-	newScratch := func() *exec { return newExec(v, nil) }
+	newScratch := func() *exec { return &exec{v: v} }
 	expand := func(ex *exec, st *state, seen func([]byte) bool, o *expOut) {
-		// The worker's exec reads the frozen global provenance and writes
-		// locally. Its base is re-read here, since the global map is
-		// allocated by the first commit that records provenance.
-		// checkGoalDis never needs a same-layer sibling's record — any dis
-		// message in st's memory was stored either on st's own path (already
-		// merged into the global map when st was admitted in an earlier
-		// layer) or by this very expansion.
-		ex.base = global.msgLogs
 		succs, viol := ex.disSuccessors(st)
 		if viol != nil {
 			o.viol, o.violState = viol, st
-			ex.handOff(o)
+			o.stats, ex.stats = ex.stats, Stats{}
 			return
 		}
 		enc := &ex.enc
@@ -234,12 +219,12 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 			o.pushSucc(ns, enc.Bytes())
 		}
 		ex.sufBuf = suffix[:0]
-		ex.handOff(o)
+		o.stats, ex.stats = ex.stats, Stats{}
 	}
 
 	commit := func(i int, st *state, o *expOut, adm *engine.Admitter[*state]) any {
 		global.recordSizes(st)
-		global.mergeOut(o)
+		global.stats.merge(o.stats)
 		adm.AddTransitions(int64(o.stats.DisTransitions))
 		adm.AddDedup(o.preDedup)
 		gCfg.Max(int64(global.stats.EnvConfigs))
@@ -259,12 +244,6 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 		viol, violState := o.viol, o.violState
 		o.reset()
 		if viol != nil {
-			// Re-resolve provenance against the merged map so an earlier
-			// commit's first derivation wins, exactly as sequentially.
-			if viol.GoalMsg != nil && !viol.ByEnv {
-				gen := global.lookupGen(viol.GoalMsg.Key())
-				viol.DisIndex, viol.Log = gen.DisIndex, gen.Log
-			}
 			r := global.unsafeResult(viol, violState)
 			return &r
 		}

@@ -6,7 +6,7 @@ package simplified
 // against, and it shares the semantics (saturation, dis successors, keys)
 // but not the engine. Result.Engine is left zero.
 func SequentialVerifyForTest(v *Verifier) Result {
-	ex := newExec(v, nil)
+	ex := &exec{v: v}
 	// The initial macro-state counts as visited even when its own
 	// saturation already finds the violation, as in VerifyContext.
 	ex.stats.MacroStates = 1

@@ -63,7 +63,7 @@ type Skeleton struct {
 // the DFS tree's paths, and a breadth-first admission order would memoize
 // different states first and so yield a different skeleton set.
 func (v *Verifier) EachSkeleton(ctx context.Context, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
-	w := skelWalk{ex: newExec(v, nil), max: maxPaths, yield: yield, complete: true}
+	w := skelWalk{ex: &exec{v: v}, max: maxPaths, yield: yield, complete: true}
 	init := v.initState()
 	// Saturation may already hit an env assert; skeleton consumers detect
 	// that via the bad() rules, so the violation is ignored here.

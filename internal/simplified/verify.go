@@ -97,20 +97,14 @@ type Violation struct {
 	// GoalMsg is the generated goal message for MG queries.
 	GoalMsg *AMsg
 	// Env and Mem snapshot the configuration at the violation, enabling
-	// dependency-graph reconstruction (the Log chains reference them).
+	// dependency-graph reconstruction (the Log chains reference them). Each
+	// env message carries its provenance in its MsgEntry, each dis message
+	// in its GenDis and GenLog, all from the one computation that reached
+	// the configuration.
 	Env *EnvSet
 	Mem *DisMem
 	// DisLogs are the read logs of all dis threads at the violation.
 	DisLogs []*ReadLog
-	// DisMsgLogs maps dis message keys to the generating thread's read log
-	// at store time together with the generating dis thread index.
-	DisMsgLogs map[string]DisGen
-}
-
-// DisGen records the provenance of a dis-generated message.
-type DisGen struct {
-	DisIndex int
-	Log      *ReadLog
 }
 
 // Result is the verification outcome.
@@ -213,23 +207,13 @@ func (v *Verifier) initState() *state {
 	return st
 }
 
-// exec is the mutable context of one expansion: per-expansion statistics
-// plus a dis-message provenance overlay. A run's global exec has base ==
-// nil, and its msgLogs is the global map; VerifyContext gives every engine
-// worker its own exec for the run, points its base at the frozen global map
-// before each expansion, and merges the overlay back in deterministic
-// frontier order between layers.
+// exec is the mutable context of an expansion: its statistics and the
+// scratch it reuses. VerifyContext gives every engine worker its own exec
+// for the run, whose statistics each expansion hands to its output slot for
+// the sequential commit to add up.
 type exec struct {
 	v     *Verifier
 	stats Stats
-	// msgLogs holds provenance recorded by this exec; msgOrder lists its
-	// keys in recording order (so merges replay first-derivation-wins
-	// deterministically). Allocated lazily: most expansions record nothing.
-	msgLogs  map[string]DisGen
-	msgOrder []string
-	// base is the read-only global provenance map (nil for a global exec,
-	// whose msgLogs is global).
-	base map[string]DisGen
 	// Reusable scratch for saturation worklists and load-target enumeration,
 	// so per-successor saturations don't re-allocate them.
 	satWork   []string
@@ -256,21 +240,6 @@ type exec struct {
 	// Parked structs are scrubbed of pointers (see freeState) so the list
 	// never extends a dead macro-state's lifetime.
 	freeStates []*state
-}
-
-func newExec(v *Verifier, base map[string]DisGen) *exec {
-	return &exec{v: v, base: base}
-}
-
-// handOff moves the expansion's result — stats and provenance overlay —
-// onto its output slot. The overlays are swapped rather than nulled: the
-// slot carries the map/order pair its last commit cleared, which becomes
-// this worker's overlay scratch for its next expansion.
-func (ex *exec) handOff(o *expOut) {
-	o.stats = ex.stats
-	o.msgLogs, ex.msgLogs = ex.msgLogs, o.msgLogs
-	o.msgOrder, ex.msgOrder = ex.msgOrder, o.msgOrder
-	ex.stats = Stats{}
 }
 
 // cloneState is state.clone drawing the struct from the exec's freelist
@@ -318,53 +287,6 @@ func (ex *exec) freeState(ns *state) {
 	ex.freeStates = append(ex.freeStates, ns)
 }
 
-// lookupGen resolves the provenance of a dis message key.
-func (ex *exec) lookupGen(k string) DisGen {
-	if g, ok := ex.msgLogs[k]; ok {
-		return g
-	}
-	return ex.base[k]
-}
-
-// hasGen reports whether provenance for k is already recorded.
-func (ex *exec) hasGen(k string) bool {
-	if _, ok := ex.msgLogs[k]; ok {
-		return true
-	}
-	_, ok := ex.base[k]
-	return ok
-}
-
-// recordDisMsg stores the provenance of a dis message (first derivation
-// wins, matching genthread of Definition 1).
-func (ex *exec) recordDisMsg(m AMsg, disIndex int, log *ReadLog) {
-	k := m.Key()
-	if ex.hasGen(k) {
-		return
-	}
-	if ex.msgLogs == nil {
-		ex.msgLogs = map[string]DisGen{}
-	}
-	ex.msgLogs[k] = DisGen{DisIndex: disIndex, Log: log}
-	ex.msgOrder = append(ex.msgOrder, k)
-}
-
-// mergeOut folds an expansion's provenance overlay and stats into ex, in
-// the donor's recording order (first derivation wins).
-func (ex *exec) mergeOut(o *expOut) {
-	ex.stats.merge(o.stats)
-	if len(o.msgOrder) > 0 && ex.msgLogs == nil {
-		ex.msgLogs = map[string]DisGen{}
-	}
-	for _, k := range o.msgOrder {
-		if ex.hasGen(k) {
-			continue
-		}
-		ex.msgLogs[k] = o.msgLogs[k]
-		ex.msgOrder = append(ex.msgOrder, k)
-	}
-}
-
 func (ex *exec) recordSizes(st *state) {
 	if n := len(st.env.Configs); n > ex.stats.EnvConfigs {
 		ex.stats.EnvConfigs = n
@@ -379,7 +301,6 @@ func (ex *exec) unsafeResult(viol *Violation, st *state) Result {
 	ex.recordSizes(st)
 	viol.Env = &st.env
 	viol.Mem = &st.mem
-	viol.DisMsgLogs = ex.msgLogs
 	for _, d := range st.dis {
 		viol.DisLogs = append(viol.DisLogs, d.Log)
 	}
@@ -392,18 +313,16 @@ func (v *Verifier) goalHit(m AMsg) bool {
 }
 
 // checkGoalDis scans dis memory for the goal message (init messages count:
-// a goal equal to the initial value is trivially generated).
+// a goal equal to the initial value is trivially generated). The violation
+// takes the message's own provenance.
 func (ex *exec) checkGoalDis(st *state) *Violation {
 	if ex.v.opts.Goal == nil {
 		return nil
 	}
-	var hit *Violation
-	st.mem.Each(ex.v.opts.Goal.Var, func(m AMsg) {
-		if hit == nil && ex.v.goalHit(m) {
-			mc := m
-			gen := ex.lookupGen(m.Key())
-			hit = &Violation{ByEnv: false, DisIndex: gen.DisIndex, Log: gen.Log, GoalMsg: &mc}
+	for _, m := range st.mem.VarMsgs(ex.v.opts.Goal.Var) {
+		if ex.v.goalHit(m) {
+			return &Violation{ByEnv: false, DisIndex: int(m.GenDis), Log: m.GenLog, GoalMsg: &m}
 		}
-	})
-	return hit
+	}
+	return nil
 }

@@ -206,6 +206,42 @@ func TestConfirmViolationTypedErrors(t *testing.T) {
 	}
 }
 
+// TestFixpointUnsafeConfirmedCorpus checks Theorem 3.4 on every UNSAFE
+// corpus entry as the fixpoint decides it (prepass off): the verdict carries
+// the dependency graph of its violating computation and a §4.3 bound, and
+// ConfirmViolation finds the violation on a concrete instance within that
+// bound, at the entry's annotated minimum of env threads.
+func TestFixpointUnsafeConfirmedCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("concrete confirmation skipped in -short mode")
+	}
+	ctx := context.Background()
+	for _, e := range bench.Corpus() {
+		if e.Want != bench.Unsafe {
+			continue
+		}
+		sys := e.System()
+		res, err := paramra.Verify(ctx, sys, paramra.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if !res.Unsafe || res.Graph == nil || res.EnvThreadBound < 0 {
+			t.Errorf("%s: unsafe=%v graph=%v bound=%d, want UNSAFE with a graph and a bound",
+				e.Name, res.Unsafe, res.Graph != nil, res.EnvThreadBound)
+			continue
+		}
+		n, _, err := paramra.ConfirmViolation(ctx, sys, res, int(res.EnvThreadBound),
+			paramra.Options{Parallelism: 1, MaxStates: 2_000_000})
+		if err != nil {
+			t.Errorf("%s: bound %d: %v", e.Name, res.EnvThreadBound, err)
+			continue
+		}
+		if n != e.MinEnv {
+			t.Errorf("%s: confirmed with %d env threads, corpus MinEnv %d", e.Name, n, e.MinEnv)
+		}
+	}
+}
+
 // TestParseFileErrorShapes pins the error format of ParseFile: syntax
 // errors join the path with no space ("file:line:col: msg"), every other
 // error keeps the conventional "path: msg" shape, and both remain
