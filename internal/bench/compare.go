@@ -53,8 +53,10 @@ type CompareReport struct {
 
 // compareMinWall is the gating floor: entries whose baseline wall is below
 // it carry too much scheduler noise for a ratio test and are reported as
-// "noisy" instead of gated. The heavy entries are the signal.
-const compareMinWall = 10 * time.Millisecond
+// "noisy" instead of gated. The heavy entries are the signal. Each wall is
+// the minimum of parallelRuns runs, which holds still down to about a
+// tenth of a millisecond.
+const compareMinWall = 100 * time.Microsecond
 
 // LoadParallelBaseline reads a BENCH_parallel.json file.
 func LoadParallelBaseline(path string) ([]ParallelRow, error) {

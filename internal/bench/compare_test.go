@@ -90,8 +90,8 @@ func TestCompareStatesDrift(t *testing.T) {
 // however slow the re-measurement.
 func TestCompareNoisyFloor(t *testing.T) {
 	base, cur := mkRows(t, [][3]any{
-		{"tiny", 2 * time.Millisecond, 40 * time.Millisecond},
-		{"big", 500 * time.Millisecond, 500 * time.Millisecond},
+		{"tiny", 50 * time.Microsecond, time.Millisecond},
+		{"big", 5 * time.Millisecond, 5 * time.Millisecond},
 	})
 	rep, err := compareRows(base, cur, 2.0)
 	if err != nil {

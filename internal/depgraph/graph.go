@@ -6,7 +6,9 @@
 // edge msg' → msg when genthread(msg) — the thread that first added msg —
 // read msg' before generating msg, weighted by the read count rc(msg, msg').
 // The graphs are reconstructed from the read logs the verifier attaches to
-// thread configurations, dis messages and env message entries.
+// thread configurations, dis messages and env message entries; their
+// message references resolve against the violation's own configuration, so
+// node keys carry its (canonical) timestamps.
 package depgraph
 
 import (
@@ -89,7 +91,26 @@ func FromViolation(sys *lang.System, viol *simplified.Violation) (*Graph, error)
 	if viol == nil {
 		return nil, fmt.Errorf("depgraph: nil violation")
 	}
+	return FromResolved(sys, viol, viol.Resolver())
+}
+
+// FromResolved is FromViolation with the violation's message references
+// resolved by names, which must be viol.Resolver(): a caller that also
+// resolves the witness builds that index once.
+func FromResolved(sys *lang.System, viol *simplified.Violation, names *simplified.Resolver) (*Graph, error) {
 	g := &Graph{Nodes: map[string]*Node{}, Q0: Q0Of(sys)}
+	var err error
+	counts := func(log *simplified.ReadLog) map[string]int {
+		keys, kerr := names.Keys(log)
+		if kerr != nil && err == nil {
+			err = fmt.Errorf("depgraph: %w", kerr)
+		}
+		out := map[string]int{}
+		for _, k := range keys {
+			out[k]++
+		}
+		return out
+	}
 
 	addMsg := func(m simplified.AMsg, kind Kind, log *simplified.ReadLog) {
 		k := m.Key()
@@ -98,7 +119,7 @@ func FromViolation(sys *lang.System, viol *simplified.Violation) (*Graph, error)
 		}
 		g.Nodes[k] = &Node{
 			Key: k, Kind: kind, Var: m.Var, Val: m.Val, TS: m.TS,
-			Deps: logCounts(log),
+			Deps: counts(log),
 		}
 	}
 
@@ -135,13 +156,16 @@ func FromViolation(sys *lang.System, viol *simplified.Violation) (*Graph, error)
 			}
 			g.Nodes[k] = &Node{
 				Key: k, Kind: kind, Var: m.Var, Val: m.Val, TS: m.TS,
-				Deps: logCounts(viol.Log),
+				Deps: counts(viol.Log),
 			}
 		}
 		g.Goal = k
 	} else {
-		g.Nodes[goalKey] = &Node{Key: goalKey, Kind: GoalNode, ByEnv: viol.ByEnv, Deps: logCounts(viol.Log)}
+		g.Nodes[goalKey] = &Node{Key: goalKey, Kind: GoalNode, ByEnv: viol.ByEnv, Deps: counts(viol.Log)}
 		g.Goal = goalKey
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Sanity: every dependency must resolve to a node.
@@ -153,14 +177,6 @@ func FromViolation(sys *lang.System, viol *simplified.Violation) (*Graph, error)
 		}
 	}
 	return g, nil
-}
-
-func logCounts(log *simplified.ReadLog) map[string]int {
-	out := map[string]int{}
-	for _, k := range log.Keys() {
-		out[k]++
-	}
-	return out
 }
 
 // HeightOf returns the height of a node: the length of the longest

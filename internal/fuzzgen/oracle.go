@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"paramra"
 	"paramra/internal/cache"
@@ -189,10 +190,13 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 	}
 	rep.Verdicts = append(rep.Verdicts, fix)
 	// A fixpoint UNSAFE carries the dependency graph (Definition 1) of its
-	// violating computation, rebuilt from the provenance on its messages.
-	// Without one the §4.3 bound is absent and Backend 6 cannot test it.
-	if fixErr == nil && fixRes.Unsafe && fixRes.Graph == nil {
-		disagree("depgraph", "fixpoint UNSAFE carries no dependency graph (witness %v)", fixRes.Witness)
+	// violating computation, rebuilt from the provenance on its messages;
+	// one that fails to resolve comes back as an error. With no goal, that
+	// is the fixpoint's only error outside the classes above, and it is
+	// reported here too: comparePair sees it only when another backend
+	// decides the same system.
+	if strings.HasPrefix(fix.ErrClass, "other:") {
+		disagree("depgraph", "fixpoint violation has no dependency graph: %s", fix.ErrClass)
 	}
 
 	// Backend 2: the same fixpoint at a different worker count. The layered

@@ -17,27 +17,25 @@ type AMsg struct {
 	View AView // View[Var] == TS by construction
 	// Env marks messages generated by env threads (TS is a ⁺-timestamp).
 	Env bool
-	// GenDis and GenLog are a dis message's provenance (genthread,
-	// Definition 1): the index of the dis thread that stored it and that
-	// thread's read log at the store. Like an env message's MsgEntry.Log,
-	// they belong to the computation that reached the message's
-	// configuration, and they are not part of the message's identity (Key)
-	// nor of a macro-state's. Init and env messages leave them zero.
-	GenDis int32
+	// Sealed marks a dis message a CAS stored right above the dis message
+	// it read: no store can ever come between the two, so canonical
+	// timestamps keep them adjacent (canon.go).
+	Sealed bool
+	// Ref and GenLog are a dis message's provenance (genthread,
+	// Definition 1): its reference, which names the dis thread and edge
+	// that stored it, and that thread's read log at the store. Like an env
+	// message's MsgEntry.Log, they belong to the computation that reached
+	// the message's configuration, and they are not part of the message's
+	// identity (Key) nor of a macro-state's. An init message's Ref names its
+	// variable; env messages leave both zero.
+	Ref    MsgRef
 	GenLog *ReadLog
-	// key caches Key(); DisMem.Put fills it on insert so the loads that later
-	// enumerate the stored message don't re-render the key. Empty means not
-	// yet computed (the key rendering never produces an empty string).
-	key string
 }
 
 // Key returns the canonical identity of the message. Two env messages with
 // equal keys are indistinguishable in the simplified semantics (multiple
 // stores may share a ⁺-timestamp).
 func (m AMsg) Key() string {
-	if m.key != "" {
-		return m.key
-	}
 	var buf [48]byte
 	return string(m.appendKey(buf[:0]))
 }
@@ -115,7 +113,8 @@ func NewDisMem(numVars int, init lang.Val) *DisMem {
 		msgs:    make([]AMsg, 0, 2*numVars),
 	}
 	for v := 0; v < numVars; v++ {
-		m.Put(AMsg{Var: lang.VarID(v), TS: Int(0), Val: init, View: NewAView(numVars)})
+		m.Put(AMsg{Var: lang.VarID(v), TS: Int(0), Val: init, View: NewAView(numVars),
+			Ref: InitRef(lang.VarID(v))})
 	}
 	return m
 }
@@ -199,9 +198,6 @@ func (m *DisMem) Free(v lang.VarID, ts int) bool {
 // Put inserts a dis message (overwriting any message already at its
 // timestamp, matching the historical map semantics).
 func (m *DisMem) Put(msg AMsg) {
-	if msg.key == "" {
-		msg.key = msg.Key()
-	}
 	v, ts := int(msg.Var), msg.TS.Floor()
 	if ts >= m.width {
 		m.thaw() // rare: grow reallocates occ anyway, keep this path simple

@@ -7,21 +7,24 @@ import (
 
 // ReadLog is a persistent (shared-tail) list recording the messages a thread
 // has loaded, most recent first. It feeds the dependency-graph analysis
-// (Definition 1: depend, rc) and is excluded from state identity.
+// (Definition 1: depend, rc) and is excluded from state identity. Entries
+// name messages by reference, not by key, so renumbering timestamps leaves
+// every log valid; Violation.Resolver turns them into keys.
 type ReadLog struct {
-	MsgKey string
-	Prev   *ReadLog
+	Ref  MsgRef
+	Prev *ReadLog
 }
 
-// Keys returns the read message keys in chronological order.
-func (l *ReadLog) Keys() []string {
-	var rev []string
-	for n := l; n != nil; n = n.Prev {
-		rev = append(rev, n.MsgKey)
+// Refs returns the read message references in chronological order.
+func (l *ReadLog) Refs() []MsgRef {
+	n := 0
+	for e := l; e != nil; e = e.Prev {
+		n++
 	}
-	out := make([]string, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
+	out := make([]MsgRef, n)
+	for e := l; e != nil; e = e.Prev {
+		n--
+		out[n] = e.Ref
 	}
 	return out
 }
@@ -66,12 +69,15 @@ func (c AThread) cloneRegs() []lang.Val {
 }
 
 // MsgEntry is an env message together with the read log of the env
-// derivation that first produced it (genthread's reads, Definition 1), and
-// the message's cached canonical key (Msg.Key(), computed once on insert).
+// derivation that first produced it (genthread's reads, Definition 1), the
+// message's cached canonical key (Msg.Key(), computed once on insert), and
+// its first-derivation index in the env set, which read logs refer to it by
+// (an EnvRef). Cloning and renumbering copy the index unchanged.
 type MsgEntry struct {
 	Msg AMsg
 	Log *ReadLog
 	Key string
+	Idx int32
 }
 
 // EnvSet is the monotone env part of a configuration: every env thread
@@ -184,7 +190,7 @@ func (e *EnvSet) AddMsg(m AMsg, log *ReadLog) bool {
 	}
 	k := string(b)
 	e.thaw()
-	entry := MsgEntry{Msg: m, Log: log, Key: k}
+	entry := MsgEntry{Msg: m, Log: log, Key: k, Idx: int32(len(e.Msgs))}
 	e.Msgs[k] = entry
 	e.MsgsByVar[m.Var] = append(e.MsgsByVar[m.Var], entry)
 	return true

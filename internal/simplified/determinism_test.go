@@ -2,6 +2,7 @@ package simplified_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -47,13 +48,30 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 						t.Errorf("j=%d: violation source (%v,%d) vs (%v,%d)",
 							workers, pv.ByEnv, pv.DisIndex, sv.ByEnv, sv.DisIndex)
 					}
-					if got, want := logKeys(pv.Log), logKeys(sv.Log); !slices.Equal(got, want) {
-						t.Errorf("j=%d: violating read log %v vs %v", workers, got, want)
+					// A reference pins a dis message only with the memory
+					// compared below, and an env message not at all, so the
+					// logs are also compared as the keys they resolve to:
+					// the witness paramra returns.
+					pr, sr := pv.Resolver(), sv.Resolver()
+					sameLog := func(what string, p, s *simplified.ReadLog) {
+						t.Helper()
+						if got, want := p.Refs(), s.Refs(); !slices.Equal(got, want) {
+							t.Errorf("j=%d: %s %v vs %v", workers, what, got, want)
+						}
+						got, perr := pr.Keys(p)
+						want, serr := sr.Keys(s)
+						if perr != nil || serr != nil {
+							t.Errorf("j=%d: %s does not resolve: %v / %v", workers, what, perr, serr)
+						} else if !slices.Equal(got, want) {
+							t.Errorf("j=%d: %s keys %v vs %v", workers, what, got, want)
+						}
+					}
+					sameLog("violating read log", pv.Log, sv.Log)
+					if len(pv.DisLogs) != len(sv.DisLogs) {
+						t.Fatalf("j=%d: %d dis read logs vs %d", workers, len(pv.DisLogs), len(sv.DisLogs))
 					}
 					for i := range sv.DisLogs {
-						if got, want := logKeys(pv.DisLogs[i]), logKeys(sv.DisLogs[i]); !slices.Equal(got, want) {
-							t.Errorf("j=%d: dis %d read log %v vs %v", workers, i, got, want)
-						}
+						sameLog(fmt.Sprintf("dis %d read log", i), pv.DisLogs[i], sv.DisLogs[i])
 					}
 					// Every dis message carries its provenance: the same
 					// messages, with the same generating thread and read log.
@@ -65,21 +83,15 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 						}
 						for i, want := range sm {
 							got := pm[i]
-							if got.Key() != want.Key() || got.GenDis != want.GenDis ||
-								!slices.Equal(logKeys(got.GenLog), logKeys(want.GenLog)) {
-								t.Errorf("j=%d: provenance of %q differs", workers, want.Key())
+							if got.Key() != want.Key() || got.Ref != want.Ref {
+								t.Errorf("j=%d: dis message %q (%v) vs %q (%v)",
+									workers, got.Key(), got.Ref, want.Key(), want.Ref)
 							}
+							sameLog(fmt.Sprintf("read log of %q", want.Key()), got.GenLog, want.GenLog)
 						}
 					}
 				}
 			}
 		})
 	}
-}
-
-func logKeys(l *simplified.ReadLog) []string {
-	if l == nil {
-		return nil
-	}
-	return l.Keys()
 }

@@ -18,8 +18,8 @@ type disMove struct {
 	read    AMsg
 	hasRead bool
 	// put is the message a store or CAS adds to dis memory (hasPut marks
-	// it). It carries its provenance (AMsg.GenDis, AMsg.GenLog): the
-	// stepping thread and next.Log, its reads up to the store (a store
+	// it). It carries its provenance (AMsg.Ref, AMsg.GenLog): the stepping
+	// thread and edge, and next.Log, its reads up to the store (a store
 	// keeps the thread's log, a CAS extends it by the message read).
 	put    AMsg
 	hasPut bool
@@ -27,7 +27,8 @@ type disMove struct {
 
 // eachDisMove yields every enabled dis transition of st, in a fixed order:
 // dis threads by index, each thread's CFG edges in order, and within an
-// edge the readable messages and free timestamp slots in increasing order.
+// edge the readable messages and free timestamp slots in increasing order,
+// up to slotCap.
 // It decides nothing — `assert false` edges are yielded like any other
 // move, and the consumer chooses whether one ends its search. yield
 // returns false to stop the enumeration.
@@ -70,7 +71,7 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 					regs := cfg.cloneRegs()
 					regs[e.Op.Reg] = lt.msg.Val
 					mv.next = AThread{PC: e.To, Regs: regs, View: lt.view,
-						Log: &ReadLog{MsgKey: lt.key, Prev: cfg.Log}}
+						Log: &ReadLog{Ref: lt.ref, Prev: cfg.Log}}
 					mv.read, mv.hasRead = lt.msg, true
 					if !yield(mv) {
 						return
@@ -80,7 +81,7 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 			case lang.OpStore:
 				x := e.Op.Var
 				d := e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
-				for t := 1; t <= v.budget[x]; t++ {
+				for t, hi := 1, ex.slotCap(st, x); t <= hi; t++ {
 					if Int(t) <= cfg.View[x] || !st.mem.Free(x, t) {
 						continue
 					}
@@ -88,8 +89,7 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 					view[x] = Int(t)
 					mv.next.View = view
 					mv.put = AMsg{Var: x, TS: Int(t), Val: d, View: view,
-						GenDis: int32(i), GenLog: mv.next.Log}
-					mv.put.key = mv.put.Key()
+						Ref: DisRef(i, e.From), GenLog: mv.next.Log}
 					mv.hasPut = true
 					if !yield(mv) {
 						return
@@ -112,7 +112,7 @@ func (ex *exec) eachDisMove(st *state, yield func(*disMove) bool) {
 //
 //   - reading a dis message at ts requires ts ≥ vw(x) and slot ts+1 free
 //     (the paper's ts' = ts + 1 adjacency, which also blocks a second CAS
-//     on the same message);
+//     on the same message); the stored message is sealed to the one read;
 //   - reading an env message at u⁺ can use any free integer slot t with
 //     t-1 ≥ max(u, ⌊vw(x)⌋): by Infinite Supply a clone of the message can
 //     be lifted into region t-1 just below the slot, and the remaining env
@@ -125,16 +125,15 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 	expect := e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
 	newVal := e.Op.E2.Eval(cfg.Regs).Norm(v.sys.Dom)
 
-	// move yields the CAS that reads m (whose key is mk) and stores at t.
-	move := func(m AMsg, mk string, t int) bool {
+	// move yields the CAS that reads m (which ref names) and stores at t.
+	move := func(m AMsg, ref MsgRef, t int) bool {
 		view := cfg.View.Join(m.View)
 		view[x] = Int(t)
 		mv.next = AThread{PC: e.To, Regs: cfg.Regs, View: view,
-			Log: &ReadLog{MsgKey: mk, Prev: cfg.Log}}
+			Log: &ReadLog{Ref: ref, Prev: cfg.Log}}
 		mv.read, mv.hasRead = m, true
 		mv.put = AMsg{Var: x, TS: Int(t), Val: newVal, View: view,
-			GenDis: int32(mv.dis), GenLog: mv.next.Log}
-		mv.put.key = mv.put.Key()
+			Sealed: !m.Env, Ref: DisRef(mv.dis, e.From), GenLog: mv.next.Log}
 		mv.hasPut = true
 		return yield(mv)
 	}
@@ -148,7 +147,7 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 		if u+1 > v.budget[x] || !st.mem.Free(x, u+1) {
 			continue
 		}
-		if !move(m, m.Key(), u+1) {
+		if !move(m, m.Ref, u+1) {
 			return false
 		}
 	}
@@ -159,8 +158,8 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 			continue
 		}
 		lo := max(me.Msg.TS.Floor(), cfg.View[x].Floor())
-		for t := lo + 1; t <= v.budget[x]; t++ {
-			if st.mem.Free(x, t) && !move(me.Msg, me.Key, t) {
+		for t, hi := lo+1, ex.slotCap(st, x); t <= hi; t++ {
+			if st.mem.Free(x, t) && !move(me.Msg, EnvRef(me.Idx), t) {
 				return false
 			}
 		}
@@ -171,7 +170,8 @@ func (ex *exec) eachDisCAS(st *state, cfg AThread, e lang.Edge, yield func(*disM
 // disSuccessors enumerates the macro-states reachable by one transition of a
 // dis thread. An enabled `assert false` ends the enumeration with a
 // violation, except in Message Generation mode, where asserts are inert
-// (§4.1). Env saturation of the successors is the caller's job.
+// (§4.1). A canonical exec renumbers each store's variable to canonical
+// timestamps. Env saturation of the successors is the caller's job.
 func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 	// The result slice is exec scratch: callers consume it before the next
 	// expansion on this exec. The successor states themselves escape; only
@@ -191,6 +191,9 @@ func (ex *exec) disSuccessors(st *state) ([]*state, *Violation) {
 		ns.dis[mv.dis] = mv.next
 		if mv.hasPut {
 			ns.mem.Put(mv.put)
+			if ex.canon {
+				ex.canonicalize(ns, mv.put.Var)
+			}
 		}
 		ex.stats.DisTransitions++
 		out = append(out, ns)

@@ -1,14 +1,15 @@
 package simplified_test
 
-// Differential property test for the interned-key exploration core: the
-// optimized encoding and fast paths (split key encoders, parent-suffix
-// splicing, saturation skip) against a reference exploration that uses the
-// legacy single-pass encoding and takes no shortcuts. Equal verdicts and
-// macro-state counts on the corpus plus a fuzzed system population — with
-// the per-state byte-equality checks inside LegacyExploreForTest — pin the
-// new representation to the old semantics. The reference search also checks
-// the lemma that lets the key leave the env set out: every dis memory it
-// reaches more than once carries one env set.
+// Differential property test for the exploration core: the fixpoint's search
+// (canonical timestamps, split key encoders, parent-suffix splicing,
+// saturation skip) against a reference exploration on integer timestamps
+// that uses the legacy single-pass encoding and takes no shortcuts. On every
+// complete SAFE run the canonical images of the states the reference admits
+// must be exactly the states the canonical search admits, and on every run
+// the verdicts must agree. The per-state checks inside LegacyExploreForTest
+// pin the key construction and the saturation skip, and the lemma that lets
+// the key leave the env set out: every dis memory the reference reaches more
+// than once carries one env set.
 
 import (
 	"context"
@@ -21,11 +22,12 @@ import (
 	"paramra/internal/simplified"
 )
 
-// diffOne cross-checks one system: reference exploration vs the sequential
-// reference search and VerifyContext at several worker counts. cap bounds
-// the reference search (0 = unbounded); a capped-out reference skips the
-// system. shared is the number of states whose dis memory an earlier state
-// of the reference search reached, on which the env-set lemma was checked.
+// diffOne cross-checks one system: reference exploration vs the canonical
+// search, the sequential reference search and VerifyContext at several
+// worker counts. cap bounds the reference search (0 = unbounded); a
+// capped-out reference skips the system. shared is the number of states
+// whose dis memory an earlier state of the reference search reached, on
+// which the env-set lemma was checked.
 func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool, shared int) {
 	t.Helper()
 	vref, err := simplified.New(sys, simplified.Options{})
@@ -50,21 +52,44 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 	if cap > 0 {
 		prodCap = 2 * cap // never binds when the reference completed
 	}
+	vcan, err := simplified.New(sys, simplified.Options{MaxMacroStates: prodCap, Workers: 1})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	admitted, canon := simplified.CanonicalStatesForTest(vcan)
 	check := func(mode string, res simplified.Result) {
 		if res.Unsafe != ref.Unsafe {
 			t.Errorf("%s [%s]: unsafe=%v, reference=%v", name, mode, res.Unsafe, ref.Unsafe)
 			return
 		}
 		if res.Unsafe {
-			return // early exit makes counts order-dependent; verdict is the contract
+			return // early exit makes the state sets order-dependent; verdict is the contract
 		}
 		if !res.Complete {
 			t.Errorf("%s [%s]: incomplete run (err=%v)", name, mode, res.Err)
 			return
 		}
-		if res.Stats.MacroStates != ref.MacroStates {
-			t.Errorf("%s [%s]: macro-states %d, reference encoding %d",
-				name, mode, res.Stats.MacroStates, ref.MacroStates)
+		if res.Stats.MacroStates != len(ref.Images) {
+			t.Errorf("%s [%s]: macro-states %d, canonical images of the reference %d",
+				name, mode, res.Stats.MacroStates, len(ref.Images))
+		}
+	}
+	check("canonical", canon)
+	if !canon.Unsafe && canon.Complete {
+		missing, extra := 0, 0
+		for k := range ref.Images {
+			if !admitted[k] {
+				missing++
+			}
+		}
+		for k := range admitted {
+			if !ref.Images[k] {
+				extra++
+			}
+		}
+		if missing+extra != 0 {
+			t.Errorf("%s: %d canonical images of reference states not admitted, %d admitted states no reference state maps to",
+				name, missing, extra)
 		}
 	}
 	vseq, err := simplified.New(sys, simplified.Options{MaxMacroStates: prodCap})
@@ -101,28 +126,39 @@ func TestEncodingDifferentialCorpus(t *testing.T) {
 }
 
 // TestEncodingDifferentialFuzz runs the differential over a generated
-// population of systems (1000 seeds, 150 under -short). Seeds outside the
-// decidable class or larger than the reference budget are skipped but
-// counted: the test fails if too few systems were actually compared.
+// population of systems: 200 seeds (30 under -short) of each of five
+// profiles, the loops profile unrolled twice. Seeds outside the decidable
+// class or larger than the reference budget are skipped but counted: the
+// test fails if too few systems were actually compared.
 func TestEncodingDifferentialFuzz(t *testing.T) {
-	seeds := 1000
+	seeds := 200
 	if testing.Short() {
-		seeds = 150
+		seeds = 30
 	}
-	profile := fuzzgen.DefaultProfile()
-	checked, shared := 0, 0
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		sys := fuzzgen.Generate(seed, profile)
-		ok, n := diffOne(t, profile.Name, sys, 4000)
-		if ok {
-			checked++
+	checked, shared, total := 0, 0, 0
+	for _, name := range []string{"default", "small", "nocas", "big", "loops"} {
+		profile, ok := fuzzgen.ProfileByName(name)
+		if !ok {
+			t.Fatalf("no fuzz profile %q", name)
 		}
-		shared += n
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			sys := fuzzgen.Generate(seed, profile)
+			if profile.Loops {
+				sys = lang.UnrollSystem(sys, 2)
+			}
+			ok, n := diffOne(t, fmt.Sprintf("%s/%d", name, seed), sys, 4000)
+			if ok {
+				checked++
+			}
+			shared += n
+			total++
+		}
 	}
 	if shared == 0 {
 		t.Error("no fuzz state reached a dis memory twice: the env-set lemma went unchecked")
 	}
-	if checked < seeds/2 {
-		t.Fatalf("only %d/%d fuzz seeds were comparable — generator or class filter drifted", checked, seeds)
+	if checked < total/2 {
+		t.Fatalf("only %d/%d fuzz seeds were comparable — generator or class filter drifted", checked, total)
 	}
+	t.Logf("%d/%d fuzz systems compared", checked, total)
 }

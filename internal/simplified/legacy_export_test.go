@@ -1,18 +1,24 @@
 package simplified
 
 import (
+	"context"
 	"reflect"
 
 	"paramra/internal/engine"
+	"paramra/internal/lang"
 )
 
-// LegacyExploreResult is what LegacyExploreForTest measures: the verdict and
-// macro-state count of a reference exploration that takes none of the
-// optimized fast paths, plus whether the optimized key construction agreed
-// with the reference encoding on every single state.
+// LegacyExploreResult is what LegacyExploreForTest measures: the verdict of
+// a reference exploration on integer timestamps that takes none of the
+// optimized fast paths, the canonical images of the states it admits, and
+// whether the optimized key construction agreed with the reference encoding
+// on every single state.
 type LegacyExploreResult struct {
-	Unsafe      bool
-	MacroStates int
+	Unsafe bool
+	// Images holds the key of the canonical image of every admitted state
+	// (canon.go). On a complete SAFE run it must equal the set of keys the
+	// canonical search admits.
+	Images map[string]bool
 	// SpliceMismatches counts states whose optimized key (dis prefix +
 	// spliced parent mem/env suffix for memory-untouched successors)
 	// differed from the reference full encoding. Must be 0.
@@ -31,6 +37,30 @@ type LegacyExploreResult struct {
 	// HitCap reports the maxStates budget stopped the search; verdict and
 	// counts are then not comparable and the caller should skip the seed.
 	HitCap bool
+}
+
+// sealKey lists which dis messages of s are sealed. The integer key leaves
+// it out, since adjacency already blocks a store between the two messages
+// there, but a state's canonical image depends on it.
+func sealKey(s *state) string {
+	b := make([]byte, len(s.mem.msgs))
+	for i, m := range s.mem.msgs {
+		b[i] = '0'
+		if m.Sealed {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}
+
+// canonImage returns the key of s's canonical image: s with every
+// variable's dis messages renumbered to canonical timestamps.
+func canonImage(ex *exec, s *state) string {
+	img := s.clone()
+	for x := 0; x < img.mem.NumVars(); x++ {
+		ex.canonicalize(img, lang.VarID(x))
+	}
+	return img.key()
 }
 
 // legacyKey encodes a macro-state's identity in one linear pass through
@@ -86,9 +116,11 @@ func sameEnv(a, b *EnvSet) bool {
 func envSize(e *EnvSet) int { return len(e.Configs) + len(e.Msgs) }
 
 // LegacyExploreForTest re-runs the macro-state fixpoint the way the code
-// worked before the allocation-free exploration core: every successor is
-// saturated and goal-checked unconditionally, and every key is encoded in
-// full. Along the way it cross-checks the optimized paths state by state:
+// worked before the allocation-free exploration core and canonical
+// timestamps: stores take any free integer slot within the budget, every
+// successor is saturated and goal-checked unconditionally, and every key is
+// encoded in full. It records the canonical image of every state it admits.
+// Along the way it cross-checks the optimized paths state by state:
 //
 //   - the spliced key construction (appendKeyDis + parent suffix reuse for
 //     memory-untouched successors) must reproduce the reference encoding
@@ -101,23 +133,23 @@ func envSize(e *EnvSet) int { return len(e.Configs) + len(e.Msgs) }
 //     env set rests on (DESIGN, "The env set is a function of the dis
 //     memory").
 //
-// Because the visited set here is keyed by the reference encoding while the
-// production engines key by the optimized one, equal macro-state counts on
-// the same system mean the two encodings induce the same visited-set
-// membership.
+// The visited set is keyed by the reference encoding plus sealKey, so that
+// of two integer states that differ only in which messages are sealed both
+// are admitted and both images recorded.
 func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
-	var r LegacyExploreResult
+	r := LegacyExploreResult{Images: map[string]bool{}}
 	ex := &exec{v: v}
 	init := v.initState()
-	if viol := ex.saturate(init); viol != nil {
-		r.Unsafe, r.MacroStates = true, 1
+	if viol, _ := ex.saturate(init); viol != nil {
+		r.Unsafe = true
 		return r
 	}
 	if viol := ex.checkGoalDis(init); viol != nil {
-		r.Unsafe, r.MacroStates = true, 1
+		r.Unsafe = true
 		return r
 	}
-	seen := map[string]bool{legacyKey(init): true}
+	seen := map[string]bool{legacyKey(init) + sealKey(init): true}
+	r.Images[canonImage(ex, init)] = true
 	envOf := map[string]*EnvSet{memKey(init): &init.env}
 	queue := []*state{init}
 	for len(queue) > 0 {
@@ -125,7 +157,7 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 		queue = queue[1:]
 		succs, viol := ex.disSuccessors(st)
 		if viol != nil {
-			r.Unsafe, r.MacroStates = true, len(seen)
+			r.Unsafe = true
 			return r
 		}
 		parentSuffix := engine.GetKeyEnc()
@@ -134,14 +166,14 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 		for _, ns := range succs {
 			memChanged := ns.memChanged()
 			sizeBefore := envSize(&ns.env)
-			if viol := ex.saturate(ns); viol != nil {
+			if viol, _ := ex.saturate(ns); viol != nil {
 				engine.PutKeyEnc(parentSuffix)
-				r.Unsafe, r.MacroStates = true, len(seen)
+				r.Unsafe = true
 				return r
 			}
 			if viol := ex.checkGoalDis(ns); viol != nil {
 				engine.PutKeyEnc(parentSuffix)
-				r.Unsafe, r.MacroStates = true, len(seen)
+				r.Unsafe = true
 				return r
 			}
 			if !memChanged && envSize(&ns.env) != sizeBefore {
@@ -169,19 +201,29 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 				r.SpliceMismatches++
 			}
 			engine.PutKeyEnc(opt)
+			ref += sealKey(ns)
 			if seen[ref] {
 				continue
 			}
 			seen[ref] = true
+			r.Images[canonImage(ex, ns)] = true
 			queue = append(queue, ns)
 			if maxStates > 0 && len(seen) > maxStates {
 				engine.PutKeyEnc(parentSuffix)
-				r.MacroStates, r.HitCap = len(seen), true
+				r.HitCap = true
 				return r
 			}
 		}
 		engine.PutKeyEnc(parentSuffix)
 	}
-	r.MacroStates = len(seen)
 	return r
+}
+
+// CanonicalStatesForTest runs the fixpoint's search (canonical timestamps,
+// one worker) and returns the key of every macro-state it admits, with the
+// search's result.
+func CanonicalStatesForTest(v *Verifier) (map[string]bool, Result) {
+	keys := map[string]bool{}
+	res := v.search(context.Background(), nil, 0, func(st *state) { keys[st.key()] = true })
+	return keys, res
 }

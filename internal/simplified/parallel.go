@@ -123,25 +123,31 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 	}
 	// saturate wraps exec.saturate with an optional latency observation; it
 	// is called concurrently from expansion workers (Observe is atomic).
-	saturate := func(ex *exec, st *state) *Violation {
+	saturate := func(ex *exec, st *state) (*Violation, error) {
 		if hSat == nil {
 			return ex.saturate(st)
 		}
 		t0 := time.Now()
-		viol := ex.saturate(st)
+		viol, err := ex.saturate(st)
 		hSat.Observe(int64(time.Since(t0)))
-		return viol
+		return viol, err
 	}
 
-	global := &exec{v: v}
+	global := v.fixpointExec(ctx)
 	init := v.initState()
 
 	satSpan := span.Child("init-saturate")
-	initViol := saturate(global, init)
+	initViol, initErr := saturate(global, init)
 	if satSpan != nil {
 		satSpan.SetAttr("env_configs", len(init.env.Configs))
 		satSpan.SetAttr("env_msgs", len(init.env.Msgs))
 		satSpan.End()
+	}
+	if initErr != nil {
+		// Cancelled mid-saturation: the initial state is neither admitted
+		// nor judged.
+		return finish(Result{Stats: global.stats, Err: initErr,
+			Engine: engine.Stats{Wall: time.Since(start), Workers: workers}})
 	}
 	if admitted != nil {
 		admitted(init)
@@ -163,7 +169,7 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 		return early(global.unsafeResult(viol, init))
 	}
 
-	newScratch := func() *exec { return &exec{v: v} }
+	newScratch := func() *exec { return v.fixpointExec(ctx) }
 	expand := func(ex *exec, st *state, seen func([]byte) bool, o *expOut) {
 		succs, viol := ex.disSuccessors(st)
 		if viol != nil {
@@ -179,7 +185,13 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 				// Successors with untouched dis memory inherit the parent's
 				// env fixpoint, so their saturation is a provable no-op and
 				// is skipped (see state.memChanged).
-				if viol := saturate(ex, ns); viol != nil {
+				viol, err := saturate(ex, ns)
+				if err != nil {
+					// Cancelled: the engine sees ctx's error after the
+					// layer and commits none of it.
+					break
+				}
+				if viol != nil {
 					o.viol, o.violState = viol, ns
 					break
 				}

@@ -41,33 +41,43 @@ thread d2 { regs q; q = load y; assume q == 1; assert false }
 	}
 }
 
-// TestBudgetStability: widening the integer-timestamp budget must never
-// change the verdict — the computed 2·S_v+2 bound is claimed sufficient, so
-// extra slots can only add isomorphic placements.
+// TestBudgetStability: the computed 2·S_v+2 budget never binds the
+// canonical search, so a wider one could change nothing. Every state it
+// admits keeps each variable's dis messages on canonical slots, at most two
+// apart, and the slot above the last message within the budget.
 func TestBudgetStability(t *testing.T) {
 	for name, src := range propertyCorpus() {
-		sys := lang.MustParseSystem(src)
-		var base *Result
-		for _, extra := range []int{0, 1, 3} {
-			v, err := New(sys, Options{ExtraSlots: extra})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		v, err := New(lang.MustParseSystem(src), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res := v.search(context.Background(), nil, 0, func(st *state) {
+			for x := 0; x < st.mem.NumVars(); x++ {
+				msgs := st.mem.VarMsgs(lang.VarID(x))
+				for i := 1; i < len(msgs); i++ {
+					gap := msgs[i].TS.Floor() - msgs[i-1].TS.Floor()
+					if want := 2 - btoi(msgs[i].Sealed); gap != want {
+						t.Errorf("%s: x%d messages %d and %d are %d slots apart, want %d",
+							name, x, i-1, i, gap, want)
+					}
+				}
+				if top := msgs[len(msgs)-1].TS.Floor(); top+1 > v.budget[x] {
+					t.Errorf("%s: x%d's last message at %d leaves no slot within budget %d",
+						name, x, top, v.budget[x])
+				}
 			}
-			res := verify1(v)
-			if !res.Unsafe && !res.Complete {
-				t.Fatalf("%s extra=%d: incomplete", name, extra)
-			}
-			if base == nil {
-				r := res
-				base = &r
-				continue
-			}
-			if res.Unsafe != base.Unsafe {
-				t.Errorf("%s: verdict changed with budget +%d: %v vs %v",
-					name, extra, res.Unsafe, base.Unsafe)
-			}
+		})
+		if !res.Unsafe && !res.Complete {
+			t.Fatalf("%s: incomplete", name)
 		}
 	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestAssertToGoalEquivalence validates the §4.1 reduction: safety

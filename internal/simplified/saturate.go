@@ -5,12 +5,11 @@ import (
 )
 
 // loadTarget is a readable message together with the view the reader adopts
-// and the message's canonical key (cached for env messages, computed for
-// dis messages — the callers thread it into read logs).
+// and the message's reference, which the callers thread into read logs.
 type loadTarget struct {
 	msg  AMsg
 	view AView
-	key  string
+	ref  MsgRef
 }
 
 // loadTargets enumerates the messages a thread with view vw can load from
@@ -30,13 +29,13 @@ func (v *Verifier) loadTargets(st *state, vw AView, x lang.VarID, buf []loadTarg
 	out := buf
 	for _, m := range st.mem.VarMsgs(x) {
 		if m.TS >= vw[x] {
-			out = append(out, loadTarget{msg: m, view: vw.Join(m.View), key: m.Key()})
+			out = append(out, loadTarget{msg: m, view: vw.Join(m.View), ref: m.Ref})
 		}
 	}
 	for _, me := range st.env.MsgsByVar[x] {
 		j := vw.Join(me.Msg.View)
 		j[x] = Plus(j[x].Floor())
-		out = append(out, loadTarget{msg: me.Msg, view: j, key: me.Key})
+		out = append(out, loadTarget{msg: me.Msg, view: j, ref: EnvRef(me.Idx)})
 	}
 	return out
 }
@@ -68,13 +67,19 @@ func (ex *exec) satAddConfig(st *state, c AThread) {
 	}
 }
 
+// satPollEvery is how many worklist pops saturate makes between two looks
+// at its exec's context: one saturation can run for seconds.
+const satPollEvery = 256
+
 // saturate closes the env part of st under env transitions, mutating
 // st.env. It returns a non-nil Violation when an env thread can reach an
-// `assert false` or generate the goal message.
-func (ex *exec) saturate(st *state) *Violation {
+// `assert false` or generate the goal message. When the exec's context is
+// cancelled it stops and returns the context's error: st is then half
+// saturated and must be neither admitted nor judged.
+func (ex *exec) saturate(st *state) (*Violation, error) {
 	v := ex.v
 	if v.envCFG == nil {
-		return nil
+		return nil, nil
 	}
 	// Worklist of configuration keys, seeded and re-seeded in ConfigOrder so
 	// the first derivation of each config/message is the same for every run
@@ -90,6 +95,12 @@ func (ex *exec) saturate(st *state) *Violation {
 	ex.satPushAll(st)
 
 	for len(ex.satWork) > 0 {
+		if ex.ctx != nil && ex.satPops%satPollEvery == 0 {
+			if err := ex.ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		ex.satPops++
 		k := ex.satWork[len(ex.satWork)-1]
 		ex.satWork = ex.satWork[:len(ex.satWork)-1]
 		ex.satInWork[k] = false
@@ -112,7 +123,7 @@ func (ex *exec) saturate(st *state) *Violation {
 				// In Message Generation mode asserts are inert (the §4.1
 				// reduction replaces them by goal stores).
 				if v.opts.Goal == nil {
-					return &Violation{ByEnv: true, Log: cfg.Log}
+					return &Violation{ByEnv: true, Log: cfg.Log}, nil
 				}
 
 			case lang.OpAssign:
@@ -125,7 +136,7 @@ func (ex *exec) saturate(st *state) *Violation {
 				for _, lt := range lts {
 					regs := cfg.cloneRegs()
 					regs[e.Op.Reg] = lt.msg.Val
-					log := &ReadLog{MsgKey: lt.key, Prev: cfg.Log}
+					log := &ReadLog{Ref: lt.ref, Prev: cfg.Log}
 					ex.satAddConfig(st, AThread{PC: e.To, Regs: regs, View: lt.view, Log: log})
 				}
 				ex.ltBuf = lts[:0]
@@ -138,7 +149,7 @@ func (ex *exec) saturate(st *state) *Violation {
 				msg := AMsg{Var: x, TS: view[x], Val: d, View: view, Env: true}
 				if v.goalHit(msg) {
 					mc := msg
-					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}
+					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}, nil
 				}
 				if st.env.AddMsg(msg, cfg.Log) {
 					ex.satPushAll(st)
@@ -153,5 +164,5 @@ func (ex *exec) saturate(st *state) *Violation {
 			}
 		}
 	}
-	return nil
+	return nil, nil
 }

@@ -1,18 +1,21 @@
 package simplified
 
+import "context"
+
 // SequentialVerifyForTest runs the macro-state search as a plain sequential
 // breadth-first loop: saturate env behaviour, branch over dis transitions,
 // repeat. It is the reference VerifyContext is differentially tested
-// against, and it shares the semantics (saturation, dis successors, keys)
-// but not the engine. Result.Engine is left zero.
+// against, and it shares the semantics (saturation, dis successors with
+// their canonical step, keys) but not the engine. Result.Engine is left
+// zero.
 func SequentialVerifyForTest(v *Verifier) Result {
-	ex := &exec{v: v}
+	ex := v.fixpointExec(context.Background())
 	// The initial macro-state counts as visited even when its own
 	// saturation already finds the violation, as in VerifyContext.
 	ex.stats.MacroStates = 1
 
 	init := v.initState()
-	if viol := ex.saturate(init); viol != nil {
+	if viol, _ := ex.saturate(init); viol != nil {
 		return ex.unsafeResult(viol, init)
 	}
 	if viol := ex.checkGoalDis(init); viol != nil {
@@ -37,7 +40,7 @@ func SequentialVerifyForTest(v *Verifier) Result {
 			// is untouched: the successor inherits its parent's env fixpoint
 			// and its (already checked, goal-free) result (see memChanged).
 			if ns.memChanged() {
-				if viol := ex.saturate(ns); viol != nil {
+				if viol, _ := ex.saturate(ns); viol != nil {
 					return ex.unsafeResult(viol, ns)
 				}
 				if viol := ex.checkGoalDis(ns); viol != nil {

@@ -55,19 +55,23 @@ type Skeleton struct {
 // valid only during the call; a consumer that keeps them copies them.
 // maxPaths > 0 caps the number of skeletons. complete reports whether the
 // walk ran to its end: false when the cap or yield cut it short. ctx is
-// checked once per expanded macro-state, and cancellation surfaces as its
-// error.
+// checked once per expanded macro-state and during saturation, and
+// cancellation surfaces as its error.
 //
 // The walk is the fixpoint's macro-state graph (the same eachDisMove and
 // saturation) walked depth-first rather than layer by layer: makeP needs
 // the DFS tree's paths, and a breadth-first admission order would memoize
-// different states first and so yield a different skeleton set.
+// different states first and so yield a different skeleton set. Unlike the
+// fixpoint, the walk keeps integer timestamps: each store may take any free
+// slot within the variable's budget.
 func (v *Verifier) EachSkeleton(ctx context.Context, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
-	w := skelWalk{ex: &exec{v: v}, max: maxPaths, yield: yield, complete: true}
+	w := skelWalk{ex: &exec{v: v, ctx: ctx}, max: maxPaths, yield: yield, complete: true}
 	init := v.initState()
 	// Saturation may already hit an env assert; skeleton consumers detect
 	// that via the bad() rules, so the violation is ignored here.
-	w.ex.saturate(init)
+	if _, err := w.ex.saturate(init); err != nil {
+		return false, err
+	}
 	w.seen = map[string]bool{init.key(): true}
 	if err := w.dfs(ctx, init); err != nil {
 		return false, err
@@ -174,7 +178,9 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		if w.done() {
 			return nil
 		}
-		w.ex.saturate(s.st)
+		if _, err := w.ex.saturate(s.st); err != nil {
+			return err
+		}
 		k := s.st.key()
 		if w.seen[k] {
 			continue

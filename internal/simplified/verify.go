@@ -1,6 +1,7 @@
 package simplified
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -33,11 +34,9 @@ type Goal struct {
 type Options struct {
 	// MaxMacroStates caps the macro-state search (0 = unlimited). With
 	// VerifyContext, the context deadline is the primary limit and this is
-	// a secondary cap.
+	// a secondary cap. A macro-state is an order class of integer states
+	// (canonical timestamps, canon.go).
 	MaxMacroStates int
-	// ExtraSlots widens the per-variable integer-timestamp budget beyond the
-	// computed 2·S_v+2 bound (useful for experiments on budget sensitivity).
-	ExtraSlots int
 	// Goal, when non-nil, switches from assert-reachability to the Message
 	// Generation problem for the given (variable, value) pair.
 	Goal *Goal
@@ -62,7 +61,8 @@ type Options struct {
 
 // Stats reports work done by the verifier.
 type Stats struct {
-	// MacroStates is the number of distinct (dis, dis memory) states.
+	// MacroStates is the number of distinct (dis, dis memory) states, dis
+	// timestamps taken up to order (canon.go).
 	MacroStates int
 	// DisTransitions is the number of dis transitions taken.
 	DisTransitions int
@@ -97,10 +97,10 @@ type Violation struct {
 	// GoalMsg is the generated goal message for MG queries.
 	GoalMsg *AMsg
 	// Env and Mem snapshot the configuration at the violation, enabling
-	// dependency-graph reconstruction (the Log chains reference them). Each
-	// env message carries its provenance in its MsgEntry, each dis message
-	// in its GenDis and GenLog, all from the one computation that reached
-	// the configuration.
+	// dependency-graph reconstruction: the read logs name their messages
+	// (Resolver). Each env message carries its provenance in its MsgEntry,
+	// each dis message in its Ref and GenLog, all from the one computation
+	// that reached the configuration.
 	Env *EnvSet
 	Mem *DisMem
 	// DisLogs are the read logs of all dis threads at the violation.
@@ -166,7 +166,8 @@ func New(sys *lang.System, opts Options) (*Verifier, error) {
 		// 2·S_v + 2 integer slots: any single run's order/adjacency pattern
 		// of S_v dis stores embeds into {1..2·S_v+1} (greedy: plain stores
 		// leave one free slot behind them for potential CAS successors).
-		v.budget[i] = 2*storeSum[i] + 2 + opts.ExtraSlots
+		// Canonical timestamps use at most 2·S_v + 1 of them.
+		v.budget[i] = 2*storeSum[i] + 2
 		if v.budget[i] > maxBudget {
 			maxBudget = v.budget[i]
 		}
@@ -212,8 +213,17 @@ func (v *Verifier) initState() *state {
 // for the run, whose statistics each expansion hands to its output slot for
 // the sequential commit to add up.
 type exec struct {
-	v     *Verifier
+	v *Verifier
+	// ctx, when non-nil, is polled by saturate.
+	ctx context.Context
+	// canon selects canonical timestamps (canon.go): the fixpoint's search
+	// sets it, the skeleton walk keeps integer timestamps.
+	canon bool
 	stats Stats
+	// satPops counts saturation worklist pops, to space out context polls.
+	satPops int
+	// renum is canonicalize's scratch.
+	renum renumbering
 	// Reusable scratch for saturation worklists and load-target enumeration,
 	// so per-successor saturations don't re-allocate them.
 	satWork   []string
@@ -240,6 +250,12 @@ type exec struct {
 	// Parked structs are scrubbed of pointers (see freeState) so the list
 	// never extends a dead macro-state's lifetime.
 	freeStates []*state
+}
+
+// fixpointExec is an exec of the fixpoint's search: canonical timestamps,
+// saturations that stop when ctx is cancelled.
+func (v *Verifier) fixpointExec(ctx context.Context) *exec {
+	return &exec{v: v, ctx: ctx, canon: true}
 }
 
 // cloneState is state.clone drawing the struct from the exec's freelist
@@ -321,7 +337,11 @@ func (ex *exec) checkGoalDis(st *state) *Violation {
 	}
 	for _, m := range st.mem.VarMsgs(ex.v.opts.Goal.Var) {
 		if ex.v.goalHit(m) {
-			return &Violation{ByEnv: false, DisIndex: int(m.GenDis), Log: m.GenLog, GoalMsg: &m}
+			dis := 0
+			if m.Ref.Kind == RefDis {
+				dis = int(m.Ref.ID)
+			}
+			return &Violation{ByEnv: false, DisIndex: dis, Log: m.GenLog, GoalMsg: &m}
 		}
 	}
 	return nil

@@ -3,9 +3,12 @@ package simplified
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"paramra/internal/lang"
+	"paramra/internal/tqbf"
 )
 
 // verify1 runs v's search at one worker.
@@ -53,8 +56,8 @@ thread consumer {
 	if res.Violation == nil || res.Violation.ByEnv {
 		t.Fatalf("violation should be by the dis consumer: %+v", res.Violation)
 	}
-	if got := res.Violation.Log.Keys(); len(got) != 1 {
-		t.Errorf("consumer read log = %v, want exactly the x=2 read", got)
+	if got, err := res.Violation.Resolver().Keys(res.Violation.Log); err != nil || len(got) != 1 {
+		t.Errorf("consumer read log = %v (%v), want exactly the x=2 read", got, err)
 	}
 }
 
@@ -428,13 +431,79 @@ func TestAbstractTimeOrder(t *testing.T) {
 }
 
 func TestReadLogChronological(t *testing.T) {
-	l := &ReadLog{MsgKey: "c", Prev: &ReadLog{MsgKey: "b", Prev: &ReadLog{MsgKey: "a"}}}
-	got := l.Keys()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("Keys = %v", got)
+	a, b, c := InitRef(0), DisRef(1, 2), EnvRef(0)
+	l := &ReadLog{Ref: c, Prev: &ReadLog{Ref: b, Prev: &ReadLog{Ref: a}}}
+	got := l.Refs()
+	if len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
+		t.Errorf("Refs = %v", got)
 	}
 	var nilLog *ReadLog
-	if len(nilLog.Keys()) != 0 {
-		t.Error("nil log should have no keys")
+	if len(nilLog.Refs()) != 0 {
+		t.Error("nil log should have no refs")
+	}
+
+	// A resolver names each reference by the key of the message it refers
+	// to, in the violation's own configuration, and rejects the rest.
+	mem := NewDisMem(2, 0)
+	mem.Put(AMsg{Var: 1, TS: Int(2), Val: 1, View: AView{Int(0), Int(2)}, Ref: b})
+	env := NewEnvSet(2)
+	env.AddMsg(AMsg{Var: 0, TS: Plus(0), Val: 1, View: AView{Plus(0), Int(0)}, Env: true}, nil)
+	keys, err := (&Violation{Mem: mem, Env: env}).Resolver().Keys(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"0@0=0<0,0,>", "1@4=1<0,4,>", "0@1=1<1,0,>"}; !slices.Equal(keys, want) {
+		t.Errorf("Keys = %v, want %v", keys, want)
+	}
+	if _, err := (&Violation{Mem: mem}).Resolver().Keys(l); err == nil {
+		t.Error("a reference to a message the configuration lacks must not resolve")
+	}
+}
+
+// TestSaturationHonoursCancellation: env saturation polls its context, so a
+// cancelled search stops inside the initial saturation instead of running
+// it to its end, and reports no verdict. The system is the scaling
+// experiment's TQBF family at depth 3 (seed 7): its fixpoint is one
+// macro-state whose initial saturation takes 2,603,518 steps, about 8 s on
+// a 2-CPU Xeon.
+func TestSaturationHonoursCancellation(t *testing.T) {
+	sys, err := tqbf.Reduce(tqbf.Random(rand.New(rand.NewSource(7)), 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := New(sys, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := v.VerifyContext(ctx)
+	if !errors.Is(res.Err, context.Canceled) || res.Complete || res.Unsafe {
+		t.Fatalf("cancelled search: err=%v complete=%v unsafe=%v, want context.Canceled, incomplete, no verdict",
+			res.Err, res.Complete, res.Unsafe)
+	}
+	// At most one poll interval of pops, each taking every edge out of its
+	// configuration's PC.
+	maxOut := 0
+	for _, edges := range v.envCFG.Out {
+		maxOut = max(maxOut, len(edges))
+	}
+	if bound := satPollEvery * maxOut; res.Stats.SaturationSteps > bound {
+		t.Errorf("cancelled search made %d saturation steps, want at most %d", res.Stats.SaturationSteps, bound)
+	}
+	if res.Stats.MacroStates != 0 || res.Engine.States != 0 {
+		t.Errorf("cancelled search counts %d macro-states (engine %d), want 0: the half-saturated state is not admitted",
+			res.Stats.MacroStates, res.Engine.States)
+	}
+	// The inventory records the messages of admitted states only, so a
+	// half-saturated initial state contributes none.
+	inv, _, complete := v.InventoryContext(ctx)
+	if complete {
+		t.Error("cancelled inventory reports complete")
+	}
+	for x, vals := range inv {
+		if len(vals) != 0 {
+			t.Errorf("cancelled inventory records values %v of var %d", vals, x)
+		}
 	}
 }

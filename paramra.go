@@ -116,8 +116,9 @@ type Goal struct {
 // reporting.
 type Options struct {
 	// MaxMacroStates caps the macro-state search of the fixpoint backend
-	// (0 = unlimited). The context deadline is the primary resource limit;
-	// this is a secondary cap.
+	// (0 = unlimited), counted in order classes of dis timestamps (see the
+	// package documentation). The context deadline is the primary resource
+	// limit; this is a secondary cap.
 	MaxMacroStates int
 	// MaxStates caps concrete-instance exploration (VerifyInstance,
 	// ConfirmViolation, FindDeadlocks; 0 = unlimited — beware, loops make
@@ -487,7 +488,9 @@ func newFixpoint(work *System, opts Options, span *obs.Span) (*simplified.Verifi
 }
 
 // fixpointResult folds a fixpoint search into res: verdict, statistics and,
-// for a violation, the witness, dependency graph and §4.3 bound.
+// for a violation, the witness, dependency graph and §4.3 bound. Every read
+// log of a violation names messages of its own configuration, so a graph or
+// witness that fails to build is a verifier bug and an error.
 func fixpointResult(res Result, work *System, out simplified.Result) (Result, error) {
 	res.Unsafe = out.Unsafe
 	res.Complete = out.Complete
@@ -503,11 +506,17 @@ func fixpointResult(res Result, work *System, out simplified.Result) (Result, er
 		return res, out.Err
 	}
 	if out.Unsafe && out.Violation != nil {
-		res.Witness = out.Violation.Log.Keys()
-		if g, err := depgraph.FromViolation(work, out.Violation); err == nil {
-			res.Graph = g
-			res.EnvThreadBound = g.CostGoal()
+		// One index resolves the witness and every read log of the graph.
+		names := out.Violation.Resolver()
+		witness, err := names.Keys(out.Violation.Log)
+		var g *depgraph.Graph
+		if err == nil {
+			g, err = depgraph.FromResolved(work, out.Violation, names)
 		}
+		if err != nil {
+			return res, fmt.Errorf("paramra: fixpoint violation: %w", err)
+		}
+		res.Witness, res.Graph, res.EnvThreadBound = witness, g, g.CostGoal()
 	}
 	return res, nil
 }

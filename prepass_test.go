@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"paramra/internal/simplified"
 )
 
 const prepassSafeSrc = `
@@ -137,6 +139,42 @@ func TestVerifyPrepassAgreesWithFixpoint(t *testing.T) {
 		if pre.Unsafe != fix.Unsafe {
 			t.Fatalf("%s: prepass says unsafe=%v, fixpoint says unsafe=%v",
 				sys.Name, pre.Unsafe, fix.Unsafe)
+		}
+	}
+}
+
+// TestFixpointResultGraphErrorIsAnError: a violation whose read logs name a
+// message its own configuration lacks has no witness or dependency graph,
+// and that is a verifier bug to report, not a graph to leave out. The
+// dangling reference sits once in the violating log (the witness) and once
+// in a dis message's log (the graph alone).
+func TestFixpointResultGraphErrorIsAnError(t *testing.T) {
+	sys, err := Parse(prepassUnsafeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dangling := &simplified.ReadLog{Ref: simplified.DisRef(0, 7)}
+	inWitness := &simplified.Violation{
+		Log: dangling,
+		Mem: simplified.NewDisMem(len(sys.Vars), 0),
+		Env: simplified.NewEnvSet(len(sys.Vars)),
+	}
+	inGraph := &simplified.Violation{
+		Mem: simplified.NewDisMem(len(sys.Vars), 0),
+		Env: simplified.NewEnvSet(len(sys.Vars)),
+	}
+	view := simplified.NewAView(len(sys.Vars))
+	view[0] = simplified.Int(2)
+	inGraph.Mem.Put(simplified.AMsg{Var: 0, TS: simplified.Int(2), Val: 1, View: view,
+		Ref: simplified.DisRef(0, 1), GenLog: dangling})
+	for name, viol := range map[string]*simplified.Violation{"witness": inWitness, "graph": inGraph} {
+		res, err := fixpointResult(Result{EnvThreadBound: -1}, sys,
+			simplified.Result{Unsafe: true, Complete: true, Violation: viol})
+		if err == nil {
+			t.Fatalf("%s: got a nil error (graph %v), want the dangling reference reported", name, res.Graph)
+		}
+		if !strings.Contains(err.Error(), "dis(0@7)") {
+			t.Errorf("%s: error %q does not name the dangling reference", name, err)
 		}
 	}
 }

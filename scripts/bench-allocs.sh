@@ -11,8 +11,10 @@
 # representation").
 #
 #   BenchmarkVerifyParallel/peterson/j=8  the simplified fixpoint. Default
-#       budget ~1.5x the measured steady state (~0.78M allocs/op) and ~1/4
-#       of the cost before its exploration-core overhaul (5.17M allocs/op).
+#       budget ~2x its cost on canonical timestamps (~2.5k-2.8k allocs/op)
+#       and ~1/125 of the cost while the fixpoint keyed macro-states on
+#       integer slots (~0.75M allocs/op), so a return to integer slots fails
+#       here.
 #   BenchmarkPrepassReplay  the concrete RA explorer, through the barrier
 #       prepass replay at raserved's state cap. Default budget ~2x the
 #       measured steady state (~0.12M allocs/op) and ~1/10 of the cost
@@ -20,8 +22,9 @@
 #   BenchmarkSkeletons  the dis-run skeleton enumeration behind makeP, on
 #       lamport-2-ra. Fixed budget ~1.5x its cost before the enumeration
 #       moved onto the shared dis-step generator (566k allocs/op; ~529k
-#       after). A move or step built where the heap keeps it (say, taking
-#       the address of a per-move local) shows up here first.
+#       after, ~496k once messages dropped their cached keys). A move or
+#       step built where the heap keeps it (say, taking the address of a
+#       per-move local) shows up here first.
 #   BenchmarkSlice  the verdict-preserving slicer behind the CLIs' -slice
 #       flag and ravet, over the corpus plus 48 generated systems. Fixed budget
 #       ~1.5x its cost while the slicer still ran on constant propagation
@@ -39,10 +42,11 @@
 #   BenchmarkServedCorpus  the served path: the 24 corpus entries through
 #       paramra.Verify with raserved's default options at one worker, where
 #       the prepass schedule alternates replay and fixpoint rounds under
-#       growing state budgets. Fixed budget ~1.3x its cost under the
-#       schedule (~123k allocs/op) and ~2/3 of the cost while the replay
-#       ran to its full cap before the fixpoint (~237k allocs/op), so a
-#       return to that order fails here.
+#       growing state budgets. Fixed budget ~1.5x its cost once the
+#       fixpoint searched order classes of timestamps (~41k allocs/op),
+#       ~1/2 of its cost on integer slots (~122k allocs/op), and ~1/4 of
+#       the cost while the replay ran to its full cap before the fixpoint
+#       (~237k allocs/op), so a return to either fails here.
 #   BenchmarkDatalogVerifyUnsafe  the Datalog backend's early exit, on
 #       peterson-ra at two workers: the skeleton walk stops at its 2nd of
 #       26,136 skeletons, whose instance derives unsafe(). Fixed budget ~2x
@@ -53,7 +57,7 @@
 #       allocs/op), so a return to building them all fails here.
 set -eu
 
-FIXPOINT_BUDGET="${1:-1200000}"
+FIXPOINT_BUDGET="${1:-6000}"
 REPLAY_BUDGET="${2:-250000}"
 
 # gate BENCH BUDGET runs one benchmark and checks its allocs/op.
@@ -80,5 +84,5 @@ gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000
 gate BenchmarkDatalogVerify 12000
-gate BenchmarkServedCorpus 160000
+gate BenchmarkServedCorpus 62000
 gate BenchmarkDatalogVerifyUnsafe 5000
