@@ -510,6 +510,35 @@ func BenchmarkDatalogVerifyUnsafe(b *testing.B) {
 	}
 }
 
+// BenchmarkSaturateTQBF measures env saturation, the closure §5 reduces
+// TQBF to: paramra.Verify with the prepass off at one worker on the
+// depth-2 TQBF reduction of seed 7. The reduction has no dis thread, so the
+// run is its initial macro-state's saturation; it must complete with the
+// formula's truth value as its verdict. scripts/bench-allocs.sh gates its
+// allocs/op, which grow with every configuration a naive pass re-derives.
+func BenchmarkSaturateTQBF(b *testing.B) {
+	q := tqbf.Random(rand.New(rand.NewSource(7)), 2, 2)
+	sys, err := tqbf.Reduce(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := q.Eval()
+	ctx := context.Background()
+	opts := paramra.Options{Parallelism: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := paramra.Verify(ctx, sys, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Complete || res.Unsafe != want {
+			b.Fatalf("tqbf depth 2 seed 7: unsafe=%v complete=%v, want a complete run with unsafe=%v",
+				res.Unsafe, res.Complete, want)
+		}
+	}
+}
+
 // BenchmarkParser measures the concrete-syntax frontend.
 func BenchmarkParser(b *testing.B) {
 	src := fig3Src(5)

@@ -312,7 +312,7 @@ func parallel() error {
 	}
 	fmt.Print(bench.ParallelTable(rows).String())
 	if *baseline != "" {
-		if err := bench.WriteParallelBaseline(runCtx, *baseline, counts); err != nil {
+		if err := bench.WriteParallelBaseline(*baseline, rows); err != nil {
 			return err
 		}
 		fmt.Printf("baseline written to %s\n", *baseline)

@@ -623,9 +623,9 @@ func runProbe(client *http.Client, base string, entries []*entry, rng *rand.Rand
 
 // budgetProbeSrc is the 408 probe's system: the TQBF reduction of a fixed
 // depth-3 formula (the scaling experiment's family, seed 7). With the
-// prepass off, the fixpoint saturates its one macro-state for 2,603,518 env
-// steps, about 8 s on a 2-CPU Xeon, so a 1 ms budget expires on any host,
-// and saturation polls its context, so the server answers promptly.
+// prepass off, the fixpoint saturates its one macro-state for 445,689 env
+// steps, about 0.1 s on a 2-CPU Xeon, so a 1 ms budget expires on any
+// host, and saturation polls its context, so the server answers promptly.
 var budgetProbeSrc = func() string {
 	sys, err := tqbf.Reduce(tqbf.Random(rand.New(rand.NewSource(7)), 3, 2))
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -143,6 +145,29 @@ func TestLoadParallelBaseline(t *testing.T) {
 	}
 	if _, err := LoadParallelBaseline(path); err == nil {
 		t.Error("want error on empty baseline")
+	}
+}
+
+// TestWriteParallelBaseline: the file holds exactly the rows it was given,
+// the ones a caller has already printed, and this process's GOMAXPROCS.
+func TestWriteParallelBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.json")
+	rows := []ParallelRow{
+		{Name: "a", Workers: 1, MacroStates: 7, Wall: 573 * time.Microsecond, Speedup: 1},
+		{Name: "a", Workers: 8, MacroStates: 7, Wall: 338 * time.Microsecond, Speedup: 573.0 / 338},
+	}
+	if err := WriteParallelBaseline(path, rows); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadParallelBaselineFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b.Rows, rows) {
+		t.Errorf("rows read back %+v, want %+v", b.Rows, rows)
+	}
+	if b.GoMaxProcs != runtime.GOMAXPROCS(0) {
+		t.Errorf("gomaxprocs read back %d, want %d", b.GoMaxProcs, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -122,13 +122,10 @@ type ParallelBaseline struct {
 	Rows       []ParallelRow `json:"rows"`
 }
 
-// WriteParallelBaseline runs the scaling experiment and stores the rows as
-// a JSON baseline for later comparison.
-func WriteParallelBaseline(ctx context.Context, path string, workerCounts []int) error {
-	rows, err := ParallelExperiment(ctx, workerCounts)
-	if err != nil {
-		return err
-	}
+// WriteParallelBaseline stores rows, as ParallelExperiment measured them,
+// as a JSON baseline for later comparison, with this process's GOMAXPROCS
+// and CPU count.
+func WriteParallelBaseline(path string, rows []ParallelRow) error {
 	b := ParallelBaseline{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),

@@ -93,14 +93,18 @@ type MsgEntry struct {
 // only mutated during its own saturation, before the state is admitted and
 // shared.
 type EnvSet struct {
-	Configs map[string]AThread
-	Msgs    map[string]MsgEntry
-	// ConfigOrder lists config keys in insertion order. Saturation worklists
-	// iterate it instead of the Configs map so that first-derivation
-	// provenance (and with it witnesses and §4.3 bounds) is reproducible
-	// across runs and worker counts.
-	ConfigOrder []string
-	// MsgsByVar indexes the env messages by shared variable for loads.
+	// Configs lists the configurations in insertion order. A configuration
+	// keeps its position for good (cloning and renumbering included), so
+	// saturation worklists hold positions, and iterating in this order
+	// makes first-derivation provenance (and with it witnesses and §4.3
+	// bounds) reproducible across runs and worker counts.
+	Configs []AThread
+	// configPos maps each configuration's key to its position; it serves
+	// only the duplicate probe.
+	configPos map[string]int32
+	Msgs      map[string]MsgEntry
+	// MsgsByVar indexes the env messages by shared variable for loads, each
+	// list in Idx order.
 	MsgsByVar [][]MsgEntry
 	// shared marks a copy-on-write clone still borrowing its parent's
 	// storage; the first mutation thaws it.
@@ -110,7 +114,7 @@ type EnvSet struct {
 // NewEnvSet returns an empty env set over numVars shared variables.
 func NewEnvSet(numVars int) *EnvSet {
 	return &EnvSet{
-		Configs:   map[string]AThread{},
+		configPos: map[string]int32{},
 		Msgs:      map[string]MsgEntry{},
 		MsgsByVar: make([][]MsgEntry, numVars),
 	}
@@ -131,17 +135,17 @@ func (e *EnvSet) thaw() {
 	if !e.shared {
 		return
 	}
-	cfgs := make(map[string]AThread, len(e.Configs)+1)
-	for k, v := range e.Configs {
-		cfgs[k] = v
+	pos := make(map[string]int32, len(e.configPos)+1)
+	for k, i := range e.configPos {
+		pos[k] = i
 	}
-	e.Configs = cfgs
+	e.configPos = pos
 	msgs := make(map[string]MsgEntry, len(e.Msgs)+1)
 	for k, v := range e.Msgs {
 		msgs[k] = v
 	}
 	e.Msgs = msgs
-	e.ConfigOrder = e.ConfigOrder[:len(e.ConfigOrder):len(e.ConfigOrder)]
+	e.Configs = e.Configs[:len(e.Configs):len(e.Configs)]
 	byVar := make([][]MsgEntry, len(e.MsgsByVar))
 	for i, s := range e.MsgsByVar {
 		byVar[i] = s[:len(s):len(s)]
@@ -152,32 +156,25 @@ func (e *EnvSet) thaw() {
 
 // AddConfig inserts a configuration; returns true if it was new.
 func (e *EnvSet) AddConfig(c AThread) bool {
-	_, added := e.addConfig(c)
-	return added
-}
-
-// addConfig is AddConfig returning the interned config key as well, so
-// saturation worklists can push it without re-encoding the configuration.
-// The duplicate probe is allocation-free; the key is interned on insert.
-func (e *EnvSet) addConfig(c AThread) (string, bool) {
 	enc := engine.GetKeyEnc()
 	defer engine.PutKeyEnc(enc)
 	return e.addConfigEnc(c, enc)
 }
 
-// addConfigEnc is addConfig with a caller-supplied scratch encoder, so the
-// saturation inner loop probes without touching the encoder pool.
-func (e *EnvSet) addConfigEnc(c AThread, enc *engine.KeyEnc) (string, bool) {
+// addConfigEnc is AddConfig with a caller-supplied scratch encoder, so the
+// saturation inner loop probes without touching the encoder pool. The
+// duplicate probe is allocation-free; the key is interned on insert. A new
+// configuration takes position len(Configs) before the call.
+func (e *EnvSet) addConfigEnc(c AThread, enc *engine.KeyEnc) bool {
 	enc.Reset()
 	c.encodeKey(enc)
-	if _, ok := e.Configs[string(enc.Bytes())]; ok {
-		return "", false
+	if _, ok := e.configPos[string(enc.Bytes())]; ok {
+		return false
 	}
-	k := enc.String()
 	e.thaw()
-	e.Configs[k] = c
-	e.ConfigOrder = append(e.ConfigOrder, k)
-	return k, true
+	e.configPos[enc.String()] = int32(len(e.Configs))
+	e.Configs = append(e.Configs, c)
+	return true
 }
 
 // AddMsg inserts an env message; returns true if it was new. The first

@@ -122,25 +122,32 @@ func (m *DisMem) renumber(r *renumbering) {
 }
 
 // renumber applies r to every configuration's view and every message's
-// view and ⁺-timestamp, re-keying the entries that move. Insertion orders
-// and message indices are kept. A set none of whose entries move is left
-// as it is, still borrowing its parent's storage.
+// view and ⁺-timestamp, re-keying the entries that move. Configuration
+// positions, message orders and message indices are kept. A set none of
+// whose entries move is left as it is, still borrowing its parent's
+// storage.
 func (e *EnvSet) renumber(r *renumbering, enc *engine.KeyEnc) {
 	if !e.movedBy(r) {
 		return
 	}
-	cfgs := make(map[string]AThread, len(e.Configs))
-	order := make([]string, len(e.ConfigOrder))
-	for i, k := range e.ConfigOrder {
-		c := e.Configs[k]
+	// The position map is rebuilt rather than edited in place: a moved
+	// configuration's new key may be another one's old key.
+	cfgs := make([]AThread, len(e.Configs))
+	pos := make(map[string]int32, len(e.configPos))
+	for k, i := range e.configPos {
+		if c := e.Configs[i]; !r.moves(c.View) {
+			cfgs[i] = c
+			pos[k] = i
+		}
+	}
+	for i, c := range e.Configs {
 		if r.moves(c.View) {
 			c.View = r.view(c.View)
 			enc.Reset()
 			c.encodeKey(enc)
-			k = enc.String()
+			cfgs[i] = c
+			pos[enc.String()] = int32(i)
 		}
-		cfgs[k] = c
-		order[i] = k
 	}
 	msgs := make(map[string]MsgEntry, len(e.Msgs))
 	byVar := make([][]MsgEntry, len(e.MsgsByVar))
@@ -160,7 +167,7 @@ func (e *EnvSet) renumber(r *renumbering, enc *engine.KeyEnc) {
 		}
 		byVar[v] = out
 	}
-	e.Configs, e.ConfigOrder, e.Msgs, e.MsgsByVar = cfgs, order, msgs, byVar
+	e.Configs, e.configPos, e.Msgs, e.MsgsByVar = cfgs, pos, msgs, byVar
 	e.shared = false
 }
 

@@ -7,9 +7,10 @@ package simplified_test
 // complete SAFE run the canonical images of the states the reference admits
 // must be exactly the states the canonical search admits, and on every run
 // the verdicts must agree. The per-state checks inside LegacyExploreForTest
-// pin the key construction and the saturation skip, and the lemma that lets
-// the key leave the env set out: every dis memory the reference reaches more
-// than once carries one env set.
+// pin the key construction, the saturation skip, the semi-naive saturation
+// (each one must equal the naive closure), and the lemma that lets the key
+// leave the env set out: every dis memory the reference reaches more than
+// once carries one env set.
 
 import (
 	"context"
@@ -43,6 +44,9 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 	}
 	if ref.SkipUnsound != 0 {
 		t.Errorf("%s: %d memory-untouched successors were not at their parent's saturation fixpoint", name, ref.SkipUnsound)
+	}
+	if ref.SaturationMismatches != 0 {
+		t.Errorf("%s: %d saturations differ from the naive closure", name, ref.SaturationMismatches)
 	}
 	if ref.HitCap {
 		return false, ref.SharedMemories

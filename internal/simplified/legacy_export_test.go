@@ -34,6 +34,10 @@ type LegacyExploreResult struct {
 	// SharedMemories counts successors whose dis memory an earlier state
 	// reached, that is, the states on which the lemma was put to the test.
 	SharedMemories int
+	// SaturationMismatches counts saturations (the initial state's and every
+	// successor's) whose result differs from naiveSaturate's on a clone of
+	// the state (see sameSaturation). Must be 0.
+	SaturationMismatches int
 	// HitCap reports the maxStates budget stopped the search; verdict and
 	// counts are then not comparable and the caller should skip the seed.
 	HitCap bool
@@ -92,15 +96,15 @@ func memKey(s *state) string {
 // messages. Copy-on-write clones that still share their maps are equal
 // without a look at the entries.
 func sameEnv(a, b *EnvSet) bool {
-	if reflect.ValueOf(a.Configs).UnsafePointer() == reflect.ValueOf(b.Configs).UnsafePointer() &&
+	if reflect.ValueOf(a.configPos).UnsafePointer() == reflect.ValueOf(b.configPos).UnsafePointer() &&
 		reflect.ValueOf(a.Msgs).UnsafePointer() == reflect.ValueOf(b.Msgs).UnsafePointer() {
 		return true
 	}
 	if len(a.Configs) != len(b.Configs) || len(a.Msgs) != len(b.Msgs) {
 		return false
 	}
-	for k := range a.Configs {
-		if _, ok := b.Configs[k]; !ok {
+	for k := range a.configPos {
+		if _, ok := b.configPos[k]; !ok {
 			return false
 		}
 	}
@@ -131,7 +135,11 @@ func envSize(e *EnvSet) int { return len(e.Configs) + len(e.Msgs) }
 //   - every successor whose dis memory an earlier state reached must carry
 //     that state's env set, which is the lemma the key's omission of the
 //     env set rests on (DESIGN, "The env set is a function of the dis
-//     memory").
+//     memory"), and
+//   - every saturation, the initial state's and each successor's, must
+//     come out exactly as the naive closure's (naiveSaturate), which is the
+//     exactness of semi-naive saturation (DESIGN, "Semi-naive env
+//     saturation").
 //
 // The visited set is keyed by the reference encoding plus sealKey, so that
 // of two integer states that differ only in which messages are sealed both
@@ -139,8 +147,15 @@ func envSize(e *EnvSet) int { return len(e.Configs) + len(e.Msgs) }
 func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 	r := LegacyExploreResult{Images: map[string]bool{}}
 	ex := &exec{v: v}
+	saturate := func(st *state) *Violation {
+		viol, same := checkedSaturate(ex, st)
+		if !same {
+			r.SaturationMismatches++
+		}
+		return viol
+	}
 	init := v.initState()
-	if viol, _ := ex.saturate(init); viol != nil {
+	if viol := saturate(init); viol != nil {
 		r.Unsafe = true
 		return r
 	}
@@ -166,7 +181,7 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 		for _, ns := range succs {
 			memChanged := ns.memChanged()
 			sizeBefore := envSize(&ns.env)
-			if viol, _ := ex.saturate(ns); viol != nil {
+			if viol := saturate(ns); viol != nil {
 				engine.PutKeyEnc(parentSuffix)
 				r.Unsafe = true
 				return r

@@ -33,38 +33,74 @@ func (v *Verifier) loadTargets(st *state, vw AView, x lang.VarID, buf []loadTarg
 		}
 	}
 	for _, me := range st.env.MsgsByVar[x] {
-		j := vw.Join(me.Msg.View)
-		j[x] = Plus(j[x].Floor())
-		out = append(out, loadTarget{msg: me.Msg, view: j, ref: EnvRef(me.Idx)})
+		out = append(out, envLoadTarget(vw, x, me))
 	}
 	return out
 }
 
-// satPush enqueues a configuration key on the saturation worklist unless it
-// is already queued. The worklist and its membership set are plain exec
-// fields (not closure captures) so saturate allocates nothing per call once
-// the scratch has warmed up.
-func (ex *exec) satPush(k string) {
-	if !ex.satInWork[k] {
-		ex.satInWork[k] = true
-		ex.satWork = append(ex.satWork, k)
+// envLoadTarget is the load of env message me from x by a thread with view
+// vw (see loadTargets).
+func envLoadTarget(vw AView, x lang.VarID, me MsgEntry) loadTarget {
+	j := vw.Join(me.Msg.View)
+	j[x] = Plus(j[x].Floor())
+	return loadTarget{msg: me.Msg, view: j, ref: EnvRef(me.Idx)}
+}
+
+// envMsgsSince returns the suffix of msgs, a MsgsByVar list, whose
+// messages have an Idx of at least since.
+func envMsgsSince(msgs []MsgEntry, since int32) []MsgEntry {
+	i := len(msgs)
+	for i > 0 && msgs[i-1].Idx >= since {
+		i--
+	}
+	return msgs[i:]
+}
+
+// satSlot is a configuration's bookkeeping within one saturation, kept at
+// the configuration's position: whether it is on the worklist, and the env
+// message count when its last pass began (-1 before its first pass).
+type satSlot struct {
+	since  int32
+	queued bool
+}
+
+// satPush enqueues the configuration at position i on the saturation
+// worklist unless it is already queued. The worklist and the slots are
+// plain exec fields (not closure captures) so saturate allocates nothing
+// per call once the scratch has warmed up.
+func (ex *exec) satPush(i int32) {
+	if !ex.satSlots[i].queued {
+		ex.satSlots[i].queued = true
+		ex.satWork = append(ex.satWork, i)
 	}
 }
 
-// satPushAll re-enqueues every configuration in ConfigOrder (after a new
-// message appears, any of them may now load it).
+// satPushAll enqueues every configuration in insertion order (after a new
+// message appears, any of them may now load it). Configurations without a
+// load of the message's variable are pushed too: stack positions decide
+// which derivation comes first, and their pass finds nothing new cheaply.
 func (ex *exec) satPushAll(st *state) {
-	for _, k := range st.env.ConfigOrder {
-		ex.satPush(k)
+	for i := range st.env.Configs {
+		ex.satPush(int32(i))
 	}
 }
 
 // satAddConfig inserts a derived configuration and enqueues it if new. The
 // key probe uses the exec's embedded encoder scratch.
 func (ex *exec) satAddConfig(st *state, c AThread) {
-	if k, added := st.env.addConfigEnc(c, &ex.enc); added {
-		ex.satPush(k)
+	if st.env.addConfigEnc(c, &ex.enc) {
+		ex.satSlots = append(ex.satSlots, satSlot{since: -1})
+		ex.satPush(int32(len(st.env.Configs) - 1))
 	}
+}
+
+// satLoad adds the configuration cfg reaches by reading lt along the load
+// edge e.
+func (ex *exec) satLoad(st *state, cfg AThread, e lang.Edge, lt loadTarget) {
+	regs := cfg.cloneRegs()
+	regs[e.Op.Reg] = lt.msg.Val
+	log := &ReadLog{Ref: lt.ref, Prev: cfg.Log}
+	ex.satAddConfig(st, AThread{PC: e.To, Regs: regs, View: lt.view, Log: log})
 }
 
 // satPollEvery is how many worklist pops saturate makes between two looks
@@ -76,21 +112,28 @@ const satPollEvery = 256
 // `assert false` or generate the goal message. When the exec's context is
 // cancelled it stops and returns the context's error: st is then half
 // saturated and must be neither admitted nor judged.
+//
+// The closure is semi-naive (DESIGN, "Semi-naive env saturation"): a
+// configuration's first pass takes every edge, a later pass only its loads,
+// of the env messages added since its previous pass began. Whatever else a
+// later pass could take re-derives a fact the set already holds, so the
+// facts, their first derivations and their insertion order are those of
+// taking every edge on every pass.
 func (ex *exec) saturate(st *state) (*Violation, error) {
 	v := ex.v
 	if v.envCFG == nil {
 		return nil, nil
 	}
-	// Worklist of configuration keys, seeded and re-seeded in ConfigOrder so
-	// the first derivation of each config/message is the same for every run
-	// and worker count (stable provenance ⇒ stable witnesses and bounds).
-	// The worklist and its membership set live on the exec and are reused
-	// across the successor saturations of one expansion.
+	env := &st.env
+	// Worklist of configuration positions, seeded and re-seeded in
+	// insertion order so the first derivation of each config/message is
+	// the same for every run and worker count (stable provenance ⇒ stable
+	// witnesses and bounds). The worklist and the slots live on the exec
+	// and are reused across the successor saturations of one expansion.
 	ex.satWork = ex.satWork[:0]
-	if ex.satInWork == nil {
-		ex.satInWork = map[string]bool{}
-	} else {
-		clear(ex.satInWork)
+	ex.satSlots = ex.satSlots[:0]
+	for range env.Configs {
+		ex.satSlots = append(ex.satSlots, satSlot{since: -1})
 	}
 	ex.satPushAll(st)
 
@@ -101,11 +144,22 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 			}
 		}
 		ex.satPops++
-		k := ex.satWork[len(ex.satWork)-1]
+		i := ex.satWork[len(ex.satWork)-1]
 		ex.satWork = ex.satWork[:len(ex.satWork)-1]
-		ex.satInWork[k] = false
-		cfg, ok := st.env.Configs[k]
-		if !ok {
+		since := ex.satSlots[i].since
+		ex.satSlots[i] = satSlot{since: int32(len(env.Msgs))}
+		cfg := env.Configs[i]
+		if since >= 0 {
+			for _, e := range v.envCFG.Out[cfg.PC] {
+				if e.Op.Kind != lang.OpLoad {
+					continue
+				}
+				ex.stats.SaturationSteps++
+				x := e.Op.Var
+				for _, me := range envMsgsSince(env.MsgsByVar[x], since) {
+					ex.satLoad(st, cfg, e, envLoadTarget(cfg.View, x, me))
+				}
+			}
 			continue
 		}
 		for _, e := range v.envCFG.Out[cfg.PC] {
@@ -134,10 +188,7 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 			case lang.OpLoad:
 				lts := v.loadTargets(st, cfg.View, e.Op.Var, ex.ltBuf[:0])
 				for _, lt := range lts {
-					regs := cfg.cloneRegs()
-					regs[e.Op.Reg] = lt.msg.Val
-					log := &ReadLog{Ref: lt.ref, Prev: cfg.Log}
-					ex.satAddConfig(st, AThread{PC: e.To, Regs: regs, View: lt.view, Log: log})
+					ex.satLoad(st, cfg, e, lt)
 				}
 				ex.ltBuf = lts[:0]
 
@@ -151,7 +202,7 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 					mc := msg
 					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}, nil
 				}
-				if st.env.AddMsg(msg, cfg.Log) {
+				if env.AddMsg(msg, cfg.Log) {
 					ex.satPushAll(st)
 				}
 				ex.satAddConfig(st, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log})

@@ -69,7 +69,10 @@ type Stats struct {
 	// EnvConfigs / EnvMsgs are the largest env-set sizes encountered.
 	EnvConfigs int
 	EnvMsgs    int
-	// SaturationSteps counts env transition applications across saturations.
+	// SaturationSteps counts the env CFG edges saturation takes, across
+	// saturations: every edge out of a configuration's PC on its first pass
+	// in a saturation, only its load edges on a later pass (DESIGN,
+	// "Semi-naive env saturation").
 	SaturationSteps int
 }
 
@@ -224,11 +227,12 @@ type exec struct {
 	satPops int
 	// renum is canonicalize's scratch.
 	renum renumbering
-	// Reusable scratch for saturation worklists and load-target enumeration,
-	// so per-successor saturations don't re-allocate them.
-	satWork   []string
-	satInWork map[string]bool
-	ltBuf     []loadTarget
+	// Reusable scratch for saturation worklists (configuration positions),
+	// their per-position slots and load-target enumeration, so
+	// per-successor saturations don't re-allocate them.
+	satWork  []int32
+	satSlots []satSlot
+	ltBuf    []loadTarget
 	// outBuf backs disSuccessors' result slice; it is consumed within the
 	// expansion. Successor states escape into the next layer — only the
 	// slice header is recycled.

@@ -282,10 +282,14 @@ func (o Options) beginSpan(name string) *obs.Span {
 // exact matrix.
 type Stats struct {
 	// Fixpoint backend (simplified semantics).
-	MacroStates     int
-	DisTransitions  int
-	EnvConfigs      int
-	EnvMsgs         int
+	MacroStates    int
+	DisTransitions int
+	EnvConfigs     int
+	EnvMsgs        int
+	// SaturationSteps counts the env CFG edges the fixpoint's env-set
+	// saturations take: all of a configuration's edges on its first pass in
+	// a saturation, only its load edges on each later pass, which tries
+	// them against the env messages new since its previous pass.
 	SaturationSteps int
 
 	// Concrete backend (full RA semantics of a fixed instance).

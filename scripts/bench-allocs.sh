@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench-allocs.sh [fixpoint-budget [replay-budget]]
 #
-# Runs seven benchmarks with -benchmem and fails when any one's allocs/op
+# Runs eight benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
 # machine-independent (they vary only slightly with worker scheduling), so
 # this gate needs no calibration: it directly catches a change that
@@ -55,6 +55,14 @@
 #       worker ahead of a worker's answer) and ~1/400 of the cost while
 #       every instance was built before any was evaluated (~1.95M
 #       allocs/op), so a return to building them all fails here.
+#   BenchmarkSaturateTQBF  env saturation, the closure §5 reduces TQBF to:
+#       the depth-2 TQBF reduction of seed 7, one macro-state, through
+#       paramra.Verify with the prepass off at one worker. Fixed budget
+#       ~2x its cost once a configuration's later passes ran only its loads
+#       against the env messages new since its previous pass (~9.2k
+#       allocs/op) and ~1/5 of the cost while every pass took every edge
+#       against every message (~103k allocs/op), so a return to naive
+#       passes fails here.
 set -eu
 
 FIXPOINT_BUDGET="${1:-6000}"
@@ -86,3 +94,4 @@ gate BenchmarkSlice 44000
 gate BenchmarkDatalogVerify 12000
 gate BenchmarkServedCorpus 62000
 gate BenchmarkDatalogVerifyUnsafe 5000
+gate BenchmarkSaturateTQBF 20000
