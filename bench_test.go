@@ -98,7 +98,7 @@ func BenchmarkTable1UndecidableCell(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1}); !res.Unsafe {
+		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000}); !res.Unsafe {
 			b.Fatal("halting machine not detected")
 		}
 	}
@@ -114,7 +114,7 @@ func BenchmarkFig1ConcreteRA(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200_000, Workers: 1}); !res.Unsafe {
+		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200_000}); !res.Unsafe {
 			b.Fatal("expected unsafe")
 		}
 	}
@@ -201,7 +201,7 @@ func BenchmarkTheorem34Differential(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200_000, Workers: 1}); !res.Unsafe {
+		if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200_000}); !res.Unsafe {
 			b.Fatal("concrete disagrees")
 		}
 	}
@@ -324,7 +324,7 @@ func BenchmarkAblationNoAbstraction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1}); !res.Unsafe {
+			if res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000}); !res.Unsafe {
 				b.Fatal("expected unsafe")
 			}
 		}
@@ -359,7 +359,7 @@ func BenchmarkRobustness(b *testing.B) {
 	sys := e.System()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rob, err := sc.CompareRobustness(sys, 0, ra.Limits{MaxStates: 1_000_000, Workers: 1})
+		rob, err := sc.CompareRobustness(sys, 0, ra.Limits{MaxStates: 1_000_000})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -214,7 +214,6 @@ func fuzz(args []string, metrics *obs.Registry) error {
 		// The injected fault makes the concrete backends disagree too;
 		// narrowing to fixpoint-vs-datalog keeps the selftest fast.
 		check.NoConcrete = true
-		check.NoDeadlocks = true
 		check.NoPrepass = true
 		check.NoCache = true
 	}

@@ -30,14 +30,15 @@
 //
 // Every entry point takes a context; cancellation or a deadline stops the
 // search and returns the partial Result (Complete = false) together with
-// the context error. Options.Parallelism sets the worker count (0 =
-// GOMAXPROCS) and Options.Progress streams periodic Stats snapshots.
-// Verdicts, DecidedBy, the env-thread bound, the fixpoint's witnesses and
-// statistics, and the Datalog backend's statistics are identical for every
-// worker count (see internal/engine), and so are the prepass's, whose
-// replay always runs on one worker. Witnesses from the concrete explorer — those of
-// VerifyInstance and ConfirmViolation — can differ between runs at
-// Parallelism >= 2; Parallelism 1 makes them reproducible.
+// the context error. Options.Parallelism sets the worker count of the
+// fixpoint and Datalog backends (0 = GOMAXPROCS) and Options.Progress
+// streams periodic Stats snapshots. Verdicts, DecidedBy, the env-thread
+// bound, the fixpoint's witnesses and statistics, and the Datalog
+// backend's statistics are identical for every worker count (see
+// internal/engine). The concrete explorer — the prepass replay,
+// VerifyInstance, ConfirmViolation and FindDeadlocks — is one sequential
+// depth-first search, so its results, witnesses included, are reproducible
+// and the same at every Parallelism.
 //
 // # Result and Stats fields by backend
 //

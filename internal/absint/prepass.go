@@ -237,7 +237,6 @@ func (r *Replay) Round(ctx context.Context, maxStates int) (Outcome, error) {
 		res := r.insts[n].ExploreContext(ctx, ra.Limits{
 			MaxStates: maxStates,
 			StopAtCap: !full,
-			Workers:   1,
 			Symmetry:  n > 1,
 		})
 		out.ReplayStates += res.States

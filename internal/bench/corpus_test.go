@@ -71,7 +71,7 @@ func TestCorpusMinEnv(t *testing.T) {
 				if err != nil {
 					t.Fatalf("instance: %v", err)
 				}
-				res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1})
+				res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000})
 				if !res.Unsafe && !res.Complete {
 					t.Skipf("n=%d exploration incomplete", n)
 				}
@@ -104,7 +104,7 @@ func TestCorpusSafeEntriesConcrete(t *testing.T) {
 				if err != nil {
 					t.Fatalf("instance: %v", err)
 				}
-				res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000, Workers: 1})
+				res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 2_000_000})
 				if res.Unsafe {
 					t.Fatalf("concrete violation at n=%d for an entry marked safe:\n%s",
 						n, ra.FormatWitness(res.Witness))

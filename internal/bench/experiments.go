@@ -238,7 +238,7 @@ func Ablations() ([]AblationRow, error) {
 			return nil, err
 		}
 		start = time.Now()
-		cres := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: 500_000, Workers: 1})
+		cres := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: 500_000})
 		row.ConcreteTimeN2 = time.Since(start)
 		row.ConcreteStates = cres.States
 		out = append(out, row)

@@ -39,7 +39,7 @@ func GapExperiment(maxN, maxStates int) ([]GapRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
+			res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: maxStates, Symmetry: true})
 			if !res.Unsafe && !res.Complete {
 				return nil, fmt.Errorf("%s: instance n=%d not exhausted", e.Name, n)
 			}

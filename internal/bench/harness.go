@@ -108,7 +108,7 @@ func MinEnvConcrete(sys *lang.System, maxN, maxStates int) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
+		res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: maxStates, Symmetry: true})
 		if res.Unsafe {
 			return n, nil
 		}

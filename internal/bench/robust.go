@@ -33,7 +33,7 @@ func RobustnessExperiment(maxStates int) ([]RobustRow, error) {
 		if sys.Env == nil {
 			n = 0
 		}
-		rob, err := sc.CompareRobustness(sys, n, ra.Limits{MaxStates: maxStates, Workers: 1})
+		rob, err := sc.CompareRobustness(sys, n, ra.Limits{MaxStates: maxStates})
 		if err != nil {
 			return nil, err
 		}

@@ -78,8 +78,8 @@ func checkSliceConcrete(t *testing.T, sys *lang.System, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resO := orig.ExploreContext(context.Background(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
-	resS := cut.ExploreContext(context.Background(), ra.Limits{MaxStates: maxStates, Symmetry: true, Workers: 1})
+	resO := orig.ExploreContext(context.Background(), ra.Limits{MaxStates: maxStates, Symmetry: true})
+	resS := cut.ExploreContext(context.Background(), ra.Limits{MaxStates: maxStates, Symmetry: true})
 	if !resO.Complete && !resO.Unsafe || !resS.Complete && !resS.Unsafe {
 		t.Skipf("state cap hit (orig complete=%v sliced complete=%v)", resO.Complete, resS.Complete)
 	}

@@ -94,7 +94,7 @@ thread d { regs s; while s != 3 { s = load x }; assert false }
 		inst, ierr := ra.NewInstance(casSys, 3)
 		detail := ""
 		if ierr == nil {
-			res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: 2_000_000, Workers: 1})
+			res := inst.ExploreContext(context.TODO(), ra.Limits{MaxStates: 2_000_000})
 			detail = fmt.Sprintf("bounded check, 3 threads: machine halts in 2 steps, unsafe=%v", res.Unsafe)
 		}
 		t.AddRow("env(acyc) with CAS: undecidable", status, detail)

@@ -123,7 +123,7 @@ func exploreReduction(t *testing.T, m *Machine, c, n int) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 3_000_000, Workers: 1})
+	res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 3_000_000})
 	if !res.Unsafe && !res.Complete {
 		t.Fatalf("exploration incomplete at n=%d", n)
 	}

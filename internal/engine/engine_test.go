@@ -5,71 +5,105 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // gridExpand builds a synthetic search space: states are (x, y) grid points
 // reachable by incrementing either coordinate up to n. The space has
-// (n+1)^2 states and heavy cross-path dedup, exercising the sharded set.
-// It needs no scratch; noScratch is the factory of such expansions.
-func gridExpand(n int) func(_ struct{}, s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
-	return func(_ struct{}, s [2]int, key string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
-		out := buf
+// (n+1)^2 states and heavy cross-path dedup. Successors already visited are
+// probed with Seen and reported with Dup, as the concrete explorer does.
+func gridExpand(n int) func(s [2]int, key string, f *Frontier[[2]int, struct{}]) any {
+	return func(s [2]int, _ string, f *Frontier[[2]int, struct{}]) any {
 		for d := 0; d < 2; d++ {
 			ns := s
-			ns[d]++
-			if ns[d] <= n {
-				out = append(out, Succ[[2]int, struct{}]{State: ns, Key: fmt.Sprintf("%d,%d", ns[0], ns[1])})
+			if ns[d]++; ns[d] > n {
+				continue
 			}
+			k := fmt.Sprintf("%d,%d", ns[0], ns[1])
+			if f.Seen([]byte(k)) {
+				f.Dup()
+				continue
+			}
+			f.Add(k, ns, struct{}{})
 		}
-		return out
+		return nil
 	}
 }
 
 func noScratch() struct{} { return struct{}{} }
 
+// runGrid explores the grid of side n from (0, 0).
+func runGrid(cfg Config, n int) Outcome {
+	return DepthFirst(context.Background(), cfg, map[string]struct{}{}, [2]int{0, 0}, "0,0", struct{}{}, gridExpand(n))
+}
+
 func TestExploreGridCounts(t *testing.T) {
 	const n = 40
-	for _, workers := range []int{1, 2, 8} {
-		out := Explore(context.Background(), Config{Workers: workers}, NewShardedMap[struct{}](),
-			[2]int{0, 0}, "0,0", struct{}{}, noScratch, gridExpand(n))
-		if !out.Complete || out.Halted {
-			t.Fatalf("workers=%d: outcome %+v", workers, out)
+	out := runGrid(Config{Workers: 8}, n)
+	if !out.Complete || out.Halted {
+		t.Fatalf("outcome %+v", out)
+	}
+	want := int64((n + 1) * (n + 1))
+	if out.Stats.States != want {
+		t.Errorf("states=%d want %d", out.Stats.States, want)
+	}
+	// Every non-root admission and every dedup hit is one examined edge.
+	if got := out.Stats.States - 1 + out.Stats.DedupHits; got != out.Stats.Transitions {
+		t.Errorf("states+dedup=%d != transitions=%d (grid has no other edges)", got, out.Stats.Transitions)
+	}
+	if out.Stats.Workers != 1 {
+		t.Errorf("workers=%d, want 1 whatever Config.Workers says", out.Stats.Workers)
+	}
+}
+
+// TestDepthFirstOrder pins the search order: successors are admitted in
+// the order the expansion reports them, and the last one admitted is
+// expanded next. The peak frontier is the deepest stack plus the state
+// being expanded.
+func TestDepthFirstOrder(t *testing.T) {
+	var order []int
+	expand := func(s int, _ string, f *Frontier[int, struct{}]) any {
+		order = append(order, s)
+		if s < 4 {
+			f.Add(fmt.Sprint(2*s), 2*s, struct{}{})
+			f.Add(fmt.Sprint(2*s+1), 2*s+1, struct{}{})
 		}
-		want := int64((n + 1) * (n + 1))
-		if out.Stats.States != want {
-			t.Errorf("workers=%d: states=%d want %d", workers, out.Stats.States, want)
-		}
-		// Every non-root admission and every dedup hit is one examined edge.
-		if got := out.Stats.States - 1 + out.Stats.DedupHits; got != out.Stats.Transitions {
-			t.Errorf("workers=%d: states+dedup=%d != transitions=%d (grid has no other edges)",
-				workers, got, out.Stats.Transitions)
-		}
+		return nil
+	}
+	out := DepthFirst(context.Background(), Config{}, map[string]struct{}{}, 1, "1", struct{}{}, expand)
+	if want := []int{1, 3, 7, 6, 2, 5, 4}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("expansion order %v, want %v", order, want)
+	}
+	if out.Stats.States != 7 || out.Stats.PeakFrontier != 4 {
+		t.Errorf("states=%d peak=%d, want 7 and 4", out.Stats.States, out.Stats.PeakFrontier)
 	}
 }
 
 func TestExploreHaltFirstWins(t *testing.T) {
-	// A line of states with a halting edge at the end.
-	expand := func(_ struct{}, s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
+	// A line of states; state 10 has one more successor, then a halting
+	// edge that ends the search.
+	expand := func(s int, _ string, f *Frontier[int, struct{}]) any {
+		f.Add(fmt.Sprint(s+1), s+1, struct{}{})
 		if s == 10 {
-			return append(buf, Succ[int, struct{}]{Halt: true, Tag: "boom"})
+			return "boom"
 		}
-		return append(buf, Succ[int, struct{}]{State: s + 1, Key: fmt.Sprintf("%d", s+1)})
+		return nil
 	}
-	for _, workers := range []int{1, 4} {
-		out := Explore(context.Background(), Config{Workers: workers}, NewShardedMap[struct{}](), 0, "0", struct{}{}, noScratch, expand)
-		if !out.Halted || out.Complete {
-			t.Fatalf("workers=%d: expected halt, got %+v", workers, out)
-		}
-		if out.HaltTag != "boom" || out.HaltParent != "10" {
-			t.Errorf("workers=%d: halt tag/parent = %v/%q", workers, out.HaltTag, out.HaltParent)
-		}
+	out := DepthFirst(context.Background(), Config{}, map[string]struct{}{}, 0, "0", struct{}{}, expand)
+	if !out.Halted || out.Complete {
+		t.Fatalf("expected halt, got %+v", out)
+	}
+	if out.HaltTag != "boom" || out.HaltParent != "10" {
+		t.Errorf("halt tag/parent = %v/%q", out.HaltTag, out.HaltParent)
+	}
+	// States 0..11 are admitted; each of 0..10 examines one edge, and the
+	// halt is one more.
+	if out.Stats.States != 12 || out.Stats.Transitions != 12 {
+		t.Errorf("states=%d transitions=%d, want 12 and 12", out.Stats.States, out.Stats.Transitions)
 	}
 }
 
 func TestExploreStateCapExact(t *testing.T) {
-	out := Explore(context.Background(), Config{Workers: 4, MaxStates: 100}, NewShardedMap[struct{}](),
-		[2]int{0, 0}, "0,0", struct{}{}, noScratch, gridExpand(1000))
+	out := runGrid(Config{MaxStates: 100}, 1000)
 	if out.Complete || !out.Capped {
 		t.Fatalf("capped run reported complete: %+v", out)
 	}
@@ -84,75 +118,96 @@ func TestExploreStateCapExact(t *testing.T) {
 // uncapped run.
 func TestStopAtCap(t *testing.T) {
 	key := func(s [2]int) string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
-	explore := func(workers, n int, cfg Config) (Outcome, int64) {
-		var expanded atomic.Int64
+	type run func(n int, cfg Config) (Outcome, int64)
+	depthFirst := func(n int, cfg Config) (Outcome, int64) {
+		var expanded int64
 		grid := gridExpand(n)
-		expand := func(w struct{}, s [2]int, k string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
-			expanded.Add(1)
-			return grid(w, s, k, buf)
+		expand := func(s [2]int, k string, f *Frontier[[2]int, struct{}]) any {
+			expanded++
+			return grid(s, k, f)
 		}
-		cfg.Workers = workers
-		out := Explore(context.Background(), cfg, NewShardedMap[struct{}](), [2]int{0, 0}, "0,0", struct{}{}, noScratch, expand)
-		return out, expanded.Load()
+		out := DepthFirst(context.Background(), cfg, map[string]struct{}{}, [2]int{0, 0}, "0,0", struct{}{}, expand)
+		return out, expanded
 	}
-	layered := func(workers, n int, cfg Config) (Outcome, int64) {
-		var expanded atomic.Int64
-		expand := func(_ struct{}, s [2]int, _ func([]byte) bool, e *[][2]int) {
-			expanded.Add(1)
-			*e = (*e)[:0]
-			for d := 0; d < 2; d++ {
-				ns := s
-				if ns[d]++; ns[d] <= n {
-					*e = append(*e, ns)
+	layeredAt := func(workers int) run {
+		return func(n int, cfg Config) (Outcome, int64) {
+			var expanded atomic.Int64
+			expand := func(_ struct{}, s [2]int, _ func([]byte) bool, e *[][2]int) {
+				expanded.Add(1)
+				*e = (*e)[:0]
+				for d := 0; d < 2; d++ {
+					ns := s
+					if ns[d]++; ns[d] <= n {
+						*e = append(*e, ns)
+					}
 				}
 			}
-		}
-		commit := func(_ int, _ [2]int, e *[][2]int, adm *Admitter[[2]int]) any {
-			for _, ns := range *e {
-				adm.Add(key(ns), ns)
+			commit := func(_ int, _ [2]int, e *[][2]int, adm *Admitter[[2]int]) any {
+				for _, ns := range *e {
+					adm.Add(key(ns), ns)
+				}
+				return nil
 			}
-			return nil
+			cfg.Workers = workers
+			out := Layered(context.Background(), cfg, [2]int{0, 0}, "0,0", noScratch, expand, commit)
+			return out, expanded.Load()
 		}
-		cfg.Workers = workers
-		out := Layered(context.Background(), cfg, [2]int{0, 0}, "0,0", noScratch, expand, commit)
-		return out, expanded.Load()
 	}
-	for name, run := range map[string]func(int, int, Config) (Outcome, int64){"explore": explore, "layered": layered} {
-		for _, workers := range []int{1, 4} {
-			_, fullExp := run(workers, 1000, Config{MaxStates: 100})
-			stop, stopExp := run(workers, 1000, Config{MaxStates: 100, StopAtCap: true})
-			if !stop.Capped || stop.Complete || stop.Stats.States != 100 {
-				t.Errorf("%s j=%d: stopped run capped=%v complete=%v states=%d, want capped at 100",
-					name, workers, stop.Capped, stop.Complete, stop.Stats.States)
-			}
-			if stopExp >= fullExp {
-				t.Errorf("%s j=%d: %d expansions with StopAtCap, %d without", name, workers, stopExp, fullExp)
-			}
-			small, _ := run(workers, 5, Config{MaxStates: 100, StopAtCap: true})
-			if !small.Complete || small.Capped || small.Stats.States != 36 {
-				t.Errorf("%s j=%d: unbinding cap: complete=%v capped=%v states=%d, want all 36",
-					name, workers, small.Complete, small.Capped, small.Stats.States)
-			}
+	for name, run := range map[string]run{"depth-first": depthFirst, "layered j=1": layeredAt(1), "layered j=4": layeredAt(4)} {
+		_, fullExp := run(1000, Config{MaxStates: 100})
+		stop, stopExp := run(1000, Config{MaxStates: 100, StopAtCap: true})
+		if !stop.Capped || stop.Complete || stop.Stats.States != 100 {
+			t.Errorf("%s: stopped run capped=%v complete=%v states=%d, want capped at 100",
+				name, stop.Capped, stop.Complete, stop.Stats.States)
 		}
+		if stopExp >= fullExp {
+			t.Errorf("%s: %d expansions with StopAtCap, %d without", name, stopExp, fullExp)
+		}
+		small, _ := run(5, Config{MaxStates: 100, StopAtCap: true})
+		if !small.Complete || small.Capped || small.Stats.States != 36 {
+			t.Errorf("%s: unbinding cap: complete=%v capped=%v states=%d, want all 36",
+				name, small.Complete, small.Capped, small.Stats.States)
+		}
+	}
+
+	// DepthFirst records the state the cap keeps out as visited, counts the
+	// rest of that expansion's successors as transitions only, and reports
+	// no halt from it.
+	visited := map[string]struct{}{}
+	out := DepthFirst(context.Background(), Config{MaxStates: 2, StopAtCap: true}, visited, 0, "0", struct{}{},
+		func(_ int, _ string, f *Frontier[int, struct{}]) any {
+			f.Add("1", 1, struct{}{})
+			f.Add("2", 2, struct{}{})
+			f.Dup()
+			f.Add("3", 3, struct{}{})
+			return "boom"
+		})
+	if out.Halted || !out.Capped || out.Stats.States != 2 || out.Stats.Transitions != 5 || out.Stats.DedupHits != 0 {
+		t.Errorf("outcome %+v, want capped at 2 states after 5 transitions, no halt and no dedup hit", out)
+	}
+	if _, ok := visited["2"]; !ok || len(visited) != 3 {
+		t.Errorf("visited %v, want the root, 1 and the kept-out 2", visited)
 	}
 }
 
 func TestExploreContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var expanded atomic.Int64
-	expand := func(_ struct{}, s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
-		if expanded.Add(1) == 50 {
+	defer cancel()
+	expanded := 0
+	expand := func(s int, _ string, f *Frontier[int, struct{}]) any {
+		if expanded++; expanded == 50 {
 			cancel()
 		}
-		time.Sleep(time.Microsecond)
-		return append(buf,
-			Succ[int, struct{}]{State: 2 * s, Key: fmt.Sprintf("%d", 2*s)},
-			Succ[int, struct{}]{State: 2*s + 1, Key: fmt.Sprintf("%d", 2*s+1)},
-		)
+		f.Add(fmt.Sprint(2*s), 2*s, struct{}{})
+		f.Add(fmt.Sprint(2*s+1), 2*s+1, struct{}{})
+		return nil
 	}
-	out := Explore(ctx, Config{Workers: 4}, NewShardedMap[struct{}](), 1, "1", struct{}{}, noScratch, expand)
+	out := DepthFirst(ctx, Config{}, map[string]struct{}{}, 1, "1", struct{}{}, expand)
 	if out.Err == nil || out.Complete {
 		t.Fatalf("cancelled run reported complete: %+v", out)
+	}
+	if expanded != 50 {
+		t.Errorf("%d expansions, want the search to stop right after the 50th", expanded)
 	}
 }
 
@@ -160,20 +215,21 @@ func TestExplorePredChainWitness(t *testing.T) {
 	// Values store the predecessor key; the chain must be walkable back to
 	// the root after the run.
 	type pred struct{ prev string }
-	expand := func(_ struct{}, s int, key string, buf []Succ[int, pred]) []Succ[int, pred] {
+	expand := func(s int, key string, f *Frontier[int, pred]) any {
 		if s == 6 {
-			return append(buf, Succ[int, pred]{Halt: true, Tag: s})
+			return s
 		}
-		return append(buf, Succ[int, pred]{State: s + 2, Key: fmt.Sprintf("%d", s+2), Val: pred{prev: key}})
+		f.Add(fmt.Sprint(s+2), s+2, pred{prev: key})
+		return nil
 	}
-	visited := NewShardedMap[pred]()
-	out := Explore(context.Background(), Config{Workers: 3}, visited, 0, "0", pred{}, noScratch, expand)
+	visited := map[string]pred{}
+	out := DepthFirst(context.Background(), Config{}, visited, 0, "0", pred{}, expand)
 	if !out.Halted {
 		t.Fatal("no halt")
 	}
 	steps := 0
 	for k := out.HaltParent; k != "0"; steps++ {
-		p, ok := visited.Get(k)
+		p, ok := visited[k]
 		if !ok {
 			t.Fatalf("broken pred chain at %q", k)
 		}
@@ -276,23 +332,4 @@ func depthOf(s int) int {
 		d++
 	}
 	return d
-}
-
-func TestShardedMapBasics(t *testing.T) {
-	sm := NewShardedMap[int]()
-	if !sm.TryPut("a", 1) || sm.TryPut("a", 2) {
-		t.Fatal("TryPut semantics wrong")
-	}
-	if v, ok := sm.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get = %d,%v", v, ok)
-	}
-	if _, ok := sm.Get("b"); ok {
-		t.Fatal("phantom key")
-	}
-	for i := 0; i < 1000; i++ {
-		sm.TryPut(fmt.Sprintf("k%d", i), i)
-	}
-	if sm.Len() != 1001 {
-		t.Fatalf("Len = %d", sm.Len())
-	}
 }

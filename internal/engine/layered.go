@@ -136,35 +136,14 @@ func Layered[S, E, W any](
 		hLayer = cfg.Metrics.Histogram("paramra_engine_layer_ns",
 			"wall time per BFS layer: parallel expansion plus sequential commit (ns)")
 	}
-	mon := startMonitor(cfg, cnt, workers, start, nil, nil)
+	mon := startMonitor(cfg, cnt, workers, start)
 
 	// The layer span is opened from this sequential loop (never from the
 	// parallel expansion), so span IDs are deterministic at any -j.
 	var curLayer *obs.Span
-	finish := func(haltTag any, err error) Outcome {
-		final := cnt.snapshot(workers, start)
-		mon.stop(final, nil, nil)
-		out := Outcome{
-			Stats:   final,
-			Halted:  haltTag != nil,
-			HaltTag: haltTag,
-			Capped:  adm.capped,
-			Err:     err,
-		}
-		out.Complete = !out.Halted && !out.Capped && out.Err == nil
+	end := func(haltTag any, err error) Outcome {
 		curLayer.End()
-		if span != nil {
-			span.SetAttr("states", final.States)
-			span.SetAttr("transitions", final.Transitions)
-			span.SetAttr("dedup_hits", final.DedupHits)
-			span.SetAttr("peak_frontier", final.PeakFrontier)
-			span.SetAttr("workers", workers)
-			span.SetAttr("halted", out.Halted)
-			span.SetAttr("capped", out.Capped)
-			span.SetAttr("complete", out.Complete)
-			span.End()
-		}
-		return out
+		return finish(span, mon, Outcome{Stats: cnt.snapshot(workers, start), HaltTag: haltTag, Capped: adm.capped, Err: err})
 	}
 
 	// seen runs concurrently inside Each, while no commit writes the map.
@@ -182,7 +161,7 @@ func Layered[S, E, W any](
 	depth := 0
 	for len(layer) > 0 {
 		if err := ctxErr(ctx); err != nil {
-			return finish(nil, err)
+			return end(nil, err)
 		}
 		cnt.bumpPeak(int64(len(layer)))
 
@@ -208,17 +187,17 @@ func Layered[S, E, W any](
 		}
 		Each(ctx, n, len(layer), func(w, i int) { expand(scratch[w], layer[i], seen, slot(i)) })
 		if err := ctxErr(ctx); err != nil {
-			return finish(nil, err)
+			return end(nil, err)
 		}
 
 		adm.next = adm.next[:0:0]
 		for i, s := range layer {
 			tag := commit(i, s, slot(i), adm)
 			if adm.capped && cfg.StopAtCap {
-				return finish(nil, nil)
+				return end(nil, nil)
 			}
 			if tag != nil {
-				return finish(tag, nil)
+				return end(tag, nil)
 			}
 		}
 		if hLayer != nil {
@@ -232,7 +211,7 @@ func Layered[S, E, W any](
 		layer = adm.next
 		depth++
 	}
-	return finish(nil, nil)
+	return end(nil, nil)
 }
 
 // Each calls f(w, i) once for every i in [0, n), on up to workers

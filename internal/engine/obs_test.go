@@ -11,13 +11,31 @@ import (
 )
 
 // chainExpand builds a linear state space 0 → 1 → … → n.
-func chainExpand(n int) func(struct{}, int, string, []Succ[int, struct{}]) []Succ[int, struct{}] {
-	return func(_ struct{}, s int, key string, buf []Succ[int, struct{}]) []Succ[int, struct{}] {
-		if s >= n {
-			return buf
+func chainExpand(n int) func(int, string, *Frontier[int, struct{}]) any {
+	return func(s int, _ string, f *Frontier[int, struct{}]) any {
+		if s < n {
+			f.Add(fmt.Sprint(s+1), s+1, struct{}{})
 		}
-		return append(buf, Succ[int, struct{}]{State: s + 1, Key: fmt.Sprint(s + 1)})
+		return nil
 	}
+}
+
+// chainLayered runs the chain of chainExpand on Layered.
+func chainLayered(cfg Config, n int) Outcome {
+	return Layered(context.Background(), cfg, 0, "0", noScratch,
+		func(_ struct{}, s int, _ func([]byte) bool, next *[]int) {
+			*next = (*next)[:0]
+			if s < n {
+				*next = append(*next, s+1)
+			}
+		},
+		func(_ int, _ int, next *[]int, adm *Admitter[int]) any {
+			adm.AddTransitions(int64(len(*next)))
+			for _, ns := range *next {
+				adm.Add(fmt.Sprint(ns), ns)
+			}
+			return nil
+		})
 }
 
 // TestFinalProgressEqualsOutcomeStats pins the terminal-snapshot contract:
@@ -30,23 +48,13 @@ func TestFinalProgressEqualsOutcomeStats(t *testing.T) {
 		Progress:      func(s Stats) { last = s },
 		ProgressEvery: time.Millisecond,
 	}
-	out := Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, noScratch, chainExpand(200))
+	out := DepthFirst(context.Background(), cfg, map[string]struct{}{}, 0, "0", struct{}{}, chainExpand(200))
 	if last != out.Stats {
-		t.Errorf("Explore: final progress %+v != outcome stats %+v", last, out.Stats)
+		t.Errorf("DepthFirst: final progress %+v != outcome stats %+v", last, out.Stats)
 	}
 
 	last = Stats{}
-	lout := Layered(context.Background(), cfg, 0, "0", noScratch,
-		func(_ struct{}, s int, seen func([]byte) bool, succs *[]Succ[int, struct{}]) {
-			*succs = chainExpand(200)(struct{}{}, s, "", (*succs)[:0])
-		},
-		func(i int, s int, succs *[]Succ[int, struct{}], adm *Admitter[int]) any {
-			adm.AddTransitions(int64(len(*succs)))
-			for _, sc := range *succs {
-				adm.Add(sc.Key, sc.State)
-			}
-			return nil
-		})
+	lout := chainLayered(cfg, 200)
 	if last != lout.Stats {
 		t.Errorf("Layered: final progress %+v != outcome stats %+v", last, lout.Stats)
 	}
@@ -55,25 +63,16 @@ func TestFinalProgressEqualsOutcomeStats(t *testing.T) {
 // TestEngineTraceAndMetrics checks both drivers emit schema-valid spans and
 // populate the registry.
 func TestEngineTraceAndMetrics(t *testing.T) {
-	for _, driver := range []string{"explore", "layered"} {
+	for _, driver := range []string{"depth-first", "layered"} {
 		var buf bytes.Buffer
 		tr := obs.NewTracer(&buf)
 		root := tr.Start("test", nil)
 		reg := obs.NewRegistry()
 		cfg := Config{Workers: 2, Trace: root, Metrics: reg}
-		if driver == "explore" {
-			Explore(context.Background(), cfg, NewShardedMap[struct{}](), 0, "0", struct{}{}, noScratch, chainExpand(50))
+		if driver == "depth-first" {
+			DepthFirst(context.Background(), cfg, map[string]struct{}{}, 0, "0", struct{}{}, chainExpand(50))
 		} else {
-			Layered(context.Background(), cfg, 0, "0", noScratch,
-				func(_ struct{}, s int, seen func([]byte) bool, succs *[]Succ[int, struct{}]) {
-					*succs = chainExpand(50)(struct{}{}, s, "", (*succs)[:0])
-				},
-				func(i int, s int, succs *[]Succ[int, struct{}], adm *Admitter[int]) any {
-					for _, sc := range *succs {
-						adm.Add(sc.Key, sc.State)
-					}
-					return nil
-				})
+			chainLayered(cfg, 50)
 		}
 		root.End()
 		if err := tr.Flush(); err != nil {
@@ -111,23 +110,5 @@ func TestEngineTraceAndMetrics(t *testing.T) {
 				t.Errorf("layered: %d layer spans, want 51", layers)
 			}
 		}
-	}
-}
-
-func TestShardStats(t *testing.T) {
-	sm := NewShardedMap[struct{}]()
-	mx, used := sm.ShardStats()
-	if mx != 0 || used != 0 {
-		t.Errorf("empty map: max=%d nonempty=%d", mx, used)
-	}
-	for i := 0; i < 1000; i++ {
-		sm.TryPut(fmt.Sprint(i), struct{}{})
-	}
-	mx, used = sm.ShardStats()
-	if used == 0 || mx == 0 || mx > 1000 {
-		t.Errorf("populated map: max=%d nonempty=%d", mx, used)
-	}
-	if sm.Len() != 1000 {
-		t.Errorf("len = %d", sm.Len())
 	}
 }

@@ -89,24 +89,6 @@ func TestWorkerScratchContract(t *testing.T) {
 				d, workers, out.Stats.PeakFrontier)
 		}
 	})
-
-	t.Run("explore", func(t *testing.T) {
-		p := newScratchProbe(t)
-		grid := gridExpand(n)
-		expand := func(sc *probeScratch, s [2]int, k string, buf []Succ[[2]int, struct{}]) []Succ[[2]int, struct{}] {
-			p.enter(sc)
-			defer p.leave(sc)
-			return grid(struct{}{}, s, k, buf)
-		}
-		out := Explore(context.Background(), Config{Workers: workers}, NewShardedMap[struct{}](),
-			[2]int{0, 0}, "0,0", struct{}{}, p.newScratch, expand)
-		if !out.Complete || out.Stats.States != (n+1)*(n+1) {
-			t.Fatalf("outcome %+v, want a complete run over %d states", out, (n+1)*(n+1))
-		}
-		if d := p.distinct(); d > workers {
-			t.Errorf("%d distinct scratch values for %d workers", d, workers)
-		}
-	})
 }
 
 func TestEachRunsEveryIndexOnce(t *testing.T) {

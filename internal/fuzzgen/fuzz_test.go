@@ -15,7 +15,6 @@ func fuzzCheck() CheckOptions {
 		MaxMacroStates: 400,
 		MaxStates:      2000,
 		MaxSkeletons:   200,
-		NoDeadlocks:    true,
 	}
 }
 

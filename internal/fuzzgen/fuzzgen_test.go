@@ -10,13 +10,12 @@ import (
 	"paramra/internal/obs"
 )
 
-// fastCheck keeps unit-test oracle runs quick: tight caps, no deadlock pass.
+// fastCheck keeps unit-test oracle runs quick: tight caps.
 func fastCheck() CheckOptions {
 	return CheckOptions{
 		MaxMacroStates: 2000,
 		MaxStates:      8000,
 		MaxSkeletons:   1500,
-		NoDeadlocks:    true,
 	}
 }
 
@@ -121,7 +120,6 @@ func TestCheckFixpointUnsafeHasDependencyGraph(t *testing.T) {
 		Parallelism2:   -1,
 		NoDatalog:      true,
 		NoConcrete:     true,
-		NoDeadlocks:    true,
 		NoPrepass:      true,
 		NoCache:        true,
 	})

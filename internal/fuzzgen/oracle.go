@@ -42,13 +42,12 @@ type CheckOptions struct {
 	// Parallelism2 is the second worker count of the determinism check
 	// (default 2; < 0 disables the check).
 	Parallelism2 int
-	// NoDatalog / NoConcrete / NoDeadlocks / NoPrepass / NoCache skip the
-	// corresponding backends (for narrow campaigns).
-	NoDatalog   bool
-	NoConcrete  bool
-	NoDeadlocks bool
-	NoPrepass   bool
-	NoCache     bool
+	// NoDatalog / NoConcrete / NoPrepass / NoCache skip the corresponding
+	// backends (for narrow campaigns).
+	NoDatalog  bool
+	NoConcrete bool
+	NoPrepass  bool
+	NoCache    bool
 	// InjectFault, when non-nil, post-processes each backend's boolean
 	// verdict. It exists so the shrinker's acceptance tests and the
 	// `rabench fuzz -selftest` smoke can prove the harness detects and
@@ -342,25 +341,6 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		rep.Verdicts = append(rep.Verdicts, cc)
 		comparePair(rep, disagree, fix, cc)
 	}
-
-	// FindDeadlocks determinism: the sink-state counts of a fixed instance
-	// are properties of the reachable state set and must not depend on the
-	// worker count.
-	if !opts.NoDeadlocks && fix.ErrClass == "" && canInstance(work, 1) {
-		nEnv := 0
-		if work.Env != nil {
-			nEnv = 1
-		}
-		d1, err1 := paramra.FindDeadlocks(ctx, work, nEnv, paramra.Options{MaxStates: opts.MaxStates, Parallelism: 1})
-		d2, err2 := paramra.FindDeadlocks(ctx, work, nEnv, paramra.Options{MaxStates: opts.MaxStates, Parallelism: opts.Parallelism2})
-		if err1 == nil && err2 == nil && d1.Complete && d2.Complete {
-			if d1.Deadlocks != d2.Deadlocks || d1.Terminal != d2.Terminal {
-				disagree("deadlock-determinism", "FindDeadlocks j=1 (%d/%d) vs j=%d (%d/%d)",
-					d1.Deadlocks, d1.Terminal, opts.Parallelism2, d2.Deadlocks, d2.Terminal)
-			}
-		}
-	}
-
 	return rep
 }
 
@@ -417,7 +397,7 @@ func checkConcrete(ctx context.Context, rep *Report, disagree func(kind, format 
 		if !canInstance(work, n) {
 			continue
 		}
-		res, err := paramra.VerifyInstance(ctx, work, n, paramra.Options{MaxStates: opts.MaxStates, Parallelism: 1})
+		res, err := paramra.VerifyInstance(ctx, work, n, paramra.Options{MaxStates: opts.MaxStates})
 		if cls := classifyErr(err); cls != "" {
 			conc.ErrClass = cls
 			conc.Detail = fmt.Sprintf("instance n=%d: %v", n, err)

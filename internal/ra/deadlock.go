@@ -2,7 +2,6 @@ package ra
 
 import (
 	"context"
-	"sync"
 
 	"paramra/internal/engine"
 )
@@ -41,23 +40,18 @@ func (inst *Instance) stuckThreads(s *State) []string {
 	return stuck
 }
 
-// FindDeadlocksContext classifies the instance's sink states on the
-// parallel engine. Counts are deterministic (they are properties of the
-// reachable state set); the reported example is canonicalized to the
-// deadlocked state with the smallest key, so it too is identical for every
-// worker count and schedule. Successors are probed before they are
-// materialized, as in ExploreContext.
+// FindDeadlocksContext classifies the instance's sink states, depth first
+// on the calling goroutine. Counts are properties of the reachable state
+// set; the reported example is the deadlocked state with the smallest key.
+// Successors are probed before they are materialized, as in
+// ExploreContext.
 func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) DeadlockReport {
 	init := inst.InitState()
-
-	var mu sync.Mutex
 	rep := DeadlockReport{}
 	var exampleKey string
+	sc := new(scratch)
 
-	visited := engine.NewShardedMap[struct{}]()
-
-	expand := func(sc *scratch, s *State, key string, buf []engine.Succ[*State, struct{}]) []engine.Succ[*State, struct{}] {
-		out := buf
+	expand := func(s *State, key string, f *engine.Frontier[*State, struct{}]) any {
 		sink := true
 		inst.eachSucc(s, sc, func(st step) bool {
 			sink = false
@@ -67,42 +61,36 @@ func (inst *Instance) FindDeadlocksContext(ctx context.Context, lim Limits) Dead
 				return true
 			}
 			inst.keyInto(sc, false)
-			if visited.HasBytes(sc.enc.Bytes()) {
-				out = append(out, engine.Succ[*State, struct{}]{Dedup: true})
+			if f.Seen(sc.enc.Bytes()) {
+				f.Dup()
 				return true
 			}
-			out = append(out, engine.Succ[*State, struct{}]{
-				State: sc.materialize(),
-				Key:   sc.enc.String(),
-			})
+			f.Add(sc.enc.String(), sc.materialize(), struct{}{})
 			return true
 		})
-		if sink {
-			stuck := inst.stuckThreads(s)
-			mu.Lock()
-			if len(stuck) > 0 {
-				rep.Deadlocks++
-				if exampleKey == "" || key < exampleKey {
-					exampleKey = key
-					rep.Example = s.String()
-					rep.StuckThreads = stuck
-				}
-			} else {
-				rep.Terminal++
-			}
-			mu.Unlock()
+		if !sink {
+			return nil
 		}
-		return out
+		if stuck := inst.stuckThreads(s); len(stuck) == 0 {
+			rep.Terminal++
+		} else {
+			rep.Deadlocks++
+			if exampleKey == "" || key < exampleKey {
+				exampleKey = key
+				rep.Example = s.String()
+				rep.StuckThreads = stuck
+			}
+		}
+		return nil
 	}
 
-	out := engine.Explore(ctx, engine.Config{
-		Workers:   lim.Workers,
+	out := engine.DepthFirst(ctx, engine.Config{
 		MaxStates: lim.MaxStates,
 		Progress:  lim.Progress,
 		Trace:     lim.Trace,
 		SpanName:  "deadlock-scan",
 		Metrics:   lim.Metrics,
-	}, visited, init, init.Key(), struct{}{}, newScratch, expand)
+	}, map[string]struct{}{}, init, init.Key(), struct{}{}, expand)
 
 	rep.Complete = out.Complete
 	return rep

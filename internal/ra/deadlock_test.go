@@ -15,7 +15,7 @@ func deadlocks(t *testing.T, src string, nEnv int) DeadlockReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := inst.FindDeadlocksContext(context.Background(), Limits{Workers: 1, MaxStates: 500_000})
+	rep := inst.FindDeadlocksContext(context.Background(), Limits{MaxStates: 500_000})
 	if !rep.Complete {
 		t.Fatal("deadlock analysis incomplete")
 	}

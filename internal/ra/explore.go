@@ -22,9 +22,6 @@ type Limits struct {
 	// same program and messages carry no thread identity — and often
 	// exponentially smaller in the replica count.
 	Symmetry bool
-	// Workers is the number of exploration goroutines (<= 0 selects
-	// GOMAXPROCS).
-	Workers int
 	// Progress, when non-nil, receives periodic engine stats snapshots.
 	Progress func(engine.Stats)
 	// Trace, when non-nil, is the parent span under which the explorers
@@ -50,7 +47,7 @@ type Result struct {
 	// initial state), non-nil iff Unsafe.
 	Witness []Event
 	// Engine carries the engine-level counters (dedup hits, peak frontier,
-	// wall time, workers).
+	// wall time; Workers is always 1).
 	Engine engine.Stats
 	// Err is the context error when the search was cancelled, else nil.
 	Err error
@@ -66,10 +63,10 @@ type backEdge struct {
 // witness renders the computation that ends with final, taken in the state
 // keyed last, by walking back-edges up to the initial state keyed root.
 // Only these steps are ever rendered into Events.
-func (inst *Instance) witness(lookup func(string) (backEdge, bool), root, last string, final step) []Event {
+func (inst *Instance) witness(visited map[string]backEdge, root, last string, final step) []Event {
 	rev := []step{final}
 	for k := last; k != root; {
-		be, ok := lookup(k)
+		be, ok := visited[k]
 		if !ok {
 			break
 		}
@@ -84,13 +81,10 @@ func (inst *Instance) witness(lookup func(string) (backEdge, bool), root, last s
 }
 
 // ExploreContext searches the instance's RA state space for an `assert
-// false` transition on the free-order parallel engine: lim.Workers
-// goroutines share a batched frontier and a sharded visited set. Verdicts —
-// and, for exhaustive searches, state and transition counts — are the same
-// for every worker count. At one worker the whole result is reproducible;
-// at more, the first violation discovered wins, so the witness and the
-// counts of an UNSAFE search may differ between runs. Cancellation via ctx
-// stops the search with Result.Err = ctx.Err() and Complete = false.
+// false` transition, depth first on the calling goroutine. The search
+// order is fixed, so the whole result, witness and counts included, is
+// reproducible. Cancellation via ctx stops the search with Result.Err =
+// ctx.Err() and Complete = false.
 //
 // Each successor is built in a scratch state and its key probed against the
 // visited set before anything is allocated: only an unseen successor is
@@ -98,40 +92,34 @@ func (inst *Instance) witness(lookup func(string) (backEdge, bool), root, last s
 func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	init := inst.InitState()
 	initKey := inst.stateKey(init, lim.Symmetry)
-	visited := engine.NewShardedMap[backEdge]()
+	visited := map[string]backEdge{}
+	sc := new(scratch)
 
-	expand := func(sc *scratch, s *State, key string, buf []engine.Succ[*State, backEdge]) []engine.Succ[*State, backEdge] {
-		out := buf
+	expand := func(s *State, key string, f *engine.Frontier[*State, backEdge]) (halt any) {
 		inst.eachSucc(s, sc, func(st step) bool {
 			if st.assert() {
-				out = append(out, engine.Succ[*State, backEdge]{Halt: true, Tag: st})
+				halt = st
 				return false
 			}
-			// The grow-only visited set makes a positive probe stable.
 			inst.keyInto(sc, lim.Symmetry)
-			if visited.HasBytes(sc.enc.Bytes()) {
-				out = append(out, engine.Succ[*State, backEdge]{Dedup: true})
+			if f.Seen(sc.enc.Bytes()) {
+				f.Dup()
 				return true
 			}
-			out = append(out, engine.Succ[*State, backEdge]{
-				State: sc.materialize(),
-				Key:   sc.enc.String(),
-				Val:   backEdge{prevKey: key, step: st},
-			})
+			f.Add(sc.enc.String(), sc.materialize(), backEdge{prevKey: key, step: st})
 			return true
 		})
-		return out
+		return halt
 	}
 
-	out := engine.Explore(ctx, engine.Config{
-		Workers:   lim.Workers,
+	out := engine.DepthFirst(ctx, engine.Config{
 		MaxStates: lim.MaxStates,
 		StopAtCap: lim.StopAtCap,
 		Progress:  lim.Progress,
 		Trace:     lim.Trace,
 		SpanName:  "concrete-explore",
 		Metrics:   lim.Metrics,
-	}, visited, init, initKey, backEdge{}, newScratch, expand)
+	}, visited, init, initKey, backEdge{}, expand)
 
 	res := Result{
 		Unsafe:      out.Halted,
@@ -143,7 +131,7 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	}
 	if out.Halted {
 		final, _ := out.HaltTag.(step)
-		res.Witness = inst.witness(visited.Get, initKey, out.HaltParent, final)
+		res.Witness = inst.witness(visited, initKey, out.HaltParent, final)
 	}
 	return res
 }

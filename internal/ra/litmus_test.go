@@ -19,18 +19,11 @@ func explore(t *testing.T, src string, nEnv int) Result {
 	if err != nil {
 		t.Fatalf("instance: %v", err)
 	}
-	res := explore1(inst, Limits{MaxStates: 2_000_000})
+	res := inst.ExploreContext(context.Background(), Limits{MaxStates: 2_000_000})
 	if !res.Unsafe && !res.Complete {
 		t.Fatalf("exploration hit limits without verdict (states=%d)", res.States)
 	}
 	return res
-}
-
-// explore1 runs ExploreContext at one worker, where the whole result is
-// reproducible.
-func explore1(inst *Instance, lim Limits) Result {
-	lim.Workers = 1
-	return inst.ExploreContext(context.Background(), lim)
 }
 
 // TestMessagePassingForbidden checks the defining guarantee of RA ("never

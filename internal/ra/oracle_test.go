@@ -3,9 +3,9 @@ package ra_test
 // The reference successor relation: the deep-clone, render-everything
 // implementation the explorers used before they moved to scratch states
 // and lazily rendered steps. It lives only here, as the oracle of the
-// differential tests below, together with two reference searches over it:
-// a breadth-first loop that shares no code with the engine's drivers, and
-// the driver ExploreContext runs on.
+// differential tests below, together with two reference searches over it,
+// a breadth-first and a depth-first loop, neither of which shares code
+// with the engine's drivers.
 
 import (
 	"context"
@@ -279,41 +279,55 @@ func refExplore(inst *ra.Instance, lim ra.Limits) ra.Result {
 	return res
 }
 
-// refExploreContext is ExploreContext on the reference successor relation.
+// refExploreContext is a plain depth-first search for an `assert false`
+// transition on the reference relation and key, sharing no code with the
+// engine. It pops the last state it admitted, and admits a state's
+// successors in order, so ExploreContext must reproduce it exactly. A
+// successor the state cap keeps out is still recorded as visited; with
+// StopAtCap, the rest of that state's successors are only counted.
 func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
-	init := inst.InitState()
+	type node struct {
+		state *ra.State
+		key   string
+	}
 	key := func(s *ra.State) string { return refKey(s, lim.Symmetry, inst.NumEnv()) }
+	init := inst.InitState()
 	initKey := key(init)
-	visited := engine.NewShardedMap[refEdge]()
-	noScratch := func() struct{} { return struct{}{} }
-	expand := func(_ struct{}, s *ra.State, k string, buf []engine.Succ[*ra.State, refEdge]) []engine.Succ[*ra.State, refEdge] {
-		out := buf
-		for _, succ := range refSuccessors(inst, s) {
+	visited := map[string]refEdge{initKey: {}}
+	lookup := func(k string) (refEdge, bool) {
+		be, ok := visited[k]
+		return be, ok
+	}
+	stack := []node{{init, initKey}}
+	res := ra.Result{States: 1}
+	capped, stopped := false, false
+	for len(stack) > 0 && !stopped {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, succ := range refSuccessors(inst, n.state) {
+			res.Transitions++
 			if succ.Event.Assert {
-				out = append(out, engine.Succ[*ra.State, refEdge]{Halt: true, Tag: succ.Event})
-				break
+				if stopped {
+					break
+				}
+				res.Unsafe = true
+				res.Witness = refWitness(lookup, initKey, n.key, succ.Event)
+				return res
 			}
 			sk := key(succ.State)
-			if visited.HasBytes([]byte(sk)) {
-				out = append(out, engine.Succ[*ra.State, refEdge]{Dedup: true})
+			if _, seen := visited[sk]; seen || stopped {
 				continue
 			}
-			out = append(out, engine.Succ[*ra.State, refEdge]{State: succ.State, Key: sk, Val: refEdge{prevKey: k, ev: succ.Event}})
+			visited[sk] = refEdge{prevKey: n.key, ev: succ.Event}
+			if lim.MaxStates > 0 && res.States >= lim.MaxStates {
+				capped, stopped = true, lim.StopAtCap
+				continue
+			}
+			res.States++
+			stack = append(stack, node{succ.State, sk})
 		}
-		return out
 	}
-	out := engine.Explore(context.Background(), engine.Config{
-		Workers: lim.Workers, MaxStates: lim.MaxStates,
-	}, visited, init, initKey, refEdge{}, noScratch, expand)
-	res := ra.Result{
-		Unsafe:      out.Halted,
-		States:      int(out.Stats.States),
-		Transitions: int(out.Stats.Transitions),
-		Complete:    out.Complete,
-	}
-	if out.Halted {
-		res.Witness = refWitness(visited.Get, initKey, out.HaltParent, out.HaltTag.(ra.Event))
-	}
+	res.Complete = !capped
 	return res
 }
 
@@ -395,20 +409,17 @@ func refDeadlocks(inst *ra.Instance, maxStates int) ra.DeadlockReport {
 	return rep
 }
 
-// checkDeadlocks compares FindDeadlocksContext at one, two and eight
-// workers with the reference scan on instances the reference exhausts
-// within maxStates.
+// checkDeadlocks compares FindDeadlocksContext with the reference scan on
+// instances the reference exhausts within maxStates.
 func checkDeadlocks(t *testing.T, name string, inst *ra.Instance, maxStates int) {
 	t.Helper()
 	want := refDeadlocks(inst, maxStates)
 	if !want.Complete {
 		return
 	}
-	for _, j := range diffWorkers {
-		got := inst.FindDeadlocksContext(context.Background(), ra.Limits{Workers: j, MaxStates: maxStates})
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s j=%d: deadlock scan %+v, reference %+v", name, j, got, want)
-		}
+	got := inst.FindDeadlocksContext(context.Background(), ra.Limits{MaxStates: maxStates})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: deadlock scan %+v, reference %+v", name, got, want)
 	}
 }
 
@@ -453,51 +464,39 @@ func checkSuccessors(t *testing.T, name string, inst *ra.Instance, symmetry bool
 	return checked
 }
 
-// diffWorkers are the worker counts the differential tests run the
-// explorers at.
-var diffWorkers = []int{1, 2, 8}
-
-// checkExplore runs ExploreContext at every count in diffWorkers against
-// the two references. At one worker it must reproduce refExploreContext
-// exactly: verdict, completeness, counts and witness text. At every count,
-// where the BFS reference exhausts the instance it must report the same
-// verdict, states and transitions; where the reference finds a violation it
-// must not report a complete SAFE; and every witness it returns must
-// replay. It returns the one-worker result.
+// checkExplore runs ExploreContext against the two references. It must
+// reproduce refExploreContext exactly: verdict, completeness, counts and
+// witness text. Where the BFS reference exhausts the instance it must
+// report the same verdict, states and transitions; where the BFS reference
+// finds a violation it must not report a complete SAFE; and every witness
+// it returns must replay. It returns ExploreContext's result.
 func checkExplore(t *testing.T, name string, inst *ra.Instance, lim ra.Limits) ra.Result {
 	t.Helper()
+	got := inst.ExploreContext(context.Background(), lim)
+	want := refExploreContext(inst, lim)
+	if got.Unsafe != want.Unsafe || got.Complete != want.Complete ||
+		got.States != want.States || got.Transitions != want.Transitions {
+		t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, reference unsafe=%v complete=%v states=%d transitions=%d",
+			name, lim, got.Unsafe, got.Complete, got.States, got.Transitions,
+			want.Unsafe, want.Complete, want.States, want.Transitions)
+	}
+	if g, w := ra.FormatWitness(got.Witness), ra.FormatWitness(want.Witness); g != w {
+		t.Fatalf("%s %+v: witness\n%s\nreference witness\n%s", name, lim, g, w)
+	}
 	bfs := refExplore(inst, lim)
-	var first ra.Result
-	for _, j := range diffWorkers {
-		lim.Workers = j
-		got := inst.ExploreContext(context.Background(), lim)
-		if j == 1 {
-			first = got
-			want := refExploreContext(inst, lim)
-			if got.Unsafe != want.Unsafe || got.Complete != want.Complete ||
-				got.States != want.States || got.Transitions != want.Transitions {
-				t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, reference unsafe=%v complete=%v states=%d transitions=%d",
-					name, lim, got.Unsafe, got.Complete, got.States, got.Transitions,
-					want.Unsafe, want.Complete, want.States, want.Transitions)
-			}
-			if g, w := ra.FormatWitness(got.Witness), ra.FormatWitness(want.Witness); g != w {
-				t.Fatalf("%s %+v: witness\n%s\nreference witness\n%s", name, lim, g, w)
-			}
-		}
-		if bfs.Complete && (got.Unsafe || !got.Complete || got.States != bfs.States || got.Transitions != bfs.Transitions) {
-			t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, BFS reference exhausted %d states and %d transitions",
-				name, lim, got.Unsafe, got.Complete, got.States, got.Transitions, bfs.States, bfs.Transitions)
-		}
-		if bfs.Unsafe && !got.Unsafe && got.Complete {
-			t.Fatalf("%s %+v: complete SAFE, BFS reference found\n%s", name, lim, ra.FormatWitness(bfs.Witness))
-		}
-		if got.Unsafe {
-			if err := replayWitness(inst, got.Witness); err != nil {
-				t.Fatalf("%s %+v: witness does not replay: %v\n%s", name, lim, err, ra.FormatWitness(got.Witness))
-			}
+	if bfs.Complete && (got.Unsafe || !got.Complete || got.States != bfs.States || got.Transitions != bfs.Transitions) {
+		t.Fatalf("%s %+v: unsafe=%v complete=%v states=%d transitions=%d, BFS reference exhausted %d states and %d transitions",
+			name, lim, got.Unsafe, got.Complete, got.States, got.Transitions, bfs.States, bfs.Transitions)
+	}
+	if bfs.Unsafe && !got.Unsafe && got.Complete {
+		t.Fatalf("%s %+v: complete SAFE, BFS reference found\n%s", name, lim, ra.FormatWitness(bfs.Witness))
+	}
+	if got.Unsafe {
+		if err := replayWitness(inst, got.Witness); err != nil {
+			t.Fatalf("%s %+v: witness does not replay: %v\n%s", name, lim, err, ra.FormatWitness(got.Witness))
 		}
 	}
-	return first
+	return got
 }
 
 // diffCorpusStates bounds the states walked per corpus instance.
@@ -518,6 +517,7 @@ func TestSuccessorsMatchReferenceCorpus(t *testing.T) {
 			for _, sym := range []bool{false, true} {
 				checkSuccessors(t, name, inst, sym, diffCorpusStates)
 				checkExplore(t, name, inst, ra.Limits{MaxStates: diffCorpusStates, Symmetry: sym})
+				checkExplore(t, name, inst, ra.Limits{MaxStates: 64, StopAtCap: true, Symmetry: sym})
 			}
 			checkDeadlocks(t, name, inst, diffCorpusStates)
 		}

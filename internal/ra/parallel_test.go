@@ -19,20 +19,18 @@ thread t2 { regs q; store y 1; q = load x; store a q }
 		t.Fatal(err)
 	}
 	want := refExplore(inst, ra.Limits{})
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := inst.ExploreContext(context.Background(), ra.Limits{Workers: workers})
-		if got.Unsafe != want.Unsafe {
-			t.Fatalf("workers=%d: verdict %v vs %v", workers, got.Unsafe, want.Unsafe)
-		}
-		if !got.Complete {
-			t.Fatalf("workers=%d: incomplete", workers)
-		}
-		if got.States != want.States {
-			t.Errorf("workers=%d: states %d vs reference %d", workers, got.States, want.States)
-		}
-		if got.Transitions != want.Transitions {
-			t.Errorf("workers=%d: transitions %d vs reference %d", workers, got.Transitions, want.Transitions)
-		}
+	got := inst.ExploreContext(context.Background(), ra.Limits{})
+	if got.Unsafe != want.Unsafe {
+		t.Fatalf("verdict %v vs %v", got.Unsafe, want.Unsafe)
+	}
+	if !got.Complete {
+		t.Fatal("incomplete")
+	}
+	if got.States != want.States {
+		t.Errorf("states %d vs reference %d", got.States, want.States)
+	}
+	if got.Transitions != want.Transitions {
+		t.Errorf("transitions %d vs reference %d", got.Transitions, want.Transitions)
 	}
 }
 
@@ -46,14 +44,12 @@ thread consumer { regs s; store y 1; s = load x; assume s == 2; assert false }
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		res := inst.ExploreContext(context.Background(), ra.Limits{Workers: workers})
-		if !res.Unsafe {
-			t.Fatalf("workers=%d: violation missed", workers)
-		}
-		if err := replayWitness(inst, res.Witness); err != nil {
-			t.Fatalf("workers=%d: malformed witness %v: %v", workers, res.Witness, err)
-		}
+	res := inst.ExploreContext(context.Background(), ra.Limits{})
+	if !res.Unsafe {
+		t.Fatal("violation missed")
+	}
+	if err := replayWitness(inst, res.Witness); err != nil {
+		t.Fatalf("malformed witness %v: %v", res.Witness, err)
 	}
 }
 
@@ -66,7 +62,7 @@ thread w { regs r; loop { r = load x; store x (r + 1) } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200, Workers: 4})
+	res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: 200})
 	if res.Complete {
 		t.Error("unbounded instance reported complete under a state cap")
 	}
@@ -85,7 +81,7 @@ thread t { store x 1 }
 		t.Fatal(err)
 	}
 	res := inst.ExploreContext(context.Background(), ra.Limits{})
-	if !res.Complete || res.States != 2 {
-		t.Errorf("default-worker exploration wrong: %+v", res)
+	if !res.Complete || res.States != 2 || res.Engine.Workers != 1 {
+		t.Errorf("default exploration wrong: %+v", res)
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"paramra/internal/lang"
 )
 
-// scratch is a successor workspace owned by one exploring goroutine: the
-// engine makes one per worker (newScratch) and hands it to every expansion
-// the worker runs. It holds the successor eachSucc has just built, in one of
+// scratch is the successor workspace of one search: the explorer makes one
+// per run and hands it to every expansion. It holds the successor eachSucc has just built, in one of
 // two forms, plus the buffers and key encoders behind it. Once the buffers
 // have grown to the instance's size, building a successor and its key
 // allocates nothing.
@@ -49,8 +48,6 @@ type scratch struct {
 	// thKey is the encoding of th.
 	thKey engine.KeyEnc
 }
-
-func newScratch() *scratch { return new(scratch) }
 
 // begin starts the expansion of s.
 func (sc *scratch) begin(s *State) {

@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -228,7 +229,7 @@ thread w { regs r; loop { r = load x; store x (r + 1) } }
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := explore1(inst, Limits{MaxStates: 100})
+	res := inst.ExploreContext(context.Background(), Limits{MaxStates: 100})
 	if res.Complete {
 		t.Error("unbounded counter instance reported complete under a 100-state cap")
 	}

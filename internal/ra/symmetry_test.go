@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"context"
 	"testing"
 
 	"paramra/internal/lang"
@@ -35,8 +36,8 @@ thread w { regs s; s = load x; assume s == 2; assert false }
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain := explore1(inst, Limits{MaxStates: 2_000_000})
-		sym := explore1(inst, Limits{MaxStates: 2_000_000, Symmetry: true})
+		plain := inst.ExploreContext(context.Background(), Limits{MaxStates: 2_000_000})
+		sym := inst.ExploreContext(context.Background(), Limits{MaxStates: 2_000_000, Symmetry: true})
 		if plain.Unsafe != sym.Unsafe {
 			t.Fatalf("case %d: verdict changed under symmetry: %v vs %v", i, plain.Unsafe, sym.Unsafe)
 		}
@@ -62,8 +63,8 @@ thread w { regs r; r = load x; store x 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := explore1(inst, Limits{})
-	sym := explore1(inst, Limits{Symmetry: true})
+	plain := inst.ExploreContext(context.Background(), Limits{})
+	sym := inst.ExploreContext(context.Background(), Limits{Symmetry: true})
 	if !plain.Complete || !sym.Complete {
 		t.Fatal("incomplete")
 	}

@@ -235,7 +235,7 @@ type Robustness struct {
 func (r Robustness) WeakBehaviour() bool { return r.RAUnsafe && !r.SCUnsafe }
 
 // CompareRobustness explores the same instance under SC and RA, both
-// bounded by lim (lim.Workers applies to the RA explorer only).
+// bounded by lim.
 func CompareRobustness(sys *lang.System, nEnv int, lim ra.Limits) (Robustness, error) {
 	scInst, err := NewInstance(sys, nEnv)
 	if err != nil {

@@ -43,7 +43,8 @@ type Config struct {
 	// MaxParallelism caps the per-request worker count (default GOMAXPROCS).
 	MaxParallelism int
 	// Parallelism is the worker count used when the request names none
-	// (default 0 = GOMAXPROCS).
+	// (default 0 = GOMAXPROCS). The concrete explorer behind the prepass
+	// replay, /v1/instance and /v1/deadlocks always runs on one.
 	Parallelism int
 	// MaxEnvThreads caps the instance size of /v1/instance and /v1/deadlocks
 	// (default 16).

@@ -352,7 +352,7 @@ func InstanceVerdict(r paramra.InstanceResult) string {
 // VerdictCore is the deterministic kernel of a verify response: the fields
 // that do not depend on timing or on engine-scheduling counters. They are
 // identical across worker counts and repeated runs; a prepass UNSAFE
-// witness too, since the replay always runs on one worker. The soak harness
+// witness too, since the replay is one sequential search. The soak harness
 // compares these bytes between the live server and a local library run.
 type VerdictCore struct {
 	System         string   `json:"system"`

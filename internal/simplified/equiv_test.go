@@ -41,7 +41,7 @@ func concreteUnsafeUpTo(t *testing.T, sys *lang.System, maxN int) (bool, int, bo
 		if err != nil {
 			t.Fatalf("instance N=%d: %v", n, err)
 		}
-		res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: diffRAStates, Symmetry: true, Workers: 1})
+		res := inst.ExploreContext(context.Background(), ra.Limits{MaxStates: diffRAStates, Symmetry: true})
 		if res.Unsafe {
 			return true, n, exhaustive
 		}

@@ -75,13 +75,18 @@ func (ex *exec) satPush(i int32) {
 	}
 }
 
-// satPushAll enqueues every configuration in insertion order (after a new
-// message appears, any of them may now load it). Configurations without a
-// load of the message's variable are pushed too: stack positions decide
-// which derivation comes first, and their pass finds nothing new cheaply.
-func (ex *exec) satPushAll(st *state) {
+// satPushLoaders enqueues, in insertion order, every configuration whose PC
+// has a load edge: after a new message appears, any of them may now load
+// it. The others are not queued again. One that has not had its first pass
+// is still queued; one that has would make a later pass, which takes only
+// load edges and so derives nothing. Leaving those no-op pops out keeps
+// every other pop in its order, so the facts, their first derivations and
+// their insertion order are unchanged.
+func (ex *exec) satPushLoaders(st *state) {
 	for i := range st.env.Configs {
-		ex.satPush(int32(i))
+		if ex.v.envLoads[st.env.Configs[i].PC] {
+			ex.satPush(int32(i))
+		}
 	}
 }
 
@@ -132,10 +137,10 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 	// and are reused across the successor saturations of one expansion.
 	ex.satWork = ex.satWork[:0]
 	ex.satSlots = ex.satSlots[:0]
-	for range env.Configs {
+	for i := range env.Configs {
 		ex.satSlots = append(ex.satSlots, satSlot{since: -1})
+		ex.satPush(int32(i))
 	}
-	ex.satPushAll(st)
 
 	for len(ex.satWork) > 0 {
 		if ex.ctx != nil && ex.satPops%satPollEvery == 0 {
@@ -203,7 +208,7 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}, nil
 				}
 				if env.AddMsg(msg, cfg.Log) {
-					ex.satPushAll(st)
+					ex.satPushLoaders(st)
 				}
 				ex.satAddConfig(st, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log})
 

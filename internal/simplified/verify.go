@@ -131,9 +131,11 @@ type Result struct {
 type Verifier struct {
 	sys    *lang.System
 	envCFG *lang.CFG
-	disCFG []*lang.CFG
-	budget []int // per variable: usable integer timestamps are 1..budget[v]
-	opts   Options
+	// envLoads reports, per env PC, whether a load edge leaves it.
+	envLoads []bool
+	disCFG   []*lang.CFG
+	budget   []int // per variable: usable integer timestamps are 1..budget[v]
+	opts     Options
 }
 
 // New validates the system against the decidable class and prepares a
@@ -149,6 +151,12 @@ func New(sys *lang.System, opts Options) (*Verifier, error) {
 		v.envCFG = lang.Compile(sys.Env)
 		if !v.envCFG.CASFree() {
 			return nil, fmt.Errorf("%s: %w", sys.Env.Name, ErrEnvCAS)
+		}
+		v.envLoads = make([]bool, len(v.envCFG.Out))
+		for pc, edges := range v.envCFG.Out {
+			for _, e := range edges {
+				v.envLoads[pc] = v.envLoads[pc] || e.Op.Kind == lang.OpLoad
+			}
 		}
 	}
 	nv := len(sys.Vars)

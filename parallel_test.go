@@ -132,6 +132,83 @@ func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	}
 }
 
+// TestConcreteIgnoresParallelism pins that the concrete explorer is one
+// sequential search: on every corpus entry, VerifyInstance at 0..2 env
+// threads, FindDeadlocks at one env thread (none for env-less entries), and
+// ConfirmViolation on every fixpoint UNSAFE return the same results at
+// Parallelism 1, 2 and 8, Stats included except Wall.
+func TestConcreteIgnoresParallelism(t *testing.T) {
+	ctx := context.Background()
+	const maxStates = 20_000
+	noWall := func(s paramra.Stats) paramra.Stats {
+		s.Wall = 0
+		return s
+	}
+	for _, e := range bench.Corpus() {
+		sys := e.System()
+		t.Run(e.Name, func(t *testing.T) {
+			maxN := 2
+			if sys.Env == nil {
+				maxN = 0
+			}
+			for n := 0; n <= maxN; n++ {
+				var base paramra.InstanceResult
+				for _, j := range []int{1, 2, 8} {
+					res, err := paramra.VerifyInstance(ctx, sys, n, paramra.Options{MaxStates: maxStates, Parallelism: j})
+					if err != nil {
+						t.Fatalf("VerifyInstance n=%d j=%d: %v", n, j, err)
+					}
+					res.Stats = noWall(res.Stats)
+					if j == 1 {
+						base = res
+					} else if !reflect.DeepEqual(res, base) {
+						t.Errorf("VerifyInstance n=%d: j=%d %+v, j=1 %+v", n, j, res, base)
+					}
+				}
+			}
+
+			var baseDead paramra.DeadlockResult
+			for _, j := range []int{1, 2, 8} {
+				dr, err := paramra.FindDeadlocks(ctx, sys, min(maxN, 1), paramra.Options{MaxStates: maxStates, Parallelism: j})
+				if err != nil {
+					t.Fatalf("FindDeadlocks j=%d: %v", j, err)
+				}
+				if j == 1 {
+					baseDead = dr
+				} else if !reflect.DeepEqual(dr, baseDead) {
+					t.Errorf("FindDeadlocks: j=%d %+v, j=1 %+v", j, dr, baseDead)
+				}
+			}
+
+			fix, err := paramra.Verify(ctx, sys, paramra.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fix.Unsafe {
+				return
+			}
+			type confirmed struct {
+				n       int
+				witness string
+				err     string
+			}
+			var baseConf confirmed
+			for _, j := range []int{1, 2, 8} {
+				n, w, err := paramra.ConfirmViolation(ctx, sys, fix, 2, paramra.Options{MaxStates: maxStates, Parallelism: j})
+				got := confirmed{n: n, witness: w}
+				if err != nil {
+					got.err = err.Error()
+				}
+				if j == 1 {
+					baseConf = got
+				} else if got != baseConf {
+					t.Errorf("ConfirmViolation: j=%d %+v, j=1 %+v", j, got, baseConf)
+				}
+			}
+		})
+	}
+}
+
 // datalogStats projects the Datalog counter group.
 func datalogStats(s paramra.Stats) [5]int {
 	return [5]int{s.Skeletons, s.DatalogFacts, s.DatalogRules, s.DatalogAtoms, s.FixpointRounds}
@@ -311,23 +388,18 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyInstanceParallel measures the concrete explorer on the
-// free-order engine per worker count.
-func BenchmarkVerifyInstanceParallel(b *testing.B) {
+// BenchmarkVerifyInstance measures the concrete explorer, a sequential
+// depth-first search, on mp with two env threads.
+func BenchmarkVerifyInstance(b *testing.B) {
 	sys, err := paramra.ParseFile(filepath.Join("testdata", "systems", "mp.ra"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, j := range []int{1, 2, 4, 8} {
-		b.Run("mp/env=2/j="+itoa(j), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := paramra.VerifyInstance(context.Background(), sys, 2, paramra.Options{
-					MaxStates: 500_000, Parallelism: j,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := paramra.VerifyInstance(context.Background(), sys, 2, paramra.Options{MaxStates: 500_000}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

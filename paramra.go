@@ -162,10 +162,12 @@ type Options struct {
 	// MaxSkeletons caps the Datalog backend's skeleton walk (0 = the
 	// default cap of 100,000 skeletons).
 	MaxSkeletons int
-	// Parallelism is the number of worker goroutines (0 = GOMAXPROCS).
-	// Verdicts, witnesses and §4.3 bounds of the fixpoint backend are
-	// identical for every value. The prepass replay always runs on one
-	// worker.
+	// Parallelism is the number of worker goroutines of the fixpoint and
+	// Datalog backends (0 = GOMAXPROCS). Verdicts, witnesses and §4.3
+	// bounds of the fixpoint backend are identical for every value. The
+	// concrete explorer — the prepass replay, VerifyInstance,
+	// ConfirmViolation and FindDeadlocks — is one sequential depth-first
+	// search that ignores it.
 	Parallelism int
 	// Progress, when non-nil, receives periodic statistics snapshots from a
 	// dedicated goroutine while a search runs. The last emission, sent just
@@ -310,7 +312,7 @@ type Stats struct {
 	FixpointRounds int
 	DatalogAtoms   int
 
-	// Shared parallel-engine counters.
+	// Shared engine counters (Workers is 1 for the concrete explorer).
 	DedupHits    int64
 	PeakFrontier int64
 	Wall         time.Duration
@@ -805,7 +807,6 @@ func ConfirmViolation(ctx context.Context, sys *System, res Result, maxN int, op
 		}
 		out := inst.ExploreContext(ctx, ra.Limits{
 			MaxStates: opts.MaxStates,
-			Workers:   opts.Parallelism,
 			Progress:  concreteProgress(opts.Progress),
 			Trace:     span,
 			Metrics:   opts.Metrics,
@@ -842,9 +843,8 @@ type DeadlockResult struct {
 }
 
 // FindDeadlocks explores the fixed instance with nEnv env threads under the
-// concrete RA semantics and classifies its sink states. Counts (and the
-// reported example, canonicalized to the smallest state key) are identical
-// for every Options.Parallelism.
+// concrete RA semantics and classifies its sink states. The reported
+// example is the deadlocked state with the smallest key.
 func FindDeadlocks(ctx context.Context, sys *System, nEnv int, opts Options) (DeadlockResult, error) {
 	opts = opts.normalized()
 	inst, err := ra.NewInstance(sys, nEnv)
@@ -855,7 +855,6 @@ func FindDeadlocks(ctx context.Context, sys *System, nEnv int, opts Options) (De
 	defer span.End()
 	rep := inst.FindDeadlocksContext(ctx, ra.Limits{
 		MaxStates: opts.MaxStates,
-		Workers:   opts.Parallelism,
 		Progress:  concreteProgress(opts.Progress),
 		Trace:     span,
 		Metrics:   opts.Metrics,
@@ -942,7 +941,6 @@ func verifyInstance(ctx context.Context, sys *System, nEnv int, opts Options) (I
 	}
 	out := inst.ExploreContext(ctx, ra.Limits{
 		MaxStates: opts.MaxStates,
-		Workers:   opts.Parallelism,
 		Progress:  concreteProgress(opts.Progress),
 		Trace:     span,
 		Metrics:   opts.Metrics,

@@ -17,8 +17,10 @@
 #       here.
 #   BenchmarkPrepassReplay  the concrete RA explorer, through the barrier
 #       prepass replay at raserved's state cap. Default budget ~2x the
-#       measured steady state (~0.12M allocs/op) and ~1/10 of the cost
-#       before the explorer built successors in scratch (2.50M allocs/op).
+#       measured steady state (~0.12M allocs/op on the free-order parallel
+#       driver, ~0.11M on the sequential depth-first one) and ~1/10 of the
+#       cost before the explorer built successors in scratch (2.50M
+#       allocs/op).
 #   BenchmarkSkeletons  the dis-run skeleton enumeration behind makeP, on
 #       lamport-2-ra. Fixed budget ~1.5x its cost before the enumeration
 #       moved onto the shared dis-step generator (566k allocs/op; ~529k
@@ -43,10 +45,12 @@
 #       paramra.Verify with raserved's default options at one worker, where
 #       the prepass schedule alternates replay and fixpoint rounds under
 #       growing state budgets. Fixed budget ~1.5x its cost once the
-#       fixpoint searched order classes of timestamps (~41k allocs/op),
-#       ~1/2 of its cost on integer slots (~122k allocs/op), and ~1/4 of
-#       the cost while the replay ran to its full cap before the fixpoint
-#       (~237k allocs/op), so a return to either fails here.
+#       fixpoint searched order classes of timestamps (~41k allocs/op;
+#       ~32.5k once the replay ran on the sequential depth-first driver
+#       instead of building a sharded visited set and a worker per
+#       instance), ~1/2 of its cost on integer slots (~122k allocs/op), and
+#       ~1/4 of the cost while the replay ran to its full cap before the
+#       fixpoint (~237k allocs/op), so a return to either fails here.
 #   BenchmarkDatalogVerifyUnsafe  the Datalog backend's early exit, on
 #       peterson-ra at two workers: the skeleton walk stops at its 2nd of
 #       26,136 skeletons, whose instance derives unsafe(). Fixed budget ~2x
