@@ -37,7 +37,7 @@ func mustSys(b *testing.B, src string) *lang.System {
 
 func verifyB(b *testing.B, sys *lang.System, wantUnsafe bool) simplified.Result {
 	b.Helper()
-	v, err := simplified.New(sys, simplified.Options{Workers: 1})
+	v, err := simplified.New(sys, simplified.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +144,7 @@ thread worker {
 	yv, _ := sys.VarByName("y")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}, Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rabench [-j N] [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|slice|parallel|cache|all]
+//	rabench [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|slice|parallel|cache|all]
 //	rabench report trace.jsonl... [tracedir...] [metrics.json]
 //	rabench fuzz [-seeds N] [-profile P] [-seed-base B] [-repro-dir D] [-seed-timeout T] [-selftest]
 //
@@ -46,7 +46,7 @@ var (
 	runSpan *obs.Span
 )
 
-const usage = "usage: rabench [-j N] [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|slice|parallel|cache|all]\n" +
+const usage = "usage: rabench [-timeout D] [table|table1|corpus|fig3|fig4|fig5|mincache|threads|ablations|robust|scaling|gap|slice|parallel|cache|all]\n" +
 	"       rabench report trace.jsonl... [tracedir...] [metrics.json]\n" +
 	"       rabench fuzz [-seeds N] [-profile P] [-seed-base B] [-repro-dir D] [-seed-timeout T] [-selftest]\n"
 
@@ -270,21 +270,18 @@ func reproPath(p string) string {
 	return " -> " + p
 }
 
-// parallel measures the layered engine's scaling over worker counts. With
-// -compare it becomes the bench regression gate: re-measure, calibrate to
-// the machine, and fail on entries slower than the baseline beyond the
-// tolerance (or with drifted deterministic macro-state counts).
+// parallel times the fixpoint on the corpus entries with at least 50
+// macro-states. With -compare it becomes the bench regression gate:
+// re-measure, calibrate to the machine, and fail on entries slower than
+// the baseline beyond the tolerance (or with drifted deterministic
+// macro-state counts).
 func parallel() error {
-	counts := []int{1, 2, 4, 8}
-	if obsf.Workers > 0 {
-		counts = []int{1, obsf.Workers}
-	}
 	if *compareTo != "" {
 		inject, err := bench.ParseInjectSlowdown(*injectFlg)
 		if err != nil {
 			return err
 		}
-		rep, err := bench.CompareParallel(runCtx, *compareTo, counts, *tolerance, inject)
+		rep, err := bench.CompareParallel(runCtx, *compareTo, *tolerance, inject)
 		if err != nil {
 			return err
 		}
@@ -305,7 +302,7 @@ func parallel() error {
 		fmt.Printf("no regression against %s\n", *compareTo)
 		return nil
 	}
-	rows, err := bench.ParallelExperiment(runCtx, counts)
+	rows, err := bench.ParallelExperiment(runCtx)
 	if err != nil {
 		return err
 	}

@@ -48,6 +48,7 @@ func run() int {
 	)
 	obsf := obs.RegisterFlags(flag.CommandLine)
 	obsf.RegisterRunFlags(flag.CommandLine)
+	obsf.RegisterWorkersFlag(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: radatalog [flags] system.ra | program.dl")

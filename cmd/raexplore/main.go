@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	raexplore [-env N] [-max-states M] [-j N] [-timeout D] system.ra
+//	raexplore [-env N] [-max-states M] [-timeout D] system.ra
 package main
 
 import (
@@ -61,11 +61,10 @@ func run() int {
 		return 2
 	}
 	opts := paramra.Options{
-		MaxStates:   *maxStates,
-		Parallelism: obsf.Workers,
-		Tracer:      sess.Tracer,
-		TraceSpan:   root,
-		Metrics:     sess.Metrics,
+		MaxStates: *maxStates,
+		Tracer:    sess.Tracer,
+		TraceSpan: root,
+		Metrics:   sess.Metrics,
 	}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "raexplore:", err)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ratqbf [-j N] [-timeout D] 'forall u0 exists e1 forall u1 : (u0 | ~e1) & (e1 | u1)'
+//	ratqbf [-timeout D] 'forall u0 exists e1 forall u1 : (u0 | ~e1) & (e1 | u1)'
 //	ratqbf -random -n 2 -clauses 3 -seed 7
 package main
 
@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"paramra"
 	"paramra/internal/lang"
 	"paramra/internal/obs"
 	"paramra/internal/simplified"
@@ -38,10 +37,6 @@ func run() int {
 	obsf := obs.RegisterFlags(flag.CommandLine)
 	obsf.RegisterRunFlags(flag.CommandLine)
 	flag.Parse()
-	if err := (paramra.Options{Parallelism: obsf.Workers}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "ratqbf:", err)
-		return 2
-	}
 
 	var q *tqbf.QBF
 	switch {
@@ -92,7 +87,6 @@ func run() int {
 		fmt.Println(strings.TrimSpace(lang.Print(sys)))
 	}
 	v, err := simplified.New(sys, simplified.Options{
-		Workers: obsf.Workers,
 		Trace:   root,
 		Metrics: sess.Metrics,
 	})

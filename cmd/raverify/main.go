@@ -67,6 +67,7 @@ func run() int {
 	)
 	obsf := obs.RegisterFlags(flag.CommandLine)
 	obsf.RegisterRunFlags(flag.CommandLine)
+	obsf.RegisterWorkersFlag(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: raverify [flags] system.ra")

@@ -31,14 +31,14 @@
 // Every entry point takes a context; cancellation or a deadline stops the
 // search and returns the partial Result (Complete = false) together with
 // the context error. Options.Parallelism sets the worker count of the
-// fixpoint and Datalog backends (0 = GOMAXPROCS) and Options.Progress
-// streams periodic Stats snapshots. Verdicts, DecidedBy, the env-thread
-// bound, the fixpoint's witnesses and statistics, and the Datalog
-// backend's statistics are identical for every worker count (see
-// internal/engine). The concrete explorer — the prepass replay,
-// VerifyInstance, ConfirmViolation and FindDeadlocks — is one sequential
-// depth-first search, so its results, witnesses included, are reproducible
-// and the same at every Parallelism.
+// Datalog backend's stream (0 = GOMAXPROCS), whose verdict and statistics
+// are the same for every worker count, and Options.Progress streams
+// periodic Stats snapshots. The fixpoint is one sequential breadth-first
+// search and the concrete explorer — the prepass replay, VerifyInstance,
+// ConfirmViolation and FindDeadlocks — one sequential depth-first search
+// (see internal/engine), so verdicts, DecidedBy, the env-thread bound,
+// witnesses and statistics are reproducible and the same at every
+// Parallelism.
 //
 // # Result and Stats fields by backend
 //
@@ -69,7 +69,7 @@
 //	Stats.DedupHits           ✓         —        ✓
 //	Stats.PeakFrontier        ✓         —        ✓
 //	Stats.Wall                ✓         ✓        ✓
-//	Stats.Workers             ✓         ✓        ✓
+//	Stats.Workers             1         ✓        1   (Datalog: Parallelism)
 //
 // The fixpoint searches macro-states whose dis timestamps are canonical:
 // after every dis store it renumbers the variable's messages to the least

@@ -21,11 +21,9 @@ import (
 // Macro-state counts are deterministic and must match exactly — a drift
 // there is a functional change, not noise.
 
-// CompareRow is one (benchmark, worker count) entry of a baseline
-// comparison.
+// CompareRow is one entry of a baseline comparison.
 type CompareRow struct {
 	Name                string  `json:"name"`
-	Workers             int     `json:"workers"`
 	BaselineWallNs      int64   `json:"baselineWallNs"`
 	WallNs              int64   `json:"wallNs"`
 	Ratio               float64 `json:"ratio"`     // wall / baselineWall, raw
@@ -86,10 +84,10 @@ func LoadParallelBaselineFile(path string) (*ParallelBaseline, error) {
 
 // CheckProcs compares a baseline's recorded GOMAXPROCS against the current
 // run's and returns a human-readable warning when they disagree (empty means
-// comparable). A baseline recorded at a different parallelism measures a
-// different engine configuration — most egregiously GOMAXPROCS=1, where
-// worker counts above 1 add pure overhead — so ratios against it are not a
-// regression signal. Callers either print the warning loudly or, with
+// comparable). The fixpoint runs on one goroutine, but the garbage
+// collector and the scheduler use every CPU the run is given, so ratios
+// against a baseline recorded at another GOMAXPROCS are not a regression
+// signal. Callers either print the warning loudly or, with
 // -require-procs-match, turn it into a hard error.
 func CheckProcs(b *ParallelBaseline, runProcs int) string {
 	switch {
@@ -102,17 +100,17 @@ func CheckProcs(b *ParallelBaseline, runProcs int) string {
 	}
 }
 
-// CompareParallel re-runs the parallel experiment at the given worker
-// counts and compares the (name, workers) pairs present in both the run and
-// the baseline. inject multiplies the measured wall of matching benchmark
-// names — the selftest hook proving the gate trips on a real slowdown.
-func CompareParallel(ctx context.Context, baselinePath string, workerCounts []int, tolerance float64, inject map[string]float64) (*CompareReport, error) {
+// CompareParallel re-runs the parallel experiment and compares the entries
+// present in both the run and the baseline, by name. inject multiplies the
+// measured wall of matching benchmark names — the selftest hook proving
+// the gate trips on a real slowdown.
+func CompareParallel(ctx context.Context, baselinePath string, tolerance float64, inject map[string]float64) (*CompareReport, error) {
 	base, err := LoadParallelBaselineFile(baselinePath)
 	if err != nil {
 		return nil, err
 	}
 	warn := CheckProcs(base, runtime.GOMAXPROCS(0))
-	rows, err := ParallelExperiment(ctx, workerCounts)
+	rows, err := ParallelExperiment(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -137,23 +135,19 @@ func compareRows(base, cur []ParallelRow, tolerance float64) (*CompareReport, er
 	if tolerance <= 1 {
 		return nil, fmt.Errorf("bench: tolerance %.2f must be > 1", tolerance)
 	}
-	type key struct {
-		name    string
-		workers int
-	}
-	baseBy := map[key]ParallelRow{}
+	baseBy := map[string]ParallelRow{}
 	for _, r := range base {
-		baseBy[key{r.Name, r.Workers}] = r
+		baseBy[r.Name] = r
 	}
 	rep := &CompareReport{Tolerance: tolerance}
 	var ratios []float64
 	for _, r := range cur {
-		b, ok := baseBy[key{r.Name, r.Workers}]
+		b, ok := baseBy[r.Name]
 		if !ok || b.Wall <= 0 {
 			continue
 		}
 		row := CompareRow{
-			Name: r.Name, Workers: r.Workers,
+			Name:           r.Name,
 			BaselineWallNs: int64(b.Wall), WallNs: int64(r.Wall),
 			Ratio:       float64(r.Wall) / float64(b.Wall),
 			MacroStates: r.MacroStates, BaselineMacroStates: b.MacroStates,
@@ -162,7 +156,7 @@ func compareRows(base, cur []ParallelRow, tolerance float64) (*CompareReport, er
 		ratios = append(ratios, row.Ratio)
 	}
 	if len(rep.Rows) == 0 {
-		return nil, fmt.Errorf("bench: no experiment entry matches the baseline (names or worker counts drifted)")
+		return nil, fmt.Errorf("bench: no experiment entry matches the baseline (names drifted)")
 	}
 	rep.Calibration = median(ratios)
 	for i := range rep.Rows {
@@ -172,15 +166,15 @@ func compareRows(base, cur []ParallelRow, tolerance float64) (*CompareReport, er
 		case row.MacroStates != row.BaselineMacroStates:
 			row.Verdict = "states-drift"
 			rep.Regressions = append(rep.Regressions, fmt.Sprintf(
-				"%s (j=%d): macro-states %d, baseline %d (deterministic counter drifted)",
-				row.Name, row.Workers, row.MacroStates, row.BaselineMacroStates))
+				"%s: macro-states %d, baseline %d (deterministic counter drifted)",
+				row.Name, row.MacroStates, row.BaselineMacroStates))
 		case row.BaselineWallNs < int64(compareMinWall):
 			row.Verdict = "noisy"
 		case row.NormRatio > tolerance:
 			row.Verdict = "slower"
 			rep.Regressions = append(rep.Regressions, fmt.Sprintf(
-				"%s (j=%d): %.2fx slower than baseline after calibration (tolerance %.2fx; raw %s vs %s)",
-				row.Name, row.Workers, row.NormRatio, tolerance,
+				"%s: %.2fx slower than baseline after calibration (tolerance %.2fx; raw %s vs %s)",
+				row.Name, row.NormRatio, tolerance,
 				time.Duration(row.WallNs).Round(time.Microsecond),
 				time.Duration(row.BaselineWallNs).Round(time.Microsecond)))
 		default:
@@ -206,7 +200,7 @@ func median(xs []float64) float64 {
 func CompareTable(rep *CompareReport) *Table {
 	t := &Table{
 		Title:   fmt.Sprintf("Parallel baseline comparison (calibration %.2fx, tolerance %.2fx)", rep.Calibration, rep.Tolerance),
-		Columns: []string{"benchmark", "workers", "baseline", "current", "norm-ratio", "verdict"},
+		Columns: []string{"benchmark", "baseline", "current", "norm-ratio", "verdict"},
 		Notes: []string{
 			"norm-ratio is the wall ratio divided by the run's median ratio (machine-speed calibration)",
 			fmt.Sprintf("entries with baselines under %s are too noisy to gate and only reported", compareMinWall),
@@ -216,7 +210,7 @@ func CompareTable(rep *CompareReport) *Table {
 		t.Notes = append(t.Notes, "WARNING: "+rep.ProcsWarning)
 	}
 	for _, r := range rep.Rows {
-		t.AddRow(r.Name, r.Workers,
+		t.AddRow(r.Name,
 			time.Duration(r.BaselineWallNs).Round(time.Microsecond),
 			time.Duration(r.WallNs).Round(time.Microsecond),
 			fmt.Sprintf("%.2fx", r.NormRatio), r.Verdict)

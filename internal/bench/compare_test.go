@@ -12,13 +12,13 @@ import (
 )
 
 // mkRows builds matching baseline/current row pairs from (name, baseline
-// wall, current wall) triples, all at j=1 with identical macro-states.
+// wall, current wall) triples, all with identical macro-states.
 func mkRows(t *testing.T, triples [][3]any) (base, cur []ParallelRow) {
 	t.Helper()
 	for _, tr := range triples {
 		name := tr[0].(string)
-		base = append(base, ParallelRow{Name: name, Workers: 1, MacroStates: 100, Wall: tr[1].(time.Duration)})
-		cur = append(cur, ParallelRow{Name: name, Workers: 1, MacroStates: 100, Wall: tr[2].(time.Duration)})
+		base = append(base, ParallelRow{Name: name, MacroStates: 100, Wall: tr[1].(time.Duration)})
+		cur = append(cur, ParallelRow{Name: name, MacroStates: 100, Wall: tr[2].(time.Duration)})
 	}
 	return base, cur
 }
@@ -60,7 +60,7 @@ func TestCompareCatchesSingleRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Regressions) != 1 || !strings.Contains(rep.Regressions[0], "c (j=1)") {
+	if len(rep.Regressions) != 1 || !strings.HasPrefix(rep.Regressions[0], "c: ") {
 		t.Fatalf("regressions = %v, want exactly c", rep.Regressions)
 	}
 	for _, r := range rep.Rows {
@@ -107,11 +107,11 @@ func TestCompareNoisyFloor(t *testing.T) {
 	}
 }
 
-// TestCompareUnmatchedBaseline: no overlapping (name, workers) pairs is an
-// error, not a silent pass.
+// TestCompareUnmatchedBaseline: no entry name in both the run and the
+// baseline is an error, not a silent pass.
 func TestCompareUnmatchedBaseline(t *testing.T) {
-	base := []ParallelRow{{Name: "a", Workers: 4, MacroStates: 1, Wall: time.Second}}
-	cur := []ParallelRow{{Name: "a", Workers: 1, MacroStates: 1, Wall: time.Second}}
+	base := []ParallelRow{{Name: "a", MacroStates: 1, Wall: time.Second}}
+	cur := []ParallelRow{{Name: "b", MacroStates: 1, Wall: time.Second}}
 	if _, err := compareRows(base, cur, 2.0); err == nil {
 		t.Error("want error on zero matched entries")
 	}
@@ -124,7 +124,7 @@ func TestCompareUnmatchedBaseline(t *testing.T) {
 func TestLoadParallelBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.json")
 	b := ParallelBaseline{GoMaxProcs: 1, NumCPU: 1, Rows: []ParallelRow{
-		{Name: "a", Workers: 1, MacroStates: 7, Wall: 123456},
+		{Name: "a", MacroStates: 7, Wall: 123456},
 	}}
 	data, err := json.Marshal(b)
 	if err != nil {
@@ -153,8 +153,8 @@ func TestLoadParallelBaseline(t *testing.T) {
 func TestWriteParallelBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.json")
 	rows := []ParallelRow{
-		{Name: "a", Workers: 1, MacroStates: 7, Wall: 573 * time.Microsecond, Speedup: 1},
-		{Name: "a", Workers: 8, MacroStates: 7, Wall: 338 * time.Microsecond, Speedup: 573.0 / 338},
+		{Name: "a", MacroStates: 7, Wall: 573 * time.Microsecond},
+		{Name: "b", MacroStates: 222, Wall: 338 * time.Microsecond},
 	}
 	if err := WriteParallelBaseline(path, rows); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestCorpusVerdicts(t *testing.T) {
 	for _, e := range Corpus() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			v, err := simplified.New(e.System(), simplified.Options{Workers: 1})
+			v, err := simplified.New(e.System(), simplified.Options{})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

@@ -85,7 +85,7 @@ thread w {
 		minK := datalog.MinCacheSizeEDB(core, goal, 24, edb)
 
 		// Dependency-graph side.
-		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: fv, Val: 1}, Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: fv, Val: 1}})
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func ThreadBoundExperiment(maxN int) ([]ThreadRow, error) {
 			continue
 		}
 		sys := e.System()
-		v, err := simplified.New(sys, simplified.Options{Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func Ablations() ([]AblationRow, error) {
 		}
 		sys := e.System()
 
-		v, err := simplified.New(sys, simplified.Options{Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{})
 		if err != nil {
 			return nil, err
 		}

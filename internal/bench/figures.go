@@ -54,7 +54,7 @@ func Fig3(maxZ int) ([]Fig3Row, error) {
 	var out []Fig3Row
 	for z := 1; z <= maxZ; z++ {
 		sys := fig3System(z)
-		v, err := simplified.New(sys, simplified.Options{Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +109,7 @@ thread worker {
 `
 	sys := lang.MustParseSystem(src)
 	yv, _ := sys.VarByName("y")
-	v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}, Workers: 1})
+	v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}})
 	if err != nil {
 		return "", err
 	}
@@ -153,7 +153,7 @@ thread consumer {
 `, loads)
 		sys := lang.MustParseSystem(src)
 		yv, _ := sys.VarByName("y")
-		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}, Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{Goal: &simplified.Goal{Var: yv, Val: 2}})
 		if err != nil {
 			return nil, err
 		}

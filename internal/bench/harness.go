@@ -23,7 +23,6 @@ type CorpusReport struct {
 // RunEntry verifies a single corpus entry.
 func RunEntry(e Entry) (CorpusReport, error) {
 	v, err := simplified.New(e.System(), simplified.Options{
-		Workers: 1,
 		Trace:   instr.Trace,
 		Metrics: instr.Metrics,
 	})

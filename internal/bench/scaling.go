@@ -30,7 +30,7 @@ func ScalingExperiment() ([]ScalingRow, error) {
 	var out []ScalingRow
 
 	run := func(family string, param int, sys *lang.System) error {
-		v, err := simplified.New(sys, simplified.Options{Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{})
 		if err != nil {
 			return fmt.Errorf("%s(%d): %w", family, param, err)
 		}

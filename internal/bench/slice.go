@@ -23,7 +23,7 @@ func SliceExperiment() ([]SliceRow, error) {
 	var out []SliceRow
 	for _, e := range Corpus() {
 		sliced, stats := analysis.Slice(e.System(), analysis.SliceOptions{})
-		v, err := simplified.New(sliced, simplified.Options{Workers: 1})
+		v, err := simplified.New(sliced, simplified.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s (sliced): %w", e.Name, err)
 		}

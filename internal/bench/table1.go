@@ -40,7 +40,7 @@ func Table1() *Table {
 			t.AddRow("env(nocas)||dis(acyc): PSPACE", "error", err.Error())
 			continue
 		}
-		v, err := simplified.New(sys, simplified.Options{Workers: 1})
+		v, err := simplified.New(sys, simplified.Options{})
 		if err != nil {
 			t.AddRow("env(nocas)||dis(acyc): PSPACE", "error", err.Error())
 			continue
@@ -65,7 +65,7 @@ thread d { regs s; while s != 3 { s = load x }; assert false }
 	} else {
 		for _, k := range []int{1, 3} {
 			u := lang.UnrollSystem(loopSys, k)
-			v, err := simplified.New(u, simplified.Options{Workers: 1})
+			v, err := simplified.New(u, simplified.Options{})
 			if err != nil {
 				t.AddRow("env(nocas)||dis(nocas): beyond PSPACE", "error", err.Error())
 				continue

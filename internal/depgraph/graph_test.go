@@ -14,7 +14,7 @@ import (
 func violationFor(t *testing.T, src string, goal *simplified.Goal) (*lang.System, *simplified.Violation) {
 	t.Helper()
 	sys := lang.MustParseSystem(src)
-	v, err := simplified.New(sys, simplified.Options{Goal: goal, Workers: 1})
+	v, err := simplified.New(sys, simplified.Options{Goal: goal})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 func checkAgainstVerifier(t *testing.T, src string) {
 	t.Helper()
 	sys := lang.MustParseSystem(src)
-	v, err := simplified.New(sys, simplified.Options{Workers: 1})
+	v, err := simplified.New(sys, simplified.Options{})
 	if err != nil {
 		t.Fatalf("verifier: %v", err)
 	}

@@ -98,7 +98,7 @@ func DepthFirst[S, V any](
 		stopAtCap: cfg.StopAtCap,
 	}
 	span := cfg.Trace.Child(cfg.spanName("depth-first"))
-	mon := startMonitor(cfg, cnt, 1, start)
+	mon := startMonitor(cfg, cnt, start)
 
 	var out Outcome
 	for len(f.stack) > 0 && !f.stopped {
@@ -116,6 +116,6 @@ func DepthFirst[S, V any](
 			}
 		}
 	}
-	out.Stats, out.Capped = cnt.snapshot(1, start), f.capped
+	out.Stats, out.Capped = cnt.snapshot(start), f.capped
 	return finish(span, mon, out)
 }

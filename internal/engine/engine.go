@@ -2,30 +2,26 @@
 // simplified-semantics fixpoint (internal/simplified) and the concrete RA
 // instance explorer (internal/ra).
 //
-// It offers two drivers:
+// It offers two sequential drivers, each on the calling goroutine:
 //
-//   - Layered: a deterministic batched-BFS driver. Each frontier layer is
-//     expanded in parallel, but expansion results are committed strictly in
-//     frontier order, so verdicts, witnesses, and all order-sensitive
-//     bookkeeping are bit-identical for every worker count. Its visited set
-//     is a plain map: the sequential commit is its only writer. Expansion
-//     results go to one output slot per frontier position, reused from
-//     layer to layer.
-//   - DepthFirst: a sequential depth-first search on the calling goroutine,
-//     over one LIFO stack and a plain visited map that also stores a
-//     caller value per state (a predecessor edge, for witness
-//     reconstruction). Its order, and so its whole result, is fixed by the
-//     order in which the expansion admits successors.
+//   - Layered: a breadth-first search over one plain visited set. Each
+//     layer's states are expanded in admission order, and each expansion
+//     admits its successors as it builds them, so verdicts, witnesses and
+//     all order-sensitive bookkeeping are fixed by the search alone.
+//   - DepthFirst: a depth-first search over one LIFO stack and a plain
+//     visited map that also stores a caller value per state (a predecessor
+//     edge, for witness reconstruction). Its order, and so its whole
+//     result, is fixed by the order in which the expansion admits
+//     successors.
 //
 // Both honor context cancellation and deadlines, cap the number of admitted
 // states, count the same statistics, and report progress via an optional
-// callback. Each, the worker loop under Layered, and Tick, the drivers'
-// progress ticker, also serve callers that only need independent items
-// evaluated in parallel.
+// callback. Stream evaluates a produced sequence of independent items on
+// worker goroutines and folds their results in order; Tick is the drivers'
+// progress ticker.
 package engine
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -34,9 +30,6 @@ import (
 
 // Config tunes an exploration run.
 type Config struct {
-	// Workers is the number of Layered's worker goroutines; <= 0 selects
-	// GOMAXPROCS. DepthFirst runs on the calling goroutine alone.
-	Workers int
 	// MaxStates caps the number of admitted states (0 = unlimited). The
 	// root counts as the first admitted state.
 	MaxStates int
@@ -52,9 +45,7 @@ type Config struct {
 	ProgressEvery time.Duration
 	// Trace, when non-nil, is the parent span under which the engine
 	// records its run span (named SpanName, default "depth-first"/"layered")
-	// and, for Layered, one child span per BFS layer. Layer spans are
-	// opened from the sequential layer loop, so their IDs are
-	// deterministic at every worker count.
+	// and, for Layered, one child span per BFS layer.
 	Trace *obs.Span
 	// SpanName overrides the run span's name.
 	SpanName string
@@ -63,13 +54,6 @@ type Config struct {
 	// latency histogram. With a nil registry every instrumentation site is
 	// a single pointer check.
 	Metrics *obs.Registry
-}
-
-func (cfg Config) workers() int {
-	if cfg.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return cfg.Workers
 }
 
 func (cfg Config) progressEvery() time.Duration {
@@ -95,7 +79,8 @@ type Stats struct {
 	PeakFrontier int64
 	// Wall is the wall-clock duration of the run.
 	Wall time.Duration
-	// Workers is the resolved worker count.
+	// Workers is the number of goroutines that searched: 1 for both
+	// drivers.
 	Workers int
 }
 
@@ -118,8 +103,8 @@ type Outcome struct {
 	Err error
 }
 
-// counters holds the counters of one run. Only the driver's sequential loop
-// writes them; they are atomic because the monitor reads them concurrently.
+// counters holds the counters of one run. Only the driver's loop writes
+// them; they are atomic because the monitor reads them concurrently.
 type counters struct {
 	states      atomic.Int64
 	transitions atomic.Int64
@@ -143,14 +128,14 @@ func (c *counters) bumpPeak(n int64) {
 	}
 }
 
-func (c *counters) snapshot(workers int, start time.Time) Stats {
+func (c *counters) snapshot(start time.Time) Stats {
 	return Stats{
 		States:       c.states.Load(),
 		Transitions:  c.transitions.Load(),
 		DedupHits:    c.dedupHits.Load(),
 		PeakFrontier: c.peak.Load(),
 		Wall:         time.Since(start),
-		Workers:      workers,
+		Workers:      1,
 	}
 }
 
@@ -177,7 +162,7 @@ func (m *monitor) publish(s Stats) {
 // are enabled. Call stop with the run's final Stats: it emits that exact
 // snapshot as the last progress callback, so the terminal Progress values
 // always equal the returned Outcome.Stats.
-func startMonitor(cfg Config, cnt *counters, workers int, start time.Time) *monitor {
+func startMonitor(cfg Config, cnt *counters, start time.Time) *monitor {
 	if cfg.Progress == nil && cfg.Metrics == nil {
 		return nil
 	}
@@ -189,7 +174,7 @@ func startMonitor(cfg Config, cnt *counters, workers int, start time.Time) *moni
 		m.gPeak = r.Gauge("paramra_engine_peak_frontier", "largest frontier observed (current run)")
 	}
 	m.stopTick = Tick(cfg.progressEvery(), func() {
-		s := cnt.snapshot(workers, start)
+		s := cnt.snapshot(start)
 		m.publish(s)
 		if m.progress != nil {
 			m.progress(s)

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // gridExpand builds a synthetic search space: states are (x, y) grid points
@@ -29,8 +31,6 @@ func gridExpand(n int) func(s [2]int, key string, f *Frontier[[2]int, struct{}])
 	}
 }
 
-func noScratch() struct{} { return struct{}{} }
-
 // runGrid explores the grid of side n from (0, 0).
 func runGrid(cfg Config, n int) Outcome {
 	return DepthFirst(context.Background(), cfg, map[string]struct{}{}, [2]int{0, 0}, "0,0", struct{}{}, gridExpand(n))
@@ -38,7 +38,7 @@ func runGrid(cfg Config, n int) Outcome {
 
 func TestExploreGridCounts(t *testing.T) {
 	const n = 40
-	out := runGrid(Config{Workers: 8}, n)
+	out := runGrid(Config{}, n)
 	if !out.Complete || out.Halted {
 		t.Fatalf("outcome %+v", out)
 	}
@@ -51,7 +51,7 @@ func TestExploreGridCounts(t *testing.T) {
 		t.Errorf("states+dedup=%d != transitions=%d (grid has no other edges)", got, out.Stats.Transitions)
 	}
 	if out.Stats.Workers != 1 {
-		t.Errorf("workers=%d, want 1 whatever Config.Workers says", out.Stats.Workers)
+		t.Errorf("workers=%d, want 1", out.Stats.Workers)
 	}
 }
 
@@ -129,31 +129,22 @@ func TestStopAtCap(t *testing.T) {
 		out := DepthFirst(context.Background(), cfg, map[string]struct{}{}, [2]int{0, 0}, "0,0", struct{}{}, expand)
 		return out, expanded
 	}
-	layeredAt := func(workers int) run {
-		return func(n int, cfg Config) (Outcome, int64) {
-			var expanded atomic.Int64
-			expand := func(_ struct{}, s [2]int, _ func([]byte) bool, e *[][2]int) {
-				expanded.Add(1)
-				*e = (*e)[:0]
-				for d := 0; d < 2; d++ {
-					ns := s
-					if ns[d]++; ns[d] <= n {
-						*e = append(*e, ns)
-					}
+	layered := func(n int, cfg Config) (Outcome, int64) {
+		var expanded int64
+		expand := func(s [2]int, adm *Admitter[[2]int]) any {
+			expanded++
+			for d := 0; d < 2; d++ {
+				ns := s
+				if ns[d]++; ns[d] <= n {
+					adm.AddBytes([]byte(key(ns)), ns)
 				}
 			}
-			commit := func(_ int, _ [2]int, e *[][2]int, adm *Admitter[[2]int]) any {
-				for _, ns := range *e {
-					adm.Add(key(ns), ns)
-				}
-				return nil
-			}
-			cfg.Workers = workers
-			out := Layered(context.Background(), cfg, [2]int{0, 0}, "0,0", noScratch, expand, commit)
-			return out, expanded.Load()
+			return nil
 		}
+		out := Layered(context.Background(), cfg, [2]int{0, 0}, "0,0", expand)
+		return out, expanded
 	}
-	for name, run := range map[string]run{"depth-first": depthFirst, "layered j=1": layeredAt(1), "layered j=4": layeredAt(4)} {
+	for name, run := range map[string]run{"depth-first": depthFirst, "layered": layered} {
 		_, fullExp := run(1000, Config{MaxStates: 100})
 		stop, stopExp := run(1000, Config{MaxStates: 100, StopAtCap: true})
 		if !stop.Capped || stop.Complete || stop.Stats.States != 100 {
@@ -240,88 +231,162 @@ func TestExplorePredChainWitness(t *testing.T) {
 	}
 }
 
-func TestLayeredDeterministicAcrossWorkers(t *testing.T) {
-	// Expansion yields successors whose commit order determines a recorded
-	// trace; the trace must be identical for every worker count. The grid's
-	// layers grow past serialBelow, so at j>1 the seen probes run
-	// concurrently against the visited set.
+// TestLayeredGridOrder pins Layered's order on the grid: it admits states
+// exactly as a plain breadth-first search over a queue does, expanding each
+// layer in admission order, and counts every examined edge as an admission
+// or a dedup hit.
+func TestLayeredGridOrder(t *testing.T) {
 	const n = 40
-	type exp struct {
-		succs [][2]int
-		dedup int64
-	}
 	key := func(s [2]int) string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
-	run := func(workers int) ([]string, Outcome) {
-		var trace []string
-		expand := func(_ struct{}, s [2]int, seen func([]byte) bool, e *exp) {
-			for d := 0; d < 2; d++ {
-				ns := s
-				ns[d]++
-				if ns[d] > n {
-					continue
-				}
-				if seen([]byte(key(ns))) {
-					e.dedup++
-					continue
-				}
-				e.succs = append(e.succs, ns)
+	succs := func(s [2]int) (out [][2]int) {
+		for d := 0; d < 2; d++ {
+			ns := s
+			if ns[d]++; ns[d] <= n {
+				out = append(out, ns)
 			}
 		}
-		commit := func(i int, s [2]int, e *exp, adm *Admitter[[2]int]) any {
-			adm.AddTransitions(int64(len(e.succs)) + e.dedup)
-			adm.AddDedup(e.dedup)
-			for _, ns := range e.succs {
-				if adm.Add(key(ns), ns) {
-					trace = append(trace, key(ns))
-				}
-			}
-			e.succs, e.dedup = e.succs[:0], 0
-			return nil
-		}
-		out := Layered(context.Background(), Config{Workers: workers}, [2]int{0, 0}, "0,0", noScratch, expand, commit)
-		return trace, out
+		return out
 	}
-	base, baseOut := run(1)
-	if want := int64((n + 1) * (n + 1)); baseOut.Stats.States != want {
-		t.Fatalf("states=%d want %d", baseOut.Stats.States, want)
-	}
-	for _, workers := range []int{2, 8} {
-		got, out := run(workers)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: trace length %d vs %d", workers, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: admission order diverges at %d: %q vs %q", workers, i, got[i], base[i])
+
+	var order []string
+	expand := func(s [2]int, adm *Admitter[[2]int]) any {
+		next := succs(s)
+		adm.AddTransitions(int64(len(next)))
+		for _, ns := range next {
+			if adm.AddBytes([]byte(key(ns)), ns) {
+				order = append(order, key(ns))
 			}
 		}
-		if o, b := out.Stats, baseOut.Stats; o.States != b.States || o.Transitions != b.Transitions || o.DedupHits != b.DedupHits {
-			t.Errorf("workers=%d: stats diverge: %+v vs %+v", workers, o, b)
+		return nil
+	}
+	out := Layered(context.Background(), Config{}, [2]int{0, 0}, "0,0", expand)
+
+	var want []string
+	seen := map[string]bool{"0,0": true}
+	for queue := [][2]int{{0, 0}}; len(queue) > 0; queue = queue[1:] {
+		for _, ns := range succs(queue[0]) {
+			if k := key(ns); !seen[k] {
+				seen[k] = true
+				want = append(want, k)
+				queue = append(queue, ns)
+			}
 		}
-		// Every examined edge is either admitted or a dedup hit.
-		if got := out.Stats.States - 1 + out.Stats.DedupHits; got != out.Stats.Transitions {
-			t.Errorf("workers=%d: states+dedup=%d != transitions=%d", workers, got, out.Stats.Transitions)
-		}
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("admission order differs from a plain BFS (%d vs %d states)", len(order), len(want))
+	}
+	if !out.Complete || out.Stats.States != (n+1)*(n+1) || out.Stats.Workers != 1 {
+		t.Errorf("outcome %+v, want complete over %d states on one worker", out, (n+1)*(n+1))
+	}
+	// The widest layer is the grid's longest anti-diagonal.
+	if out.Stats.PeakFrontier != n+1 {
+		t.Errorf("peak frontier %d, want %d", out.Stats.PeakFrontier, n+1)
+	}
+	if got := out.Stats.States - 1 + out.Stats.DedupHits; got != out.Stats.Transitions {
+		t.Errorf("states+dedup=%d != transitions=%d", got, out.Stats.Transitions)
 	}
 }
 
+// TestLayeredHaltFirstInOrder: every state of a binary tree's third layer
+// halts; the first one in layer order wins, nothing after it is expanded,
+// and the successors its expansion admitted before halting stay admitted.
 func TestLayeredHaltFirstInOrder(t *testing.T) {
-	// Two items of the same layer can halt; the lower index must win for
-	// every worker count.
-	expand := func(_ struct{}, s int, seen func([]byte) bool, e *int) { *e = s }
-	commit := func(i int, s int, e *int, adm *Admitter[int]) any {
+	var expanded []int
+	expand := func(s int, adm *Admitter[int]) any {
+		expanded = append(expanded, s)
+		adm.AddBytes([]byte(fmt.Sprint(2*s)), 2*s)
 		if depthOf(s) == 3 {
-			return fmt.Sprintf("halt-%d", i)
+			return fmt.Sprintf("halt-%d", s)
 		}
-		adm.Add(fmt.Sprintf("%d", 2*s), 2*s)
-		adm.Add(fmt.Sprintf("%d", 2*s+1), 2*s+1)
+		adm.AddBytes([]byte(fmt.Sprint(2*s+1)), 2*s+1)
 		return nil
 	}
-	for _, workers := range []int{1, 2, 8} {
-		out := Layered(context.Background(), Config{Workers: workers}, 1, "1", noScratch, expand, commit)
-		if !out.Halted || out.HaltTag != "halt-0" {
-			t.Errorf("workers=%d: halt tag %v, want halt-0", workers, out.HaltTag)
+	out := Layered(context.Background(), Config{}, 1, "1", expand)
+	if !out.Halted || out.Complete || out.HaltTag != "halt-8" {
+		t.Errorf("halted=%v complete=%v tag=%v, want halt-8", out.Halted, out.Complete, out.HaltTag)
+	}
+	if want := []int{1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(expanded, want) {
+		t.Errorf("expanded %v, want %v", expanded, want)
+	}
+	// 15 states in the first four layers, plus 16 admitted by 8.
+	if out.Stats.States != 16 {
+		t.Errorf("states=%d, want 16", out.Stats.States)
+	}
+}
+
+// TestLayeredStopAtCapEndsAfterTheExpansion: with StopAtCap the run ends
+// after the expansion in which the cap first keeps a state out, not at
+// that state: the rest of the expansion still runs, and its halt tag loses
+// to the cap.
+func TestLayeredStopAtCapEndsAfterTheExpansion(t *testing.T) {
+	var expanded []int
+	var refused []int
+	expand := func(s int, adm *Admitter[int]) any {
+		expanded = append(expanded, s)
+		for _, ns := range []int{2 * s, 2*s + 1} {
+			if !adm.AddBytes([]byte(fmt.Sprint(ns)), ns) {
+				refused = append(refused, ns)
+			}
 		}
+		if s == 3 {
+			return "boom"
+		}
+		return nil
+	}
+	out := Layered(context.Background(), Config{MaxStates: 5, StopAtCap: true}, 1, "1", expand)
+	// 1 admits 2 and 3, 2 admits 4 and 5, and the cap keeps out both of
+	// 3's successors.
+	if want := []int{1, 2, 3}; !slices.Equal(expanded, want) {
+		t.Errorf("expanded %v, want %v", expanded, want)
+	}
+	if want := []int{6, 7}; !slices.Equal(refused, want) {
+		t.Errorf("refused %v, want %v", refused, want)
+	}
+	if !out.Capped || out.Halted || out.Complete || out.Stats.States != 5 {
+		t.Errorf("outcome %+v, want capped at 5 states with no halt", out)
+	}
+}
+
+// TestLayeredCancelBetweenExpansions: a cancellation is seen right after
+// the expansion during which it happened, also when that expansion is the
+// search's last one or reports a halt.
+func TestLayeredCancelBetweenExpansions(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cancelAt int  // state whose expansion cancels
+		last     int  // states beyond it have no successors
+		halt     bool // the cancelling expansion also reports a halt
+	}{
+		{"mid-layer", 10, 1 << 20, false},
+		{"last-expansion", 15, 15, false},
+		{"with-halt", 10, 1 << 20, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var expanded []int
+			expand := func(s int, adm *Admitter[int]) any {
+				expanded = append(expanded, s)
+				if 2*s+1 <= tc.last {
+					adm.AddBytes([]byte(fmt.Sprint(2*s)), 2*s)
+					adm.AddBytes([]byte(fmt.Sprint(2*s+1)), 2*s+1)
+				}
+				if s == tc.cancelAt {
+					cancel()
+					if tc.halt {
+						return "boom"
+					}
+				}
+				return nil
+			}
+			out := Layered(ctx, Config{}, 1, "1", expand)
+			if out.Err == nil || out.Complete || out.Halted {
+				t.Errorf("outcome %+v, want a cancelled run with no halt", out)
+			}
+			if got := expanded[len(expanded)-1]; got != tc.cancelAt {
+				t.Errorf("last expansion %d, want %d", got, tc.cancelAt)
+			}
+		})
 	}
 }
 
@@ -332,4 +397,28 @@ func depthOf(s int) int {
 		d++
 	}
 	return d
+}
+
+func TestTickStopWaitsForTheGoroutine(t *testing.T) {
+	var ticks atomic.Int64
+	var inF atomic.Bool
+	first := make(chan struct{})
+	stop := Tick(time.Microsecond, func() {
+		inF.Store(true)
+		if ticks.Add(1) == 1 {
+			close(first)
+		}
+		time.Sleep(time.Millisecond)
+		inF.Store(false)
+	})
+	<-first
+	stop()
+	if inF.Load() {
+		t.Fatal("f still running after stop returned")
+	}
+	n := ticks.Load()
+	time.Sleep(5 * time.Millisecond)
+	if got := ticks.Load(); got != n {
+		t.Errorf("%d ticks after stop returned", got-n)
+	}
 }

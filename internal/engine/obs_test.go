@@ -22,20 +22,13 @@ func chainExpand(n int) func(int, string, *Frontier[int, struct{}]) any {
 
 // chainLayered runs the chain of chainExpand on Layered.
 func chainLayered(cfg Config, n int) Outcome {
-	return Layered(context.Background(), cfg, 0, "0", noScratch,
-		func(_ struct{}, s int, _ func([]byte) bool, next *[]int) {
-			*next = (*next)[:0]
-			if s < n {
-				*next = append(*next, s+1)
-			}
-		},
-		func(_ int, _ int, next *[]int, adm *Admitter[int]) any {
-			adm.AddTransitions(int64(len(*next)))
-			for _, ns := range *next {
-				adm.Add(fmt.Sprint(ns), ns)
-			}
-			return nil
-		})
+	return Layered(context.Background(), cfg, 0, "0", func(s int, adm *Admitter[int]) any {
+		if s < n {
+			adm.AddTransitions(1)
+			adm.AddBytes([]byte(fmt.Sprint(s+1)), s+1)
+		}
+		return nil
+	})
 }
 
 // TestFinalProgressEqualsOutcomeStats pins the terminal-snapshot contract:
@@ -44,7 +37,6 @@ func chainLayered(cfg Config, n int) Outcome {
 func TestFinalProgressEqualsOutcomeStats(t *testing.T) {
 	var last Stats
 	cfg := Config{
-		Workers:       2,
 		Progress:      func(s Stats) { last = s },
 		ProgressEvery: time.Millisecond,
 	}
@@ -68,7 +60,7 @@ func TestEngineTraceAndMetrics(t *testing.T) {
 		tr := obs.NewTracer(&buf)
 		root := tr.Start("test", nil)
 		reg := obs.NewRegistry()
-		cfg := Config{Workers: 2, Trace: root, Metrics: reg}
+		cfg := Config{Trace: root, Metrics: reg}
 		if driver == "depth-first" {
 			DepthFirst(context.Background(), cfg, map[string]struct{}{}, 0, "0", struct{}{}, chainExpand(50))
 		} else {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -13,11 +14,13 @@ import (
 // that runs ahead of a stopping item wastes at most that much work.
 const streamDepthPerWorker = 8
 
-// Stream is Each over a sequence that is produced as it is consumed.
-// produce hands items to emit in order; work turns each into a result on
-// one of up to workers goroutines, with Each's per-worker contract for w;
-// and fold receives the results in emission order, on the goroutine that
-// called Stream: inside emit, or after produce has returned.
+// Stream evaluates a sequence that is produced as it is consumed. produce
+// hands items to emit in order; work turns each into a result on one of
+// workers goroutines, where w is the goroutine's index in [0, workers), so
+// calls with the same w never overlap and work may keep per-worker state
+// in a slice indexed by w; and fold receives the results in emission
+// order, on the goroutine that called Stream: inside emit, or after
+// produce has returned.
 //
 // work also reports whether the stream stops at its item. The stream stops
 // at the first item in emission order whose work says so: fold receives
@@ -69,12 +72,13 @@ func Stream[T, R any](ctx context.Context, workers int, produce func(ctx context
 	// limit is the least index whose work said stop so far.
 	var limit atomic.Int64
 	limit.Store(math.MaxInt64)
-	joined := make(chan struct{})
-	go func() {
-		defer close(joined)
-		// The worker loops must drain every job, so they run whatever ctx
-		// says; work sees its cancellation through wctx.
-		Each(context.WithoutCancel(ctx), workers, workers, func(w, _ int) {
+	// The worker loops must drain every job, so they run whatever ctx
+	// says; work sees its cancellation through wctx.
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for j := range jobs {
 				r := result{i: j.i, done: true}
 				if int64(j.i) < limit.Load() {
@@ -87,8 +91,8 @@ func Stream[T, R any](ctx context.Context, workers int, produce func(ctx context
 				}
 				done <- r
 			}
-		})
-	}()
+		}()
+	}
 
 	// The results of the held items, by index modulo depth; only this
 	// goroutine touches them.
@@ -135,6 +139,6 @@ func Stream[T, R any](ctx context.Context, workers int, produce func(ctx context
 		take(<-done)
 	}
 	cancelWork()
-	<-joined
+	wg.Wait()
 	return err
 }

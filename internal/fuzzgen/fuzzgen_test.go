@@ -117,7 +117,6 @@ func TestCheckFixpointUnsafeHasDependencyGraph(t *testing.T) {
 	}
 	rep := Check(context.Background(), e.System(), CheckOptions{
 		MaxMacroStates: 200_000,
-		Parallelism2:   -1,
 		NoDatalog:      true,
 		NoConcrete:     true,
 		NoPrepass:      true,

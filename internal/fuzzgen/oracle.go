@@ -14,7 +14,6 @@ import (
 // Backend names used in verdicts, disagreement kinds and fault injection.
 const (
 	BackendFixpoint = "fixpoint"
-	BackendParallel = "fixpoint-par"
 	BackendDatalog  = "datalog"
 	BackendSlice    = "slice"
 	BackendConcrete = "concrete"
@@ -39,9 +38,6 @@ type CheckOptions struct {
 	// ConfirmMaxN caps env-thread counts for concrete confirmation
 	// (default 2).
 	ConfirmMaxN int
-	// Parallelism2 is the second worker count of the determinism check
-	// (default 2; < 0 disables the check).
-	Parallelism2 int
 	// NoDatalog / NoConcrete / NoPrepass / NoCache skip the corresponding
 	// backends (for narrow campaigns).
 	NoDatalog  bool
@@ -70,9 +66,6 @@ func (o CheckOptions) withDefaults() CheckOptions {
 	}
 	if o.ConfirmMaxN == 0 {
 		o.ConfirmMaxN = 2
-	}
-	if o.Parallelism2 == 0 {
-		o.Parallelism2 = 2
 	}
 	return o
 }
@@ -198,39 +191,7 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		disagree("depgraph", "fixpoint violation has no dependency graph: %s", fix.ErrClass)
 	}
 
-	// Backend 2: the same fixpoint at a different worker count. The layered
-	// engine promises bit-identical verdicts, witnesses and stats.
-	if opts.Parallelism2 > 0 {
-		popts := base
-		popts.Parallelism = opts.Parallelism2
-		pRes, pErr := paramra.Verify(ctx, work, popts)
-		par := Verdict{
-			Backend: BackendParallel, Ran: true,
-			Unsafe:   applyFault(BackendParallel, pRes.Unsafe),
-			Complete: pRes.Complete,
-			ErrClass: classifyErr(pErr),
-		}
-		rep.Verdicts = append(rep.Verdicts, par)
-		if fix.ErrClass != "cancelled" && par.ErrClass != "cancelled" {
-			switch {
-			case fix.ErrClass != par.ErrClass:
-				disagree("determinism", "fixpoint j=1 error %q vs j=%d error %q", fix.ErrClass, opts.Parallelism2, par.ErrClass)
-			case fix.ErrClass == "":
-				if fix.Unsafe != par.Unsafe || fix.Complete != par.Complete {
-					disagree("determinism", "fixpoint j=1 (unsafe=%v complete=%v) vs j=%d (unsafe=%v complete=%v)",
-						fix.Unsafe, fix.Complete, opts.Parallelism2, par.Unsafe, par.Complete)
-				} else if fixRes.Stats.MacroStates != pRes.Stats.MacroStates {
-					disagree("determinism", "fixpoint macro-states differ across worker counts: %d vs %d",
-						fixRes.Stats.MacroStates, pRes.Stats.MacroStates)
-				} else if fmt.Sprint(fixRes.Witness) != fmt.Sprint(pRes.Witness) {
-					disagree("determinism", "fixpoint witness differs across worker counts:\n%v\nvs\n%v",
-						fixRes.Witness, pRes.Witness)
-				}
-			}
-		}
-	}
-
-	// Backend 3: makeP → Datalog (Theorem 4.1). Needs an env program.
+	// Backend 2: makeP → Datalog (Theorem 4.1). Needs an env program.
 	if !opts.NoDatalog {
 		dl := Verdict{Backend: BackendDatalog}
 		if work.Env == nil {
@@ -252,7 +213,7 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		comparePair(rep, disagree, fix, dl)
 	}
 
-	// Backend 4: verdict-preserving slicer in front of the fixpoint.
+	// Backend 3: verdict-preserving slicer in front of the fixpoint.
 	{
 		sliced, _ := paramra.Slice(work)
 		sRes, sErr := paramra.Verify(ctx, sliced, base)
@@ -266,7 +227,7 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		comparePair(rep, disagree, fix, sl)
 	}
 
-	// Backend 5: bounded concrete RA exploration (Figure 2) of small
+	// Backend 4: bounded concrete RA exploration (Figure 2) of small
 	// instances. An UNSAFE instance refutes a definitive SAFE symbolic
 	// verdict outright; for env-less systems an exhausted instance search
 	// is the exact parameterized answer.
@@ -275,7 +236,7 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		rep.Verdicts = append(rep.Verdicts, conc)
 	}
 
-	// Backend 6: when the fixpoint proves UNSAFE, Theorem 3.4 promises a
+	// Backend 5: when the fixpoint proves UNSAFE, Theorem 3.4 promises a
 	// concrete instance within the §4.3 env-thread bound. Failing to
 	// confirm with uncapped instance searches inside that bound is a
 	// disagreement.
@@ -307,7 +268,7 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		rep.Verdicts = append(rep.Verdicts, cf)
 	}
 
-	// Backend 7: the static abstract-interpretation prepass. It never
+	// Backend 6: the static abstract-interpretation prepass. It never
 	// errors — it decides systems the symbolic backends reject (env CAS,
 	// cyclic dis) — so it joins only the definitive-vs-definitive
 	// comparisons, never the error-shape ones. Both of its fast paths claim
@@ -332,7 +293,7 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		rep.Verdicts = append(rep.Verdicts, pre)
 	}
 
-	// Backend 8: the content-addressed verdict cache. Three runs through a
+	// Backend 7: the content-addressed verdict cache. Three runs through a
 	// fresh cache — cold, warm (identical resubmission), and a renamed
 	// clone — must agree with each other, and the cold run must agree with
 	// the fixpoint reference like any other backend.

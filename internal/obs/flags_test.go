@@ -12,6 +12,7 @@ func TestFlagsRegisterSpelling(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	f := RegisterFlags(fs)
 	f.RegisterRunFlags(fs)
+	f.RegisterWorkersFlag(fs)
 	for _, name := range []string{
 		"j", "timeout", "trace-out", "metrics-addr", "metrics-out",
 		"pprof-addr", "cpuprofile", "memprofile",

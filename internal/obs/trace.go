@@ -29,8 +29,8 @@ type traceEvent struct {
 
 // Tracer records hierarchical phase spans as JSONL events. Span IDs are a
 // per-tracer sequence, so any code path that starts spans in a fixed order
-// (the pipeline phases, the layered engine's sequential layer loop) gets
-// identical IDs on every run and at every worker count. The tracer is safe
+// (the pipeline phases, the layered engine's layer loop) gets identical
+// IDs on every run. The tracer is safe
 // for concurrent use; individual spans are too (attrs are mutex-guarded).
 type Tracer struct {
 	mu   sync.Mutex

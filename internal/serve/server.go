@@ -42,9 +42,10 @@ type Config struct {
 	MaxStatesCap int
 	// MaxParallelism caps the per-request worker count (default GOMAXPROCS).
 	MaxParallelism int
-	// Parallelism is the worker count used when the request names none
-	// (default 0 = GOMAXPROCS). The concrete explorer behind the prepass
-	// replay, /v1/instance and /v1/deadlocks always runs on one.
+	// Parallelism is the Datalog backend's worker count used when the
+	// request names none (default 0 = GOMAXPROCS). The fixpoint and the
+	// concrete explorer behind the prepass replay, /v1/instance and
+	// /v1/deadlocks always run on one.
 	Parallelism int
 	// MaxEnvThreads caps the instance size of /v1/instance and /v1/deadlocks
 	// (default 16).

@@ -196,8 +196,8 @@ type RequestOptions struct {
 	MaxMacroStates int `json:"maxMacroStates,omitempty"`
 	// MaxSkeletons caps Datalog skeleton enumeration (0 = backend default).
 	MaxSkeletons int `json:"maxSkeletons,omitempty"`
-	// Parallelism is the worker count (0 = server default; capped by the
-	// server's per-request parallelism cap).
+	// Parallelism is the Datalog backend's worker count (0 = server
+	// default; capped by the server's per-request parallelism cap).
 	Parallelism int `json:"parallelism,omitempty"`
 	// UnrollDis unrolls looping dis threads (bounded under-approximation).
 	UnrollDis int `json:"unrollDis,omitempty"`
@@ -351,7 +351,7 @@ func InstanceVerdict(r paramra.InstanceResult) string {
 
 // VerdictCore is the deterministic kernel of a verify response: the fields
 // that do not depend on timing or on engine-scheduling counters. They are
-// identical across worker counts and repeated runs; a prepass UNSAFE
+// identical across Parallelism values and repeated runs; a prepass UNSAFE
 // witness too, since the replay is one sequential search. The soak harness
 // compares these bytes between the live server and a local library run.
 type VerdictCore struct {

@@ -97,7 +97,7 @@ type EnvSet struct {
 	// keeps its position for good (cloning and renumbering included), so
 	// saturation worklists hold positions, and iterating in this order
 	// makes first-derivation provenance (and with it witnesses and §4.3
-	// bounds) reproducible across runs and worker counts.
+	// bounds) reproducible across runs.
 	Configs []AThread
 	// configPos maps each configuration's key to its position; it serves
 	// only the duplicate probe.

@@ -18,8 +18,8 @@ import (
 // tests).
 func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lang.Val]bool, Stats, bool) {
 	// Force MG mode with an unreachable goal so asserts are inert and the
-	// search never exits early. The engine's expand goroutines only read
-	// opts, so the temporary mutation is race-free.
+	// search never exits early. The search runs on this goroutine, and the
+	// goal is restored when it returns.
 	savedGoal := v.opts.Goal
 	v.opts.Goal = &Goal{Var: 0, Val: -1}
 	defer func() { v.opts.Goal = savedGoal }()

@@ -7,24 +7,19 @@ import (
 	"paramra/internal/lang"
 )
 
-// TestInventoryMatchesGoalQueries: the inventory, at one and at two
-// workers, must agree with a per-(variable, value) Goal query across the
-// whole value space — a strong cross-check between the two MG code paths.
+// TestInventoryMatchesGoalQueries: the inventory must agree with a
+// per-(variable, value) Goal query across the whole value space — a strong
+// cross-check between the two MG code paths.
 func TestInventoryMatchesGoalQueries(t *testing.T) {
-	workerCounts := []int{1, 2}
 	for name, src := range propertyCorpus() {
 		sys := lang.MustParseSystem(src)
-		var invs []map[lang.VarID]map[lang.Val]bool
-		for _, workers := range workerCounts {
-			v, err := New(sys, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			inv, _, complete := v.InventoryContext(context.Background())
-			if !complete {
-				t.Fatalf("%s j=%d: inventory incomplete", name, workers)
-			}
-			invs = append(invs, inv)
+		v, err := New(sys, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		inv, _, complete := v.InventoryContext(context.Background())
+		if !complete {
+			t.Fatalf("%s: inventory incomplete", name)
 		}
 		for vi := range sys.Vars {
 			for d := 0; d < sys.Dom; d++ {
@@ -34,11 +29,9 @@ func TestInventoryMatchesGoalQueries(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := verify1(gv).Unsafe
-				for i, inv := range invs {
-					if got := inv[lang.VarID(vi)][lang.Val(d)]; got != want {
-						t.Errorf("%s j=%d: inventory(%s,%d)=%v but goal query says %v",
-							name, workerCounts[i], sys.Vars[vi], d, got, want)
-					}
+				if got := inv[lang.VarID(vi)][lang.Val(d)]; got != want {
+					t.Errorf("%s: inventory(%s,%d)=%v but goal query says %v",
+						name, sys.Vars[vi], d, got, want)
 				}
 			}
 		}

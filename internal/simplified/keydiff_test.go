@@ -24,8 +24,7 @@ import (
 )
 
 // diffOne cross-checks one system: reference exploration vs the canonical
-// search, the sequential reference search and VerifyContext at several
-// worker counts. cap bounds the reference search (0 = unbounded); a
+// search, the sequential reference search and VerifyContext. cap bounds the reference search (0 = unbounded); a
 // capped-out reference skips the system. shared is the number of states
 // whose dis memory an earlier state of the reference search reached, on
 // which the env-set lemma was checked.
@@ -56,7 +55,7 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 	if cap > 0 {
 		prodCap = 2 * cap // never binds when the reference completed
 	}
-	vcan, err := simplified.New(sys, simplified.Options{MaxMacroStates: prodCap, Workers: 1})
+	vcan, err := simplified.New(sys, simplified.Options{MaxMacroStates: prodCap})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -101,13 +100,11 @@ func diffOne(t *testing.T, name string, sys *lang.System, cap int) (checked bool
 		t.Fatalf("%s: %v", name, err)
 	}
 	check("sequential", simplified.SequentialVerifyForTest(vseq))
-	for _, j := range []int{1, 2, 8} {
-		vj, err := simplified.New(sys, simplified.Options{Workers: j, MaxMacroStates: prodCap})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		check(fmt.Sprintf("parallel j=%d", j), vj.VerifyContext(context.Background()))
+	vlay, err := simplified.New(sys, simplified.Options{MaxMacroStates: prodCap})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
+	check("layered", vlay.VerifyContext(context.Background()))
 	return true, ref.SharedMemories
 }
 

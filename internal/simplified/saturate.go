@@ -132,8 +132,8 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 	env := &st.env
 	// Worklist of configuration positions, seeded and re-seeded in
 	// insertion order so the first derivation of each config/message is
-	// the same for every run and worker count (stable provenance ⇒ stable
-	// witnesses and bounds). The worklist and the slots live on the exec
+	// the same for every run (stable provenance ⇒ stable witnesses and
+	// bounds). The worklist and the slots live on the exec
 	// and are reused across the successor saturations of one expansion.
 	ex.satWork = ex.satWork[:0]
 	ex.satSlots = ex.satSlots[:0]

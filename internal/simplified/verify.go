@@ -40,18 +40,13 @@ type Options struct {
 	// Goal, when non-nil, switches from assert-reachability to the Message
 	// Generation problem for the given (variable, value) pair.
 	Goal *Goal
-	// Workers is the number of expansion goroutines used by VerifyContext
-	// (<= 0 selects GOMAXPROCS). Verdicts, witnesses and §4.3 bounds are
-	// identical for every worker count (see the layered engine).
-	Workers int
 	// Progress, when non-nil, receives periodic engine stats snapshots
 	// during VerifyContext.
 	Progress func(engine.Stats)
 	// Trace, when non-nil, is the parent span under which the verifier
 	// records its phase spans: well-formedness (New), fixpoint,
-	// init-saturate, and the engine's per-layer spans. All spans are
-	// opened from sequential code, so IDs are deterministic at any
-	// worker count.
+	// init-saturate, and the engine's per-layer spans, in a deterministic
+	// order.
 	Trace *obs.Span
 	// Metrics, when non-nil, receives verifier metrics (saturation
 	// latencies and step counts, env-set high-water marks) on top of the
@@ -120,7 +115,7 @@ type Result struct {
 	Stats     Stats
 	Violation *Violation
 	// Engine carries the engine-level counters (dedup hits, peak frontier,
-	// wall time, workers) of the run.
+	// wall time) of the run.
 	Engine engine.Stats
 	// Err is the context error when VerifyContext was cancelled, else nil.
 	Err error
@@ -219,10 +214,9 @@ func (v *Verifier) initState() *state {
 	return st
 }
 
-// exec is the mutable context of an expansion: its statistics and the
-// scratch it reuses. VerifyContext gives every engine worker its own exec
-// for the run, whose statistics each expansion hands to its output slot for
-// the sequential commit to add up.
+// exec is the mutable context of a search: its statistics and the scratch
+// its expansions reuse. A fixpoint search runs on one exec from its
+// initial saturation to its result.
 type exec struct {
 	v *Verifier
 	// ctx, when non-nil, is polled by saturate.
@@ -242,8 +236,8 @@ type exec struct {
 	satSlots []satSlot
 	ltBuf    []loadTarget
 	// outBuf backs disSuccessors' result slice; it is consumed within the
-	// expansion. Successor states escape into the next layer — only the
-	// slice header is recycled.
+	// expansion. Admitted successor states escape into the next layer —
+	// only the slice header is recycled.
 	outBuf []*state
 	// mv is the move eachDisMove fills and yields.
 	mv disMove
@@ -256,9 +250,10 @@ type exec struct {
 	// paths off the shared encoder pool.
 	enc  engine.KeyEnc
 	enc2 engine.KeyEnc
-	// freeStates recycles the state structs of dedup-dropped successors:
-	// most clones hit the visited set and die immediately, so reusing their
-	// ~300-byte structs removes the dominant allocation of the exploration.
+	// freeStates recycles the state structs of successors the visited set
+	// or the cap keeps out: most clones are duplicates and die at once, so
+	// reusing their ~300-byte structs removes the dominant allocation of
+	// the exploration.
 	// Parked structs are scrubbed of pointers (see freeState) so the list
 	// never extends a dead macro-state's lifetime.
 	freeStates []*state
@@ -295,7 +290,7 @@ func (ex *exec) cloneState(s *state) *state {
 	return ns
 }
 
-// freeState parks a dedup-dropped successor's struct for reuse. All pointer
+// freeState parks a successor's struct that was not admitted for reuse. All pointer
 // fields are scrubbed first: a parked struct may idle across GC cycles, and
 // a stale reference would keep the dropped state's thawed memory or env
 // storage alive.

@@ -11,9 +11,8 @@ import (
 	"paramra/internal/tqbf"
 )
 
-// verify1 runs v's search at one worker.
+// verify1 runs v's search.
 func verify1(v *Verifier) Result {
-	v.opts.Workers = 1
 	return v.VerifyContext(context.Background())
 }
 
@@ -471,7 +470,7 @@ func TestSaturationHonoursCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := New(sys, Options{Workers: 1})
+	v, err := New(sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

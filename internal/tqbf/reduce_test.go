@@ -16,7 +16,7 @@ func reductionUnsafe(t *testing.T, q *QBF) bool {
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
 	}
-	v, err := simplified.New(sys, simplified.Options{Workers: 1})
+	v, err := simplified.New(sys, simplified.Options{})
 	if err != nil {
 		t.Fatalf("verifier: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +36,8 @@ func mustParse(t *testing.T, src string) *paramra.System {
 
 // TestStatsWallWorkers pins the contract that every backend populates
 // Stats.Wall and Stats.Workers on every path, including the fixpoint's
-// early-violation exit that never reaches the engine.
+// early-violation exit that never reaches the engine. The fixpoint and the
+// concrete explorer search on one goroutine at any Parallelism.
 func TestStatsWallWorkers(t *testing.T) {
 	ctx := context.Background()
 	safe := mustParse(t, cliSafe)
@@ -48,8 +48,8 @@ func TestStatsWallWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Wall <= 0 || res.Stats.Workers != 2 {
-			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=2", res.Stats.Wall, res.Stats.Workers)
+		if res.Stats.Wall <= 0 || res.Stats.Workers != 1 {
+			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=1", res.Stats.Wall, res.Stats.Workers)
 		}
 	})
 	t.Run("fixpoint-default-workers", func(t *testing.T) {
@@ -57,8 +57,8 @@ func TestStatsWallWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := runtime.GOMAXPROCS(0); res.Stats.Workers != want {
-			t.Errorf("Workers=%d, want GOMAXPROCS=%d", res.Stats.Workers, want)
+		if res.Stats.Workers != 1 {
+			t.Errorf("Workers=%d, want 1", res.Stats.Workers)
 		}
 		if res.Stats.Wall <= 0 {
 			t.Errorf("Wall=%v, want >0", res.Stats.Wall)
@@ -76,8 +76,8 @@ func TestStatsWallWorkers(t *testing.T) {
 		if !res.Unsafe || res.Stats.MacroStates != 1 {
 			t.Fatalf("unexpected early-path result: %+v", res)
 		}
-		if res.Stats.Wall <= 0 || res.Stats.Workers != 3 {
-			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=3", res.Stats.Wall, res.Stats.Workers)
+		if res.Stats.Wall <= 0 || res.Stats.Workers != 1 {
+			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=1", res.Stats.Wall, res.Stats.Workers)
 		}
 	})
 	t.Run("datalog", func(t *testing.T) {
@@ -267,7 +267,7 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // TestTraceDeterministicSpanIDs: the span structure (IDs, parents, names)
-// is identical at every worker count; only timestamps and timing-dependent
+// is identical at every Parallelism; only timestamps and timing-dependent
 // attrs may differ.
 func TestTraceDeterministicSpanIDs(t *testing.T) {
 	shape := func(workers int) []string {
@@ -384,9 +384,10 @@ func TestCLITraceOut(t *testing.T) {
 	}
 }
 
-// TestCLIFlagUniformity: the five run tools spell -j/-timeout and the
-// observability group identically (same names, same help text); ravet
-// carries the observability group only.
+// TestCLIFlagUniformity: the five run tools spell -timeout and the
+// observability group identically (same names, same help text), and the
+// two that can run the Datalog backend, raverify and radatalog, also -j;
+// ravet carries the observability group only.
 func TestCLIFlagUniformity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI builds skipped in -short mode")
@@ -399,16 +400,18 @@ func TestCLIFlagUniformity(t *testing.T) {
 		"-cpuprofile", "write a CPU profile to this file",
 		"-memprofile", "write a heap profile to this file on exit",
 	}
-	runHelp := []string{
-		"worker goroutines (0 = GOMAXPROCS); verdicts are identical for every value",
-		"overall time limit (0 = none), e.g. 30s",
-	}
+	const timeoutHelp = "overall time limit (0 = none), e.g. 30s"
+	const workersHelp = "worker goroutines of the Datalog backend (0 = GOMAXPROCS); verdicts are identical for every value"
 	for _, tool := range []string{"raverify", "raexplore", "radatalog", "ratqbf", "rabench"} {
 		out, _ := runTool(t, tool, "-h")
-		for _, want := range append(append([]string{}, obsHelp...), runHelp...) {
+		for _, want := range append(append([]string{}, obsHelp...), "-timeout", timeoutHelp) {
 			if !strings.Contains(out, want) {
 				t.Errorf("%s -h missing %q", tool, want)
 			}
+		}
+		datalog := tool == "raverify" || tool == "radatalog"
+		if got := strings.Contains(out, "  -j ") && strings.Contains(out, workersHelp); got != datalog {
+			t.Errorf("%s -h registers -j: %v, want %v:\n%s", tool, got, datalog, out)
 		}
 	}
 	out, _ := runTool(t, "ravet", "-h")
@@ -417,8 +420,8 @@ func TestCLIFlagUniformity(t *testing.T) {
 			t.Errorf("ravet -h missing %q", want)
 		}
 	}
-	if strings.Contains(out, runHelp[0]) {
-		t.Errorf("ravet -h unexpectedly registers the run flag group:\n%s", out)
+	if strings.Contains(out, timeoutHelp) || strings.Contains(out, "  -j ") {
+		t.Errorf("ravet -h unexpectedly registers a run flag:\n%s", out)
 	}
 }
 
@@ -436,7 +439,6 @@ func TestParallelBaselineSmoke(t *testing.T) {
 	var baseline struct {
 		Rows []struct {
 			Name        string `json:"name"`
-			Workers     int    `json:"workers"`
 			MacroStates int    `json:"macroStates"`
 		} `json:"rows"`
 	}
@@ -451,7 +453,7 @@ func TestParallelBaselineSmoke(t *testing.T) {
 		t.Fatal("empty baseline")
 	}
 
-	rows, err := bench.ParallelExperiment(context.Background(), []int{1, 8})
+	rows, err := bench.ParallelExperiment(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +465,7 @@ func TestParallelBaselineSmoke(t *testing.T) {
 		}
 		matched++
 		if r.MacroStates != states {
-			t.Errorf("%s (j=%d): macro-states %d, baseline %d", r.Name, r.Workers, r.MacroStates, states)
+			t.Errorf("%s: macro-states %d, baseline %d", r.Name, r.MacroStates, states)
 		}
 	}
 	if matched == 0 {

@@ -16,127 +16,80 @@ import (
 )
 
 // TestParallelDeterministicVerdictsTestdata is the stress form of the
-// determinism contract: every shipped system, verified repeatedly at
-// Parallelism 8, must produce the same verdict, stats, witness and §4.3
-// env-thread bound as a 1-worker run. Under -race this also exercises the
-// engine's synchronization. `go test -short` runs one iteration.
+// Datalog stream's determinism: the stream is the one search that runs on
+// Parallelism workers. Each input is verified with the Datalog backend at
+// Parallelism 1, then repeatedly at 8, and must give the same verdict,
+// Complete, DecidedBy, witness and all five Datalog counters: they cover
+// the instances up to and including the first unsafe one in walk order,
+// whichever worker finishes first. The instances continue from one shared
+// model that all workers read at once; under -race this checks that
+// nothing writes to it. `go test -short` runs one iteration.
 //
-// A second pass verifies every corpus entry with the options raserved
-// gives a request that names none (prepass on), at Parallelism 1 and 8, and
-// compares the verdict, Complete, DecidedBy, the env-thread bound and the
-// witness: the prepass replay runs on one worker at any Parallelism, and
-// the schedule that alternates it with the fixpoint counts its budgets in
-// states.
-//
-// A third pass runs the Datalog backend on every corpus entry at
-// Parallelism 1 and 8 and compares the verdict, Complete and all five
-// Datalog counters: they cover the instances up to and including the first
-// unsafe one in walk order, whichever worker finishes first. The instances
-// continue from one shared model that all workers read at once; under
-// -race this checks that nothing writes to it.
+// The inputs are the shipped systems and every corpus entry, each with
+// the prepass off, and every corpus entry with the options raserved gives
+// a request that names the Datalog backend and nothing else (prepass on,
+// so the replay runs before the stream).
 func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	iters := 5
 	if testing.Short() {
 		iters = 1
 	}
+	check := func(t *testing.T, sys *paramra.System, opts paramra.Options) {
+		t.Helper()
+		opts.Datalog, opts.Parallelism = true, 1
+		base, err := paramra.Verify(context.Background(), sys, opts)
+		if err != nil {
+			t.Fatalf("verify j=1: %v", err)
+		}
+		opts.Parallelism = 8
+		for i := 0; i < iters; i++ {
+			res, err := paramra.Verify(context.Background(), sys, opts)
+			if err != nil {
+				t.Fatalf("iter %d: verify j=8: %v", i, err)
+			}
+			if res.Unsafe != base.Unsafe || res.Complete != base.Complete || res.DecidedBy != base.DecidedBy {
+				t.Fatalf("iter %d: verdict (%v,%v) by %s vs (%v,%v) by %s", i,
+					res.Unsafe, res.Complete, res.DecidedBy, base.Unsafe, base.Complete, base.DecidedBy)
+			}
+			if !reflect.DeepEqual(res.Witness, base.Witness) {
+				t.Errorf("iter %d: %s witness %v vs %v", i, res.DecidedBy, res.Witness, base.Witness)
+			}
+			if got, want := datalogStats(res.Stats), datalogStats(base.Stats); got != want {
+				t.Errorf("iter %d: stats %+v vs %+v", i, got, want)
+			}
+		}
+	}
+
 	for name := range testdataVerdicts {
 		t.Run(name, func(t *testing.T) {
 			sys, err := paramra.ParseFile(filepath.Join("testdata", "systems", name))
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			base, err := paramra.Verify(context.Background(), sys, paramra.Options{Parallelism: 1})
-			if err != nil {
-				t.Fatalf("verify j=1: %v", err)
-			}
-			for i := 0; i < iters; i++ {
-				res, err := paramra.Verify(context.Background(), sys, paramra.Options{Parallelism: 8})
-				if err != nil {
-					t.Fatalf("iter %d: verify j=8: %v", i, err)
-				}
-				if res.Unsafe != base.Unsafe || res.Complete != base.Complete {
-					t.Fatalf("iter %d: verdict (%v,%v) vs (%v,%v)",
-						i, res.Unsafe, res.Complete, base.Unsafe, base.Complete)
-				}
-				if res.EnvThreadBound != base.EnvThreadBound {
-					t.Errorf("iter %d: env-thread bound %d vs %d",
-						i, res.EnvThreadBound, base.EnvThreadBound)
-				}
-				if !reflect.DeepEqual(res.Witness, base.Witness) {
-					t.Errorf("iter %d: witness %v vs %v", i, res.Witness, base.Witness)
-				}
-				if got, want := fixpointStats(res.Stats), fixpointStats(base.Stats); got != want {
-					t.Errorf("iter %d: stats %+v vs %+v", i, got, want)
-				}
-			}
+			check(t, sys, paramra.Options{})
 		})
 	}
 
-	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
+	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{Datalog: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range bench.Corpus() {
-		t.Run("served/"+e.Name, func(t *testing.T) {
-			sys := e.System()
-			opts := served
-			opts.Parallelism = 1
-			base, err := paramra.Verify(context.Background(), sys, opts)
-			if err != nil {
-				t.Fatalf("verify j=1: %v", err)
-			}
-			opts.Parallelism = 8
-			for i := 0; i < iters; i++ {
-				res, err := paramra.Verify(context.Background(), sys, opts)
-				if err != nil {
-					t.Fatalf("iter %d: verify j=8: %v", i, err)
-				}
-				if res.Unsafe != base.Unsafe || res.Complete != base.Complete || res.DecidedBy != base.DecidedBy {
-					t.Fatalf("iter %d: verdict (%v,%v) by %s vs (%v,%v) by %s", i,
-						res.Unsafe, res.Complete, res.DecidedBy, base.Unsafe, base.Complete, base.DecidedBy)
-				}
-				if res.EnvThreadBound != base.EnvThreadBound {
-					t.Errorf("iter %d: env-thread bound %d vs %d",
-						i, res.EnvThreadBound, base.EnvThreadBound)
-				}
-				if !reflect.DeepEqual(res.Witness, base.Witness) {
-					t.Errorf("iter %d: %s witness %v vs %v", i, res.DecidedBy, res.Witness, base.Witness)
-				}
-			}
-		})
+		t.Run("served/"+e.Name, func(t *testing.T) { check(t, e.System(), served) })
 	}
-
 	for _, e := range bench.Corpus() {
-		sys := e.System()
-		t.Run("datalog/"+e.Name, func(t *testing.T) {
-			opts := paramra.Options{Datalog: true, Parallelism: 1}
-			base, err := paramra.Verify(context.Background(), sys, opts)
-			if err != nil {
-				t.Fatalf("verify j=1: %v", err)
-			}
-			opts.Parallelism = 8
-			for i := 0; i < iters; i++ {
-				res, err := paramra.Verify(context.Background(), sys, opts)
-				if err != nil {
-					t.Fatalf("iter %d: verify j=8: %v", i, err)
-				}
-				if res.Unsafe != base.Unsafe || res.Complete != base.Complete {
-					t.Fatalf("iter %d: verdict (%v,%v) vs (%v,%v)",
-						i, res.Unsafe, res.Complete, base.Unsafe, base.Complete)
-				}
-				if got, want := datalogStats(res.Stats), datalogStats(base.Stats); got != want {
-					t.Errorf("iter %d: stats %+v vs %+v", i, got, want)
-				}
-			}
-		})
+		t.Run("datalog/"+e.Name, func(t *testing.T) { check(t, e.System(), paramra.Options{}) })
 	}
 }
 
-// TestConcreteIgnoresParallelism pins that the concrete explorer is one
-// sequential search: on every corpus entry, VerifyInstance at 0..2 env
-// threads, FindDeadlocks at one env thread (none for env-less entries), and
-// ConfirmViolation on every fixpoint UNSAFE return the same results at
-// Parallelism 1, 2 and 8, Stats included except Wall.
+// TestConcreteIgnoresParallelism pins that Parallelism changes nothing
+// outside the Datalog stream: the fixpoint is one sequential breadth-first
+// search and the concrete explorer one sequential depth-first search. On
+// every corpus entry, Verify with the prepass off and with the options
+// raserved gives a request that names none, Inventory, VerifyInstance at
+// 0..2 env threads, FindDeadlocks at one env thread (none for env-less
+// entries), and ConfirmViolation on every fixpoint UNSAFE return the same
+// results at Parallelism 1, 2 and 8, Stats included except Wall.
 func TestConcreteIgnoresParallelism(t *testing.T) {
 	ctx := context.Background()
 	const maxStates = 20_000
@@ -144,9 +97,55 @@ func TestConcreteIgnoresParallelism(t *testing.T) {
 		s.Wall = 0
 		return s
 	}
+	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range bench.Corpus() {
 		sys := e.System()
 		t.Run(e.Name, func(t *testing.T) {
+			var fix paramra.Result
+			for _, v := range []struct {
+				name string
+				opts paramra.Options
+			}{{"fixpoint", paramra.Options{}}, {"served", served}} {
+				var base paramra.Result
+				for _, j := range []int{1, 2, 8} {
+					v.opts.Parallelism = j
+					res, err := paramra.Verify(ctx, sys, v.opts)
+					if err != nil {
+						t.Fatalf("Verify %s j=%d: %v", v.name, j, err)
+					}
+					res.Stats = noWall(res.Stats)
+					if j == 1 {
+						base = res
+					} else if !reflect.DeepEqual(res, base) {
+						t.Errorf("Verify %s: j=%d %+v, j=1 %+v", v.name, j, res, base)
+					}
+				}
+				if v.name == "fixpoint" {
+					fix = base
+				}
+			}
+
+			type inventory struct {
+				inv map[string][]int
+				err string
+			}
+			var baseInv inventory
+			for _, j := range []int{1, 2, 8} {
+				inv, err := paramra.Inventory(ctx, sys, paramra.Options{Parallelism: j})
+				got := inventory{inv: inv}
+				if err != nil {
+					got.err = err.Error()
+				}
+				if j == 1 {
+					baseInv = got
+				} else if !reflect.DeepEqual(got, baseInv) {
+					t.Errorf("Inventory: j=%d %+v, j=1 %+v", j, got, baseInv)
+				}
+			}
+
 			maxN := 2
 			if sys.Env == nil {
 				maxN = 0
@@ -180,10 +179,6 @@ func TestConcreteIgnoresParallelism(t *testing.T) {
 				}
 			}
 
-			fix, err := paramra.Verify(ctx, sys, paramra.Options{Parallelism: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !fix.Unsafe {
 				return
 			}
@@ -214,10 +209,7 @@ func datalogStats(s paramra.Stats) [5]int {
 	return [5]int{s.Skeletons, s.DatalogFacts, s.DatalogRules, s.DatalogAtoms, s.FixpointRounds}
 }
 
-// fixpointStats projects the deterministic fixpoint counter group (the
-// engine group — wall time, dedup hits — legitimately varies run to run;
-// dedup hits only via which side of a race pays the counter, never the
-// admitted set).
+// fixpointStats projects the fixpoint's own counter group.
 func fixpointStats(s paramra.Stats) [5]int {
 	return [5]int{s.MacroStates, s.DisTransitions, s.EnvConfigs, s.EnvMsgs, s.SaturationSteps}
 }
@@ -367,24 +359,21 @@ thread p { store x 1 }
 	}
 }
 
-// BenchmarkVerifyParallel measures Verify wall time per worker count over
-// the shipped systems (the BENCH_parallel.json baseline is generated from
-// the same engine via `rabench parallel`).
-func BenchmarkVerifyParallel(b *testing.B) {
+// BenchmarkVerify measures Verify, the fixpoint with the prepass off, over
+// the shipped systems.
+func BenchmarkVerify(b *testing.B) {
 	for _, name := range []string{"peterson.ra", "prodcons.ra", "spinlock.ra"} {
 		sys, err := paramra.ParseFile(filepath.Join("testdata", "systems", name))
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, j := range []int{1, 2, 4, 8} {
-			b.Run(strings.TrimSuffix(name, ".ra")+"/j="+itoa(j), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := paramra.Verify(context.Background(), sys, paramra.Options{Parallelism: j}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(strings.TrimSuffix(name, ".ra"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := paramra.Verify(context.Background(), sys, paramra.Options{}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

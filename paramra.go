@@ -112,8 +112,8 @@ type Goal struct {
 }
 
 // Options configures the verification entry points. The zero value is a
-// sensible default: unlimited search, GOMAXPROCS workers, no progress
-// reporting.
+// sensible default: unlimited search, GOMAXPROCS Datalog workers, no
+// progress reporting.
 type Options struct {
 	// MaxMacroStates caps the macro-state search of the fixpoint backend
 	// (0 = unlimited), counted in order classes of dis timestamps (see the
@@ -162,12 +162,12 @@ type Options struct {
 	// MaxSkeletons caps the Datalog backend's skeleton walk (0 = the
 	// default cap of 100,000 skeletons).
 	MaxSkeletons int
-	// Parallelism is the number of worker goroutines of the fixpoint and
-	// Datalog backends (0 = GOMAXPROCS). Verdicts, witnesses and §4.3
-	// bounds of the fixpoint backend are identical for every value. The
-	// concrete explorer — the prepass replay, VerifyInstance,
-	// ConfirmViolation and FindDeadlocks — is one sequential depth-first
-	// search that ignores it.
+	// Parallelism is the number of worker goroutines of the Datalog
+	// backend's stream (0 = GOMAXPROCS); its verdict and statistics are the
+	// same for every value. The fixpoint is one sequential breadth-first
+	// search, and the concrete explorer — the prepass replay,
+	// VerifyInstance, ConfirmViolation and FindDeadlocks — one sequential
+	// depth-first search; both ignore it.
 	Parallelism int
 	// Progress, when non-nil, receives periodic statistics snapshots from a
 	// dedicated goroutine while a search runs. The last emission, sent just
@@ -180,7 +180,7 @@ type Options struct {
 	// Tracer, when non-nil, records the run's phase spans — parse is the
 	// caller's, then well-formedness, unroll, fixpoint/datalog/concrete
 	// search, engine layers — as JSONL events (see internal/obs and the
-	// -trace-out CLI flag). Span IDs are deterministic at any Parallelism.
+	// -trace-out CLI flag). Span IDs are deterministic.
 	Tracer *obs.Tracer
 	// TraceSpan, when non-nil, nests the entry point's root span under an
 	// existing parent (e.g. a CLI-level span) instead of starting a new
@@ -312,7 +312,9 @@ type Stats struct {
 	FixpointRounds int
 	DatalogAtoms   int
 
-	// Shared engine counters (Workers is 1 for the concrete explorer).
+	// Shared engine counters. Workers is the number of goroutines that
+	// searched: 1 for the fixpoint and the concrete explorer, the resolved
+	// Parallelism for the Datalog backend.
 	DedupHits    int64
 	PeakFrontier int64
 	Wall         time.Duration
@@ -486,7 +488,6 @@ func newFixpoint(work *System, opts Options, span *obs.Span) (*simplified.Verifi
 	return simplified.New(work, simplified.Options{
 		MaxMacroStates: opts.MaxMacroStates,
 		Goal:           goal,
-		Workers:        opts.Parallelism,
 		Progress:       fixpointProgress(opts.Progress),
 		Trace:          span,
 		Metrics:        opts.Metrics,
@@ -877,7 +878,6 @@ func Inventory(ctx context.Context, sys *System, opts Options) (map[string][]int
 	defer span.End()
 	v, err := simplified.New(sys, simplified.Options{
 		MaxMacroStates: opts.MaxMacroStates,
-		Workers:        opts.Parallelism,
 		Progress:       fixpointProgress(opts.Progress),
 		Trace:          span,
 		Metrics:        opts.Metrics,

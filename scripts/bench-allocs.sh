@@ -10,11 +10,12 @@
 # reintroduces per-successor heap traffic (see DESIGN "State
 # representation").
 #
-#   BenchmarkVerifyParallel/peterson/j=8  the simplified fixpoint. Default
-#       budget ~2x its cost on canonical timestamps (~2.5k-2.8k allocs/op)
-#       and ~1/125 of the cost while the fixpoint keyed macro-states on
-#       integer slots (~0.75M allocs/op), so a return to integer slots fails
-#       here.
+#   BenchmarkVerify/peterson  the simplified fixpoint, one sequential
+#       breadth-first search. Default budget ~2x its cost on canonical
+#       timestamps (~2.5k-2.8k allocs/op while it ran on eight workers,
+#       ~1.9k since) and ~1/125 of the cost while the fixpoint keyed
+#       macro-states on integer slots (~0.75M allocs/op), so a return to
+#       integer slots fails here.
 #   BenchmarkPrepassReplay  the concrete RA explorer, through the barrier
 #       prepass replay at raserved's state cap. Default budget ~2x the
 #       measured steady state (~0.12M allocs/op on the free-order parallel
@@ -91,7 +92,7 @@ gate() {
   echo "bench-allocs: PASS — $1: $ALLOCS allocs/op within budget $2"
 }
 
-gate BenchmarkVerifyParallel/peterson/j=8 "$FIXPOINT_BUDGET"
+gate BenchmarkVerify/peterson "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000

@@ -3,8 +3,10 @@
 #
 # Usage: scripts/bench-compare.sh [-selftest] [baseline] [tolerance]
 #
-# Re-runs the parallel experiment and compares it against the checked-in
-# baseline (BENCH_parallel.json by default) with per-machine calibration:
+# Re-runs the parallel experiment (the fixpoint's wall time and macro-state
+# count on the corpus entries with at least 50 macro-states) and compares it
+# against the checked-in baseline (BENCH_parallel.json by default) with
+# per-machine calibration:
 # raw wall times are normalized by the run's median baseline ratio, so a
 # slower CI machine passes while a single regressing benchmark fails. Exit
 # code 0 means no entry regressed; 1 means the gate tripped.
@@ -22,7 +24,6 @@ if [ "${1:-}" = "-selftest" ]; then
 fi
 BASELINE="${1:-BENCH_parallel.json}"
 TOLERANCE="${2:-2.0}"
-WORKERS="${BENCH_COMPARE_WORKERS:-8}"
 
 [ -f "$BASELINE" ] || { echo "bench-compare: baseline $BASELINE not found" >&2; exit 2; }
 
@@ -35,7 +36,7 @@ go build -o "$WORKDIR/rabench" ./cmd/rabench
 if [ "$SELFTEST" -eq 1 ]; then
   echo "bench-compare: selftest — injecting a 25x slowdown into peterson-ra"
   STATUS=0
-  "$WORKDIR/rabench" -j "$WORKERS" -compare "$BASELINE" -tolerance "$TOLERANCE" \
+  "$WORKDIR/rabench" -compare "$BASELINE" -tolerance "$TOLERANCE" \
     -inject-slowdown peterson-ra=25 parallel >"$WORKDIR/selftest.out" 2>&1 || STATUS=$?
   cat "$WORKDIR/selftest.out"
   if [ "$STATUS" -eq 0 ]; then
@@ -50,6 +51,6 @@ if [ "$SELFTEST" -eq 1 ]; then
   exit 0
 fi
 
-echo "bench-compare: comparing against $BASELINE (tolerance ${TOLERANCE}x, -j $WORKERS)"
-"$WORKDIR/rabench" -j "$WORKERS" -compare "$BASELINE" -tolerance "$TOLERANCE" parallel
+echo "bench-compare: comparing against $BASELINE (tolerance ${TOLERANCE}x)"
+"$WORKDIR/rabench" -compare "$BASELINE" -tolerance "$TOLERANCE" parallel
 echo "bench-compare: PASS"

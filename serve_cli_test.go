@@ -116,7 +116,7 @@ func TestCLIsRejectNegativeKnobs(t *testing.T) {
 		{"raverify", []string{"-j=-2", path}, "Parallelism"},
 		{"raexplore", []string{"-max-states=-1", path}, "MaxStates"},
 		{"radatalog", []string{"-max-skeletons=-1", path}, "MaxSkeletons"},
-		{"ratqbf", []string{"-j=-1", "-random"}, "Parallelism"},
+		{"radatalog", []string{"-j=-1", path}, "Parallelism"},
 	}
 	for _, tc := range cases {
 		out, code := runTool(t, tc.tool, tc.args...)
