@@ -410,13 +410,30 @@ func BenchmarkPrepassReplay(b *testing.B) {
 // (prepass on, replay capped at 30,000 states per instance), at
 // Parallelism 1, and fails on a wrong or incomplete verdict.
 // scripts/bench-allocs.sh gates its allocs/op, so a return to running the
-// replay to its full cap before the fixpoint shows there.
+// replay to its full cap before the fixpoint, or to charging a replay
+// round's budget per instance, shows there.
 func BenchmarkServedCorpus(b *testing.B) {
 	opts, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts.Parallelism = 1
+	benchCorpus(b, opts)
+}
+
+// BenchmarkServedCorpusDatalog measures radatalog's default on the corpus:
+// the Datalog backend with the prepass, at Parallelism 1, where the
+// schedule alternates replay rounds and Datalog rounds under growing
+// budgets. scripts/bench-allocs.sh gates its allocs/op, so a return to
+// running the replay to its full cap before the Datalog backend shows
+// there.
+func BenchmarkServedCorpusDatalog(b *testing.B) {
+	benchCorpus(b, paramra.Options{Datalog: true, Prepass: true, Parallelism: 1})
+}
+
+// benchCorpus verifies all 24 corpus entries per op under opts, and fails
+// on a wrong or incomplete verdict.
+func benchCorpus(b *testing.B, opts paramra.Options) {
 	corpus := bench.Corpus()
 	systems := make([]*paramra.System, len(corpus))
 	for i, e := range corpus {

@@ -35,7 +35,7 @@ func cacheFingerprint(o Options, goalVar string) string {
 	if o.Goal != nil {
 		g = fmt.Sprintf("%s=%d", goalVar, o.Goal.Val)
 	}
-	return fmt.Sprintf("fp4|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
+	return fmt.Sprintf("fp5|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
 		g, o.UnrollDis, o.Datalog, o.Prepass,
 		o.MaxMacroStates, o.MaxStates, o.MaxSkeletons)
 }

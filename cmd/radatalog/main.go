@@ -1,9 +1,11 @@
 // Command radatalog is the Datalog side of the toolchain. Given a system
 // description (.ra) it decides parameterized safety through the makeP
-// encoding (§4.1): paramra.Verify with Options.Datalog runs the prepass,
-// walks the dis-run skeletons, and evaluates the ∃-over-skeletons semantics
-// of Theorem 4.1 on the engine's workers as the walk emits them, stopping
-// at the first instance that derives unsafe(). -dump and -stats instead
+// encoding (§4.1): paramra.Verify with Options.Datalog walks the dis-run
+// skeletons and evaluates the ∃-over-skeletons semantics of Theorem 4.1 on
+// the engine's workers as the walk emits them, stopping at the first
+// instance that derives unsafe(); with the prepass (the default) it does so
+// in rounds under a growing skeleton budget, taking turns with the
+// prepass's replay. -dump and -stats instead
 // evaluate the query instances one by one, in walk order, listing each. Given a
 // plain Datalog file (.dl) it evaluates its `?-` queries directly,
 // optionally under a Cache Datalog bound.
@@ -142,18 +144,19 @@ func run() int {
 	return 0
 }
 
-// listInstances is the -dump/-stats path. Unless the prepass decides, it
-// evaluates the query instances paramra.Verify would evaluate (same cap,
-// same grounding) sequentially, in order, as the skeleton walk emits them,
-// printing each, and stops at the first that holds, so the listing is
-// reproducible line for line. The Result carries only what the listing
-// decided.
+// listInstances is the -dump/-stats path. With the prepass, it first runs
+// paramra.Verify, whose replay rounds take turns with budgeted Datalog
+// rounds, and reports its answer when the prepass decides, so both modes
+// name the same engine. Otherwise it evaluates the query instances
+// paramra.Verify evaluates (same cap, same grounding) sequentially, in
+// order, as the skeleton walk emits them, printing each, and stops at the
+// first that holds, so the listing is reproducible line for line. The
+// Result carries only what the listing decided.
 func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Options, dump, stats bool) (paramra.Result, error) {
 	if opts.Prepass {
-		out, err := paramra.Prepass(ctx, sys, opts)
-		if err != nil || out.Verdict != paramra.PrepassInconclusive {
-			return paramra.Result{Unsafe: out.Verdict == paramra.PrepassUnsafe, Complete: true,
-				DecidedBy: "prepass", PrepassReason: out.Reason}, err
+		res, err := paramra.Verify(ctx, sys, opts)
+		if err != nil || res.DecidedBy == "prepass" {
+			return res, err
 		}
 	}
 	res := paramra.Result{DecidedBy: "datalog"}

@@ -90,6 +90,16 @@
 // size of each one's model, the shared model included; the UNSAFE
 // instance stops at its goal, so its count is the atoms derived by then.
 //
+// With Options.Prepass, Verify alternates rounds of the prepass's concrete
+// replay and of the backend under a budget that grows from 64 by a factor
+// of 4 per round: replay states summed over the instances a round
+// explores, fixpoint macro-states, or Datalog skeletons. The replay has the
+// first turn, and the Datalog backend evaluates its shared model once, in
+// its first round. A round counts only when its budget did not bind, so
+// every answer is the one its engine gives at its full cap, a backend's
+// counters included, and Stats are those of the last backend round, never
+// a sum over rounds (see Options.Prepass).
+//
 // Systems are written in a small concrete syntax:
 //
 //	system prodcons {

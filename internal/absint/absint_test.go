@@ -6,6 +6,7 @@ import (
 
 	"paramra/internal/analysis"
 	"paramra/internal/lang"
+	"paramra/internal/ra"
 )
 
 func parse(t *testing.T, src string) *lang.System {
@@ -227,5 +228,58 @@ thread c { regs a n; while n != 3 { n = n + 1 }; a = load x; assume a == 1; asse
 	// cannot unroll it. No candidate.
 	if len(cands) != 0 {
 		t.Fatalf("expected no loop-free candidate, got %v", cands)
+	}
+}
+
+// TestReplayRoundSharesItsBudget: a budgeted round's instances share its
+// budget. Each gets what the ones before it left over, the round ends at
+// the first instance that remainder cuts short, and a remainder of 0 ends
+// it before the next instance, which would otherwise search without a cap.
+func TestReplayRoundSharesItsBudget(t *testing.T) {
+	sys := parse(t, mpSrc)
+	ctx := context.Background()
+	states := func(n int) int {
+		inst, err := ra.NewInstance(sys, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := inst.ExploreContext(ctx, ra.Limits{Symmetry: n > 1})
+		if !res.Complete || res.Unsafe {
+			t.Fatalf("instance %d: complete %v unsafe %v, want a complete safe search", n, res.Complete, res.Unsafe)
+		}
+		return res.States
+	}
+	s0, s1 := states(0), states(1)
+	if s1 <= 5 {
+		t.Fatalf("instance 1 has %d states, too few to cut short", s1)
+	}
+	for _, tc := range []struct {
+		budget, want int
+	}{
+		{s0, s0},         // instance 0 spends it all: instance 1 never runs
+		{s0 + 5, s0 + 5}, // instance 1 gets the 5 states left
+		{s0 + s1, s0 + s1},
+	} {
+		_, rep := Start(sys, Options{})
+		if rep == nil {
+			t.Fatal("mp has a candidate path, want a replay")
+		}
+		out, err := rep.Round(ctx, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Verdict != Inconclusive || out.ReplayStates != tc.want || rep.Done() {
+			t.Errorf("budget %d: %s after %d states (done %v), want inconclusive after %d states",
+				tc.budget, out.Verdict, out.ReplayStates, rep.Done(), tc.want)
+		}
+	}
+	// The full cap gives each instance all of it.
+	_, rep := Start(sys, Options{MaxReplayStates: s1})
+	out, err := rep.Round(ctx, s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.ReplayStates <= s0+s1 || !rep.Done() {
+		t.Errorf("full cap %d: %d states (done %v), want every instance searched up to the cap", s1, out.ReplayStates, rep.Done())
 	}
 }

@@ -181,15 +181,19 @@ func Start(sys *lang.System, opts Options) (Outcome, *Replay) {
 // with 0 (or 1) to 4 env threads under the full RA semantics, fewest env
 // threads first, for a violation. Any violation found is definitive. Every
 // instance runs on one worker, so witnesses and state counts are
-// reproducible.
+// reproducible. Each instance is built from the one before it, so the
+// system's CFGs are compiled once.
 //
-// The replay runs in rounds, each with a per-instance state cap, and a
-// round skips the instances an earlier round explored exhaustively. Below
-// the full cap (Options.MaxReplayStates) a round ends an instance's search
-// at the first state its cap keeps out, and ends the round there. Since a
-// one-worker search admits states in the same order under any cap, an
-// UNSAFE outcome is then exactly the one a single round at the full cap
-// gives: same env-thread count, witness and reason.
+// The replay runs in rounds, and a round skips the instances an earlier
+// round explored exhaustively. At the full cap (Options.MaxReplayStates)
+// each instance gets the whole cap. Below it, a round's cap is a budget for
+// the round: its instances share it, each getting what the ones before it
+// left over, and an instance's search ends at the first state that
+// remainder keeps out, which ends the round there. Since a one-worker
+// search admits states in the same order under any cap, and every instance
+// before it was explored exhaustively, an UNSAFE outcome is then exactly
+// the one a single round at the full cap gives: same env-thread count,
+// witness and reason.
 type Replay struct {
 	sys       *lang.System
 	base      Outcome // Start's inconclusive outcome
@@ -204,16 +208,28 @@ type Replay struct {
 	done bool
 }
 
+// instance builds instance n, from the instance below it when that one is
+// built.
+func (r *Replay) instance(n int) (*ra.Instance, error) {
+	if n > 0 && r.insts[n-1] != nil {
+		return r.insts[n-1].WithEnv(n)
+	}
+	return ra.NewInstance(r.sys, n)
+}
+
 // MaxStates is the full per-instance cap.
 func (r *Replay) MaxStates() int { return r.maxStates }
 
 // Done reports whether no further round can decide.
 func (r *Replay) Done() bool { return r.done }
 
-// Round replays the instances not yet explored exhaustively with at most
-// maxStates states each; a cap at or above MaxStates is the full cap, and
-// a round at the full cap is the last. The outcome is UNSAFE with its
-// witness, or Inconclusive; ReplayStates counts this round's states.
+// Round replays the instances not yet explored exhaustively. A cap at or
+// above MaxStates is the full cap: each instance gets MaxStates states, and
+// the round is the last. Below it, maxStates is the round's budget, summed
+// over its instances: each instance gets what the instances before it left
+// over, and the round ends at the first instance that budget cuts short,
+// or once nothing is left. The outcome is UNSAFE with its witness, or
+// Inconclusive; ReplayStates counts this round's states.
 func (r *Replay) Round(ctx context.Context, maxStates int) (Outcome, error) {
 	full := maxStates >= r.maxStates
 	if full {
@@ -223,8 +239,15 @@ func (r *Replay) Round(ctx context.Context, maxStates int) (Outcome, error) {
 	out := r.base
 	reached := r.next
 	for n := r.next; n <= r.maxN; n++ {
+		limit := maxStates
+		if !full {
+			// A limit of 0 would mean no limit at all.
+			if limit -= out.ReplayStates; limit <= 0 {
+				break
+			}
+		}
 		if r.insts[n] == nil {
-			inst, err := ra.NewInstance(r.sys, n)
+			inst, err := r.instance(n)
 			if err != nil {
 				// Validation failures are not the prepass's to report; let
 				// the main pipeline surface them.
@@ -235,7 +258,7 @@ func (r *Replay) Round(ctx context.Context, maxStates int) (Outcome, error) {
 			r.insts[n] = inst
 		}
 		res := r.insts[n].ExploreContext(ctx, ra.Limits{
-			MaxStates: maxStates,
+			MaxStates: limit,
 			StopAtCap: !full,
 			Symmetry:  n > 1,
 		})

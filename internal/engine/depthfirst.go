@@ -77,7 +77,7 @@ func (f *Frontier[S, V]) Add(key string, s S, v V) {
 // Outcome.HaltParent); the caller passes it in empty and reads it after
 // the run. Only this loop writes it.
 //
-// The context is checked before every expansion. Stats.Workers is 1.
+// The context is checked before every expansion.
 func DepthFirst[S, V any](
 	ctx context.Context,
 	cfg Config,

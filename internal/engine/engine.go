@@ -79,9 +79,6 @@ type Stats struct {
 	PeakFrontier int64
 	// Wall is the wall-clock duration of the run.
 	Wall time.Duration
-	// Workers is the number of goroutines that searched: 1 for both
-	// drivers.
-	Workers int
 }
 
 // Outcome is the engine-level result of a run.
@@ -135,7 +132,6 @@ func (c *counters) snapshot(start time.Time) Stats {
 		DedupHits:    c.dedupHits.Load(),
 		PeakFrontier: c.peak.Load(),
 		Wall:         time.Since(start),
-		Workers:      1,
 	}
 }
 
@@ -241,7 +237,6 @@ func finish(span *obs.Span, mon *monitor, out Outcome) Outcome {
 		span.SetAttr("transitions", out.Stats.Transitions)
 		span.SetAttr("dedup_hits", out.Stats.DedupHits)
 		span.SetAttr("peak_frontier", out.Stats.PeakFrontier)
-		span.SetAttr("workers", out.Stats.Workers)
 		span.SetAttr("halted", out.Halted)
 		span.SetAttr("capped", out.Capped)
 		span.SetAttr("complete", out.Complete)

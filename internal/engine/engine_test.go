@@ -50,9 +50,6 @@ func TestExploreGridCounts(t *testing.T) {
 	if got := out.Stats.States - 1 + out.Stats.DedupHits; got != out.Stats.Transitions {
 		t.Errorf("states+dedup=%d != transitions=%d (grid has no other edges)", got, out.Stats.Transitions)
 	}
-	if out.Stats.Workers != 1 {
-		t.Errorf("workers=%d, want 1", out.Stats.Workers)
-	}
 }
 
 // TestDepthFirstOrder pins the search order: successors are admitted in
@@ -275,8 +272,8 @@ func TestLayeredGridOrder(t *testing.T) {
 	if !slices.Equal(order, want) {
 		t.Errorf("admission order differs from a plain BFS (%d vs %d states)", len(order), len(want))
 	}
-	if !out.Complete || out.Stats.States != (n+1)*(n+1) || out.Stats.Workers != 1 {
-		t.Errorf("outcome %+v, want complete over %d states on one worker", out, (n+1)*(n+1))
+	if !out.Complete || out.Stats.States != (n+1)*(n+1) {
+		t.Errorf("outcome %+v, want complete over %d states", out, (n+1)*(n+1))
 	}
 	// The widest layer is the grid's longest anti-diagonal.
 	if out.Stats.PeakFrontier != n+1 {

@@ -56,7 +56,7 @@ func (a *Admitter[S]) AddTransitions(n int64) { a.cnt.transitions.Add(n) }
 // the run ends after the expansion in which the cap first keeps a state
 // out; the cap is checked before the halt tag.
 //
-// The root is admitted here under rootKey; Stats.Workers is 1.
+// The root is admitted here under rootKey.
 func Layered[S any](
 	ctx context.Context,
 	cfg Config,

@@ -78,7 +78,7 @@ func TestEngineTraceAndMetrics(t *testing.T) {
 		for _, s := range spans {
 			if s.Name == driver {
 				found = true
-				if s.Attrs["states"] == nil || s.Attrs["workers"] == nil {
+				if s.Attrs["states"] == nil || s.Attrs["complete"] == nil {
 					t.Errorf("%s: run span missing attrs: %+v", driver, s.Attrs)
 				}
 			}

@@ -16,11 +16,9 @@ const streamDepthPerWorker = 8
 
 // Stream evaluates a sequence that is produced as it is consumed. produce
 // hands items to emit in order; work turns each into a result on one of
-// workers goroutines, where w is the goroutine's index in [0, workers), so
-// calls with the same w never overlap and work may keep per-worker state
-// in a slice indexed by w; and fold receives the results in emission
-// order, on the goroutine that called Stream: inside emit, or after
-// produce has returned.
+// workers goroutines; and fold receives the results in emission order, on
+// the goroutine that called Stream: inside emit, or after produce has
+// returned.
 //
 // work also reports whether the stream stops at its item. The stream stops
 // at the first item in emission order whose work says so: fold receives
@@ -35,14 +33,14 @@ const streamDepthPerWorker = 8
 // stop at emit alone. Stream returns produce's error once every work and
 // fold call has returned.
 func Stream[T, R any](ctx context.Context, workers int, produce func(ctx context.Context, emit func(T) bool) error,
-	work func(ctx context.Context, w int, item T) (R, bool), fold func(R)) error {
+	work func(ctx context.Context, item T) (R, bool), fold func(R)) error {
 	if workers <= 1 {
 		stopped := false
 		return produce(ctx, func(item T) bool {
 			if stopped || ctxErr(ctx) != nil {
 				return false
 			}
-			r, stop := work(ctx, 0, item)
+			r, stop := work(ctx, item)
 			fold(r)
 			stopped = stop
 			return !stopped
@@ -75,14 +73,14 @@ func Stream[T, R any](ctx context.Context, workers int, produce func(ctx context
 	// The worker loops must drain every job, so they run whatever ctx
 	// says; work sees its cancellation through wctx.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
 				r := result{i: j.i, done: true}
 				if int64(j.i) < limit.Load() {
-					r.res, r.stop = work(wctx, w, j.item)
+					r.res, r.stop = work(wctx, j.item)
 				}
 				if r.stop {
 					for l := limit.Load(); int64(j.i) < l && !limit.CompareAndSwap(l, int64(j.i)); l = limit.Load() {

@@ -24,21 +24,19 @@ func produceN(n int, emitted *int) func(context.Context, func(int) bool) error {
 }
 
 // TestStreamFoldsInOrder: every emitted item is worked on once and folded
-// in emission order, with no two calls for one worker index overlapping,
-// at every worker count.
+// in emission order, at every worker count.
 func TestStreamFoldsInOrder(t *testing.T) {
 	const n = 1000
 	for _, workers := range []int{1, 2, 8} {
-		var busy [8]atomic.Bool
+		var calls [n]atomic.Int32
 		next, emitted := 0, 0
-		work := func(_ context.Context, w, i int) (int, bool) {
-			if !busy[w].CompareAndSwap(false, true) {
-				t.Errorf("j=%d: two calls hold worker %d", workers, w)
+		work := func(_ context.Context, i int) (int, bool) {
+			if calls[i].Add(1) != 1 {
+				t.Errorf("j=%d: item %d worked on twice", workers, i)
 			}
 			if i%7 == 0 {
 				runtime.Gosched()
 			}
-			busy[w].Store(false)
 			return i * i, false
 		}
 		fold := func(r int) {
@@ -66,7 +64,7 @@ func TestStreamStopsAtFirstStop(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		folded, emitted := 0, 0
 		release := make(chan struct{})
-		work := func(ctx context.Context, _, i int) (int, bool) {
+		work := func(ctx context.Context, i int) (int, bool) {
 			switch {
 			case workers == 1:
 			case i == k:
@@ -120,7 +118,7 @@ func TestStreamCancel(t *testing.T) {
 				}
 			}
 		}
-		work := func(_ context.Context, _, i int) (int, bool) { return i, false }
+		work := func(_ context.Context, i int) (int, bool) { return i, false }
 		err := Stream(ctx, workers, produce, work, func(int) {})
 		if !errors.Is(err, refused) {
 			t.Errorf("j=%d: Stream returned %v, want produce's error", workers, err)

@@ -47,7 +47,7 @@ type Result struct {
 	// initial state), non-nil iff Unsafe.
 	Witness []Event
 	// Engine carries the engine-level counters (dedup hits, peak frontier,
-	// wall time; Workers is always 1).
+	// wall time).
 	Engine engine.Stats
 	// Err is the context error when the search was cancelled, else nil.
 	Err error

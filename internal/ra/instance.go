@@ -32,6 +32,9 @@ type Instance struct {
 	Threads []ThreadInfo
 	// nEnv is the number of env replicas (the leading EnvThread entries).
 	nEnv int
+	// envCFG is the env program's CFG (nil without one), which WithEnv
+	// hands to the replicas of another instance.
+	envCFG *lang.CFG
 }
 
 // NewInstance builds the instance of sys with nEnv environment threads.
@@ -40,30 +43,39 @@ func NewInstance(sys *lang.System, nEnv int) (*Instance, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	if nEnv < 0 {
-		return nil, fmt.Errorf("ra.NewInstance: negative env count %d", nEnv)
-	}
-	if nEnv > 0 && sys.Env == nil {
-		return nil, fmt.Errorf("ra.NewInstance: system %s has no env program", sys.Name)
-	}
 	inst := &Instance{Sys: sys}
-	var envCFG *lang.CFG
 	if sys.Env != nil {
-		envCFG = lang.Compile(sys.Env)
+		inst.envCFG = lang.Compile(sys.Env)
 	}
-	for i := 0; i < nEnv; i++ {
-		inst.Threads = append(inst.Threads, ThreadInfo{
-			Kind: EnvThread, Name: fmt.Sprintf("%s#%d", sys.Env.Name, i+1),
-			DisIndex: i, CFG: envCFG,
-		})
-	}
-	inst.nEnv = nEnv
 	for i, d := range sys.Dis {
 		inst.Threads = append(inst.Threads, ThreadInfo{
 			Kind: DisThread, Name: d.Name, DisIndex: i, CFG: lang.Compile(d),
 		})
 	}
-	return inst, nil
+	return inst.WithEnv(nEnv)
+}
+
+// WithEnv returns the instance of the same system with nEnv environment
+// threads. It shares inst's compiled CFGs, which are read-only, so it
+// neither validates the system again nor compiles anything.
+func (inst *Instance) WithEnv(nEnv int) (*Instance, error) {
+	sys := inst.Sys
+	if nEnv < 0 {
+		return nil, fmt.Errorf("ra: negative env count %d", nEnv)
+	}
+	if nEnv > 0 && sys.Env == nil {
+		return nil, fmt.Errorf("ra: system %s has no env program", sys.Name)
+	}
+	dis := inst.Threads[inst.nEnv:]
+	out := &Instance{Sys: sys, Threads: make([]ThreadInfo, 0, nEnv+len(dis)), nEnv: nEnv, envCFG: inst.envCFG}
+	for i := 0; i < nEnv; i++ {
+		out.Threads = append(out.Threads, ThreadInfo{
+			Kind: EnvThread, Name: fmt.Sprintf("%s#%d", sys.Env.Name, i+1),
+			DisIndex: i, CFG: inst.envCFG,
+		})
+	}
+	out.Threads = append(out.Threads, dis...)
+	return out, nil
 }
 
 // NumEnv returns the number of env replicas in the instance.

@@ -81,7 +81,7 @@ thread t { store x 1 }
 		t.Fatal(err)
 	}
 	res := inst.ExploreContext(context.Background(), ra.Limits{})
-	if !res.Complete || res.States != 2 || res.Engine.Workers != 1 {
+	if !res.Complete || res.States != 2 {
 		t.Errorf("default exploration wrong: %+v", res)
 	}
 }

@@ -1,6 +1,8 @@
 package ra
 
 import (
+	"slices"
+
 	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
@@ -14,7 +16,8 @@ import (
 //   - A thread-local step (nop, assume, assert, assign, load) changes only
 //     its own thread: the successor is the parent with thread ti replaced by
 //     th. Its key reuses the parent's memory and thread sections, encoded
-//     once per parent, and the state is copied only if it is new.
+//     once per parent, and only if it is new does it become a state, which
+//     shares everything but thread ti with the parent.
 //   - A store or CAS changes memory: the successor is built in full in the
 //     embedded State, whose modification orders have spare capacity for the
 //     inserted message.
@@ -100,16 +103,19 @@ func resize[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// materialize returns the current successor as a state of its own.
+// materialize returns the current successor as a state of its own. The
+// successor of a thread-local step shares the parent's memory and the other
+// threads' registers and views; only the moved thread gets slices of its
+// own. That is sound because no state is changed once built: a store or
+// CAS builds its successor in the scratch's own buffers.
 func (sc *scratch) materialize() *State {
 	if !sc.local {
 		return sc.State.Clone()
 	}
-	ns := sc.parent.Clone()
-	th := &ns.Threads[sc.ti]
-	th.PC = sc.th.PC
-	copy(th.Regs, sc.th.Regs)
-	copy(th.View, sc.th.View)
+	p := sc.parent
+	ns := &State{Mem: p.Mem, Threads: make([]Thread, len(p.Threads))}
+	copy(ns.Threads, p.Threads)
+	ns.Threads[sc.ti] = Thread{PC: sc.th.PC, Regs: slices.Clone(sc.th.Regs), View: slices.Clone(sc.th.View)}
 	return ns
 }
 

@@ -28,6 +28,11 @@ type Thread struct {
 
 // State is a configuration of a fixed instance: per-variable modification
 // orders plus all thread-local configurations.
+//
+// The states the explorers admit and the ones Successors returns are
+// read-only: a successor shares the slices its step left unchanged with
+// its parent, so writing to one may change its parent, its siblings and
+// their keys. Clone gives a state of one's own to change.
 type State struct {
 	// Mem[v] is the modification order of variable v; Mem[v][0] is the
 	// initial message.

@@ -58,7 +58,9 @@ func (inst *Instance) event(st step) Event {
 
 // Successors enumerates all RA transitions enabled in s, implementing the
 // global transition relation of Figure 2 (LD-GLOBAL, ST-GLOBAL, CAS-GLOBAL,
-// UNLABELLED) over the positional-timestamp representation.
+// UNLABELLED) over the positional-timestamp representation. The successors
+// share storage with s and with each other, so they are read-only, like s
+// (see State).
 func (inst *Instance) Successors(s *State) []Succ {
 	var out []Succ
 	var sc scratch

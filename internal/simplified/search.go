@@ -19,8 +19,8 @@ import (
 // remains a secondary cap. On cancellation the partial Result carries
 // Err = ctx.Err() and Complete = false.
 //
-// Engine.Wall and Engine.Workers (always 1) are populated on every return
-// path, including violations found while saturating the initial state.
+// Engine.Wall is populated on every return path, including violations
+// found while saturating the initial state.
 func (v *Verifier) VerifyContext(ctx context.Context) Result {
 	span := v.opts.Trace.Child("fixpoint")
 	defer span.End()
@@ -92,7 +92,7 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 		// Cancelled mid-saturation: the initial state is neither admitted
 		// nor judged.
 		return finish(Result{Stats: ex.stats, Err: initErr,
-			Engine: engine.Stats{Wall: time.Since(start), Workers: 1}})
+			Engine: engine.Stats{Wall: time.Since(start)}})
 	}
 	if admitted != nil {
 		admitted(init)
@@ -100,7 +100,7 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 
 	early := func(res Result) Result {
 		res.Stats.MacroStates = 1
-		res.Engine = engine.Stats{States: 1, Wall: time.Since(start), Workers: 1}
+		res.Engine = engine.Stats{States: 1, Wall: time.Since(start)}
 		return finish(res)
 	}
 	if initViol != nil {

@@ -153,8 +153,9 @@ func checkProgress(t *testing.T, rec *progressRecorder, final paramra.Stats) {
 
 // TestFinalProgressEqualsStats pins the Progress contract for all three
 // backends at Parallelism 8 over shipped corpus systems, and for the
-// prepass schedule at raserved's defaults: snapshots are monotonically
-// non-decreasing and the last one is exactly the returned Stats.
+// prepass schedule at raserved's defaults, with the fixpoint and with the
+// Datalog backend: snapshots are monotonically non-decreasing and the last
+// one is exactly the returned Stats.
 func TestFinalProgressEqualsStats(t *testing.T) {
 	ctx := context.Background()
 
@@ -191,6 +192,28 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 			rec := &progressRecorder{}
 			opts := served
 			opts.MaxMacroStates = maxMacro
+			opts.Progress = rec.cb
+			res, err := paramra.Verify(ctx, e.System(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkProgress(t, rec, res.Stats)
+		})
+	}
+
+	// With the Datalog backend in the schedule, seqlock runs budgeted
+	// Datalog rounds before the deciding one. With MaxSkeletons 1 on
+	// env-chain-escalation, the Datalog round at the full cap reports its
+	// snapshots and the replay decides after it.
+	for name, maxSkeletons := range map[string]int{"seqlock": 0, "env-chain-escalation": 1} {
+		t.Run("served-datalog/"+name, func(t *testing.T) {
+			e, ok := bench.ByName(name)
+			if !ok {
+				t.Fatalf("no corpus entry %s", name)
+			}
+			rec := &progressRecorder{}
+			opts := served
+			opts.Datalog, opts.MaxSkeletons = true, maxSkeletons
 			opts.Progress = rec.cb
 			res, err := paramra.Verify(ctx, e.System(), opts)
 			if err != nil {

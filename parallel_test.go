@@ -28,7 +28,7 @@ import (
 // The inputs are the shipped systems and every corpus entry, each with
 // the prepass off, and every corpus entry with the options raserved gives
 // a request that names the Datalog backend and nothing else (prepass on,
-// so the replay runs before the stream).
+// so the stream runs in budgeted Datalog rounds between replay rounds).
 func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	iters := 5
 	if testing.Short() {

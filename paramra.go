@@ -125,8 +125,8 @@ type Options struct {
 	// concrete state spaces infinite in general). It also caps each
 	// instance of the prepass replay, but never above the prepass's own
 	// default of 30,000 states; that is the replay's full cap, which
-	// Verify's prepass schedule (see Prepass) reaches only when the
-	// fixpoint has not decided below it.
+	// Verify's prepass schedule (see Prepass) reaches only when the backend
+	// has not decided below it.
 	MaxStates int
 	// Goal, when non-nil, asks Message Generation instead of assert
 	// reachability.
@@ -146,18 +146,18 @@ type Options struct {
 	// on both sides: SAFE proofs hold for every replica count (including
 	// systems outside the decidable fragment), UNSAFE witnesses are
 	// concrete replays. Verify runs the abstract SAFE check first, then
-	// alternates a replay round and a fixpoint round under a state budget
-	// that starts at 64 and grows ×4 per round, until one decides: the
-	// replay explores at most min(budget, its full cap) states per
-	// instance, the fixpoint admits at most min(budget, MaxMacroStates)
-	// macro-states. A budgeted round counts only when its budget did not
-	// bind, so an answer is the one its engine gives at its full cap, and
-	// the budgets, counted in states and never in time, decide only which
-	// engine answers, the same way at every Parallelism. Once one engine
-	// has run at its full cap without deciding, the other runs at its full
-	// cap in one go. With Datalog the replay runs at its full cap first;
-	// goal queries have no replay. See Prepass for the standalone entry
-	// point.
+	// alternates a replay round and a backend round under a budget that
+	// starts at 64 and grows ×4 per round, until one decides: the replay
+	// explores at most min(budget, its full cap) states, summed over the
+	// instances of the round; the fixpoint admits at most min(budget,
+	// MaxMacroStates) macro-states; with Datalog, the Datalog backend walks
+	// at most min(budget, its skeleton cap) skeletons. A budgeted round
+	// counts only when its budget did not bind, so an answer is the one its
+	// engine gives at its full cap, and the budgets, counted in states and
+	// skeletons and never in time, decide only which engine answers, the
+	// same way at every Parallelism. Once one engine has run at its full
+	// cap without deciding, the other runs at its full cap in one go. Goal
+	// queries have no replay. See Prepass for the standalone entry point.
 	Prepass bool
 	// MaxSkeletons caps the Datalog backend's skeleton walk (0 = the
 	// default cap of 100,000 skeletons).
@@ -173,9 +173,9 @@ type Options struct {
 	// dedicated goroutine while a search runs. The last emission, sent just
 	// before the entry point returns, is exactly the returned Stats, and no
 	// counter in a snapshot is below the one before. With Prepass, only a
-	// fixpoint round at the caller's MaxMacroStates reports snapshots (the
-	// budgeted rounds report none), and Verify's Stats are those of the
-	// last fixpoint round it ran, zero when none ran.
+	// backend round at its full cap (MaxMacroStates, or the skeleton cap)
+	// reports snapshots (the budgeted rounds report none), and Verify's
+	// Stats are those of the last backend round it ran, zero when none ran.
 	Progress func(Stats)
 	// Tracer, when non-nil, records the run's phase spans — parse is the
 	// caller's, then well-formedness, unroll, fixpoint/datalog/concrete
@@ -321,12 +321,13 @@ type Stats struct {
 	Workers      int
 }
 
-// fromEngine maps engine-level counters into the shared group.
+// fromEngine maps engine-level counters into the shared group, for the
+// fixpoint and the concrete explorer, which both search on one goroutine.
 func (s *Stats) fromEngine(es engine.Stats) {
 	s.DedupHits = es.DedupHits
 	s.PeakFrontier = es.PeakFrontier
 	s.Wall = es.Wall
-	s.Workers = es.Workers
+	s.Workers = 1
 }
 
 // fixpointProgress adapts a Stats progress callback for the fixpoint
@@ -426,11 +427,9 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 		return r
 	}
 	if opts.Datalog {
-		res.DecidedBy = "datalog"
 		r, err := verifyDatalog(ctx, work, opts, res, span)
 		return seal(r), err
 	}
-	res.DecidedBy = "fixpoint"
 	ver, err := newFixpoint(work, opts, span)
 	if err != nil {
 		return res, err
@@ -441,7 +440,8 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 
 // prepareBackend readies sys for the decision procedure: it unrolls
 // looping dis threads when Options.UnrollDis asks, then classifies the
-// system the backend will decide and labels the verify span with it.
+// system the backend will decide, labels the verify span with it and
+// names the backend in res.DecidedBy.
 func prepareBackend(sys *System, opts Options, span *obs.Span, res Result) (*System, Result) {
 	work := sys
 	if opts.UnrollDis > 0 {
@@ -463,15 +463,21 @@ func prepareBackend(sys *System, opts Options, span *obs.Span, res Result) (*Sys
 		}
 	}
 	res.Class = lang.Classify(work)
+	res.DecidedBy = backendName(opts)
 	if span != nil {
 		span.SetAttr("class", res.Class.String())
-		if opts.Datalog {
-			span.SetAttr("backend", "datalog")
-		} else {
-			span.SetAttr("backend", "fixpoint")
-		}
+		span.SetAttr("backend", res.DecidedBy)
 	}
 	return work, res
+}
+
+// backendName names the backend opts select, as Result.DecidedBy and the
+// spans of the prepass schedule's backend rounds do.
+func backendName(opts Options) string {
+	if opts.Datalog {
+		return "datalog"
+	}
+	return "fixpoint"
 }
 
 // newFixpoint builds the fixpoint verifier of work, resolving the goal
@@ -578,38 +584,77 @@ type datalogOutcome struct {
 	err          error
 }
 
-// verifyDatalog runs the makeP → Datalog backend, ∃-style: the system is
-// unsafe iff some dis-run skeleton's query instance derives unsafe(). It
-// evaluates the model of the prefix the instances share once, then
-// continues from it on each instance as the skeleton walk emits it, on
-// Parallelism workers (engine.Stream, inline at one worker), and stops the
-// walk at the first instance in walk order whose goal is derived. Stats
-// cover the instances up to and including that one, so the verdict and
-// every counter are the same at every Parallelism. Stats.Wall and
-// Stats.Workers are populated on every path, including encoding errors and
-// cancellation.
-func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
-	if opts.Goal != nil {
-		return res, errors.New("paramra: the Datalog backend supports assert-reachability only")
-	}
-	start := time.Now()
+// datalogBackend is the makeP → Datalog backend (Theorem 4.1) on one
+// system, ∃-style: the system is unsafe iff some dis-run skeleton's query
+// instance derives unsafe(). It runs in rounds. The first round emits the
+// prefix the instances share and evaluates the prefix's least model once;
+// every round continues from that model on each instance as the skeleton
+// walk emits it, on Parallelism workers (engine.Stream, inline at one
+// worker), and stops the walk at the first instance in walk order whose
+// goal is derived.
+type datalogBackend struct {
+	sys     *System
+	opts    Options
+	workers int
+	// enc and model are built by the first round. A round that returns an
+	// error and leaves enc nil has found that the backend cannot run on
+	// sys.
+	enc                      *encode.Encoder
+	model                    *datalog.DB
+	prefixFacts, prefixRules int
+}
+
+// newDatalog readies the Datalog backend of sys under opts; its first
+// round does the work.
+func newDatalog(sys *System, opts Options) *datalogBackend {
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	seal := func(r Result) Result {
-		r.Stats.Wall = time.Since(start)
-		r.Stats.Workers = workers
-		return r
-	}
+	return &datalogBackend{sys: sys, opts: opts, workers: workers}
+}
+
+// verifyDatalog runs the Datalog backend in one round at its full skeleton
+// cap, under a "datalog" span.
+func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
 	dspan := span.Child("datalog")
 	defer dspan.End()
+	return newDatalog(sys, opts).round(ctx, dspan, res, 0)
+}
 
-	enc, err := datalogEncoder(sys)
-	if err != nil {
-		return seal(res), err
+// round walks at most budget skeletons (0 = the full cap, skeletonCap) under
+// dspan. It decides — its Result is Complete, or it returns an error — when
+// an instance derives its goal or the walk runs to its end, and then every
+// counter is the one a round at the full cap gives: Stats cover this
+// round's instances up to and including the first UNSAFE one in walk order,
+// the same at every Parallelism. Stats.Wall, which for the first round
+// includes the encoding and the shared model, and Stats.Workers are
+// populated on every path, including encoding errors and cancellation.
+// Only a round at the full cap reports Progress.
+func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result, budget int) (Result, error) {
+	opts := d.opts
+	if opts.Goal != nil {
+		return res, errors.New("paramra: the Datalog backend supports assert-reachability only")
 	}
-	prefixFacts, prefixRules := countRules(enc.Prefix().Rules)
+	start := time.Now()
+	res.Unsafe, res.Complete, res.Stats = false, false, Stats{}
+	seal := func(r Result) Result {
+		r.Stats.Wall = time.Since(start)
+		r.Stats.Workers = d.workers
+		return r
+	}
+	if d.enc == nil {
+		enc, err := datalogEncoder(d.sys)
+		if err != nil {
+			return seal(res), err
+		}
+		d.enc = enc
+		d.prefixFacts, d.prefixRules = countRules(enc.Prefix().Rules)
+	}
+	limit := skeletonCap(opts)
+	if budget > 0 {
+		limit = min(budget, limit)
+	}
 
 	var hInst, hRound *obs.Histogram
 	var cInst, cRounds, cAtoms *obs.Counter
@@ -638,30 +683,33 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		s := res.Stats
 		mu.Unlock()
 		s.Wall = time.Since(start)
-		s.Workers = workers
+		s.Workers = d.workers
 		return s
 	}
 	stopProgress := func() {}
-	if opts.Progress != nil {
+	if opts.Progress != nil && budget == 0 {
 		stopProgress = engine.Tick(500*time.Millisecond, func() { opts.Progress(snapshot()) })
 	}
 
 	// The two spans overlap: the walk feeds the evaluation as it goes.
 	eval := dspan.Child("datalog-eval")
-	// The instances share their prefix, so its least model is evaluated
-	// once, and every instance continues from it: the model is read-only,
-	// and all workers read it at once.
-	mspan := eval.Child("shared-model")
-	model, st, err := datalog.Eval(ctx, enc.Prefix(), roundHook)
-	if mspan != nil {
-		mspan.SetAttr("rounds", st.Rounds)
-		mspan.SetAttr("atoms", st.Atoms)
-		mspan.End()
-	}
-	if err != nil {
-		stopProgress()
-		eval.End()
-		return seal(res), err
+	if d.model == nil {
+		// The instances share their prefix, so its least model is
+		// evaluated once, and every instance of every round continues from
+		// it: the model is read-only, and all workers read it at once.
+		mspan := eval.Child("shared-model")
+		model, st, err := datalog.Eval(ctx, d.enc.Prefix(), roundHook)
+		if mspan != nil {
+			mspan.SetAttr("rounds", st.Rounds)
+			mspan.SetAttr("atoms", st.Atoms)
+			mspan.End()
+		}
+		if err != nil {
+			stopProgress()
+			eval.End()
+			return seal(res), err
+		}
+		d.model = model
 	}
 
 	walk := dspan.Child("skeleton-enumeration")
@@ -671,10 +719,10 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	// its goal, not only at its next emit.
 	produce := func(ctx context.Context, emit func(*encode.Problem) bool) error {
 		var err error
-		complete, err = enc.Each(ctx, skeletonCap(opts), emit)
+		complete, err = d.enc.Each(ctx, limit, emit)
 		return err
 	}
-	work := func(ctx context.Context, _ int, p *encode.Problem) (datalogOutcome, bool) {
+	work := func(ctx context.Context, p *encode.Problem) (datalogOutcome, bool) {
 		var t0 time.Time
 		if hInst != nil {
 			t0 = time.Now()
@@ -685,7 +733,7 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		// instance's hit) aborts a long evaluation mid-round instead of
 		// letting it run to fixpoint. A true answer from an aborted run is
 		// still a valid derivation.
-		_, o.hit, o.eval, o.err = datalog.Continue(ctx, model, p.Rules, p.Goal, roundHook)
+		_, o.hit, o.eval, o.err = datalog.Continue(ctx, d.model, p.Rules, p.Goal, roundHook)
 		if hInst != nil {
 			hInst.Observe(int64(time.Since(t0)))
 		}
@@ -694,8 +742,8 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 	fold := func(o datalogOutcome) {
 		mu.Lock()
 		res.Stats.Skeletons++
-		res.Stats.DatalogFacts += prefixFacts + o.facts
-		res.Stats.DatalogRules += prefixRules + o.rules
+		res.Stats.DatalogFacts += d.prefixFacts + o.facts
+		res.Stats.DatalogRules += d.prefixRules + o.rules
 		res.Stats.FixpointRounds += o.eval.Rounds
 		res.Stats.DatalogAtoms += o.eval.Atoms
 		res.Unsafe = o.hit
@@ -707,7 +755,7 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 			evalErr = o.err
 		}
 	}
-	err = engine.Stream(ctx, workers, produce, work, fold)
+	err := engine.Stream(ctx, d.workers, produce, work, fold)
 	stopProgress()
 	res.Complete = res.Unsafe || complete
 	if walk != nil {
@@ -719,7 +767,7 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 		eval.SetAttr("instances_evaluated", res.Stats.Skeletons)
 		eval.SetAttr("rounds", res.Stats.FixpointRounds)
 		eval.SetAttr("atoms", res.Stats.DatalogAtoms)
-		eval.SetAttr("workers", workers)
+		eval.SetAttr("workers", d.workers)
 		eval.SetAttr("unsafe", res.Unsafe)
 		eval.End()
 	}

@@ -104,21 +104,23 @@ const (
 )
 
 // schedule is verify with the prepass on. After the once-per-system part of
-// the prepass, it alternates a replay round and a fixpoint round under a
-// state budget that grows from firstRoundBudget by roundBudgetGrowth per
-// round, until one decides: the replay explores at most min(budget, its
-// full cap) states per instance, the fixpoint admits at most min(budget,
-// MaxMacroStates) macro-states. A budgeted round's answer counts only when
-// the budget did not bind, so every answer — verdict, witness, §4.3 bound,
-// fixpoint Stats — is the one that engine gives at its full cap, and the
-// budgets decide only which engine answers. Once one engine has run at its
-// full cap without deciding, or the replay has explored every instance
-// exhaustively, the other runs at its full cap in one go. The Datalog
-// backend has no state budget, so with Datalog the replay runs at its full
-// cap first; goal queries have no replay, so the fixpoint runs at once.
+// the prepass, it alternates a replay round and a backend round — the
+// fixpoint's, or with Options.Datalog the Datalog backend's — under a budget
+// that grows from firstRoundBudget by roundBudgetGrowth per round, until one
+// decides. The replay has the first turn. Its round explores at most
+// min(budget, its full cap) states, summed over the instances it explores;
+// a fixpoint round admits at most min(budget, MaxMacroStates) macro-states,
+// and a Datalog round walks at most min(budget, skeletonCap) skeletons. A
+// budgeted round's answer counts only when the budget did not bind, so
+// every answer — verdict, witness, §4.3 bound, backend Stats — is the one
+// that engine gives at its full cap, and the budgets decide only which
+// engine answers. Once one engine has run at its full cap without
+// deciding, or the replay has explored every instance exhaustively, the
+// other runs at its full cap in one go. Goal queries have no replay, so the
+// backend runs at once.
 //
-// Only a fixpoint round at the full cap reports Progress, and the Result's
-// Stats are those of the last fixpoint round (zero when none ran), so the
+// Only a backend round at its full cap reports Progress, and the Result's
+// Stats are those of the last backend round (zero when none ran), so the
 // Progress snapshots never fall back when a budgeted round ends.
 func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (Result, error) {
 	rounds := 0
@@ -138,18 +140,26 @@ func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (R
 	pspan := span.Child("prepass")
 	out, rep := startPrepass(sys, opts)
 	var (
-		work    *System
-		ver     *simplified.Verifier
-		last    = Result{EnvThreadBound: -1} // the last fixpoint round's result
-		lastErr error
-		fixDone bool // the fixpoint ran at its full cap, or cannot run
+		work *System
+		ver  *simplified.Verifier // the fixpoint, without Datalog
+		dl   *datalogBackend      // with Datalog
+		// last is the last backend round's result. lastErr is non-nil
+		// between rounds only when the backend cannot run.
+		last        = Result{EnvThreadBound: -1}
+		lastErr     error
+		backendDone bool // the backend ran at its full cap, or cannot run
 	)
+	// fullCap is the backend's full cap in its budget's unit (0 = none).
+	fullCap := opts.MaxMacroStates
+	if opts.Datalog {
+		fullCap = skeletonCap(opts)
+	}
 	for budget := firstRoundBudget; ; budget *= roundBudgetGrowth {
 		var err error
 		if rep != nil && !rep.Done() {
 			rounds++
 			limit := rep.MaxStates()
-			if !fixDone && !opts.Datalog {
+			if !backendDone {
 				limit = min(budget, limit)
 			}
 			if pspan == nil {
@@ -167,59 +177,64 @@ func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (R
 			pspan = nil
 		}
 		if err != nil || out.Verdict != PrepassInconclusive {
-			// The prepass ran on sys itself. Stats stay the last fixpoint
+			// The prepass ran on sys itself. Stats stay the last backend
 			// round's, which Progress may have reported.
-			pre := Result{EnvThreadBound: -1, Class: lang.Classify(sys), Stats: last.Stats}
+			pre := Result{EnvThreadBound: -1, Class: lang.Classify(sys)}
+			if lastErr == nil {
+				pre.Stats = last.Stats
+			}
 			if err != nil {
 				return pre, err
 			}
 			return seal(applyPrepass(pre, out), nil)
 		}
 		last.PrepassReason = out.Reason
-		if fixDone {
+		if backendDone {
 			// The replay has just run at its full cap as well.
 			return seal(last, lastErr)
 		}
 
 		if work == nil {
 			work, last = prepareBackend(sys, opts, span, last)
-			last.DecidedBy = "fixpoint"
 			if opts.Datalog {
-				last.DecidedBy = "datalog"
-				return seal(verifyDatalog(ctx, work, opts, last, span))
-			}
-			ver, lastErr = newFixpoint(work, opts, span)
-			if lastErr != nil {
-				// Without a fixpoint, the replay runs at its full cap
-				// before the error is returned.
-				fixDone = true
-				if rep == nil || rep.Done() {
-					return seal(last, lastErr)
-				}
-				continue
+				dl = newDatalog(work, opts)
+			} else {
+				ver, lastErr = newFixpoint(work, opts, span)
 			}
 		}
-		// Round budget 0 runs the fixpoint at the caller's MaxMacroStates.
+		// Round budget 0 runs the backend at its full cap.
 		roundBudget := 0
-		if rep != nil && !rep.Done() && (opts.MaxMacroStates == 0 || budget < opts.MaxMacroStates) {
+		if rep != nil && !rep.Done() && (fullCap == 0 || budget < fullCap) {
 			roundBudget = budget
 		}
-		rounds++
-		fspan := span.Child("fixpoint")
-		if fspan != nil {
-			fspan.SetAttr("round", rounds)
-			fspan.SetAttr("budget", cmp.Or(roundBudget, opts.MaxMacroStates))
+		decided := false
+		if lastErr == nil {
+			rounds++
+			bspan := span.Child(backendName(opts))
+			if bspan != nil {
+				bspan.SetAttr("round", rounds)
+				bspan.SetAttr("budget", cmp.Or(roundBudget, fullCap))
+			}
+			if opts.Datalog {
+				last, lastErr = dl.round(ctx, bspan, last, roundBudget)
+				bspan.End()
+				decided = last.Complete || (lastErr != nil && dl.enc != nil)
+			} else {
+				fout := ver.VerifyRound(ctx, bspan, roundBudget)
+				bspan.End()
+				last, lastErr = fixpointResult(last, work, fout)
+				decided = lastErr != nil || fout.Unsafe || fout.Complete
+			}
 		}
-		fout := ver.VerifyRound(ctx, fspan, roundBudget)
-		fspan.End()
-		last, lastErr = fixpointResult(last, work, fout)
-		if lastErr != nil || fout.Unsafe || fout.Complete {
+		if decided {
 			return seal(last, lastErr)
 		}
-		if roundBudget == 0 {
-			fixDone = true
+		if roundBudget == 0 || lastErr != nil {
+			// Without a backend, the replay runs at its full cap before the
+			// error is returned.
+			backendDone = true
 			if rep == nil || rep.Done() {
-				return seal(last, nil)
+				return seal(last, lastErr)
 			}
 		}
 	}

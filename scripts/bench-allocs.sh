@@ -3,7 +3,7 @@
 #
 # Usage: scripts/bench-allocs.sh [fixpoint-budget [replay-budget]]
 #
-# Runs eight benchmarks with -benchmem and fails when any one's allocs/op
+# Runs nine benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
 # machine-independent (they vary only slightly with worker scheduling), so
 # this gate needs no calibration: it directly catches a change that
@@ -19,9 +19,10 @@
 #   BenchmarkPrepassReplay  the concrete RA explorer, through the barrier
 #       prepass replay at raserved's state cap. Default budget ~2x the
 #       measured steady state (~0.12M allocs/op on the free-order parallel
-#       driver, ~0.11M on the sequential depth-first one) and ~1/10 of the
-#       cost before the explorer built successors in scratch (2.50M
-#       allocs/op).
+#       driver, ~0.11M on the sequential depth-first one, ~90k once a
+#       thread-local successor shared its parent's memory and the other
+#       threads' slices) and ~1/10 of the cost before the explorer built
+#       successors in scratch (2.50M allocs/op).
 #   BenchmarkSkeletons  the dis-run skeleton enumeration behind makeP, on
 #       lamport-2-ra. Fixed budget ~1.5x its cost before the enumeration
 #       moved onto the shared dis-step generator (566k allocs/op; ~529k
@@ -45,13 +46,21 @@
 #   BenchmarkServedCorpus  the served path: the 24 corpus entries through
 #       paramra.Verify with raserved's default options at one worker, where
 #       the prepass schedule alternates replay and fixpoint rounds under
-#       growing state budgets. Fixed budget ~1.5x its cost once the
-#       fixpoint searched order classes of timestamps (~41k allocs/op;
-#       ~32.5k once the replay ran on the sequential depth-first driver
-#       instead of building a sharded visited set and a worker per
-#       instance), ~1/2 of its cost on integer slots (~122k allocs/op), and
-#       ~1/4 of the cost while the replay ran to its full cap before the
-#       fixpoint (~237k allocs/op), so a return to either fails here.
+#       growing state budgets. Fixed budget ~1.15x its cost once a replay
+#       round's budget was summed over its instances (~21.6k allocs/op),
+#       below its cost while each instance got the whole budget (~31.0k
+#       allocs/op; ~27.0k with successors that share their parent's
+#       memory), ~1/5 of its cost on integer slots (~122k allocs/op), and
+#       ~1/10 of the cost while the replay ran to its full cap before the
+#       fixpoint (~237k allocs/op), so a return to any of these fails here.
+#   BenchmarkServedCorpusDatalog  radatalog's default: the 24 corpus
+#       entries through paramra.Verify with the Datalog backend and the
+#       prepass at one worker, where the schedule alternates replay and
+#       Datalog rounds under growing budgets. Fixed budget ~1.2x its cost
+#       once the Datalog backend took the fixpoint's turn (~247k
+#       allocs/op), below its cost while the replay ran to its full cap
+#       before the Datalog backend (~327k allocs/op), so a return to that
+#       fails here.
 #   BenchmarkDatalogVerifyUnsafe  the Datalog backend's early exit, on
 #       peterson-ra at two workers: the skeleton walk stops at its 2nd of
 #       26,136 skeletons, whose instance derives unsafe(). Fixed budget ~2x
@@ -97,6 +106,7 @@ gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000
 gate BenchmarkDatalogVerify 12000
-gate BenchmarkServedCorpus 62000
+gate BenchmarkServedCorpus 25000
+gate BenchmarkServedCorpusDatalog 300000
 gate BenchmarkDatalogVerifyUnsafe 5000
 gate BenchmarkSaturateTQBF 20000
