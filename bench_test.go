@@ -342,7 +342,7 @@ func BenchmarkAblationDatalogVsFixpoint(b *testing.B) {
 	})
 	b.Run("datalog", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := paramra.Verify(context.Background(), sys, paramra.Options{Datalog: true, Parallelism: 1})
+			res, err := paramra.Verify(context.Background(), sys, paramra.Options{Datalog: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -407,8 +407,8 @@ func BenchmarkPrepassReplay(b *testing.B) {
 
 // BenchmarkServedCorpus measures the served path: one op verifies all 24
 // corpus entries with the options raserved gives a request that names none
-// (prepass on, replay capped at 30,000 states per instance), at
-// Parallelism 1, and fails on a wrong or incomplete verdict.
+// (prepass on, replay capped at 30,000 states per instance), and fails on
+// a wrong or incomplete verdict.
 // scripts/bench-allocs.sh gates its allocs/op, so a return to running the
 // replay to its full cap before the fixpoint, or to charging a replay
 // round's budget per instance, shows there.
@@ -417,18 +417,18 @@ func BenchmarkServedCorpus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts.Parallelism = 1
 	benchCorpus(b, opts)
 }
 
 // BenchmarkServedCorpusDatalog measures radatalog's default on the corpus:
-// the Datalog backend with the prepass, at Parallelism 1, where the
-// schedule alternates replay rounds and Datalog rounds under growing
-// budgets. scripts/bench-allocs.sh gates its allocs/op, so a return to
-// running the replay to its full cap before the Datalog backend shows
-// there.
+// the Datalog backend with the prepass, where the schedule alternates
+// replay rounds and Datalog rounds under growing budgets.
+// scripts/bench-allocs.sh gates its allocs/op, so a return to running the
+// replay to its full cap before the Datalog backend, or to evaluating each
+// query instance from the prefix's model instead of each step of the walk
+// once, shows there.
 func BenchmarkServedCorpusDatalog(b *testing.B) {
-	benchCorpus(b, paramra.Options{Datalog: true, Prepass: true, Parallelism: 1})
+	benchCorpus(b, paramra.Options{Datalog: true, Prepass: true})
 }
 
 // benchCorpus verifies all 24 corpus entries per op under opts, and fails
@@ -480,14 +480,15 @@ func BenchmarkSkeletons(b *testing.B) {
 }
 
 // BenchmarkDatalogVerify measures the makeP → Datalog backend end to end on
-// the corpus ticketlock entry at two workers. It is SAFE with 72 skeletons,
-// so every query instance is evaluated and allocs/op do not depend on which
-// worker evaluates which; scripts/bench-allocs.sh gates them.
+// the corpus ticketlock entry. It is SAFE with 72 skeletons, so every step
+// of the walk is evaluated; scripts/bench-allocs.sh gates its allocs/op,
+// which grow with every step a return to evaluating each instance from the
+// prefix's model would evaluate again.
 func BenchmarkDatalogVerify(b *testing.B) {
 	e, _ := bench.ByName("ticketlock")
 	sys := e.System()
 	ctx := context.Background()
-	opts := paramra.Options{Datalog: true, Parallelism: 2}
+	opts := paramra.Options{Datalog: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -503,7 +504,7 @@ func BenchmarkDatalogVerify(b *testing.B) {
 }
 
 // BenchmarkDatalogVerifyUnsafe measures the Datalog backend's early exit
-// on the corpus peterson-ra entry at two workers. It is UNSAFE, and the
+// on the corpus peterson-ra entry. It is UNSAFE, and the
 // skeleton walk's 2nd of its 26,136 skeletons derives unsafe(), so the
 // walk stops there; scripts/bench-allocs.sh gates its allocs/op, which
 // grow with every skeleton a return to building all instances first
@@ -512,7 +513,7 @@ func BenchmarkDatalogVerifyUnsafe(b *testing.B) {
 	e, _ := bench.ByName("peterson-ra")
 	sys := e.System()
 	ctx := context.Background()
-	opts := paramra.Options{Datalog: true, Parallelism: 2}
+	opts := paramra.Options{Datalog: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -528,7 +529,7 @@ func BenchmarkDatalogVerifyUnsafe(b *testing.B) {
 }
 
 // BenchmarkSaturateTQBF measures env saturation, the closure §5 reduces
-// TQBF to: paramra.Verify with the prepass off at one worker on the
+// TQBF to: paramra.Verify with the prepass off on the
 // depth-2 TQBF reduction of seed 7. The reduction has no dis thread, so the
 // run is its initial macro-state's saturation; it must complete with the
 // formula's truth value as its verdict. scripts/bench-allocs.sh gates its
@@ -541,7 +542,7 @@ func BenchmarkSaturateTQBF(b *testing.B) {
 	}
 	want := q.Eval()
 	ctx := context.Background()
-	opts := paramra.Options{Parallelism: 1}
+	opts := paramra.Options{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

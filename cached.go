@@ -23,10 +23,9 @@ type CacheStats = cache.Stats
 func NewCache(o CacheOptions) *Cache { return cache.New(o) }
 
 // cacheFingerprint renders every option that can influence a Verify verdict
-// into the cache key. Parallelism is deliberately absent (it sets only the
-// Datalog stream's workers, and no verdict depends on it), as are
-// Progress, tracing and metrics sinks. goalVar is the goal variable already translated to its
-// canonical name (empty when Goal is nil). The leading version changes
+// into the cache key. Progress, tracing and metrics sinks are deliberately
+// absent. goalVar is the goal variable already translated to its canonical
+// name (empty when Goal is nil). The leading version changes
 // whenever the decision procedure changes what a stored verdict says — who
 // decided it, its witness or its §4.3 bound — so entries an earlier
 // version wrote to a disk cache become misses, never stale hits.

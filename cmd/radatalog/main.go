@@ -1,18 +1,19 @@
 // Command radatalog is the Datalog side of the toolchain. Given a system
 // description (.ra) it decides parameterized safety through the makeP
 // encoding (§4.1): paramra.Verify with Options.Datalog walks the dis-run
-// skeletons and evaluates the ∃-over-skeletons semantics of Theorem 4.1 on
-// the engine's workers as the walk emits them, stopping at the first
-// instance that derives unsafe(); with the prepass (the default) it does so
-// in rounds under a growing skeleton budget, taking turns with the
-// prepass's replay. -dump and -stats instead
-// evaluate the query instances one by one, in walk order, listing each. Given a
-// plain Datalog file (.dl) it evaluates its `?-` queries directly,
-// optionally under a Cache Datalog bound.
+// skeletons and evaluates the ∃-over-skeletons semantics of Theorem 4.1 as
+// one depth-first search, each step of the walk a continuation of its
+// parent's model, stopping at the first instance that derives unsafe();
+// with the prepass (the default) it does so in rounds under a growing
+// skeleton budget, taking turns with the prepass's replay. -dump and
+// -stats instead evaluate the query instances one by one, in walk order,
+// each from the shared prefix's model, listing each. Given a plain Datalog
+// file (.dl) it evaluates its `?-` queries directly, optionally under a
+// Cache Datalog bound.
 //
 // Usage:
 //
-//	radatalog [-dump] [-stats] [-max-skeletons N] [-j N] [-timeout D] system.ra
+//	radatalog [-dump] [-stats] [-max-skeletons N] [-timeout D] system.ra
 //	radatalog [-cache k] program.dl
 //
 // For a system, the verdict line and the exit code are raverify's for the
@@ -50,7 +51,6 @@ func run() int {
 	)
 	obsf := obs.RegisterFlags(flag.CommandLine)
 	obsf.RegisterRunFlags(flag.CommandLine)
-	obsf.RegisterWorkersFlag(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: radatalog [flags] system.ra | program.dl")
@@ -61,7 +61,6 @@ func run() int {
 		Datalog:      true,
 		Prepass:      *prepass,
 		MaxSkeletons: *maxSkeletons,
-		Parallelism:  obsf.Workers,
 	}
 	// Strict knob validation with the offending flag named, shared with the
 	// library and the service.
@@ -173,11 +172,12 @@ func listInstances(ctx context.Context, sys *paramra.System, opts paramra.Option
 		i := res.Stats.Skeletons
 		res.Stats.Skeletons++
 		var hit bool
-		if _, hit, _, evalErr = datalog.Continue(ctx, model, p.Rules, p.Goal, nil); evalErr != nil {
+		own := p.Rules()
+		if _, hit, _, evalErr = datalog.Continue(ctx, model, nil, own, &p.Goal, nil); evalErr != nil {
 			return false
 		}
 		if stats || hit {
-			fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prefix.Rules)+len(p.Rules), hit)
+			fmt.Printf("instance %d: rules=%d query=%v\n", i, len(p.Prefix.Rules)+len(own), hit)
 		}
 		if dump {
 			fmt.Printf("--- instance %d ---\n%s", i, p.Program().String())

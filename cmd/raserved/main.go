@@ -55,7 +55,6 @@ func run() int {
 		maxBudget     = flag.Duration("max-budget", 2*time.Minute, "cap on client-requested budgets (above → 400)")
 		maxStates     = flag.Int("max-states", 2_000_000, "cap on concrete-instance exploration per request")
 		maxEnv        = flag.Int("max-env", 16, "cap on env threads for /v1/instance and /v1/deadlocks")
-		workers       = flag.Int("j", 0, "default worker goroutines of the Datalog backend per verification (0 = GOMAXPROCS; the fixpoint and the concrete explorer always run on one)")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. :6060)")
 		metricsOut    = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file on exit")
 		quiet         = flag.Bool("quiet", false, "disable the access log")
@@ -81,7 +80,6 @@ func run() int {
 		MaxBudget:         *maxBudget,
 		MaxStatesCap:      *maxStates,
 		MaxEnvThreads:     *maxEnv,
-		Parallelism:       *workers,
 		Metrics:           reg,
 		SlowThreshold:     *slowThreshold,
 		SlowRingSize:      *slowRing,

@@ -37,7 +37,6 @@ type jsonReport struct {
 	EnvConfigs     int      `json:"envConfigs"`
 	EnvMsgs        int      `json:"envMsgs"`
 	EnvThreadBound int64    `json:"envThreadBound"`
-	Workers        int      `json:"workers,omitempty"`
 	WallMS         int64    `json:"wallMs,omitempty"`
 	Witness        []string `json:"witness,omitempty"`
 	Slice          string   `json:"slice,omitempty"`
@@ -67,7 +66,6 @@ func run() int {
 	)
 	obsf := obs.RegisterFlags(flag.CommandLine)
 	obsf.RegisterRunFlags(flag.CommandLine)
-	obsf.RegisterWorkersFlag(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: raverify [flags] system.ra")
@@ -118,11 +116,10 @@ func run() int {
 		Datalog:        *datalogBackend,
 		// -graph asks for the violation's dependency graph, an artifact only
 		// the fixpoint search produces — it overrides the static fast path.
-		Prepass:     *prepass && !*showGraph,
-		Parallelism: obsf.Workers,
-		Tracer:      sess.Tracer,
-		TraceSpan:   root,
-		Metrics:     sess.Metrics,
+		Prepass:   *prepass && !*showGraph,
+		Tracer:    sess.Tracer,
+		TraceSpan: root,
+		Metrics:   sess.Metrics,
 	}
 	if *goalVar != "" {
 		opts.Goal = &paramra.Goal{Var: *goalVar, Val: *goalVal}
@@ -160,7 +157,7 @@ func run() int {
 			MacroStates: res.Stats.MacroStates, DisTransitions: res.Stats.DisTransitions,
 			EnvConfigs: res.Stats.EnvConfigs, EnvMsgs: res.Stats.EnvMsgs,
 			EnvThreadBound: res.EnvThreadBound, Witness: res.Witness,
-			Workers: res.Stats.Workers, WallMS: res.Stats.Wall.Milliseconds(),
+			WallMS:    res.Stats.Wall.Milliseconds(),
 			DecidedBy: res.DecidedBy, PrepassReason: res.PrepassReason,
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -225,11 +222,10 @@ func run() int {
 	}
 	if *confirm && res.Unsafe {
 		n, witness, err := paramra.ConfirmViolation(ctx, sys, res, 8, paramra.Options{
-			MaxStates:   2_000_000,
-			Parallelism: obsf.Workers,
-			Tracer:      sess.Tracer,
-			TraceSpan:   root,
-			Metrics:     sess.Metrics,
+			MaxStates: 2_000_000,
+			Tracer:    sess.Tracer,
+			TraceSpan: root,
+			Metrics:   sess.Metrics,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "raverify: confirmation failed:", err)

@@ -30,15 +30,13 @@
 //
 // Every entry point takes a context; cancellation or a deadline stops the
 // search and returns the partial Result (Complete = false) together with
-// the context error. Options.Parallelism sets the worker count of the
-// Datalog backend's stream (0 = GOMAXPROCS), whose verdict and statistics
-// are the same for every worker count, and Options.Progress streams
-// periodic Stats snapshots. The fixpoint is one sequential breadth-first
-// search and the concrete explorer — the prepass replay, VerifyInstance,
-// ConfirmViolation and FindDeadlocks — one sequential depth-first search
-// (see internal/engine), so verdicts, DecidedBy, the env-thread bound,
-// witnesses and statistics are reproducible and the same at every
-// Parallelism.
+// the context error, and Options.Progress streams periodic Stats
+// snapshots. Every search runs on the calling goroutine: the fixpoint is
+// one sequential breadth-first search, the concrete explorer — the prepass
+// replay, VerifyInstance, ConfirmViolation and FindDeadlocks — one
+// sequential depth-first search (see internal/engine), and the Datalog
+// backend one depth-first walk, so verdicts, DecidedBy, the env-thread
+// bound, witnesses and statistics are the same on every run.
 //
 // # Result and Stats fields by backend
 //
@@ -64,12 +62,11 @@
 //	Stats.Skeletons           —         ✓        —   (instances evaluated)
 //	Stats.DatalogFacts        —         ✓        —   (per instance, summed)
 //	Stats.DatalogRules        —         ✓        —   (per instance, summed)
-//	Stats.FixpointRounds      —         ✓        —   (continuation rounds)
+//	Stats.FixpointRounds      —         ✓        —   (rounds per walk step)
 //	Stats.DatalogAtoms        —         ✓        —   (model sizes, summed)
 //	Stats.DedupHits           ✓         —        ✓
 //	Stats.PeakFrontier        ✓         —        ✓
 //	Stats.Wall                ✓         ✓        ✓
-//	Stats.Workers             1         ✓        1   (Datalog: Parallelism)
 //
 // The fixpoint searches macro-states whose dis timestamps are canonical:
 // after every dis store it renumbers the variable's messages to the least
@@ -80,15 +77,19 @@
 // timestamps.
 //
 // The Datalog backend evaluates the model of the instances' shared prefix
-// once, then each instance as a continuation of it while the skeleton walk
-// emits them, and stops the walk at the first instance in walk order that
-// derives unsafe(). Its counters cover the instances up to and including
-// that one (all of them on a SAFE or capped run), whatever the worker
-// count: Skeletons counts them, DatalogFacts and DatalogRules count each
-// one's whole program, prefix included, FixpointRounds sums their
-// continuation rounds, not the shared model's, and DatalogAtoms sums the
-// size of each one's model, the shared model included; the UNSAFE
-// instance stops at its goal, so its count is the atoms derived by then.
+// once, then the skeleton walk's DFS tree once per step, as the walk
+// reaches it: a step only adds rules to its parent's chain, so it is
+// evaluated as a continuation of its parent step's model, an instance's
+// model is its last step's, and the walk stops at the first instance in
+// walk order that derives unsafe(). The counters cover the instances up to
+// and including that one (all of them on a SAFE or capped run): Skeletons
+// counts them, DatalogFacts and DatalogRules count each one's whole
+// program, prefix included, and DatalogAtoms sums the size of each one's
+// model, the shared model included. FixpointRounds sums the continuation
+// rounds of the steps evaluated, each step of the walk once however many
+// instances share it, and not the shared model's. The UNSAFE instance
+// stops at the step that derives its goal, so its atom count is its
+// chain's models up to that step plus what that step derived by then.
 //
 // With Options.Prepass, Verify alternates rounds of the prepass's concrete
 // replay and of the backend under a budget that grows from 64 by a factor

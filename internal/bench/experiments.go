@@ -224,7 +224,7 @@ func Ablations() ([]AblationRow, error) {
 
 		start = time.Now()
 		dres, err := paramra.Verify(context.TODO(), sys, paramra.Options{
-			Datalog: true, MaxSkeletons: 20_000, Parallelism: 1,
+			Datalog: true, MaxSkeletons: 20_000,
 		})
 		if err != nil {
 			return nil, err

@@ -42,11 +42,10 @@ func (r VerdictCacheRow) Speedup() float64 {
 func VerdictCacheExperiment(ctx context.Context) ([]VerdictCacheRow, error) {
 	c := paramra.NewCache(paramra.CacheOptions{})
 	opts := paramra.Options{
-		Prepass:     true,
-		UnrollDis:   2,
-		Parallelism: 1,
-		Cache:       c,
-		Metrics:     instr.Metrics,
+		Prepass:   true,
+		UnrollDis: 2,
+		Cache:     c,
+		Metrics:   instr.Metrics,
 	}
 	var out []VerdictCacheRow
 	for _, e := range Corpus() {

@@ -168,7 +168,7 @@ func TestVerifyCacheHitContract(t *testing.T) {
 	for _, prepass := range []bool{false, true} {
 		for _, sys := range systems {
 			t.Run(fmt.Sprintf("%s/prepass=%t", sys.Name, prepass), func(t *testing.T) {
-				opts := paramra.Options{Prepass: prepass, Parallelism: 1}
+				opts := paramra.Options{Prepass: prepass}
 				want, wantErr := paramra.Verify(ctx, sys, opts)
 				opts.Cache = paramra.NewCache(paramra.CacheOptions{})
 				cold, coldErr := paramra.Verify(ctx, sys, opts)

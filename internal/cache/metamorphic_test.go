@@ -21,13 +21,12 @@ import (
 )
 
 // metaOptions mirrors a default-configured server: prepass on, bounded
-// unrolling, deterministic single-worker runs.
+// unrolling.
 func metaOptions(c *paramra.Cache) paramra.Options {
 	return paramra.Options{
-		Prepass:     true,
-		UnrollDis:   2,
-		Parallelism: 1,
-		Cache:       c,
+		Prepass:   true,
+		UnrollDis: 2,
+		Cache:     c,
 	}
 }
 

@@ -54,7 +54,7 @@ func over(p *Program, edb *DB) *DB {
 	if edb == nil {
 		return NewDB(p)
 	}
-	return on(edb)
+	return on(edb, nil)
 }
 
 // QueryCache decides Prog ⊢_k g by breadth-first search over cache states.

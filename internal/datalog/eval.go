@@ -11,10 +11,10 @@ import (
 // Bottom-up evaluation. Eval computes a program's least model semi-naively:
 // each round joins every rule only against the atoms the previous round
 // derived. Continue evaluates more rules as a continuation of such a model,
-// which stays read-only and may serve any number of continuations at once;
-// QueryCtx is the continuation of the empty model, and both stop as soon as
-// their goal is derived. The tests check them against a naive reference
-// evaluator (naive_test.go).
+// or of a continuation's; a model stays read-only and may serve any number
+// of continuations at once. QueryCtx is the continuation of the empty
+// model, and both stop as soon as their goal is derived. The tests check
+// them against a naive reference evaluator (naive_test.go).
 
 // DB is a set of ground atoms. Each predicate's atoms are kept in insertion
 // order under fixed-width packed argument keys, with an index on the first
@@ -28,10 +28,13 @@ type DB struct {
 	width int // bytes per packed constant
 	size  int // atoms held here, excluding the base's
 
-	// shared indexes, by body predicate, the rules this DB is the least
-	// model of (set by Eval): a continuation re-runs them on its deltas.
-	shared [][]use
-	rules  []Rule
+	// rules are the rules the evaluation that filled this DB added to its
+	// base's (all of the program's, for a model from Eval), and uses
+	// indexes them by body predicate. A DB holding a least model records
+	// them; a continuation re-runs the rules of every DB on its base chain
+	// on its deltas.
+	rules []Rule
+	uses  [][]use
 }
 
 // relation holds one predicate's atoms.
@@ -59,12 +62,30 @@ func NewDB(p *Program) *DB {
 }
 
 // on returns an empty database over base's predicates that sits on base.
-func on(base *DB) *DB {
-	db := &DB{base: base, rels: make([]relation, len(base.rels)), width: base.width}
-	for i := range db.rels {
-		db.rels[i].arity = base.rels[i].arity
+// With reuse non-nil it is reuse, emptied but with its storage kept; reuse
+// must be over the same program and must not be on base's chain.
+func on(base, reuse *DB) *DB {
+	if reuse == nil {
+		reuse = &DB{rels: make([]relation, len(base.rels))}
+		for i := range reuse.rels {
+			reuse.rels[i].arity = base.rels[i].arity
+		}
+	} else {
+		for d := base; d != nil; d = d.base {
+			if d == reuse {
+				panic("datalog: a database cannot continue its own base chain")
+			}
+		}
+		for i := range reuse.rels {
+			reuse.rels[i].reset()
+		}
+		for pr := range reuse.uses {
+			reuse.uses[pr] = reuse.uses[pr][:0]
+		}
+		reuse.size, reuse.rules = 0, nil
 	}
-	return db
+	reuse.base, reuse.width = base, base.width
+	return reuse
 }
 
 // keyWidth is the number of bytes a packed key spends per constant when
@@ -102,6 +123,19 @@ func packKey(buf []byte, args []Const, width int) (k uint64, b []byte, ok bool) 
 		return k, nil, true
 	}
 	return 0, buf, true
+}
+
+// reset drops the relation's atoms and keeps its storage.
+func (r *relation) reset() {
+	if r.n == 0 {
+		return
+	}
+	r.n, r.args = 0, r.args[:0]
+	clear(r.small)
+	clear(r.big)
+	for c := range r.first {
+		r.first[c] = r.first[c][:0]
+	}
 }
 
 func (r *relation) has(k uint64, b []byte) bool {
@@ -405,25 +439,21 @@ func (ev *evaluator) emit(g GroundAtom) bool {
 	return true
 }
 
-// run evaluates rules into db, a fresh database, together with the rules
-// its base is the model of (see Eval): the first round joins rules in full
-// against what db holds, the base (a fact yields its head); every later
-// round joins the base's rules and rules with one body position restricted
-// to the atoms the round before derived, until a round derives nothing or
-// goal (nil: none) is derived. It checks ctx between rounds, between rules
-// and every cancelCheckStride derivations; on cancellation it returns the
-// partial database with ctx's error, which the caller must not treat as a
-// model.
+// run evaluates rules into db, an empty database, together with the rules
+// of every DB on its base chain, each of which holds the least model of its
+// chain's rules (see Eval and Continue): the first round joins rules in
+// full against what db holds, the base (a fact yields its head); every
+// later round joins the chain's rules, root first, then rules, each with
+// one body position restricted to the atoms the round before derived,
+// until a round derives nothing or goal (nil: none) is derived. It checks
+// ctx between rounds, between rules and every cancelCheckStride
+// derivations; on cancellation it returns the partial database with ctx's
+// error, which the caller must not treat as a model.
 func run(ctx context.Context, db *DB, rules []Rule, goal *GroundAtom, hook RoundHook) (*DB, bool, EvalStats, error) {
 	stats := EvalStats{Rounds: 1}
-	var shared [][]use
-	var sharedRules []Rule
-	if db.base != nil {
-		if goal != nil && db.base.Has(*goal) {
-			stats.Atoms = db.Size()
-			return db, true, stats, nil
-		}
-		shared, sharedRules = db.base.shared, db.base.rules
+	if db.base != nil && goal != nil && db.base.Has(*goal) {
+		stats.Atoms = db.Size()
+		return db, true, stats, nil
 	}
 	ev := &evaluator{ctx: ctx, db: db, goal: goal}
 	ev.j = joiner{db: db, yield: ev.emit}
@@ -461,15 +491,8 @@ func run(ctx context.Context, db *DB, rules []Rule, goal *GroundAtom, hook Round
 		if hook != nil {
 			roundStart = time.Now()
 		}
-		for pr, uses := range shared {
-			if lo[pr] == hi[pr] {
-				continue
-			}
-			for _, u := range uses {
-				if !ev.delta(&sharedRules[u.rule], u.pos, lo[pr], hi[pr]) {
-					return done()
-				}
-			}
+		if !ev.chain(db.base, lo, hi) {
+			return done()
 		}
 		for i := range rules {
 			r := &rules[i]
@@ -488,6 +511,29 @@ func run(ctx context.Context, db *DB, rules []Rule, goal *GroundAtom, hook Round
 	}
 }
 
+// chain joins the recorded rules of d and of every DB below it, root
+// first, each with one body position restricted to the own atoms [lo, hi)
+// of its predicate.
+func (ev *evaluator) chain(d *DB, lo, hi []int) bool {
+	if d == nil {
+		return true
+	}
+	if !ev.chain(d.base, lo, hi) {
+		return false
+	}
+	for pr, uses := range d.uses {
+		if lo[pr] == hi[pr] {
+			continue
+		}
+		for _, u := range uses {
+			if !ev.delta(&d.rules[u.rule], u.pos, lo[pr], hi[pr]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // delta joins r with body position pos restricted to the own atoms [lo, hi)
 // of its predicate, checking ctx first.
 func (ev *evaluator) delta(r *Rule, pos, lo, hi int) bool {
@@ -495,6 +541,20 @@ func (ev *evaluator) delta(r *Rule, pos, lo, hi int) bool {
 		return false
 	}
 	return ev.j.rule(r, pos, lo, hi)
+}
+
+// record marks db as the least model of its base chain's rules and rules,
+// which must stay unchanged while db serves as a base.
+func (db *DB) record(rules []Rule) {
+	db.rules = rules
+	if db.uses == nil {
+		db.uses = make([][]use, len(db.rels))
+	}
+	for ri, r := range rules {
+		for pos, a := range r.Body {
+			db.uses[a.Pred] = append(db.uses[a.Pred], use{ri, pos})
+		}
+	}
 }
 
 // Eval computes p's least model. The model is read-only from then on and
@@ -505,13 +565,7 @@ func Eval(ctx context.Context, p *Program, hook RoundHook) (*DB, EvalStats, erro
 	if err != nil {
 		return nil, stats, err
 	}
-	db.rules = p.Rules
-	db.shared = make([][]use, len(p.Preds))
-	for ri, r := range p.Rules {
-		for pos, a := range r.Body {
-			db.shared[a.Pred] = append(db.shared[a.Pred], use{ri, pos})
-		}
-	}
+	db.record(p.Rules)
 	return db, stats, nil
 }
 
@@ -521,17 +575,30 @@ func EvalSemiNaive(p *Program) *DB {
 	return db
 }
 
-// Continue answers whether g is derivable from base's program extended by
-// rules, which must be valid over its declarations. base is a model from
-// Eval; Continue never writes to it. The continuation joins rules once in
-// full against base, then runs every rule, base's and its own, on deltas,
-// and stops as soon as g is derived. It returns the continued database:
-// base and what the continuation added, the whole model when g was not
-// derived. Cancellation aborts it mid-round and surfaces ctx's error; a
-// true answer found before is still valid, false with a non-nil error
-// means "unknown".
-func Continue(ctx context.Context, base *DB, rules []Rule, g GroundAtom, hook RoundHook) (*DB, bool, EvalStats, error) {
-	return run(ctx, on(base), rules, &g, hook)
+// Continue evaluates base's program extended by rules, which must be valid
+// over its declarations, and answers whether g (nil: none) is derivable.
+// base is a model from Eval or a whole model from an earlier Continue, so a
+// chain of continuations evaluates a program one batch of rules at a time;
+// Continue never writes to it. The continuation joins rules once in full
+// against base, then runs on deltas the rules of every model on base's
+// chain, root first, and its own, and stops as soon as g is derived.
+//
+// It returns the continued database: base and what the continuation
+// added. When g was not derived, that is the least model of the whole
+// program, which may serve as the base of further continuations as long as
+// rules stay unchanged. The database is reuse when reuse is not nil: a
+// database from an earlier Continue on the same program, not on base's
+// chain and serving as no live continuation's base, whose atoms are
+// dropped and whose storage is kept. Cancellation aborts the continuation
+// mid-round and surfaces ctx's error; a true answer found before is still
+// valid, false with a non-nil error means "unknown", and neither a
+// database that derived g nor a cancelled one is a model.
+func Continue(ctx context.Context, base, reuse *DB, rules []Rule, g *GroundAtom, hook RoundHook) (*DB, bool, EvalStats, error) {
+	db, hit, stats, err := run(ctx, on(base, reuse), rules, g, hook)
+	if !hit && err == nil {
+		db.record(rules)
+	}
+	return db, hit, stats, err
 }
 
 // Query reports whether Prog ⊢ g.

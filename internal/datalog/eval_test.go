@@ -181,7 +181,7 @@ func TestNaiveEqualsSemiNaiveRandom(t *testing.T) {
 			if haveAbsent {
 				goal = absent
 			}
-			db, hit, _, err := Continue(ctx, model, own, goal, nil)
+			db, hit, _, err := Continue(ctx, model, nil, own, &goal, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,9 +192,101 @@ func TestNaiveEqualsSemiNaiveRandom(t *testing.T) {
 				sameAtoms(t, where, p, n, db)
 			}
 			for _, g := range n.All() {
-				if _, hit, _, err := Continue(ctx, model, own, g, nil); err != nil || !hit {
+				if _, hit, _, err := Continue(ctx, model, nil, own, &g, nil); err != nil || !hit {
 					t.Fatalf("%s does not derive %s (err %v)\n%s", where, p.GroundString(g), err, p)
 				}
+			}
+		}
+	}
+}
+
+// batchTree is a tree of rule batches: every root-to-node path is one
+// program, its batches' union.
+type batchTree struct {
+	batch []Rule
+	kids  []*batchTree
+}
+
+// randBatchTree draws a tree of at most depth levels below the root whose
+// batches are 0–2 of rules, drawn with replacement.
+func randBatchTree(r *rand.Rand, rules []Rule, depth int) *batchTree {
+	n := &batchTree{batch: make([]Rule, r.Intn(3))}
+	for i := range n.batch {
+		n.batch[i] = rules[r.Intn(len(rules))]
+	}
+	if depth > 0 {
+		for k := r.Intn(4); k > 0; k-- {
+			n.kids = append(n.kids, randBatchTree(r, rules, depth-1))
+		}
+	}
+	return n
+}
+
+// TestChainedContinuationsRandom walks a random tree of rule batches over
+// each random program depth-first, as the Datalog backend walks its
+// skeletons: the root batch is evaluated to its model, and every other
+// node continues its parent's model with its own batch, in the storage the
+// node before it at its depth used. Without a goal, every node's database
+// must be the naive least model of the union of the batches on its path,
+// and so must its parent's once its subtree is done. With a goal, every
+// node's answer must be the union's membership, and a node that derives
+// the goal ends its subtree, as an UNSAFE instance ends the walk.
+func TestChainedContinuationsRandom(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		p := randDatalog(r)
+		tree := randBatchTree(r, p.Rules, 4)
+		naive := func(rules []Rule) *DB {
+			return EvalNaive(&Program{Preds: p.Preds, Consts: p.Consts, Rules: rules})
+		}
+		model, _, err := Eval(ctx, &Program{Preds: p.Preds, Consts: p.Consts, Rules: tree.batch}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := naive(p.Rules)
+		goals := []*GroundAtom{nil}
+		if atoms := all.All(); len(atoms) > 0 {
+			goals = append(goals, &atoms[r.Intn(len(atoms))])
+		}
+		if g, ok := absentAtom(p, all); ok {
+			goals = append(goals, &g)
+		}
+		for gi, goal := range goals {
+			// stack[d] is the model at depth d; the databases above the
+			// current depth are storage for the next node that reaches
+			// them.
+			stack := []*DB{model}
+			var walk func(n *batchTree, depth int, union []Rule)
+			walk = func(n *batchTree, depth int, union []Rule) {
+				union = append(union[:len(union):len(union)], n.batch...)
+				where := fmt.Sprintf("case %d goal %d depth %d", i, gi, depth)
+				var reuse *DB
+				if depth < len(stack) {
+					reuse = stack[depth]
+				}
+				db, hit, _, err := Continue(ctx, stack[depth-1], reuse, n.batch, goal, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reuse == nil {
+					stack = append(stack, db)
+				}
+				want := naive(union)
+				if goal != nil && hit != want.Has(*goal) {
+					t.Fatalf("%s: answers %v for %s\n%s", where, hit, p.GroundString(*goal), p)
+				}
+				if hit {
+					return
+				}
+				sameAtoms(t, where, p, want, db)
+				for _, k := range n.kids {
+					walk(k, depth+1, union)
+				}
+				sameAtoms(t, where+" after its subtree", p, want, db)
+			}
+			for _, k := range tree.kids {
+				walk(k, 1, tree.batch)
 			}
 		}
 	}
@@ -281,7 +373,7 @@ func TestContinueOnModel(t *testing.T) {
 	c, d := p.Intern("c"), p.Intern("d")
 	own := []Rule{{Head: Atom{Pred: edge, Terms: []Term{C(c), C(d)}}}}
 	ad := GroundAtom{Pred: path, Args: []Const{p.Intern("a"), d}}
-	db, hit, st, err := Continue(context.Background(), model, own, ad, nil)
+	db, hit, st, err := Continue(context.Background(), model, nil, own, &ad, nil)
 	if err != nil || !hit {
 		t.Fatalf("path(a,d) over the model plus edge(c,d): %v, %v", hit, err)
 	}
@@ -289,7 +381,7 @@ func TestContinueOnModel(t *testing.T) {
 		t.Errorf("base grew to %d atoms (was %d) or lost the continuation's", model.Size(), size)
 	}
 	ac := GroundAtom{Pred: path, Args: []Const{p.Intern("a"), c}}
-	if _, hit, st, _ = Continue(context.Background(), model, own, ac, nil); !hit || st.Rounds != 1 {
+	if _, hit, st, _ = Continue(context.Background(), model, nil, own, &ac, nil); !hit || st.Rounds != 1 {
 		t.Errorf("goal held by the base: %v after %d rounds, want true after 1", hit, st.Rounds)
 	}
 }

@@ -173,7 +173,7 @@ func TestContinuationMatchesWholeProgram(t *testing.T) {
 		i := 0
 		_, err = enc.Each(ctx, corpusCap, func(p *encode.Problem) bool {
 			defer func() { i++ }()
-			db, hit, _, err := datalog.Continue(ctx, model, p.Rules, p.Goal, nil)
+			db, hit, _, err := datalog.Continue(ctx, model, nil, p.Rules(), &p.Goal, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

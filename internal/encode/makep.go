@@ -38,18 +38,38 @@ type Problem struct {
 	// env rules — emitted once per system and shared by all its instances.
 	// Its least model is the base every instance continues from.
 	Prefix *datalog.Program
-	// Rules are this instance's own rules, valid over Prefix's
-	// declarations: the step chain of its skeleton.
-	Rules []datalog.Rule
-	Goal  datalog.GroundAtom
+	// Steps are this instance's own rules, valid over Prefix's
+	// declarations: the step chain of its skeleton, one batch per step.
+	// Steps[0] is the fact step0(), and Steps[j+1] encodes the skeleton's
+	// step j. A step only adds rules, so the least model of a chain's first
+	// k batches is part of the model of every chain that starts with them.
+	// The slice is the Encoder's, valid during the yield call only; the
+	// batches themselves are never changed.
+	Steps [][]datalog.Rule
+	// Shared is the number of leading Steps this instance shares with the
+	// one handed over before it (0 for the first): step0 and the steps of
+	// the skeletons' common path in the walk. No walk path is a prefix of
+	// another, so it is less than len(Steps).
+	Shared int
+	Goal   datalog.GroundAtom
 	// EDBPreds marks the join-table predicates, exempt from cache bounds.
 	EDBPreds map[datalog.Pred]bool
 }
 
+// Rules returns the instance's own rules, Steps one after another.
+func (p *Problem) Rules() []datalog.Rule {
+	var out []datalog.Rule
+	for _, st := range p.Steps {
+		out = append(out, st...)
+	}
+	return out
+}
+
 // Program materializes the instance's whole program: Prefix's rules, then
-// Rules. Query evaluation continues from Prefix's model instead; this is
-// for dumps and for checking that continuation against the whole program.
-func (p *Problem) Program() *datalog.Program { return p.Prefix.Extend(p.Rules) }
+// Rules. Query evaluation continues from Prefix's model step by step
+// instead; this is for dumps and for checking that continuation against
+// the whole program.
+func (p *Problem) Program() *datalog.Program { return p.Prefix.Extend(p.Rules()) }
 
 // ErrNoEnv rejects systems without env threads: makeP targets the
 // parameterized class; plain finite-state systems don't need it.
@@ -94,10 +114,13 @@ type builder struct {
 
 // Encoder emits makeP's program for one system: the shared prefix when it
 // is made, then one query instance per dis-run skeleton, each encoded as
-// the skeleton walk reaches it, so no list of instances is ever built.
+// the skeleton walk reaches it, so no list of instances is ever built. It
+// keeps the last instance's chain as a stack of step batches and encodes
+// only the steps past those the next skeleton shares with it.
 type Encoder struct {
-	b *builder
-	v *simplified.Verifier // nil for env-only systems, which need no guess
+	b     *builder
+	v     *simplified.Verifier // nil for env-only systems, which need no guess
+	steps [][]datalog.Rule
 }
 
 // New emits the prefix of sys's program. hints restricts the valuation
@@ -148,19 +171,26 @@ func (e *Encoder) Prefix() *datalog.Program { return e.b.prog }
 // false when the cap or yield cut it short. Cancellation is checked once
 // per macro-state the walk expands and surfaces as ctx's error.
 func (e *Encoder) Each(ctx context.Context, maxSkeletons int, yield func(*Problem) bool) (complete bool, err error) {
+	e.steps = e.steps[:0]
 	if e.v == nil {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		p, err := e.problem(nil)
+		p, err := e.problem(nil, 0)
 		if err != nil {
 			return false, err
 		}
 		return yield(p), nil
 	}
 	var encErr error
+	first := true
 	complete, err = e.v.EachSkeleton(ctx, maxSkeletons, func(sk simplified.Skeleton) bool {
-		p, err := e.problem(&sk)
+		shared := 0
+		if !first {
+			shared = 1 + sk.Shared
+		}
+		first = false
+		p, err := e.problem(sk.Steps, shared)
 		if err != nil {
 			encErr = err
 			return false
@@ -173,13 +203,30 @@ func (e *Encoder) Each(ctx context.Context, maxSkeletons int, yield func(*Proble
 	return complete, err
 }
 
-// problem encodes one skeleton (nil for env-only systems) as a Problem.
-func (e *Encoder) problem(sk *simplified.Skeleton) (*Problem, error) {
-	rules, goal, err := e.b.emitSkeleton(sk)
-	if err != nil {
-		return nil, err
+// problem encodes the instance of the skeleton with the given steps (none
+// for env-only systems), keeping the first shared batches of the last
+// instance's chain.
+func (e *Encoder) problem(steps []simplified.SkeletonStep, shared int) (*Problem, error) {
+	if len(steps) >= len(e.b.steps) {
+		return nil, fmt.Errorf("encode: skeleton of %d steps exceeds the chain bound %d", len(steps), len(e.b.steps)-1)
 	}
-	return &Problem{Prefix: e.b.prog, Rules: rules, Goal: goal, EDBPreds: e.b.edbPreds}, nil
+	e.steps = e.steps[:shared]
+	if shared == 0 {
+		e.steps = append(e.steps, e.b.chainStart())
+	}
+	for j := len(e.steps) - 1; j < len(steps); j++ {
+		if steps[j].Assert && j != len(steps)-1 {
+			return nil, fmt.Errorf("encode: assert step %d is not terminal", j)
+		}
+		rules, err := e.b.emitStep(j, &steps[j])
+		if err != nil {
+			return nil, err
+		}
+		e.steps = append(e.steps, rules)
+	}
+	b := e.b
+	return &Problem{Prefix: b.prog, Steps: e.steps, Shared: shared,
+		Goal: datalog.GroundAtom{Pred: b.unsafeP}, EDBPreds: b.edbPreds}, nil
 }
 
 // EnvOnly generates the single query instance for a system without dis
@@ -192,7 +239,7 @@ func EnvOnly(sys *lang.System) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.problem(nil)
+	return e.problem(nil, 0)
 }
 
 // newPrefix emits the prefix of sys's program, declaring the step

@@ -2,6 +2,7 @@ package encode
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"paramra/internal/datalog"
@@ -44,7 +45,10 @@ func collect(ctx context.Context, sys *lang.System, maxSkeletons int, hints Hint
 	}
 	var ps []*Problem
 	complete, err := e.Each(ctx, maxSkeletons, func(p *Problem) bool {
-		ps = append(ps, p)
+		// Steps is the Encoder's stack; the batches in it stay as they are.
+		q := *p
+		q.Steps = slices.Clone(p.Steps)
+		ps = append(ps, &q)
 		return true
 	})
 	return ps, complete, err
@@ -163,8 +167,8 @@ thread w { store x 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Rules) != 1 || len(p.Rules[0].Body) != 0 {
-		t.Errorf("env-only problem has %d own rules, want the single fact step0()", len(p.Rules))
+	if own := p.Rules(); len(p.Steps) != 1 || len(own) != 1 || len(own[0].Body) != 0 {
+		t.Errorf("env-only problem has %d own rules in %d steps, want the single fact step0()", len(own), len(p.Steps))
 	}
 	// Rule shape check: at most 2 IDB body atoms per rule (the Cache
 	// Datalog requirement behind Theorem 4.1).

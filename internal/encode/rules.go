@@ -286,68 +286,60 @@ func (b *builder) empGround(m *simplified.AMsg) (datalog.GroundAtom, error) {
 	return datalog.GroundAtom{Pred: b.emp, Args: args}, nil
 }
 
-// emitSkeleton encodes the guessed dis run as an instance's own rules, a
-// chain of step predicates: step_{j+1}() :- step_j() [, emp(E)], with dis
-// messages becoming available as dmp facts conditioned on their step, and
-// unsafe() inferred from the terminating assert (or from bad() for env-side
-// asserts). The returned goal is unsafe().
-func (b *builder) emitSkeleton(sk *simplified.Skeleton) ([]datalog.Rule, datalog.GroundAtom, error) {
-	goal := datalog.GroundAtom{Pred: b.unsafeP}
-	var rules []datalog.Rule
-	add := func(r datalog.Rule) {
-		if err := b.prog.CheckRule(r); err != nil {
-			panic(fmt.Sprintf("encode: bad rule: %v", err))
-		}
-		rules = append(rules, r)
+// checked validates r over the prefix's declarations.
+func (b *builder) checked(r datalog.Rule) datalog.Rule {
+	if err := b.prog.CheckRule(r); err != nil {
+		panic(fmt.Sprintf("encode: bad rule: %v", err))
 	}
-	prev := b.steps[0]
-	add(datalog.Rule{Head: datalog.Atom{Pred: prev}})
-	if sk == nil {
-		return rules, goal, nil
+	return r
+}
+
+// chainStart is the first batch of every instance's chain: the fact
+// step0().
+func (b *builder) chainStart() []datalog.Rule {
+	return []datalog.Rule{b.checked(datalog.Rule{Head: datalog.Atom{Pred: b.steps[0]}})}
+}
+
+// emitStep encodes step j of a guessed dis run as its batch of the chain:
+// step_{j+1}() :- step_j() [, emp(E)], with a dis message it stores
+// becoming available as a dmp fact conditioned on step_{j+1}, or, for the
+// terminating assert, unsafe() :- step_j() (env-side asserts reach unsafe()
+// through bad()). The query of every instance is unsafe().
+func (b *builder) emitStep(j int, st *simplified.SkeletonStep) ([]datalog.Rule, error) {
+	prev := b.steps[j]
+	if st.Assert {
+		return []datalog.Rule{b.checked(datalog.Rule{
+			Head: datalog.Atom{Pred: b.unsafeP},
+			Body: []datalog.Atom{{Pred: prev}},
+		})}, nil
 	}
-	if len(sk.Steps) >= len(b.steps) {
-		return nil, goal, fmt.Errorf("encode: skeleton of %d steps exceeds the chain bound %d", len(sk.Steps), len(b.steps)-1)
+	next := b.steps[j+1]
+	body := []datalog.Atom{{Pred: prev}}
+	if st.ReadEnv != nil {
+		eg, err := b.empGround(st.ReadEnv)
+		if err != nil {
+			return nil, err
+		}
+		terms := make([]datalog.Term, len(eg.Args))
+		for i, a := range eg.Args {
+			terms[i] = datalog.C(a)
+		}
+		body = append(body, datalog.Atom{Pred: b.emp, Terms: terms})
 	}
-	for j, st := range sk.Steps {
-		if st.Assert {
-			add(datalog.Rule{
-				Head: datalog.Atom{Pred: b.unsafeP},
-				Body: []datalog.Atom{{Pred: prev}},
-			})
-			if j != len(sk.Steps)-1 {
-				return nil, goal, fmt.Errorf("encode: assert step %d is not terminal", j)
+	rules := []datalog.Rule{b.checked(datalog.Rule{Head: datalog.Atom{Pred: next}, Body: body})}
+	if st.Stored != nil {
+		margs := []datalog.Term{datalog.C(b.varConst(st.Stored.Var)), datalog.C(b.valC[st.Stored.Val])}
+		for _, t := range st.Stored.View {
+			c, ok := b.timeC[t]
+			if !ok {
+				return nil, fmt.Errorf("encode: stored timestamp %s outside universe", t)
 			}
-			return rules, goal, nil
+			margs = append(margs, datalog.C(c))
 		}
-		next := b.steps[j+1]
-		body := []datalog.Atom{{Pred: prev}}
-		if st.ReadEnv != nil {
-			eg, err := b.empGround(st.ReadEnv)
-			if err != nil {
-				return nil, goal, err
-			}
-			terms := make([]datalog.Term, len(eg.Args))
-			for i, a := range eg.Args {
-				terms[i] = datalog.C(a)
-			}
-			body = append(body, datalog.Atom{Pred: b.emp, Terms: terms})
-		}
-		add(datalog.Rule{Head: datalog.Atom{Pred: next}, Body: body})
-		if st.Stored != nil {
-			margs := []datalog.Term{datalog.C(b.varConst(st.Stored.Var)), datalog.C(b.valC[st.Stored.Val])}
-			for _, t := range st.Stored.View {
-				c, ok := b.timeC[t]
-				if !ok {
-					return nil, goal, fmt.Errorf("encode: stored timestamp %s outside universe", t)
-				}
-				margs = append(margs, datalog.C(c))
-			}
-			add(datalog.Rule{
-				Head: datalog.Atom{Pred: b.dmp, Terms: margs},
-				Body: []datalog.Atom{{Pred: next}},
-			})
-		}
-		prev = next
+		rules = append(rules, b.checked(datalog.Rule{
+			Head: datalog.Atom{Pred: b.dmp, Terms: margs},
+			Body: []datalog.Atom{{Pred: next}},
+		}))
 	}
-	return rules, goal, nil
+	return rules, nil
 }

@@ -16,9 +16,8 @@
 //
 // Both honor context cancellation and deadlines, cap the number of admitted
 // states, count the same statistics, and report progress via an optional
-// callback. Stream evaluates a produced sequence of independent items on
-// worker goroutines and folds their results in order; Tick is the drivers'
-// progress ticker.
+// callback. Tick is the drivers' progress ticker, which the Datalog
+// backend's skeleton walk uses too.
 package engine
 
 import (

@@ -164,7 +164,6 @@ func Check(ctx context.Context, sys *lang.System, opts CheckOptions) *Report {
 		MaxMacroStates: opts.MaxMacroStates,
 		MaxStates:      opts.MaxStates,
 		MaxSkeletons:   opts.MaxSkeletons,
-		Parallelism:    1,
 	}
 
 	applyFault := func(backend string, unsafe bool) bool { return fault(opts, backend, work, unsafe) }

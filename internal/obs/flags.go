@@ -13,12 +13,10 @@ import (
 // Flags is the shared observability (and run-limit) flag set of the cmd/
 // tools. Every tool registers the observability group via RegisterFlags;
 // the tools that run a search additionally register -timeout via
-// RegisterRunFlags, and the tools that can run the Datalog backend -j via
-// RegisterWorkersFlag. Using one helper keeps spelling, defaults, and help
+// RegisterRunFlags. Using one helper keeps spelling, defaults, and help
 // text identical across binaries.
 type Flags struct {
-	// Run group (-timeout, and -j where the Datalog backend runs).
-	Workers int
+	// Run group (-timeout).
 	Timeout time.Duration
 
 	// Observability group.
@@ -48,12 +46,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // identically across the tools that run a search.
 func (f *Flags) RegisterRunFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&f.Timeout, "timeout", 0, "overall time limit (0 = none), e.g. 30s")
-}
-
-// RegisterWorkersFlag registers -j on fs: the worker goroutines of the
-// Datalog backend, the one backend that runs on more than one.
-func (f *Flags) RegisterWorkersFlag(fs *flag.FlagSet) {
-	fs.IntVar(&f.Workers, "j", 0, "worker goroutines of the Datalog backend (0 = GOMAXPROCS); verdicts are identical for every value")
 }
 
 // Context returns the tool's run context: SIGINT cancels it, and -timeout

@@ -12,19 +12,18 @@ func TestFlagsRegisterSpelling(t *testing.T) {
 	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 	f := RegisterFlags(fs)
 	f.RegisterRunFlags(fs)
-	f.RegisterWorkersFlag(fs)
 	for _, name := range []string{
-		"j", "timeout", "trace-out", "metrics-addr", "metrics-out",
+		"timeout", "trace-out", "metrics-addr", "metrics-out",
 		"pprof-addr", "cpuprofile", "memprofile",
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	if err := fs.Parse([]string{"-j", "4", "-timeout", "2s", "-trace-out", "x.jsonl"}); err != nil {
+	if err := fs.Parse([]string{"-timeout", "2s", "-trace-out", "x.jsonl"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Workers != 4 || f.Timeout != 2*time.Second || f.TraceOut != "x.jsonl" {
+	if f.Timeout != 2*time.Second || f.TraceOut != "x.jsonl" {
 		t.Errorf("parsed flags wrong: %+v", f)
 	}
 }

@@ -67,12 +67,6 @@ func lowerFirst(s string) string {
 // hooks; the server attaches its registry afterwards. Call on a Defaulted
 // config — the zero Config rejects every nonzero knob.
 func (c Config) Options(ro RequestOptions) (paramra.Options, error) {
-	if ro.Parallelism > c.MaxParallelism {
-		return paramra.Options{}, &FieldError{
-			Field:  "parallelism",
-			Reason: fmt.Sprintf("= %d: exceeds the server cap %d", ro.Parallelism, c.MaxParallelism),
-		}
-	}
 	if c.MaxStatesCap > 0 && ro.MaxStates > c.MaxStatesCap {
 		return paramra.Options{}, &FieldError{
 			Field:  "maxStates",
@@ -95,7 +89,6 @@ func (c Config) Options(ro RequestOptions) (paramra.Options, error) {
 		MaxMacroStates: ro.MaxMacroStates,
 		MaxStates:      ro.MaxStates,
 		MaxSkeletons:   ro.MaxSkeletons,
-		Parallelism:    ro.Parallelism,
 		UnrollDis:      ro.UnrollDis,
 		Datalog:        ro.Datalog,
 		Prepass:        true,
@@ -110,9 +103,6 @@ func (c Config) Options(ro RequestOptions) (paramra.Options, error) {
 		// Concrete exploration must never be unbounded on a shared server:
 		// loops make concrete state spaces infinite in general.
 		opts.MaxStates = c.MaxStatesCap
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = c.Parallelism
 	}
 	// Strict validation: the server answers 400 with the offending field
 	// instead of the library's silent clamp.

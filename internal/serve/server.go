@@ -40,13 +40,6 @@ type Config struct {
 	// 0 ("unlimited") get this cap — a shared server never explores an
 	// infinite concrete state space.
 	MaxStatesCap int
-	// MaxParallelism caps the per-request worker count (default GOMAXPROCS).
-	MaxParallelism int
-	// Parallelism is the Datalog backend's worker count used when the
-	// request names none (default 0 = GOMAXPROCS). The fixpoint and the
-	// concrete explorer behind the prepass replay, /v1/instance and
-	// /v1/deadlocks always run on one.
-	Parallelism int
 	// MaxEnvThreads caps the instance size of /v1/instance and /v1/deadlocks
 	// (default 16).
 	MaxEnvThreads int
@@ -103,9 +96,6 @@ func (c Config) Defaulted() Config {
 	}
 	if c.MaxStatesCap <= 0 {
 		c.MaxStatesCap = 2_000_000
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxEnvThreads <= 0 {
 		c.MaxEnvThreads = 16
@@ -408,7 +398,6 @@ func decodeRequest(r *http.Request) (system string, ro RequestOptions, envThread
 	geti("maxStates", &ro.MaxStates)
 	geti("maxMacroStates", &ro.MaxMacroStates)
 	geti("maxSkeletons", &ro.MaxSkeletons)
-	geti("parallelism", &ro.Parallelism)
 	geti("unrollDis", &ro.UnrollDis)
 	geti("goalVal", &ro.GoalVal)
 	geti("confirmMaxEnv", &ro.ConfirmMaxEnv)

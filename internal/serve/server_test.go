@@ -115,9 +115,12 @@ func TestServerVerifyJSON(t *testing.T) {
 	}
 }
 
+// TestServerVerifyRawBody also sends the parallelism query parameter the
+// server no longer reads: unknown parameters are ignored, so older clients
+// keep working.
 func TestServerVerifyRawBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/verify?datalog=1", "text/plain", strings.NewReader(sysUnsafe))
+	resp, err := http.Post(ts.URL+"/v1/verify?datalog=1&parallelism=4", "text/plain", strings.NewReader(sysUnsafe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +178,9 @@ func TestServerInvalidOptions(t *testing.T) {
 		field string
 	}{
 		{"negative maxStates", RequestOptions{MaxStates: -1}, "maxStates"},
-		{"negative parallelism", RequestOptions{Parallelism: -2}, "parallelism"},
+		{"negative maxSkeletons", RequestOptions{MaxSkeletons: -2}, "maxSkeletons"},
 		{"negative budget", RequestOptions{BudgetMS: -5}, "budgetMs"},
 		{"budget above cap", RequestOptions{BudgetMS: time.Hour.Milliseconds()}, "budgetMs"},
-		{"parallelism above cap", RequestOptions{Parallelism: 1 << 20}, "parallelism"},
 		{"maxStates above cap", RequestOptions{MaxStates: 1 << 30}, "maxStates"},
 		{"negative confirmMaxEnv", RequestOptions{ConfirmMaxEnv: -1}, "confirmMaxEnv"},
 	}

@@ -40,7 +40,6 @@ type StatsDTO struct {
 	DedupHits    int64 `json:"dedupHits,omitempty"`
 	PeakFrontier int64 `json:"peakFrontier,omitempty"`
 	WallMS       int64 `json:"wallMs,omitempty"`
-	Workers      int   `json:"workers,omitempty"`
 }
 
 // FromStats converts library stats to the wire form.
@@ -61,7 +60,6 @@ func FromStats(s paramra.Stats) StatsDTO {
 		DedupHits:       s.DedupHits,
 		PeakFrontier:    s.PeakFrontier,
 		WallMS:          s.Wall.Milliseconds(),
-		Workers:         s.Workers,
 	}
 }
 
@@ -84,7 +82,6 @@ func (d StatsDTO) ToStats() paramra.Stats {
 		DedupHits:       d.DedupHits,
 		PeakFrontier:    d.PeakFrontier,
 		Wall:            time.Duration(d.WallMS) * time.Millisecond,
-		Workers:         d.Workers,
 	}
 }
 
@@ -196,9 +193,6 @@ type RequestOptions struct {
 	MaxMacroStates int `json:"maxMacroStates,omitempty"`
 	// MaxSkeletons caps Datalog skeleton enumeration (0 = backend default).
 	MaxSkeletons int `json:"maxSkeletons,omitempty"`
-	// Parallelism is the Datalog backend's worker count (0 = server
-	// default; capped by the server's per-request parallelism cap).
-	Parallelism int `json:"parallelism,omitempty"`
 	// UnrollDis unrolls looping dis threads (bounded under-approximation).
 	UnrollDis int `json:"unrollDis,omitempty"`
 	// Datalog selects the makeP → Datalog backend.
@@ -351,8 +345,8 @@ func InstanceVerdict(r paramra.InstanceResult) string {
 
 // VerdictCore is the deterministic kernel of a verify response: the fields
 // that do not depend on timing or on engine-scheduling counters. They are
-// identical across Parallelism values and repeated runs; a prepass UNSAFE
-// witness too, since the replay is one sequential search. The soak harness
+// identical across repeated runs; a prepass UNSAFE witness too, since the
+// replay is one sequential search. The soak harness
 // compares these bytes between the live server and a local library run.
 type VerdictCore struct {
 	System         string   `json:"system"`

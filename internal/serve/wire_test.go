@@ -25,7 +25,7 @@ func fullStats() paramra.Stats {
 		SaturationSteps: 105, States: 106, Transitions: 107, Skeletons: 108,
 		DatalogFacts: 109, DatalogRules: 110, FixpointRounds: 111,
 		DatalogAtoms: 112, DedupHits: 113, PeakFrontier: 114,
-		Wall: 115 * time.Millisecond, Workers: 4,
+		Wall: 115 * time.Millisecond,
 	}
 }
 
@@ -72,7 +72,7 @@ func goldenCases() map[string]any {
 			Verdict:    "UNSAFE",
 			Result: InstanceResultDTO{
 				Unsafe: true, Complete: true, States: 321,
-				Stats:   FromStats(paramra.Stats{States: 321, Transitions: 654, Workers: 2}),
+				Stats:   FromStats(paramra.Stats{States: 321, Transitions: 654}),
 				Witness: "store x 1\nload x -> 1\n",
 			},
 		},
@@ -245,7 +245,7 @@ func TestWireCoversLibrary(t *testing.T) {
 				"DedupHits", "DisTransitions", "EnvConfigs", "EnvMsgs",
 				"FixpointRounds", "MacroStates", "PeakFrontier",
 				"SaturationSteps", "Skeletons", "States", "Transitions",
-				"Wall", "Workers"},
+				"Wall"},
 		},
 		{
 			name: "InstanceResult", lib: paramra.InstanceResult{},
@@ -305,7 +305,7 @@ func TestVerdictStrings(t *testing.T) {
 // the engine counters that vary run to run.
 func TestVerdictCoreExcludesTiming(t *testing.T) {
 	a := VerifyResponse{System: "s", Verdict: "SAFE", Result: ResultDTO{Stats: StatsDTO{WallMS: 7, DedupHits: 9}}}
-	b := VerifyResponse{System: "s", Verdict: "SAFE", Result: ResultDTO{Stats: StatsDTO{WallMS: 1000, Workers: 8}}}
+	b := VerifyResponse{System: "s", Verdict: "SAFE", Result: ResultDTO{Stats: StatsDTO{WallMS: 1000, PeakFrontier: 8}}}
 	if !bytes.Equal(a.CoreBytes(), b.CoreBytes()) {
 		t.Errorf("core bytes differ on timing-only changes:\n%s\n%s", a.CoreBytes(), b.CoreBytes())
 	}

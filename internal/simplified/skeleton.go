@@ -45,13 +45,20 @@ type Skeleton struct {
 	Steps []SkeletonStep
 	// Unsafe marks skeletons ending in a dis assert.
 	Unsafe bool
+	// Shared is the number of leading steps the skeleton shares with the
+	// one emitted before it, as the walk's paths: the depth of the DFS
+	// tree's node where the two paths part (0 for the first skeleton).
+	// No path the walk emits is a prefix of another, so every skeleton but
+	// the first has a step past Shared.
+	Shared int
 }
 
 // EachSkeleton walks the dis-run skeletons by depth-first search over the
 // macro-state space, memoized on state keys so each macro-state is expanded
 // once, and hands each one to yield as the walk reaches it: every maximal
-// or assert-terminated path of the DFS tree is one skeleton. The walk stops
-// when yield returns false. The skeleton's Steps are the walk's own path,
+// or assert-terminated path of the DFS tree is one skeleton, and its Shared
+// says how much of the path before it it keeps. The walk stops when yield
+// returns false. The skeleton's Steps are the walk's own path,
 // valid only during the call; a consumer that keeps them copies them.
 // maxPaths > 0 caps the number of skeletons. complete reports whether the
 // walk ran to its end: false when the cap or yield cut it short. ctx is
@@ -86,7 +93,7 @@ func (v *Verifier) Skeletons(ctx context.Context, maxPaths int) ([]Skeleton, boo
 	complete, err := v.EachSkeleton(ctx, maxPaths, func(sk Skeleton) bool {
 		steps := make([]SkeletonStep, len(sk.Steps))
 		copy(steps, sk.Steps)
-		out = append(out, Skeleton{Steps: steps, Unsafe: sk.Unsafe})
+		out = append(out, Skeleton{Steps: steps, Unsafe: sk.Unsafe, Shared: sk.Shared})
 		return true
 	})
 	if err != nil {
@@ -97,11 +104,14 @@ func (v *Verifier) Skeletons(ctx context.Context, maxPaths int) ([]Skeleton, boo
 
 // skelWalk is the state of one EachSkeleton walk.
 type skelWalk struct {
-	ex       *exec
-	max      int
-	yield    func(Skeleton) bool
-	seen     map[string]bool
-	path     []SkeletonStep
+	ex    *exec
+	max   int
+	yield func(Skeleton) bool
+	seen  map[string]bool
+	path  []SkeletonStep
+	// low is the length of the shortest path since the last emit: the
+	// steps the next skeleton shares with it.
+	low      int
 	emitted  int
 	stopped  bool
 	complete bool
@@ -134,9 +144,17 @@ func (w *skelWalk) emit(unsafe bool) {
 		return
 	}
 	w.emitted++
-	if !w.yield(Skeleton{Steps: w.path, Unsafe: unsafe}) {
+	shared := w.low
+	w.low = len(w.path)
+	if !w.yield(Skeleton{Steps: w.path, Unsafe: unsafe, Shared: shared}) {
 		w.stopped, w.complete = true, false
 	}
+}
+
+// pop takes the last step off the path.
+func (w *skelWalk) pop() {
+	w.path = w.path[:len(w.path)-1]
+	w.low = min(w.low, len(w.path))
 }
 
 // dfs expands st and walks into every successor not seen before, emitting
@@ -171,7 +189,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 	if hasViol {
 		w.path = append(w.path, viol)
 		w.emit(true)
-		w.path = w.path[:len(w.path)-1]
+		w.pop()
 	}
 	progressed := false
 	for _, s := range succs {
@@ -191,7 +209,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		if err := w.dfs(ctx, s.st); err != nil {
 			return err
 		}
-		w.path = w.path[:len(w.path)-1]
+		w.pop()
 	}
 	if !progressed && !hasViol {
 		w.emit(false)

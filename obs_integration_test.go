@@ -18,7 +18,7 @@ import (
 )
 
 // Integration tests of the observability layer: the trace a full Verify run
-// emits, the Wall/Workers contract of Stats, the final-Progress-snapshot
+// emits, the Wall contract of Stats, the final-Progress-snapshot
 // contract, and the CLI surface (-trace-out, flag uniformity, rabench
 // report, the checked-in parallel baseline).
 
@@ -34,71 +34,46 @@ func mustParse(t *testing.T, src string) *paramra.System {
 	return sys
 }
 
-// TestStatsWallWorkers pins the contract that every backend populates
-// Stats.Wall and Stats.Workers on every path, including the fixpoint's
-// early-violation exit that never reaches the engine. The fixpoint and the
-// concrete explorer search on one goroutine at any Parallelism.
-func TestStatsWallWorkers(t *testing.T) {
+// TestStatsWall pins the contract that every backend populates Stats.Wall
+// on every path, including the fixpoint's early-violation exit that never
+// reaches the engine.
+func TestStatsWall(t *testing.T) {
 	ctx := context.Background()
 	safe := mustParse(t, cliSafe)
 	unsafeSys := mustParse(t, cliProdCons)
 
-	t.Run("fixpoint", func(t *testing.T) {
-		res, err := paramra.Verify(ctx, safe, paramra.Options{Parallelism: 2})
+	for _, c := range []struct {
+		name string
+		sys  *paramra.System
+		opts paramra.Options
+	}{
+		{"fixpoint", safe, paramra.Options{}},
+		{"fixpoint-unsafe", unsafeSys, paramra.Options{}},
+		// Goal value 0 is in the initial memory, so the run ends before
+		// the engine starts — the path that used to leave Wall zero.
+		{"fixpoint-early-violation", safe, paramra.Options{Goal: &paramra.Goal{Var: "x", Val: 0}}},
+		{"datalog", safe, paramra.Options{Datalog: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := paramra.Verify(ctx, c.sys, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.opts.Goal != nil && (!res.Unsafe || res.Stats.MacroStates != 1) {
+				t.Fatalf("unexpected early-path result: %+v", res)
+			}
+			if res.Stats.Wall <= 0 {
+				t.Errorf("Wall=%v, want >0", res.Stats.Wall)
+			}
+		})
+	}
+	t.Run("concrete", func(t *testing.T) {
+		res, err := paramra.VerifyInstance(ctx, safe, 1, paramra.Options{MaxStates: 100_000})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Stats.Wall <= 0 || res.Stats.Workers != 1 {
-			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=1", res.Stats.Wall, res.Stats.Workers)
-		}
-	})
-	t.Run("fixpoint-default-workers", func(t *testing.T) {
-		res, err := paramra.Verify(ctx, unsafeSys, paramra.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Workers != 1 {
-			t.Errorf("Workers=%d, want 1", res.Stats.Workers)
 		}
 		if res.Stats.Wall <= 0 {
 			t.Errorf("Wall=%v, want >0", res.Stats.Wall)
-		}
-	})
-	t.Run("fixpoint-early-violation", func(t *testing.T) {
-		// Goal value 0 is in the initial memory, so the run ends before the
-		// engine starts — the path that used to leave Wall/Workers zero.
-		res, err := paramra.Verify(ctx, safe, paramra.Options{
-			Goal: &paramra.Goal{Var: "x", Val: 0}, Parallelism: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Unsafe || res.Stats.MacroStates != 1 {
-			t.Fatalf("unexpected early-path result: %+v", res)
-		}
-		if res.Stats.Wall <= 0 || res.Stats.Workers != 1 {
-			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=1", res.Stats.Wall, res.Stats.Workers)
-		}
-	})
-	t.Run("datalog", func(t *testing.T) {
-		res, err := paramra.Verify(ctx, safe, paramra.Options{Datalog: true, Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Wall <= 0 || res.Stats.Workers < 1 {
-			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers>=1", res.Stats.Wall, res.Stats.Workers)
-		}
-	})
-	t.Run("concrete", func(t *testing.T) {
-		// The concrete explorer is one sequential search at any Parallelism.
-		res, err := paramra.VerifyInstance(ctx, safe, 1, paramra.Options{
-			MaxStates: 100_000, Parallelism: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Wall <= 0 || res.Stats.Workers != 1 {
-			t.Errorf("Wall=%v Workers=%d, want Wall>0 Workers=1", res.Stats.Wall, res.Stats.Workers)
 		}
 	})
 }
@@ -152,10 +127,10 @@ func checkProgress(t *testing.T, rec *progressRecorder, final paramra.Stats) {
 }
 
 // TestFinalProgressEqualsStats pins the Progress contract for all three
-// backends at Parallelism 8 over shipped corpus systems, and for the
-// prepass schedule at raserved's defaults, with the fixpoint and with the
-// Datalog backend: snapshots are monotonically non-decreasing and the last
-// one is exactly the returned Stats.
+// backends over shipped corpus systems, and for the prepass schedule at
+// raserved's defaults, with the fixpoint and with the Datalog backend:
+// snapshots are monotonically non-decreasing and the last one is exactly
+// the returned Stats.
 func TestFinalProgressEqualsStats(t *testing.T) {
 	ctx := context.Background()
 
@@ -166,7 +141,7 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := &progressRecorder{}
-			res, err := paramra.Verify(ctx, sys, paramra.Options{Parallelism: 8, Progress: rec.cb})
+			res, err := paramra.Verify(ctx, sys, paramra.Options{Progress: rec.cb})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,29 +150,47 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 	}
 
 	// With raserved's defaults the prepass schedule runs budgeted fixpoint
-	// rounds before an unbudgeted one on corr2-coherence. With
-	// MaxMacroStates 1 on env-chain-escalation, the fixpoint round at the
-	// full cap reports its snapshots and the replay decides after it.
+	// rounds before an unbudgeted one on corr2-coherence. On iriw the
+	// replay decides in its second round, after a budgeted fixpoint round
+	// that reported nothing, so the answer carries no backend counters.
+	// With MaxMacroStates 1 on env-chain-escalation, the fixpoint round at
+	// the full cap reports its snapshots and the replay decides after it,
+	// keeping that round's Stats.
 	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	served.Parallelism = 8
-	for name, maxMacro := range map[string]int{"corr2-coherence": 0, "env-chain-escalation": 1} {
-		t.Run("served/"+name, func(t *testing.T) {
-			e, ok := bench.ByName(name)
+	for _, c := range []struct {
+		name     string
+		maxMacro int
+		// prepass is whether the replay decides, and backend whether the
+		// answer keeps a backend round's Stats.
+		prepass, backend bool
+	}{
+		{"corr2-coherence", 0, false, true},
+		{"iriw", 0, true, false},
+		{"env-chain-escalation", 1, true, true},
+	} {
+		t.Run("served/"+c.name, func(t *testing.T) {
+			e, ok := bench.ByName(c.name)
 			if !ok {
-				t.Fatalf("no corpus entry %s", name)
+				t.Fatalf("no corpus entry %s", c.name)
 			}
 			rec := &progressRecorder{}
 			opts := served
-			opts.MaxMacroStates = maxMacro
+			opts.MaxMacroStates = c.maxMacro
 			opts.Progress = rec.cb
 			res, err := paramra.Verify(ctx, e.System(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkProgress(t, rec, res.Stats)
+			if got := res.DecidedBy == "prepass"; got != c.prepass {
+				t.Errorf("decided by %s, want prepass: %v", res.DecidedBy, c.prepass)
+			}
+			if got := res.Stats != (paramra.Stats{}); got != c.backend || c.backend && res.Stats.MacroStates == 0 {
+				t.Errorf("Stats %+v, want a backend round's: %v", res.Stats, c.backend)
+			}
 		})
 	}
 
@@ -226,7 +219,7 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 	t.Run("datalog", func(t *testing.T) {
 		rec := &progressRecorder{}
 		res, err := paramra.Verify(ctx, mustParse(t, cliSafe), paramra.Options{
-			Datalog: true, Parallelism: 8, Progress: rec.cb,
+			Datalog: true, Progress: rec.cb,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +230,7 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 	t.Run("concrete", func(t *testing.T) {
 		rec := &progressRecorder{}
 		res, err := paramra.VerifyInstance(ctx, mustParse(t, cliProdCons), 2, paramra.Options{
-			MaxStates: 200_000, Parallelism: 8, Progress: rec.cb,
+			MaxStates: 200_000, Progress: rec.cb,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -246,19 +239,17 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 	})
 }
 
-// TestTraceGolden runs a 1-worker Verify of a fixed system under a
-// deterministic counter clock and compares the emitted JSONL byte-for-byte
-// against the checked-in golden file. Span IDs, nesting, names and attrs
-// are all deterministic at Parallelism 1; regenerate with
-// `go test -run TestTraceGolden -update-golden`.
+// TestTraceGolden runs Verify on a fixed system under a deterministic
+// counter clock and compares the emitted JSONL byte-for-byte against the
+// checked-in golden file. Span IDs, nesting, names and attrs are all
+// deterministic; regenerate with `go test -run TestTraceGolden
+// -update-golden`.
 func TestTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
 	var tick int64
 	tr := obs.NewTracerClock(&buf, func() int64 { tick += 1000; return tick })
 
-	res, err := paramra.Verify(context.Background(), mustParse(t, cliSafe), paramra.Options{
-		Parallelism: 1, Tracer: tr,
-	})
+	res, err := paramra.Verify(context.Background(), mustParse(t, cliSafe), paramra.Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,15 +281,15 @@ func TestTraceGolden(t *testing.T) {
 }
 
 // TestTraceDeterministicSpanIDs: the span structure (IDs, parents, names)
-// is identical at every Parallelism; only timestamps and timing-dependent
-// attrs may differ.
+// is identical on every run of the fixpoint and of the Datalog backend;
+// only timestamps and timing-dependent attrs may differ.
 func TestTraceDeterministicSpanIDs(t *testing.T) {
-	shape := func(workers int) []string {
+	shape := func(datalog bool) []string {
 		var buf bytes.Buffer
 		var tick int64
 		tr := obs.NewTracerClock(&buf, func() int64 { tick++; return tick })
 		if _, err := paramra.Verify(context.Background(), mustParse(t, cliProdCons), paramra.Options{
-			Parallelism: workers, Tracer: tr,
+			Datalog: datalog, Tracer: tr,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -317,11 +308,12 @@ func TestTraceDeterministicSpanIDs(t *testing.T) {
 		}
 		return out
 	}
-	base := shape(1)
-	for _, j := range []int{2, 8} {
-		got := shape(j)
-		if strings.Join(got, "\n") != strings.Join(base, "\n") {
-			t.Errorf("span structure at j=%d differs from j=1:\n%v\nvs\n%v", j, got, base)
+	for _, datalog := range []bool{false, true} {
+		base := shape(datalog)
+		for i := 0; i < 3; i++ {
+			if got := shape(datalog); strings.Join(got, "\n") != strings.Join(base, "\n") {
+				t.Errorf("datalog=%v: span structure of run %d differs from the first:\n%v\nvs\n%v", datalog, i+2, got, base)
+			}
 		}
 	}
 }
@@ -341,7 +333,7 @@ func TestCLITraceOut(t *testing.T) {
 
 	// -prepass=false: this test pins the trace shape of the full fixpoint
 	// pipeline, which the static prepass would otherwise short-circuit.
-	out, code := runTool(t, "raverify", "-prepass=false", "-j", "2", "-trace-out", trace, "-metrics-out", metrics, path)
+	out, code := runTool(t, "raverify", "-prepass=false", "-trace-out", trace, "-metrics-out", metrics, path)
 	if code != 1 || !strings.Contains(out, "UNSAFE") {
 		t.Fatalf("raverify: code=%d out=%s", code, out)
 	}
@@ -408,9 +400,9 @@ func TestCLITraceOut(t *testing.T) {
 }
 
 // TestCLIFlagUniformity: the five run tools spell -timeout and the
-// observability group identically (same names, same help text), and the
-// two that can run the Datalog backend, raverify and radatalog, also -j;
-// ravet carries the observability group only.
+// observability group identically (same names, same help text), and none
+// registers -j: every backend searches on one goroutine. ravet carries the
+// observability group only.
 func TestCLIFlagUniformity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI builds skipped in -short mode")
@@ -424,7 +416,6 @@ func TestCLIFlagUniformity(t *testing.T) {
 		"-memprofile", "write a heap profile to this file on exit",
 	}
 	const timeoutHelp = "overall time limit (0 = none), e.g. 30s"
-	const workersHelp = "worker goroutines of the Datalog backend (0 = GOMAXPROCS); verdicts are identical for every value"
 	for _, tool := range []string{"raverify", "raexplore", "radatalog", "ratqbf", "rabench"} {
 		out, _ := runTool(t, tool, "-h")
 		for _, want := range append(append([]string{}, obsHelp...), "-timeout", timeoutHelp) {
@@ -432,9 +423,8 @@ func TestCLIFlagUniformity(t *testing.T) {
 				t.Errorf("%s -h missing %q", tool, want)
 			}
 		}
-		datalog := tool == "raverify" || tool == "radatalog"
-		if got := strings.Contains(out, "  -j ") && strings.Contains(out, workersHelp); got != datalog {
-			t.Errorf("%s -h registers -j: %v, want %v:\n%s", tool, got, datalog, out)
+		if registersJ(out) {
+			t.Errorf("%s -h registers -j:\n%s", tool, out)
 		}
 	}
 	out, _ := runTool(t, "ravet", "-h")
@@ -443,9 +433,14 @@ func TestCLIFlagUniformity(t *testing.T) {
 			t.Errorf("ravet -h missing %q", want)
 		}
 	}
-	if strings.Contains(out, timeoutHelp) || strings.Contains(out, "  -j ") {
+	if strings.Contains(out, timeoutHelp) || registersJ(out) {
 		t.Errorf("ravet -h unexpectedly registers a run flag:\n%s", out)
 	}
+}
+
+// registersJ reports whether a tool's -h output lists a -j flag.
+func registersJ(help string) bool {
+	return strings.Contains(help, "  -j ") || strings.Contains(help, "  -j\n")
 }
 
 // TestParallelBaselineSmoke re-runs the parallel experiment's entries with

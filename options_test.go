@@ -21,51 +21,47 @@ func TestOptionsNormalization(t *testing.T) {
 	ctx := context.Background()
 
 	// Each variant must yield the same verdicts as the baseline value 0.
-	// 1 is included to witness that the fields are not simply ignored
-	// (Parallelism 1 stays deterministic; MaxStates 1 truncates).
-	for _, par := range []int{0, -1, 1} {
-		for _, ms := range []int{0, -1} {
-			opts := paramra.Options{Parallelism: par, MaxStates: ms, MaxMacroStates: ms, MaxSkeletons: ms}
+	for _, ms := range []int{0, -1} {
+		opts := paramra.Options{MaxStates: ms, MaxMacroStates: ms, MaxSkeletons: ms}
 
-			res, err := paramra.Verify(ctx, sys, opts)
-			if err != nil {
-				t.Fatalf("Verify(par=%d, max=%d): %v", par, ms, err)
-			}
-			if !res.Unsafe || !res.Complete {
-				t.Errorf("Verify(par=%d, max=%d) = unsafe=%v complete=%v, want unsafe complete", par, ms, res.Unsafe, res.Complete)
-			}
+		res, err := paramra.Verify(ctx, sys, opts)
+		if err != nil {
+			t.Fatalf("Verify(max=%d): %v", ms, err)
+		}
+		if !res.Unsafe || !res.Complete {
+			t.Errorf("Verify(max=%d) = unsafe=%v complete=%v, want unsafe complete", ms, res.Unsafe, res.Complete)
+		}
 
-			dl, err := paramra.Verify(ctx, sys, paramra.Options{Datalog: true, Parallelism: par, MaxSkeletons: ms})
-			if err != nil {
-				t.Fatalf("Verify/datalog(par=%d, max=%d): %v", par, ms, err)
-			}
-			if !dl.Unsafe || !dl.Complete {
-				t.Errorf("Verify/datalog(par=%d, max=%d) = unsafe=%v complete=%v, want unsafe complete", par, ms, dl.Unsafe, dl.Complete)
-			}
+		dl, err := paramra.Verify(ctx, sys, paramra.Options{Datalog: true, MaxSkeletons: ms})
+		if err != nil {
+			t.Fatalf("Verify/datalog(max=%d): %v", ms, err)
+		}
+		if !dl.Unsafe || !dl.Complete {
+			t.Errorf("Verify/datalog(max=%d) = unsafe=%v complete=%v, want unsafe complete", ms, dl.Unsafe, dl.Complete)
+		}
 
-			inst, err := paramra.VerifyInstance(ctx, sys, 1, opts)
-			if err != nil {
-				t.Fatalf("VerifyInstance(par=%d, max=%d): %v", par, ms, err)
-			}
-			if !inst.Unsafe {
-				t.Errorf("VerifyInstance(par=%d, max=%d) not unsafe", par, ms)
-			}
+		inst, err := paramra.VerifyInstance(ctx, sys, 1, opts)
+		if err != nil {
+			t.Fatalf("VerifyInstance(max=%d): %v", ms, err)
+		}
+		if !inst.Unsafe {
+			t.Errorf("VerifyInstance(max=%d) not unsafe", ms)
+		}
 
-			n, _, err := paramra.ConfirmViolation(ctx, sys, res, 4, opts)
-			if err != nil {
-				t.Fatalf("ConfirmViolation(par=%d, max=%d): %v", par, ms, err)
-			}
-			if n != 1 {
-				t.Errorf("ConfirmViolation(par=%d, max=%d) = %d env threads, want 1", par, ms, n)
-			}
+		n, _, err := paramra.ConfirmViolation(ctx, sys, res, 4, opts)
+		if err != nil {
+			t.Fatalf("ConfirmViolation(max=%d): %v", ms, err)
+		}
+		if n != 1 {
+			t.Errorf("ConfirmViolation(max=%d) = %d env threads, want 1", ms, n)
+		}
 
-			dr, err := paramra.FindDeadlocks(ctx, sys, 1, opts)
-			if err != nil {
-				t.Fatalf("FindDeadlocks(par=%d, max=%d): %v", par, ms, err)
-			}
-			if !dr.Complete {
-				t.Errorf("FindDeadlocks(par=%d, max=%d) incomplete", par, ms)
-			}
+		dr, err := paramra.FindDeadlocks(ctx, sys, 1, opts)
+		if err != nil {
+			t.Fatalf("FindDeadlocks(max=%d): %v", ms, err)
+		}
+		if !dr.Complete {
+			t.Errorf("FindDeadlocks(max=%d) incomplete", ms)
 		}
 	}
 
@@ -89,7 +85,7 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (paramra.Options{}).Validate(); err != nil {
 		t.Errorf("zero Options invalid: %v", err)
 	}
-	ok := paramra.Options{MaxStates: 10, MaxMacroStates: 1, MaxSkeletons: 5, Parallelism: 8, UnrollDis: 2}
+	ok := paramra.Options{MaxStates: 10, MaxMacroStates: 1, MaxSkeletons: 5, UnrollDis: 2}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid Options rejected: %v", err)
 	}
@@ -101,7 +97,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"MaxMacroStates", paramra.Options{MaxMacroStates: -1}},
 		{"MaxStates", paramra.Options{MaxStates: -7}},
 		{"MaxSkeletons", paramra.Options{MaxSkeletons: -2}},
-		{"Parallelism", paramra.Options{Parallelism: -4}},
 		{"UnrollDis", paramra.Options{UnrollDis: -3}},
 	}
 	for _, c := range cases {
@@ -124,11 +119,11 @@ func TestOptionsValidate(t *testing.T) {
 	}
 
 	// Several violations are all reported, each findable by field name.
-	err := paramra.Options{MaxStates: -1, Parallelism: -1}.Validate()
+	err := paramra.Options{MaxStates: -1, UnrollDis: -1}.Validate()
 	if err == nil {
 		t.Fatal("two violations accepted")
 	}
-	for _, f := range []string{"MaxStates", "Parallelism"} {
+	for _, f := range []string{"MaxStates", "UnrollDis"} {
 		if !strings.Contains(err.Error(), f) {
 			t.Errorf("joined error %q missing field %s", err.Error(), f)
 		}

@@ -15,20 +15,17 @@ import (
 	"paramra/internal/serve"
 )
 
-// TestParallelDeterministicVerdictsTestdata is the stress form of the
-// Datalog stream's determinism: the stream is the one search that runs on
-// Parallelism workers. Each input is verified with the Datalog backend at
-// Parallelism 1, then repeatedly at 8, and must give the same verdict,
-// Complete, DecidedBy, witness and all five Datalog counters: they cover
-// the instances up to and including the first unsafe one in walk order,
-// whichever worker finishes first. The instances continue from one shared
-// model that all workers read at once; under -race this checks that
-// nothing writes to it. `go test -short` runs one iteration.
+// TestParallelDeterministicVerdictsTestdata pins the Datalog backend's
+// determinism: each input is verified with the Datalog backend once, then
+// repeatedly, and must give the same verdict, Complete, DecidedBy, witness
+// and all five Datalog counters, which cover the instances up to and
+// including the first unsafe one in walk order. `go test -short` runs one
+// repetition.
 //
 // The inputs are the shipped systems and every corpus entry, each with
 // the prepass off, and every corpus entry with the options raserved gives
 // a request that names the Datalog backend and nothing else (prepass on,
-// so the stream runs in budgeted Datalog rounds between replay rounds).
+// so the backend runs in budgeted Datalog rounds between replay rounds).
 func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	iters := 5
 	if testing.Short() {
@@ -36,16 +33,15 @@ func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	}
 	check := func(t *testing.T, sys *paramra.System, opts paramra.Options) {
 		t.Helper()
-		opts.Datalog, opts.Parallelism = true, 1
+		opts.Datalog = true
 		base, err := paramra.Verify(context.Background(), sys, opts)
 		if err != nil {
-			t.Fatalf("verify j=1: %v", err)
+			t.Fatalf("verify: %v", err)
 		}
-		opts.Parallelism = 8
 		for i := 0; i < iters; i++ {
 			res, err := paramra.Verify(context.Background(), sys, opts)
 			if err != nil {
-				t.Fatalf("iter %d: verify j=8: %v", i, err)
+				t.Fatalf("iter %d: verify: %v", i, err)
 			}
 			if res.Unsafe != base.Unsafe || res.Complete != base.Complete || res.DecidedBy != base.DecidedBy {
 				t.Fatalf("iter %d: verdict (%v,%v) by %s vs (%v,%v) by %s", i,
@@ -79,128 +75,6 @@ func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	}
 	for _, e := range bench.Corpus() {
 		t.Run("datalog/"+e.Name, func(t *testing.T) { check(t, e.System(), paramra.Options{}) })
-	}
-}
-
-// TestConcreteIgnoresParallelism pins that Parallelism changes nothing
-// outside the Datalog stream: the fixpoint is one sequential breadth-first
-// search and the concrete explorer one sequential depth-first search. On
-// every corpus entry, Verify with the prepass off and with the options
-// raserved gives a request that names none, Inventory, VerifyInstance at
-// 0..2 env threads, FindDeadlocks at one env thread (none for env-less
-// entries), and ConfirmViolation on every fixpoint UNSAFE return the same
-// results at Parallelism 1, 2 and 8, Stats included except Wall.
-func TestConcreteIgnoresParallelism(t *testing.T) {
-	ctx := context.Background()
-	const maxStates = 20_000
-	noWall := func(s paramra.Stats) paramra.Stats {
-		s.Wall = 0
-		return s
-	}
-	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range bench.Corpus() {
-		sys := e.System()
-		t.Run(e.Name, func(t *testing.T) {
-			var fix paramra.Result
-			for _, v := range []struct {
-				name string
-				opts paramra.Options
-			}{{"fixpoint", paramra.Options{}}, {"served", served}} {
-				var base paramra.Result
-				for _, j := range []int{1, 2, 8} {
-					v.opts.Parallelism = j
-					res, err := paramra.Verify(ctx, sys, v.opts)
-					if err != nil {
-						t.Fatalf("Verify %s j=%d: %v", v.name, j, err)
-					}
-					res.Stats = noWall(res.Stats)
-					if j == 1 {
-						base = res
-					} else if !reflect.DeepEqual(res, base) {
-						t.Errorf("Verify %s: j=%d %+v, j=1 %+v", v.name, j, res, base)
-					}
-				}
-				if v.name == "fixpoint" {
-					fix = base
-				}
-			}
-
-			type inventory struct {
-				inv map[string][]int
-				err string
-			}
-			var baseInv inventory
-			for _, j := range []int{1, 2, 8} {
-				inv, err := paramra.Inventory(ctx, sys, paramra.Options{Parallelism: j})
-				got := inventory{inv: inv}
-				if err != nil {
-					got.err = err.Error()
-				}
-				if j == 1 {
-					baseInv = got
-				} else if !reflect.DeepEqual(got, baseInv) {
-					t.Errorf("Inventory: j=%d %+v, j=1 %+v", j, got, baseInv)
-				}
-			}
-
-			maxN := 2
-			if sys.Env == nil {
-				maxN = 0
-			}
-			for n := 0; n <= maxN; n++ {
-				var base paramra.InstanceResult
-				for _, j := range []int{1, 2, 8} {
-					res, err := paramra.VerifyInstance(ctx, sys, n, paramra.Options{MaxStates: maxStates, Parallelism: j})
-					if err != nil {
-						t.Fatalf("VerifyInstance n=%d j=%d: %v", n, j, err)
-					}
-					res.Stats = noWall(res.Stats)
-					if j == 1 {
-						base = res
-					} else if !reflect.DeepEqual(res, base) {
-						t.Errorf("VerifyInstance n=%d: j=%d %+v, j=1 %+v", n, j, res, base)
-					}
-				}
-			}
-
-			var baseDead paramra.DeadlockResult
-			for _, j := range []int{1, 2, 8} {
-				dr, err := paramra.FindDeadlocks(ctx, sys, min(maxN, 1), paramra.Options{MaxStates: maxStates, Parallelism: j})
-				if err != nil {
-					t.Fatalf("FindDeadlocks j=%d: %v", j, err)
-				}
-				if j == 1 {
-					baseDead = dr
-				} else if !reflect.DeepEqual(dr, baseDead) {
-					t.Errorf("FindDeadlocks: j=%d %+v, j=1 %+v", j, dr, baseDead)
-				}
-			}
-
-			if !fix.Unsafe {
-				return
-			}
-			type confirmed struct {
-				n       int
-				witness string
-				err     string
-			}
-			var baseConf confirmed
-			for _, j := range []int{1, 2, 8} {
-				n, w, err := paramra.ConfirmViolation(ctx, sys, fix, 2, paramra.Options{MaxStates: maxStates, Parallelism: j})
-				got := confirmed{n: n, witness: w}
-				if err != nil {
-					got.err = err.Error()
-				}
-				if j == 1 {
-					baseConf = got
-				} else if got != baseConf {
-					t.Errorf("ConfirmViolation: j=%d %+v, j=1 %+v", j, got, baseConf)
-				}
-			}
-		})
 	}
 }
 
@@ -290,7 +164,7 @@ func TestFixpointUnsafeConfirmedCorpus(t *testing.T) {
 			continue
 		}
 		sys := e.System()
-		res, err := paramra.Verify(ctx, sys, paramra.Options{Parallelism: 1})
+		res, err := paramra.Verify(ctx, sys, paramra.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
@@ -300,7 +174,7 @@ func TestFixpointUnsafeConfirmedCorpus(t *testing.T) {
 			continue
 		}
 		n, _, err := paramra.ConfirmViolation(ctx, sys, res, int(res.EnvThreadBound),
-			paramra.Options{Parallelism: 1, MaxStates: 2_000_000})
+			paramra.Options{MaxStates: 2_000_000})
 		if err != nil {
 			t.Errorf("%s: bound %d: %v", e.Name, res.EnvThreadBound, err)
 			continue

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -112,8 +111,8 @@ type Goal struct {
 }
 
 // Options configures the verification entry points. The zero value is a
-// sensible default: unlimited search, GOMAXPROCS Datalog workers, no
-// progress reporting.
+// sensible default: unlimited search, no progress reporting. Every backend
+// searches on the calling goroutine.
 type Options struct {
 	// MaxMacroStates caps the macro-state search of the fixpoint backend
 	// (0 = unlimited), counted in order classes of dis timestamps (see the
@@ -138,8 +137,9 @@ type Options struct {
 	// Datalog selects the makeP → Datalog backend (Theorem 4.1) instead of
 	// the integrated fixpoint engine, for cross-checking and experiments.
 	// It evaluates the model of the program its query instances share once,
-	// then each instance as a continuation of that model as the skeleton
-	// walk emits it, and stops at the first whose query holds.
+	// then the skeleton walk's DFS tree once per step, each step as a
+	// continuation of its parent's model, and stops at the first instance
+	// whose query holds.
 	Datalog bool
 	// Prepass runs the static abstract-interpretation prepass and returns
 	// its verdict (Result.DecidedBy = "prepass") when it is decisive. Sound
@@ -155,20 +155,13 @@ type Options struct {
 	// counts only when its budget did not bind, so an answer is the one its
 	// engine gives at its full cap, and the budgets, counted in states and
 	// skeletons and never in time, decide only which engine answers, the
-	// same way at every Parallelism. Once one engine has run at its full
+	// same way on every run. Once one engine has run at its full
 	// cap without deciding, the other runs at its full cap in one go. Goal
 	// queries have no replay. See Prepass for the standalone entry point.
 	Prepass bool
 	// MaxSkeletons caps the Datalog backend's skeleton walk (0 = the
 	// default cap of 100,000 skeletons).
 	MaxSkeletons int
-	// Parallelism is the number of worker goroutines of the Datalog
-	// backend's stream (0 = GOMAXPROCS); its verdict and statistics are the
-	// same for every value. The fixpoint is one sequential breadth-first
-	// search, and the concrete explorer — the prepass replay,
-	// VerifyInstance, ConfirmViolation and FindDeadlocks — one sequential
-	// depth-first search; both ignore it.
-	Parallelism int
 	// Progress, when non-nil, receives periodic statistics snapshots from a
 	// dedicated goroutine while a search runs. The last emission, sent just
 	// before the entry point returns, is exactly the returned Stats, and no
@@ -213,7 +206,6 @@ var numericOptions = []struct {
 	{"MaxMacroStates", "unlimited", func(o *Options) *int { return &o.MaxMacroStates }},
 	{"MaxStates", "unlimited", func(o *Options) *int { return &o.MaxStates }},
 	{"MaxSkeletons", fmt.Sprintf("the default cap of %d", defaultMaxSkeletons), func(o *Options) *int { return &o.MaxSkeletons }},
-	{"Parallelism", "GOMAXPROCS", func(o *Options) *int { return &o.Parallelism }},
 	{"UnrollDis", "no unrolling", func(o *Options) *int { return &o.UnrollDis }},
 }
 
@@ -255,8 +247,8 @@ func (o Options) Validate() error {
 }
 
 // normalized clamps out-of-range numeric options to their documented
-// defaults: every negative cap or worker count behaves exactly like 0
-// (unlimited / GOMAXPROCS / no unrolling). Every entry point applies it
+// defaults: every negative cap behaves exactly like 0 (unlimited, the
+// default skeleton cap, no unrolling). Every entry point applies it
 // first, so all backends interpret the same Options identically. Frontends
 // that must not clamp call Validate instead.
 func (o Options) normalized() Options {
@@ -300,34 +292,31 @@ type Stats struct {
 
 	// Datalog backend (makeP, Theorem 4.1). The counters cover the query
 	// instances up to and including the first UNSAFE one in skeleton-walk
-	// order (all of them when none is), at every Parallelism: Skeletons
-	// counts them; DatalogFacts and DatalogRules count each one's whole
-	// program, its shared prefix included; FixpointRounds sums their
-	// continuation rounds (the shared prefix's model is evaluated once and
-	// not counted), DatalogAtoms the sizes of their models, the shared
-	// model included; the UNSAFE instance stops at its goal.
+	// order (all of them when none is): Skeletons counts them; DatalogFacts
+	// and DatalogRules count each one's whole program, its shared prefix
+	// included; FixpointRounds sums the continuation rounds of the steps
+	// they evaluated, each step of the walk's DFS tree once (the shared
+	// prefix's model is evaluated once and not counted); DatalogAtoms sums
+	// the sizes of their models, the shared model included, where the
+	// UNSAFE instance's is its chain's at the step that derived the goal.
 	Skeletons      int
 	DatalogFacts   int
 	DatalogRules   int
 	FixpointRounds int
 	DatalogAtoms   int
 
-	// Shared engine counters. Workers is the number of goroutines that
-	// searched: 1 for the fixpoint and the concrete explorer, the resolved
-	// Parallelism for the Datalog backend.
+	// Shared engine counters.
 	DedupHits    int64
 	PeakFrontier int64
 	Wall         time.Duration
-	Workers      int
 }
 
 // fromEngine maps engine-level counters into the shared group, for the
-// fixpoint and the concrete explorer, which both search on one goroutine.
+// fixpoint and the concrete explorer.
 func (s *Stats) fromEngine(es engine.Stats) {
 	s.DedupHits = es.DedupHits
 	s.PeakFrontier = es.PeakFrontier
 	s.Wall = es.Wall
-	s.Workers = 1
 }
 
 // fixpointProgress adapts a Stats progress callback for the fixpoint
@@ -540,10 +529,11 @@ const defaultMaxSkeletons = 100_000
 
 // DatalogInstances hands yield, in order, the ground query instances that
 // Verify with Options.Datalog evaluates for sys — same skeleton cap, same
-// grounding — each as the skeleton walk reaches it; yield returning false
-// stops the walk. It reports whether the walk ran to its end (false when
-// the cap or yield cut it short). It runs no prepass, unrolling or cache
-// lookup; radatalog's -dump and -stats list these instances one by one.
+// grounding — each as the skeleton walk reaches it, with its Steps valid
+// during the call; yield returning false stops the walk. It reports
+// whether the walk ran to its end (false when the cap or yield cut it
+// short). It runs no prepass, unrolling or cache lookup; radatalog's -dump
+// and -stats list these instances one by one.
 func DatalogInstances(ctx context.Context, sys *System, opts Options, yield func(*encode.Problem) bool) (bool, error) {
 	opts = opts.normalized()
 	enc, err := datalogEncoder(sys)
@@ -575,43 +565,34 @@ func datalogEncoder(sys *System) (*encode.Encoder, error) {
 	return encode.New(sys, hints)
 }
 
-// datalogOutcome is what evaluating one query instance contributes to the
-// verdict and to Stats.
-type datalogOutcome struct {
-	hit          bool
-	facts, rules int
-	eval         datalog.EvalStats
-	err          error
-}
-
 // datalogBackend is the makeP → Datalog backend (Theorem 4.1) on one
 // system, ∃-style: the system is unsafe iff some dis-run skeleton's query
 // instance derives unsafe(). It runs in rounds. The first round emits the
-// prefix the instances share and evaluates the prefix's least model once;
-// every round continues from that model on each instance as the skeleton
-// walk emits it, on Parallelism workers (engine.Stream, inline at one
-// worker), and stops the walk at the first instance in walk order whose
-// goal is derived.
+// prefix the instances share and evaluates the prefix's least model once.
+// Every round then walks the skeletons and evaluates the walk's DFS tree
+// once per step, on the calling goroutine: a guess only adds facts as it
+// grows, so each step continues its parent's model, an instance's model is
+// its last step's, and the round stops the walk at the first instance in
+// walk order whose goal is derived.
 type datalogBackend struct {
-	sys     *System
-	opts    Options
-	workers int
-	// enc and model are built by the first round. A round that returns an
+	sys  *System
+	opts Options
+	// enc and chain are built by the first round. A round that returns an
 	// error and leaves enc nil has found that the backend cannot run on
 	// sys.
 	enc                      *encode.Encoder
-	model                    *datalog.DB
 	prefixFacts, prefixRules int
+	// chain[k] is the model of the current instance's first k steps, and
+	// chain[0] the prefix's. The databases past the current instance's
+	// chain are storage that the next continuations at their depths reuse,
+	// so at most one database per depth of the walk's path is live.
+	chain []*datalog.DB
 }
 
 // newDatalog readies the Datalog backend of sys under opts; its first
 // round does the work.
 func newDatalog(sys *System, opts Options) *datalogBackend {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &datalogBackend{sys: sys, opts: opts, workers: workers}
+	return &datalogBackend{sys: sys, opts: opts}
 }
 
 // verifyDatalog runs the Datalog backend in one round at its full skeleton
@@ -626,11 +607,10 @@ func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, s
 // dspan. It decides — its Result is Complete, or it returns an error — when
 // an instance derives its goal or the walk runs to its end, and then every
 // counter is the one a round at the full cap gives: Stats cover this
-// round's instances up to and including the first UNSAFE one in walk order,
-// the same at every Parallelism. Stats.Wall, which for the first round
-// includes the encoding and the shared model, and Stats.Workers are
-// populated on every path, including encoding errors and cancellation.
-// Only a round at the full cap reports Progress.
+// round's instances up to and including the first UNSAFE one in walk order.
+// Stats.Wall, which for the first round includes the encoding and the
+// shared model, is populated on every path, including encoding errors and
+// cancellation. Only a round at the full cap reports Progress.
 func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result, budget int) (Result, error) {
 	opts := d.opts
 	if opts.Goal != nil {
@@ -640,7 +620,6 @@ func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result,
 	res.Unsafe, res.Complete, res.Stats = false, false, Stats{}
 	seal := func(r Result) Result {
 		r.Stats.Wall = time.Since(start)
-		r.Stats.Workers = d.workers
 		return r
 	}
 	if d.enc == nil {
@@ -675,7 +654,7 @@ func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result,
 		roundHook = func(d time.Duration) { hRound.Observe(int64(d)) }
 	}
 
-	// The fold owns the Datalog counters; the progress ticker reads them
+	// The walk owns the Datalog counters; the progress ticker reads them
 	// under mu.
 	var mu sync.Mutex
 	snapshot := func() Stats {
@@ -683,7 +662,6 @@ func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result,
 		s := res.Stats
 		mu.Unlock()
 		s.Wall = time.Since(start)
-		s.Workers = d.workers
 		return s
 	}
 	stopProgress := func() {}
@@ -693,10 +671,10 @@ func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result,
 
 	// The two spans overlap: the walk feeds the evaluation as it goes.
 	eval := dspan.Child("datalog-eval")
-	if d.model == nil {
+	if d.chain == nil {
 		// The instances share their prefix, so its least model is
-		// evaluated once, and every instance of every round continues from
-		// it: the model is read-only, and all workers read it at once.
+		// evaluated once, and every chain of every round continues from
+		// it.
 		mspan := eval.Child("shared-model")
 		model, st, err := datalog.Eval(ctx, d.enc.Prefix(), roundHook)
 		if mspan != nil {
@@ -709,53 +687,53 @@ func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result,
 			eval.End()
 			return seal(res), err
 		}
-		d.model = model
+		d.chain = []*datalog.DB{model}
 	}
 
 	walk := dspan.Child("skeleton-enumeration")
-	var complete bool
 	var evalErr error
-	// The stream's ctx stops the walk mid-way once an instance derives
-	// its goal, not only at its next emit.
-	produce := func(ctx context.Context, emit func(*encode.Problem) bool) error {
-		var err error
-		complete, err = d.enc.Each(ctx, limit, emit)
-		return err
-	}
-	work := func(ctx context.Context, p *encode.Problem) (datalogOutcome, bool) {
+	complete, err := d.enc.Each(ctx, limit, func(p *encode.Problem) bool {
 		var t0 time.Time
 		if hInst != nil {
 			t0 = time.Now()
 		}
-		var o datalogOutcome
-		o.facts, o.rules = countRules(p.Rules)
-		// Context-aware query: cancellation (deadline, or an earlier
-		// instance's hit) aborts a long evaluation mid-round instead of
-		// letting it run to fixpoint. A true answer from an aborted run is
-		// still a valid derivation.
-		_, o.hit, o.eval, o.err = datalog.Continue(ctx, d.model, p.Rules, p.Goal, roundHook)
+		facts, rules := d.prefixFacts, d.prefixRules
+		for _, st := range p.Steps {
+			f, r := countRules(st)
+			facts, rules = facts+f, rules+r
+		}
+		// Only the steps past those shared with the instance before are
+		// new; each continues its parent's model into its depth's storage.
+		// A continuation that derives the goal, or is cancelled, ends the
+		// chain, and so the walk.
+		var last *datalog.DB
+		hit, rounds := false, 0
+		for k := p.Shared; k < len(p.Steps) && !hit && evalErr == nil; k++ {
+			if k+1 == len(d.chain) {
+				d.chain = append(d.chain, nil)
+			}
+			var st datalog.EvalStats
+			last, hit, st, evalErr = datalog.Continue(ctx, d.chain[k], d.chain[k+1], p.Steps[k], &p.Goal, roundHook)
+			d.chain[k+1] = last
+			rounds += st.Rounds
+		}
 		if hInst != nil {
 			hInst.Observe(int64(time.Since(t0)))
 		}
-		return o, o.hit || o.err != nil
-	}
-	fold := func(o datalogOutcome) {
+		atoms := last.Size()
 		mu.Lock()
 		res.Stats.Skeletons++
-		res.Stats.DatalogFacts += d.prefixFacts + o.facts
-		res.Stats.DatalogRules += d.prefixRules + o.rules
-		res.Stats.FixpointRounds += o.eval.Rounds
-		res.Stats.DatalogAtoms += o.eval.Atoms
-		res.Unsafe = o.hit
+		res.Stats.DatalogFacts += facts
+		res.Stats.DatalogRules += rules
+		res.Stats.FixpointRounds += rounds
+		res.Stats.DatalogAtoms += atoms
+		res.Unsafe = hit
 		mu.Unlock()
 		cInst.Inc()
-		cRounds.Add(int64(o.eval.Rounds))
-		cAtoms.Add(int64(o.eval.Atoms))
-		if o.err != nil && !o.hit {
-			evalErr = o.err
-		}
-	}
-	err := engine.Stream(ctx, d.workers, produce, work, fold)
+		cRounds.Add(int64(rounds))
+		cAtoms.Add(int64(atoms))
+		return !hit && evalErr == nil
+	})
 	stopProgress()
 	res.Complete = res.Unsafe || complete
 	if walk != nil {
@@ -767,7 +745,6 @@ func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result,
 		eval.SetAttr("instances_evaluated", res.Stats.Skeletons)
 		eval.SetAttr("rounds", res.Stats.FixpointRounds)
 		eval.SetAttr("atoms", res.Stats.DatalogAtoms)
-		eval.SetAttr("workers", d.workers)
 		eval.SetAttr("unsafe", res.Unsafe)
 		eval.End()
 	}

@@ -35,8 +35,8 @@ type PrepassOutcome = absint.Outcome
 // confirmed by a bounded concrete replay under the full RA semantics.
 // Inconclusive verdicts carry the reason the fast paths did not fire.
 //
-// The replay runs on one worker whatever Options.Parallelism says, so an
-// UNSAFE witness is the same on every run.
+// The replay is one sequential search, so an UNSAFE witness is the same on
+// every run.
 //
 // Verify runs this automatically when Options.Prepass is set; the separate
 // entry point serves callers that want the abstract analysis itself (e.g.
@@ -119,9 +119,12 @@ const (
 // other runs at its full cap in one go. Goal queries have no replay, so the
 // backend runs at once.
 //
-// Only a backend round at its full cap reports Progress, and the Result's
-// Stats are those of the last backend round (zero when none ran), so the
-// Progress snapshots never fall back when a budgeted round ends.
+// Only a backend round at its full cap reports Progress. The Result's Stats
+// are the last backend round's, except that a prepass answer keeps them
+// only when that round ran at its full cap and is otherwise zero, as when
+// no backend round ran: the Progress snapshots never fall back, and a
+// prepass answer carries no counters of a budgeted round that decided
+// nothing.
 func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (Result, error) {
 	rounds := 0
 	seal := func(r Result, err error) (Result, error) {
@@ -148,6 +151,9 @@ func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (R
 		last        = Result{EnvThreadBound: -1}
 		lastErr     error
 		backendDone bool // the backend ran at its full cap, or cannot run
+		// lastFull is whether the last backend round ran at its full cap,
+		// and so reported Progress.
+		lastFull bool
 	)
 	// fullCap is the backend's full cap in its budget's unit (0 = none).
 	fullCap := opts.MaxMacroStates
@@ -178,9 +184,10 @@ func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (R
 		}
 		if err != nil || out.Verdict != PrepassInconclusive {
 			// The prepass ran on sys itself. Stats stay the last backend
-			// round's, which Progress may have reported.
+			// round's when it ran at its full cap, since Progress reported
+			// them; a budgeted round reported nothing and decided nothing.
 			pre := Result{EnvThreadBound: -1, Class: lang.Classify(sys)}
-			if lastErr == nil {
+			if lastErr == nil && lastFull {
 				pre.Stats = last.Stats
 			}
 			if err != nil {
@@ -210,6 +217,7 @@ func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (R
 		decided := false
 		if lastErr == nil {
 			rounds++
+			lastFull = roundBudget == 0
 			bspan := span.Child(backendName(opts))
 			if bspan != nil {
 				bspan.SetAttr("round", rounds)

@@ -22,7 +22,7 @@ const maxServedReplayStates = 2_000
 
 // TestServedScheduleContract pins what the prepass schedule (alternating
 // replay and fixpoint rounds under growing state budgets) guarantees on the
-// corpus at raserved's defaults, at Parallelism 1:
+// corpus at raserved's defaults:
 //
 //   - the verdict is the prepass-off verdict;
 //   - when the fixpoint decides, its statistics are the prepass-off run's,
@@ -39,7 +39,6 @@ func TestServedScheduleContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served.Parallelism = 1
 	replayOnly := served
 	replayOnly.MaxMacroStates = 1
 	off := served
@@ -125,7 +124,7 @@ func checkPrepassOutcome(t *testing.T, name string, got paramra.Result, pre para
 
 // TestDatalogScheduleContract pins the same schedule with the Datalog
 // backend in the fixpoint's place (radatalog's default: Datalog with
-// Prepass), on the corpus at Parallelism 1:
+// Prepass), on the corpus:
 //
 //   - the verdict is the Datalog backend's with the prepass off;
 //   - when the Datalog backend decides, its five counters are that run's:
@@ -137,7 +136,7 @@ func checkPrepassOutcome(t *testing.T, name string, got paramra.Result, pre para
 //     and one that runs below the skeleton cap walks at most its budget.
 func TestDatalogScheduleContract(t *testing.T) {
 	ctx := context.Background()
-	opts := paramra.Options{Datalog: true, Prepass: true, Parallelism: 1}
+	opts := paramra.Options{Datalog: true, Prepass: true}
 	skeletonOnly := opts
 	skeletonOnly.MaxSkeletons = 1
 	off := opts

@@ -5,7 +5,7 @@
 #
 # Runs nine benchmarks with -benchmem and fails when any one's allocs/op
 # exceeds its budget. Unlike wall time, allocation counts are nearly
-# machine-independent (they vary only slightly with worker scheduling), so
+# machine-independent (every benchmarked search runs on one goroutine), so
 # this gate needs no calibration: it directly catches a change that
 # reintroduces per-successor heap traffic (see DESIGN "State
 # representation").
@@ -36,15 +36,19 @@
 #       sharing their small singletons, or register vectors copied on every
 #       join, show up here first.
 #   BenchmarkDatalogVerify  the makeP → Datalog backend end to end, on
-#       ticketlock at two workers: all 72 query instances are evaluated,
-#       so the count does not depend on scheduling. Fixed budget ~1.5x its
-#       cost once the instances shared one prefix and continued from its
-#       model on the packed-key store (~8.0k allocs/op), and ~1/25 of the
-#       cost while every instance rebuilt and re-derived the whole program
-#       under rendered keys (~0.30M allocs/op). Per-fact keys or
-#       per-instance rebuilt tables show up here first.
+#       ticketlock: all 72 query instances are evaluated. Fixed budget
+#       ~1.25x its cost once the backend evaluated each step of the
+#       skeleton walk once, continuing its parent step's model in storage
+#       reused per depth (~4.9k allocs/op), below its cost when every
+#       instance re-evaluates all its steps in that storage (~6.3k
+#       allocs/op) and while each instance continued from the prefix's
+#       model on its own (~7.6k allocs/op; ~8.0k on two workers), and
+#       ~1/50 of the cost while every instance rebuilt and re-derived the
+#       whole program under rendered keys (~0.30M allocs/op). Per-fact
+#       keys, per-instance rebuilt tables or per-instance continuations
+#       show up here first.
 #   BenchmarkServedCorpus  the served path: the 24 corpus entries through
-#       paramra.Verify with raserved's default options at one worker, where
+#       paramra.Verify with raserved's default options, where
 #       the prepass schedule alternates replay and fixpoint rounds under
 #       growing state budgets. Fixed budget ~1.15x its cost once a replay
 #       round's budget was summed over its instances (~21.6k allocs/op),
@@ -55,23 +59,25 @@
 #       fixpoint (~237k allocs/op), so a return to any of these fails here.
 #   BenchmarkServedCorpusDatalog  radatalog's default: the 24 corpus
 #       entries through paramra.Verify with the Datalog backend and the
-#       prepass at one worker, where the schedule alternates replay and
-#       Datalog rounds under growing budgets. Fixed budget ~1.2x its cost
-#       once the Datalog backend took the fixpoint's turn (~247k
-#       allocs/op), below its cost while the replay ran to its full cap
-#       before the Datalog backend (~327k allocs/op), so a return to that
-#       fails here.
+#       prepass, where the schedule alternates replay and Datalog rounds
+#       under growing budgets. Fixed budget ~1.3x its cost once the backend
+#       evaluated each step of the skeleton walk once (~155k allocs/op),
+#       below its cost when every instance re-evaluates all its steps
+#       (~209k allocs/op), while each instance continued from the prefix's
+#       model on its own (~247k allocs/op) and while the replay ran to its
+#       full cap before the Datalog backend (~327k allocs/op), so a return
+#       to any of these fails here.
 #   BenchmarkDatalogVerifyUnsafe  the Datalog backend's early exit, on
-#       peterson-ra at two workers: the skeleton walk stops at its 2nd of
-#       26,136 skeletons, whose instance derives unsafe(). Fixed budget ~2x
-#       its cost once instances were evaluated as the walk emitted them
-#       (~2.0k-2.7k allocs/op; the walk may run up to 8 skeletons per
-#       worker ahead of a worker's answer) and ~1/400 of the cost while
-#       every instance was built before any was evaluated (~1.95M
-#       allocs/op), so a return to building them all fails here.
+#       peterson-ra: the skeleton walk stops at its 2nd of 26,136
+#       skeletons, whose instance derives unsafe(). Fixed budget ~2x its
+#       cost once instances were evaluated as the walk emitted them
+#       (~2.0k-2.7k allocs/op on two workers; ~1.8k since the walk's steps
+#       are evaluated on one goroutine) and ~1/400 of the cost while every
+#       instance was built before any was evaluated (~1.95M allocs/op), so
+#       a return to building them all fails here.
 #   BenchmarkSaturateTQBF  env saturation, the closure §5 reduces TQBF to:
 #       the depth-2 TQBF reduction of seed 7, one macro-state, through
-#       paramra.Verify with the prepass off at one worker. Fixed budget
+#       paramra.Verify with the prepass off. Fixed budget
 #       ~2x its cost once a configuration's later passes ran only its loads
 #       against the env messages new since its previous pass (~9.2k
 #       allocs/op) and ~1/5 of the cost while every pass took every edge
@@ -105,8 +111,8 @@ gate BenchmarkVerify/peterson "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 850000
 gate BenchmarkSlice 44000
-gate BenchmarkDatalogVerify 12000
+gate BenchmarkDatalogVerify 6000
 gate BenchmarkServedCorpus 25000
-gate BenchmarkServedCorpusDatalog 300000
+gate BenchmarkServedCorpusDatalog 200000
 gate BenchmarkDatalogVerifyUnsafe 5000
 gate BenchmarkSaturateTQBF 20000

@@ -113,10 +113,9 @@ func TestCLIsRejectNegativeKnobs(t *testing.T) {
 		field string
 	}{
 		{"raverify", []string{"-max-states=-1", path}, "MaxMacroStates"},
-		{"raverify", []string{"-j=-2", path}, "Parallelism"},
+		{"raverify", []string{"-unroll=-2", path}, "UnrollDis"},
 		{"raexplore", []string{"-max-states=-1", path}, "MaxStates"},
 		{"radatalog", []string{"-max-skeletons=-1", path}, "MaxSkeletons"},
-		{"radatalog", []string{"-j=-1", path}, "Parallelism"},
 	}
 	for _, tc := range cases {
 		out, code := runTool(t, tc.tool, tc.args...)
