@@ -385,6 +385,46 @@ func TestDiskSizeBoundedEviction(t *testing.T) {
 	}
 }
 
+// TestDiskRecencyOneClock: a write and a read-through stamp an entry's
+// recency from the same clock, so an entry written after a read is the more
+// recent one even when the file system's clock lags the store's. The
+// store's clock runs an hour ahead here: k0 is read, then k3 written, and a
+// restart with room for one entry must keep k3.
+func TestDiskRecencyOneClock(t *testing.T) {
+	dir := t.TempDir()
+	ahead := time.Now().Add(time.Hour)
+	tick := 0
+	clock := func() time.Time {
+		tick++
+		return ahead.Add(time.Duration(tick) * time.Second)
+	}
+	c1 := New(Options{Dir: dir})
+	c1.disk.now = clock
+	c1.Put("k0", testVerdict(1))
+	info, err := os.Stat(filepath.Join(dir, "k0.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := info.Size()
+
+	// A fresh cache, so the read goes through to disk.
+	c2 := New(Options{Dir: dir})
+	c2.disk.now = clock
+	if _, ok := c2.Get("k0"); !ok {
+		t.Fatal("k0 not readable through disk")
+	}
+	c2.Put("k3", testVerdict(1))
+
+	New(Options{Dir: dir, DiskMaxBytes: size + size/2})
+	left, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || filepath.Base(left[0]) != "k3.json" {
+		t.Errorf("restart with room for one entry left %v, want only k3.json (written after k0 was read)", left)
+	}
+}
+
 func TestDiskIgnoresUnsafeKeys(t *testing.T) {
 	dir := t.TempDir()
 	c := New(Options{Dir: dir})

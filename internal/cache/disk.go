@@ -25,13 +25,18 @@ const defaultDiskMaxBytes = 256 << 20
 // The layer is size-bounded: the total bytes of *.json entries are tracked
 // (seeded by a startup scan, maintained on every write and removal), and a
 // write that pushes the total over maxBytes evicts the least-recently-used
-// entries — file modification time orders them, and a read-through bumps it
-// — until the store fits again. Without the bound a long-lived server writes
-// one file per distinct verdict forever and eventually fills the volume.
+// entries — file modification time orders them, and both a write and a
+// read-through stamp it from one clock — until the store fits again.
+// Without the bound a long-lived server writes one file per distinct
+// verdict forever and eventually fills the volume.
 type diskStore struct {
 	dir      string
 	ok       bool
 	maxBytes int64 // <= 0 disables the bound
+	// now is the clock that stamps an entry's recency on write and read.
+	// The file system's own write time would be another, coarser clock,
+	// which could order a write after a read as older than it.
+	now func() time.Time
 
 	mu   sync.Mutex
 	size int64 // total bytes of *.json entries under dir
@@ -48,7 +53,7 @@ func newDiskStore(dir string, maxBytes int64) *diskStore {
 	if maxBytes == 0 {
 		maxBytes = defaultDiskMaxBytes
 	}
-	d := &diskStore{dir: dir, maxBytes: maxBytes}
+	d := &diskStore{dir: dir, maxBytes: maxBytes, now: time.Now}
 	d.ok = os.MkdirAll(dir, 0o755) == nil
 	if d.ok {
 		// Seed the size from what a previous process left behind, and
@@ -105,7 +110,7 @@ func (d *diskStore) get(key string) (Verdict, bool, bool) {
 	}
 	// Bump the entry's recency so size-bound eviction removes cold entries
 	// first. Best-effort: a read-only volume just degrades to FIFO.
-	now := time.Now()
+	now := d.now()
 	_ = os.Chtimes(path, now, now)
 	return v, true, false
 }
@@ -151,6 +156,10 @@ func (d *diskStore) put(key string, v Verdict) int {
 		os.Remove(name)
 		return 0
 	}
+	// Stamp the entry with the clock get stamps reads with. Best-effort,
+	// as in get.
+	now := d.now()
+	_ = os.Chtimes(target, now, now)
 	d.size += int64(len(raw)) - replaced
 	return d.evictLocked()
 }

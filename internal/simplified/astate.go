@@ -1,6 +1,8 @@
 package simplified
 
 import (
+	"slices"
+
 	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
@@ -69,14 +71,12 @@ func (c AThread) cloneRegs() []lang.Val {
 }
 
 // MsgEntry is an env message together with the read log of the env
-// derivation that first produced it (genthread's reads, Definition 1), the
-// message's cached canonical key (Msg.Key(), computed once on insert), and
+// derivation that first produced it (genthread's reads, Definition 1) and
 // its first-derivation index in the env set, which read logs refer to it by
 // (an EnvRef). Cloning and renumbering copy the index unchanged.
 type MsgEntry struct {
 	Msg AMsg
 	Log *ReadLog
-	Key string
 	Idx int32
 }
 
@@ -84,28 +84,30 @@ type MsgEntry struct {
 // configuration ever reached and every env message ever generated. The
 // Infinite Supply Lemma makes these sets grow-only.
 //
-// Clone is copy-on-write: a clone borrows the parent's maps and slices and
-// deep-copies them only on its first insertion (thaw). Most successor
-// states never learn a new env fact — their clones cost one struct copy
-// instead of rebuilding two maps, which the allocation profile showed was
-// the second-largest allocation site of the fixpoint. The parent must be
-// frozen once clones exist, which the explorers guarantee: a state's env is
-// only mutated during its own saturation, before the state is admitted and
-// shared.
+// Both kinds of fact are kept in insertion order, and a fact keeps its
+// position for good (cloning and renumbering included): saturation
+// worklists hold positions, read logs name env messages by index, and
+// iterating in this order makes first-derivation provenance (and with it
+// witnesses and §4.3 bounds) reproducible across runs. Two position
+// indexes (posIndex) serve the duplicate probe, comparing fields, not
+// rendered keys.
+//
+// Clone is copy-on-write: a clone borrows the parent's slices and indexes
+// and copies them only on its first insertion (thaw). Most successor
+// states never learn a new env fact, so their clones cost one struct copy.
+// The parent must be frozen once clones exist, which the explorers
+// guarantee: a state's env is only mutated during its own saturation,
+// before the state is admitted and shared.
 type EnvSet struct {
-	// Configs lists the configurations in insertion order. A configuration
-	// keeps its position for good (cloning and renumbering included), so
-	// saturation worklists hold positions, and iterating in this order
-	// makes first-derivation provenance (and with it witnesses and §4.3
-	// bounds) reproducible across runs.
+	// Configs lists the configurations in insertion order.
 	Configs []AThread
-	// configPos maps each configuration's key to its position; it serves
-	// only the duplicate probe.
-	configPos map[string]int32
-	Msgs      map[string]MsgEntry
+	// Msgs lists the env messages in insertion order: Msgs[i].Idx == i.
+	Msgs []MsgEntry
 	// MsgsByVar indexes the env messages by shared variable for loads, each
 	// list in Idx order.
 	MsgsByVar [][]MsgEntry
+	// idx finds the positions in Configs and Msgs.
+	idx *envIndex
 	// shared marks a copy-on-write clone still borrowing its parent's
 	// storage; the first mutation thaws it.
 	shared bool
@@ -113,11 +115,7 @@ type EnvSet struct {
 
 // NewEnvSet returns an empty env set over numVars shared variables.
 func NewEnvSet(numVars int) *EnvSet {
-	return &EnvSet{
-		configPos: map[string]int32{},
-		Msgs:      map[string]MsgEntry{},
-		MsgsByVar: make([][]MsgEntry, numVars),
-	}
+	return &EnvSet{MsgsByVar: make([][]MsgEntry, numVars), idx: &envIndex{}}
 }
 
 // Clone copies the set (entries themselves are immutable). The copy shares
@@ -128,24 +126,16 @@ func (e *EnvSet) Clone() *EnvSet {
 	return &c
 }
 
-// thaw makes a shared clone privately mutable: maps are rebuilt, and the
-// borrowed slices are capacity-clamped so a later append reallocates
+// thaw makes a shared clone privately mutable: the indexes are copied, and
+// the borrowed slices are capacity-clamped so a later append reallocates
 // instead of scribbling into a sibling's backing array.
 func (e *EnvSet) thaw() {
 	if !e.shared {
 		return
 	}
-	pos := make(map[string]int32, len(e.configPos)+1)
-	for k, i := range e.configPos {
-		pos[k] = i
-	}
-	e.configPos = pos
-	msgs := make(map[string]MsgEntry, len(e.Msgs)+1)
-	for k, v := range e.Msgs {
-		msgs[k] = v
-	}
-	e.Msgs = msgs
+	e.idx = &envIndex{cfgs: e.idx.cfgs.clone(), msgs: e.idx.msgs.clone()}
 	e.Configs = e.Configs[:len(e.Configs):len(e.Configs)]
+	e.Msgs = e.Msgs[:len(e.Msgs):len(e.Msgs)]
 	byVar := make([][]MsgEntry, len(e.MsgsByVar))
 	for i, s := range e.MsgsByVar {
 		byVar[i] = s[:len(s):len(s)]
@@ -154,42 +144,66 @@ func (e *EnvSet) thaw() {
 	e.shared = false
 }
 
-// AddConfig inserts a configuration; returns true if it was new.
-func (e *EnvSet) AddConfig(c AThread) bool {
-	enc := engine.GetKeyEnc()
-	defer engine.PutKeyEnc(enc)
-	return e.addConfigEnc(c, enc)
+// findConfig returns the position of the configuration (pc, regs, vw), or
+// -1; h is its configHash.
+func (e *EnvSet) findConfig(h uint32, pc lang.PC, regs []lang.Val, vw AView) int32 {
+	return e.idx.cfgs.lookup(h, func(i int32) bool {
+		c := &e.Configs[i]
+		return c.PC == pc && slices.Equal(c.Regs, regs) && slices.Equal(c.View, vw)
+	})
 }
 
-// addConfigEnc is AddConfig with a caller-supplied scratch encoder, so the
-// saturation inner loop probes without touching the encoder pool. The
-// duplicate probe is allocation-free; the key is interned on insert. A new
+// findMsg returns the index of the env message (x, ts, val, vw), or -1; h
+// is its msgHash.
+func (e *EnvSet) findMsg(h uint32, x lang.VarID, ts ATime, val lang.Val, vw AView) int32 {
+	return e.idx.msgs.lookup(h, func(i int32) bool {
+		m := &e.Msgs[i].Msg
+		return m.Var == x && m.TS == ts && m.Val == val && slices.Equal(m.View, vw)
+	})
+}
+
+// insertConfig appends c, which findConfig does not find, under its hash
+// h. It takes c's slices as they are.
+func (e *EnvSet) insertConfig(h uint32, c AThread) {
+	e.thaw()
+	e.idx.cfgs.insert(h, int32(len(e.Configs)))
+	if n := len(e.Configs); n == cap(e.Configs) {
+		// Double the capacity, as append does only for a short slice: one
+		// saturation can append thousands of configurations.
+		e.Configs = append(make([]AThread, 0, max(2*n, 1)), e.Configs...)
+	}
+	e.Configs = append(e.Configs, c)
+}
+
+// insertMsg appends the env message m, which findMsg does not find, with
+// the read log of its first derivation, under its hash h.
+func (e *EnvSet) insertMsg(h uint32, m AMsg, log *ReadLog) {
+	e.thaw()
+	entry := MsgEntry{Msg: m, Log: log, Idx: int32(len(e.Msgs))}
+	e.idx.msgs.insert(h, entry.Idx)
+	e.Msgs = append(e.Msgs, entry)
+	e.MsgsByVar[m.Var] = append(e.MsgsByVar[m.Var], entry)
+}
+
+// AddConfig inserts a configuration; returns true if it was new. A new
 // configuration takes position len(Configs) before the call.
-func (e *EnvSet) addConfigEnc(c AThread, enc *engine.KeyEnc) bool {
-	enc.Reset()
-	c.encodeKey(enc)
-	if _, ok := e.configPos[string(enc.Bytes())]; ok {
+func (e *EnvSet) AddConfig(c AThread) bool {
+	h := configHash(c.PC, c.Regs, c.View)
+	if e.findConfig(h, c.PC, c.Regs, c.View) >= 0 {
 		return false
 	}
-	e.thaw()
-	e.configPos[enc.String()] = int32(len(e.Configs))
-	e.Configs = append(e.Configs, c)
+	e.insertConfig(h, c)
 	return true
 }
 
 // AddMsg inserts an env message; returns true if it was new. The first
 // derivation wins (genthread is the first thread adding the message).
 func (e *EnvSet) AddMsg(m AMsg, log *ReadLog) bool {
-	var buf [48]byte
-	b := m.appendKey(buf[:0])
-	if _, ok := e.Msgs[string(b)]; ok {
+	h := msgHash(m.Var, m.TS, m.Val, m.View)
+	if e.findMsg(h, m.Var, m.TS, m.Val, m.View) >= 0 {
 		return false
 	}
-	k := string(b)
-	e.thaw()
-	entry := MsgEntry{Msg: m, Log: log, Key: k, Idx: int32(len(e.Msgs))}
-	e.Msgs[k] = entry
-	e.MsgsByVar[m.Var] = append(e.MsgsByVar[m.Var], entry)
+	e.insertMsg(h, m, log)
 	return true
 }
 

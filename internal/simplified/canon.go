@@ -1,7 +1,6 @@
 package simplified
 
 import (
-	"paramra/internal/engine"
 	"paramra/internal/lang"
 )
 
@@ -82,7 +81,7 @@ func (ex *exec) canonicalize(st *state, x lang.VarID) {
 	for i := range st.dis {
 		st.dis[i].View = r.view(st.dis[i].View)
 	}
-	st.env.renumber(r, &ex.enc)
+	st.env.renumber(r)
 }
 
 // slotCap is the highest integer slot a store or CAS on x may take in st:
@@ -122,52 +121,39 @@ func (m *DisMem) renumber(r *renumbering) {
 }
 
 // renumber applies r to every configuration's view and every message's
-// view and ⁺-timestamp, re-keying the entries that move. Configuration
-// positions, message orders and message indices are kept. A set none of
-// whose entries move is left as it is, still borrowing its parent's
-// storage.
-func (e *EnvSet) renumber(r *renumbering, enc *engine.KeyEnc) {
+// view and ⁺-timestamp, by position, and rebuilds both indexes from the
+// renumbered facts. Configuration positions, message orders and message
+// indices are kept. A set none of whose entries move is left as it is,
+// still borrowing its parent's storage.
+func (e *EnvSet) renumber(r *renumbering) {
 	if !e.movedBy(r) {
 		return
 	}
-	// The position map is rebuilt rather than edited in place: a moved
-	// configuration's new key may be another one's old key.
 	cfgs := make([]AThread, len(e.Configs))
-	pos := make(map[string]int32, len(e.configPos))
-	for k, i := range e.configPos {
-		if c := e.Configs[i]; !r.moves(c.View) {
-			cfgs[i] = c
-			pos[k] = i
-		}
-	}
+	idx := &envIndex{cfgs: newPosIndex(len(cfgs)), msgs: newPosIndex(len(e.Msgs))}
 	for i, c := range e.Configs {
-		if r.moves(c.View) {
-			c.View = r.view(c.View)
-			enc.Reset()
-			c.encodeKey(enc)
-			cfgs[i] = c
-			pos[enc.String()] = int32(i)
-		}
+		c.View = r.view(c.View)
+		cfgs[i] = c
+		idx.cfgs.insert(configHash(c.PC, c.Regs, c.View), int32(i))
 	}
-	msgs := make(map[string]MsgEntry, len(e.Msgs))
+	msgs := make([]MsgEntry, len(e.Msgs))
 	byVar := make([][]MsgEntry, len(e.MsgsByVar))
-	var buf [48]byte
 	for v, list := range e.MsgsByVar {
-		out := make([]MsgEntry, len(list))
-		for i, me := range list {
-			if r.moves(me.Msg.View) {
-				me.Msg.View = r.view(me.Msg.View)
-				if me.Msg.Var == r.x {
-					me.Msg.TS = r.time(me.Msg.TS)
-				}
-				me.Key = string(me.Msg.appendKey(buf[:0]))
-			}
-			out[i] = me
-			msgs[me.Key] = me
-		}
-		byVar[v] = out
+		byVar[v] = make([]MsgEntry, 0, len(list))
 	}
-	e.Configs, e.configPos, e.Msgs, e.MsgsByVar = cfgs, pos, msgs, byVar
+	for i, me := range e.Msgs {
+		m := &me.Msg
+		if r.moves(m.View) {
+			m.View = r.view(m.View)
+			if m.Var == r.x {
+				m.TS = r.time(m.TS)
+			}
+		}
+		msgs[i] = me
+		idx.msgs.insert(msgHash(m.Var, m.TS, m.Val, m.View), int32(i))
+		byVar[m.Var] = append(byVar[m.Var], me)
+	}
+	e.Configs, e.Msgs, e.MsgsByVar, e.idx = cfgs, msgs, byVar, idx
 	e.shared = false
 }
 
@@ -178,11 +164,9 @@ func (e *EnvSet) movedBy(r *renumbering) bool {
 			return true
 		}
 	}
-	for _, list := range e.MsgsByVar {
-		for _, me := range list {
-			if r.moves(me.Msg.View) {
-				return true
-			}
+	for _, me := range e.Msgs {
+		if r.moves(me.Msg.View) {
+			return true
 		}
 	}
 	return false

@@ -25,6 +25,42 @@ type disMove struct {
 	hasPut bool
 }
 
+// loadTarget is a readable message together with the view the reader adopts
+// and the message's reference, which the callers thread into read logs.
+type loadTarget struct {
+	msg  AMsg
+	view AView
+	ref  MsgRef
+}
+
+// loadTargets enumerates the messages a thread with view vw can load from
+// variable x, and the resulting views:
+//
+//   - dis messages are timestamp-checked (vw(x) ≤ ts) and joined as in the
+//     concrete semantics;
+//   - env messages carry no check (Infinite Supply: some clone is high
+//     enough), and the resulting view of x is bumped into the ⁺-region of
+//     the join's floor — the clone actually read lies strictly above the
+//     reader's previous view of x, so the reader can no longer access the
+//     integer timestamp at that floor.
+//
+// Results are appended to buf (pass buf[:0] to reuse an exec's scratch
+// across calls; the returned slice is only valid until the next reuse).
+func (v *Verifier) loadTargets(st *state, vw AView, x lang.VarID, buf []loadTarget) []loadTarget {
+	out := buf
+	for _, m := range st.mem.VarMsgs(x) {
+		if m.TS >= vw[x] {
+			out = append(out, loadTarget{msg: m, view: vw.Join(m.View), ref: m.Ref})
+		}
+	}
+	for _, me := range st.env.MsgsByVar[x] {
+		j := vw.Join(me.Msg.View)
+		j[x] = Plus(j[x].Floor())
+		out = append(out, loadTarget{msg: me.Msg, view: j, ref: EnvRef(me.Idx)})
+	}
+	return out
+}
+
 // eachDisMove yields every enabled dis transition of st, in a fixed order:
 // dis threads by index, each thread's CFG edges in order, and within an
 // edge the readable messages and free timestamp slots in increasing order,

@@ -2,7 +2,7 @@ package simplified
 
 import (
 	"context"
-	"reflect"
+	"unsafe"
 
 	"paramra/internal/engine"
 	"paramra/internal/lang"
@@ -93,23 +93,30 @@ func memKey(s *state) string {
 }
 
 // sameEnv reports whether two env sets hold the same configurations and
-// messages. Copy-on-write clones that still share their maps are equal
-// without a look at the entries.
+// messages, comparing rendered keys. Copy-on-write clones that still share
+// their slices are equal without a look at the entries.
 func sameEnv(a, b *EnvSet) bool {
-	if reflect.ValueOf(a.configPos).UnsafePointer() == reflect.ValueOf(b.configPos).UnsafePointer() &&
-		reflect.ValueOf(a.Msgs).UnsafePointer() == reflect.ValueOf(b.Msgs).UnsafePointer() {
-		return true
-	}
 	if len(a.Configs) != len(b.Configs) || len(a.Msgs) != len(b.Msgs) {
 		return false
 	}
-	for k := range a.configPos {
-		if _, ok := b.configPos[k]; !ok {
+	if unsafe.SliceData(a.Configs) == unsafe.SliceData(b.Configs) &&
+		unsafe.SliceData(a.Msgs) == unsafe.SliceData(b.Msgs) {
+		return true
+	}
+	keys := make(map[string]bool, len(a.Configs)+len(a.Msgs))
+	for _, c := range a.Configs {
+		keys["c"+c.Key()] = true
+	}
+	for _, me := range a.Msgs {
+		keys["m"+me.Msg.Key()] = true
+	}
+	for _, c := range b.Configs {
+		if !keys["c"+c.Key()] {
 			return false
 		}
 	}
-	for k := range a.Msgs {
-		if _, ok := b.Msgs[k]; !ok {
+	for _, me := range b.Msgs {
+		if !keys["m"+me.Msg.Key()] {
 			return false
 		}
 	}

@@ -193,10 +193,10 @@ func TestCloneIsolation(t *testing.T) {
 	c := e.Clone()
 	c.AddMsg(AMsg{Var: 1, TS: Plus(0), Val: 1, View: AView{Int(0), Plus(0)}, Env: true}, nil)
 	c.AddConfig(AThread{PC: 2, Regs: []lang.Val{1}, View: NewAView(2)})
-	if len(e.Msgs) != 1 || len(e.Configs) != 1 || len(e.configPos) != 1 {
+	if len(e.Msgs) != 1 || len(e.Configs) != 1 || len(e.MsgsByVar[1]) != 0 {
 		t.Error("clone mutation leaked into the original env set")
 	}
-	if len(c.Msgs) != 2 || len(c.Configs) != 2 || len(c.configPos) != 2 || len(c.MsgsByVar[1]) != 1 {
+	if len(c.Msgs) != 2 || len(c.Configs) != 2 || len(c.MsgsByVar[1]) != 1 {
 		t.Error("clone insertions lost")
 	}
 

@@ -75,7 +75,7 @@ func (viol *Violation) Resolver() *Resolver {
 	}
 	if e := viol.Env; e != nil {
 		for _, me := range e.Msgs {
-			r.keys[EnvRef(me.Idx)] = me.Key
+			r.keys[EnvRef(me.Idx)] = me.Msg.Key()
 		}
 	}
 	return r

@@ -4,48 +4,6 @@ import (
 	"paramra/internal/lang"
 )
 
-// loadTarget is a readable message together with the view the reader adopts
-// and the message's reference, which the callers thread into read logs.
-type loadTarget struct {
-	msg  AMsg
-	view AView
-	ref  MsgRef
-}
-
-// loadTargets enumerates the messages a thread with view vw can load from
-// variable x, and the resulting views:
-//
-//   - dis messages are timestamp-checked (vw(x) ≤ ts) and joined as in the
-//     concrete semantics;
-//   - env messages carry no check (Infinite Supply: some clone is high
-//     enough), and the resulting view of x is bumped into the ⁺-region of
-//     the join's floor — the clone actually read lies strictly above the
-//     reader's previous view of x, so the reader can no longer access the
-//     integer timestamp at that floor.
-//
-// Results are appended to buf (pass buf[:0] to reuse an exec's scratch
-// across calls; the returned slice is only valid until the next reuse).
-func (v *Verifier) loadTargets(st *state, vw AView, x lang.VarID, buf []loadTarget) []loadTarget {
-	out := buf
-	for _, m := range st.mem.VarMsgs(x) {
-		if m.TS >= vw[x] {
-			out = append(out, loadTarget{msg: m, view: vw.Join(m.View), ref: m.Ref})
-		}
-	}
-	for _, me := range st.env.MsgsByVar[x] {
-		out = append(out, envLoadTarget(vw, x, me))
-	}
-	return out
-}
-
-// envLoadTarget is the load of env message me from x by a thread with view
-// vw (see loadTargets).
-func envLoadTarget(vw AView, x lang.VarID, me MsgEntry) loadTarget {
-	j := vw.Join(me.Msg.View)
-	j[x] = Plus(j[x].Floor())
-	return loadTarget{msg: me.Msg, view: j, ref: EnvRef(me.Idx)}
-}
-
 // envMsgsSince returns the suffix of msgs, a MsgsByVar list, whose
 // messages have an Idx of at least since.
 func envMsgsSince(msgs []MsgEntry, since int32) []MsgEntry {
@@ -62,6 +20,76 @@ func envMsgsSince(msgs []MsgEntry, since int32) []MsgEntry {
 type satSlot struct {
 	since  int32
 	queued bool
+}
+
+// chunk hands out slices of backing arrays shared by many facts, so that a
+// new env fact costs no allocation of its own. A slice handed out is capped
+// at its length: an append to it reallocates and never reaches a
+// neighbour. The first array holds chunkFirst slices of the size asked
+// for, and each next one twice as many, up to chunkMax, so a small search
+// allocates little and a large one few arrays.
+type chunk[T any] struct {
+	free []T
+	// facts is the number of slices the next array holds.
+	facts int
+}
+
+const (
+	chunkFirst = 4
+	chunkMax   = 512
+)
+
+// take returns a fresh slice of n elements.
+func (c *chunk[T]) take(n int) []T {
+	if len(c.free) < n {
+		c.facts = min(max(2*c.facts, chunkFirst), chunkMax)
+		c.free = make([]T, n*c.facts)
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// clone returns a copy of s taken from the chunk.
+func (c *chunk[T]) clone(s []T) []T {
+	out := c.take(len(s))
+	copy(out, s)
+	return out
+}
+
+// factChunks are the chunks a search's new env facts take their storage
+// from: registers, views and read-log entries.
+type factChunks struct {
+	regs  chunk[lang.Val]
+	views chunk[ATime]
+	logs  chunk[ReadLog]
+}
+
+// satScratch holds the fields of the configuration or message saturate is
+// about to derive, so that it can probe the env set before building
+// anything.
+type satScratch struct {
+	regs []lang.Val
+	view AView
+}
+
+// regsFrom returns the scratch registers, set to regs.
+func (s *satScratch) regsFrom(regs []lang.Val) []lang.Val {
+	s.regs = append(s.regs[:0], regs...)
+	return s.regs
+}
+
+// viewFrom returns the scratch view, set to vw.
+func (s *satScratch) viewFrom(vw AView) AView {
+	s.view = append(s.view[:0], vw...)
+	return s.view
+}
+
+// log returns the read log prev extended by a read of ref.
+func (f *factChunks) log(ref MsgRef, prev *ReadLog) *ReadLog {
+	l := &f.logs.take(1)[0]
+	*l = ReadLog{Ref: ref, Prev: prev}
+	return l
 }
 
 // satPush enqueues the configuration at position i on the saturation
@@ -90,22 +118,45 @@ func (ex *exec) satPushLoaders(st *state) {
 	}
 }
 
-// satAddConfig inserts a derived configuration and enqueues it if new. The
-// key probe uses the exec's embedded encoder scratch.
-func (ex *exec) satAddConfig(st *state, c AThread) {
-	if st.env.addConfigEnc(c, &ex.enc) {
-		ex.satSlots = append(ex.satSlots, satSlot{since: -1})
-		ex.satPush(int32(len(st.env.Configs) - 1))
+// satAdd inserts the configuration c and enqueues it, unless the set
+// already holds it. c's slices are stored as they are.
+func (ex *exec) satAdd(st *state, c AThread) {
+	h := configHash(c.PC, c.Regs, c.View)
+	if st.env.findConfig(h, c.PC, c.Regs, c.View) < 0 {
+		ex.satInsert(st, h, c)
 	}
 }
 
-// satLoad adds the configuration cfg reaches by reading lt along the load
-// edge e.
-func (ex *exec) satLoad(st *state, cfg AThread, e lang.Edge, lt loadTarget) {
-	regs := cfg.cloneRegs()
-	regs[e.Op.Reg] = lt.msg.Val
-	log := &ReadLog{Ref: lt.ref, Prev: cfg.Log}
-	ex.satAddConfig(st, AThread{PC: e.To, Regs: regs, View: lt.view, Log: log})
+// satInsert inserts the configuration c, which the set lacks, under its
+// hash h and enqueues it.
+func (ex *exec) satInsert(st *state, h uint32, c AThread) {
+	st.env.insertConfig(h, c)
+	ex.satSlots = append(ex.satSlots, satSlot{since: -1})
+	ex.satPush(int32(len(st.env.Configs) - 1))
+}
+
+// satLoad adds the configuration cfg reaches by reading m, which ref
+// names, along the load edge e: the loaded register set, and the view
+// joined with m's, whose x moves into the ⁺-region when m is an env
+// message (see loadTargets). The configuration is formed in scratch, and
+// built from chunks only when the set lacks it.
+func (ex *exec) satLoad(st *state, cfg *AThread, e lang.Edge, m *AMsg, ref MsgRef) {
+	x := e.Op.Var
+	regs := ex.sat.regsFrom(cfg.Regs)
+	regs[e.Op.Reg] = m.Val
+	vw := ex.sat.viewFrom(cfg.View)
+	for i, t := range m.View {
+		vw[i] = max(vw[i], t)
+	}
+	if m.Env {
+		vw[x] = Plus(vw[x].Floor())
+	}
+	h := configHash(e.To, regs, vw)
+	if st.env.findConfig(h, e.To, regs, vw) >= 0 {
+		return
+	}
+	ex.satInsert(st, h, AThread{PC: e.To, Regs: ex.facts.regs.clone(regs),
+		View: ex.facts.views.clone(vw), Log: ex.facts.log(ref, cfg.Log)})
 }
 
 // satPollEvery is how many worklist pops saturate makes between two looks
@@ -124,6 +175,10 @@ const satPollEvery = 256
 // later pass could take re-derives a fact the set already holds, so the
 // facts, their first derivations and their insertion order are those of
 // taking every edge on every pass.
+//
+// Every derived fact is formed in exec scratch and probed before anything
+// is built, so a duplicate costs no allocation; a new one takes its
+// registers, view and read-log entry from the exec's chunks.
 func (ex *exec) saturate(st *state) (*Violation, error) {
 	v := ex.v
 	if v.envCFG == nil {
@@ -160,9 +215,9 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 					continue
 				}
 				ex.stats.SaturationSteps++
-				x := e.Op.Var
-				for _, me := range envMsgsSince(env.MsgsByVar[x], since) {
-					ex.satLoad(st, cfg, e, envLoadTarget(cfg.View, x, me))
+				msgs := envMsgsSince(env.MsgsByVar[e.Op.Var], since)
+				for k := range msgs {
+					ex.satLoad(st, &cfg, e, &msgs[k].Msg, EnvRef(msgs[k].Idx))
 				}
 			}
 			continue
@@ -171,11 +226,11 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 			ex.stats.SaturationSteps++
 			switch e.Op.Kind {
 			case lang.OpNop:
-				ex.satAddConfig(st, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log})
+				ex.satAdd(st, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log})
 
 			case lang.OpAssume:
 				if e.Op.E.Eval(cfg.Regs) != 0 {
-					ex.satAddConfig(st, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log})
+					ex.satAdd(st, AThread{PC: e.To, Regs: cfg.Regs, View: cfg.View, Log: cfg.Log})
 				}
 
 			case lang.OpAssertFail:
@@ -186,31 +241,51 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 				}
 
 			case lang.OpAssign:
-				regs := cfg.cloneRegs()
+				regs := ex.sat.regsFrom(cfg.Regs)
 				regs[e.Op.Reg] = e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
-				ex.satAddConfig(st, AThread{PC: e.To, Regs: regs, View: cfg.View, Log: cfg.Log})
+				h := configHash(e.To, regs, cfg.View)
+				if env.findConfig(h, e.To, regs, cfg.View) < 0 {
+					ex.satInsert(st, h, AThread{PC: e.To, Regs: ex.facts.regs.clone(regs),
+						View: cfg.View, Log: cfg.Log})
+				}
 
 			case lang.OpLoad:
-				lts := v.loadTargets(st, cfg.View, e.Op.Var, ex.ltBuf[:0])
-				for _, lt := range lts {
-					ex.satLoad(st, cfg, e, lt)
+				// The order of loadTargets: dis messages by timestamp, then
+				// env messages by index.
+				x := e.Op.Var
+				dis := st.mem.VarMsgs(x)
+				for k := range dis {
+					if dis[k].TS >= cfg.View[x] {
+						ex.satLoad(st, &cfg, e, &dis[k], dis[k].Ref)
+					}
 				}
-				ex.ltBuf = lts[:0]
+				msgs := env.MsgsByVar[x]
+				for k := range msgs {
+					ex.satLoad(st, &cfg, e, &msgs[k].Msg, EnvRef(msgs[k].Idx))
+				}
 
 			case lang.OpStore:
 				x := e.Op.Var
 				d := e.Op.E.Eval(cfg.Regs).Norm(v.sys.Dom)
-				view := cfg.View.Clone()
-				view[x] = Plus(cfg.View[x].Floor())
-				msg := AMsg{Var: x, TS: view[x], Val: d, View: view, Env: true}
+				vw := ex.sat.viewFrom(cfg.View)
+				vw[x] = Plus(cfg.View[x].Floor())
+				msg := AMsg{Var: x, TS: vw[x], Val: d, View: vw, Env: true}
 				if v.goalHit(msg) {
 					mc := msg
+					mc.View = vw.Clone()
 					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}, nil
 				}
-				if env.AddMsg(msg, cfg.Log) {
+				// The configuration's view equals the message's: both share
+				// the stored message's.
+				h := msgHash(x, msg.TS, d, vw)
+				if j := env.findMsg(h, x, msg.TS, d, vw); j >= 0 {
+					msg.View = env.Msgs[j].Msg.View
+				} else {
+					msg.View = ex.facts.views.clone(vw)
+					env.insertMsg(h, msg, cfg.Log)
 					ex.satPushLoaders(st)
 				}
-				ex.satAddConfig(st, AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log})
+				ex.satAdd(st, AThread{PC: e.To, Regs: cfg.Regs, View: msg.View, Log: cfg.Log})
 
 			case lang.OpCASOp:
 				// Unreachable: New rejects env CAS. Kept as a defensive

@@ -14,8 +14,11 @@ import (
 // closure computed naively, on a worklist of configuration keys re-seeded
 // with every configuration in insertion order whenever a new message
 // appears, where every pop takes every edge out of the configuration's PC
-// against every message. It has no context to poll; its steps count into
-// ex.stats like saturate's.
+// against every message. It tells new facts from known ones by their
+// rendered keys, in maps of its own, and appends them to st's slices
+// directly, so it shares no index with saturate; st must own its env set.
+// It has no context to poll; its steps count into ex.stats like
+// saturate's.
 func naiveSaturate(ex *exec, st *state) *Violation {
 	v := ex.v
 	if v.envCFG == nil {
@@ -30,8 +33,15 @@ func naiveSaturate(ex *exec, st *state) *Violation {
 		}
 	}
 	order := make([]string, 0, len(st.env.Configs))
-	for _, c := range st.env.Configs {
-		order = append(order, c.Key())
+	pos := map[string]int32{}
+	for i, c := range st.env.Configs {
+		k := c.Key()
+		order = append(order, k)
+		pos[k] = int32(i)
+	}
+	msgKeys := map[string]bool{}
+	for _, me := range st.env.Msgs {
+		msgKeys[me.Msg.Key()] = true
 	}
 	pushAll := func() {
 		for _, k := range order {
@@ -39,11 +49,25 @@ func naiveSaturate(ex *exec, st *state) *Violation {
 		}
 	}
 	addConfig := func(c AThread) {
-		if st.env.AddConfig(c) {
-			k := c.Key()
-			order = append(order, k)
-			push(k)
+		k := c.Key()
+		if _, ok := pos[k]; ok {
+			return
 		}
+		pos[k] = int32(len(st.env.Configs))
+		st.env.Configs = append(st.env.Configs, c)
+		order = append(order, k)
+		push(k)
+	}
+	addMsg := func(m AMsg, log *ReadLog) bool {
+		k := m.Key()
+		if msgKeys[k] {
+			return false
+		}
+		msgKeys[k] = true
+		me := MsgEntry{Msg: m, Log: log, Idx: int32(len(st.env.Msgs))}
+		st.env.Msgs = append(st.env.Msgs, me)
+		st.env.MsgsByVar[m.Var] = append(st.env.MsgsByVar[m.Var], me)
+		return true
 	}
 	pushAll()
 
@@ -52,7 +76,7 @@ func naiveSaturate(ex *exec, st *state) *Violation {
 		k := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[k] = false
-		cfg := st.env.Configs[st.env.configPos[k]]
+		cfg := st.env.Configs[pos[k]]
 		for _, e := range v.envCFG.Out[cfg.PC] {
 			ex.stats.SaturationSteps++
 			switch e.Op.Kind {
@@ -94,7 +118,7 @@ func naiveSaturate(ex *exec, st *state) *Violation {
 					mc := msg
 					return &Violation{ByEnv: true, Log: cfg.Log, GoalMsg: &mc}
 				}
-				if st.env.AddMsg(msg, cfg.Log) {
+				if addMsg(msg, cfg.Log) {
 					pushAll()
 				}
 				addConfig(AThread{PC: e.To, Regs: cfg.Regs, View: view, Log: cfg.Log})
@@ -136,7 +160,7 @@ func sameSaturation(a, b *EnvSet, va, vb *Violation) bool {
 			return false
 		}
 		for i := range ma {
-			if ma[i].Key != mb[i].Key || ma[i].Idx != mb[i].Idx ||
+			if ma[i].Msg.Key() != mb[i].Msg.Key() || ma[i].Idx != mb[i].Idx ||
 				!slices.Equal(ma[i].Log.Refs(), mb[i].Log.Refs()) {
 				return false
 			}

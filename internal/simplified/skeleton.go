@@ -192,16 +192,21 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		w.pop()
 	}
 	progressed := false
+	enc := &w.ex.enc
 	for _, s := range succs {
 		if w.done() {
 			return nil
 		}
+		// The key holds no env part, so a successor is probed before it
+		// is saturated, and a seen one is never saturated.
+		enc.Reset()
+		s.st.appendKey(enc)
+		if w.seen[string(enc.Bytes())] {
+			continue
+		}
+		k := enc.String()
 		if _, err := w.ex.saturate(s.st); err != nil {
 			return err
-		}
-		k := s.st.key()
-		if w.seen[k] {
-			continue
 		}
 		w.seen[k] = true
 		progressed = true

@@ -229,12 +229,17 @@ type exec struct {
 	satPops int
 	// renum is canonicalize's scratch.
 	renum renumbering
-	// Reusable scratch for saturation worklists (configuration positions),
-	// their per-position slots and load-target enumeration, so
-	// per-successor saturations don't re-allocate them.
+	// Reusable scratch for saturation worklists (configuration positions)
+	// and their per-position slots, so per-successor saturations don't
+	// re-allocate them.
 	satWork  []int32
 	satSlots []satSlot
-	ltBuf    []loadTarget
+	// sat is the scratch saturate forms a derived fact in before it probes
+	// the env set, and facts the chunks a new fact is built from.
+	sat   satScratch
+	facts factChunks
+	// ltBuf is the scratch of the dis moves' load-target enumeration.
+	ltBuf []loadTarget
 	// outBuf backs disSuccessors' result slice; it is consumed within the
 	// expansion. Admitted successor states escape into the next layer —
 	// only the slice header is recycled.
@@ -245,9 +250,9 @@ type exec struct {
 	// (see state.appendKeyMem).
 	sufBuf []byte
 	// enc and enc2 are embedded key-encoder scratch: enc serves the
-	// saturation config probes and the successor key of the expansion
-	// loops, enc2 the parent key suffix. Embedding them keeps the hot
-	// paths off the shared encoder pool.
+	// successor keys of the expansion loops and of the skeleton walk, enc2
+	// the parent key suffix. Embedding them keeps the hot paths off the
+	// shared encoder pool.
 	enc  engine.KeyEnc
 	enc2 engine.KeyEnc
 	// freeStates recycles the state structs of successors the visited set

@@ -77,12 +77,14 @@
 #       a return to building them all fails here.
 #   BenchmarkSaturateTQBF  env saturation, the closure §5 reduces TQBF to:
 #       the depth-2 TQBF reduction of seed 7, one macro-state, through
-#       paramra.Verify with the prepass off. Fixed budget
-#       ~2x its cost once a configuration's later passes ran only its loads
-#       against the env messages new since its previous pass (~9.2k
-#       allocs/op) and ~1/5 of the cost while every pass took every edge
-#       against every message (~103k allocs/op), so a return to naive
-#       passes fails here.
+#       paramra.Verify with the prepass off. Fixed budget ~2x its cost
+#       once saturation probed each derived fact before building it and
+#       built new ones from chunks (~425 allocs/op), ~1/10 of the cost
+#       while every duplicate candidate cloned its registers, joined a
+#       fresh view and allocated a read log before the probe (~9.2k
+#       allocs/op), and ~1/120 of the cost while every pass took every
+#       edge against every message (~103k allocs/op), so a return to
+#       per-duplicate allocation fails here.
 set -eu
 
 FIXPOINT_BUDGET="${1:-6000}"
@@ -115,4 +117,4 @@ gate BenchmarkDatalogVerify 6000
 gate BenchmarkServedCorpus 25000
 gate BenchmarkServedCorpusDatalog 200000
 gate BenchmarkDatalogVerifyUnsafe 5000
-gate BenchmarkSaturateTQBF 20000
+gate BenchmarkSaturateTQBF 850
