@@ -457,8 +457,9 @@ func benchCorpus(b *testing.B, opts paramra.Options) {
 }
 
 // BenchmarkSkeletons measures the dis-run skeleton enumeration that makeP
-// (§4.1) runs in place of the paper's guess, on lamport-2-ra's 15,966
-// skeletons; scripts/bench-allocs.sh gates its allocs/op.
+// (§4.1) runs in place of the paper's guess, on lamport-2-ra's 52
+// skeletons, one per order class the walk ends in (15,966 while the walk
+// kept integer timestamps); scripts/bench-allocs.sh gates its allocs/op.
 func BenchmarkSkeletons(b *testing.B) {
 	e, _ := bench.ByName("lamport-2-ra")
 	v, err := simplified.New(e.System(), simplified.Options{})
@@ -473,17 +474,18 @@ func BenchmarkSkeletons(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !complete || len(sks) != 15_966 {
-			b.Fatalf("lamport-2-ra: %d skeletons (complete %v), want all 15,966", len(sks), complete)
+		if !complete || len(sks) != 52 {
+			b.Fatalf("lamport-2-ra: %d skeletons (complete %v), want all 52", len(sks), complete)
 		}
 	}
 }
 
 // BenchmarkDatalogVerify measures the makeP → Datalog backend end to end on
-// the corpus ticketlock entry. It is SAFE with 72 skeletons, so every step
-// of the walk is evaluated; scripts/bench-allocs.sh gates its allocs/op,
-// which grow with every step a return to evaluating each instance from the
-// prefix's model would evaluate again.
+// the corpus ticketlock entry. It is SAFE with 9 skeletons (72 while the
+// walk kept integer timestamps), so every step of the walk is evaluated;
+// scripts/bench-allocs.sh gates its allocs/op, which grow with every step
+// a return to evaluating each instance from the prefix's model, or to
+// integer timestamps, would evaluate again.
 func BenchmarkDatalogVerify(b *testing.B) {
 	e, _ := bench.ByName("ticketlock")
 	sys := e.System()
@@ -496,8 +498,8 @@ func BenchmarkDatalogVerify(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Unsafe || !res.Complete || res.Stats.Skeletons != 72 {
-			b.Fatalf("ticketlock: unsafe=%v complete=%v skeletons=%d, want a complete SAFE run over 72",
+		if res.Unsafe || !res.Complete || res.Stats.Skeletons != 9 {
+			b.Fatalf("ticketlock: unsafe=%v complete=%v skeletons=%d, want a complete SAFE run over 9",
 				res.Unsafe, res.Complete, res.Stats.Skeletons)
 		}
 	}
@@ -505,8 +507,8 @@ func BenchmarkDatalogVerify(b *testing.B) {
 
 // BenchmarkDatalogVerifyUnsafe measures the Datalog backend's early exit
 // on the corpus peterson-ra entry. It is UNSAFE, and the
-// skeleton walk's 2nd of its 26,136 skeletons derives unsafe(), so the
-// walk stops there; scripts/bench-allocs.sh gates its allocs/op, which
+// skeleton walk's 2nd of its 63 skeletons derives unsafe(), so the walk
+// stops there; scripts/bench-allocs.sh gates its allocs/op, which
 // grow with every skeleton a return to building all instances first
 // would enumerate.
 func BenchmarkDatalogVerifyUnsafe(b *testing.B) {

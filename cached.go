@@ -27,14 +27,15 @@ func NewCache(o CacheOptions) *Cache { return cache.New(o) }
 // absent. goalVar is the goal variable already translated to its canonical
 // name (empty when Goal is nil). The leading version changes
 // whenever the decision procedure changes what a stored verdict says — who
-// decided it, its witness or its §4.3 bound — so entries an earlier
-// version wrote to a disk cache become misses, never stale hits.
+// decided it, its witness, its §4.3 bound or its prepass reason — so
+// entries an earlier version wrote to a disk cache become misses, never
+// stale hits.
 func cacheFingerprint(o Options, goalVar string) string {
 	g := ""
 	if o.Goal != nil {
 		g = fmt.Sprintf("%s=%d", goalVar, o.Goal.Val)
 	}
-	return fmt.Sprintf("fp5|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
+	return fmt.Sprintf("fp6|g=%s|u=%d|dl=%t|pp=%t|mm=%d|ms=%d|sk=%d",
 		g, o.UnrollDis, o.Datalog, o.Prepass,
 		o.MaxMacroStates, o.MaxStates, o.MaxSkeletons)
 }

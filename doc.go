@@ -74,7 +74,10 @@
 // other gap, so a macro-state is an order class of integer states.
 // Stats.MacroStates and Options.MaxMacroStates count order classes, and the
 // message keys in a fixpoint witness or dependency graph carry canonical
-// timestamps.
+// timestamps. The Datalog backend's skeleton walk takes the same step: it
+// walks order classes, so Stats.Skeletons and Options.MaxSkeletons count
+// one skeleton per path of that walk, and each skeleton's timestamps are
+// its last state's canonical slots.
 //
 // The Datalog backend evaluates the model of the instances' shared prefix
 // once, then the skeleton walk's DFS tree once per step, as the walk
@@ -87,7 +90,9 @@
 // program, prefix included, and DatalogAtoms sums the size of each one's
 // model, the shared model included. FixpointRounds sums the continuation
 // rounds of the steps evaluated, each step of the walk once however many
-// instances share it, and not the shared model's. The UNSAFE instance
+// instances share it, and not the shared model's; a step an instance
+// shares with the one before in the walk but whose timestamps a later
+// store relabeled is evaluated again (simplified.Skeleton.Shared). The UNSAFE instance
 // stops at the step that derives its goal, so its atom count is its
 // chain's models up to that step plus what that step derived by then.
 //

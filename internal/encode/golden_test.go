@@ -31,8 +31,9 @@ const (
 	// fuzzCap is the fuzz oracle's default cap; some seeds hit it, which
 	// pins the cut-off path too.
 	fuzzCap = 3000
-	// progTextMax bounds the entries whose makeP program text is pinned:
-	// building the 26k instances of peterson-ra alone takes seconds.
+	// progTextMax bounds the entries whose makeP program text is pinned.
+	// Every corpus entry is within it: the longest walk, corr2-coherence's,
+	// emits 69 skeletons.
 	progTextMax = 1000
 	fuzzSeeds   = 200
 )
@@ -199,6 +200,95 @@ func TestContinuationMatchesWholeProgram(t *testing.T) {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
+}
+
+// TestChainContinuationMatchesWholeProgram evaluates every instance of
+// every corpus entry as the Datalog backend evaluates the walk, but without
+// stopping at the goal: each instance keeps the models of the first Shared
+// steps it shares with the instance before and continues each later step
+// from its parent step's model. Every instance's last model must be the
+// least model of its skeleton's program encoded from scratch. A Shared
+// that kept a step whose relabeled form changed would continue from a
+// model of other rules; the walk cuts Shared below where the DFS paths part
+// on corr2-coherence, peterson-ra, peterson-ra-rmwfence, lamport-2-ra and
+// cas-env-supply.
+func TestChainContinuationMatchesWholeProgram(t *testing.T) {
+	ctx := context.Background()
+	for _, e := range bench.Corpus() {
+		sys := e.System()
+		v, err := simplified.New(sys, simplified.Options{})
+		if err != nil || sys.Env == nil {
+			continue
+		}
+		sks, _, err := v.Skeletons(ctx, corpusCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// walk hands out the skeletons, with Shared 0 when fresh.
+		walk := func(fresh bool) encode.Walk {
+			return func(yield func(simplified.Skeleton) bool) (bool, error) {
+				for _, sk := range sks {
+					if fresh {
+						sk.Shared = 0
+					}
+					if !yield(sk) {
+						return false, nil
+					}
+				}
+				return true, nil
+			}
+		}
+		var wholes []*datalog.Program
+		if _, err := newEncoder(t, sys).EachOf(walk(true), func(p *encode.Problem) bool {
+			wholes = append(wholes, p.Program())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		enc := newEncoder(t, sys)
+		model, _, err := datalog.Eval(ctx, enc.Prefix(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := []*datalog.DB{model}
+		i := 0
+		_, err = enc.EachOf(walk(false), func(p *encode.Problem) bool {
+			defer func() { i++ }()
+			chain = chain[:p.Shared+1]
+			for k := p.Shared; k < len(p.Steps); k++ {
+				db, _, _, err := datalog.Continue(ctx, chain[k], nil, p.Steps[k], nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chain = append(chain, db)
+			}
+			db, prog := chain[len(chain)-1], wholes[i]
+			want := datalog.EvalSemiNaive(prog)
+			if db.Size() != want.Size() || db.Has(p.Goal) != want.Has(p.Goal) {
+				t.Fatalf("%s instance %d: chain derives %d atoms (goal %v), whole program %d (goal %v)",
+					e.Name, i, db.Size(), db.Has(p.Goal), want.Size(), want.Has(p.Goal))
+			}
+			for _, g := range want.All() {
+				if !db.Has(g) {
+					t.Fatalf("%s instance %d: chain misses %s", e.Name, i, prog.GroundString(g))
+				}
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+}
+
+// newEncoder builds sys's Encoder with full grounding.
+func newEncoder(t *testing.T, sys *lang.System) *encode.Encoder {
+	t.Helper()
+	enc, err := encode.New(sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
 }
 
 // TestSharedModelCancelled: evaluating the prefix's model under a cancelled

@@ -310,7 +310,7 @@ func TestResaturationAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := v.fixpointExec(context.Background())
+	ex := v.newExec(context.Background())
 	st := v.initState()
 	if viol, err := ex.saturate(st); viol != nil || err != nil {
 		t.Fatalf("initial saturation of a false formula's reduction: violation %v, error %v", viol, err)

@@ -249,3 +249,13 @@ func CanonicalStatesForTest(v *Verifier) (map[string]bool, Result) {
 	res := v.search(context.Background(), nil, 0, func(st *state) { keys[st.key()] = true })
 	return keys, res
 }
+
+// EachIntegerSkeletonForTest runs EachSkeleton's walk on integer
+// timestamps, as makeP's walk ran before it took order classes: a store
+// may take any free slot within its variable's budget, the memo holds
+// integer states, and each skeleton is its path as walked, with Shared the
+// depth where it parts from the one before. It is the reference the
+// canonical walk's Datalog verdicts are checked against.
+func EachIntegerSkeletonForTest(ctx context.Context, v *Verifier, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
+	return v.walk(ctx, &exec{v: v, ctx: ctx}, maxPaths, yield)
+}

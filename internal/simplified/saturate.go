@@ -15,12 +15,19 @@ func envMsgsSince(msgs []MsgEntry, since int32) []MsgEntry {
 }
 
 // satSlot is a configuration's bookkeeping within one saturation, kept at
-// the configuration's position: whether it is on the worklist, and the env
-// message count when its last pass began (-1 before its first pass).
+// the configuration's position: the env message count when its last pass
+// began (-1 before its first pass), and its link on the worklist, a stack
+// threaded through the slots: the position below it (satBottom for the
+// lowest), or satIdle when it is not queued.
 type satSlot struct {
-	since  int32
-	queued bool
+	since int32
+	next  int32
 }
+
+const (
+	satBottom = -1
+	satIdle   = -2
+)
 
 // chunk hands out slices of backing arrays shared by many facts, so that a
 // new env fact costs no allocation of its own. A slice handed out is capped
@@ -92,14 +99,14 @@ func (f *factChunks) log(ref MsgRef, prev *ReadLog) *ReadLog {
 	return l
 }
 
-// satPush enqueues the configuration at position i on the saturation
-// worklist unless it is already queued. The worklist and the slots are
+// satPush pushes the configuration at position i on the saturation
+// worklist unless it is already queued. The worklist top and the slots are
 // plain exec fields (not closure captures) so saturate allocates nothing
 // per call once the scratch has warmed up.
 func (ex *exec) satPush(i int32) {
-	if !ex.satSlots[i].queued {
-		ex.satSlots[i].queued = true
-		ex.satWork = append(ex.satWork, i)
+	if ex.satSlots[i].next == satIdle {
+		ex.satSlots[i].next = ex.satTop
+		ex.satTop = i
 	}
 }
 
@@ -110,11 +117,22 @@ func (ex *exec) satPush(i int32) {
 // load edges and so derives nothing. Leaving those no-op pops out keeps
 // every other pop in its order, so the facts, their first derivations and
 // their insertion order are unchanged.
+//
+// The positions are listed (satLoaders) on the saturation's first new
+// message, and satInsert extends the list from then on: a saturation that
+// derives no message never lists them.
 func (ex *exec) satPushLoaders(st *state) {
-	for i := range st.env.Configs {
-		if ex.v.envLoads[st.env.Configs[i].PC] {
-			ex.satPush(int32(i))
+	if !ex.satListed {
+		ex.satListed = true
+		ex.satLoaders = ex.satLoaders[:0]
+		for i := range st.env.Configs {
+			if ex.v.envLoads[st.env.Configs[i].PC] {
+				ex.satLoaders = append(ex.satLoaders, int32(i))
+			}
 		}
+	}
+	for _, i := range ex.satLoaders {
+		ex.satPush(i)
 	}
 }
 
@@ -131,8 +149,12 @@ func (ex *exec) satAdd(st *state, c AThread) {
 // hash h and enqueues it.
 func (ex *exec) satInsert(st *state, h uint32, c AThread) {
 	st.env.insertConfig(h, c)
-	ex.satSlots = append(ex.satSlots, satSlot{since: -1})
-	ex.satPush(int32(len(st.env.Configs) - 1))
+	i := int32(len(st.env.Configs) - 1)
+	ex.satSlots = append(ex.satSlots, satSlot{since: -1, next: satIdle})
+	if ex.satListed && ex.v.envLoads[c.PC] {
+		ex.satLoaders = append(ex.satLoaders, i)
+	}
+	ex.satPush(i)
 }
 
 // satLoad adds the configuration cfg reaches by reading m, which ref
@@ -190,24 +212,24 @@ func (ex *exec) saturate(st *state) (*Violation, error) {
 	// the same for every run (stable provenance ⇒ stable witnesses and
 	// bounds). The worklist and the slots live on the exec
 	// and are reused across the successor saturations of one expansion.
-	ex.satWork = ex.satWork[:0]
+	ex.satTop, ex.satListed = satBottom, false
 	ex.satSlots = ex.satSlots[:0]
 	for i := range env.Configs {
-		ex.satSlots = append(ex.satSlots, satSlot{since: -1})
+		ex.satSlots = append(ex.satSlots, satSlot{since: -1, next: satIdle})
 		ex.satPush(int32(i))
 	}
 
-	for len(ex.satWork) > 0 {
+	for ex.satTop != satBottom {
 		if ex.ctx != nil && ex.satPops%satPollEvery == 0 {
 			if err := ex.ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		ex.satPops++
-		i := ex.satWork[len(ex.satWork)-1]
-		ex.satWork = ex.satWork[:len(ex.satWork)-1]
+		i := ex.satTop
+		ex.satTop = ex.satSlots[i].next
 		since := ex.satSlots[i].since
-		ex.satSlots[i] = satSlot{since: int32(len(env.Msgs))}
+		ex.satSlots[i] = satSlot{since: int32(len(env.Msgs)), next: satIdle}
 		cfg := env.Configs[i]
 		if since >= 0 {
 			for _, e := range v.envCFG.Out[cfg.PC] {

@@ -199,7 +199,7 @@ func TestSaturationMatchesNaiveTQBF(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viol, same := checkedSaturate(v.fixpointExec(context.Background()), v.initState())
+			viol, same := checkedSaturate(v.newExec(context.Background()), v.initState())
 			if !same {
 				t.Errorf("depth %d seed %d: the initial saturation differs from the naive closure", depth, seed)
 			}

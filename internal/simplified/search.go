@@ -68,7 +68,7 @@ func (v *Verifier) search(ctx context.Context, span *obs.Span, budget int, admit
 		gMsgs = m.Gauge("paramra_fixpoint_env_msgs",
 			"high-water mark of abstract env messages in a macro-state")
 	}
-	ex := v.fixpointExec(ctx)
+	ex := v.newExec(ctx)
 	// saturate wraps exec.saturate with an optional latency observation.
 	saturate := func(st *state) (*Violation, error) {
 		if hSat == nil {

@@ -9,7 +9,7 @@ import "context"
 // their canonical step, keys) but not the engine. Result.Engine is left
 // zero.
 func SequentialVerifyForTest(v *Verifier) Result {
-	ex := v.fixpointExec(context.Background())
+	ex := v.newExec(context.Background())
 	// The initial macro-state counts as visited even when its own
 	// saturation already finds the violation, as in VerifyContext.
 	ex.stats.MacroStates = 1

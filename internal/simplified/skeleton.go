@@ -26,13 +26,16 @@ type SkeletonStep struct {
 	Var lang.VarID
 	// Val is the value loaded (load) or stored (store/CAS).
 	Val lang.Val
-	// TS is the integer timestamp of the store/CAS slot; -1 otherwise.
+	// TS is the integer timestamp of the store/CAS slot; -1 otherwise. Like
+	// every timestamp of a skeleton, it is the slot in the skeleton's leaf,
+	// the last state of its path, where each variable's dis messages sit on
+	// canonical slots (canon.go).
 	TS int
 	// ReadEnv is the env message read by a load/CAS, nil when the step read
 	// a dis message or performed no read.
 	ReadEnv *AMsg
-	// ReadDisTS is the integer timestamp of the dis message read; -1 when
-	// the read was from an env message or absent.
+	// ReadDisTS is the integer timestamp of the dis message read, a slot in
+	// the leaf; -1 when the read was from an env message or absent.
 	ReadDisTS int
 	// Stored is the dis message written by a store/CAS step.
 	Stored *AMsg
@@ -46,10 +49,12 @@ type Skeleton struct {
 	// Unsafe marks skeletons ending in a dis assert.
 	Unsafe bool
 	// Shared is the number of leading steps the skeleton shares with the
-	// one emitted before it, as the walk's paths: the depth of the DFS
-	// tree's node where the two paths part (0 for the first skeleton).
-	// No path the walk emits is a prefix of another, so every skeleton but
-	// the first has a step past Shared.
+	// one emitted before it (0 for the first skeleton): at most the depth
+	// of the DFS tree's node where the two paths part, and less when a
+	// store below that node renumbers the messages of a step above it, so
+	// that the step's timestamps differ in the two leaves. No path the walk
+	// emits is a prefix of another, so every skeleton but the first has a
+	// step past Shared.
 	Shared int
 }
 
@@ -65,14 +70,25 @@ type Skeleton struct {
 // checked once per expanded macro-state and during saturation, and
 // cancellation surfaces as its error.
 //
-// The walk is the fixpoint's macro-state graph (the same eachDisMove and
-// saturation) walked depth-first rather than layer by layer: makeP needs
-// the DFS tree's paths, and a breadth-first admission order would memoize
-// different states first and so yield a different skeleton set. Unlike the
-// fixpoint, the walk keeps integer timestamps: each store may take any free
-// slot within the variable's budget.
+// The walk is the fixpoint's macro-state graph (the same eachDisMove,
+// canonicalize and saturation) walked depth-first rather than layer by
+// layer: makeP needs the DFS tree's paths, and a breadth-first admission
+// order would memoize different states first and so yield a different
+// skeleton set. Like the fixpoint, the walk takes each state up to order
+// (DESIGN, "Canonical timestamps"): a store chooses a gap, and the memo
+// holds order classes. A step's timestamps are in the numbering of the
+// state it left, so each skeleton is handed out relabeled to its leaf's
+// slots.
 func (v *Verifier) EachSkeleton(ctx context.Context, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
-	w := skelWalk{ex: &exec{v: v, ctx: ctx}, max: maxPaths, yield: yield, complete: true}
+	return v.walk(ctx, v.newExec(ctx), maxPaths, yield)
+}
+
+// walk is EachSkeleton's walk on ex. On an exec with integer timestamps,
+// which only tests build, it keeps the integer states, and it hands out
+// each path as it was walked, with Shared the depth where it parts from
+// the one before.
+func (v *Verifier) walk(ctx context.Context, ex *exec, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
+	w := skelWalk{ex: ex, max: maxPaths, yield: yield, complete: true}
 	init := v.initState()
 	// Saturation may already hit an env assert; skeleton consumers detect
 	// that via the bad() rules, so the violation is ignored here.
@@ -109,8 +125,15 @@ type skelWalk struct {
 	yield func(Skeleton) bool
 	seen  map[string]bool
 	path  []SkeletonStep
+	// renums[i] is the renumbering path step i applied to the state it
+	// reached (lo < 0 when it moved nothing). Entries past the path keep
+	// their slot arrays for reuse.
+	renums []renumbering
+	// out holds the last emitted skeleton: the path relabeled to its
+	// leaf's slots.
+	out []SkeletonStep
 	// low is the length of the shortest path since the last emit: the
-	// steps the next skeleton shares with it.
+	// steps the next skeleton's path shares with it.
 	low      int
 	emitted  int
 	stopped  bool
@@ -144,10 +167,28 @@ func (w *skelWalk) emit(unsafe bool) {
 		return
 	}
 	w.emitted++
-	shared := w.low
+	steps, shared := w.path, w.low
+	if w.ex.canon {
+		steps, shared = w.relabel()
+	}
 	w.low = len(w.path)
-	if !w.yield(Skeleton{Steps: w.path, Unsafe: unsafe, Shared: shared}) {
+	if !w.yield(Skeleton{Steps: steps, Unsafe: unsafe, Shared: shared}) {
 		w.stopped, w.complete = true, false
+	}
+}
+
+// push appends step to the path, with the renumbering r that the state it
+// reaches took (nil for none).
+func (w *skelWalk) push(step SkeletonStep, r *renumbering) {
+	d := len(w.path)
+	w.path = append(w.path, step)
+	if d == len(w.renums) {
+		w.renums = append(w.renums, renumbering{})
+	}
+	rn := &w.renums[d]
+	rn.lo = -1
+	if r != nil && r.lo >= 0 {
+		rn.x, rn.lo, rn.slots = r.x, r.lo, append(rn.slots[:0], r.slots...)
 	}
 }
 
@@ -155,6 +196,84 @@ func (w *skelWalk) emit(unsafe bool) {
 func (w *skelWalk) pop() {
 	w.path = w.path[:len(w.path)-1]
 	w.low = min(w.low, len(w.path))
+}
+
+// relabel rewrites the path into out with every timestamp on its leaf's
+// slots, and returns it with the number of leading steps it shares with
+// the skeleton emitted before: those of the two paths' common prefix whose
+// relabeled form is unchanged. out keeps the shared steps. On the common
+// prefix the steps before relabeling are one, so only their timestamps
+// can differ.
+func (w *skelWalk) relabel() ([]SkeletonStep, int) {
+	shared := 0
+	for shared < w.low && sameSlots(w.stepAtLeaf(shared), &w.out[shared]) {
+		shared++
+	}
+	w.out = w.out[:shared]
+	for i := shared; i < len(w.path); i++ {
+		w.out = append(w.out, w.stepAtLeaf(i))
+	}
+	return w.out, shared
+}
+
+// stepAtLeaf returns path step i with its timestamps on the leaf's slots.
+// A message none of whose timestamps move is kept; a moved one is a fresh
+// copy, so a skeleton collected earlier stays intact.
+func (w *skelWalk) stepAtLeaf(i int) SkeletonStep {
+	s := w.path[i]
+	if s.TS >= 0 {
+		s.TS = w.atLeaf(Int(s.TS), s.Var, i).Floor()
+	}
+	if s.ReadDisTS >= 0 {
+		s.ReadDisTS = w.atLeaf(Int(s.ReadDisTS), s.Var, i).Floor()
+	}
+	s.Stored, s.ReadEnv = w.msgAtLeaf(s.Stored, i), w.msgAtLeaf(s.ReadEnv, i)
+	return s
+}
+
+// atLeaf maps t, a timestamp on x in the numbering of the state path step
+// from left, to the leaf's: through the renumbering of that step and of
+// every later one on x. Each maps the slot of a message the state holds,
+// in Int and Plus form alike.
+func (w *skelWalk) atLeaf(t ATime, x lang.VarID, from int) ATime {
+	for j := from; j < len(w.path); j++ {
+		if r := &w.renums[j]; r.lo >= 0 && r.x == x {
+			t = r.time(t)
+		}
+	}
+	return t
+}
+
+// msgAtLeaf returns m, read or stored by path step from, relabeled to the
+// leaf's slots: m itself when no timestamp moves, else a fresh message. A
+// message's view holds its own timestamp, so the view decides both.
+func (w *skelWalk) msgAtLeaf(m *AMsg, from int) *AMsg {
+	if m == nil {
+		return nil
+	}
+	var view AView
+	for y, t := range m.View {
+		if lt := w.atLeaf(t, lang.VarID(y), from); lt != t {
+			if view == nil {
+				view = m.View.Clone()
+			}
+			view[y] = lt
+		}
+	}
+	if view == nil {
+		return m
+	}
+	out := *m
+	out.TS, out.View = view[m.Var], view
+	return &out
+}
+
+// sameSlots reports whether two relabelings of one step agree: their
+// timestamps, and those of the messages they read and store.
+func sameSlots(a SkeletonStep, b *SkeletonStep) bool {
+	return a.TS == b.TS && a.ReadDisTS == b.ReadDisTS &&
+		(a.Stored == nil || a.Stored.View.Eq(b.Stored.View)) &&
+		(a.ReadEnv == nil || a.ReadEnv.View.Eq(b.ReadEnv.View))
 }
 
 // dfs expands st and walks into every successor not seen before, emitting
@@ -187,7 +306,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		return true
 	})
 	if hasViol {
-		w.path = append(w.path, viol)
+		w.push(viol, nil)
 		w.emit(true)
 		w.pop()
 	}
@@ -196,6 +315,14 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 	for _, s := range succs {
 		if w.done() {
 			return nil
+		}
+		// A store or CAS moves its variable's messages to canonical slots,
+		// as in disSuccessors; the renumbering goes on the path with the
+		// step.
+		var r *renumbering
+		if s.step.Stored != nil && w.ex.canon {
+			w.ex.canonicalize(s.st, s.step.Var)
+			r = &w.ex.renum
 		}
 		// The key holds no env part, so a successor is probed before it
 		// is saturated, and a seen one is never saturated.
@@ -210,7 +337,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		}
 		w.seen[k] = true
 		progressed = true
-		w.path = append(w.path, s.step)
+		w.push(s.step, r)
 		if err := w.dfs(ctx, s.st); err != nil {
 			return err
 		}

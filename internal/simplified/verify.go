@@ -221,19 +221,25 @@ type exec struct {
 	v *Verifier
 	// ctx, when non-nil, is polled by saturate.
 	ctx context.Context
-	// canon selects canonical timestamps (canon.go): the fixpoint's search
-	// sets it, the skeleton walk keeps integer timestamps.
+	// canon selects canonical timestamps (canon.go). Every search outside
+	// the tests sets it; the test-only references keep integer timestamps.
 	canon bool
-	stats Stats
+	// satListed and satTop are saturation scratch (see satSlots), kept
+	// beside canon where the struct has room for them.
+	satListed bool
+	satTop    int32
+	stats     Stats
 	// satPops counts saturation worklist pops, to space out context polls.
 	satPops int
 	// renum is canonicalize's scratch.
 	renum renumbering
-	// Reusable scratch for saturation worklists (configuration positions)
-	// and their per-position slots, so per-successor saturations don't
-	// re-allocate them.
-	satWork  []int32
-	satSlots []satSlot
+	// Reusable scratch for saturation: the per-position slots, which
+	// thread the worklist (satTop is its top), and satLoaders, the
+	// positions whose PC has a load edge in insertion order once satListed
+	// (see satPushLoaders), so per-successor saturations don't re-allocate
+	// them.
+	satSlots   []satSlot
+	satLoaders []int32
 	// sat is the scratch saturate forms a derived fact in before it probes
 	// the env set, and facts the chunks a new fact is built from.
 	sat   satScratch
@@ -264,9 +270,9 @@ type exec struct {
 	freeStates []*state
 }
 
-// fixpointExec is an exec of the fixpoint's search: canonical timestamps,
-// saturations that stop when ctx is cancelled.
-func (v *Verifier) fixpointExec(ctx context.Context) *exec {
+// newExec is an exec of the fixpoint's search or of the skeleton walk:
+// canonical timestamps, saturations that stop when ctx is cancelled.
+func (v *Verifier) newExec(ctx context.Context) *exec {
 	return &exec{v: v, ctx: ctx, canon: true}
 }
 

@@ -24,11 +24,13 @@
 #       threads' slices) and ~1/10 of the cost before the explorer built
 #       successors in scratch (2.50M allocs/op).
 #   BenchmarkSkeletons  the dis-run skeleton enumeration behind makeP, on
-#       lamport-2-ra. Fixed budget ~1.5x its cost before the enumeration
-#       moved onto the shared dis-step generator (566k allocs/op; ~529k
-#       after, ~496k once messages dropped their cached keys). A move or
-#       step built where the heap keeps it (say, taking the address of a
-#       per-move local) shows up here first.
+#       lamport-2-ra. Fixed budget ~2x its cost once the walk took order
+#       classes and relabeled each skeleton to its leaf (~2.4k allocs/op
+#       over 52 skeletons) and ~1/95 of the cost while it kept integer
+#       timestamps (~457k allocs/op over 15,966; 566k before the
+#       enumeration moved onto the shared dis-step generator), so a return
+#       to integer slots fails here. A relabeled message built for every
+#       step instead of for the ones that move shows up here too.
 #   BenchmarkSlice  the verdict-preserving slicer behind the CLIs' -slice
 #       flag and ravet, over the corpus plus 48 generated systems. Fixed budget
 #       ~1.5x its cost while the slicer still ran on constant propagation
@@ -36,17 +38,18 @@
 #       sharing their small singletons, or register vectors copied on every
 #       join, show up here first.
 #   BenchmarkDatalogVerify  the makeP → Datalog backend end to end, on
-#       ticketlock: all 72 query instances are evaluated. Fixed budget
-#       ~1.25x its cost once the backend evaluated each step of the
-#       skeleton walk once, continuing its parent step's model in storage
-#       reused per depth (~4.9k allocs/op), below its cost when every
-#       instance re-evaluates all its steps in that storage (~6.3k
-#       allocs/op) and while each instance continued from the prefix's
-#       model on its own (~7.6k allocs/op; ~8.0k on two workers), and
-#       ~1/50 of the cost while every instance rebuilt and re-derived the
-#       whole program under rendered keys (~0.30M allocs/op). Per-fact
-#       keys, per-instance rebuilt tables or per-instance continuations
-#       show up here first.
+#       ticketlock: all 9 query instances are evaluated. Fixed budget
+#       ~1.3x its cost once the walk took order classes (~1.8k allocs/op),
+#       below its cost while the walk kept integer timestamps and emitted
+#       72 instances, each step of the walk evaluated once, continuing its
+#       parent step's model in storage reused per depth (~4.7k-4.9k
+#       allocs/op), when every instance re-evaluated all its steps in that
+#       storage (~6.3k allocs/op) and while each instance continued from
+#       the prefix's model on its own (~7.6k allocs/op), and ~1/125 of the
+#       cost while every instance rebuilt and re-derived the whole program
+#       under rendered keys (~0.30M allocs/op). Per-fact keys,
+#       per-instance rebuilt tables or per-instance continuations show up
+#       here first.
 #   BenchmarkServedCorpus  the served path: the 24 corpus entries through
 #       paramra.Verify with raserved's default options, where
 #       the prepass schedule alternates replay and fixpoint rounds under
@@ -60,21 +63,23 @@
 #   BenchmarkServedCorpusDatalog  radatalog's default: the 24 corpus
 #       entries through paramra.Verify with the Datalog backend and the
 #       prepass, where the schedule alternates replay and Datalog rounds
-#       under growing budgets. Fixed budget ~1.3x its cost once the backend
-#       evaluated each step of the skeleton walk once (~155k allocs/op),
-#       below its cost when every instance re-evaluates all its steps
-#       (~209k allocs/op), while each instance continued from the prefix's
-#       model on its own (~247k allocs/op) and while the replay ran to its
-#       full cap before the Datalog backend (~327k allocs/op), so a return
-#       to any of these fails here.
+#       under growing budgets. Fixed budget ~1.3x its cost once the walk
+#       took order classes (~39k allocs/op), below its cost while the walk
+#       kept integer timestamps (~139k-155k allocs/op with each step of
+#       the walk evaluated once), when every instance re-evaluated all its
+#       steps (~209k allocs/op), while each instance continued from the
+#       prefix's model on its own (~247k allocs/op) and while the replay
+#       ran to its full cap before the Datalog backend (~327k allocs/op),
+#       so a return to any of these fails here.
 #   BenchmarkDatalogVerifyUnsafe  the Datalog backend's early exit, on
-#       peterson-ra: the skeleton walk stops at its 2nd of 26,136
-#       skeletons, whose instance derives unsafe(). Fixed budget ~2x its
-#       cost once instances were evaluated as the walk emitted them
-#       (~2.0k-2.7k allocs/op on two workers; ~1.8k since the walk's steps
-#       are evaluated on one goroutine) and ~1/400 of the cost while every
-#       instance was built before any was evaluated (~1.95M allocs/op), so
-#       a return to building them all fails here.
+#       peterson-ra: the skeleton walk stops at its 2nd of 63 skeletons
+#       (of 26,136 while it kept integer timestamps), whose instance
+#       derives unsafe(). Fixed budget ~2x its cost once instances were
+#       evaluated as the walk emitted them (~2.0k-2.7k allocs/op on two
+#       workers; ~1.8k since the walk's steps are evaluated on one
+#       goroutine, ~1.6k since the walk took order classes) and ~1/400 of
+#       the cost while every instance was built before any was evaluated
+#       (~1.95M allocs/op), so a return to building them all fails here.
 #   BenchmarkSaturateTQBF  env saturation, the closure §5 reduces TQBF to:
 #       the depth-2 TQBF reduction of seed 7, one macro-state, through
 #       paramra.Verify with the prepass off. Fixed budget ~2x its cost
@@ -111,10 +116,10 @@ gate() {
 
 gate BenchmarkVerify/peterson "$FIXPOINT_BUDGET"
 gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
-gate BenchmarkSkeletons 850000
+gate BenchmarkSkeletons 4800
 gate BenchmarkSlice 44000
-gate BenchmarkDatalogVerify 6000
+gate BenchmarkDatalogVerify 2400
 gate BenchmarkServedCorpus 25000
-gate BenchmarkServedCorpusDatalog 200000
+gate BenchmarkServedCorpusDatalog 50000
 gate BenchmarkDatalogVerifyUnsafe 5000
 gate BenchmarkSaturateTQBF 850
