@@ -410,8 +410,8 @@ func BenchmarkPrepassReplay(b *testing.B) {
 // (prepass on, replay capped at 30,000 states per instance), and fails on
 // a wrong or incomplete verdict.
 // scripts/bench-allocs.sh gates its allocs/op, so a return to running the
-// replay to its full cap before the fixpoint, or to charging a replay
-// round's budget per instance, shows there.
+// replay to its full cap before the fixpoint, or to restarting the engines
+// each round instead of resuming their slices, shows there.
 func BenchmarkServedCorpus(b *testing.B) {
 	opts, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
 	if err != nil {
@@ -421,8 +421,8 @@ func BenchmarkServedCorpus(b *testing.B) {
 }
 
 // BenchmarkServedCorpusDatalog measures radatalog's default on the corpus:
-// the Datalog backend with the prepass, where the schedule alternates
-// replay rounds and Datalog rounds under growing budgets.
+// the Datalog backend with the prepass, where the schedule runs the replay
+// and the Datalog backend in slices under one work meter.
 // scripts/bench-allocs.sh gates its allocs/op, so a return to running the
 // replay to its full cap before the Datalog backend, or to evaluating each
 // query instance from the prefix's model instead of each step of the walk

@@ -144,8 +144,8 @@ func run() int {
 }
 
 // listInstances is the -dump/-stats path. With the prepass, it first runs
-// paramra.Verify, whose replay rounds take turns with budgeted Datalog
-// rounds, and reports its answer when the prepass decides, so both modes
+// paramra.Verify, whose replay slices take turns with Datalog slices under
+// one meter, and reports its answer when the prepass decides, so both modes
 // name the same engine. Otherwise it evaluates the query instances
 // paramra.Verify evaluates (same cap, same grounding) sequentially, in
 // order, as the skeleton walk emits them, printing each, and stops at the

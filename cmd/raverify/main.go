@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"paramra"
@@ -42,6 +43,8 @@ type jsonReport struct {
 	Slice          string   `json:"slice,omitempty"`
 	DecidedBy      string   `json:"decidedBy,omitempty"`
 	PrepassReason  string   `json:"prepassReason,omitempty"`
+	// Schedule has the wire form of raserved's result.schedule.
+	Schedule []serve.EngineRunDTO `json:"schedule,omitempty"`
 }
 
 func main() {
@@ -159,6 +162,7 @@ func run() int {
 			EnvThreadBound: res.EnvThreadBound, Witness: res.Witness,
 			WallMS:    res.Stats.Wall.Milliseconds(),
 			DecidedBy: res.DecidedBy, PrepassReason: res.PrepassReason,
+			Schedule: serve.FromResult(res).Schedule,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -182,6 +186,13 @@ func run() int {
 	fmt.Printf("verdict:  %s\n", verdict)
 	if res.DecidedBy != "" {
 		fmt.Printf("decided:  %s\n", res.DecidedBy)
+	}
+	if len(res.Schedule) > 0 {
+		runs := make([]string, len(res.Schedule))
+		for i, r := range res.Schedule {
+			runs[i] = r.String()
+		}
+		fmt.Printf("schedule: %s\n", strings.Join(runs, "; "))
 	}
 	if res.DecidedBy == "prepass" {
 		fmt.Printf("reason:   %s\n", res.PrepassReason)

@@ -43,30 +43,34 @@
 // Verify has three backends — the simplified-semantics fixpoint (default),
 // the Datalog encoding (Options.Datalog), and the concrete RA explorer
 // (VerifyInstance / ConfirmViolation, whose InstanceResult mirrors the
-// shared Result fields). Each fills a different slice of Result and Stats:
+// shared Result fields). Each fills a different slice of Result and Stats.
+// With Options.Prepass, an answer the prepass decides fills the last
+// column, and its Stats are those of the backend that ran beside it (b),
+// as they stood when the schedule stopped, zero when it never ran:
 //
-//	field                  fixpoint  Datalog  concrete
-//	Result.Unsafe             ✓         ✓        ✓
-//	Result.Complete           ✓         ✓        ✓
-//	Result.Class              ✓         ✓        —
-//	Result.EnvThreadBound     ✓         —        —   (-1 when absent)
-//	Result.Graph              ✓         —        —   (unsafe only)
-//	Result.Witness            ✓         —        ✓   (unsafe only)
-//	Stats.MacroStates         ✓         —        —
-//	Stats.DisTransitions      ✓         —        —
-//	Stats.EnvConfigs          ✓         —        —
-//	Stats.EnvMsgs             ✓         —        —
-//	Stats.SaturationSteps     ✓         —        —
-//	Stats.States              —         —        ✓
-//	Stats.Transitions         —         —        ✓
-//	Stats.Skeletons           —         ✓        —   (instances evaluated)
-//	Stats.DatalogFacts        —         ✓        —   (per instance, summed)
-//	Stats.DatalogRules        —         ✓        —   (per instance, summed)
-//	Stats.FixpointRounds      —         ✓        —   (rounds per walk step)
-//	Stats.DatalogAtoms        —         ✓        —   (model sizes, summed)
-//	Stats.DedupHits           ✓         —        ✓
-//	Stats.PeakFrontier        ✓         —        ✓
-//	Stats.Wall                ✓         ✓        ✓
+//	field                  fixpoint  Datalog  concrete  prepass
+//	Result.Unsafe             ✓         ✓        ✓         ✓
+//	Result.Complete           ✓         ✓        ✓         ✓
+//	Result.Class              ✓         ✓        —         ✓
+//	Result.EnvThreadBound     ✓         —        —         ✓   (-1 when absent)
+//	Result.Graph              ✓         —        —         —   (unsafe only)
+//	Result.Witness            ✓         —        ✓         ✓   (unsafe only)
+//	Result.Schedule           ✓         ✓        —         ✓   (engines run)
+//	Stats.MacroStates         ✓         —        —         b
+//	Stats.DisTransitions      ✓         —        —         b
+//	Stats.EnvConfigs          ✓         —        —         b
+//	Stats.EnvMsgs             ✓         —        —         b
+//	Stats.SaturationSteps     ✓         —        —         b
+//	Stats.States              —         —        ✓         —
+//	Stats.Transitions         —         —        ✓         —
+//	Stats.Skeletons           —         ✓        —         b   (instances evaluated)
+//	Stats.DatalogFacts        —         ✓        —         b   (per instance, summed)
+//	Stats.DatalogRules        —         ✓        —         b   (per instance, summed)
+//	Stats.FixpointRounds      —         ✓        —         b   (rounds per walk step)
+//	Stats.DatalogAtoms        —         ✓        —         b   (model sizes, summed)
+//	Stats.DedupHits           ✓         —        ✓         b
+//	Stats.PeakFrontier        ✓         —        ✓         b
+//	Stats.Wall                ✓         ✓        ✓         b
 //
 // The fixpoint searches macro-states whose dis timestamps are canonical:
 // after every dis store it renumbers the variable's messages to the least
@@ -96,15 +100,16 @@
 // stops at the step that derives its goal, so its atom count is its
 // chain's models up to that step plus what that step derived by then.
 //
-// With Options.Prepass, Verify alternates rounds of the prepass's concrete
-// replay and of the backend under a budget that grows from 64 by a factor
-// of 4 per round: replay states summed over the instances a round
-// explores, fixpoint macro-states, or Datalog skeletons. The replay has the
-// first turn, and the Datalog backend evaluates its shared model once, in
-// its first round. A round counts only when its budget did not bind, so
-// every answer is the one its engine gives at its full cap, a backend's
-// counters included, and Stats are those of the last backend round, never
-// a sum over rounds (see Options.Prepass).
+// With Options.Prepass, Verify runs the prepass's concrete replay and the
+// backend in slices under one work meter, whose units cost about 1 µs in
+// every engine: a replay state, a fixpoint macro-state or ten saturation
+// steps, a third of a Datalog walk step. Each round raises a common
+// target from 16 units by a factor of 2, and the replay, then the
+// backend, runs until its own spend reaches it. Every engine keeps its
+// frontier between its slices and pauses only between two expansions, so
+// every answer is the one its engine gives run alone, a backend's counters
+// included, and Stats are the backend's, never a sum over slices (see
+// Options.Prepass). Result.Schedule lists each engine's slices and units.
 //
 // Systems are written in a small concrete syntax:
 //

@@ -4,9 +4,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"paramra/internal/serve"
 )
 
 // citingDocs are the documents whose test and command citations must
@@ -22,6 +25,10 @@ var (
 	citedRabench = regexp.MustCompile(`\brabench\s+([a-z][a-z0-9-]*)`)
 	declaredTest = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w*)\(`)
 	rabenchCase  = regexp.MustCompile(`(?m)^\s*"([a-z0-9-]+)":\s+\w+,$|what == "([a-z0-9-]+)"`)
+	// optionsExample matches the body of a JSON "options": {…} example,
+	// and jsonKey a key in it.
+	optionsExample = regexp.MustCompile(`"options":\s*\{([^{}]*)\}`)
+	jsonKey        = regexp.MustCompile(`"(\w+)"\s*:`)
 )
 
 // TestDocsCiteExistingTests: every backticked test or benchmark name in the
@@ -92,5 +99,40 @@ func TestDocsCiteExistingTests(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDocsOptionsExamplesUseRequestKnobs: every key of a JSON "options":
+// {…} example in the documents is a knob raserved accepts, the JSON tag of
+// a serve.RequestOptions field, so no example sends a knob the server has
+// dropped.
+func TestDocsOptionsExamplesUseRequestKnobs(t *testing.T) {
+	knobs := map[string]bool{}
+	rt := reflect.TypeOf(serve.RequestOptions{})
+	for i := 0; i < rt.NumField(); i++ {
+		if name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ","); name != "" {
+			knobs[name] = true
+		}
+	}
+	if !knobs["budgetMs"] || !knobs["datalog"] {
+		t.Fatalf("serve.RequestOptions JSON tags not found: %v", knobs)
+	}
+	examples := 0
+	for _, doc := range citingDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range optionsExample.FindAllStringSubmatch(string(text), -1) {
+			examples++
+			for _, k := range jsonKey.FindAllStringSubmatch(m[1], -1) {
+				if !knobs[k[1]] {
+					t.Errorf("%s: options example {%s} sends %q, which is no serve.RequestOptions knob", doc, m[1], k[1])
+				}
+			}
+		}
+	}
+	if examples == 0 {
+		t.Error("no options example found in the documents")
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"paramra/internal/analysis"
 	"paramra/internal/lang"
-	"paramra/internal/ra"
 )
 
 func parse(t *testing.T, src string) *lang.System {
@@ -231,55 +230,47 @@ thread c { regs a n; while n != 3 { n = n + 1 }; a = load x; assume a == 1; asse
 	}
 }
 
-// TestReplayRoundSharesItsBudget: a budgeted round's instances share its
-// budget. Each gets what the ones before it left over, the round ends at
-// the first instance that remainder cuts short, and a remainder of 0 ends
-// it before the next instance, which would otherwise search without a cap.
-func TestReplayRoundSharesItsBudget(t *testing.T) {
+// TestReplayResumesAcrossInstances: a replay paused whenever its summed
+// state count reaches a target resumes where it paused, within an instance
+// or between two, so its slices explore exactly the states of the replay
+// in one slice, and it ends with the same outcome. A pause moves on only
+// after an expansion: a slice overshoots its target by at most one
+// expansion's successors.
+func TestReplayResumesAcrossInstances(t *testing.T) {
 	sys := parse(t, mpSrc)
 	ctx := context.Background()
-	states := func(n int) int {
-		inst, err := ra.NewInstance(sys, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := inst.ExploreContext(ctx, ra.Limits{Symmetry: n > 1})
-		if !res.Complete || res.Unsafe {
-			t.Fatalf("instance %d: complete %v unsafe %v, want a complete safe search", n, res.Complete, res.Unsafe)
-		}
-		return res.States
+	_, rep := Start(sys, Options{})
+	if rep == nil {
+		t.Fatal("mp has a candidate path, want a replay")
 	}
-	s0, s1 := states(0), states(1)
-	if s1 <= 5 {
-		t.Fatalf("instance 1 has %d states, too few to cut short", s1)
+	whole, ended, err := rep.Run(ctx, nil)
+	if err != nil || !ended || whole.Verdict != Inconclusive {
+		t.Fatalf("one slice: %s (ended %v, %v), want an inconclusive end", whole.Verdict, ended, err)
 	}
-	for _, tc := range []struct {
-		budget, want int
-	}{
-		{s0, s0},         // instance 0 spends it all: instance 1 never runs
-		{s0 + 5, s0 + 5}, // instance 1 gets the 5 states left
-		{s0 + s1, s0 + s1},
-	} {
+	for _, step := range []int{1, 7, 16} {
 		_, rep := Start(sys, Options{})
-		if rep == nil {
-			t.Fatal("mp has a candidate path, want a replay")
+		slices := 0
+		for target := step; ; target += step {
+			slices++
+			out, ended, err := rep.Run(ctx, func() bool { return rep.States() >= target })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ended {
+				// Each Start analyses the system anew.
+				out.Analysis = whole.Analysis
+				if out != whole {
+					t.Errorf("slices of %d: outcome %+v, in one slice %+v", step, out, whole)
+				}
+				break
+			}
+			if out.Verdict != Inconclusive || out.ReplayStates != rep.States() || out.ReplayStates < target {
+				t.Errorf("slices of %d, target %d: paused %s after %d states (States %d)",
+					step, target, out.Verdict, out.ReplayStates, rep.States())
+			}
 		}
-		out, err := rep.Round(ctx, tc.budget)
-		if err != nil {
-			t.Fatal(err)
+		if want := whole.ReplayStates / step; slices < want {
+			t.Errorf("slices of %d: %d slices for %d states", step, slices, whole.ReplayStates)
 		}
-		if out.Verdict != Inconclusive || out.ReplayStates != tc.want || rep.Done() {
-			t.Errorf("budget %d: %s after %d states (done %v), want inconclusive after %d states",
-				tc.budget, out.Verdict, out.ReplayStates, rep.Done(), tc.want)
-		}
-	}
-	// The full cap gives each instance all of it.
-	_, rep := Start(sys, Options{MaxReplayStates: s1})
-	out, err := rep.Round(ctx, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ReplayStates <= s0+s1 || !rep.Done() {
-		t.Errorf("full cap %d: %d states (done %v), want every instance searched up to the cap", s1, out.ReplayStates, rep.Done())
 	}
 }

@@ -15,8 +15,8 @@
 //
 // Everything else is Inconclusive, and the caller runs the fixpoint.
 // Prepass does all of this in one call; Start and Replay split it into the
-// once-per-system part and replay rounds of growing state caps, which a
-// caller can interleave with the fixpoint.
+// once-per-system part and a replay that runs in slices, which a caller
+// can interleave with the fixpoint.
 package absint
 
 import (
@@ -115,7 +115,7 @@ type Outcome struct {
 // replay under the full RA semantics confirms it (so an UNSAFE answer is a
 // real witness by construction). Everything else is Inconclusive.
 //
-// Prepass is Start followed by one replay Round at the full cap.
+// Prepass is Start followed by the replay in one slice.
 //
 // The only error returned is the context's, when cancellation interrupts a
 // replay before a verdict.
@@ -124,7 +124,8 @@ func Prepass(ctx context.Context, sys *lang.System, opts Options) (Outcome, erro
 	if rep == nil {
 		return out, nil
 	}
-	return rep.Round(ctx, rep.MaxStates())
+	out, _, err := rep.Run(ctx, nil)
+	return out, err
 }
 
 // Start runs the part of the prepass a caller pays once per system: the
@@ -163,132 +164,121 @@ func Start(sys *lang.System, opts Options) (Outcome, *Replay) {
 
 	// Start at one replica when only the env template has a candidate (its
 	// asserts need an instance containing an env thread).
-	rep := &Replay{sys: sys, base: out, maxStates: opts.MaxReplayStates, next: 1, maxN: maxReplayEnv}
+	rep := &Replay{sys: sys, base: out, maxStates: opts.MaxReplayStates, n: 1, maxN: maxReplayEnv}
 	for _, c := range cands {
 		if !c.EnvThread {
-			rep.next = 0
+			rep.n = 0
 			break
 		}
 	}
 	if sys.Env == nil {
 		rep.maxN = 0
 	}
-	rep.insts = make([]*ra.Instance, rep.maxN+1)
 	return out, rep
 }
 
 // Replay is the concrete replay of one prepass: it searches the instances
 // with 0 (or 1) to 4 env threads under the full RA semantics, fewest env
-// threads first, for a violation. Any violation found is definitive. Every
-// instance runs on one worker, so witnesses and state counts are
-// reproducible. Each instance is built from the one before it, so the
-// system's CFGs are compiled once.
+// threads first, each up to the per-instance cap (Options.MaxReplayStates),
+// for a violation. Any violation found is definitive. Every instance runs
+// on one worker, so witnesses and state counts are reproducible. Each
+// instance is built from the one before it, so the system's CFGs are
+// compiled once.
 //
-// The replay runs in rounds, and a round skips the instances an earlier
-// round explored exhaustively. At the full cap (Options.MaxReplayStates)
-// each instance gets the whole cap. Below it, a round's cap is a budget for
-// the round: its instances share it, each getting what the ones before it
-// left over, and an instance's search ends at the first state that
-// remainder keeps out, which ends the round there. Since a one-worker
-// search admits states in the same order under any cap, and every instance
-// before it was explored exhaustively, an UNSAFE outcome is then exactly
-// the one a single round at the full cap gives: same env-thread count,
-// witness and reason.
+// The replay runs in slices: each Run continues the instance where the
+// last one paused, keeping its stack and visited set, so the replay in
+// slices explores the states of the replay in one slice, in its order, and
+// ends with the same outcome.
 type Replay struct {
 	sys       *lang.System
 	base      Outcome // Start's inconclusive outcome
-	maxStates int     // the full per-instance cap
-	// Instances next..maxN have not been explored exhaustively; insts[n]
-	// is instance n once built.
-	next, maxN int
-	insts      []*ra.Instance
-	// done is set once no further round can decide: a round ran at the
-	// full cap, every instance was explored exhaustively, or an instance
-	// could not be built.
-	done bool
+	maxStates int     // the per-instance cap
+	// n is the instance being explored, of 0 (or 1) to maxN; inst and ex
+	// are it and its search once built.
+	n, maxN int
+	inst    *ra.Instance
+	ex      *ra.Explorer
+	// states counts the states of the instances explored before n.
+	states int
+	// out is the outcome once ended.
+	out   Outcome
+	ended bool
 }
 
-// instance builds instance n, from the instance below it when that one is
-// built.
-func (r *Replay) instance(n int) (*ra.Instance, error) {
-	if n > 0 && r.insts[n-1] != nil {
-		return r.insts[n-1].WithEnv(n)
-	}
-	return ra.NewInstance(r.sys, n)
-}
-
-// MaxStates is the full per-instance cap.
+// MaxStates is the per-instance cap.
 func (r *Replay) MaxStates() int { return r.maxStates }
 
-// Done reports whether no further round can decide.
-func (r *Replay) Done() bool { return r.done }
+// States is the number of concrete states the replay has admitted so far,
+// summed over its instances.
+func (r *Replay) States() int {
+	if r.ex == nil {
+		return r.states
+	}
+	return r.states + r.ex.States()
+}
 
-// Round replays the instances not yet explored exhaustively. A cap at or
-// above MaxStates is the full cap: each instance gets MaxStates states, and
-// the round is the last. Below it, maxStates is the round's budget, summed
-// over its instances: each instance gets what the instances before it left
-// over, and the round ends at the first instance that budget cuts short,
-// or once nothing is left. The outcome is UNSAFE with its witness, or
-// Inconclusive; ReplayStates counts this round's states.
-func (r *Replay) Round(ctx context.Context, maxStates int) (Outcome, error) {
-	full := maxStates >= r.maxStates
-	if full {
-		maxStates = r.maxStates
-		r.done = true
+// Run continues the replay. It returns the outcome and true once the
+// replay has ended: UNSAFE with its witness on a violation, else
+// Inconclusive after the last instance. When pause (nil = never) reports
+// true before an expansion, it returns Start's outcome and false, and the
+// next Run resumes there. ReplayStates counts the states of every instance
+// explored. The only error is ctx's, which ends the replay.
+func (r *Replay) Run(ctx context.Context, pause func() bool) (Outcome, bool, error) {
+	if r.ended {
+		return r.out, true, nil
 	}
 	out := r.base
-	reached := r.next
-	for n := r.next; n <= r.maxN; n++ {
-		limit := maxStates
-		if !full {
-			// A limit of 0 would mean no limit at all.
-			if limit -= out.ReplayStates; limit <= 0 {
-				break
-			}
-		}
-		if r.insts[n] == nil {
-			inst, err := r.instance(n)
+	for ; r.n <= r.maxN; r.n++ {
+		if r.ex == nil {
+			inst, err := r.instance()
 			if err != nil {
 				// Validation failures are not the prepass's to report; let
 				// the main pipeline surface them.
-				r.done = true
 				out.Reason = "replay unavailable: " + err.Error()
-				return out, nil
+				return r.end(out), true, nil
 			}
-			r.insts[n] = inst
+			r.inst = inst
+			r.ex = inst.Explorer(ra.Limits{MaxStates: r.maxStates, Symmetry: r.n > 1})
 		}
-		res := r.insts[n].ExploreContext(ctx, ra.Limits{
-			MaxStates: limit,
-			StopAtCap: !full,
-			Symmetry:  n > 1,
-		})
-		out.ReplayStates += res.States
+		res, ended := r.ex.Run(ctx, pause)
+		if !ended {
+			out.ReplayStates = r.States()
+			return out, false, nil
+		}
+		r.states += res.States
+		r.ex = nil
+		out.ReplayStates = r.states
 		if res.Unsafe {
-			r.done = true
 			out.Verdict = Unsafe
-			out.EnvThreads = n
+			out.EnvThreads = r.n
 			out.Witness = ra.FormatWitness(res.Witness)
 			out.Reason = fmt.Sprintf("concrete replay with %d env thread(s) reaches the assert (%d states)",
-				n, res.States)
-			return out, nil
+				r.n, res.States)
+			return r.end(out), true, nil
 		}
 		if res.Err != nil {
 			out.Reason = "replay interrupted: " + res.Err.Error()
-			return out, res.Err
+			return r.end(out), true, res.Err
 		}
-		reached = n
-		if res.Complete && n == r.next {
-			r.next++
-		} else if !full {
-			break
-		}
-	}
-	if r.next > r.maxN {
-		r.done = true
 	}
 	out.Reason = fmt.Sprintf("candidate path found, but no replay instance within %d env thread(s) and %d states confirms",
-		reached, maxStates)
-	return out, nil
+		r.maxN, r.maxStates)
+	return r.end(out), true, nil
+}
+
+// instance builds instance n, from the instance before it when that one was
+// built.
+func (r *Replay) instance() (*ra.Instance, error) {
+	if r.inst != nil {
+		return r.inst.WithEnv(r.n)
+	}
+	return ra.NewInstance(r.sys, r.n)
+}
+
+// end records out as the replay's outcome.
+func (r *Replay) end(out Outcome) Outcome {
+	r.out, r.ended, r.inst, r.ex = out, true, nil, nil
+	return out
 }
 
 // assertReachable reports whether any thread has an abstractly reachable

@@ -169,23 +169,76 @@ func (e *Encoder) Prefix() *datalog.Program { return e.b.prog }
 // walk's order; yield returning false stops the walk. maxSkeletons > 0
 // caps the skeletons. complete reports whether the walk ran to its end:
 // false when the cap or yield cut it short. Cancellation is checked once
-// per macro-state the walk expands and surfaces as ctx's error.
+// per macro-state the walk expands and surfaces as ctx's error. It is
+// Instances' walk, pulled to its end.
 func (e *Encoder) Each(ctx context.Context, maxSkeletons int, yield func(*Problem) bool) (complete bool, err error) {
-	if e.v == nil {
-		e.steps = e.steps[:0]
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		p, err := e.problem(nil, 0)
+	it := e.Instances(maxSkeletons)
+	for {
+		p, ok, err := it.Next(ctx)
 		if err != nil {
 			return false, err
 		}
-		return yield(p), nil
+		if !ok {
+			return it.Complete(), nil
+		}
+		if !yield(p) {
+			return false, nil
+		}
 	}
-	return e.EachOf(func(sk func(simplified.Skeleton) bool) (bool, error) {
-		return e.v.EachSkeleton(ctx, maxSkeletons, sk)
-	}, yield)
 }
+
+// Instances is Each's walk as a value its consumer pulls one query
+// instance at a time, so that it can stop between two instances and go on
+// later: the instances it pulls are Each's, in order.
+type Instances struct {
+	e     *Encoder
+	walk  *simplified.SkeletonWalk // nil for env-only systems
+	first bool
+	over  bool
+}
+
+// Instances prepares Each's walk with the cap maxSkeletons. Nothing runs
+// before the first Next.
+func (e *Encoder) Instances(maxSkeletons int) *Instances {
+	e.steps = e.steps[:0]
+	it := &Instances{e: e, first: true}
+	if e.v != nil {
+		it.walk = e.v.NewSkeletonWalk(maxSkeletons)
+	}
+	return it
+}
+
+// Next encodes the next query instance and returns it, valid until the
+// next call, or reports false once the walk has ended.
+func (it *Instances) Next(ctx context.Context) (*Problem, bool, error) {
+	if it.over {
+		return nil, false, nil
+	}
+	if it.walk == nil {
+		it.over = true
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		p, err := it.e.problem(nil, 0)
+		return p, err == nil, err
+	}
+	sk, ok, err := it.walk.Next(ctx)
+	if !ok || err != nil {
+		it.over = true
+		return nil, false, err
+	}
+	p, err := it.e.instance(sk, it.first)
+	it.first = false
+	if err != nil {
+		it.over = true
+		return nil, false, err
+	}
+	return p, true, nil
+}
+
+// Complete reports whether the walk ran to its end: false when the cap cut
+// it short. It is final once Next has reported false.
+func (it *Instances) Complete() bool { return it.walk == nil || it.walk.Complete() }
 
 // Walk hands skeletons of the system's dis threads to yield, in order,
 // until yield returns false, and reports whether it ran to its end, as
@@ -194,19 +247,14 @@ type Walk func(yield func(simplified.Skeleton) bool) (complete bool, err error)
 
 // EachOf is Each over the skeletons walk hands out: one Problem per
 // skeleton, each keeping the steps its Shared says it shares with the one
-// before. Each runs it on the system's own walk; tests run it on reference
-// walks.
+// before. Tests run it on reference walks.
 func (e *Encoder) EachOf(walk Walk, yield func(*Problem) bool) (complete bool, err error) {
 	e.steps = e.steps[:0]
 	var encErr error
 	first := true
 	complete, err = walk(func(sk simplified.Skeleton) bool {
-		shared := 0
-		if !first {
-			shared = 1 + sk.Shared
-		}
+		p, err := e.instance(sk, first)
 		first = false
-		p, err := e.problem(sk.Steps, shared)
 		if err != nil {
 			encErr = err
 			return false
@@ -217,6 +265,16 @@ func (e *Encoder) EachOf(walk Walk, yield func(*Problem) bool) (complete bool, e
 		return false, encErr
 	}
 	return complete, err
+}
+
+// instance encodes the query instance of sk, the walk's first skeleton or
+// one sharing sk.Shared steps with the skeleton before it.
+func (e *Encoder) instance(sk simplified.Skeleton, first bool) (*Problem, error) {
+	shared := 0
+	if !first {
+		shared = 1 + sk.Shared
+	}
+	return e.problem(sk.Steps, shared)
 }
 
 // problem encodes the instance of the skeleton with the given steps (none

@@ -2,7 +2,9 @@
 // simplified-semantics fixpoint (internal/simplified) and the concrete RA
 // instance explorer (internal/ra).
 //
-// It offers two sequential drivers, each on the calling goroutine:
+// It offers two sequential drivers, each on the calling goroutine and each
+// a resumable value (LayeredSearch, DepthFirstSearch); DepthFirst also runs
+// as a one-shot function:
 //
 //   - Layered: a breadth-first search over one plain visited set. Each
 //     layer's states are expanded in admission order, and each expansion
@@ -16,8 +18,12 @@
 //
 // Both honor context cancellation and deadlines, cap the number of admitted
 // states, count the same statistics, and report progress via an optional
-// callback. Tick is the drivers' progress ticker, which the Datalog
-// backend's skeleton walk uses too.
+// callback. A resumable search runs in slices: Run continues it until it
+// ends or, before an expansion, the caller's pause function says to stop,
+// and keeps its frontier and visited set in between. Pausing changes which
+// expansion runs when, never which expansions run, so a run in slices ends
+// exactly as the run in one slice does. Tick is the drivers' progress
+// ticker, which the Datalog backend's skeleton walk uses too.
 package engine
 
 import (
@@ -32,19 +38,17 @@ type Config struct {
 	// MaxStates caps the number of admitted states (0 = unlimited). The
 	// root counts as the first admitted state.
 	MaxStates int
-	// StopAtCap ends the run at the first state MaxStates keeps out,
-	// instead of expanding the states already admitted (which can still
-	// reach a halting successor). A run stopped this way is Capped and
-	// reports no halt; a run that is not Capped is exactly the uncapped run.
-	StopAtCap bool
 	// Progress, when non-nil, is called with a stats snapshot roughly every
-	// ProgressEvery (default 250ms) from a dedicated goroutine.
+	// ProgressEvery (default 250ms) from a dedicated goroutine, which runs
+	// from a search's first slice to its end, pauses included.
 	Progress func(Stats)
 	// ProgressEvery is the progress callback interval (0 = 250ms).
 	ProgressEvery time.Duration
-	// Trace, when non-nil, is the parent span under which the engine
-	// records its run span (named SpanName, default "depth-first"/"layered")
-	// and, for Layered, one child span per BFS layer.
+	// Trace, when non-nil, is the parent span under which the one-shot
+	// DepthFirst records its run span (named SpanName, default
+	// "depth-first"). A resumable search's Run takes the parent of each
+	// slice's run span instead; LayeredSearch also records one child span
+	// per BFS layer in each slice.
 	Trace *obs.Span
 	// SpanName overrides the run span's name.
 	SpanName string
@@ -76,7 +80,8 @@ type Stats struct {
 	// observed at any point: for Layered, the largest BFS layer; for
 	// DepthFirst, the deepest stack plus the state being expanded.
 	PeakFrontier int64
-	// Wall is the wall-clock duration of the run.
+	// Wall is the wall-clock duration of the run: of its slices, for a run
+	// in slices.
 	Wall time.Duration
 }
 
@@ -84,7 +89,7 @@ type Stats struct {
 type Outcome struct {
 	Stats Stats
 	// Complete is true when the search space was exhausted: no halt, no
-	// state cap hit, no cancellation.
+	// state cap hit, no cancellation. A paused search is not Complete.
 	Complete bool
 	// Halted is true when a halting successor (violation) ended the run.
 	Halted bool
@@ -106,6 +111,36 @@ type counters struct {
 	transitions atomic.Int64
 	dedupHits   atomic.Int64
 	peak        atomic.Int64
+	// start is when the run began. wallNs is the time its ended slices
+	// ran, and since is when the running slice began as an offset from
+	// start, or -1 between slices.
+	start  time.Time
+	wallNs atomic.Int64
+	since  atomic.Int64
+}
+
+func newCounters() *counters {
+	c := &counters{start: time.Now()}
+	c.since.Store(-1)
+	return c
+}
+
+// resume and pause open and close a slice on the run's clock.
+func (c *counters) resume() { c.since.Store(int64(time.Since(c.start))) }
+
+func (c *counters) pause() {
+	if s := c.since.Swap(-1); s >= 0 {
+		c.wallNs.Add(int64(time.Since(c.start)) - s)
+	}
+}
+
+// wall is the time the run's slices have run, the running one included.
+func (c *counters) wall() time.Duration {
+	w := c.wallNs.Load()
+	if s := c.since.Load(); s >= 0 {
+		w += int64(time.Since(c.start)) - s
+	}
+	return time.Duration(w)
 }
 
 // admit increments the state counter unless the cap is already reached; it
@@ -124,13 +159,13 @@ func (c *counters) bumpPeak(n int64) {
 	}
 }
 
-func (c *counters) snapshot(start time.Time) Stats {
+func (c *counters) snapshot() Stats {
 	return Stats{
 		States:       c.states.Load(),
 		Transitions:  c.transitions.Load(),
 		DedupHits:    c.dedupHits.Load(),
 		PeakFrontier: c.peak.Load(),
-		Wall:         time.Since(start),
+		Wall:         c.wall(),
 	}
 }
 
@@ -157,7 +192,7 @@ func (m *monitor) publish(s Stats) {
 // are enabled. Call stop with the run's final Stats: it emits that exact
 // snapshot as the last progress callback, so the terminal Progress values
 // always equal the returned Outcome.Stats.
-func startMonitor(cfg Config, cnt *counters, start time.Time) *monitor {
+func startMonitor(cfg Config, cnt *counters) *monitor {
 	if cfg.Progress == nil && cfg.Metrics == nil {
 		return nil
 	}
@@ -169,7 +204,7 @@ func startMonitor(cfg Config, cnt *counters, start time.Time) *monitor {
 		m.gPeak = r.Gauge("paramra_engine_peak_frontier", "largest frontier observed (current run)")
 	}
 	m.stopTick = Tick(cfg.progressEvery(), func() {
-		s := cnt.snapshot(start)
+		s := cnt.snapshot()
 		m.publish(s)
 		if m.progress != nil {
 			m.progress(s)
@@ -227,19 +262,40 @@ func (cfg Config) spanName(def string) string {
 // finish completes a run's outcome from its halt tag, cap and error, stops
 // the monitor with its final stats, and records it on the run span, which
 // it ends.
-func finish(span *obs.Span, mon *monitor, out Outcome) Outcome {
+func finish(span *obs.Span, mon *monitor, cnt *counters, out Outcome) Outcome {
+	cnt.pause()
+	out.Stats = cnt.snapshot()
 	out.Halted = out.HaltTag != nil
 	out.Complete = !out.Halted && !out.Capped && out.Err == nil
 	mon.stop(out.Stats)
+	endSpan(span, out)
+	return out
+}
+
+// suspend ends a slice that paused: it records the counters so far on the
+// slice's run span, which it ends, and returns them in an outcome that is
+// neither complete nor halted.
+func suspend(span *obs.Span, cnt *counters, capped bool) Outcome {
+	cnt.pause()
+	out := Outcome{Stats: cnt.snapshot(), Capped: capped}
 	if span != nil {
-		span.SetAttr("states", out.Stats.States)
-		span.SetAttr("transitions", out.Stats.Transitions)
-		span.SetAttr("dedup_hits", out.Stats.DedupHits)
-		span.SetAttr("peak_frontier", out.Stats.PeakFrontier)
-		span.SetAttr("halted", out.Halted)
-		span.SetAttr("capped", out.Capped)
-		span.SetAttr("complete", out.Complete)
-		span.End()
+		span.SetAttr("paused", true)
+		endSpan(span, out)
 	}
 	return out
+}
+
+// endSpan records out on a run span and ends it.
+func endSpan(span *obs.Span, out Outcome) {
+	if span == nil {
+		return
+	}
+	span.SetAttr("states", out.Stats.States)
+	span.SetAttr("transitions", out.Stats.Transitions)
+	span.SetAttr("dedup_hits", out.Stats.DedupHits)
+	span.SetAttr("peak_frontier", out.Stats.PeakFrontier)
+	span.SetAttr("halted", out.Halted)
+	span.SetAttr("capped", out.Capped)
+	span.SetAttr("complete", out.Complete)
+	span.End()
 }

@@ -109,27 +109,56 @@ func TestExploreStateCapExact(t *testing.T) {
 	}
 }
 
-// TestStopAtCap pins StopAtCap on both drivers: a run whose cap binds ends
-// at the first state it keeps out, Capped and with fewer expansions than a
-// run that expands every admitted state; a run whose cap never binds is the
-// uncapped run.
-func TestStopAtCap(t *testing.T) {
+// TestSlicedRunIsTheOneSliceRun pins resumption on both drivers: a search
+// paused before every expansion, or every 7th or 16th, and resumed each
+// time, expands the same states in the same order and ends with the same
+// outcome as the search in one slice, under a cap that binds, one that
+// does not, and a halt.
+func TestSlicedRunIsTheOneSliceRun(t *testing.T) {
 	key := func(s [2]int) string { return fmt.Sprintf("%d,%d", s[0], s[1]) }
-	type run func(n int, cfg Config) (Outcome, int64)
-	depthFirst := func(n int, cfg Config) (Outcome, int64) {
-		var expanded int64
-		grid := gridExpand(n)
-		expand := func(s [2]int, k string, f *Frontier[[2]int, struct{}]) any {
-			expanded++
-			return grid(s, k, f)
+	// run runs a search on the grid of side n, halting at (halt, halt)
+	// when halt > 0, in slices of every expansions (0 = one slice), and
+	// returns its outcome, expansion order and number of slices.
+	type run func(n, halt int, cfg Config, every int) (Outcome, [][2]int, int)
+	// inSlices runs a resumable search to its end, pausing it after every
+	// expansions of each slice (never with every 0), and returns its
+	// outcome and number of slices. expanded counts the expansions.
+	inSlices := func(every int, expanded *int, run func(pause func() bool) (Outcome, bool)) (Outcome, int) {
+		for slices := 1; ; slices++ {
+			from := *expanded
+			out, ended := run(func() bool { return every > 0 && *expanded-from >= every })
+			if ended {
+				return out, slices
+			}
 		}
-		out := DepthFirst(context.Background(), cfg, map[string]struct{}{}, [2]int{0, 0}, "0,0", struct{}{}, expand)
-		return out, expanded
 	}
-	layered := func(n int, cfg Config) (Outcome, int64) {
-		var expanded int64
-		expand := func(s [2]int, adm *Admitter[[2]int]) any {
-			expanded++
+	depthFirst := func(n, halt int, cfg Config, every int) (Outcome, [][2]int, int) {
+		var order [][2]int
+		count := 0
+		grid := gridExpand(n)
+		s := NewDepthFirst(cfg, map[string]struct{}{}, [2]int{0, 0}, "0,0", struct{}{},
+			func(s [2]int, k string, f *Frontier[[2]int, struct{}]) any {
+				order = append(order, s)
+				count++
+				if halt > 0 && s == [2]int{halt, halt} {
+					return "halt"
+				}
+				return grid(s, k, f)
+			})
+		out, slices := inSlices(every, &count, func(pause func() bool) (Outcome, bool) {
+			return s.Run(context.Background(), nil, pause)
+		})
+		return out, order, slices
+	}
+	layered := func(n, halt int, cfg Config, every int) (Outcome, [][2]int, int) {
+		var order [][2]int
+		count := 0
+		s := NewLayered(cfg, [2]int{0, 0}, "0,0", func(s [2]int, adm *Admitter[[2]int]) any {
+			order = append(order, s)
+			count++
+			if halt > 0 && s == [2]int{halt, halt} {
+				return "halt"
+			}
 			for d := 0; d < 2; d++ {
 				ns := s
 				if ns[d]++; ns[d] <= n {
@@ -137,44 +166,40 @@ func TestStopAtCap(t *testing.T) {
 				}
 			}
 			return nil
-		}
-		out := Layered(context.Background(), cfg, [2]int{0, 0}, "0,0", expand)
-		return out, expanded
+		})
+		out, slices := inSlices(every, &count, func(pause func() bool) (Outcome, bool) {
+			return s.Run(context.Background(), nil, pause)
+		})
+		return out, order, slices
+	}
+	same := func(a, b Outcome) bool {
+		a.Stats.Wall, b.Stats.Wall = 0, 0
+		return a == b
 	}
 	for name, run := range map[string]run{"depth-first": depthFirst, "layered": layered} {
-		_, fullExp := run(1000, Config{MaxStates: 100})
-		stop, stopExp := run(1000, Config{MaxStates: 100, StopAtCap: true})
-		if !stop.Capped || stop.Complete || stop.Stats.States != 100 {
-			t.Errorf("%s: stopped run capped=%v complete=%v states=%d, want capped at 100",
-				name, stop.Capped, stop.Complete, stop.Stats.States)
+		for _, c := range []struct {
+			name    string
+			n, halt int
+			cfg     Config
+		}{
+			{"binding cap", 30, 0, Config{MaxStates: 100}},
+			{"unbinding cap", 5, 0, Config{MaxStates: 100}},
+			{"halt", 12, 6, Config{}},
+		} {
+			whole, order, _ := run(c.n, c.halt, c.cfg, 0)
+			for _, every := range []int{1, 7, 16} {
+				out, sliced, n := run(c.n, c.halt, c.cfg, every)
+				if !same(out, whole) {
+					t.Errorf("%s, %s, every %d: outcome %+v, in one slice %+v", name, c.name, every, out, whole)
+				}
+				if !slices.Equal(sliced, order) {
+					t.Errorf("%s, %s, every %d: expansion order differs from the one-slice run", name, c.name, every)
+				}
+				if n < 2 {
+					t.Errorf("%s, %s, every %d: ran in %d slice(s)", name, c.name, every, n)
+				}
+			}
 		}
-		if stopExp >= fullExp {
-			t.Errorf("%s: %d expansions with StopAtCap, %d without", name, stopExp, fullExp)
-		}
-		small, _ := run(5, Config{MaxStates: 100, StopAtCap: true})
-		if !small.Complete || small.Capped || small.Stats.States != 36 {
-			t.Errorf("%s: unbinding cap: complete=%v capped=%v states=%d, want all 36",
-				name, small.Complete, small.Capped, small.Stats.States)
-		}
-	}
-
-	// DepthFirst records the state the cap keeps out as visited, counts the
-	// rest of that expansion's successors as transitions only, and reports
-	// no halt from it.
-	visited := map[string]struct{}{}
-	out := DepthFirst(context.Background(), Config{MaxStates: 2, StopAtCap: true}, visited, 0, "0", struct{}{},
-		func(_ int, _ string, f *Frontier[int, struct{}]) any {
-			f.Add("1", 1, struct{}{})
-			f.Add("2", 2, struct{}{})
-			f.Dup()
-			f.Add("3", 3, struct{}{})
-			return "boom"
-		})
-	if out.Halted || !out.Capped || out.Stats.States != 2 || out.Stats.Transitions != 5 || out.Stats.DedupHits != 0 {
-		t.Errorf("outcome %+v, want capped at 2 states after 5 transitions, no halt and no dedup hit", out)
-	}
-	if _, ok := visited["2"]; !ok || len(visited) != 3 {
-		t.Errorf("visited %v, want the root, 1 and the kept-out 2", visited)
 	}
 }
 
@@ -256,7 +281,7 @@ func TestLayeredGridOrder(t *testing.T) {
 		}
 		return nil
 	}
-	out := Layered(context.Background(), Config{}, [2]int{0, 0}, "0,0", expand)
+	out := layered(context.Background(), Config{}, [2]int{0, 0}, "0,0", expand)
 
 	var want []string
 	seen := map[string]bool{"0,0": true}
@@ -298,7 +323,7 @@ func TestLayeredHaltFirstInOrder(t *testing.T) {
 		adm.AddBytes([]byte(fmt.Sprint(2*s+1)), 2*s+1)
 		return nil
 	}
-	out := Layered(context.Background(), Config{}, 1, "1", expand)
+	out := layered(context.Background(), Config{}, 1, "1", expand)
 	if !out.Halted || out.Complete || out.HaltTag != "halt-8" {
 		t.Errorf("halted=%v complete=%v tag=%v, want halt-8", out.Halted, out.Complete, out.HaltTag)
 	}
@@ -311,13 +336,13 @@ func TestLayeredHaltFirstInOrder(t *testing.T) {
 	}
 }
 
-// TestLayeredStopAtCapEndsAfterTheExpansion: with StopAtCap the run ends
-// after the expansion in which the cap first keeps a state out, not at
-// that state: the rest of the expansion still runs, and its halt tag loses
-// to the cap.
-func TestLayeredStopAtCapEndsAfterTheExpansion(t *testing.T) {
-	var expanded []int
-	var refused []int
+// TestLayeredPausesBetweenExpansions: a pause takes effect before the next
+// expansion, not inside one, so the expansion in which the cap first keeps
+// a state out runs to its end, and a resumed search goes on with the next
+// state of the same layer; a Stopped search emits its counters as its
+// last Progress snapshot.
+func TestLayeredPausesBetweenExpansions(t *testing.T) {
+	var expanded, refused []int
 	expand := func(s int, adm *Admitter[int]) any {
 		expanded = append(expanded, s)
 		for _, ns := range []int{2 * s, 2*s + 1} {
@@ -325,22 +350,29 @@ func TestLayeredStopAtCapEndsAfterTheExpansion(t *testing.T) {
 				refused = append(refused, ns)
 			}
 		}
-		if s == 3 {
-			return "boom"
-		}
 		return nil
 	}
-	out := Layered(context.Background(), Config{MaxStates: 5, StopAtCap: true}, 1, "1", expand)
-	// 1 admits 2 and 3, 2 admits 4 and 5, and the cap keeps out both of
-	// 3's successors.
-	if want := []int{1, 2, 3}; !slices.Equal(expanded, want) {
+	var last Stats
+	s := NewLayered(Config{MaxStates: 5, Progress: func(st Stats) { last = st }}, 1, "1", expand)
+	out, ended := s.Run(context.Background(), nil, func() bool { return s.States() >= 5 })
+	// 1 admits 2 and 3, 2 admits 4 and 5, and the pause comes before 3.
+	if ended || out.Complete || out.Stats.States != 5 {
+		t.Errorf("first slice: ended %v, %+v; want paused at 5 states", ended, out)
+	}
+	if want := []int{1, 2}; !slices.Equal(expanded, want) {
 		t.Errorf("expanded %v, want %v", expanded, want)
 	}
-	if want := []int{6, 7}; !slices.Equal(refused, want) {
-		t.Errorf("refused %v, want %v", refused, want)
+	out, ended = s.Run(context.Background(), nil, func() bool { return len(expanded) == 3 })
+	// 3's successors are kept out by the cap.
+	if ended || !out.Capped || !slices.Equal(refused, []int{6, 7}) {
+		t.Errorf("second slice: ended %v, %+v, refused %v; want paused, capped, 6 and 7 refused", ended, out, refused)
 	}
-	if !out.Capped || out.Halted || out.Complete || out.Stats.States != 5 {
-		t.Errorf("outcome %+v, want capped at 5 states with no halt", out)
+	st := s.Stop()
+	if st != last || st.States != 5 {
+		t.Errorf("Stop: %+v, last Progress snapshot %+v", st, last)
+	}
+	if out, ended := s.Run(context.Background(), nil, nil); !ended || out.Stats != st || len(expanded) != 3 {
+		t.Errorf("Run after Stop: ended %v, %+v, %d expansions", ended, out, len(expanded))
 	}
 }
 
@@ -376,7 +408,7 @@ func TestLayeredCancelBetweenExpansions(t *testing.T) {
 				}
 				return nil
 			}
-			out := Layered(ctx, Config{}, 1, "1", expand)
+			out := layered(ctx, Config{}, 1, "1", expand)
 			if out.Err == nil || out.Complete || out.Halted {
 				t.Errorf("outcome %+v, want a cancelled run with no halt", out)
 			}
@@ -385,6 +417,13 @@ func TestLayeredCancelBetweenExpansions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// layered runs a breadth-first search in one slice, under cfg.Trace.
+func layered[S any](ctx context.Context, cfg Config, root S, rootKey string, expand func(S, *Admitter[S]) any) Outcome {
+	l := NewLayered(cfg, root, rootKey, expand)
+	out, _ := l.Run(ctx, cfg.Trace, nil)
+	return out
 }
 
 func depthOf(s int) int {

@@ -20,9 +20,9 @@ func chainExpand(n int) func(int, string, *Frontier[int, struct{}]) any {
 	}
 }
 
-// chainLayered runs the chain of chainExpand on Layered.
+// chainLayered runs the chain of chainExpand on a breadth-first search.
 func chainLayered(cfg Config, n int) Outcome {
-	return Layered(context.Background(), cfg, 0, "0", func(s int, adm *Admitter[int]) any {
+	return layered(context.Background(), cfg, 0, "0", func(s int, adm *Admitter[int]) any {
 		if s < n {
 			adm.AddTransitions(1)
 			adm.AddBytes([]byte(fmt.Sprint(s+1)), s+1)

@@ -13,9 +13,6 @@ import (
 type Limits struct {
 	// MaxStates caps the number of distinct states visited.
 	MaxStates int
-	// StopAtCap ends the search at the first state MaxStates keeps out
-	// (see engine.Config.StopAtCap).
-	StopAtCap bool
 	// Symmetry enables symmetry reduction over the env replicas: states
 	// that differ only by a permutation of the (identical) env threads are
 	// identified. Sound and complete for safety — env replicas run the
@@ -84,17 +81,34 @@ func (inst *Instance) witness(visited map[string]backEdge, root, last string, fi
 // false` transition, depth first on the calling goroutine. The search
 // order is fixed, so the whole result, witness and counts included, is
 // reproducible. Cancellation via ctx stops the search with Result.Err =
-// ctx.Err() and Complete = false.
+// ctx.Err() and Complete = false. It is Explorer(lim) run in one slice.
+func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
+	res, _ := inst.Explorer(lim).Run(ctx, nil)
+	return res
+}
+
+// Explorer is ExploreContext's search as a resumable value: it keeps its
+// stack and visited set between the slices its Run calls make, so the
+// search in slices is the search in one.
 //
 // Each successor is built in a scratch state and its key probed against the
 // visited set before anything is allocated: only an unseen successor is
 // cloned and its key interned.
-func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
-	init := inst.InitState()
-	initKey := inst.stateKey(init, lim.Symmetry)
-	visited := map[string]backEdge{}
-	sc := new(scratch)
+type Explorer struct {
+	inst    *Instance
+	trace   *obs.Span
+	visited map[string]backEdge
+	initKey string
+	dfs     engine.DepthFirstSearch[*State, backEdge]
+}
 
+// Explorer prepares the search of ExploreContext under lim. Nothing runs
+// before the first Run.
+func (inst *Instance) Explorer(lim Limits) *Explorer {
+	init := inst.InitState()
+	e := &Explorer{inst: inst, trace: lim.Trace, visited: map[string]backEdge{},
+		initKey: inst.stateKey(init, lim.Symmetry)}
+	sc := new(scratch)
 	expand := func(s *State, key string, f *engine.Frontier[*State, backEdge]) (halt any) {
 		inst.eachSucc(s, sc, func(st step) bool {
 			if st.assert() {
@@ -111,16 +125,24 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 		})
 		return halt
 	}
-
-	out := engine.DepthFirst(ctx, engine.Config{
+	e.dfs = engine.NewDepthFirst(engine.Config{
 		MaxStates: lim.MaxStates,
-		StopAtCap: lim.StopAtCap,
 		Progress:  lim.Progress,
-		Trace:     lim.Trace,
 		SpanName:  "concrete-explore",
 		Metrics:   lim.Metrics,
-	}, visited, init, initKey, backEdge{}, expand)
+	}, e.visited, init, e.initKey, backEdge{}, expand)
+	return e
+}
 
+// States is the number of states the search has admitted so far.
+func (e *Explorer) States() int { return int(e.dfs.States()) }
+
+// Run continues the search, under a run span that is a child of
+// Limits.Trace. It returns the result and true once the search has ended,
+// or, when pause (nil = never) reports true before an expansion, the
+// counts so far and false: the next Run resumes there.
+func (e *Explorer) Run(ctx context.Context, pause func() bool) (Result, bool) {
+	out, ended := e.dfs.Run(ctx, e.trace, pause)
 	res := Result{
 		Unsafe:      out.Halted,
 		States:      int(out.Stats.States),
@@ -131,9 +153,9 @@ func (inst *Instance) ExploreContext(ctx context.Context, lim Limits) Result {
 	}
 	if out.Halted {
 		final, _ := out.HaltTag.(step)
-		res.Witness = inst.witness(visited, initKey, out.HaltParent, final)
+		res.Witness = e.inst.witness(e.visited, e.initKey, out.HaltParent, final)
 	}
-	return res
+	return res, ended
 }
 
 // FormatWitness renders a violating computation for human consumption.

@@ -283,8 +283,7 @@ func refExplore(inst *ra.Instance, lim ra.Limits) ra.Result {
 // transition on the reference relation and key, sharing no code with the
 // engine. It pops the last state it admitted, and admits a state's
 // successors in order, so ExploreContext must reproduce it exactly. A
-// successor the state cap keeps out is still recorded as visited; with
-// StopAtCap, the rest of that state's successors are only counted.
+// successor the state cap keeps out is still recorded as visited.
 func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 	type node struct {
 		state *ra.State
@@ -300,27 +299,24 @@ func refExploreContext(inst *ra.Instance, lim ra.Limits) ra.Result {
 	}
 	stack := []node{{init, initKey}}
 	res := ra.Result{States: 1}
-	capped, stopped := false, false
-	for len(stack) > 0 && !stopped {
+	capped := false
+	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, succ := range refSuccessors(inst, n.state) {
 			res.Transitions++
 			if succ.Event.Assert {
-				if stopped {
-					break
-				}
 				res.Unsafe = true
 				res.Witness = refWitness(lookup, initKey, n.key, succ.Event)
 				return res
 			}
 			sk := key(succ.State)
-			if _, seen := visited[sk]; seen || stopped {
+			if _, seen := visited[sk]; seen {
 				continue
 			}
 			visited[sk] = refEdge{prevKey: n.key, ev: succ.Event}
 			if lim.MaxStates > 0 && res.States >= lim.MaxStates {
-				capped, stopped = true, lim.StopAtCap
+				capped = true
 				continue
 			}
 			res.States++
@@ -517,7 +513,7 @@ func TestSuccessorsMatchReferenceCorpus(t *testing.T) {
 			for _, sym := range []bool{false, true} {
 				checkSuccessors(t, name, inst, sym, diffCorpusStates)
 				checkExplore(t, name, inst, ra.Limits{MaxStates: diffCorpusStates, Symmetry: sym})
-				checkExplore(t, name, inst, ra.Limits{MaxStates: 64, StopAtCap: true, Symmetry: sym})
+				checkExplore(t, name, inst, ra.Limits{MaxStates: 64, Symmetry: sym})
 			}
 			checkDeadlocks(t, name, inst, diffCorpusStates)
 		}

@@ -282,13 +282,14 @@ func TestServerReplayCapIsLibraryDefault(t *testing.T) {
 			t.Errorf("verdict %s decided by %q, want UNKNOWN (limit reached)", resp.Verdict, resp.Result.DecidedBy)
 		}
 		last := pre[len(pre)-1]
-		if budget, _ := last.Attrs["budget"].(float64); budget != 30_000 {
-			t.Errorf("last replay round's budget = %v, want the library default of 30000", last.Attrs["budget"])
+		if cap, _ := last.Attrs["cap"].(float64); cap != 30_000 {
+			t.Errorf("last replay slice's per-instance cap = %v, want the library default of 30000", last.Attrs["cap"])
 		}
-		// Five replay instances (0..4 env replicas), each capped at 30,000.
+		// Five replay instances (0..4 env replicas), each capped at 30,000,
+		// summed over the replay's slices.
 		states, _ := last.Attrs["replay_states"].(float64)
 		if states <= 30_000 || states > 5*30_000 {
-			t.Errorf("last replay round explored %v states, want more than one instance's cap of 30000 and at most 5×30000", states)
+			t.Errorf("the replay explored %v states, want more than one instance's cap of 30000 and at most 5×30000", states)
 		}
 	})
 
@@ -297,11 +298,8 @@ func TestServerReplayCapIsLibraryDefault(t *testing.T) {
 		if resp.Verdict != "SAFE" || resp.Result.DecidedBy != "fixpoint" {
 			t.Errorf("verdict %s decided by %q, want SAFE by the fixpoint", resp.Verdict, resp.Result.DecidedBy)
 		}
-		var states float64
-		for _, n := range pre {
-			v, _ := n.Attrs["replay_states"].(float64)
-			states += v
-		}
+		// A replay slice records the states explored by every slice so far.
+		states, _ := pre[len(pre)-1].Attrs["replay_states"].(float64)
 		if states >= 30_000 {
 			t.Errorf("the replay explored %v states in all, want fewer than one instance's cap of 30000", states)
 		}

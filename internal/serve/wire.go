@@ -99,6 +99,17 @@ type ResultDTO struct {
 	DecidedBy      string   `json:"decidedBy,omitempty"`
 	PrepassReason  string   `json:"prepassReason,omitempty"`
 	CacheHit       bool     `json:"cacheHit,omitempty"`
+	// Schedule lists the engines the verification ran (empty on a cache
+	// hit).
+	Schedule []EngineRunDTO `json:"schedule,omitempty"`
+}
+
+// EngineRunDTO is the wire form of paramra.EngineRun.
+type EngineRunDTO struct {
+	Engine  string `json:"engine"`
+	Slices  int    `json:"slices"`
+	Units   int64  `json:"units"`
+	Decided bool   `json:"decided,omitempty"`
 }
 
 // FromResult converts a library result to the wire form.
@@ -117,6 +128,12 @@ func FromResult(r paramra.Result) ResultDTO {
 	}
 	if r.Graph != nil {
 		d.Graph = r.Graph.String()
+	}
+	if len(r.Schedule) > 0 {
+		d.Schedule = make([]EngineRunDTO, len(r.Schedule))
+		for i, e := range r.Schedule {
+			d.Schedule[i] = EngineRunDTO(e)
+		}
 	}
 	return d
 }

@@ -52,6 +52,8 @@ func goldenCases() map[string]any {
 				DecidedBy:      "fixpoint",
 				PrepassReason:  "goal value escapes the abstraction",
 				CacheHit:       true,
+				Schedule: []EngineRunDTO{{Engine: "prepass", Slices: 2, Units: 48},
+					{Engine: "fixpoint", Slices: 2, Units: 37, Decided: true}},
 			},
 			Confirm: &ConfirmDTO{EnvThreads: 2, Witness: "e1\ne2\n"},
 		},
@@ -236,8 +238,12 @@ func TestWireCoversLibrary(t *testing.T) {
 		{
 			name: "Result", lib: paramra.Result{},
 			want: []string{"CacheHit", "Class", "Complete", "DecidedBy",
-				"EnvThreadBound", "Graph", "PrepassReason", "Stats",
+				"EnvThreadBound", "Graph", "PrepassReason", "Schedule", "Stats",
 				"Underapprox", "Unsafe", "Witness"},
+		},
+		{
+			name: "EngineRun", lib: paramra.EngineRun{},
+			want: []string{"Decided", "Engine", "Slices", "Units"},
 		},
 		{
 			name: "Stats", lib: paramra.Stats{},

@@ -30,7 +30,7 @@ func (v *Verifier) InventoryContext(ctx context.Context) (map[lang.VarID]map[lan
 	}
 	span := v.opts.Trace.Child("fixpoint")
 	defer span.End()
-	res := v.search(ctx, span, 0, func(st *state) {
+	res := v.search(ctx, span, func(st *state) {
 		for vi := 0; vi < st.mem.NumVars(); vi++ {
 			st.mem.Each(lang.VarID(vi), func(m AMsg) {
 				inv[m.Var][m.Val] = true

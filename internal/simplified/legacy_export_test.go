@@ -246,7 +246,7 @@ func LegacyExploreForTest(v *Verifier, maxStates int) LegacyExploreResult {
 // search's result.
 func CanonicalStatesForTest(v *Verifier) (map[string]bool, Result) {
 	keys := map[string]bool{}
-	res := v.search(context.Background(), nil, 0, func(st *state) { keys[st.key()] = true })
+	res := v.search(context.Background(), nil, func(st *state) { keys[st.key()] = true })
 	return keys, res
 }
 

@@ -51,7 +51,7 @@ func TestBudgetStability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res := v.search(context.Background(), nil, 0, func(st *state) {
+		res := v.search(context.Background(), nil, func(st *state) {
 			for x := 0; x < st.mem.NumVars(); x++ {
 				msgs := st.mem.VarMsgs(lang.VarID(x))
 				for i := 1; i < len(msgs); i++ {

@@ -68,7 +68,8 @@ type Skeleton struct {
 // maxPaths > 0 caps the number of skeletons. complete reports whether the
 // walk ran to its end: false when the cap or yield cut it short. ctx is
 // checked once per expanded macro-state and during saturation, and
-// cancellation surfaces as its error.
+// cancellation surfaces as its error. It is NewSkeletonWalk's walk, pulled
+// to its end.
 //
 // The walk is the fixpoint's macro-state graph (the same eachDisMove,
 // canonicalize and saturation) walked depth-first rather than layer by
@@ -88,18 +89,19 @@ func (v *Verifier) EachSkeleton(ctx context.Context, maxPaths int, yield func(Sk
 // each path as it was walked, with Shared the depth where it parts from
 // the one before.
 func (v *Verifier) walk(ctx context.Context, ex *exec, maxPaths int, yield func(Skeleton) bool) (complete bool, err error) {
-	w := skelWalk{ex: ex, max: maxPaths, yield: yield, complete: true}
-	init := v.initState()
-	// Saturation may already hit an env assert; skeleton consumers detect
-	// that via the bad() rules, so the violation is ignored here.
-	if _, err := w.ex.saturate(init); err != nil {
-		return false, err
+	w := &SkeletonWalk{w: skelWalk{ex: ex, max: maxPaths, complete: true}}
+	for {
+		sk, ok, err := w.Next(ctx)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return w.Complete(), nil
+		}
+		if !yield(sk) {
+			return false, nil
+		}
 	}
-	w.seen = map[string]bool{init.key(): true}
-	if err := w.dfs(ctx, init); err != nil {
-		return false, err
-	}
-	return w.complete, nil
 }
 
 // Skeletons collects EachSkeleton's skeletons, each with its own copy of
@@ -118,13 +120,69 @@ func (v *Verifier) Skeletons(ctx context.Context, maxPaths int) ([]Skeleton, boo
 	return out, complete, nil
 }
 
-// skelWalk is the state of one EachSkeleton walk.
+// SkeletonWalk is EachSkeleton's walk as a value its consumer pulls one
+// skeleton at a time: it keeps the walk's DFS stack of frames between two
+// Next calls, so the consumer can stop between skeletons and go on later,
+// and the skeletons it pulls are EachSkeleton's, in order.
+type SkeletonWalk struct {
+	w       skelWalk
+	started bool
+}
+
+// NewSkeletonWalk prepares EachSkeleton's walk with the cap maxPaths.
+// Nothing runs before the first Next.
+func (v *Verifier) NewSkeletonWalk(maxPaths int) *SkeletonWalk {
+	return &SkeletonWalk{w: skelWalk{ex: v.newExec(nil), max: maxPaths, complete: true}}
+}
+
+// Next walks on to the next skeleton and returns it, with its Steps valid
+// until the next call, or reports false once the walk has ended. The first
+// call saturates the initial macro-state.
+func (sw *SkeletonWalk) Next(ctx context.Context) (Skeleton, bool, error) {
+	w := &sw.w
+	w.ex.ctx = ctx
+	if !sw.started {
+		sw.started = true
+		init := w.ex.v.initState()
+		// Saturation may already hit an env assert; skeleton consumers
+		// detect that via the bad() rules, so the violation is ignored
+		// here.
+		if _, err := w.ex.saturate(init); err != nil {
+			return Skeleton{}, false, err
+		}
+		w.seen = map[string]bool{init.key(): true}
+		if err := w.enter(ctx, init); err != nil {
+			return Skeleton{}, false, err
+		}
+	}
+	for !w.hasOut {
+		if len(w.frames) == 0 || w.over {
+			w.frames = nil
+			return Skeleton{}, false, nil
+		}
+		if err := w.advance(ctx); err != nil {
+			w.frames = nil
+			return Skeleton{}, false, err
+		}
+	}
+	w.hasOut = false
+	return w.cur, true, nil
+}
+
+// Complete reports whether the walk ran to its end: false when the cap cut
+// it short. It is final once Next has reported false.
+func (sw *SkeletonWalk) Complete() bool { return sw.w.complete }
+
+// skelWalk is the state of one skeleton walk.
 type skelWalk struct {
-	ex    *exec
-	max   int
-	yield func(Skeleton) bool
-	seen  map[string]bool
-	path  []SkeletonStep
+	ex   *exec
+	max  int
+	seen map[string]bool
+	// frames is the DFS stack: frames[i] is the state path step i-1
+	// reached (the initial state for i = 0), with the successors it has
+	// left to walk into.
+	frames []skelFrame
+	path   []SkeletonStep
 	// renums[i] is the renumbering path step i applied to the state it
 	// reached (lo < 0 when it moved nothing). Entries past the path keep
 	// their slot arrays for reuse.
@@ -132,12 +190,28 @@ type skelWalk struct {
 	// out holds the last emitted skeleton: the path relabeled to its
 	// leaf's slots.
 	out []SkeletonStep
+	// cur is the skeleton emitted last, and hasOut whether Next has yet
+	// to hand it out.
+	cur    Skeleton
+	hasOut bool
 	// low is the length of the shortest path since the last emit: the
 	// steps the next skeleton's path shares with it.
-	low      int
-	emitted  int
-	stopped  bool
+	low     int
+	emitted int
+	// over is set once the walk must end (see done), and complete is
+	// cleared when the cap ended it.
+	over     bool
 	complete bool
+}
+
+// skelFrame is one state on the walk's DFS stack: the successors it has
+// left to walk into, from next on, and whether it has an enabled assert
+// or has walked into a successor (else it ends a skeleton).
+type skelFrame struct {
+	succs      []skelSucc
+	next       int
+	hasViol    bool
+	progressed bool
 }
 
 // skelSucc pairs a successor macro-state with the step that reaches it.
@@ -146,14 +220,11 @@ type skelSucc struct {
 	step SkeletonStep
 }
 
-// done reports whether the walk must end: yield stopped it, or the output
-// cap is reached, which marks the enumeration incomplete. Expanding (and
-// saturating) the remaining macro-state space could not emit anything and
-// is exactly the exponential part of the walk, so every caller stops there.
+// done reports whether the walk must end: the output cap is reached, which
+// marks the enumeration incomplete. Expanding (and saturating) the
+// remaining macro-state space could not emit anything and is exactly the
+// exponential part of the walk, so every caller stops there.
 func (w *skelWalk) done() bool {
-	if w.stopped {
-		return true
-	}
 	if w.max > 0 && w.emitted >= w.max {
 		w.complete = false
 		return true
@@ -161,7 +232,13 @@ func (w *skelWalk) done() bool {
 	return false
 }
 
-// emit hands the current path to yield as a skeleton.
+// end reports whether the walk must end (see done), and if so ends it.
+func (w *skelWalk) end() bool {
+	w.over = w.over || w.done()
+	return w.over
+}
+
+// emit makes the current path the skeleton Next hands out.
 func (w *skelWalk) emit(unsafe bool) {
 	if w.done() {
 		return
@@ -172,9 +249,7 @@ func (w *skelWalk) emit(unsafe bool) {
 		steps, shared = w.relabel()
 	}
 	w.low = len(w.path)
-	if !w.yield(Skeleton{Steps: steps, Unsafe: unsafe, Shared: shared}) {
-		w.stopped, w.complete = true, false
-	}
+	w.cur, w.hasOut = Skeleton{Steps: steps, Unsafe: unsafe, Shared: shared}, true
 }
 
 // push appends step to the path, with the renumbering r that the state it
@@ -276,24 +351,23 @@ func sameSlots(a SkeletonStep, b *SkeletonStep) bool {
 		(a.ReadEnv == nil || a.ReadEnv.View.Eq(b.ReadEnv.View))
 }
 
-// dfs expands st and walks into every successor not seen before, emitting
-// a skeleton at each assert and at each state where the walk ends.
-func (w *skelWalk) dfs(ctx context.Context, st *state) error {
+// enter expands st onto the DFS stack, unless the walk must end: it
+// collects st's successors and, at its first enabled assert, emits a
+// skeleton of its own. The enumeration goes on past the assert, since the
+// other moves may lead to further skeletons.
+func (w *skelWalk) enter(ctx context.Context, st *state) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if w.done() {
+	if w.end() {
 		return nil
 	}
-	// The first enabled assert ends a skeleton of its own; the enumeration
-	// goes on past it, since the other moves may lead to further skeletons.
-	var succs []skelSucc
+	f := skelFrame{}
 	var viol SkeletonStep
-	hasViol := false
 	w.ex.eachDisMove(st, func(mv *disMove) bool {
 		if mv.kind == lang.OpAssertFail {
-			if !hasViol {
-				viol, hasViol = mv.skeletonStep(), true
+			if !f.hasViol {
+				viol, f.hasViol = mv.skeletonStep(), true
 			}
 			return true
 		}
@@ -302,20 +376,30 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		if mv.hasPut {
 			ns.mem.Put(mv.put)
 		}
-		succs = append(succs, skelSucc{st: ns, step: mv.skeletonStep()})
+		f.succs = append(f.succs, skelSucc{st: ns, step: mv.skeletonStep()})
 		return true
 	})
-	if hasViol {
+	w.frames = append(w.frames, f)
+	if f.hasViol {
 		w.push(viol, nil)
 		w.emit(true)
 		w.pop()
 	}
-	progressed := false
-	enc := &w.ex.enc
-	for _, s := range succs {
-		if w.done() {
+	return nil
+}
+
+// advance takes one step of the DFS on the top frame: it walks into the
+// frame's next successor not seen before, or, once none is left, leaves
+// the frame, emitting a skeleton where the walk ends.
+func (w *skelWalk) advance(ctx context.Context) error {
+	f := &w.frames[len(w.frames)-1]
+	for f.next < len(f.succs) {
+		if w.end() {
 			return nil
 		}
+		s := f.succs[f.next]
+		f.succs[f.next] = skelSucc{} // do not pin the state
+		f.next++
 		// A store or CAS moves its variable's messages to canonical slots,
 		// as in disSuccessors; the renumbering goes on the path with the
 		// step.
@@ -326,6 +410,7 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 		}
 		// The key holds no env part, so a successor is probed before it
 		// is saturated, and a seen one is never saturated.
+		enc := &w.ex.enc
 		enc.Reset()
 		s.st.appendKey(enc)
 		if w.seen[string(enc.Bytes())] {
@@ -336,15 +421,16 @@ func (w *skelWalk) dfs(ctx context.Context, st *state) error {
 			return err
 		}
 		w.seen[k] = true
-		progressed = true
+		f.progressed = true
 		w.push(s.step, r)
-		if err := w.dfs(ctx, s.st); err != nil {
-			return err
-		}
-		w.pop()
+		return w.enter(ctx, s.st)
 	}
-	if !progressed && !hasViol {
+	if !f.progressed && !f.hasViol {
 		w.emit(false)
+	}
+	w.frames = w.frames[:len(w.frames)-1]
+	if len(w.frames) > 0 {
+		w.pop()
 	}
 	return nil
 }

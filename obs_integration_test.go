@@ -149,13 +149,13 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 		})
 	}
 
-	// With raserved's defaults the prepass schedule runs budgeted fixpoint
-	// rounds before an unbudgeted one on corr2-coherence. On iriw the
-	// replay decides in its second round, after a budgeted fixpoint round
-	// that reported nothing, so the answer carries no backend counters.
-	// With MaxMacroStates 1 on env-chain-escalation, the fixpoint round at
-	// the full cap reports its snapshots and the replay decides after it,
-	// keeping that round's Stats.
+	// With raserved's defaults the prepass schedule runs the fixpoint in
+	// five slices on corr2-coherence before it decides. On iriw the replay
+	// decides in its fourth slice, after three fixpoint slices, so the
+	// answer carries the fixpoint's counters at that moment, below those of
+	// its whole run. With MaxMacroStates 1 on env-chain-escalation, the
+	// fixpoint ends capped in its first slice and the replay decides alone
+	// after it, keeping that slice's Stats.
 	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +163,13 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		maxMacro int
-		// prepass is whether the replay decides, and backend whether the
-		// answer keeps a backend round's Stats.
-		prepass, backend bool
+		// prepass is whether the replay decides, and partial whether the
+		// Stats are of a fixpoint that had not ended.
+		prepass, partial bool
 	}{
-		{"corr2-coherence", 0, false, true},
-		{"iriw", 0, true, false},
-		{"env-chain-escalation", 1, true, true},
+		{"corr2-coherence", 0, false, false},
+		{"iriw", 0, true, true},
+		{"env-chain-escalation", 1, true, false},
 	} {
 		t.Run("served/"+c.name, func(t *testing.T) {
 			e, ok := bench.ByName(c.name)
@@ -188,16 +188,21 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 			if got := res.DecidedBy == "prepass"; got != c.prepass {
 				t.Errorf("decided by %s, want prepass: %v", res.DecidedBy, c.prepass)
 			}
-			if got := res.Stats != (paramra.Stats{}); got != c.backend || c.backend && res.Stats.MacroStates == 0 {
-				t.Errorf("Stats %+v, want a backend round's: %v", res.Stats, c.backend)
+			whole, err := paramra.Verify(ctx, e.System(), paramra.Options{MaxMacroStates: c.maxMacro})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms := res.Stats.MacroStates; ms == 0 || (ms < whole.Stats.MacroStates) != c.partial {
+				t.Errorf("%d macro-states, the fixpoint alone %d; want the fixpoint's counters, partial: %v",
+					ms, whole.Stats.MacroStates, c.partial)
 			}
 		})
 	}
 
-	// With the Datalog backend in the schedule, seqlock runs budgeted
-	// Datalog rounds before the deciding one. With MaxSkeletons 1 on
-	// env-chain-escalation, the Datalog round at the full cap reports its
-	// snapshots and the replay decides after it.
+	// With the Datalog backend in the schedule, seqlock runs two Datalog
+	// slices, the second deciding. With MaxSkeletons 1 on
+	// env-chain-escalation, the Datalog backend ends capped in its first
+	// slice and the replay decides alone after it.
 	for name, maxSkeletons := range map[string]int{"seqlock": 0, "env-chain-escalation": 1} {
 		t.Run("served-datalog/"+name, func(t *testing.T) {
 			e, ok := bench.ByName(name)
@@ -213,6 +218,9 @@ func TestFinalProgressEqualsStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkProgress(t, rec, res.Stats)
+			if res.Stats.Skeletons == 0 {
+				t.Errorf("Stats %+v, want the Datalog backend's counters", res.Stats)
+			}
 		})
 	}
 

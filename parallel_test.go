@@ -25,7 +25,7 @@ import (
 // The inputs are the shipped systems and every corpus entry, each with
 // the prepass off, and every corpus entry with the options raserved gives
 // a request that names the Datalog backend and nothing else (prepass on,
-// so the backend runs in budgeted Datalog rounds between replay rounds).
+// so the Datalog backend runs in slices beside the replay's).
 func TestParallelDeterministicVerdictsTestdata(t *testing.T) {
 	iters := 5
 	if testing.Short() {

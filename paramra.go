@@ -125,7 +125,7 @@ type Options struct {
 	// instance of the prepass replay, but never above the prepass's own
 	// default of 30,000 states; that is the replay's full cap, which
 	// Verify's prepass schedule (see Prepass) reaches only when the backend
-	// has not decided below it.
+	// has not decided before.
 	MaxStates int
 	// Goal, when non-nil, asks Message Generation instead of assert
 	// reachability.
@@ -145,19 +145,18 @@ type Options struct {
 	// its verdict (Result.DecidedBy = "prepass") when it is decisive. Sound
 	// on both sides: SAFE proofs hold for every replica count (including
 	// systems outside the decidable fragment), UNSAFE witnesses are
-	// concrete replays. Verify runs the abstract SAFE check first, then
-	// alternates a replay round and a backend round under a budget that
-	// starts at 64 and grows ×4 per round, until one decides: the replay
-	// explores at most min(budget, its full cap) states, summed over the
-	// instances of the round; the fixpoint admits at most min(budget,
-	// MaxMacroStates) macro-states; with Datalog, the Datalog backend walks
-	// at most min(budget, its skeleton cap) skeletons. A budgeted round
-	// counts only when its budget did not bind, so an answer is the one its
-	// engine gives at its full cap, and the budgets, counted in states and
-	// skeletons and never in time, decide only which engine answers, the
-	// same way on every run. Once one engine has run at its full
-	// cap without deciding, the other runs at its full cap in one go. Goal
-	// queries have no replay. See Prepass for the standalone entry point.
+	// concrete replays. Verify runs the abstract SAFE check first, then the
+	// concrete replay and the backend in slices under one work meter,
+	// until one decides: each round raises a common target (16, 32, 64, …
+	// units of about 1 µs of work), and the replay, then the backend, runs
+	// until its own spend reaches it. An engine keeps its frontier between
+	// its slices and pauses only between two expansions, so an answer is
+	// the one its engine gives run alone, and the meter, which counts work
+	// and never time, decides only which engine answers, the same way on
+	// every run. An engine that ends undecided at its full cap leaves the
+	// other to run alone. Goal queries have no replay. Result.Schedule
+	// lists what each engine ran. See Prepass for the standalone entry
+	// point.
 	Prepass bool
 	// MaxSkeletons caps the Datalog backend's skeleton walk (0 = the
 	// default cap of 100,000 skeletons).
@@ -165,10 +164,10 @@ type Options struct {
 	// Progress, when non-nil, receives periodic statistics snapshots from a
 	// dedicated goroutine while a search runs. The last emission, sent just
 	// before the entry point returns, is exactly the returned Stats, and no
-	// counter in a snapshot is below the one before. With Prepass, only a
-	// backend round at its full cap (MaxMacroStates, or the skeleton cap)
-	// reports snapshots (the budgeted rounds report none), and Verify's
-	// Stats are those of the last backend round it ran, zero when none ran.
+	// counter in a snapshot is below the one before. With Prepass the
+	// snapshots are the backend's, from its first slice on, and Verify's
+	// Stats are the backend's counters when the schedule stopped, zero when
+	// the backend never ran.
 	Progress func(Stats)
 	// Tracer, when non-nil, records the run's phase spans — parse is the
 	// caller's, then well-formedness, unroll, fixpoint/datalog/concrete
@@ -381,9 +380,37 @@ type Result struct {
 	PrepassReason string
 	// CacheHit is true when the verdict was served from Options.Cache
 	// (including a result shared with a concurrent identical request)
-	// rather than computed by this call. Cached results carry zero Stats
-	// and no Graph.
+	// rather than computed by this call. Cached results carry zero Stats,
+	// no Schedule and no Graph.
 	CacheHit bool
+	// Schedule lists the engines the call ran, in the order of their first
+	// slices: with Options.Prepass the concrete replay ("prepass") and the
+	// backend, when each ran, otherwise the backend alone, in one slice.
+	Schedule []EngineRun
+}
+
+// EngineRun is one engine's part in a Verify call: the slices it ran, the
+// work units it spent (DESIGN, "One meter for every engine") and whether
+// its answer is the Result's.
+type EngineRun struct {
+	// Engine is "prepass" (the concrete replay), "fixpoint" or "datalog".
+	Engine  string
+	Slices  int
+	Units   int64
+	Decided bool
+}
+
+// String renders the run as "fixpoint: 2 slices, 37 units, decided".
+func (e EngineRun) String() string {
+	s := fmt.Sprintf("%s: %d slice", e.Engine, e.Slices)
+	if e.Slices != 1 {
+		s += "s"
+	}
+	s += fmt.Sprintf(", %d units", e.Units)
+	if e.Decided {
+		s += ", decided"
+	}
+	return s
 }
 
 // Verify decides parameterized safety for the system. The context carries
@@ -416,7 +443,11 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 		return r
 	}
 	if opts.Datalog {
-		r, err := verifyDatalog(ctx, work, opts, res, span)
+		d, r, err := verifyDatalog(ctx, work, opts, res, span)
+		if d.insts != nil {
+			r.Schedule = []EngineRun{{Engine: "datalog", Slices: 1, Units: d.units(),
+				Decided: err == nil && r.Complete}}
+		}
 		return seal(r), err
 	}
 	ver, err := newFixpoint(work, opts, span)
@@ -424,6 +455,9 @@ func verify(ctx context.Context, sys *System, opts Options) (Result, error) {
 		return res, err
 	}
 	r, err := fixpointResult(res, work, ver.VerifyContext(ctx))
+	r.Schedule = []EngineRun{{Engine: "fixpoint", Slices: 1,
+		Units:   fixpointUnits(r.Stats.MacroStates, r.Stats.SaturationSteps),
+		Decided: err == nil && r.Complete}}
 	return seal(r), err
 }
 
@@ -461,7 +495,7 @@ func prepareBackend(sys *System, opts Options, span *obs.Span, res Result) (*Sys
 }
 
 // backendName names the backend opts select, as Result.DecidedBy and the
-// spans of the prepass schedule's backend rounds do.
+// spans of the prepass schedule's backend slices do.
 func backendName(opts Options) string {
 	if opts.Datalog {
 		return "datalog"
@@ -567,19 +601,17 @@ func datalogEncoder(sys *System) (*encode.Encoder, error) {
 
 // datalogBackend is the makeP → Datalog backend (Theorem 4.1) on one
 // system, ∃-style: the system is unsafe iff some dis-run skeleton's query
-// instance derives unsafe(). It runs in rounds. The first round emits the
-// prefix the instances share and evaluates the prefix's least model once.
-// Every round then walks the skeletons and evaluates the walk's DFS tree
-// once per step, on the calling goroutine: a guess only adds facts as it
-// grows, so each step continues its parent's model, an instance's model is
-// its last step's, and the round stops the walk at the first instance in
-// walk order whose goal is derived.
+// instance derives unsafe(). It runs in slices, on the calling goroutine.
+// The first slice emits the prefix the instances share and evaluates the
+// prefix's least model once. The slices then pull the skeletons of one
+// walk, pausing only between two, and evaluate the walk's DFS tree once
+// per step: a guess only adds facts as it grows, so each step continues its
+// parent's model, an instance's model is its last step's, and the backend
+// ends at the first instance in walk order whose goal is derived.
 type datalogBackend struct {
 	sys  *System
 	opts Options
-	// enc and chain are built by the first round. A round that returns an
-	// error and leaves enc nil has found that the backend cannot run on
-	// sys.
+	// enc and insts are built by prepare, chain by the first slice.
 	enc                      *encode.Encoder
 	prefixFacts, prefixRules int
 	// chain[k] is the model of the current instance's first k steps, and
@@ -587,180 +619,240 @@ type datalogBackend struct {
 	// chain are storage that the next continuations at their depths reuse,
 	// so at most one database per depth of the walk's path is live.
 	chain []*datalog.DB
+	insts *encode.Instances
+	// steps counts the walk steps evaluated: continuations of a parent
+	// step's model.
+	steps int
+	// res holds the counters, and wall the time the ended slices ran; the
+	// progress ticker reads them under mu.
+	mu           sync.Mutex
+	res          Result
+	wall         time.Duration
+	stopProgress func()
+	ended        bool
+	err          error
+
+	hInst                  *obs.Histogram
+	cInst, cRounds, cAtoms *obs.Counter
+	roundHook              datalog.RoundHook
 }
 
-// newDatalog readies the Datalog backend of sys under opts; its first
-// round does the work.
-func newDatalog(sys *System, opts Options) *datalogBackend {
-	return &datalogBackend{sys: sys, opts: opts}
+// newDatalog readies the Datalog backend of sys under opts, with res as
+// the base of its Results; its first slice does the work.
+func newDatalog(sys *System, opts Options, res Result) *datalogBackend {
+	res.Unsafe, res.Complete, res.Stats = false, false, Stats{}
+	return &datalogBackend{sys: sys, opts: opts, res: res, stopProgress: func() {}}
 }
 
-// verifyDatalog runs the Datalog backend in one round at its full skeleton
-// cap, under a "datalog" span.
-func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (Result, error) {
+// verifyDatalog runs the Datalog backend in one slice under a "datalog"
+// span, and returns it with its Result.
+func verifyDatalog(ctx context.Context, sys *System, opts Options, res Result, span *obs.Span) (*datalogBackend, Result, error) {
 	dspan := span.Child("datalog")
 	defer dspan.End()
-	return newDatalog(sys, opts).round(ctx, dspan, res, 0)
+	d := newDatalog(sys, opts, res)
+	if err := d.prepare(); err != nil {
+		return d, d.snapshot(), err
+	}
+	res, _, err := d.run(ctx, dspan, nil)
+	return d, res, err
 }
 
-// round walks at most budget skeletons (0 = the full cap, skeletonCap) under
-// dspan. It decides — its Result is Complete, or it returns an error — when
-// an instance derives its goal or the walk runs to its end, and then every
-// counter is the one a round at the full cap gives: Stats cover this
-// round's instances up to and including the first UNSAFE one in walk order.
-// Stats.Wall, which for the first round includes the encoding and the
-// shared model, is populated on every path, including encoding errors and
-// cancellation. Only a round at the full cap reports Progress.
-func (d *datalogBackend) round(ctx context.Context, dspan *obs.Span, res Result, budget int) (Result, error) {
-	opts := d.opts
-	if opts.Goal != nil {
-		return res, errors.New("paramra: the Datalog backend supports assert-reachability only")
+// prepare emits the prefix the instances share and readies the skeleton
+// walk. An error means that the backend cannot run on the system.
+func (d *datalogBackend) prepare() error {
+	start := time.Now()
+	defer d.addWall(start)
+	if d.opts.Goal != nil {
+		return errors.New("paramra: the Datalog backend supports assert-reachability only")
+	}
+	enc, err := datalogEncoder(d.sys)
+	if err != nil {
+		return err
+	}
+	d.enc = enc
+	d.prefixFacts, d.prefixRules = countRules(enc.Prefix().Rules)
+	d.insts = enc.Instances(skeletonCap(d.opts))
+	d.startObs()
+	return nil
+}
+
+// run continues the prepared backend under dspan until it ends, or, when
+// pause (nil = never) reports true before the next skeleton, pauses. It
+// returns the Result and true once the backend has ended: it decided — its
+// Result is Complete, or it returns an error — or the skeleton cap cut the
+// walk short. The counters are then those of one run to the end: Stats
+// cover the instances up to and including the first UNSAFE one in walk
+// order. Stats.Wall, which includes the encoding and the shared model, is
+// populated on every path, cancellation included.
+func (d *datalogBackend) run(ctx context.Context, dspan *obs.Span, pause func() bool) (Result, bool, error) {
+	if d.ended {
+		return d.snapshot(), true, d.err
 	}
 	start := time.Now()
-	res.Unsafe, res.Complete, res.Stats = false, false, Stats{}
-	seal := func(r Result) Result {
-		r.Stats.Wall = time.Since(start)
-		return r
+	end := func(err error) (Result, bool, error) {
+		d.stopProgress()
+		d.addWall(start)
+		d.ended, d.err = true, err
+		return d.snapshot(), true, err
 	}
-	if d.enc == nil {
-		enc, err := datalogEncoder(d.sys)
-		if err != nil {
-			return seal(res), err
-		}
-		d.enc = enc
-		d.prefixFacts, d.prefixRules = countRules(enc.Prefix().Rules)
-	}
-	limit := skeletonCap(opts)
-	if budget > 0 {
-		limit = min(budget, limit)
-	}
-
-	var hInst, hRound *obs.Histogram
-	var cInst, cRounds, cAtoms *obs.Counter
-	if m := opts.Metrics; m != nil {
-		hInst = m.Histogram("paramra_datalog_instance_ns",
-			"wall time per Datalog query instance (ns)")
-		hRound = m.Histogram("paramra_datalog_round_ns",
-			"wall time per semi-naive delta round (ns)")
-		cInst = m.Counter("paramra_datalog_instances_total",
-			"Datalog query instances evaluated")
-		cRounds = m.Counter("paramra_datalog_rounds_total",
-			"semi-naive fixpoint rounds across instances")
-		cAtoms = m.Counter("paramra_datalog_atoms_total",
-			"ground atoms derived across instances")
-	}
-	var roundHook datalog.RoundHook
-	if hRound != nil {
-		roundHook = func(d time.Duration) { hRound.Observe(int64(d)) }
-	}
-
-	// The walk owns the Datalog counters; the progress ticker reads them
-	// under mu.
-	var mu sync.Mutex
-	snapshot := func() Stats {
-		mu.Lock()
-		s := res.Stats
-		mu.Unlock()
-		s.Wall = time.Since(start)
-		return s
-	}
-	stopProgress := func() {}
-	if opts.Progress != nil && budget == 0 {
-		stopProgress = engine.Tick(500*time.Millisecond, func() { opts.Progress(snapshot()) })
-	}
-
 	// The two spans overlap: the walk feeds the evaluation as it goes.
 	eval := dspan.Child("datalog-eval")
+	walk := dspan.Child("skeleton-enumeration")
+	closeSpans := func(complete bool) {
+		if walk != nil {
+			walk.SetAttr("skeletons", d.res.Stats.Skeletons)
+			walk.SetAttr("complete", complete)
+			walk.End()
+		}
+		if eval != nil {
+			eval.SetAttr("instances_evaluated", d.res.Stats.Skeletons)
+			eval.SetAttr("rounds", d.res.Stats.FixpointRounds)
+			eval.SetAttr("atoms", d.res.Stats.DatalogAtoms)
+			eval.SetAttr("unsafe", d.res.Unsafe)
+			eval.End()
+		}
+	}
 	if d.chain == nil {
 		// The instances share their prefix, so its least model is
-		// evaluated once, and every chain of every round continues from
-		// it.
+		// evaluated once, and every chain continues from it.
 		mspan := eval.Child("shared-model")
-		model, st, err := datalog.Eval(ctx, d.enc.Prefix(), roundHook)
+		model, st, err := datalog.Eval(ctx, d.enc.Prefix(), d.roundHook)
 		if mspan != nil {
 			mspan.SetAttr("rounds", st.Rounds)
 			mspan.SetAttr("atoms", st.Atoms)
 			mspan.End()
 		}
 		if err != nil {
-			stopProgress()
-			eval.End()
-			return seal(res), err
+			closeSpans(false)
+			return end(err)
 		}
 		d.chain = []*datalog.DB{model}
 	}
 
-	walk := dspan.Child("skeleton-enumeration")
-	var evalErr error
-	complete, err := d.enc.Each(ctx, limit, func(p *encode.Problem) bool {
-		var t0 time.Time
-		if hInst != nil {
-			t0 = time.Now()
+	for {
+		if pause != nil && pause() {
+			closeSpans(false)
+			d.addWall(start)
+			return d.snapshot(), false, nil
 		}
-		facts, rules := d.prefixFacts, d.prefixRules
-		for _, st := range p.Steps {
-			f, r := countRules(st)
-			facts, rules = facts+f, rules+r
+		p, ok, err := d.insts.Next(ctx)
+		if err == nil && !ok {
+			err = ctx.Err()
 		}
-		// Only the steps past those shared with the instance before are
-		// new; each continues its parent's model into its depth's storage.
-		// A continuation that derives the goal, or is cancelled, ends the
-		// chain, and so the walk.
-		var last *datalog.DB
-		hit, rounds := false, 0
-		for k := p.Shared; k < len(p.Steps) && !hit && evalErr == nil; k++ {
-			if k+1 == len(d.chain) {
-				d.chain = append(d.chain, nil)
-			}
-			var st datalog.EvalStats
-			last, hit, st, evalErr = datalog.Continue(ctx, d.chain[k], d.chain[k+1], p.Steps[k], &p.Goal, roundHook)
-			d.chain[k+1] = last
-			rounds += st.Rounds
+		if !ok || err != nil {
+			d.mu.Lock()
+			d.res.Complete = d.insts.Complete() && err == nil
+			d.mu.Unlock()
+			closeSpans(d.res.Complete)
+			return end(err)
 		}
-		if hInst != nil {
-			hInst.Observe(int64(time.Since(t0)))
+		hit, err := d.evaluate(ctx, p)
+		if hit {
+			d.mu.Lock()
+			d.res.Unsafe, d.res.Complete = true, true
+			d.mu.Unlock()
+			closeSpans(false)
+			return end(nil)
 		}
-		atoms := last.Size()
-		mu.Lock()
-		res.Stats.Skeletons++
-		res.Stats.DatalogFacts += facts
-		res.Stats.DatalogRules += rules
-		res.Stats.FixpointRounds += rounds
-		res.Stats.DatalogAtoms += atoms
-		res.Unsafe = hit
-		mu.Unlock()
-		cInst.Inc()
-		cRounds.Add(int64(rounds))
-		cAtoms.Add(int64(atoms))
-		return !hit && evalErr == nil
-	})
-	stopProgress()
-	res.Complete = res.Unsafe || complete
-	if walk != nil {
-		walk.SetAttr("skeletons", res.Stats.Skeletons)
-		walk.SetAttr("complete", complete && !res.Unsafe)
-		walk.End()
+		if err != nil {
+			closeSpans(false)
+			return end(err)
+		}
 	}
-	if eval != nil {
-		eval.SetAttr("instances_evaluated", res.Stats.Skeletons)
-		eval.SetAttr("rounds", res.Stats.FixpointRounds)
-		eval.SetAttr("atoms", res.Stats.DatalogAtoms)
-		eval.SetAttr("unsafe", res.Unsafe)
-		eval.End()
+}
+
+// evaluate evaluates p's steps past those shared with the instance before
+// it in the chain, and counts p. Each step continues its parent's model
+// into its depth's storage; a continuation that derives the goal, or is
+// cancelled, ends the chain. It reports whether p's goal is derived.
+func (d *datalogBackend) evaluate(ctx context.Context, p *encode.Problem) (bool, error) {
+	var t0 time.Time
+	if d.hInst != nil {
+		t0 = time.Now()
 	}
-	if res.Unsafe {
-		return seal(res), nil
+	facts, rules := d.prefixFacts, d.prefixRules
+	for _, st := range p.Steps {
+		f, r := countRules(st)
+		facts, rules = facts+f, rules+r
 	}
-	if evalErr != nil {
-		err = evalErr
+	var (
+		last   *datalog.DB
+		hit    bool
+		rounds int
+		err    error
+	)
+	for k := p.Shared; k < len(p.Steps) && !hit && err == nil; k++ {
+		if k+1 == len(d.chain) {
+			d.chain = append(d.chain, nil)
+		}
+		var st datalog.EvalStats
+		last, hit, st, err = datalog.Continue(ctx, d.chain[k], d.chain[k+1], p.Steps[k], &p.Goal, d.roundHook)
+		d.chain[k+1] = last
+		rounds += st.Rounds
+		d.steps++
 	}
-	if err == nil {
-		err = ctx.Err()
+	if d.hInst != nil {
+		d.hInst.Observe(int64(time.Since(t0)))
 	}
-	if err != nil {
-		res.Complete = false
+	atoms := last.Size()
+	d.mu.Lock()
+	d.res.Stats.Skeletons++
+	d.res.Stats.DatalogFacts += facts
+	d.res.Stats.DatalogRules += rules
+	d.res.Stats.FixpointRounds += rounds
+	d.res.Stats.DatalogAtoms += atoms
+	d.mu.Unlock()
+	d.cInst.Inc()
+	d.cRounds.Add(int64(rounds))
+	d.cAtoms.Add(int64(atoms))
+	return hit, err
+}
+
+// startObs resolves the metrics handles and starts the progress ticker,
+// which runs until the backend ends or is stopped.
+func (d *datalogBackend) startObs() {
+	if m := d.opts.Metrics; m != nil {
+		d.hInst = m.Histogram("paramra_datalog_instance_ns",
+			"wall time per Datalog query instance (ns)")
+		hRound := m.Histogram("paramra_datalog_round_ns",
+			"wall time per semi-naive delta round (ns)")
+		d.roundHook = func(d time.Duration) { hRound.Observe(int64(d)) }
+		d.cInst = m.Counter("paramra_datalog_instances_total",
+			"Datalog query instances evaluated")
+		d.cRounds = m.Counter("paramra_datalog_rounds_total",
+			"semi-naive fixpoint rounds across instances")
+		d.cAtoms = m.Counter("paramra_datalog_atoms_total",
+			"ground atoms derived across instances")
 	}
-	return seal(res), err
+	if p := d.opts.Progress; p != nil {
+		d.stopProgress = engine.Tick(500*time.Millisecond, func() { p(d.snapshot().Stats) })
+	}
+}
+
+// addWall adds the time since start, when a slice began, to the wall.
+func (d *datalogBackend) addWall(start time.Time) {
+	d.mu.Lock()
+	d.wall += time.Since(start)
+	d.mu.Unlock()
+}
+
+// snapshot is the backend's Result so far, with the time its slices ran.
+func (d *datalogBackend) snapshot() Result {
+	d.mu.Lock()
+	res := d.res
+	res.Stats.Wall = d.wall
+	d.mu.Unlock()
+	return res
+}
+
+// stop ends a backend that has not ended, as a caller that will not resume
+// it, for its counters so far.
+func (d *datalogBackend) stop() Result {
+	if !d.ended {
+		d.stopProgress()
+		d.ended = true
+	}
+	return d.snapshot()
 }
 
 // countRules splits rules into facts and proper rules.

@@ -1,7 +1,6 @@
 package paramra
 
 import (
-	"cmp"
 	"context"
 	"strings"
 
@@ -48,7 +47,7 @@ func Prepass(ctx context.Context, sys *System, opts Options) (PrepassOutcome, er
 	out, rep := startPrepass(sys, opts)
 	var err error
 	if rep != nil {
-		out, err = rep.Round(ctx, rep.MaxStates())
+		out, _, err = rep.Run(ctx, nil)
 	}
 	tracePrepass(span, out)
 	return out, err
@@ -71,10 +70,8 @@ func startPrepass(sys *System, opts Options) (PrepassOutcome, *absint.Replay) {
 	// MaxStates can only lower the replay cap. The replay is a fast path
 	// for witnesses that show up in small instances; a caller's larger
 	// budget (raserved passes 2,000,000) is meant for the concrete
-	// explorers. As the replay's full cap it would keep the schedule
-	// restarting the fixpoint under budgets up to that size, and let a
-	// request whose fixpoint is capped replay five instances that large
-	// before answering UNKNOWN.
+	// explorers. As the replay's cap it would let a request whose fixpoint
+	// is capped replay five instances that large before answering UNKNOWN.
 	if opts.MaxStates > 0 {
 		aopts.MaxReplayStates = min(opts.MaxStates, absint.DefaultMaxReplayStates)
 	}
@@ -87,7 +84,9 @@ func tracePrepass(span *obs.Span, out PrepassOutcome) {
 		return
 	}
 	span.SetAttr("verdict", out.Verdict.String())
-	span.SetAttr("reason", out.Reason)
+	if out.Reason != "" {
+		span.SetAttr("reason", out.Reason)
+	}
 	if out.Analysis != nil {
 		span.SetAttr("rounds", out.Analysis.Rounds)
 	}
@@ -96,155 +95,305 @@ func tracePrepass(span *obs.Span, out PrepassOutcome) {
 	}
 }
 
-// Budgets of the prepass schedule, in states: the first round's budget,
-// and the factor by which each round's budget exceeds the one before.
+// The meter of the prepass schedule. Every engine charges it in units of
+// about 1 µs of its own work on the corpus (DESIGN, "One meter for every
+// engine"): the replay one per concrete state it admits, the fixpoint one
+// per macro-state it admits plus one per satStepsPerUnit saturation steps,
+// and the Datalog backend datalogStepUnits per step of its walk that it
+// evaluates, beside datalogStartUnits for emitting the prefix and
+// evaluating its shared model, which no pause can cut and which it is
+// charged before its first slice. Each round of the schedule raises the
+// engines' common target, from firstSlice, by sliceGrowth.
 const (
-	firstRoundBudget  = 64
-	roundBudgetGrowth = 4
+	firstSlice        = 16
+	sliceGrowth       = 2
+	satStepsPerUnit   = 10
+	datalogStepUnits  = 3
+	datalogStartUnits = 100
 )
 
-// schedule is verify with the prepass on. After the once-per-system part of
-// the prepass, it alternates a replay round and a backend round — the
-// fixpoint's, or with Options.Datalog the Datalog backend's — under a budget
-// that grows from firstRoundBudget by roundBudgetGrowth per round, until one
-// decides. The replay has the first turn. Its round explores at most
-// min(budget, its full cap) states, summed over the instances it explores;
-// a fixpoint round admits at most min(budget, MaxMacroStates) macro-states,
-// and a Datalog round walks at most min(budget, skeletonCap) skeletons. A
-// budgeted round's answer counts only when the budget did not bind, so
-// every answer — verdict, witness, §4.3 bound, backend Stats — is the one
-// that engine gives at its full cap, and the budgets decide only which
-// engine answers. Once one engine has run at its full cap without
-// deciding, or the replay has explored every instance exhaustively, the
-// other runs at its full cap in one go. Goal queries have no replay, so the
-// backend runs at once.
-//
-// Only a backend round at its full cap reports Progress. The Result's Stats
-// are the last backend round's, except that a prepass answer keeps them
-// only when that round ran at its full cap and is otherwise zero, as when
-// no backend round ran: the Progress snapshots never fall back, and a
-// prepass answer carries no counters of a budgeted round that decided
+// replayPending is the prepass's reason while its replay has confirmed
 // nothing.
+const replayPending = "candidate path found; no concrete replay confirmed it"
+
+// fixpointUnits is the fixpoint's spend for its work so far.
+func fixpointUnits(macroStates, saturationSteps int) int64 {
+	return int64(macroStates) + int64(saturationSteps/satStepsPerUnit)
+}
+
+// backend is a decision procedure the schedule meters: the fixpoint's
+// search or the Datalog backend, each resumable.
+type backend interface {
+	// run continues the backend under span, a slice span the caller opens
+	// and ends, until it ends or pause (nil = never) reports true between
+	// two expansions. It returns the Result so far and whether the backend
+	// ended; an error always ends it.
+	run(ctx context.Context, span *obs.Span, pause func() bool) (Result, bool, error)
+	// units is the backend's spend so far.
+	units() int64
+	// stop ends a backend that has not ended, as a caller that will not
+	// resume it, for its Result so far: its Progress reports the counters
+	// last.
+	stop() Result
+}
+
+// fixpointBackend is the fixpoint's search on the system work, as the
+// schedule's backend.
+type fixpointBackend struct {
+	work   *System
+	base   Result
+	search *simplified.Search
+}
+
+func (f *fixpointBackend) run(ctx context.Context, span *obs.Span, pause func() bool) (Result, bool, error) {
+	out, ended := f.search.Run(ctx, span, pause)
+	res, err := fixpointResult(f.base, f.work, out)
+	return res, ended || err != nil, err
+}
+
+func (f *fixpointBackend) units() int64 { return fixpointUnits(f.search.Work()) }
+
+func (f *fixpointBackend) stop() Result {
+	res, _ := fixpointResult(f.base, f.work, f.search.Stop())
+	return res
+}
+
+func (d *datalogBackend) units() int64 {
+	return datalogStartUnits + int64(d.steps)*datalogStepUnits
+}
+
+// schedule is verify with the prepass on. After the once-per-system part of
+// the prepass, it runs the replay and the backend — the fixpoint, or with
+// Options.Datalog the Datalog backend — in slices under one meter, until
+// one decides. Each round raises a common target, from firstSlice by
+// sliceGrowth, and the replay, then the backend, runs until its own spend
+// reaches it; an engine already past the target sits the round out. Every
+// engine keeps its frontier between its slices and pauses only between two
+// expansions (between two skeletons for the Datalog walk), so whatever an
+// engine answers — verdict, witness, §4.3 bound, the backend's Stats — is
+// what it answers run alone, and the meter decides only which engine
+// answers, the same way on every run. An engine that ends undecided at its
+// full cap, or a backend that cannot run on the system, leaves the other
+// to run alone to its end. Goal queries have no replay, so the backend
+// runs alone at once.
+//
+// The Result's Stats are the backend's counters when the schedule stopped,
+// zero when it never ran; its Progress reports them throughout. A
+// backend's answer carries a PrepassReason that does not depend on how far
+// the replay got.
 func schedule(ctx context.Context, sys *System, opts Options, span *obs.Span) (Result, error) {
-	rounds := 0
-	seal := func(r Result, err error) (Result, error) {
-		if span != nil {
-			span.SetAttr("decided_by", r.DecidedBy)
-			span.SetAttr("rounds", rounds)
-			span.SetAttr("unsafe", r.Unsafe)
-			span.SetAttr("complete", r.Complete)
-		}
-		return r, err
-	}
+	s := &sched{sys: sys, span: span,
+		replay: EngineRun{Engine: "prepass"}, back: EngineRun{Engine: backendName(opts)}}
 
 	// The prepass runs on the original system, before any unrolling, so a
 	// SAFE proof covers the true semantics rather than the bounded
-	// under-approximation. The first replay round shares its span.
+	// under-approximation. The replay's first slice shares its span.
 	pspan := span.Child("prepass")
 	out, rep := startPrepass(sys, opts)
-	var (
-		work *System
-		ver  *simplified.Verifier // the fixpoint, without Datalog
-		dl   *datalogBackend      // with Datalog
-		// last is the last backend round's result. lastErr is non-nil
-		// between rounds only when the backend cannot run.
-		last        = Result{EnvThreadBound: -1}
-		lastErr     error
-		backendDone bool // the backend ran at its full cap, or cannot run
-		// lastFull is whether the last backend round ran at its full cap,
-		// and so reported Progress.
-		lastFull bool
-	)
-	// fullCap is the backend's full cap in its budget's unit (0 = none).
-	fullCap := opts.MaxMacroStates
-	if opts.Datalog {
-		fullCap = skeletonCap(opts)
+	// reason is the PrepassReason of a backend answer: Start's, or the
+	// replay's once it ended. A backend's verdict beside a replay names no
+	// replay progress.
+	reason := out.Reason
+	if rep == nil {
+		tracePrepass(pspan, out)
+		pspan.End()
+		if out.Verdict != PrepassInconclusive {
+			return s.seal(applyPrepass(s.prepassBase(), out), nil)
+		}
+	} else {
+		reason = replayPending
 	}
-	for budget := firstRoundBudget; ; budget *= roundBudgetGrowth {
-		var err error
-		if rep != nil && !rep.Done() {
-			rounds++
-			limit := rep.MaxStates()
-			if !backendDone {
-				limit = min(budget, limit)
+
+	// last is the backend's Result once it ended undecided or could not
+	// run, with lastErr its error.
+	var (
+		last     Result
+		lastErr  error
+		replayOn = rep != nil
+		backOn   = true
+	)
+	replayPause := func() bool { return int64(rep.States()) >= s.target }
+	backPause := func() bool { return s.b.units() >= s.target }
+	for s.target = firstSlice; ; s.target *= sliceGrowth {
+		target := s.target
+		if replayOn && (!backOn || int64(rep.States()) < target) {
+			pause := replayPause
+			if !backOn {
+				pause = nil
 			}
 			if pspan == nil {
 				pspan = span.Child("prepass")
 			}
+			s.replay.Slices++
+			traceSlice(pspan, s.replay.Slices, target, pause != nil)
+			out, ended, err := rep.Run(ctx, pause)
+			s.replay.Units = int64(rep.States())
 			if pspan != nil {
-				pspan.SetAttr("round", rounds)
-				pspan.SetAttr("budget", limit)
-			}
-			out, err = rep.Round(ctx, limit)
-		}
-		if pspan != nil {
-			tracePrepass(pspan, out)
-			pspan.End()
-			pspan = nil
-		}
-		if err != nil || out.Verdict != PrepassInconclusive {
-			// The prepass ran on sys itself. Stats stay the last backend
-			// round's when it ran at its full cap, since Progress reported
-			// them; a budgeted round reported nothing and decided nothing.
-			pre := Result{EnvThreadBound: -1, Class: lang.Classify(sys)}
-			if lastErr == nil && lastFull {
-				pre.Stats = last.Stats
+				pspan.SetAttr("units", s.replay.Units)
+				pspan.SetAttr("cap", rep.MaxStates())
+				tracePrepass(pspan, out)
+				pspan.End()
+				pspan = nil
 			}
 			if err != nil {
-				return pre, err
+				return s.stopBackend(), err
 			}
-			return seal(applyPrepass(pre, out), nil)
-		}
-		last.PrepassReason = out.Reason
-		if backendDone {
-			// The replay has just run at its full cap as well.
-			return seal(last, lastErr)
-		}
-
-		if work == nil {
-			work, last = prepareBackend(sys, opts, span, last)
-			if opts.Datalog {
-				dl = newDatalog(work, opts)
-			} else {
-				ver, lastErr = newFixpoint(work, opts, span)
+			if ended {
+				replayOn = false
+				if out.Verdict != PrepassInconclusive {
+					s.replay.Decided = true
+					return s.seal(applyPrepass(s.stopBackend(), out), nil)
+				}
+				reason = out.Reason
+				if !backOn {
+					last.PrepassReason = reason
+					return s.seal(last, lastErr)
+				}
 			}
 		}
-		// Round budget 0 runs the backend at its full cap.
-		roundBudget := 0
-		if rep != nil && !rep.Done() && (fullCap == 0 || budget < fullCap) {
-			roundBudget = budget
-		}
-		decided := false
-		if lastErr == nil {
-			rounds++
-			lastFull = roundBudget == 0
-			bspan := span.Child(backendName(opts))
+		if backOn && (!replayOn || s.backUnits() < target) {
+			if s.b == nil {
+				if base, err := s.startBackend(opts); err != nil {
+					// The backend cannot run on the system: the replay runs
+					// alone before the error is returned.
+					backOn, last, lastErr = false, base, err
+					last.PrepassReason = reason
+					if !replayOn {
+						return s.seal(last, lastErr)
+					}
+					continue
+				}
+			}
+			pause := backPause
+			if !replayOn {
+				pause = nil
+			}
+			bspan := span.Child(s.back.Engine)
+			s.back.Slices++
+			traceSlice(bspan, s.back.Slices, target, pause != nil)
+			res, ended, err := s.b.run(ctx, bspan, pause)
+			s.back.Units = s.b.units()
 			if bspan != nil {
-				bspan.SetAttr("round", rounds)
-				bspan.SetAttr("budget", cmp.Or(roundBudget, fullCap))
-			}
-			if opts.Datalog {
-				last, lastErr = dl.round(ctx, bspan, last, roundBudget)
+				bspan.SetAttr("units", s.back.Units)
 				bspan.End()
-				decided = last.Complete || (lastErr != nil && dl.enc != nil)
-			} else {
-				fout := ver.VerifyRound(ctx, bspan, roundBudget)
-				bspan.End()
-				last, lastErr = fixpointResult(last, work, fout)
-				decided = lastErr != nil || fout.Unsafe || fout.Complete
+			}
+			res.PrepassReason = reason
+			if err == nil && res.Complete {
+				if rep != nil {
+					res.PrepassReason = replayPending + " before the " + s.back.Engine + " decided"
+				}
+				s.back.Decided = true
+				return s.seal(res, nil)
+			}
+			if err != nil {
+				return s.seal(res, err)
+			}
+			if ended {
+				// Undecided at its full cap.
+				backOn, last = false, res
+				if !replayOn {
+					return s.seal(last, nil)
+				}
 			}
 		}
-		if decided {
-			return seal(last, lastErr)
+	}
+}
+
+// sched is the state of one schedule: the round's target, the backend once
+// started, and what each engine ran.
+type sched struct {
+	sys          *System
+	span         *obs.Span
+	target       int64
+	b            backend
+	replay, back EngineRun
+}
+
+// startBackend readies the backend opts select: unrolling, classification,
+// and the checks that it can run on the system. It returns the Result the
+// backend starts from, and an error when the backend cannot run.
+func (s *sched) startBackend(opts Options) (Result, error) {
+	work, res := prepareBackend(s.sys, opts, s.span, Result{EnvThreadBound: -1})
+	if opts.Datalog {
+		d := newDatalog(work, opts, res)
+		if err := d.prepare(); err != nil {
+			return res, err
 		}
-		if roundBudget == 0 || lastErr != nil {
-			// Without a backend, the replay runs at its full cap before the
-			// error is returned.
-			backendDone = true
-			if rep == nil || rep.Done() {
-				return seal(last, lastErr)
-			}
+		s.b = d
+		return res, nil
+	}
+	ver, err := newFixpoint(work, opts, s.span)
+	if err != nil {
+		return res, err
+	}
+	s.b = &fixpointBackend{work: work, base: res, search: ver.NewSearch()}
+	return res, nil
+}
+
+// backUnits is the backend's spend so far: before its first slice, what it
+// is charged for its start.
+func (s *sched) backUnits() int64 {
+	switch {
+	case s.b != nil:
+		return s.b.units()
+	case s.back.Engine == "datalog":
+		return datalogStartUnits
+	}
+	return 0
+}
+
+// prepassBase is the Result a prepass answer starts from: the prepass ran
+// on the system itself.
+func (s *sched) prepassBase() Result {
+	return Result{EnvThreadBound: -1, Class: lang.Classify(s.sys)}
+}
+
+// stopBackend stops the backend and returns the Result a prepass answer
+// starts from, with the backend's counters (zero when it never ran).
+func (s *sched) stopBackend() Result {
+	res := s.prepassBase()
+	if s.b != nil {
+		res.Stats = s.b.stop().Stats
+	}
+	return res
+}
+
+// seal lists the engines that ran in r's Schedule and records the schedule
+// on the verify span.
+func (s *sched) seal(r Result, err error) (Result, error) {
+	runs := [2]EngineRun{s.replay, s.back}
+	n := 0
+	for _, e := range runs {
+		if e.Slices > 0 {
+			runs[n] = e
+			n++
 		}
+	}
+	if n > 0 {
+		r.Schedule = append([]EngineRun(nil), runs[:n]...)
+	}
+	if span := s.span; span != nil {
+		span.SetAttr("decided_by", r.DecidedBy)
+		span.SetAttr("unsafe", r.Unsafe)
+		span.SetAttr("complete", r.Complete)
+		for _, e := range r.Schedule {
+			span.SetAttr(e.Engine+"_slices", e.Slices)
+			span.SetAttr(e.Engine+"_units", e.Units)
+			span.SetAttr(e.Engine+"_decided", e.Decided)
+		}
+	}
+	return r, err
+}
+
+// traceSlice records an engine's slice number and, when the slice pauses
+// at a target, the target on its span.
+func traceSlice(span *obs.Span, slice int, target int64, paused bool) {
+	if span == nil {
+		return
+	}
+	span.SetAttr("slice", slice)
+	if paused {
+		span.SetAttr("target", target)
 	}
 }
 

@@ -20,6 +20,17 @@ thread producer { regs r; r = load y; assume r == 1; store x 2 }
 thread consumer { regs s; store y 1; s = load x; assume s == 2; assert false }
 `
 
+// prepassReplaySrc is prepassUnsafeSrc with a second dis thread whose two
+// stores give the fixpoint more macro-states to admit before the violation
+// than the replay needs concrete states to confirm it: on prodcons itself
+// the fixpoint decides first under the prepass schedule.
+const prepassReplaySrc = `
+system prodcons { vars x y z0 z1 z2; domain 4; env producer; dis consumer; dis noise }
+thread producer { regs r; r = load y; assume r == 1; store x 2 }
+thread consumer { regs s; store y 1; s = load x; assume s == 2; assert false }
+thread noise { store z0 1; store z1 1 }
+`
+
 func TestVerifyPrepassSafe(t *testing.T) {
 	sys, err := Parse(prepassSafeSrc)
 	if err != nil {
@@ -38,7 +49,7 @@ func TestVerifyPrepassSafe(t *testing.T) {
 }
 
 func TestVerifyPrepassUnsafe(t *testing.T) {
-	sys, err := Parse(prepassUnsafeSrc)
+	sys, err := Parse(prepassReplaySrc)
 	if err != nil {
 		t.Fatal(err)
 	}

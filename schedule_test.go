@@ -7,32 +7,33 @@ import (
 	"testing"
 
 	"paramra"
-	"paramra/internal/absint"
 	"paramra/internal/bench"
 	"paramra/internal/obs"
 	"paramra/internal/serve"
 )
 
 // maxServedReplayStates bounds the concrete replay states one pass over the
-// corpus explores at raserved's defaults, summed over every prepass span.
-// Running the replay to its full cap before the fixpoint explores 21,095,
-// and charging each budgeted round's budget per instance instead of summed
-// over its instances explores 2,286.
-const maxServedReplayStates = 2_000
+// corpus explores at raserved's defaults, summed over the entries. Running
+// the replay to its full cap before the fixpoint explores 21,095; replay
+// rounds of 64 states and more, growing ×4 and restarted each round,
+// explored about 1,350; resumed slices from 16 units, doubling, about 850.
+const maxServedReplayStates = 1_000
 
-// TestServedScheduleContract pins what the prepass schedule (alternating
-// replay and fixpoint rounds under growing state budgets) guarantees on the
-// corpus at raserved's defaults:
+// TestServedScheduleContract pins what the prepass schedule (the replay and
+// the fixpoint in metered slices that resume where they paused) guarantees
+// on the corpus at raserved's defaults:
 //
 //   - the verdict is the prepass-off verdict;
 //   - when the fixpoint decides, its statistics are the prepass-off run's,
-//     since a budgeted round counts only when its budget did not bind;
-//   - with MaxMacroStates 1 only the replay can run on, and every entry the
-//     standalone prepass decides gets exactly its outcome — the replay gets
-//     its full cap before the answer is UNKNOWN;
-//   - a budgeted replay round explores at most its budget, summed over its
-//     instances, and the replay rounds explore far fewer states than one
-//     full replay.
+//     since its slices resume one search;
+//   - a backend's answer gives the same PrepassReason whatever the
+//     replay's cap (the served one, or MaxStates 1000);
+//   - with MaxMacroStates 1 the fixpoint ends capped and only the replay
+//     can run on, and every entry the standalone prepass decides gets
+//     exactly its outcome;
+//   - every slice is one engine-named child span of verify (see
+//     checkSlices), and the replay explores far fewer states than one full
+//     replay.
 func TestServedScheduleContract(t *testing.T) {
 	ctx := context.Background()
 	served, err := serve.Config{}.Defaulted().Options(serve.RequestOptions{})
@@ -43,32 +44,18 @@ func TestServedScheduleContract(t *testing.T) {
 	replayOnly.MaxMacroStates = 1
 	off := served
 	off.Prepass = false
+	smallReplay := served
+	smallReplay.MaxStates = 1000
 
-	replayStates := 0
+	replayStates := int64(0)
 	for _, e := range bench.Corpus() {
 		sys := e.System()
-
-		capture := obs.NewCapture("schedule")
-		traced := served
-		traced.Tracer = capture.Tracer
-		res, err := paramra.Verify(ctx, sys, traced)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		tree, err := capture.Tree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs.WalkTree(tree, func(n *obs.TreeNode) {
-			if n.Name == "prepass" {
-				v, _ := n.Attrs["replay_states"].(float64)
-				replayStates += int(v)
-				if budget, ok := n.Attrs["budget"].(float64); ok && budget < absint.DefaultMaxReplayStates && v > budget {
-					t.Errorf("%s: replay round %v explored %v states on a budget of %v",
-						e.Name, n.Attrs["round"], v, budget)
-				}
+		res := tracedVerify(t, e.Name, sys, served, "fixpoint")
+		for _, r := range res.Schedule {
+			if r.Engine == "prepass" {
+				replayStates += r.Units
 			}
-		})
+		}
 
 		base, err := paramra.Verify(ctx, sys, off)
 		if err != nil {
@@ -78,9 +65,12 @@ func TestServedScheduleContract(t *testing.T) {
 			t.Errorf("%s: verdict (unsafe %v, complete %v) by %s, prepass off (%v, %v)",
 				e.Name, res.Unsafe, res.Complete, res.DecidedBy, base.Unsafe, base.Complete)
 		}
-		if res.DecidedBy == "fixpoint" && fixpointStats(res.Stats) != fixpointStats(base.Stats) {
-			t.Errorf("%s: fixpoint stats %v, prepass off %v",
-				e.Name, fixpointStats(res.Stats), fixpointStats(base.Stats))
+		if res.DecidedBy == "fixpoint" {
+			if fixpointStats(res.Stats) != fixpointStats(base.Stats) {
+				t.Errorf("%s: fixpoint stats %v, prepass off %v",
+					e.Name, fixpointStats(res.Stats), fixpointStats(base.Stats))
+			}
+			checkSameReason(t, e.Name, res, sys, smallReplay)
 		}
 
 		pre, err := paramra.Prepass(ctx, sys, served)
@@ -100,6 +90,126 @@ func TestServedScheduleContract(t *testing.T) {
 		t.Errorf("one corpus pass replayed %d states, want fewer than %d", replayStates, maxServedReplayStates)
 	}
 	t.Logf("one corpus pass replayed %d states", replayStates)
+}
+
+// tracedVerify verifies sys under opts with a trace, checks the trace's
+// slices against the Result's Schedule (checkSlices), and returns the
+// Result.
+func tracedVerify(t *testing.T, name string, sys *paramra.System, opts paramra.Options, backend string) paramra.Result {
+	t.Helper()
+	capture := obs.NewCapture("schedule")
+	opts.Tracer = capture.Tracer
+	res, err := paramra.Verify(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	tree, err := capture.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree) != 1 || tree[0].Name != "verify" {
+		t.Fatalf("%s: trace roots %v, want one verify span", name, tree)
+	}
+	checkSlices(t, name, tree[0], res, backend)
+	return res
+}
+
+// engineSpans are the spans the engines record inside their slices.
+var engineSpans = map[string]bool{
+	"init-saturate": true, "layered": true, "layer": true,
+	"datalog-eval": true, "shared-model": true, "skeleton-enumeration": true,
+}
+
+// checkSlices pins the slices of one schedule in its trace:
+//
+//   - every slice is one child span of verify named after its engine
+//     ("prepass" or the backend), and the engines' own spans nest inside
+//     the slices, never directly under verify, so no span straddles two
+//     slices;
+//   - an engine's slices are numbered 1, 2, … and its units never fall;
+//   - a slice with a target starts below it and ends at or past it unless
+//     it is the engine's last, and a slice without one (the engine runs
+//     alone) is its engine's last;
+//   - the Result's Schedule lists each engine's slices and final units.
+func checkSlices(t *testing.T, name string, verify *obs.TreeNode, res paramra.Result, backend string) {
+	t.Helper()
+	type run struct {
+		slices int
+		units  float64
+		// target is the last slice's target, 0 for none.
+		target float64
+		alone  bool
+	}
+	runs := map[string]*run{}
+	var order []string
+	for _, c := range verify.Children {
+		if engineSpans[c.Name] {
+			t.Errorf("%s: engine span %q directly under verify, outside every slice", name, c.Name)
+		}
+		if c.Name != "prepass" && c.Name != backend {
+			continue
+		}
+		slice, _ := c.Attrs["slice"].(float64)
+		units, okUnits := c.Attrs["units"].(float64)
+		if slice == 0 && c.Name == "prepass" && len(runs) == 0 {
+			// The once-per-system prepass, with no replay to slice.
+			continue
+		}
+		r := runs[c.Name]
+		if r == nil {
+			r = &run{}
+			runs[c.Name] = r
+			order = append(order, c.Name)
+		}
+		if r.alone {
+			t.Errorf("%s: %s slice %v after its slice without a target", name, c.Name, slice)
+		}
+		if r.units < r.target {
+			t.Errorf("%s: %s slice %v follows one that paused at %v units, below its target %v",
+				name, c.Name, slice, r.units, r.target)
+		}
+		r.slices++
+		if int(slice) != r.slices || !okUnits || units < r.units {
+			t.Errorf("%s: %s slice %v (attrs %v) after %d slices and %v units", name, c.Name, slice, c.Attrs, r.slices-1, r.units)
+		}
+		if target, ok := c.Attrs["target"].(float64); ok {
+			if r.units >= target {
+				t.Errorf("%s: %s slice %v starts at %v units, past its target %v", name, c.Name, slice, r.units, target)
+			}
+			r.target = target
+		} else {
+			r.alone = true
+		}
+		r.units = units
+		obs.WalkTree(c.Children, func(n *obs.TreeNode) {
+			if n.Name == "prepass" || n.Name == "fixpoint" || n.Name == "datalog" {
+				t.Errorf("%s: slice span %q nested in a %s slice", name, n.Name, c.Name)
+			}
+		})
+	}
+	var want []paramra.EngineRun
+	for _, engine := range order {
+		r := runs[engine]
+		decided := engine == res.DecidedBy && res.Complete
+		want = append(want, paramra.EngineRun{Engine: engine, Slices: r.slices, Units: int64(r.units), Decided: decided})
+	}
+	if !reflect.DeepEqual(res.Schedule, want) {
+		t.Errorf("%s: Schedule %+v, the trace's slices %+v", name, res.Schedule, want)
+	}
+}
+
+// checkSameReason requires the backend's answer res on sys to give the same
+// PrepassReason when the replay has the smaller cap of opts.
+func checkSameReason(t *testing.T, name string, res paramra.Result, sys *paramra.System, opts paramra.Options) {
+	t.Helper()
+	got, err := paramra.Verify(context.Background(), sys, opts)
+	if err != nil {
+		t.Fatalf("%s MaxStates %d: %v", name, opts.MaxStates, err)
+	}
+	if got.DecidedBy != res.DecidedBy || got.PrepassReason != res.PrepassReason {
+		t.Errorf("%s: decided by %s with reason %q; with MaxStates %d by %s with reason %q",
+			name, res.DecidedBy, res.PrepassReason, opts.MaxStates, got.DecidedBy, got.PrepassReason)
+	}
 }
 
 // checkPrepassOutcome requires got to be exactly the standalone prepass's
@@ -127,13 +237,16 @@ func checkPrepassOutcome(t *testing.T, name string, got paramra.Result, pre para
 // Prepass), on the corpus:
 //
 //   - the verdict is the Datalog backend's with the prepass off;
-//   - when the Datalog backend decides, its five counters are that run's:
-//     a budgeted round counts only when its skeleton budget did not bind,
-//     and Stats are the deciding round's, not a sum over rounds;
-//   - with MaxSkeletons 1 only the replay can run on, and every entry the
-//     standalone prepass decides gets exactly its outcome;
-//   - every Datalog round is a "datalog" span with its round and budget,
-//     and one that runs below the skeleton cap walks at most its budget.
+//   - when the Datalog backend decides, its five counters and its units
+//     are that run's: its slices resume one walk, and Stats are not a sum
+//     over slices;
+//   - a backend's answer gives the same PrepassReason with MaxStates 1000;
+//   - with MaxSkeletons 1 the Datalog backend ends capped and only the
+//     replay can run on, and every entry the standalone prepass decides
+//     gets exactly its outcome;
+//   - every slice is one engine-named child span of verify (checkSlices),
+//     and the skeleton-enumeration span of a Datalog slice counts the
+//     skeletons walked so far, never fewer than the slice before.
 func TestDatalogScheduleContract(t *testing.T) {
 	ctx := context.Background()
 	opts := paramra.Options{Datalog: true, Prepass: true}
@@ -141,36 +254,12 @@ func TestDatalogScheduleContract(t *testing.T) {
 	skeletonOnly.MaxSkeletons = 1
 	off := opts
 	off.Prepass = false
+	smallReplay := opts
+	smallReplay.MaxStates = 1000
 
 	for _, e := range bench.Corpus() {
 		sys := e.System()
-		capture := obs.NewCapture("schedule")
-		traced := opts
-		traced.Tracer = capture.Tracer
-		res, err := paramra.Verify(ctx, sys, traced)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		tree, err := capture.Tree()
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs.WalkTree(tree, func(n *obs.TreeNode) {
-			if n.Name != "datalog" {
-				return
-			}
-			round, okRound := n.Attrs["round"].(float64)
-			budget, okBudget := n.Attrs["budget"].(float64)
-			if !okRound || !okBudget {
-				t.Errorf("%s: datalog span without round and budget: %v", e.Name, n.Attrs)
-				return
-			}
-			obs.WalkTree(n.Children, func(c *obs.TreeNode) {
-				if walked, ok := c.Attrs["skeletons"].(float64); ok && c.Name == "skeleton-enumeration" && walked > budget {
-					t.Errorf("%s: Datalog round %v walked %v skeletons on a budget of %v", e.Name, round, walked, budget)
-				}
-			})
-		})
+		res := tracedVerify(t, e.Name, sys, opts, "datalog")
 
 		base, err := paramra.Verify(ctx, sys, off)
 		if err != nil {
@@ -180,9 +269,15 @@ func TestDatalogScheduleContract(t *testing.T) {
 			t.Errorf("%s: verdict (unsafe %v, complete %v) by %s, prepass off (%v, %v)",
 				e.Name, res.Unsafe, res.Complete, res.DecidedBy, base.Unsafe, base.Complete)
 		}
-		if res.DecidedBy == "datalog" && datalogStats(res.Stats) != datalogStats(base.Stats) {
-			t.Errorf("%s: Datalog stats %v, prepass off %v",
-				e.Name, datalogStats(res.Stats), datalogStats(base.Stats))
+		if res.DecidedBy == "datalog" {
+			if datalogStats(res.Stats) != datalogStats(base.Stats) {
+				t.Errorf("%s: Datalog stats %v, prepass off %v",
+					e.Name, datalogStats(res.Stats), datalogStats(base.Stats))
+			}
+			if got, want := last(res.Schedule).Units, last(base.Schedule).Units; got != want {
+				t.Errorf("%s: the Datalog slices spent %d units, the backend alone %d", e.Name, got, want)
+			}
+			checkSameReason(t, e.Name, res, sys, smallReplay)
 		}
 
 		pre, err := paramra.Prepass(ctx, sys, opts)
@@ -197,5 +292,50 @@ func TestDatalogScheduleContract(t *testing.T) {
 			t.Fatalf("%s MaxSkeletons 1: %v", e.Name, err)
 		}
 		checkPrepassOutcome(t, e.Name+", MaxSkeletons 1", got, pre)
+	}
+}
+
+// last is a schedule's last engine.
+func last(s []paramra.EngineRun) paramra.EngineRun {
+	if len(s) == 0 {
+		return paramra.EngineRun{}
+	}
+	return s[len(s)-1]
+}
+
+// TestDatalogSlicesWalkOnce: on corr2-coherence, where the Datalog backend
+// decides SAFE after several slices beside the replay, the slices walk each
+// of its 69 skeletons exactly once. A schedule that restarted its Datalog
+// rounds walked the first rounds' skeletons again.
+func TestDatalogSlicesWalkOnce(t *testing.T) {
+	e, _ := bench.ByName("corr2-coherence")
+	capture := obs.NewCapture("walk")
+	res, err := paramra.Verify(context.Background(), e.System(),
+		paramra.Options{Datalog: true, Prepass: true, Tracer: capture.Tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := capture.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walked []float64
+	obs.WalkTree(tree, func(n *obs.TreeNode) {
+		if n.Name == "skeleton-enumeration" {
+			v, _ := n.Attrs["skeletons"].(float64)
+			walked = append(walked, v)
+		}
+	})
+	if res.DecidedBy != "datalog" || res.Unsafe || res.Stats.Skeletons != 69 || len(walked) < 2 {
+		t.Fatalf("decided by %s (unsafe %v) after %d skeletons in %d Datalog slices, want SAFE by datalog after 69 in several",
+			res.DecidedBy, res.Unsafe, res.Stats.Skeletons, len(walked))
+	}
+	for i := 1; i < len(walked); i++ {
+		if walked[i] < walked[i-1] {
+			t.Errorf("slice %d: %v skeletons walked so far, the slice before %v", i+1, walked[i], walked[i-1])
+		}
+	}
+	if walked[len(walked)-1] != 69 {
+		t.Errorf("the last slice had walked %v skeletons, want 69", walked[len(walked)-1])
 	}
 }

@@ -51,26 +51,31 @@
 #       per-instance rebuilt tables or per-instance continuations show up
 #       here first.
 #   BenchmarkServedCorpus  the served path: the 24 corpus entries through
-#       paramra.Verify with raserved's default options, where
-#       the prepass schedule alternates replay and fixpoint rounds under
-#       growing state budgets. Fixed budget ~1.15x its cost once a replay
-#       round's budget was summed over its instances (~21.6k allocs/op),
-#       below its cost while each instance got the whole budget (~31.0k
+#       paramra.Verify with raserved's default options, where the prepass
+#       schedule runs the replay and the fixpoint in slices under one work
+#       meter, each resuming where it paused. Fixed budget ~1.19x its cost
+#       once the engines resumed their slices (~19.0k allocs/op), below its
+#       cost while rounds restarted them under state budgets of 64 ×4 and a
+#       replay round's budget was summed over its instances (~21.4k-21.6k
+#       allocs/op), while each instance got the whole budget (~31.0k
 #       allocs/op; ~27.0k with successors that share their parent's
-#       memory), ~1/5 of its cost on integer slots (~122k allocs/op), and
-#       ~1/10 of the cost while the replay ran to its full cap before the
+#       memory), ~1/6 of its cost on integer slots (~122k allocs/op), and
+#       ~1/12 of the cost while the replay ran to its full cap before the
 #       fixpoint (~237k allocs/op), so a return to any of these fails here.
 #   BenchmarkServedCorpusDatalog  radatalog's default: the 24 corpus
 #       entries through paramra.Verify with the Datalog backend and the
-#       prepass, where the schedule alternates replay and Datalog rounds
-#       under growing budgets. Fixed budget ~1.3x its cost once the walk
-#       took order classes (~39k allocs/op), below its cost while the walk
-#       kept integer timestamps (~139k-155k allocs/op with each step of
-#       the walk evaluated once), when every instance re-evaluated all its
-#       steps (~209k allocs/op), while each instance continued from the
-#       prefix's model on its own (~247k allocs/op) and while the replay
-#       ran to its full cap before the Datalog backend (~327k allocs/op),
-#       so a return to any of these fails here.
+#       prepass, where the schedule runs the replay and the Datalog backend
+#       in slices under one work meter. Fixed budget ~1.13x its cost once
+#       the engines resumed their slices (~44.4k allocs/op: the replay
+#       explores up to a walk's spend, about 2,700 states per pass, where
+#       a round of 64 skeletons held most of a walk at ~39k) and ~1.3x the
+#       cost of those rounds once the walk took order classes, below its
+#       cost while the walk kept integer timestamps (~139k-155k allocs/op
+#       with each step of the walk evaluated once), when every instance
+#       re-evaluated all its steps (~209k allocs/op), while each instance
+#       continued from the prefix's model on its own (~247k allocs/op) and
+#       while the replay ran to its full cap before the Datalog backend
+#       (~327k allocs/op), so a return to any of these fails here.
 #   BenchmarkDatalogVerifyUnsafe  the Datalog backend's early exit, on
 #       peterson-ra: the skeleton walk stops at its 2nd of 63 skeletons
 #       (of 26,136 while it kept integer timestamps), whose instance
@@ -119,7 +124,7 @@ gate BenchmarkPrepassReplay "$REPLAY_BUDGET"
 gate BenchmarkSkeletons 4800
 gate BenchmarkSlice 44000
 gate BenchmarkDatalogVerify 2400
-gate BenchmarkServedCorpus 25000
+gate BenchmarkServedCorpus 22500
 gate BenchmarkServedCorpusDatalog 50000
 gate BenchmarkDatalogVerifyUnsafe 5000
 gate BenchmarkSaturateTQBF 850

@@ -85,7 +85,8 @@ func TestServedSoakEndToEnd(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	werr := cmd.Wait()
+	// The output is read to its end before Wait, which closes the pipe and
+	// would cut off lines not yet read.
 	select {
 	case rest := <-done:
 		if !strings.Contains(rest, "drained cleanly") {
@@ -94,7 +95,7 @@ func TestServedSoakEndToEnd(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("raserved did not exit after SIGTERM")
 	}
-	if werr != nil {
+	if werr := cmd.Wait(); werr != nil {
 		t.Errorf("raserved exit after SIGTERM: %v (want code 0)", werr)
 	}
 }
